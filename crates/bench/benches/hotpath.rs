@@ -1,16 +1,11 @@
-//! Criterion benches for the hot-path layers: symbol interning, compiled
-//! vs AST transition dispatch, and batched vs per-transaction delta
-//! application (the work-stealing pool's commit-log fold).
+//! Criterion benches for the hot-path layers: symbol interning and compiled
+//! vs AST transition dispatch.
 
-use chain::address::Address;
-use chain::delta::{IntDelta, StateDelta};
-use chain::state::GlobalState;
-use criterion::{criterion_group, criterion_main, env_or, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use scilla::gas::GasMeter;
 use scilla::interpreter::{CompiledContract, ExecMode, TransitionContext};
 use scilla::state::InMemoryState;
 use scilla::value::Value;
-use std::sync::Arc;
 
 fn bench_intern(c: &mut Criterion) {
     // Pre-intern so the bench measures the steady-state lookup, not the
@@ -126,56 +121,5 @@ fn bench_dispatch(c: &mut Criterion) {
     });
 }
 
-/// Synthesises a commit log shaped like the work-stealing pool's: each
-/// entry adds to a shared `IntMerge` counter, overwrites its own keyed
-/// component, and credits a balance.
-fn commit_log(entries: usize) -> Vec<StateDelta> {
-    let contract = Address::from_index(7_000);
-    (0..entries)
-        .map(|i| {
-            let mut d = StateDelta::new();
-            let cd = d.contracts.entry(contract).or_default();
-            cd.int_deltas.insert(
-                ("total_supply".into(), vec![]),
-                IntDelta { delta: 1, width: 128, signed: false },
-            );
-            cd.overwrites.insert(
-                ("balances".into(), vec![Value::Uint(128, i as u128)]),
-                Some(Value::Uint(128, (i * 3) as u128)),
-            );
-            d.balances.insert(Address::from_index(i as u64), 5);
-            d
-        })
-        .collect()
-}
-
-fn bench_commit_fold(c: &mut Criterion) {
-    let entries = env_or("BENCH_COMMITS", 256) as usize;
-    let log = commit_log(entries);
-    let base = {
-        let mut s = GlobalState::new();
-        let storage = Arc::make_mut(s.storage.entry(Address::from_index(7_000)).or_default());
-        scilla::state::StateStore::store(storage, "total_supply", Value::Uint(128, 0));
-        s
-    };
-
-    c.bench_function("commit-log/per-entry-apply", |b| {
-        b.iter(|| {
-            let mut st = base.clone();
-            for d in &log {
-                d.apply(&mut st).unwrap();
-            }
-            st
-        })
-    });
-    c.bench_function("commit-log/composed-apply", |b| {
-        b.iter(|| {
-            let mut st = base.clone();
-            StateDelta::compose_ref(log.iter()).apply(&mut st).unwrap();
-            st
-        })
-    });
-}
-
-criterion_group!(benches, bench_intern, bench_dispatch, bench_commit_fold);
+criterion_group!(benches, bench_intern, bench_dispatch);
 criterion_main!(benches);

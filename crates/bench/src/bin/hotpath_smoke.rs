@@ -1,26 +1,19 @@
 //! Hot-path smoke test for CI (`scripts/check.sh`).
 //!
-//! Asserts the three hot-path layers actually pay off and stay sound:
+//! Two gates:
 //!
 //! - compiled transition dispatch beats the AST walker on a serial
 //!   FungibleToken transfer stream (≥ 1.05×, lenient against CI noise —
 //!   `paper hotpath` reports the full number);
-//! - the work-stealing executor produces bit-identical output to the
-//!   serial executor (asserted inside the sweep) with a modelled speedup
-//!   ≥ 1.0, claims every transaction through the ready queue, and
-//!   batch-applies peer deltas;
-//! - on a multi-core host the raw wall clock also beats serial at 4
-//!   workers (vacuous on 1-core hosts, where parallelism cannot win wall
-//!   time by construction);
 //! - the transaction path performs zero owned-name state accesses
-//!   (`chain.state.hot_clones`).
+//!   (`chain.state.hot_clones`) over one shard's transfer batch.
 //!
 //! Usage: `hotpath_smoke`.
 
 use cosplit_bench::experiments::hotpath_experiment;
 
 fn main() {
-    let h = hotpath_experiment(2_048, 800, 2_000, &[2, 4], 3);
+    let h = hotpath_experiment(2_048, 800, 2_000, 3);
     let mut failures = 0u32;
 
     println!(
@@ -37,46 +30,11 @@ fn main() {
         failures += 1;
     }
 
-    for s in &h.sweeps {
-        println!(
-            "  {} workers: {} txs, serial {:.1} ms, modelled {:.2}x, wall {:.2}x ({} core(s))",
-            s.workers,
-            s.txs,
-            s.serial.as_secs_f64() * 1e3,
-            s.speedup(),
-            s.speedup_wall(),
-            s.host_cores
-        );
-        if s.speedup() < 1.0 {
-            eprintln!(
-                "FAIL: {} workers: modelled speedup below serial ({:.2}x)",
-                s.workers,
-                s.speedup()
-            );
-            failures += 1;
-        }
-        if s.host_cores >= 2 && s.workers <= s.host_cores && s.speedup_wall() <= 1.0 {
-            eprintln!(
-                "FAIL: {} workers on {} cores: wall speedup {:.2}x did not beat serial",
-                s.workers,
-                s.host_cores,
-                s.speedup_wall()
-            );
-            failures += 1;
-        }
-    }
-
-    println!(
-        "  work stealing: {} steals, {} local pops, {} drains ({} peer deltas)",
-        h.steals, h.local_pops, h.drains, h.drained_deltas
-    );
-    let batch_txs: u64 = h.sweeps.iter().map(|s| s.txs as u64).sum();
-    if h.steals + h.local_pops == 0 && batch_txs > 0 {
-        eprintln!("FAIL: the work-stealing pool claimed nothing across the sweep");
+    println!("  hot clones: {} over {} committed txs", h.hot_clones, h.committed);
+    if h.committed == 0 {
+        eprintln!("FAIL: the audited shard batch committed nothing");
         failures += 1;
     }
-
-    println!("  hot clones: {}", h.hot_clones);
     if h.hot_clones != 0 {
         eprintln!(
             "FAIL: {} owned-name state accesses on the transaction path",

@@ -28,7 +28,7 @@ fn main() {
         "overflow" => overflow(),
         "ablation" => ablation_cmd(fast),
         "tracer" => tracer_cmd(fast),
-        "parallel" => parallel_cmd(fast),
+        "parallel" => parallel_cmd(),
         "state" => state_cmd(fast),
         "trace" => trace_cmd(fast),
         "xshard" => xshard_cmd(fast),
@@ -45,7 +45,7 @@ fn main() {
             strategies_cmd();
             ablation_cmd(fast);
             tracer_cmd(fast);
-            parallel_cmd(fast);
+            parallel_cmd();
             state_cmd(fast);
             trace_cmd(fast);
             xshard_cmd(fast);
@@ -327,8 +327,8 @@ fn tracer_cmd(fast: bool) {
     println!(" invocation against the static summary. zero violations = sound summaries)");
 }
 
-fn parallel_cmd(fast: bool) {
-    heading("Pairwise commutativity — matrix density and intra-shard parallel speedup");
+fn parallel_cmd() {
+    heading("Pairwise commutativity — conflict-matrix density");
     let rows: Vec<Vec<String>> = matrix_densities()
         .iter()
         .map(|r| {
@@ -344,42 +344,15 @@ fn parallel_cmd(fast: bool) {
         "{}",
         render_table(&["contract", "transitions", "conflicting", "key-conditional"], &rows)
     );
-
-    // Population sized so transfers rarely collide on a balance cell — the
-    // lightly-contended regime intra-shard parallelism targets (heavily
-    // contended accounts serialize by necessity, matrix or not).
-    let (users, txs, reps) = if fast { (2_048, 800, 2) } else { (4_096, 2_000, 3) };
-    let s = parallel_speedup(users, txs, 8, reps);
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    println!(
-        "intra-shard batch: {} txs ({} committed), serial {:.1} ms, {} workers {:.1} ms — {:.2}× speedup",
-        s.txs,
-        s.committed,
-        ms(s.serial),
-        s.workers,
-        ms(s.parallel),
-        s.speedup()
-    );
-    println!(
-        "(parallel regions credited at their measured critical path — the wall-clock a host",
-    );
-    println!(
-        " with ≥{} idle cores converges to; this host has {} core(s), where the raw wall was",
-        s.workers, s.host_cores
-    );
-    println!(
-        " {:.1} ms = {:.2}×. identical deltas and receipts asserted; the conflict matrix",
-        ms(s.parallel_wall),
-        s.speedup_wall()
-    );
-    println!(" supplies the dependency edges, commuting transfers share an execution layer)");
+    println!("(the matrix is an analysis product and the audit-mode ConflictMissed oracle; shards");
+    println!(" execute their packets serially and parallelism is across shards — DESIGN §6j)");
 }
 
 fn hotpath_cmd(fast: bool) {
-    heading("Hot path — compiled transitions vs AST walker, work-stealing scaling");
+    heading("Hot path — compiled transitions vs AST walker, clone-free state access");
     let (users, txs, calls, reps) =
         if fast { (2_048, 800, 2_000, 2) } else { (4_096, 2_000, 6_000, 3) };
-    let h = hotpath_experiment(users, txs, calls, &[2, 4, 8], reps);
+    let h = hotpath_experiment(users, txs, calls, reps);
 
     println!(
         "serial interpreter dispatch ({} Transfer calls, best of {} reps):",
@@ -391,40 +364,10 @@ fn hotpath_cmd(fast: bool) {
         h.dispatch.compiled_tps(),
         h.dispatch.speedup()
     );
-
-    let rows: Vec<Vec<String>> = h
-        .sweeps
-        .iter()
-        .map(|s| {
-            vec![
-                s.workers.to_string(),
-                s.txs.to_string(),
-                format!("{:.1}", s.serial.as_secs_f64() * 1e3),
-                format!("{:.1}", s.parallel.as_secs_f64() * 1e3),
-                format!("{:.2}×", s.speedup()),
-                format!("{:.2}×", s.speedup_wall()),
-            ]
-        })
-        .collect();
     println!(
-        "\n{}",
-        render_table(
-            &["workers", "txs", "serial ms", "modelled ms", "modelled", "wall"],
-            &rows
-        )
+        "owned-name accesses on the transaction path over a {}-tx shard batch (hot clones): {}",
+        h.committed, h.hot_clones
     );
-    let cores = h.sweeps.first().map_or(1, |s| s.host_cores);
-    println!(
-        "(modelled = parallel regions credited at their critical path; this host has {cores} \
-         core(s), so the wall column only beats 1.0× with ≥2 free cores. identical deltas \
-         and receipts asserted at every worker count)"
-    );
-    println!(
-        "\nwork stealing across the sweep: {} steals, {} local pops, {} catch-up drains \
-         composing {} peer deltas",
-        h.steals, h.local_pops, h.drains, h.drained_deltas
-    );
-    println!("owned-name accesses on the transaction path (hot clones): {}", h.hot_clones);
 }
 
 fn state_cmd(fast: bool) {
@@ -440,7 +383,6 @@ fn state_cmd(fast: bool) {
                 r.committed.to_string(),
                 format!("{:.2}", r.epoch_wall.as_secs_f64() * 1e3),
                 r.snapshots.to_string(),
-                r.forks.to_string(),
                 r.cow_breaks.to_string(),
                 r.bytes_cloned.to_string(),
             ]
@@ -449,12 +391,12 @@ fn state_cmd(fast: bool) {
     println!(
         "{}",
         render_table(
-            &["holders", "committed", "epoch ms", "snapshots", "forks", "cow breaks", "bytes cloned"],
+            &["holders", "committed", "epoch ms", "snapshots", "cow breaks", "bytes cloned"],
             &rows
         )
     );
     println!(
-        "flat columns across a {}× state-size sweep are the point: snapshots and forks are",
+        "flat columns across a {}× state-size sweep are the point: snapshots are",
         rows_data.last().map_or(1, |r| r.holders) / rows_data.first().map_or(1, |r| r.holders)
     );
     println!("pointer bumps, and writes copy O(pending entries), never the resident maps.");
@@ -464,9 +406,8 @@ fn trace_cmd(fast: bool) {
     use telemetry::trace;
     use workloads::scenarios::Kind;
 
-    heading("Transaction-lifecycle tracing — coverage, DS-fallback attribution, parallel gap");
-    let (users, txs, epochs, workers, reps) =
-        if fast { (24, 120, 2, 2, 2) } else { (60, 600, 3, 4, 3) };
+    heading("Transaction-lifecycle tracing — coverage, DS-fallback attribution");
+    let (users, txs, epochs, reps) = if fast { (24, 120, 2, 2) } else { (60, 600, 3, 3) };
     // Fast mode keeps one ownership-heavy, one commutativity-heavy, and one
     // DS-heavy workload so the attribution section still has content.
     let kinds: Vec<Kind> = if fast {
@@ -474,7 +415,7 @@ fn trace_cmd(fast: bool) {
     } else {
         Kind::all().to_vec()
     };
-    let e = trace_experiment(&kinds, users, txs, epochs, workers, reps);
+    let e = trace_experiment(&kinds, users, txs, epochs, reps);
 
     let rows: Vec<Vec<String>> = e
         .runs
@@ -510,17 +451,7 @@ fn trace_cmd(fast: bool) {
         println!("  {:>5} txs  {:<18} {:<22} [{}]", a.ds_txs, a.workload, a.transition, reasons.join(", "));
     }
 
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    let wall = ms(e.region_wall);
-    let crit = ms(e.region_critical);
-    println!(
-        "\nparallel executor: region wall {:.1} ms vs critical path {:.1} ms — gap {:.1} ms ({:.0}% of wall is scheduling/imbalance)",
-        wall,
-        crit,
-        (wall - crit).max(0.0),
-        if wall > 0.0 { (wall - crit).max(0.0) / wall * 100.0 } else { 0.0 }
-    );
-    println!("tracing overhead: {:.2}× traced vs untraced (gate ceiling 1.50×)", e.overhead);
+    println!("\ntracing overhead: {:.2}× traced vs untraced (gate ceiling 1.50×)", e.overhead);
 
     let chrome_path = std::env::var("TRACE_CHROME").unwrap_or_else(|_| "TRACE_chrome.json".into());
     match std::fs::write(&chrome_path, trace::chrome_trace_json(&e.records)) {

@@ -2,12 +2,10 @@
 //!
 //! Runs the fixed 200-tx FungibleToken transfer packet against token states
 //! of 1k and 25k pre-populated holders and asserts the copy-on-write layer
-//! keeps per-epoch snapshot/fork cost flat:
+//! keeps per-epoch snapshot cost flat:
 //!
 //! - `chain.state.cow_breaks` / `chain.state.bytes_cloned` stay zero — the
 //!   epoch pipeline never deep-copies a shared map node;
-//! - fork counts are identical across state sizes (forks are per-layer,
-//!   not per-entry);
 //! - epoch wall time does not scale with the untouched holder set (lenient
 //!   factor bound, best-of-reps, to stay robust on noisy CI hosts).
 //!
@@ -22,13 +20,12 @@ fn main() {
 
     for r in &rows {
         println!(
-            "  holders {:>6}: committed {}, epoch {:.2} ms, snapshots {}, forks {}, \
+            "  holders {:>6}: committed {}, epoch {:.2} ms, snapshots {}, \
              cow_breaks {}, bytes_cloned {}",
             r.holders,
             r.committed,
             r.epoch_wall.as_secs_f64() * 1e3,
             r.snapshots,
-            r.forks,
             r.cow_breaks,
             r.bytes_cloned
         );
@@ -53,13 +50,6 @@ fn main() {
         );
         failures += 1;
     }
-    if small.forks != large.forks {
-        eprintln!(
-            "FAIL: fork count scales with state size ({} vs {})",
-            small.forks, large.forks
-        );
-        failures += 1;
-    }
     // Wall-time flatness: a deep-copy regression makes the 25k epoch many
     // times slower; honest jitter does not reach 5×.
     let ratio = large.epoch_wall.as_secs_f64() / small.epoch_wall.as_secs_f64().max(1e-9);
@@ -76,5 +66,5 @@ fn main() {
         eprintln!("state-smoke: {failures} failure(s)");
         std::process::exit(1);
     }
-    println!("state-smoke: snapshot/fork cost flat across 25x state growth");
+    println!("state-smoke: snapshot cost flat across 25x state growth");
 }

@@ -19,7 +19,7 @@ use telemetry::trace;
 use workloads::scenarios::Kind;
 
 fn main() {
-    let e = trace_experiment(&[Kind::FtTransfer, Kind::IpfsRegister], 24, 120, 2, 2, 3);
+    let e = trace_experiment(&[Kind::FtTransfer, Kind::IpfsRegister], 24, 120, 2, 3);
     let mut failures = 0u32;
 
     for r in &e.runs {

@@ -309,7 +309,6 @@ pub fn epoch_deltas(state: &GlobalState, load: &[Transaction]) -> Vec<StateDelta
                 overflow_guard: false,
                 allow_contract_msgs: false,
                 audit: false,
-                parallel_workers: 0,
                 compose_calls: false,
             };
             execute_batch(&cfg, state, batch).delta
@@ -510,7 +509,7 @@ pub fn tracer_overhead(kind_idx: usize, users: u64, txs: usize, epochs: usize) -
     }
 }
 
-// -------------------------------------------------------------- parallel
+// ------------------------------------------------------- conflict matrix
 
 /// Density statistics of one contract's transition-commutativity matrix.
 #[derive(Debug, Clone)]
@@ -549,139 +548,6 @@ pub fn matrix_densities() -> Vec<MatrixDensityRow> {
         .collect()
 }
 
-/// Serial vs parallel intra-shard execution of one FungibleToken batch.
-#[derive(Debug, Clone)]
-pub struct ParallelSpeedup {
-    /// Worker threads used by the parallel run.
-    pub workers: usize,
-    /// Transactions in the measured batch.
-    pub txs: usize,
-    /// Committed transactions (identical on both sides).
-    pub committed: usize,
-    /// Best-of-reps serial wall-clock.
-    pub serial: Duration,
-    /// Best-of-reps *modelled* parallel latency: the run's wall-clock with
-    /// every parallel region credited at its critical path (the maximum
-    /// per-thread CPU busy time over the region's participants) instead of
-    /// its observed wall time. On a host with at least `workers` idle cores
-    /// the two coincide; on a core-starved host the model removes exactly
-    /// the preemption stalls the executor's telemetry measured.
-    pub parallel: Duration,
-    /// Best-of-reps raw parallel wall-clock on this host.
-    pub parallel_wall: Duration,
-    /// Cores the host actually offered (`available_parallelism`), recorded
-    /// so the metrics snapshot states which regime the wall number is from.
-    pub host_cores: usize,
-}
-
-impl ParallelSpeedup {
-    /// Serial time over modelled parallel time.
-    pub fn speedup(&self) -> f64 {
-        self.serial.as_secs_f64() / self.parallel.as_secs_f64().max(1e-9)
-    }
-
-    /// Serial time over raw parallel wall-clock on this host.
-    pub fn speedup_wall(&self) -> f64 {
-        self.serial.as_secs_f64() / self.parallel_wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Measures the conflict-matrix-driven parallel scheduler against the serial
-/// executor on one shard's FungibleToken transfer batch, asserting the two
-/// produce bit-identical deltas and receipts. Gauges the result into the
-/// metrics snapshot.
-pub fn parallel_speedup(users: u64, txs: usize, workers: usize, reps: u32) -> ParallelSpeedup {
-    use chain::dispatch::Assignment;
-    use chain::executor::{execute_batch, ExecutorConfig, MicroBlock};
-    use workloads::runner::prepare;
-    use workloads::scenarios::{build, Kind};
-
-    let scenario = build(Kind::FtTransfer, users, txs, 7);
-    let net = prepare(&scenario, 1, true);
-    let state = net.state();
-    let batch: Vec<Transaction> = scenario
-        .load
-        .iter()
-        .filter(|tx| dispatch(tx, state, 1, true).assignment == Assignment::Shard(0))
-        .cloned()
-        .collect();
-    let cfg = |parallel_workers: usize| ExecutorConfig {
-        role: Assignment::Shard(0),
-        num_shards: 1,
-        gas_limit: u64::MAX,
-        block_number: 10,
-        use_cosplit: true,
-        overflow_guard: false,
-        allow_contract_msgs: false,
-        audit: false,
-        parallel_workers,
-        compose_calls: false,
-    };
-    // Derive summaries + matrix up front so neither side pays the one-time
-    // analysis inside its timed region.
-    for c in state.contracts.values() {
-        let _ = c.conflict_matrix();
-    }
-
-    let time = |cfg: &ExecutorConfig| -> (Duration, Duration, MicroBlock) {
-        let reg = telemetry::registry();
-        let region_wall = reg.counter(telemetry::names::PARALLEL_REGION_WALL);
-        let region_crit = reg.counter(telemetry::names::PARALLEL_REGION_CRITICAL);
-        let mut best = Duration::MAX;
-        let mut best_wall = Duration::MAX;
-        let mut out = None;
-        for _ in 0..reps.max(1) {
-            let (w0, c0) = (region_wall.get(), region_crit.get());
-            let t0 = Instant::now();
-            let mb = execute_batch(cfg, state, batch.clone());
-            let wall = t0.elapsed();
-            // Credit each parallel region at its critical path: that is the
-            // wall-clock a host with ≥ `workers` idle cores converges to,
-            // while the observed region wall additionally pays this host's
-            // preemption stalls. Serial runs leave both counters untouched,
-            // so there `modelled == wall`.
-            let stall = Duration::from_micros(region_wall.get() - w0)
-                .saturating_sub(Duration::from_micros(region_crit.get() - c0));
-            let modelled = wall.saturating_sub(stall);
-            best = best.min(modelled);
-            best_wall = best_wall.min(wall);
-            out = Some(mb);
-        }
-        (best, best_wall, out.expect("at least one rep"))
-    };
-
-    let (serial, _, mb_s) = time(&cfg(0));
-    let (parallel, parallel_wall, mb_p) = time(&cfg(workers));
-
-    // The scheduler's contract: bit-identical output.
-    assert_eq!(
-        mb_s.delta.to_wire(),
-        mb_p.delta.to_wire(),
-        "parallel delta must equal serial delta"
-    );
-    assert_eq!(mb_s.receipts, mb_p.receipts, "parallel receipts must equal serial receipts");
-
-    let result = ParallelSpeedup {
-        workers,
-        txs: batch.len(),
-        committed: mb_p.committed(),
-        serial,
-        parallel,
-        parallel_wall,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
-    let reg = telemetry::registry();
-    reg.gauge("bench.parallel.workers").set(workers as i64);
-    reg.gauge("bench.parallel.host_cores").set(result.host_cores as i64);
-    reg.gauge("bench.parallel.batch_txs").set(result.txs as i64);
-    reg.gauge("bench.parallel.serial_micros").set(serial.as_micros() as i64);
-    reg.gauge("bench.parallel.parallel_micros").set(parallel.as_micros() as i64);
-    reg.gauge("bench.parallel.parallel_wall_micros").set(parallel_wall.as_micros() as i64);
-    reg.gauge("bench.parallel.speedup_x1000").set((result.speedup() * 1000.0) as i64);
-    reg.gauge("bench.parallel.speedup_wall_x1000").set((result.speedup_wall() * 1000.0) as i64);
-    result
-}
-
 // ------------------------------------------------------- state scaling
 
 /// One row of the CoW-state scaling sweep: a fixed transfer packet executed
@@ -696,8 +562,6 @@ pub struct StateScalingRow {
     pub epoch_wall: Duration,
     /// `chain.state.snapshots` recorded during that epoch.
     pub snapshots: u64,
-    /// `chain.state.forks` recorded during that epoch.
-    pub forks: u64,
     /// `chain.state.cow_breaks` recorded during that epoch.
     pub cow_breaks: u64,
     /// `chain.state.bytes_cloned` recorded during that epoch.
@@ -706,9 +570,9 @@ pub struct StateScalingRow {
 
 /// Runs the same `txs`-transaction FungibleToken transfer packet (64 active
 /// users) against pre-populated holder counts, measuring epoch wall time
-/// and the CoW telemetry counters. With O(1) snapshots and O(writes) forks
-/// both must stay flat as the untouched holder set grows 100×; a deep-copy
-/// regression shows up as `bytes_cloned` scaling with `holders`.
+/// and the CoW telemetry counters. With O(1) snapshots and O(writes)
+/// overlays both must stay flat as the untouched holder set grows 100×; a
+/// deep-copy regression shows up as `bytes_cloned` scaling with `holders`.
 pub fn state_scaling(holder_counts: &[u64], txs: usize, reps: u32) -> Vec<StateScalingRow> {
     use scilla::value::Value;
     use workloads::runner::prepare_with;
@@ -721,9 +585,7 @@ pub fn state_scaling(holder_counts: &[u64], txs: usize, reps: u32) -> Vec<StateS
         // Same seed for every holder count: the measured packet is
         // identical, only the untouched base state grows.
         let scenario = build(Kind::FtTransfer, 64, txs, 11);
-        // Parallel intra-shard workers fork the working state per layer, so
-        // the sweep exercises the fork path too (not just base snapshots).
-        let config = ChainConfig { parallel_intra_shard: 4, ..ChainConfig::evaluation(2, true) };
+        let config = ChainConfig::evaluation(2, true);
         let mut best: Option<StateScalingRow> = None;
         for _ in 0..reps.max(1) {
             let mut net = prepare_with(&scenario, config.clone());
@@ -748,7 +610,6 @@ pub fn state_scaling(holder_counts: &[u64], txs: usize, reps: u32) -> Vec<StateS
                 committed: report.committed,
                 epoch_wall: wall,
                 snapshots: delta.counter(telemetry::names::STATE_SNAPSHOTS),
-                forks: delta.counter(telemetry::names::STATE_FORKS),
                 cow_breaks: delta.counter(telemetry::names::STATE_COW_BREAKS),
                 bytes_cloned: delta.counter(telemetry::names::STATE_BYTES_CLONED),
             };
@@ -761,7 +622,6 @@ pub fn state_scaling(holder_counts: &[u64], txs: usize, reps: u32) -> Vec<StateS
             ("wall_micros", row.epoch_wall.as_micros() as i64),
             ("committed", row.committed as i64),
             ("snapshots", row.snapshots as i64),
-            ("forks", row.forks as i64),
             ("cow_breaks", row.cow_breaks as i64),
             ("bytes_cloned", row.bytes_cloned as i64),
         ] {
@@ -808,18 +668,14 @@ pub struct TraceRunReport {
 }
 
 /// The `paper -- trace` experiment: tracer overhead, per-workload lifecycle
-/// coverage, DS-fallback attribution, and the parallel executor's
-/// critical-path-vs-wall gap — plus the raw records for the Chrome export.
+/// coverage and DS-fallback attribution — plus the raw records for the
+/// Chrome export.
 #[derive(Debug, Clone)]
 pub struct TraceExperiment {
     /// Per-workload traced runs.
     pub runs: Vec<TraceRunReport>,
     /// DS-residency attribution across all runs, most-resident first.
     pub attribution: Vec<DsAttribution>,
-    /// Wall-clock spent inside parallel regions during the traced runs.
-    pub region_wall: Duration,
-    /// Critical-path time of the same regions (max per-thread busy time).
-    pub region_critical: Duration,
     /// Traced-over-untraced wall-clock ratio (best-of-reps).
     pub overhead: f64,
     /// Every trace record from every run, for [`trace::chrome_trace_json`].
@@ -828,7 +684,7 @@ pub struct TraceExperiment {
 
 /// Best-of-reps wall-clock ratio of a traced FungibleToken run over the
 /// same run with tracing off. Interleaved so host noise hits both sides.
-pub fn tracing_overhead(users: u64, txs: usize, epochs: usize, workers: usize, reps: u32) -> f64 {
+pub fn tracing_overhead(users: u64, txs: usize, epochs: usize, reps: u32) -> f64 {
     use workloads::runner::run_with;
     use workloads::scenarios::build;
     use workloads::seeds;
@@ -837,7 +693,6 @@ pub fn tracing_overhead(users: u64, txs: usize, epochs: usize, workers: usize, r
     let config = || {
         let mut c = ChainConfig::small(4, true);
         c.audit = false;
-        c.parallel_intra_shard = workers;
         c
     };
     let mut best_off = Duration::MAX;
@@ -868,7 +723,6 @@ pub fn trace_experiment(
     users: u64,
     txs: usize,
     epochs: usize,
-    workers: usize,
     overhead_reps: u32,
 ) -> TraceExperiment {
     use workloads::runner::run_with;
@@ -876,18 +730,13 @@ pub fn trace_experiment(
     use workloads::seeds;
 
     telemetry::set_enabled(true);
-    let overhead = tracing_overhead(users, txs, epochs, workers, overhead_reps);
+    let overhead = tracing_overhead(users, txs, epochs, overhead_reps);
 
     let config = || {
         let mut c = ChainConfig::small(4, true);
         c.audit = false;
-        c.parallel_intra_shard = workers;
         c
     };
-    let reg = telemetry::registry();
-    let wall0 = reg.counter(telemetry::names::PARALLEL_REGION_WALL).get();
-    let crit0 = reg.counter(telemetry::names::PARALLEL_REGION_CRITICAL).get();
-
     let mut runs = Vec::new();
     let mut records = Vec::new();
     let mut attribution: BTreeMap<(&'static str, String), DsAttribution> = BTreeMap::new();
@@ -949,51 +798,32 @@ pub fn trace_experiment(
         records.extend(run_records);
     }
 
-    let region_wall =
-        Duration::from_micros(reg.counter(telemetry::names::PARALLEL_REGION_WALL).get() - wall0);
-    let region_critical = Duration::from_micros(
-        reg.counter(telemetry::names::PARALLEL_REGION_CRITICAL).get() - crit0,
-    );
     let mut attribution: Vec<DsAttribution> = attribution.into_values().collect();
     attribution.sort_by_key(|a| std::cmp::Reverse(a.ds_txs));
 
+    let reg = telemetry::registry();
     reg.gauge("trace.overhead_x1000").set((overhead * 1000.0) as i64);
     reg.gauge("trace.records").set(records.len() as i64);
     reg.gauge("trace.ds_txs").set(runs.iter().map(|r| r.ds).sum::<usize>() as i64);
     reg.gauge("trace.shard_txs").set(runs.iter().map(|r| r.shard).sum::<usize>() as i64);
     reg.gauge("trace.missing_chains")
         .set(runs.iter().map(|r| r.missing_chains).sum::<usize>() as i64);
-    reg.gauge("trace.region_wall_micros").set(region_wall.as_micros() as i64);
-    reg.gauge("trace.region_critical_micros").set(region_critical.as_micros() as i64);
 
-    TraceExperiment { runs, attribution, region_wall, region_critical, overhead, records }
+    TraceExperiment { runs, attribution, overhead, records }
 }
 
 // ---------------------------------------------------------- perf baseline
 
-/// The perf-regression floor committed as `BENCH_baseline.json`: serial
-/// throughput, epoch wall, dispatch fractions, and tracer overhead. Wall
-/// metrics are best-of-reps; dispatch fractions are deterministic.
+/// The deterministic floor committed as `BENCH_baseline.json`: dispatch
+/// fractions over three representative workloads. Host-independent, so the
+/// gate needs neither a tolerance for noise nor an opt-out; wall-clock
+/// claims belong to `BENCHMARK.json` / `perfbench`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineMeasurement {
-    /// Committed transactions per wall-clock second, serial one-shard
-    /// FungibleToken batch.
-    pub serial_tps: f64,
-    /// Best-of-reps wall-clock of one full small-config epoch.
-    pub epoch_wall: Duration,
     /// Dispatch decisions per reason, in permille of the sampled load.
     pub reason_permille: BTreeMap<String, u64>,
     /// Share of the sampled load routed to the DS committee, in permille.
     pub to_ds_permille: u64,
-    /// Tracing overhead factor ([`tracing_overhead`]).
-    pub trace_overhead: f64,
-    /// Raw wall-clock speedup of the 4-worker work-stealing executor over
-    /// the serial executor on this host ([`ParallelSpeedup::speedup_wall`]).
-    /// Only meaningful when the host offers ≥ 2 cores; recorded regardless
-    /// so the gate can compare like-for-like.
-    pub speedup_wall: f64,
-    /// Cores the measuring host offered (`available_parallelism`).
-    pub host_cores: usize,
 }
 
 impl BaselineMeasurement {
@@ -1001,40 +831,11 @@ impl BaselineMeasurement {
     /// the baseline file shares the `BENCH_metrics.json` format.
     pub fn to_snapshot(&self) -> telemetry::Snapshot {
         let mut s = telemetry::Snapshot::default();
-        s.gauges.insert("baseline.serial_tps_x1000".into(), (self.serial_tps * 1000.0) as i64);
-        s.gauges.insert("baseline.epoch_wall_micros".into(), self.epoch_wall.as_micros() as i64);
         s.gauges.insert("baseline.to_ds_permille".into(), self.to_ds_permille as i64);
-        s.gauges.insert(
-            "baseline.trace_overhead_x1000".into(),
-            (self.trace_overhead * 1000.0) as i64,
-        );
-        s.gauges.insert(
-            "baseline.speedup_wall_x1000".into(),
-            (self.speedup_wall * 1000.0) as i64,
-        );
-        s.gauges.insert("baseline.host_cores".into(), self.host_cores as i64);
         for (reason, v) in &self.reason_permille {
             s.gauges.insert(format!("baseline.reason_permille.{reason}"), *v as i64);
         }
         s
-    }
-
-    /// Element-wise conservative envelope of two measurements of the same
-    /// host: the slower wall numbers and the higher overhead win. `write`
-    /// mode commits the envelope of repeated measurements so the baseline
-    /// floor absorbs host noise that best-of-reps alone does not; the
-    /// deterministic dispatch fractions must agree.
-    pub fn conservative(mut self, other: &BaselineMeasurement) -> BaselineMeasurement {
-        assert_eq!(
-            self.reason_permille, other.reason_permille,
-            "dispatch fractions are deterministic across measurements"
-        );
-        assert_eq!(self.to_ds_permille, other.to_ds_permille);
-        self.serial_tps = self.serial_tps.min(other.serial_tps);
-        self.epoch_wall = self.epoch_wall.max(other.epoch_wall);
-        self.trace_overhead = self.trace_overhead.max(other.trace_overhead);
-        self.speedup_wall = self.speedup_wall.min(other.speedup_wall);
-        self
     }
 
     /// Parses the snapshot form written by [`BaselineMeasurement::to_snapshot`].
@@ -1043,177 +844,56 @@ impl BaselineMeasurement {
     ///
     /// Reports missing gauges.
     pub fn from_snapshot(s: &telemetry::Snapshot) -> Result<BaselineMeasurement, String> {
-        let gauge = |name: &str| {
-            s.gauges.get(name).copied().ok_or_else(|| format!("baseline missing gauge '{name}'"))
-        };
         let mut reason_permille = BTreeMap::new();
         for (k, v) in &s.gauges {
             if let Some(reason) = k.strip_prefix("baseline.reason_permille.") {
                 reason_permille.insert(reason.to_string(), *v as u64);
             }
         }
-        Ok(BaselineMeasurement {
-            serial_tps: gauge("baseline.serial_tps_x1000")? as f64 / 1000.0,
-            epoch_wall: Duration::from_micros(gauge("baseline.epoch_wall_micros")? as u64),
-            reason_permille,
-            to_ds_permille: gauge("baseline.to_ds_permille")? as u64,
-            trace_overhead: gauge("baseline.trace_overhead_x1000")? as f64 / 1000.0,
-            speedup_wall: gauge("baseline.speedup_wall_x1000")? as f64 / 1000.0,
-            host_cores: gauge("baseline.host_cores")? as usize,
-        })
+        let to_ds_permille = s
+            .gauges
+            .get("baseline.to_ds_permille")
+            .copied()
+            .ok_or("baseline missing gauge 'baseline.to_ds_permille'")? as u64;
+        Ok(BaselineMeasurement { reason_permille, to_ds_permille })
     }
 }
 
-/// Measures the baseline on this host. `reps` controls the best-of loop on
-/// the wall-clock metrics; the dispatch fractions are exact.
-pub fn measure_baseline(reps: u32) -> BaselineMeasurement {
+/// Measures the baseline: dispatch fractions over three representative
+/// workloads (ownership-, commutativity-, and DS-heavy). Exact, so drift
+/// here means the dispatch policy itself changed, not the host.
+pub fn measure_baseline() -> BaselineMeasurement {
     use chain::dispatch::Assignment;
-    use chain::executor::{execute_batch, ExecutorConfig};
-    use workloads::runner::{prepare, prepare_with};
+    use workloads::runner::prepare;
     use workloads::scenarios::build;
 
-    telemetry::set_enabled(true);
-    trace::set_tracing(false);
-
-    // Serial tx/s: one shard's FungibleToken batch through the serial
-    // executor, gas-unlimited so the batch size is the denominator.
-    let (serial_tps, _committed) = {
-        let scenario = build(Kind::FtTransfer, 60, 1_500, 7);
-        let net = prepare(&scenario, 1, true);
-        let state = net.state();
-        let batch: Vec<Transaction> = scenario
-            .load
-            .iter()
-            .filter(|tx| dispatch(tx, state, 1, true).assignment == Assignment::Shard(0))
-            .cloned()
-            .collect();
-        let cfg = ExecutorConfig {
-            role: Assignment::Shard(0),
-            num_shards: 1,
-            gas_limit: u64::MAX,
-            block_number: 10,
-            use_cosplit: true,
-            overflow_guard: false,
-            allow_contract_msgs: false,
-            audit: false,
-            parallel_workers: 0,
-            compose_calls: false,
-        };
-        let mut best = Duration::MAX;
-        let mut committed = 0;
-        for _ in 0..reps.max(1) {
-            let t0 = Instant::now();
-            let mb = execute_batch(&cfg, state, batch.clone());
-            best = best.min(t0.elapsed());
-            committed = mb.committed();
-        }
-        (committed as f64 / best.as_secs_f64().max(1e-9), committed)
-    };
-
-    // Full-epoch wall: dispatch → parallel shards → merge → DS on the
-    // small config (fresh world per rep; run_epoch consumes the pool).
-    let epoch_wall = {
-        let scenario = build(Kind::FtTransfer, 60, 1_200, 11);
-        let config = {
-            let mut c = ChainConfig::small(3, true);
-            c.audit = false;
-            c
-        };
-        let mut best = Duration::MAX;
-        for _ in 0..reps.max(1) {
-            let mut net = prepare_with(&scenario, config.clone());
-            let mut pool = scenario.load.clone();
-            let t0 = Instant::now();
-            std::hint::black_box(net.run_epoch(&mut pool));
-            best = best.min(t0.elapsed());
-        }
-        best
-    };
-
-    // Dispatch fractions over three representative workloads (ownership-,
-    // commutativity-, and DS-heavy): deterministic, so drift here means the
-    // dispatch policy itself changed, not the host.
-    let (reason_permille, to_ds_permille) = {
-        let mut reasons: BTreeMap<String, u64> = BTreeMap::new();
-        let mut ds = 0u64;
-        let mut total = 0u64;
-        for kind in [Kind::FtTransfer, Kind::NftMint, Kind::IpfsRegister] {
-            let scenario = build(kind, 40, 500, 13);
-            let net = prepare(&scenario, 3, true);
-            for tx in &scenario.load {
-                let d = dispatch(tx, net.state(), 3, true);
-                *reasons.entry(d.reason.name().to_string()).or_insert(0) += 1;
-                if d.assignment == Assignment::Ds {
-                    ds += 1;
-                }
-                total += 1;
+    let mut reasons: BTreeMap<String, u64> = BTreeMap::new();
+    let mut ds = 0u64;
+    let mut total = 0u64;
+    for kind in [Kind::FtTransfer, Kind::NftMint, Kind::IpfsRegister] {
+        let scenario = build(kind, 40, 500, 13);
+        let net = prepare(&scenario, 3, true);
+        for tx in &scenario.load {
+            let d = dispatch(tx, net.state(), 3, true);
+            *reasons.entry(d.reason.name().to_string()).or_insert(0) += 1;
+            if d.assignment == Assignment::Ds {
+                ds += 1;
             }
+            total += 1;
         }
-        let permille = |n: u64| n * 1000 / total.max(1);
-        (reasons.into_iter().map(|(k, v)| (k, permille(v))).collect(), permille(ds))
-    };
-
-    let trace_overhead = tracing_overhead(40, 600, 2, 2, reps.max(1));
-
-    // Work-stealing wall speedup at 4 workers (best-of-reps, identical
-    // outputs asserted inside). On a 1-core host this is ≤ 1 by
-    // construction; the check gate only enforces it on multi-core hosts.
-    let sweep = parallel_speedup(2_048, 800, 4, reps.max(1));
-
+    }
+    let permille = |n: u64| n * 1000 / total.max(1);
     BaselineMeasurement {
-        serial_tps,
-        epoch_wall,
-        reason_permille,
-        to_ds_permille,
-        trace_overhead,
-        speedup_wall: sweep.speedup_wall(),
-        host_cores: sweep.host_cores,
+        reason_permille: reasons.into_iter().map(|(k, v)| (k, permille(v))).collect(),
+        to_ds_permille: permille(ds),
     }
 }
 
-/// Compares a fresh measurement against the committed baseline. Wall
-/// metrics fail past `1 + tolerance` (the check.sh gate uses 0.20);
-/// deterministic dispatch fractions fail past ±10 permille — those cannot
-/// drift from host noise, only from a behaviour change.
-pub fn check_baseline(
-    current: &BaselineMeasurement,
-    committed: &BaselineMeasurement,
-    tolerance: f64,
-) -> Vec<String> {
+/// Compares a fresh measurement against the committed baseline: a dispatch
+/// fraction fails past ±10 permille — those cannot drift from host noise,
+/// only from a behaviour change.
+pub fn check_baseline(current: &BaselineMeasurement, committed: &BaselineMeasurement) -> Vec<String> {
     let mut failures = Vec::new();
-    let slack = 1.0 + tolerance;
-    if current.serial_tps < committed.serial_tps / slack {
-        failures.push(format!(
-            "serial throughput regressed: {:.0} tx/s vs baseline {:.0} tx/s",
-            current.serial_tps, committed.serial_tps
-        ));
-    }
-    if current.epoch_wall.as_secs_f64() > committed.epoch_wall.as_secs_f64() * slack {
-        failures.push(format!(
-            "epoch wall regressed: {:?} vs baseline {:?}",
-            current.epoch_wall, committed.epoch_wall
-        ));
-    }
-    // The parallel executor must keep its wall-clock win — but only judge
-    // it on a host that can express one (≥ 2 cores) against a baseline
-    // from a comparable host; a 1-core wall number is all preemption.
-    if current.host_cores >= 2
-        && committed.host_cores >= 2
-        && current.speedup_wall < committed.speedup_wall / slack
-    {
-        failures.push(format!(
-            "parallel wall speedup regressed: {:.2}x vs baseline {:.2}x",
-            current.speedup_wall, committed.speedup_wall
-        ));
-    }
-    // The tracer must stay cheap in absolute terms too (satellite: <1.5×).
-    let overhead_ceiling = (committed.trace_overhead * slack).max(1.5);
-    if current.trace_overhead > overhead_ceiling {
-        failures.push(format!(
-            "tracing overhead regressed: {:.3}x vs baseline {:.3}x (ceiling {:.3}x)",
-            current.trace_overhead, committed.trace_overhead, overhead_ceiling
-        ));
-    }
     let keys: BTreeSet<&String> =
         current.reason_permille.keys().chain(committed.reason_permille.keys()).collect();
     for key in keys {
@@ -1696,58 +1376,43 @@ pub fn hotpath_dispatch(calls: usize, reps: u32) -> HotpathDispatch {
 }
 
 /// The hot-path experiment: serial dispatch AST-vs-compiled plus the
-/// work-stealing worker sweep, with the pool's steal/drain counters and the
-/// hot-clone audit over the sweep.
+/// hot-clone audit over one shard's FungibleToken batch.
 #[derive(Debug, Clone)]
 pub struct HotpathResult {
     /// Interpreter dispatch comparison.
     pub dispatch: HotpathDispatch,
-    /// One [`ParallelSpeedup`] per requested worker count.
-    pub sweeps: Vec<ParallelSpeedup>,
-    /// Ready-queue claims of work another worker (or the root seed) made
-    /// available, across the sweep.
-    pub steals: u64,
-    /// Claims of work the claiming worker itself unblocked.
-    pub local_pops: u64,
-    /// Batched peer-commit catch-ups performed.
-    pub drains: u64,
-    /// Peer commit-log entries those catch-ups composed and applied.
-    pub drained_deltas: u64,
+    /// Transactions committed by the audited shard batch.
+    pub committed: usize,
     /// Owned-name state accesses observed on the transaction path (must
     /// stay 0 — the `Sym`-threaded pipeline never interns per call).
     pub hot_clones: u64,
 }
 
-/// Runs the full hot-path experiment and gauges the results into the
-/// metrics snapshot under `bench.hotpath.*`.
-pub fn hotpath_experiment(
-    users: u64,
-    txs: usize,
-    dispatch_calls: usize,
-    workers: &[usize],
-    reps: u32,
-) -> HotpathResult {
+/// Runs the hot-path experiment and gauges the results into the metrics
+/// snapshot under `bench.hotpath.*`.
+pub fn hotpath_experiment(users: u64, txs: usize, dispatch_calls: usize, reps: u32) -> HotpathResult {
+    use chain::executor::{execute_batch, ExecutorConfig};
+    use workloads::runner::prepare;
+    use workloads::scenarios::build;
+
     telemetry::set_enabled(true);
     trace::set_tracing(false);
 
-    let dispatch = hotpath_dispatch(dispatch_calls, reps);
+    let interp = hotpath_dispatch(dispatch_calls, reps);
 
+    // The single shard's packet through the shard executor, as an epoch
+    // runs it (gas-unlimited so the whole packet executes).
+    let scenario = build(Kind::FtTransfer, users, txs, 7);
+    let net = prepare(&scenario, 1, true);
+    let batch = net.form_packets(&mut scenario.load.clone()).shard_batches.swap_remove(0);
+    let cfg = ExecutorConfig { gas_limit: u64::MAX, ..net.shard_executor_config(0) };
     let reg = telemetry::registry();
-    let steals0 = reg.counter("chain.executor.ws.steals").get();
-    let pops0 = reg.counter("chain.executor.ws.local_pops").get();
-    let drains0 = reg.counter("chain.executor.ws.drains").get();
-    let dd0 = reg.counter("chain.executor.ws.drained_deltas").get();
     let hc0 = reg.counter(telemetry::names::STATE_HOT_CLONES).get();
-    let sweeps: Vec<ParallelSpeedup> =
-        workers.iter().map(|&w| parallel_speedup(users, txs, w, reps)).collect();
+    let mb = execute_batch(&cfg, net.state(), batch);
     let result = HotpathResult {
-        dispatch,
-        steals: reg.counter("chain.executor.ws.steals").get() - steals0,
-        local_pops: reg.counter("chain.executor.ws.local_pops").get() - pops0,
-        drains: reg.counter("chain.executor.ws.drains").get() - drains0,
-        drained_deltas: reg.counter("chain.executor.ws.drained_deltas").get() - dd0,
+        dispatch: interp,
+        committed: mb.committed(),
         hot_clones: reg.counter(telemetry::names::STATE_HOT_CLONES).get() - hc0,
-        sweeps,
     };
 
     reg.gauge("bench.hotpath.dispatch_calls").set(result.dispatch.calls as i64);
@@ -1756,16 +1421,7 @@ pub fn hotpath_experiment(
         .set((result.dispatch.compiled_tps() * 1000.0) as i64);
     reg.gauge("bench.hotpath.dispatch_speedup_x1000")
         .set((result.dispatch.speedup() * 1000.0) as i64);
-    for s in &result.sweeps {
-        reg.gauge(&format!("bench.hotpath.speedup_w{}_x1000", s.workers))
-            .set((s.speedup() * 1000.0) as i64);
-        reg.gauge(&format!("bench.hotpath.speedup_wall_w{}_x1000", s.workers))
-            .set((s.speedup_wall() * 1000.0) as i64);
-    }
-    reg.gauge("bench.hotpath.ws_steals").set(result.steals as i64);
-    reg.gauge("bench.hotpath.ws_local_pops").set(result.local_pops as i64);
-    reg.gauge("bench.hotpath.ws_drains").set(result.drains as i64);
-    reg.gauge("bench.hotpath.ws_drained_deltas").set(result.drained_deltas as i64);
+    reg.gauge("bench.hotpath.batch_committed").set(result.committed as i64);
     reg.gauge("bench.hotpath.hot_clones").set(result.hot_clones as i64);
     result
 }

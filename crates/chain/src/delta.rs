@@ -97,7 +97,9 @@ impl StateDelta {
     /// # Errors
     ///
     /// [`MergeError::OverwriteConflict`] if two deltas overwrite the same
-    /// component — impossible under correct ownership dispatch.
+    /// component — impossible under correct ownership dispatch;
+    /// [`MergeError::DeltaOutOfRange`] if summed integer or balance deltas
+    /// leave `i128` — only a hostile wire delta gets there.
     pub fn merge(deltas: impl IntoIterator<Item = StateDelta>) -> Result<StateDelta, MergeError> {
         // Component values are Arc-shared, so merging from references is as
         // cheap as merging by move; keep the by-value form for callers that
@@ -142,7 +144,11 @@ impl StateDelta {
                 }
             }
             for (addr, b) in &d.balances {
-                *out.balances.entry(*addr).or_insert(0) += b;
+                let entry = out.balances.entry(*addr).or_insert(0);
+                *entry = entry.checked_add(*b).ok_or_else(|| MergeError::DeltaOutOfRange {
+                    contract: addr.to_string(),
+                    component: "balance".into(),
+                })?;
             }
             for (addr, ns) in &d.nonces {
                 out.nonces.entry(*addr).or_default().extend(ns.iter().copied());
@@ -154,59 +160,6 @@ impl StateDelta {
             ns.sort_unstable();
         }
         Ok(out)
-    }
-
-    /// Sequential composition: one delta with the same net effect as
-    /// applying the inputs **in order**.
-    ///
-    /// Where [`StateDelta::merge_ref`] combines *concurrent* contributions —
-    /// and therefore must reject two overwrites of the same component — the
-    /// inputs here are *ordered* (a per-transaction commit log whose
-    /// conflicting entries were sequenced by the dependency scheduler), so
-    /// collisions compose instead of erroring: a later overwrite supersedes
-    /// anything earlier, an integer delta over an earlier overwrite folds
-    /// into that overwrite's value (the delta was computed against exactly
-    /// it), and integer deltas accumulate. The work-stealing executor uses
-    /// this to drain a batch of peer commits in one application instead of
-    /// one pass per transaction.
-    #[must_use]
-    pub fn compose_ref<'a>(deltas: impl IntoIterator<Item = &'a StateDelta>) -> StateDelta {
-        let mut out = StateDelta::new();
-        for d in deltas {
-            for (addr, cd) in &d.contracts {
-                let target = out.contracts.entry(*addr).or_default();
-                for (comp, id) in &cd.int_deltas {
-                    if let Some(ow) = target.overwrites.get_mut(comp) {
-                        let folded = apply_int_delta(ow.as_ref(), id)
-                            .expect("int delta composes over the overwrite it was computed against");
-                        *ow = Some(folded);
-                    } else {
-                        let entry = target.int_deltas.entry(comp.clone()).or_insert(IntDelta {
-                            delta: 0,
-                            width: id.width,
-                            signed: id.signed,
-                        });
-                        entry.delta = entry
-                            .delta
-                            .checked_add(id.delta)
-                            .expect("composed int deltas stay in range");
-                        entry.width = id.width;
-                        entry.signed = id.signed;
-                    }
-                }
-                for (comp, ow) in &cd.overwrites {
-                    target.int_deltas.remove(comp);
-                    target.overwrites.insert(comp.clone(), ow.clone());
-                }
-            }
-            for (addr, b) in &d.balances {
-                *out.balances.entry(*addr).or_insert(0) += b;
-            }
-            for (addr, ns) in &d.nonces {
-                out.nonces.entry(*addr).or_default().extend(ns.iter().copied());
-            }
-        }
-        out
     }
 
     /// Applies the delta to the global state (the DS committee's three-way
@@ -542,96 +495,6 @@ mod tests {
         let ab = StateDelta::merge([d1.clone(), d2.clone()]).unwrap();
         let ba = StateDelta::merge([d2, d1]).unwrap();
         assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn compose_sequences_overwrites_instead_of_erroring() {
-        let c = addr(100);
-        let comp: Component = ("owners".into(), vec![key(1)]);
-        let mk = |v: u128| {
-            let mut sd = StateDelta::new();
-            sd.contracts
-                .entry(c)
-                .or_default()
-                .overwrites
-                .insert(comp.clone(), Some(Value::Uint(128, v)));
-            sd
-        };
-        // merge rejects the collision; compose takes the later write.
-        assert!(StateDelta::merge([mk(1), mk(2)]).is_err());
-        let composed = StateDelta::compose_ref([&mk(1), &mk(2)]);
-        assert_eq!(composed.contracts[&c].overwrites[&comp], Some(Value::Uint(128, 2)));
-    }
-
-    #[test]
-    fn compose_folds_int_delta_into_prior_overwrite() {
-        let c = addr(100);
-        let comp: Component = ("total".into(), vec![]);
-        let mut d1 = StateDelta::new();
-        d1.contracts
-            .entry(c)
-            .or_default()
-            .overwrites
-            .insert(comp.clone(), Some(Value::Uint(128, 40)));
-        let mut d2 = StateDelta::new();
-        d2.contracts.entry(c).or_default().int_deltas.insert(comp.clone(), int_delta(5));
-
-        let composed = StateDelta::compose_ref([&d1, &d2]);
-        // The +5 was computed against the overwritten 40; the composite is a
-        // single overwrite of 45 with no residual int delta.
-        assert_eq!(composed.contracts[&c].overwrites[&comp], Some(Value::Uint(128, 45)));
-        assert!(!composed.contracts[&c].int_deltas.contains_key(&comp));
-    }
-
-    #[test]
-    fn compose_accumulates_int_deltas_and_balances() {
-        let c = addr(100);
-        let comp: Component = ("counters".into(), vec![key(3)]);
-        let mk = |d: i128, b: i128| {
-            let mut sd = StateDelta::new();
-            sd.contracts.entry(c).or_default().int_deltas.insert(comp.clone(), int_delta(d));
-            sd.balances.insert(addr(1), b);
-            sd
-        };
-        let composed = StateDelta::compose_ref([&mk(10, -7), &mk(-3, 3)]);
-        assert_eq!(composed.contracts[&c].int_deltas[&comp].delta, 7);
-        assert_eq!(composed.balances[&addr(1)], -4);
-    }
-
-    #[test]
-    fn compose_matches_sequential_apply() {
-        let c = addr(100);
-        let mut state = GlobalState::new();
-        let storage = Arc::make_mut(state.storage.entry(c).or_default());
-        storage.map_update("balances", &[key(1)], Value::Uint(128, 100));
-        storage.store("owner", Value::Uint(128, 1));
-
-        let mut d1 = StateDelta::new();
-        {
-            let cd = d1.contracts.entry(c).or_default();
-            cd.int_deltas.insert(("balances".into(), vec![key(1)]), int_delta(20));
-            cd.overwrites.insert(("owner".into(), vec![]), Some(Value::Uint(128, 2)));
-        }
-        let mut d2 = StateDelta::new();
-        {
-            let cd = d2.contracts.entry(c).or_default();
-            cd.int_deltas.insert(("balances".into(), vec![key(1)]), int_delta(-5));
-            cd.overwrites.insert(("owner".into(), vec![]), Some(Value::Uint(128, 3)));
-        }
-
-        let mut seq = state.clone();
-        d1.apply(&mut seq).unwrap();
-        d2.apply(&mut seq).unwrap();
-        let mut batched = state;
-        StateDelta::compose_ref([&d1, &d2]).apply(&mut batched).unwrap();
-
-        let read = |st: &GlobalState, field: &str, keys: &[Value]| {
-            read_component(st.storage[&c].as_ref(), &(field.into(), keys.to_vec()))
-        };
-        assert_eq!(read(&seq, "balances", &[key(1)]), read(&batched, "balances", &[key(1)]));
-        assert_eq!(read(&seq, "owner", &[]), read(&batched, "owner", &[]));
-        assert_eq!(read(&batched, "owner", &[]), Some(Value::Uint(128, 3)));
-        assert_eq!(read(&batched, "balances", &[key(1)]), Some(Value::Uint(128, 115)));
     }
 
     #[test]

@@ -45,11 +45,6 @@ pub struct ChainConfig {
     /// sharding discipline. On by default in the scaled-down test/sim
     /// configuration, off in the benchmark configuration.
     pub audit: bool,
-    /// Worker threads for conflict-matrix-scheduled intra-shard execution
-    /// (`0`/`1` = serial). Applies to transaction shards only; the DS
-    /// committee always executes serially because chained cross-contract
-    /// calls escape the pairwise dependency analysis.
-    pub parallel_intra_shard: usize,
     /// Route split-footprint transactions through the S-BAC-style
     /// cross-shard two-phase commit ([`crate::xshard`]) instead of
     /// serialising them at the DS committee. Off by default (plain Zilliqa
@@ -85,7 +80,6 @@ impl ChainConfig {
             max_packet_txs: 10_000,
             relaxed_nonces: true,
             audit: false,
-            parallel_intra_shard: 0,
             cross_shard_commit: false,
             colocate_families: false,
             compose_calls: false,
@@ -446,7 +440,6 @@ impl Network {
             overflow_guard: self.config.overflow_guard,
             allow_contract_msgs: false,
             audit: self.config.audit,
-            parallel_workers: self.config.parallel_intra_shard,
             compose_calls: self.config.compose_calls,
         }
     }
@@ -465,7 +458,6 @@ impl Network {
             overflow_guard: false,
             allow_contract_msgs: false,
             audit: self.config.audit,
-            parallel_workers: 0,
             compose_calls: self.config.compose_calls,
         }
     }
@@ -708,7 +700,6 @@ impl Network {
             overflow_guard: false,
             allow_contract_msgs: true,
             audit: self.config.audit,
-            parallel_workers: 0,
             compose_calls: self.config.compose_calls,
         }
     }

@@ -750,13 +750,11 @@ impl DiffReport {
 }
 
 /// The sequential reference configuration for a sharded one: a single
-/// shard, signatures off, serial intra-shard execution, with the whole
-/// network's gas budget so draining takes comparably many epochs.
+/// shard, signatures off, with the whole network's gas budget so draining takes comparably many epochs.
 pub fn reference_config(sharded: &ChainConfig) -> ChainConfig {
     ChainConfig {
         num_shards: 1,
         use_cosplit: false,
-        parallel_intra_shard: 0,
         shard_gas_limit: sharded
             .shard_gas_limit
             .saturating_mul(u64::from(sharded.num_shards))

@@ -30,8 +30,8 @@ pub struct DeployedContract {
     /// Derived on first use so chains that never audit pay nothing.
     summaries: RwLock<Option<Arc<SummaryIndex>>>,
     /// Lazily derived pairwise commutativity matrix over the summaries,
-    /// consumed by the parallel intra-shard scheduler and the conflict
-    /// cross-check. Follows the same derive-on-first-use discipline.
+    /// consumed by the audit-mode conflict cross-check and the matrix
+    /// reports. Follows the same derive-on-first-use discipline.
     conflicts: RwLock<Option<Arc<ConflictMatrix>>>,
     /// Lazily extracted call sites (classified send recipients), consumed
     /// by the interprocedural composition in dispatch and the executor's

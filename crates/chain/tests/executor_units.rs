@@ -1,5 +1,6 @@
 //! Focused executor tests: balance slices (§4.2.2), journal rollback
-//! atomicity, gas budgeting/deferral, and the §6 overflow guard.
+//! atomicity, gas budgeting/deferral, the §6 overflow guard, and the
+//! zero-`hot_clones` gate on the transaction hot path.
 
 use chain::address::Address;
 use chain::dispatch::Assignment;
@@ -21,7 +22,6 @@ fn cfg(role: Assignment, num_shards: u32) -> ExecutorConfig {
         overflow_guard: false,
         allow_contract_msgs: matches!(role, Assignment::Ds),
         audit: true,
-        parallel_workers: 0,
         compose_calls: false,
     }
 }
@@ -355,7 +355,6 @@ fn cross_contract_message_reroutes_with_cause() {
         overflow_guard: false,
         allow_contract_msgs: false,
         audit: true,
-        parallel_workers: 0,
         compose_calls: false,
     };
     let mb = execute_batch(&cfg, net.state(), vec![tx]);
@@ -392,4 +391,55 @@ fn events_surface_in_epoch_receipts() {
         Value::Msg(m) => assert_eq!(m.get(&scilla::intern::Sym::EVENTNAME), Some(&Value::Str("Shouted".into()))),
         other => panic!("expected event message, got {other}"),
     }
+}
+
+/// The transaction hot path performs no owned-name state accesses: every
+/// load/store reaches storage through a pre-resolved `Sym`, so the
+/// `chain.state.hot_clones` counter stays untouched across a workload of
+/// FungibleToken transfers (same-sender nonce chains, shared recipients).
+#[test]
+fn hot_path_is_clone_free() {
+    telemetry::set_enabled(true);
+    let owner = Address::from_index(999);
+    let token = Address::from_index(1_000_000);
+    let users = 8u64;
+    let mut net = Network::new(ChainConfig::evaluation(1, true));
+    net.fund_account(owner, 1_000_000_000);
+    for i in 0..users {
+        net.fund_account(Address::from_index(i), 1_000_000_000);
+    }
+    let params = vec![
+        ("contract_owner".to_string(), owner.to_value()),
+        ("name".to_string(), Value::Str("Test".into())),
+        ("symbol".to_string(), Value::Str("TST".into())),
+        ("init_supply".to_string(), Value::Uint(128, 0)),
+    ];
+    let src = scilla::corpus::get("FungibleToken").unwrap().source;
+    net.deploy(token, src, params, Some((&["Mint", "Transfer"], WeakReads::AcceptAll))).unwrap();
+    let mut pool: Vec<Transaction> = (0..users)
+        .map(|i| {
+            Transaction::call(1000 + i, owner, i + 1, token, "Mint", vec![
+                ("to".into(), Address::from_index(i).to_value()),
+                ("amount".into(), Value::Uint(128, 300)),
+            ])
+        })
+        .collect();
+    while !pool.is_empty() {
+        net.run_epoch(&mut pool);
+    }
+
+    let batch: Vec<Transaction> = (0..40u64)
+        .map(|i| {
+            Transaction::call(i, Address::from_index(i % users), i / users + 1, token, "Transfer", vec![
+                ("to".into(), Address::from_index((i + 1) % users).to_value()),
+                ("amount".into(), Value::Uint(128, 2)),
+            ])
+        })
+        .collect();
+    let config = ExecutorConfig { audit: false, ..cfg(Assignment::Shard(0), 1) };
+    let counter = telemetry::registry().counter(telemetry::names::STATE_HOT_CLONES);
+    let before = counter.get();
+    let mb = execute_batch(&config, net.state(), batch);
+    assert_eq!(mb.committed(), 40, "{:?}", mb.receipts);
+    assert_eq!(counter.get(), before, "hot path performed owned-name state accesses");
 }

@@ -40,8 +40,8 @@ fn fork_with_untouched_fields_copies_zero_bytes() {
     let working = CowState::new(Arc::clone(&base));
 
     let before = counters();
-    // Layer-style fan-out: eight workers fork the same working state and
-    // write disjoint overlay entries; none of the 10k base entries moves.
+    // Fan-out: eight forks of the same working state write disjoint
+    // overlay entries; none of the 10k base entries moves.
     let mut forks: Vec<CowState> = (0..8).map(|_| working.fork()).collect();
     for (w, f) in forks.iter_mut().enumerate() {
         for t in 0..10u64 {

@@ -1,8 +1,7 @@
 //! End-to-end lifecycle tracing through a real epoch: dispatch decisions,
-//! shard executors (with intra-shard parallel waves), and the DS committee
-//! must leave a well-formed span forest in the flight recorder, and every
-//! committed receipt must map to a complete dispatch→commit lifecycle
-//! chain. The tracing-off run is counter-audited to record nothing.
+//! shard executors, and the DS committee must leave a well-formed span
+//! forest in the flight recorder, and every committed receipt must map to a
+//! complete dispatch→commit lifecycle chain. The tracing-off run is counter-audited to record nothing.
 
 use chain::address::Address;
 use chain::executor::TxStatus;
@@ -41,10 +40,9 @@ const USERS: u64 = 16;
 
 /// A network with the token deployed under CoSplit sharding and a pool of
 /// Mint calls (owner-sharded) plus a few native payments.
-fn world(workers: usize) -> (Network, Vec<Transaction>) {
+fn world() -> (Network, Vec<Transaction>) {
     let mut config = ChainConfig::small(2, true);
     config.audit = false;
-    config.parallel_intra_shard = workers;
     let mut net = Network::new(config);
     let token = Address::from_index(900);
     for i in 0..USERS {
@@ -81,7 +79,7 @@ fn world(workers: usize) -> (Network, Vec<Transaction>) {
 fn traced_epoch_yields_complete_lifecycles_and_a_well_formed_forest() {
     let _g = TELEMETRY_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::set_enabled(true);
-    let (mut net, mut pool) = world(2);
+    let (mut net, mut pool) = world();
 
     trace::set_tracing(true);
     trace::recorder().clear();
@@ -246,7 +244,7 @@ fn cross_shard_commits_leave_complete_prepare_vote_commit_chains() {
 fn tracing_off_epoch_records_nothing() {
     let _g = TELEMETRY_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::set_enabled(true);
-    let (mut net, mut pool) = world(2);
+    let (mut net, mut pool) = world();
 
     trace::set_tracing(false);
     trace::recorder().clear();

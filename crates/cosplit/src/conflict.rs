@@ -3,9 +3,9 @@
 //! CoSplit's signatures (paper §3.4) prove each transition commutes with
 //! *itself* across shards; this pass asks which *pairs* of transitions
 //! commute, by intersecting the Fig-6 abstract footprints the analysis
-//! already computes. The product is an N×N matrix of [`Verdict`]s that the
-//! chain executor consumes to schedule independent invocations of one
-//! micro-block concurrently (see `chain::executor`).
+//! already computes. The product is an N×N matrix of [`Verdict`]s, reported
+//! by `cosplit-cli matrix` and checked against every audited execution by
+//! the chain executor's `ConflictMissed` oracle (see `chain::executor`).
 //!
 //! Two transitions commute when every shared field is either read/read or
 //! covered by commutative writes with a common `{add, sub}` operation set
@@ -20,8 +20,9 @@
 //! but *is* refutable per invocation pair. In the spirit of the `MatchC` /
 //! `AdaptC` rules (which adapt contributions across a match by comparing
 //! key variables), such pairs yield a [`KeyClash`]: the verdict is
-//! [`Verdict::CommuteUnless`], and the scheduler re-checks each clash with
-//! the concrete argument bindings of the two invocations. Unresolvable or
+//! [`Verdict::CommuteUnless`], and a consumer re-checks each clash with
+//! the concrete argument bindings of the two invocations
+//! ([`ConflictMatrix::conflicts_concrete`]). Unresolvable or
 //! depth-mismatched key tuples (whole-field vs entry) degrade to a hard
 //! conflict.
 
@@ -292,36 +293,6 @@ impl Footprint {
         }
         fp
     }
-}
-
-/// Every keyed `(field, key-parameter tuple)` access of one summary — reads,
-/// condition mentions, write targets, and write-contribution sources alike.
-///
-/// This is the cell-token source for schedulers that index concrete
-/// invocations: a `CommuteUnless` clash between two transitions always pairs
-/// one keyed tuple from each side and fires only when the resolved tuples
-/// alias, so two invocations whose resolved cells are disjoint (and whose
-/// transition pair is not a static `Conflict`) can never clash. Whole-field
-/// and depth-mismatched accesses are excluded on purpose: those surface as
-/// static `Conflict(UnkeyedOverlap)` verdicts, never as clashes.
-pub fn keyed_accesses(summary: &TransitionSummary) -> Vec<(String, Vec<String>)> {
-    let fp = Footprint::of(summary);
-    let mut out = Vec::new();
-    for (field, acc) in &fp.fields {
-        for ks in &acc.read_like {
-            if !ks.is_empty() {
-                out.push((field.clone(), ks.clone()));
-            }
-        }
-        for (ks, _) in &acc.writes {
-            if !ks.is_empty() {
-                out.push((field.clone(), ks.clone()));
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
 }
 
 /// Pairs two key tuples on `field`: either a hard conflict (equality never

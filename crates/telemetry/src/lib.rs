@@ -52,26 +52,10 @@ pub mod names {
     pub const CONFLICT_PAIRS: &str = "cosplit.conflict.pairs";
     /// Ordered transition pairs that conflict unconditionally.
     pub const CONFLICT_CONFLICTING: &str = "cosplit.conflict.conflicting_pairs";
-    /// Packets executed by the conflict-matrix-scheduled parallel path.
-    pub const PARALLEL_BATCHES: &str = "chain.executor.parallel.batches";
-    /// Dependency layers per admitted window (histogram).
-    pub const PARALLEL_LAYERS: &str = "chain.executor.parallel.layers";
-    /// Transactions per dependency layer (histogram); width >1 means real
-    /// intra-shard parallelism.
-    pub const PARALLEL_LAYER_WIDTH: &str = "chain.executor.parallel.layer_width";
-    /// Wall-clock micros spent inside parallel regions (worker scopes and
-    /// peer-sync scopes) by the scheduling executor.
-    pub const PARALLEL_REGION_WALL: &str = "chain.executor.parallel.region_wall_micros";
-    /// Critical-path micros of the same regions: per region, the maximum
-    /// thread-CPU busy time over its participants. On a machine with at
-    /// least `parallel_workers` idle cores the region's wall-clock converges
-    /// to this number, so `wall - region_wall + region_critical` models the
-    /// batch latency unconstrained by the host's core count.
-    pub const PARALLEL_REGION_CRITICAL: &str = "chain.executor.parallel.region_critical_micros";
     /// O(1) copy-on-write snapshot views taken over a shared state base
     /// (flattening `CowState::snapshot` calls included).
     pub const STATE_SNAPSHOTS: &str = "chain.state.snapshots";
-    /// Copy-on-write forks of a working state (per-layer parallel workers,
+    /// Copy-on-write forks of a working state (`CowState::fork`, e.g.
     /// speculative clones). Each is O(pending writes), never O(state).
     pub const STATE_FORKS: &str = "chain.state.forks";
     /// Shared map nodes copied because a write landed on them (CoW breaks).
@@ -99,7 +83,7 @@ pub mod names {
     /// Per-transaction deferral instant inside the executor (attrs: tx, why).
     pub const TX_DEFER: &str = "chain.tx.defer";
     /// Per-transaction execution span in the executor (attrs: tx, role,
-    /// status, and worker/wave when run by the parallel scheduler).
+    /// status, gas).
     pub const TX_EXEC: &str = "chain.tx.exec";
     /// Cross-shard 2PC: prepare hop instant (attrs: tx, coordinator,
     /// participants).

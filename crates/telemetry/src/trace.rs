@@ -8,9 +8,9 @@
 //!   id when tracing is on and links it to the innermost open span on the
 //!   current thread via a thread-local span stack, so nested guards form a
 //!   parent/child tree. Cross-thread structure (the network spawning one
-//!   executor per shard, the parallel scheduler spawning wave workers) is
-//!   stitched with [`adopt_parent`]: capture [`current_span`] (or
-//!   `SpanGuard::trace_id`) before `spawn`, adopt it inside the closure.
+//!   executor per shard) is stitched with [`adopt_parent`]: capture
+//!   [`current_span`] (or `SpanGuard::trace_id`) before `spawn`, adopt it
+//!   inside the closure.
 //! - **Flight recorder.** A bounded, thread-striped ring buffer of
 //!   [`TraceRecord`]s. Stripes are independent mutexes indexed by a
 //!   per-thread ordinal, so parallel shard executors almost never contend

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Measures this host's performance baseline and writes BENCH_baseline.json —
-# the floor scripts/check.sh gates against (>20% regression fails). Run it
-# once per host (or after an intentional perf change) and commit the result.
+# Measures the deterministic dispatch fractions and writes BENCH_baseline.json
+# — what scripts/check.sh gates against (±10‰). Host-independent: run it after
+# an intentional dispatch-policy change and commit the result.
 #
 # Usage: scripts/bench_baseline.sh [path]   (default: BENCH_baseline.json)
 set -euo pipefail

@@ -4,6 +4,7 @@
 
 use cosplit::chain::address::Address;
 use cosplit::chain::delta::{IntDelta, StateDelta};
+use cosplit::chain::error::MergeError;
 use cosplit::chain::state::GlobalState;
 use cosplit::scilla::state::StateStore;
 use cosplit::scilla::value::Value;
@@ -239,4 +240,23 @@ fn overlapping_overwrites_always_conflict() {
         sd
     };
     assert!(StateDelta::merge([mk(1), mk(1)]).is_err(), "even equal values conflict");
+}
+
+/// A hostile delta may not panic a node: two wire-decoded deltas whose
+/// balance entries sum past `i128::MAX` must surface as a merge error, not
+/// overflow (debug panic / silent release wrap).
+#[test]
+fn out_of_range_balance_join_is_an_error() {
+    let account = addr(1);
+    let wire = format!(
+        r#"{{"contracts": [], "balances": [{{"account": "{account}", "delta": "{}"}}]}}"#,
+        i128::MAX
+    );
+    let d1 = StateDelta::from_wire(&wire).expect("well-formed wire");
+    let d2 = StateDelta::from_wire(&wire).expect("well-formed wire");
+    assert_eq!(d1.balances[&account], i128::MAX);
+    match StateDelta::merge_ref([&d1, &d2]) {
+        Err(MergeError::DeltaOutOfRange { component, .. }) => assert_eq!(component, "balance"),
+        other => panic!("expected DeltaOutOfRange on the balance join, got {other:?}"),
+    }
 }

@@ -181,3 +181,38 @@ proptest! {
         prop_assert_eq!(read(&serial, "allowances"), read(&sharded, "allowances"));
     }
 }
+
+/// Threaded shards ≡ serial shards: the per-shard threads `execute_shards`
+/// spawns must produce exactly what running each shard's packet alone on
+/// the calling thread produces — same receipts, same wire delta — over an
+/// ownership-, a commutativity- and a DS-heavy workload.
+#[test]
+fn threaded_shards_match_serial_shards() {
+    use cosplit::chain::executor::execute_batch;
+    use cosplit::workloads::runner::prepare;
+    use cosplit::workloads::scenarios::{build, Kind};
+
+    for kind in [Kind::FtTransfer, Kind::NftMint, Kind::IpfsRegister] {
+        let scenario = build(kind, 40, 400, 17);
+        let net = prepare(&scenario, 3, true);
+        let mut pool = scenario.load.clone();
+        let packets = net.form_packets(&mut pool);
+        assert!(
+            packets.shard_batches.iter().any(|p| !p.is_empty()),
+            "{}: no shard received work",
+            kind.label()
+        );
+        let threaded = net.execute_shards(packets.shard_batches.clone());
+        for (s, packet) in packets.shard_batches.iter().enumerate() {
+            let serial =
+                execute_batch(&net.shard_executor_config(s as u32), net.state(), packet.clone());
+            assert_eq!(serial.receipts, threaded[s].receipts, "{} shard {s}", kind.label());
+            assert_eq!(
+                serial.delta.to_wire(),
+                threaded[s].delta.to_wire(),
+                "{} shard {s}",
+                kind.label()
+            );
+        }
+    }
+}
