@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! paper [fig1|fig12|fig13|table52|fig14|overheads|strategies|ablation|tracer|parallel|state|trace|xshard|callgraph|precision|hotpath|overflow|all] [--fast]
+//! paper [fig1|fig12|fig13|table52|fig14|overheads|strategies|ablation|tracer|parallel|trace|xshard|callgraph|precision|overflow|all] [--fast]
 //! ```
 //!
 //! `--fast` shrinks the Fig. 14 grid (fewer epochs, smaller gas budgets) so
@@ -29,12 +29,10 @@ fn main() {
         "ablation" => ablation_cmd(fast),
         "tracer" => tracer_cmd(fast),
         "parallel" => parallel_cmd(),
-        "state" => state_cmd(fast),
         "trace" => trace_cmd(fast),
         "xshard" => xshard_cmd(fast),
         "callgraph" => callgraph_cmd(fast),
         "precision" => precision_cmd(fast),
-        "hotpath" => hotpath_cmd(fast),
         "all" => {
             fig1();
             fig12(fast);
@@ -46,17 +44,15 @@ fn main() {
             ablation_cmd(fast);
             tracer_cmd(fast);
             parallel_cmd();
-            state_cmd(fast);
             trace_cmd(fast);
             xshard_cmd(fast);
             callgraph_cmd(fast);
             precision_cmd(fast);
-            hotpath_cmd(fast);
             overflow();
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("expected: fig1 | fig12 | fig13 | table52 | fig14 | overheads | strategies | ablation | tracer | parallel | state | trace | xshard | callgraph | precision | hotpath | overflow | all");
+            eprintln!("expected: fig1 | fig12 | fig13 | table52 | fig14 | overheads | strategies | ablation | tracer | parallel | trace | xshard | callgraph | precision | overflow | all");
             std::process::exit(2);
         }
     }
@@ -348,66 +344,12 @@ fn parallel_cmd() {
     println!(" execute their packets serially and parallelism is across shards — DESIGN §6j)");
 }
 
-fn hotpath_cmd(fast: bool) {
-    heading("Hot path — compiled transitions vs AST walker, clone-free state access");
-    let (users, txs, calls, reps) =
-        if fast { (2_048, 800, 2_000, 2) } else { (4_096, 2_000, 6_000, 3) };
-    let h = hotpath_experiment(users, txs, calls, reps);
-
-    println!(
-        "serial interpreter dispatch ({} Transfer calls, best of {} reps):",
-        h.dispatch.calls, reps
-    );
-    println!("  AST walker   {:>12.0} calls/s", h.dispatch.ast_tps());
-    println!(
-        "  compiled     {:>12.0} calls/s   ({:.2}× faster)",
-        h.dispatch.compiled_tps(),
-        h.dispatch.speedup()
-    );
-    println!(
-        "owned-name accesses on the transaction path over a {}-tx shard batch (hot clones): {}",
-        h.committed, h.hot_clones
-    );
-}
-
-fn state_cmd(fast: bool) {
-    heading("CoW state layer — epoch cost vs untouched state size (fixed 200-tx packet)");
-    let (holders, reps): (&[u64], u32) =
-        if fast { (&[1_000, 10_000], 1) } else { (&[1_000, 10_000, 100_000], 3) };
-    let rows_data = state_scaling(holders, 200, reps);
-    let rows: Vec<Vec<String>> = rows_data
-        .iter()
-        .map(|r| {
-            vec![
-                r.holders.to_string(),
-                r.committed.to_string(),
-                format!("{:.2}", r.epoch_wall.as_secs_f64() * 1e3),
-                r.snapshots.to_string(),
-                r.cow_breaks.to_string(),
-                r.bytes_cloned.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["holders", "committed", "epoch ms", "snapshots", "cow breaks", "bytes cloned"],
-            &rows
-        )
-    );
-    println!(
-        "flat columns across a {}× state-size sweep are the point: snapshots are",
-        rows_data.last().map_or(1, |r| r.holders) / rows_data.first().map_or(1, |r| r.holders)
-    );
-    println!("pointer bumps, and writes copy O(pending entries), never the resident maps.");
-}
-
 fn trace_cmd(fast: bool) {
     use telemetry::trace;
     use workloads::scenarios::Kind;
 
     heading("Transaction-lifecycle tracing — coverage, DS-fallback attribution");
-    let (users, txs, epochs, reps) = if fast { (24, 120, 2, 2) } else { (60, 600, 3, 3) };
+    let (users, txs, epochs) = if fast { (24, 120, 2) } else { (60, 600, 3) };
     // Fast mode keeps one ownership-heavy, one commutativity-heavy, and one
     // DS-heavy workload so the attribution section still has content.
     let kinds: Vec<Kind> = if fast {
@@ -415,7 +357,7 @@ fn trace_cmd(fast: bool) {
     } else {
         Kind::all().to_vec()
     };
-    let e = trace_experiment(&kinds, users, txs, epochs, reps);
+    let e = trace_experiment(&kinds, users, txs, epochs);
 
     let rows: Vec<Vec<String>> = e
         .runs
@@ -451,7 +393,7 @@ fn trace_cmd(fast: bool) {
         println!("  {:>5} txs  {:<18} {:<22} [{}]", a.ds_txs, a.workload, a.transition, reasons.join(", "));
     }
 
-    println!("\ntracing overhead: {:.2}× traced vs untraced (gate ceiling 1.50×)", e.overhead);
+    println!("\n(what tracing costs: `ft_transfer_traced` vs `ft_transfer` in BENCHMARK.json)");
 
     let chrome_path = std::env::var("TRACE_CHROME").unwrap_or_else(|_| "TRACE_chrome.json".into());
     match std::fs::write(&chrome_path, trace::chrome_trace_json(&e.records)) {

@@ -548,90 +548,6 @@ pub fn matrix_densities() -> Vec<MatrixDensityRow> {
         .collect()
 }
 
-// ------------------------------------------------------- state scaling
-
-/// One row of the CoW-state scaling sweep: a fixed transfer packet executed
-/// against a token contract whose `balances` map holds `holders` entries.
-#[derive(Debug, Clone)]
-pub struct StateScalingRow {
-    /// Pre-populated token holders (untouched by the packet).
-    pub holders: u64,
-    /// Transactions committed in the measured epoch.
-    pub committed: usize,
-    /// Best-of-reps wall-clock of one full epoch.
-    pub epoch_wall: Duration,
-    /// `chain.state.snapshots` recorded during that epoch.
-    pub snapshots: u64,
-    /// `chain.state.cow_breaks` recorded during that epoch.
-    pub cow_breaks: u64,
-    /// `chain.state.bytes_cloned` recorded during that epoch.
-    pub bytes_cloned: u64,
-}
-
-/// Runs the same `txs`-transaction FungibleToken transfer packet (64 active
-/// users) against pre-populated holder counts, measuring epoch wall time
-/// and the CoW telemetry counters. With O(1) snapshots and O(writes)
-/// overlays both must stay flat as the untouched holder set grows 100×; a
-/// deep-copy regression shows up as `bytes_cloned` scaling with `holders`.
-pub fn state_scaling(holder_counts: &[u64], txs: usize, reps: u32) -> Vec<StateScalingRow> {
-    use scilla::value::Value;
-    use workloads::runner::prepare_with;
-    use workloads::scenarios::{build, contract_addr, Kind};
-
-    telemetry::set_enabled(true);
-    let reg = telemetry::registry();
-    let mut out = Vec::new();
-    for &holders in holder_counts {
-        // Same seed for every holder count: the measured packet is
-        // identical, only the untouched base state grows.
-        let scenario = build(Kind::FtTransfer, 64, txs, 11);
-        let config = ChainConfig::evaluation(2, true);
-        let mut best: Option<StateScalingRow> = None;
-        for _ in 0..reps.max(1) {
-            let mut net = prepare_with(&scenario, config.clone());
-            // Holder addresses are disjoint from the 64 active users, so
-            // the packet never touches their balance entries.
-            net.seed_map_field(
-                contract_addr(),
-                "balances",
-                (0..holders).map(|i| {
-                    (chain::address::Address::from_index(1_000_000 + i).to_value(),
-                     Value::Uint(128, 7))
-                }),
-            );
-            let mut pool = scenario.load.clone();
-            let before = reg.snapshot();
-            let t0 = Instant::now();
-            let report = net.run_epoch(&mut pool);
-            let wall = t0.elapsed();
-            let delta = reg.snapshot().diff(&before);
-            let row = StateScalingRow {
-                holders,
-                committed: report.committed,
-                epoch_wall: wall,
-                snapshots: delta.counter(telemetry::names::STATE_SNAPSHOTS),
-                cow_breaks: delta.counter(telemetry::names::STATE_COW_BREAKS),
-                bytes_cloned: delta.counter(telemetry::names::STATE_BYTES_CLONED),
-            };
-            if best.as_ref().is_none_or(|b| row.epoch_wall < b.epoch_wall) {
-                best = Some(row);
-            }
-        }
-        let row = best.expect("at least one rep");
-        for (name, v) in [
-            ("wall_micros", row.epoch_wall.as_micros() as i64),
-            ("committed", row.committed as i64),
-            ("snapshots", row.snapshots as i64),
-            ("cow_breaks", row.cow_breaks as i64),
-            ("bytes_cloned", row.bytes_cloned as i64),
-        ] {
-            reg.gauge(&format!("bench.state.holders_{holders}.{name}")).set(v);
-        }
-        out.push(row);
-    }
-    out
-}
-
 // ------------------------------------------------------ lifecycle tracing
 
 /// One DS-residency bucket of the trace experiment: a workload/transition
@@ -657,7 +573,7 @@ pub struct TraceRunReport {
     /// Measured-phase committed transactions (successful receipts).
     pub committed: usize,
     /// Committed transactions whose lifecycle is *not* a complete
-    /// dispatch→commit chain — must be zero; the smoke gate asserts on it.
+    /// dispatch→commit chain — must be zero (`chain/tests/trace_lifecycle.rs`).
     pub missing_chains: usize,
     /// Assembled lifecycles (setup phase included).
     pub lifecycles: Vec<TxLifecycle>,
@@ -667,51 +583,18 @@ pub struct TraceRunReport {
     pub shard: usize,
 }
 
-/// The `paper -- trace` experiment: tracer overhead, per-workload lifecycle
-/// coverage and DS-fallback attribution — plus the raw records for the
-/// Chrome export.
+/// The `paper -- trace` experiment: per-workload lifecycle coverage and
+/// DS-fallback attribution — plus the raw records for the Chrome export.
+/// (What tracing costs is `ft_transfer_traced` vs `ft_transfer` in
+/// `BENCHMARK.json`.)
 #[derive(Debug, Clone)]
 pub struct TraceExperiment {
     /// Per-workload traced runs.
     pub runs: Vec<TraceRunReport>,
     /// DS-residency attribution across all runs, most-resident first.
     pub attribution: Vec<DsAttribution>,
-    /// Traced-over-untraced wall-clock ratio (best-of-reps).
-    pub overhead: f64,
     /// Every trace record from every run, for [`trace::chrome_trace_json`].
     pub records: Vec<TraceRecord>,
-}
-
-/// Best-of-reps wall-clock ratio of a traced FungibleToken run over the
-/// same run with tracing off. Interleaved so host noise hits both sides.
-pub fn tracing_overhead(users: u64, txs: usize, epochs: usize, reps: u32) -> f64 {
-    use workloads::runner::run_with;
-    use workloads::scenarios::build;
-    use workloads::seeds;
-
-    let scenario = build(Kind::FtTransfer, users, txs, seeds::derive(0x7eace, "overhead"));
-    let config = || {
-        let mut c = ChainConfig::small(4, true);
-        c.audit = false;
-        c
-    };
-    let mut best_off = Duration::MAX;
-    let mut best_on = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        trace::set_tracing(false);
-        let t0 = Instant::now();
-        std::hint::black_box(run_with(&scenario, config(), epochs));
-        best_off = best_off.min(t0.elapsed());
-
-        trace::set_tracing(true);
-        trace::recorder().clear();
-        let t0 = Instant::now();
-        std::hint::black_box(run_with(&scenario, config(), epochs));
-        best_on = best_on.min(t0.elapsed());
-        trace::set_tracing(false);
-        trace::recorder().clear();
-    }
-    best_on.as_secs_f64() / best_off.as_secs_f64().max(1e-9)
 }
 
 /// Runs each workload once with tracing on and assembles the full report.
@@ -723,15 +606,12 @@ pub fn trace_experiment(
     users: u64,
     txs: usize,
     epochs: usize,
-    overhead_reps: u32,
 ) -> TraceExperiment {
     use workloads::runner::run_with;
     use workloads::scenarios::build;
     use workloads::seeds;
 
     telemetry::set_enabled(true);
-    let overhead = tracing_overhead(users, txs, epochs, overhead_reps);
-
     let config = || {
         let mut c = ChainConfig::small(4, true);
         c.audit = false;
@@ -802,116 +682,13 @@ pub fn trace_experiment(
     attribution.sort_by_key(|a| std::cmp::Reverse(a.ds_txs));
 
     let reg = telemetry::registry();
-    reg.gauge("trace.overhead_x1000").set((overhead * 1000.0) as i64);
     reg.gauge("trace.records").set(records.len() as i64);
     reg.gauge("trace.ds_txs").set(runs.iter().map(|r| r.ds).sum::<usize>() as i64);
     reg.gauge("trace.shard_txs").set(runs.iter().map(|r| r.shard).sum::<usize>() as i64);
     reg.gauge("trace.missing_chains")
         .set(runs.iter().map(|r| r.missing_chains).sum::<usize>() as i64);
 
-    TraceExperiment { runs, attribution, overhead, records }
-}
-
-// ---------------------------------------------------------- perf baseline
-
-/// The deterministic floor committed as `BENCH_baseline.json`: dispatch
-/// fractions over three representative workloads. Host-independent, so the
-/// gate needs neither a tolerance for noise nor an opt-out; wall-clock
-/// claims belong to `BENCHMARK.json` / `perfbench`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineMeasurement {
-    /// Dispatch decisions per reason, in permille of the sampled load.
-    pub reason_permille: BTreeMap<String, u64>,
-    /// Share of the sampled load routed to the DS committee, in permille.
-    pub to_ds_permille: u64,
-}
-
-impl BaselineMeasurement {
-    /// Serialises as a telemetry [`telemetry::Snapshot`] (gauges only) so
-    /// the baseline file shares the `BENCH_metrics.json` format.
-    pub fn to_snapshot(&self) -> telemetry::Snapshot {
-        let mut s = telemetry::Snapshot::default();
-        s.gauges.insert("baseline.to_ds_permille".into(), self.to_ds_permille as i64);
-        for (reason, v) in &self.reason_permille {
-            s.gauges.insert(format!("baseline.reason_permille.{reason}"), *v as i64);
-        }
-        s
-    }
-
-    /// Parses the snapshot form written by [`BaselineMeasurement::to_snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// Reports missing gauges.
-    pub fn from_snapshot(s: &telemetry::Snapshot) -> Result<BaselineMeasurement, String> {
-        let mut reason_permille = BTreeMap::new();
-        for (k, v) in &s.gauges {
-            if let Some(reason) = k.strip_prefix("baseline.reason_permille.") {
-                reason_permille.insert(reason.to_string(), *v as u64);
-            }
-        }
-        let to_ds_permille = s
-            .gauges
-            .get("baseline.to_ds_permille")
-            .copied()
-            .ok_or("baseline missing gauge 'baseline.to_ds_permille'")? as u64;
-        Ok(BaselineMeasurement { reason_permille, to_ds_permille })
-    }
-}
-
-/// Measures the baseline: dispatch fractions over three representative
-/// workloads (ownership-, commutativity-, and DS-heavy). Exact, so drift
-/// here means the dispatch policy itself changed, not the host.
-pub fn measure_baseline() -> BaselineMeasurement {
-    use chain::dispatch::Assignment;
-    use workloads::runner::prepare;
-    use workloads::scenarios::build;
-
-    let mut reasons: BTreeMap<String, u64> = BTreeMap::new();
-    let mut ds = 0u64;
-    let mut total = 0u64;
-    for kind in [Kind::FtTransfer, Kind::NftMint, Kind::IpfsRegister] {
-        let scenario = build(kind, 40, 500, 13);
-        let net = prepare(&scenario, 3, true);
-        for tx in &scenario.load {
-            let d = dispatch(tx, net.state(), 3, true);
-            *reasons.entry(d.reason.name().to_string()).or_insert(0) += 1;
-            if d.assignment == Assignment::Ds {
-                ds += 1;
-            }
-            total += 1;
-        }
-    }
-    let permille = |n: u64| n * 1000 / total.max(1);
-    BaselineMeasurement {
-        reason_permille: reasons.into_iter().map(|(k, v)| (k, permille(v))).collect(),
-        to_ds_permille: permille(ds),
-    }
-}
-
-/// Compares a fresh measurement against the committed baseline: a dispatch
-/// fraction fails past ±10 permille — those cannot drift from host noise,
-/// only from a behaviour change.
-pub fn check_baseline(current: &BaselineMeasurement, committed: &BaselineMeasurement) -> Vec<String> {
-    let mut failures = Vec::new();
-    let keys: BTreeSet<&String> =
-        current.reason_permille.keys().chain(committed.reason_permille.keys()).collect();
-    for key in keys {
-        let cur = current.reason_permille.get(key).copied().unwrap_or(0);
-        let base = committed.reason_permille.get(key).copied().unwrap_or(0);
-        if cur.abs_diff(base) > 10 {
-            failures.push(format!(
-                "dispatch fraction '{key}' moved: {cur}‰ vs baseline {base}‰"
-            ));
-        }
-    }
-    if current.to_ds_permille.abs_diff(committed.to_ds_permille) > 10 {
-        failures.push(format!(
-            "DS fallback share moved: {}‰ vs baseline {}‰",
-            current.to_ds_permille, committed.to_ds_permille
-        ));
-    }
-    failures
+    TraceExperiment { runs, attribution, records }
 }
 
 // ------------------------------------------------- cross-shard 2PC stage
@@ -1019,8 +796,7 @@ pub fn xshard_rows(users: u64, txs: usize, epochs: usize) -> Vec<XShardRow> {
 
 /// Builds the static cross-contract call graph over a set of corpus
 /// contracts (default: the 49-contract mainnet sample plus the relay
-/// harness pair). Panics on a corpus contract that stops analysing — the
-/// `callgraph_smoke` gate turns that into a CI failure.
+/// harness pair). Panics on a corpus contract that stops analysing.
 pub fn corpus_call_graph(entries: &[&'static corpus::CorpusEntry]) -> CallGraph {
     let inputs: Vec<GraphContract> = entries
         .iter()
@@ -1266,164 +1042,6 @@ pub fn precision_rows(users: u64, txs: usize, epochs: usize) -> Vec<PrecisionRow
         })
         .collect();
     rows
-}
-
-// ------------------------------------------------------------- hot path
-
-/// Serial interpreter dispatch cost: the same transfer stream executed
-/// through the definitional AST walker and the compiled instruction
-/// sequences, best-of-reps.
-#[derive(Debug, Clone)]
-pub struct HotpathDispatch {
-    /// Transfer calls per timed run.
-    pub calls: usize,
-    /// Best-of-reps wall for the AST walker.
-    pub ast: Duration,
-    /// Best-of-reps wall for the compiled form.
-    pub compiled: Duration,
-}
-
-impl HotpathDispatch {
-    /// AST-walker calls per second.
-    pub fn ast_tps(&self) -> f64 {
-        self.calls as f64 / self.ast.as_secs_f64().max(1e-9)
-    }
-
-    /// Compiled calls per second.
-    pub fn compiled_tps(&self) -> f64 {
-        self.calls as f64 / self.compiled.as_secs_f64().max(1e-9)
-    }
-
-    /// AST time over compiled time.
-    pub fn speedup(&self) -> f64 {
-        self.ast.as_secs_f64() / self.compiled.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Times `calls` FungibleToken `Transfer` executions through each backend
-/// on a pre-minted in-memory state (no chain machinery — this isolates the
-/// interpreter dispatch cost the compiled pipeline attacks).
-pub fn hotpath_dispatch(calls: usize, reps: u32) -> HotpathDispatch {
-    use scilla::gas::GasMeter;
-    use scilla::interpreter::{ExecMode, TransitionContext};
-    use scilla::state::InMemoryState;
-    use scilla::value::Value;
-
-    let entry = corpus::get("FungibleToken").expect("corpus");
-    let contract = scilla::compile_str(entry.source).expect("corpus compiles");
-    contract.precompile();
-    let owner = [9u8; 20];
-    let params = vec![
-        ("contract_owner".to_string(), Value::address(owner)),
-        ("name".to_string(), Value::Str("Bench".into())),
-        ("symbol".to_string(), Value::Str("B".into())),
-        ("init_supply".to_string(), Value::Uint(128, 0)),
-    ];
-    let mut base = InMemoryState::from_fields(contract.init_fields(&params).expect("init"));
-    let users: Vec<[u8; 20]> = (0..16u8).map(|i| [i + 1; 20]).collect();
-    let ctx = |sender: [u8; 20]| TransitionContext {
-        sender,
-        origin: sender,
-        amount: 0,
-        this_address: [0xCC; 20],
-        block_number: 1,
-    };
-    for u in &users {
-        let mut gas = GasMeter::new(u64::MAX);
-        contract
-            .execute_mode(
-                &mut base,
-                "Mint",
-                &[("to".into(), Value::address(*u)), ("amount".into(), Value::Uint(128, 1 << 30))],
-                &params,
-                &ctx(owner),
-                &mut gas,
-                None,
-                ExecMode::Auto,
-            )
-            .expect("mint succeeds");
-    }
-
-    let time_mode = |mode: ExecMode| -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..reps.max(1) {
-            let mut st = base.clone();
-            let t0 = Instant::now();
-            for i in 0..calls {
-                let from = users[i % users.len()];
-                let to = users[(i + 1) % users.len()];
-                let mut gas = GasMeter::new(u64::MAX);
-                contract
-                    .execute_mode(
-                        &mut st,
-                        "Transfer",
-                        &[("to".into(), Value::address(to)), ("amount".into(), Value::Uint(128, 1))],
-                        &params,
-                        &ctx(from),
-                        &mut gas,
-                        None,
-                        mode,
-                    )
-                    .expect("transfer succeeds");
-            }
-            best = best.min(t0.elapsed());
-        }
-        best
-    };
-    let ast = time_mode(ExecMode::Ast);
-    let compiled = time_mode(ExecMode::Compiled);
-    HotpathDispatch { calls, ast, compiled }
-}
-
-/// The hot-path experiment: serial dispatch AST-vs-compiled plus the
-/// hot-clone audit over one shard's FungibleToken batch.
-#[derive(Debug, Clone)]
-pub struct HotpathResult {
-    /// Interpreter dispatch comparison.
-    pub dispatch: HotpathDispatch,
-    /// Transactions committed by the audited shard batch.
-    pub committed: usize,
-    /// Owned-name state accesses observed on the transaction path (must
-    /// stay 0 — the `Sym`-threaded pipeline never interns per call).
-    pub hot_clones: u64,
-}
-
-/// Runs the hot-path experiment and gauges the results into the metrics
-/// snapshot under `bench.hotpath.*`.
-pub fn hotpath_experiment(users: u64, txs: usize, dispatch_calls: usize, reps: u32) -> HotpathResult {
-    use chain::executor::{execute_batch, ExecutorConfig};
-    use workloads::runner::prepare;
-    use workloads::scenarios::build;
-
-    telemetry::set_enabled(true);
-    trace::set_tracing(false);
-
-    let interp = hotpath_dispatch(dispatch_calls, reps);
-
-    // The single shard's packet through the shard executor, as an epoch
-    // runs it (gas-unlimited so the whole packet executes).
-    let scenario = build(Kind::FtTransfer, users, txs, 7);
-    let net = prepare(&scenario, 1, true);
-    let batch = net.form_packets(&mut scenario.load.clone()).shard_batches.swap_remove(0);
-    let cfg = ExecutorConfig { gas_limit: u64::MAX, ..net.shard_executor_config(0) };
-    let reg = telemetry::registry();
-    let hc0 = reg.counter(telemetry::names::STATE_HOT_CLONES).get();
-    let mb = execute_batch(&cfg, net.state(), batch);
-    let result = HotpathResult {
-        dispatch: interp,
-        committed: mb.committed(),
-        hot_clones: reg.counter(telemetry::names::STATE_HOT_CLONES).get() - hc0,
-    };
-
-    reg.gauge("bench.hotpath.dispatch_calls").set(result.dispatch.calls as i64);
-    reg.gauge("bench.hotpath.ast_tps_x1000").set((result.dispatch.ast_tps() * 1000.0) as i64);
-    reg.gauge("bench.hotpath.compiled_tps_x1000")
-        .set((result.dispatch.compiled_tps() * 1000.0) as i64);
-    reg.gauge("bench.hotpath.dispatch_speedup_x1000")
-        .set((result.dispatch.speedup() * 1000.0) as i64);
-    reg.gauge("bench.hotpath.batch_committed").set(result.committed as i64);
-    reg.gauge("bench.hotpath.hot_clones").set(result.hot_clones as i64);
-    result
 }
 
 #[cfg(test)]

@@ -167,8 +167,9 @@ impl StateDelta {
     ///
     /// # Errors
     ///
-    /// [`MergeError::DeltaOutOfRange`] if an integer component leaves its
-    /// type's range — the situation the paper's §6 overflow guard prevents.
+    /// [`MergeError::DeltaOutOfRange`] if an integer component or a native
+    /// balance leaves its type's range — the situation the paper's §6
+    /// overflow guard prevents.
     pub fn apply(&self, state: &mut GlobalState) -> Result<(), MergeError> {
         for (addr, cd) in &self.contracts {
             // In the normal epoch flow the shard executors' snapshot views
@@ -206,8 +207,14 @@ impl StateDelta {
         }
         for (addr, b) in &self.balances {
             let acc = state.accounts.entry(*addr).or_default();
-            let new = (acc.balance as i128).saturating_add(*b);
-            acc.balance = new.max(0) as u128;
+            // In `u128`, like the integer components: a balance past
+            // `i128::MAX` is exact, and an overdraw is an error, not a clamp.
+            acc.balance = acc.balance.checked_add_signed(*b).ok_or_else(|| {
+                MergeError::DeltaOutOfRange {
+                    contract: addr.to_string(),
+                    component: "balance".into(),
+                }
+            })?;
         }
         for (addr, ns) in &self.nonces {
             let acc = state.accounts.entry(*addr).or_default();
@@ -394,11 +401,7 @@ pub fn apply_int_delta(old: Option<&Value>, id: &IntDelta) -> Option<Value> {
             None => 0,
             _ => return None,
         };
-        let new = if id.delta >= 0 {
-            old_u.checked_add(id.delta as u128)?
-        } else {
-            old_u.checked_sub(id.delta.unsigned_abs())?
-        };
+        let new = old_u.checked_add_signed(id.delta)?;
         (new <= uint_max(id.width)).then_some(Value::Uint(id.width, new))
     }
 }

@@ -292,6 +292,19 @@ impl Network {
             None => None,
         };
 
+        self.install(addr, checked, params, signature)?;
+        Ok(timings)
+    }
+
+    /// The install tail both deployment paths share: compile, initialise
+    /// storage, flag the account, place it, and register the contract.
+    fn install(
+        &mut self,
+        addr: Address,
+        checked: scilla::typechecker::CheckedModule,
+        params: Vec<(String, Value)>,
+        signature: Option<ShardingSignature>,
+    ) -> Result<(), DeployError> {
         let compiled = CompiledContract::compile(checked)?;
         let fields = compiled.init_fields(&params)?;
         self.state.storage.insert(addr, Arc::new(InMemoryState::from_fields(fields)));
@@ -304,7 +317,7 @@ impl Network {
         self.state
             .contracts
             .insert(addr, Arc::new(DeployedContract::new(addr, compiled, params, signature)));
-        Ok(timings)
+        Ok(())
     }
 
     /// Signature-aware placement (`ChainConfig::colocate_families`): a
@@ -357,19 +370,7 @@ impl Network {
         }
         let module = scilla::parser::parse_module(source)?;
         let checked = scilla::typechecker::typecheck(module)?;
-        let compiled = CompiledContract::compile(checked)?;
-        let fields = compiled.init_fields(&params)?;
-        self.state.storage.insert(addr, Arc::new(InMemoryState::from_fields(fields)));
-        self.state
-            .accounts
-            .entry(addr)
-            .or_insert_with(crate::account::Account::contract)
-            .is_contract = true;
-        self.maybe_colocate(addr, &params);
-        self.state
-            .contracts
-            .insert(addr, Arc::new(DeployedContract::new(addr, compiled, params, signature)));
-        Ok(())
+        self.install(addr, checked, params, signature)
     }
 
     /// Lookup-node stage: drains the pool into per-committee packets.
@@ -431,16 +432,24 @@ impl Network {
     /// The executor configuration one transaction shard runs with this
     /// epoch.
     pub fn shard_executor_config(&self, shard: u32) -> ExecutorConfig {
+        self.executor_config(Assignment::Shard(shard))
+    }
+
+    /// What every role's executor takes from the chain configuration; the
+    /// role decides the gas budget, whether the §6 overflow guard applies
+    /// (shard slices only) and whether contract messages may run (DS only).
+    fn executor_config(&self, role: Assignment) -> ExecutorConfig {
+        let c = &self.config;
         ExecutorConfig {
-            role: Assignment::Shard(shard),
-            num_shards: self.config.num_shards,
-            gas_limit: self.config.shard_gas_limit,
+            role,
+            num_shards: c.num_shards,
+            gas_limit: if role == Assignment::Ds { c.ds_gas_limit } else { c.shard_gas_limit },
             block_number: self.block_number,
-            use_cosplit: self.config.use_cosplit,
-            overflow_guard: self.config.overflow_guard,
-            allow_contract_msgs: false,
-            audit: self.config.audit,
-            compose_calls: self.config.compose_calls,
+            use_cosplit: c.use_cosplit,
+            overflow_guard: c.overflow_guard && matches!(role, Assignment::Shard(_)),
+            allow_contract_msgs: role == Assignment::Ds,
+            audit: c.audit,
+            compose_calls: c.compose_calls,
         }
     }
 
@@ -449,17 +458,7 @@ impl Network {
     /// but cross-contract messages still reroute — chained calls escape the
     /// lock plan, so only the DS committee may run them.
     pub fn xshard_executor_config(&self) -> ExecutorConfig {
-        ExecutorConfig {
-            role: Assignment::XShard,
-            num_shards: self.config.num_shards,
-            gas_limit: self.config.shard_gas_limit,
-            block_number: self.block_number,
-            use_cosplit: self.config.use_cosplit,
-            overflow_guard: false,
-            allow_contract_msgs: false,
-            audit: self.config.audit,
-            compose_calls: self.config.compose_calls,
-        }
+        self.executor_config(Assignment::XShard)
     }
 
     /// Cross-shard commit stage (paper's DS choke point, replaced by an
@@ -691,17 +690,7 @@ impl Network {
 
     /// The executor configuration the DS committee runs with this epoch.
     pub fn ds_executor_config(&self) -> ExecutorConfig {
-        ExecutorConfig {
-            role: Assignment::Ds,
-            num_shards: self.config.num_shards,
-            gas_limit: self.config.ds_gas_limit,
-            block_number: self.block_number,
-            use_cosplit: self.config.use_cosplit,
-            overflow_guard: false,
-            allow_contract_msgs: true,
-            audit: self.config.audit,
-            compose_calls: self.config.compose_calls,
-        }
+        self.executor_config(Assignment::Ds)
     }
 
     /// Shard stage: executes the per-shard packets in parallel on the

@@ -66,9 +66,7 @@ impl DeployedContract {
     ) -> Self {
         // Deploy-time warm-up: lower every transition now so the first
         // transaction of the contract's life pays no compile cost.
-        if scilla::compile::enabled() {
-            compiled.precompile();
-        }
+        compiled.precompile();
         DeployedContract {
             address,
             compiled,

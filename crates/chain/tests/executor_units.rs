@@ -397,6 +397,9 @@ fn events_surface_in_epoch_receipts() {
 /// load/store reaches storage through a pre-resolved `Sym`, so the
 /// `chain.state.hot_clones` counter stays untouched across a workload of
 /// FungibleToken transfers (same-sender nonce chains, shared recipients).
+/// Nor does the epoch pipeline deep-copy resident state: over 10 000 seeded
+/// holders the packets never touch, full epochs (snapshot, shard execution,
+/// merge, apply) and the shard batch break no shared map node.
 #[test]
 fn hot_path_is_clone_free() {
     telemetry::set_enabled(true);
@@ -416,6 +419,12 @@ fn hot_path_is_clone_free() {
     ];
     let src = scilla::corpus::get("FungibleToken").unwrap().source;
     net.deploy(token, src, params, Some((&["Mint", "Transfer"], WeakReads::AcceptAll))).unwrap();
+    net.seed_map_field(
+        token,
+        "balances",
+        (0..10_000).map(|i| (Address::from_index(1_000 + i).to_value(), Value::Uint(128, 7))),
+    );
+    let before_epochs = telemetry::registry().snapshot();
     let mut pool: Vec<Transaction> = (0..users)
         .map(|i| {
             Transaction::call(1000 + i, owner, i + 1, token, "Mint", vec![
@@ -442,4 +451,7 @@ fn hot_path_is_clone_free() {
     let mb = execute_batch(&config, net.state(), batch);
     assert_eq!(mb.committed(), 40, "{:?}", mb.receipts);
     assert_eq!(counter.get(), before, "hot path performed owned-name state accesses");
+    let delta = telemetry::registry().snapshot().diff(&before_epochs);
+    assert_eq!(delta.counter(telemetry::names::STATE_COW_BREAKS), 0, "a shared map node was copied");
+    assert_eq!(delta.counter(telemetry::names::STATE_BYTES_CLONED), 0);
 }

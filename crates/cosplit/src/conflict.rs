@@ -781,6 +781,19 @@ end
     }
 
     #[test]
+    fn transfer_vs_delegated_transfer_resolves_on_the_owner() {
+        let m = matrix_for(scilla::corpus::get("FungibleToken").expect("in corpus").source);
+        let a = [("_sender", addr(1)), ("to", addr(2)), ("amount", Value::Uint(128, 1))];
+        // A delegated transfer out of A's sender debits the same balance
+        // entry behind a spendability check: concrete conflict.
+        let shared = [("_sender", addr(5)), ("from", addr(1)), ("to", addr(6))];
+        assert!(m.conflicts_concrete("Transfer", &bind(&a), "TransferFrom", &bind(&shared)));
+        // Moving the delegated owner elsewhere clears it.
+        let disjoint = [("_sender", addr(5)), ("from", addr(3)), ("to", addr(6))];
+        assert!(!m.conflicts_concrete("Transfer", &bind(&a), "TransferFrom", &bind(&disjoint)));
+    }
+
+    #[test]
     fn unkeyed_rmw_field_conflicts() {
         let m = matrix_for(TOKEN);
         // Mint reads and writes the whole-field total_supply: two Mints

@@ -1,28 +1,36 @@
 //! Analysis results on the five §5.2 evaluation contracts must reproduce the
 //! paper's table: #transitions, largest good-enough signature, and number of
-//! maximal good-enough signatures.
+//! maximal good-enough signatures. The closing corpus sweep holds every
+//! analysis product (signature, lint, conflict matrix, blame, call graph) to
+//! its corpus-wide invariants.
 
 use cosplit_analysis::analysis::AnalysisMode;
+use cosplit_analysis::audit::lint_contract;
+use cosplit_analysis::blame::BlameCause;
+use cosplit_analysis::callgraph::{CallGraph, ContractCalls, GraphContract};
+use cosplit_analysis::conflict::{self, ConflictMatrix};
 use cosplit_analysis::ge::ge_stats;
 use cosplit_analysis::signature::{Constraint, Join, WeakReads};
 use cosplit_analysis::solver::AnalyzedContract;
 use scilla::corpus;
+use scilla::typechecker::CheckedModule;
+use std::collections::BTreeMap;
 
-fn analyzed(name: &str) -> AnalyzedContract {
+fn checked(name: &str) -> CheckedModule {
     let entry = corpus::get(name).expect("corpus contract");
     let module = scilla::parser::parse_module(entry.source).expect("parses");
-    let checked = scilla::typechecker::typecheck(module).expect("typechecks");
-    AnalyzedContract::analyze(&checked)
+    scilla::typechecker::typecheck(module).expect("typechecks")
+}
+
+fn analyzed(name: &str) -> AnalyzedContract {
+    AnalyzedContract::analyze(&checked(name))
 }
 
 /// The paper's numbers were produced by the Fig-6 single-pass accumulator, so
 /// the table-reproduction tests pin that mode explicitly; the flow-sensitive
 /// default is strictly more precise (see `refined_analysis_is_more_precise`).
 fn analyzed_legacy(name: &str) -> AnalyzedContract {
-    let entry = corpus::get(name).expect("corpus contract");
-    let module = scilla::parser::parse_module(entry.source).expect("parses");
-    let checked = scilla::typechecker::typecheck(module).expect("typechecks");
-    AnalyzedContract::analyze_with_mode(&checked, AnalysisMode::Legacy)
+    AnalyzedContract::analyze_with_mode(&checked(name), AnalysisMode::Legacy)
 }
 
 #[test]
@@ -144,15 +152,79 @@ fn proof_ipfs_register_needs_two_components() {
     assert!(owned_fields.contains(&"items"), "{owned_fields:?}");
 }
 
+/// The lint census over the 49-contract mainnet sample, per rule. A drift in
+/// either direction means a rule changed behaviour — recheck the findings by
+/// hand and update both this table and the DESIGN.md §6c numbers.
+const EXPECTED_CENSUS: [(&str, usize); 5] = [
+    ("accept-no-balance-effect", 4),
+    ("dead-pseudofield", 1),
+    ("dynamic-recipient", 4),
+    ("top-summary", 12),
+    ("write-never-read-back", 43),
+];
+
+/// Every analysis product derives for every corpus contract, survives its
+/// wire form, and keeps the corpus-wide invariants: the lint census, no
+/// global ⊤ under the refined analysis, every `⊤[field]` blamed, and a ⊤
+/// population strictly below the legacy accumulator's.
 #[test]
 fn whole_mainnet_sample_analyses_cleanly() {
-    for entry in corpus::mainnet_sample() {
-        let a = analyzed(entry.name);
+    let mut census: BTreeMap<&str, usize> = BTreeMap::new();
+    let (mut top_legacy, mut top_field_refined) = (0, 0);
+    let mut graph_inputs = Vec::new();
+    // The call graph also takes the relay harness pair, which sits outside
+    // the mainnet sample; everything else is per sample contract.
+    for entry in corpus::all() {
+        let checked = checked(entry.name);
+        let a = AnalyzedContract::analyze(&checked);
+        let names = a.transition_names();
+        graph_inputs.push(GraphContract {
+            name: entry.name.to_string(),
+            transitions: names.clone(),
+            calls: ContractCalls::extract(&checked, &a.summaries),
+        });
+        if !entry.mainnet_sample {
+            continue;
+        }
         assert!(!a.summaries.is_empty(), "{} has no transitions", entry.name);
         // Querying the full selection must never panic and must produce a
         // well-formed signature.
-        let names = a.transition_names();
         let sig = a.query(&names, &WeakReads::AcceptAll);
         assert_eq!(sig.transitions.len(), names.len(), "{}", entry.name);
+
+        for f in lint_contract(&checked, &a) {
+            *census.entry(f.rule).or_default() += 1;
+        }
+
+        let matrix = ConflictMatrix::build(&a.name, &a.summaries);
+        let back = conflict::wire::matrix_from_value(&conflict::wire::matrix_to_value(&matrix));
+        assert_eq!(back.as_ref(), Some(&matrix), "{}: matrix wire round-trip", entry.name);
+
+        for s in &a.summaries {
+            assert!(!s.has_top(), "{}.{}: refined summary went globally ⊤", entry.name, s.name);
+            top_field_refined += usize::from(s.top_fields().next().is_some());
+            for pf in s.top_fields() {
+                assert!(
+                    a.blames.iter().any(|b| b.transition == s.name
+                        && b.field.as_ref().is_some_and(|f| f.field == pf.field)),
+                    "{}.{}: ⊤[{pf}] has no blame cause naming its field",
+                    entry.name,
+                    s.name
+                );
+            }
+        }
+        for b in &a.blames {
+            assert_eq!(BlameCause::from_json(&b.to_json()).as_ref(), Ok(b), "{}", entry.name);
+        }
+        let legacy = AnalyzedContract::analyze_with_mode(&checked, AnalysisMode::Legacy);
+        top_legacy += legacy.summaries.iter().filter(|s| s.has_top()).count();
     }
+    assert_eq!(census, BTreeMap::from(EXPECTED_CENSUS));
+    assert!(top_field_refined < top_legacy, "⊤ population: {top_field_refined} vs {top_legacy}");
+
+    let graph = CallGraph::build(&graph_inputs);
+    assert_eq!(graph.contracts.len(), corpus::all().len());
+    assert!(!graph.edges.is_empty(), "the corpus has send sites");
+    assert_eq!(CallGraph::from_json(&graph.to_json()).as_ref(), Ok(&graph));
+    assert!(graph.to_dot().contains("digraph"));
 }

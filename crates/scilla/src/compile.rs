@@ -29,8 +29,7 @@
 //! bodies are `Arc`-shared instead of deep-cloned per closure creation).
 //!
 //! The differential property tests in `tests/compile_props.rs` check the
-//! equivalence on random contracts; `COSPLIT_COMPILE=off` forces the AST
-//! walker at runtime for A/B measurement.
+//! equivalence on random contracts.
 
 use crate::ast::*;
 use crate::builtins::{bind_builtin, empty_map, BuiltinFn};
@@ -46,17 +45,7 @@ use crate::trace::EffectTracer;
 use crate::types::Type;
 use crate::value::{Closure, Env, TypeClosure, Value};
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
-
-/// Is compiled execution enabled? Defaults to on; set `COSPLIT_COMPILE=off`
-/// (or `0`) to force every transition through the AST walker — the knob the
-/// hot-path experiment uses for its A/B comparison.
-pub fn enabled() -> bool {
-    static MODE: OnceLock<bool> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        std::env::var("COSPLIT_COMPILE").map(|v| v != "off" && v != "0").unwrap_or(true)
-    })
-}
+use std::sync::Arc;
 
 /// The lowered form of one transition: compiled code, or a marker that this
 /// transition must run on the AST walker.

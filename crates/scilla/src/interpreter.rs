@@ -74,13 +74,12 @@ pub struct TransitionOutcome {
 
 /// Which interpreter backend runs a transition.
 ///
-/// `Auto` (the normal path) uses the compiled form when available, honouring
-/// the `COSPLIT_COMPILE` knob. The forced modes exist for the differential
-/// tests that run the same transaction through both backends and compare
-/// every observable bit.
+/// `Auto` (the normal path) uses the compiled form whenever the transition
+/// lowered. The forced modes exist for the differential tests that run the
+/// same transaction through both backends and compare every observable bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Compiled when available and enabled; AST walker otherwise.
+    /// Compiled when the transition lowered; AST walker otherwise.
     Auto,
     /// Always the AST walker (the definitional reference).
     Ast,
@@ -321,12 +320,7 @@ impl CompiledContract {
             .transition(transition)
             .ok_or_else(|| ExecError::BadInvocation(format!("unknown transition '{transition}'")))?;
         gas.charge(gas::COST_TX_BASE)?;
-        let use_compiled = match mode {
-            ExecMode::Auto => crate::compile::enabled(),
-            ExecMode::Ast => false,
-            ExecMode::Compiled => true,
-        };
-        if use_compiled {
+        if mode != ExecMode::Ast {
             if let crate::compile::TransitionCode::Compiled(ct) = &*self.code_for(t) {
                 return crate::compile::run_compiled(ct, store, args, contract_params, ctx, gas, tracer);
             }

@@ -1,4 +1,4 @@
-//! Metrics, span timing, and structured events for the CoSplit pipeline.
+//! Metrics and span timing for the CoSplit pipeline.
 //!
 //! Zero dependencies (std only) so every crate in the workspace — from the
 //! Scilla interpreter up to the bench harness — can record into one global
@@ -15,11 +15,11 @@
 //! Metric names follow `crate.component.name`, e.g.
 //! `chain.dispatch.reason.payment` or `scilla.interpreter.gas_charged`.
 //! Snapshots ([`MetricsRegistry::snapshot`]) are plain data: diff two of
-//! them for per-epoch deltas, export as JSON or Prometheus text.
+//! them for per-epoch deltas, export as JSON.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// Well-known metric names shared between emitters and test assertions, so
@@ -73,8 +73,6 @@ pub mod names {
     /// Trace records evicted from the flight recorder — by the per-stripe
     /// capacity cap or by epoch retention pruning.
     pub const TRACE_DROPPED: &str = "telemetry.trace.dropped";
-    /// Structured events evicted from the bounded event buffer.
-    pub const EVENTS_DROPPED: &str = "telemetry.events.dropped";
     /// Per-transaction dispatch decision instant (attrs: tx, reason, assign).
     pub const TX_DISPATCH: &str = "chain.tx.dispatch";
     /// Per-transaction held-back instant: the target packet was full this
@@ -121,9 +119,6 @@ const STRIPES: usize = 16;
 /// Global kill switch, checked (relaxed) before any metric write.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether drop-time span events are captured into the event buffer.
-static TRACE_EVENTS: AtomicBool = AtomicBool::new(false);
-
 static INIT_ENV: OnceLock<()> = OnceLock::new();
 
 fn init_from_env() {
@@ -131,11 +126,6 @@ fn init_from_env() {
         if let Ok(v) = std::env::var("COSPLIT_TELEMETRY") {
             if matches!(v.as_str(), "0" | "off" | "false") {
                 ENABLED.store(false, Ordering::Relaxed);
-            }
-        }
-        if let Ok(v) = std::env::var("COSPLIT_TRACE") {
-            if matches!(v.as_str(), "1" | "on" | "true") {
-                TRACE_EVENTS.store(true, Ordering::Relaxed);
             }
         }
     });
@@ -152,12 +142,6 @@ pub fn set_enabled(on: bool) {
 pub fn enabled() -> bool {
     init_from_env();
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns span/diagnostic event capture on or off (also `COSPLIT_TRACE=1`).
-pub fn set_trace_events(on: bool) {
-    init_from_env();
-    TRACE_EVENTS.store(on, Ordering::Relaxed);
 }
 
 #[repr(align(64))]
@@ -332,19 +316,6 @@ impl Histogram {
     }
 }
 
-/// A structured event (diagnostic or span completion).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Microseconds since the registry was created.
-    pub at_micros: u64,
-    /// Event name, `crate.component.name`.
-    pub name: String,
-    /// Free-form key/value payload.
-    pub fields: Vec<(String, String)>,
-}
-
-const EVENT_CAPACITY: usize = 4096;
-
 /// An RAII timer recording its lifetime into a histogram on drop.
 ///
 /// When structured tracing is on ([`trace::set_tracing`]), the guard also
@@ -410,11 +381,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(h) = &self.hist {
-            let elapsed = self.start.elapsed();
-            h.record_duration(elapsed);
-            if TRACE_EVENTS.load(Ordering::Relaxed) {
-                emit(self.name, &[("elapsed_us", &(elapsed.as_micros() as u64).to_string())]);
-            }
+            h.record_duration(self.start.elapsed());
         }
         if self.trace_id != 0 {
             trace::pop_span(self.trace_id);
@@ -434,8 +401,6 @@ pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    events: Mutex<Vec<Event>>,
-    started: Instant,
 }
 
 static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
@@ -447,8 +412,6 @@ pub fn registry() -> &'static MetricsRegistry {
         counters: RwLock::new(BTreeMap::new()),
         gauges: RwLock::new(BTreeMap::new()),
         histograms: RwLock::new(BTreeMap::new()),
-        events: Mutex::new(Vec::new()),
-        started: Instant::now(),
     })
 }
 
@@ -483,30 +446,6 @@ impl MetricsRegistry {
         get_or_insert(&self.histograms, name, || Histogram::new(bounds))
     }
 
-    /// Appends a structured event (bounded buffer; oldest dropped and
-    /// counted in `telemetry.events.dropped`).
-    pub fn emit(&self, name: &str, fields: &[(&str, &str)]) {
-        if !ENABLED.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut events = self.events.lock().expect("telemetry lock");
-        if events.len() >= EVENT_CAPACITY {
-            let drop_n = EVENT_CAPACITY / 4;
-            events.drain(..drop_n);
-            crate::counter!(names::EVENTS_DROPPED).add(drop_n as u64);
-        }
-        events.push(Event {
-            at_micros: u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX),
-            name: name.to_string(),
-            fields: fields.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
-        });
-    }
-
-    /// Removes and returns all buffered events.
-    pub fn drain_events(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock().expect("telemetry lock"))
-    }
-
     /// A point-in-time copy of every metric.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -534,7 +473,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Zeroes every metric and clears the event buffer (keeps registrations).
+    /// Zeroes every metric (keeps registrations).
     pub fn reset(&self) {
         for c in self.counters.read().expect("telemetry lock").values() {
             c.reset();
@@ -545,26 +484,6 @@ impl MetricsRegistry {
         for h in self.histograms.read().expect("telemetry lock").values() {
             h.reset();
         }
-        self.events.lock().expect("telemetry lock").clear();
-    }
-}
-
-/// Emits a structured event through the global registry.
-pub fn emit(name: &str, fields: &[(&str, &str)]) {
-    registry().emit(name, fields);
-}
-
-/// Routes a library diagnostic: always buffered as an event; mirrored to
-/// stderr only when `COSPLIT_VERBOSE=1` (libraries must not print
-/// unconditionally).
-pub fn diag(target: &str, message: &str) {
-    emit(target, &[("message", message)]);
-    static VERBOSE: OnceLock<bool> = OnceLock::new();
-    let verbose = *VERBOSE.get_or_init(|| {
-        matches!(std::env::var("COSPLIT_VERBOSE").as_deref(), Ok("1") | Ok("on") | Ok("true"))
-    });
-    if verbose {
-        eprintln!("[{target}] {message}");
     }
 }
 
@@ -681,33 +600,6 @@ impl Snapshot {
     /// Returns a description of the first malformed node.
     pub fn from_json(s: &str) -> Result<Snapshot, String> {
         json::parse_snapshot(s)
-    }
-
-    /// Prometheus text exposition: `.` becomes `_`, histograms expand into
-    /// cumulative `_bucket{le="…"}` series plus `_sum`/`_count`.
-    pub fn to_prometheus(&self) -> String {
-        let sanitize = |name: &str| name.replace(['.', '-'], "_");
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} histogram\n"));
-            let mut cumulative = 0u64;
-            for (bound, count) in h.bounds.iter().zip(&h.counts) {
-                cumulative += count;
-                out.push_str(&format!("{n}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", h.sum, h.count));
-        }
-        out
     }
 }
 
@@ -995,6 +887,7 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Serialises tests that record metrics or toggle the global enabled
     /// flag (the flag is process-wide, so these must not interleave).
@@ -1102,22 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_export_is_cumulative() {
-        let mut s = Snapshot::default();
-        s.counters.insert("x.y".into(), 4);
-        s.histograms.insert(
-            "d.e".into(),
-            HistogramSnapshot { bounds: vec![10, 100], counts: vec![1, 2, 3], sum: 700, count: 6 },
-        );
-        let text = s.to_prometheus();
-        assert!(text.contains("# TYPE x_y counter\nx_y 4\n"));
-        assert!(text.contains("d_e_bucket{le=\"10\"} 1\n"));
-        assert!(text.contains("d_e_bucket{le=\"100\"} 3\n"));
-        assert!(text.contains("d_e_bucket{le=\"+Inf\"} 6\n"));
-        assert!(text.contains("d_e_sum 700\nd_e_count 6\n"));
-    }
-
-    #[test]
     fn disabled_registry_is_a_no_op() {
         let _g = enabled_for_test();
         let c = Counter::new();
@@ -1144,18 +1021,5 @@ mod tests {
         }
         assert_eq!(h.count(), before + 1);
         assert!(h.sum() > 0);
-    }
-
-    #[test]
-    fn events_are_buffered_and_bounded() {
-        let _g = enabled_for_test();
-        let reg = registry();
-        reg.drain_events();
-        for i in 0..(EVENT_CAPACITY + 10) {
-            reg.emit("test.event", &[("i", &i.to_string())]);
-        }
-        let events = reg.drain_events();
-        assert!(!events.is_empty() && events.len() <= EVENT_CAPACITY);
-        assert_eq!(events.last().unwrap().fields[0].1, (EVENT_CAPACITY + 9).to_string());
     }
 }

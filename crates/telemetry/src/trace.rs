@@ -630,9 +630,9 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
 }
 
 /// Checks that `s` is one syntactically well-formed JSON value (any kind).
-/// The exporters above hand-render their output; the smoke gates and tests
-/// round-trip it through this validator so a quoting or comma bug fails CI
-/// instead of failing Perfetto. Not a reader — it keeps nothing.
+/// The exporters above hand-render their output; the tests round-trip it
+/// through this validator so a quoting or comma bug fails CI instead of
+/// failing Perfetto. Not a reader — it keeps nothing.
 ///
 /// # Errors
 ///

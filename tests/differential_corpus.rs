@@ -1,10 +1,14 @@
-//! Differential oracle over the whole Fig. 14 workload corpus: every
-//! scenario runs on a 4-shard CoSplit chain under several seeded fault
-//! plans, is replayed on a fault-free 1-shard reference chain, and the two
-//! final worlds must be observationally identical — per-transaction
-//! outcomes, event logs, balances, nonce state, and contract storage.
-//! On top of the equivalence check, native tokens must be conserved modulo
-//! gas burn even with faults injected.
+//! The single differential entry point: every workload kind (Fig. 14's
+//! eight plus the relay chain and the airdrop) runs on a 4-shard CoSplit
+//! chain under both named profiles — `paper` (every optional flag off) and
+//! `full` (cross-shard 2PC + call composition + family colocation, together)
+//! — and several seeded fault plans, is replayed on a fault-free 1-shard
+//! reference chain (the executable specification), and the two final worlds
+//! must be observationally identical — per-transaction outcomes, event
+//! logs, balances, nonce state, and contract storage — with the footprint
+//! auditor on. On top of the equivalence check, native tokens must be
+//! conserved modulo gas burn even with faults injected, and the dispatch
+//! fractions of the headline workloads are pinned exactly.
 
 use cosplit::chain::network::{ChainConfig, Network};
 use cosplit::chain::sim::{
@@ -13,8 +17,28 @@ use cosplit::chain::sim::{
 use cosplit::workloads::runner::world_builder;
 use cosplit::workloads::scenarios::{build, Kind};
 use cosplit::workloads::seeds;
+use std::collections::BTreeMap;
 
 const MASTER_SEED: u64 = 4242;
+
+/// Fig. 14's eight workloads plus the two that exist for one mechanism each:
+/// the relay chain (call composition) and the airdrop (derived-key dispatch).
+fn kinds() -> Vec<Kind> {
+    Kind::all().into_iter().chain([Kind::RelayPing, Kind::FtAirdrop]).collect()
+}
+
+/// The two profiles the benchmark names: `paper` is §4–5 as published,
+/// `full` turns every optional mechanism on at once.
+fn profiles() -> [(&'static str, ChainConfig); 2] {
+    let paper = ChainConfig::small(4, true);
+    let full = ChainConfig {
+        cross_shard_commit: true,
+        compose_calls: true,
+        colocate_families: true,
+        ..paper.clone()
+    };
+    [("paper", paper), ("full", full)]
+}
 
 fn total_native(net: &Network) -> u128 {
     net.state().accounts.values().map(|a| a.balance).sum()
@@ -35,32 +59,76 @@ fn plans(shards: u32) -> Vec<FaultPlan> {
 }
 
 #[test]
-fn every_corpus_workload_matches_the_sequential_reference() {
-    let sharded_cfg = ChainConfig::small(4, true);
-    let reference_cfg = reference_config(&sharded_cfg);
-    let plans = plans(sharded_cfg.num_shards);
+fn every_workload_and_profile_matches_the_sequential_reference() {
+    let plans = plans(4);
     assert!(plans.iter().skip(1).all(|p| !p.events.is_empty()), "plans must inject faults");
 
-    for kind in Kind::all() {
-        let scenario =
-            build(kind, 24, 160, seeds::derive(MASTER_SEED, &format!("corpus-{kind:?}")));
-        let builder = world_builder(&scenario);
-        for (i, plan) in plans.iter().enumerate() {
-            let cfg = SimConfig::new(MASTER_SEED);
-            let diff =
-                differential(&builder, &scenario.load, &sharded_cfg, &reference_cfg, &cfg, plan);
-            assert!(
-                diff.is_clean(),
-                "{kind:?} diverged under plan {i}: {:?}",
-                diff.divergences
-            );
-            assert_eq!(
-                diff.sharded.committed(),
-                scenario.load.len(),
-                "{kind:?} plan {i}: corpus loads always succeed"
-            );
+    for (profile, sharded_cfg) in profiles() {
+        assert!(sharded_cfg.audit, "the sweep runs with the footprint auditor on");
+        let reference_cfg = reference_config(&sharded_cfg);
+        for kind in kinds() {
+            let scenario =
+                build(kind, 24, 160, seeds::derive(MASTER_SEED, &format!("corpus-{kind:?}")));
+            let builder = world_builder(&scenario);
+            for (i, plan) in plans.iter().enumerate() {
+                let cfg = SimConfig::new(MASTER_SEED);
+                let diff = differential(
+                    &builder,
+                    &scenario.load,
+                    &sharded_cfg,
+                    &reference_cfg,
+                    &cfg,
+                    plan,
+                );
+                assert!(
+                    diff.is_clean(),
+                    "{kind:?} [{profile}] diverged under plan {i}: {:?}",
+                    diff.divergences
+                );
+                assert_eq!(
+                    diff.sharded.committed(),
+                    scenario.load.len(),
+                    "{kind:?} [{profile}] plan {i}: corpus loads always succeed"
+                );
+            }
         }
     }
+}
+
+/// Where the lookup node sends `kinds`' loads (40 users, 500 tx, seed 13
+/// each): permille per dispatch reason, and permille at the DS committee.
+/// Dispatch is a pure function of signature and state, so these are exact
+/// on every host.
+fn dispatch_permille(kinds: &[Kind], config: &ChainConfig) -> (BTreeMap<String, usize>, usize) {
+    let mut reasons: BTreeMap<String, usize> = BTreeMap::new();
+    let (mut ds, mut total) = (0, 0);
+    for &kind in kinds {
+        let scenario = build(kind, 40, 500, 13);
+        let packets = world_builder(&scenario)(config).form_packets(&mut scenario.load.clone());
+        for (reason, n) in packets.dispatch_reasons {
+            *reasons.entry(reason).or_default() += n;
+        }
+        ds += packets.ds_batch.len();
+        total += scenario.load.len();
+    }
+    (reasons.into_iter().map(|(k, n)| (k, n * 1000 / total)).collect(), ds * 1000 / total)
+}
+
+#[test]
+fn dispatch_fractions_are_pinned() {
+    let paper = ChainConfig::evaluation(3, true);
+    // Ownership-, commutativity- and DS-heavy together: ProofIPFS `Register`
+    // is the split footprint that serialises under the paper profile.
+    let (reasons, ds) =
+        dispatch_permille(&[Kind::FtTransfer, Kind::NftMint, Kind::IpfsRegister], &paper);
+    let expected = [("ownership", 788), ("split-footprint", 211)];
+    assert_eq!(reasons, expected.map(|(k, v)| (k.to_string(), v)).into());
+    assert_eq!(ds, 211);
+    // Derived `sha256hash proof` keys resolve at dispatch: no claim goes to DS.
+    assert_eq!(dispatch_permille(&[Kind::FtAirdrop], &paper).1, 0);
+    // A statically resolved relay chain dispatches shard-local once composed.
+    let composed = ChainConfig { compose_calls: true, ..paper };
+    assert_eq!(dispatch_permille(&[Kind::RelayPing], &composed).1, 0);
 }
 
 #[test]

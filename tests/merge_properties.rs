@@ -260,3 +260,36 @@ fn out_of_range_balance_join_is_an_error() {
         other => panic!("expected DeltaOutOfRange on the balance join, got {other:?}"),
     }
 }
+
+fn balance_delta(account: Address, delta: i128) -> StateDelta {
+    let mut sd = StateDelta::new();
+    sd.balances.insert(account, delta);
+    sd
+}
+
+/// Balances are `u128`: applying a credit to one above `i128::MAX` must be
+/// exact (the old `as i128` cast wrapped it negative and clamped it to 0).
+#[test]
+fn apply_credits_balances_beyond_i128_exactly() {
+    let mut state = GlobalState::new();
+    state.credit(addr(1), 1 << 127);
+    balance_delta(addr(1), 1).apply(&mut state).expect("in range");
+    assert_eq!(state.accounts[&addr(1)].balance, (1 << 127) + 1);
+    state.credit(addr(2), u128::MAX);
+    match balance_delta(addr(2), 1).apply(&mut state) {
+        Err(MergeError::DeltaOutOfRange { component, .. }) => assert_eq!(component, "balance"),
+        other => panic!("expected DeltaOutOfRange past u128::MAX, got {other:?}"),
+    }
+}
+
+/// A debit larger than the balance is an error, never a silent clamp to 0
+/// that makes the missing tokens vanish.
+#[test]
+fn apply_rejects_an_overdrawing_balance_delta() {
+    let mut state = GlobalState::new();
+    state.credit(addr(1), 5);
+    match balance_delta(addr(1), -9).apply(&mut state) {
+        Err(MergeError::DeltaOutOfRange { component, .. }) => assert_eq!(component, "balance"),
+        other => panic!("expected DeltaOutOfRange on the overdraw, got {other:?}"),
+    }
+}
