@@ -182,12 +182,12 @@ impl StateDelta {
                 match ow {
                     Some(v) => {
                         if keys.is_empty() {
-                            storage.store_sym(*field, v.clone());
+                            storage.store(*field, v.clone());
                         } else {
-                            storage.map_update_sym(*field, keys, v.clone());
+                            storage.map_update(*field, keys, v.clone());
                         }
                     }
-                    None => storage.map_delete_sym(*field, keys),
+                    None => storage.map_delete(*field, keys),
                 }
             }
             for (comp, id) in &cd.int_deltas {
@@ -196,12 +196,12 @@ impl StateDelta {
                     contract: addr.to_string(),
                     component: component_name(comp),
                 };
-                let old = storage.map_get_sym(*field, keys);
+                let old = storage.map_get(*field, keys);
                 let nv = apply_int_delta(old.as_ref(), id).ok_or_else(err)?;
                 if keys.is_empty() {
-                    storage.store_sym(*field, nv);
+                    storage.store(*field, nv);
                 } else {
-                    storage.map_update_sym(*field, keys, nv);
+                    storage.map_update(*field, keys, nv);
                 }
             }
         }
@@ -409,9 +409,9 @@ pub fn apply_int_delta(old: Option<&Value>, id: &IntDelta) -> Option<Value> {
 /// Convenience: read a component's current value from storage.
 pub fn read_component(storage: &dyn StateStore, comp: &Component) -> Option<Value> {
     if comp.1.is_empty() {
-        storage.load_sym(comp.0)
+        storage.load(comp.0)
     } else {
-        storage.map_get_sym(comp.0, &comp.1)
+        storage.map_get(comp.0, &comp.1)
     }
 }
 
@@ -505,7 +505,7 @@ mod tests {
         let c = addr(100);
         let mut state = GlobalState::new();
         let storage = Arc::make_mut(state.storage.entry(c).or_default());
-        storage.map_update("balances", &[key(1)], Value::Uint(128, 100));
+        storage.map_update("balances".into(), &[key(1)], Value::Uint(128, 100));
 
         let mut sd = StateDelta::new();
         sd.contracts
@@ -521,8 +521,8 @@ mod tests {
         sd.apply(&mut state).unwrap();
 
         let storage = &state.storage[&c];
-        assert_eq!(storage.map_get("balances", &[key(1)]), Some(Value::Uint(128, 70)));
-        assert_eq!(storage.map_get("balances", &[key(2)]), Some(Value::Uint(128, 30)));
+        assert_eq!(storage.map_get("balances".into(), &[key(1)]), Some(Value::Uint(128, 70)));
+        assert_eq!(storage.map_get("balances".into(), &[key(2)]), Some(Value::Uint(128, 30)));
     }
 
     #[test]
@@ -544,7 +544,7 @@ mod tests {
         let c = addr(100);
         let mut state = GlobalState::new();
         let storage = Arc::make_mut(state.storage.entry(c).or_default());
-        storage.store("counter", Value::Uint(32, u32::MAX as u128 - 1));
+        storage.store("counter".into(), Value::Uint(32, u32::MAX as u128 - 1));
         let mut sd = StateDelta::new();
         sd.contracts.entry(c).or_default().int_deltas.insert(
             ("counter".into(), vec![]),

@@ -137,6 +137,19 @@ pub struct MicroBlock {
 }
 
 impl MicroBlock {
+    /// A committee's block before it has processed anything.
+    pub fn empty(role: Assignment) -> MicroBlock {
+        MicroBlock {
+            role,
+            receipts: Vec::new(),
+            deferred: Vec::new(),
+            rerouted: Vec::new(),
+            delta: StateDelta::default(),
+            gas_used: 0,
+            audit_violations: Vec::new(),
+        }
+    }
+
     /// Number of successfully committed transactions.
     pub fn committed(&self) -> usize {
         self.receipts.iter().filter(|r| r.status == TxStatus::Success).count()
@@ -150,19 +163,35 @@ pub fn execute_batch(
     snapshot: &GlobalState,
     txs: Vec<Transaction>,
 ) -> MicroBlock {
+    execute_slice(cfg, snapshot, &txs)
+}
+
+/// [`execute_batch`] over a borrowed packet, so a shard thread can run a
+/// packet its spawner still owns.
+pub fn execute_slice(
+    cfg: &ExecutorConfig,
+    snapshot: &GlobalState,
+    txs: &[Transaction],
+) -> MicroBlock {
     let mut _span = telemetry::span!("chain.executor.batch_duration");
     _span.attr("role", crate::network::assignment_label(cfg.role));
     _span.attr("txs", txs.len());
     let mut exec = Executor::new(cfg, snapshot);
     let mut over_budget = false;
     for tx in txs {
-        if over_budget || exec.gas_used + tx.gas_limit > cfg.gas_limit {
+        if tx.gas_limit > cfg.gas_limit {
+            // Deferring would never end: not even an empty budget admits
+            // this transaction, and it would block the packet behind it.
+            exec.reject(tx, "gas limit exceeds the committee's budget");
+            continue;
+        }
+        if over_budget || exec.gas_used.saturating_add(tx.gas_limit) > cfg.gas_limit {
             over_budget = true;
             telemetry::trace::instant_with(telemetry::names::TX_DEFER, |a| {
                 a.push(("tx", tx.id.to_string()));
                 a.push(("why", "gas_budget".to_string()));
             });
-            exec.deferred.push(tx);
+            exec.deferred.push(tx.clone());
             continue;
         }
         exec.process(tx);
@@ -260,12 +289,15 @@ impl Ledger<'_> {
 
     fn debit(&mut self, addr: Address, amount: u128) -> Result<(), String> {
         let prior = self.spent.get(&addr).copied();
-        let spent = prior.unwrap_or(0);
-        if spent + amount > self.slice(&addr) {
-            return Err(format!("insufficient balance slice for {addr}"));
-        }
+        // Checked: a hostile amount must neither wrap past the slice test
+        // nor change sign in the signed delta (`amount ≤ spent ≤ i128::MAX`).
+        let spent = prior
+            .unwrap_or(0)
+            .checked_add(amount)
+            .filter(|total| *total <= self.slice(&addr) && i128::try_from(*total).is_ok())
+            .ok_or_else(|| format!("insufficient balance slice for {addr}"))?;
         self.log.push(LedgerUndo::Spent(addr, prior));
-        self.spent.insert(addr, spent + amount);
+        self.spent.insert(addr, spent);
         self.log.push(LedgerUndo::Delta(addr, self.deltas.get(&addr).copied()));
         *self.deltas.entry(addr).or_insert(0) -= amount as i128;
         Ok(())
@@ -389,7 +421,7 @@ impl<'a> Executor<'a> {
     /// (`chain.tx.exec`) carrying the committee and the receipt's outcome.
     /// `process_inner` pushes exactly one receipt, so the outcome is read
     /// off `receipts.last()`.
-    fn process(&mut self, tx: Transaction) {
+    fn process(&mut self, tx: &Transaction) {
         if !telemetry::trace::tracing_enabled() {
             self.process_inner(tx);
             return;
@@ -414,30 +446,32 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn process_inner(&mut self, tx: Transaction) {
+    /// Refuses a transaction before it runs: a `Failed` receipt, nothing
+    /// charged, the nonce still usable.
+    fn reject(&mut self, tx: &Transaction, why: &str) {
+        self.receipts.push(Receipt {
+            tx_id: tx.id,
+            status: TxStatus::Failed(why.into()),
+            gas_used: 0,
+            events: Vec::new(),
+        });
+    }
+
+    fn process_inner(&mut self, tx: &Transaction) {
         self.current_tx = tx.id;
         if !self.nonce_usable(&tx.sender, tx.nonce) {
-            self.receipts.push(Receipt {
-                tx_id: tx.id,
-                status: TxStatus::Failed("nonce already used".into()),
-                gas_used: 0,
-                events: Vec::new(),
-            });
-            return;
+            return self.reject(tx, "nonce already used");
         }
 
-        // Reserve the full gas budget up front; refund after execution.
-        let fee_reserve = tx.gas_limit as u128 * tx.gas_price;
+        // Reserve the full gas budget up front; refund after execution. A
+        // price that overflows the reservation cannot be paid by anyone.
         let ledger_cp = self.balance.checkpoint();
-        if self.balance.debit(tx.sender, fee_reserve).is_err() {
-            self.receipts.push(Receipt {
-                tx_id: tx.id,
-                status: TxStatus::Failed("cannot reserve gas".into()),
-                gas_used: 0,
-                events: Vec::new(),
-            });
-            return;
-        }
+        let reserved = u128::from(tx.gas_limit)
+            .checked_mul(tx.gas_price)
+            .filter(|fee| self.balance.debit(tx.sender, *fee).is_ok());
+        let Some(fee_reserve) = reserved else {
+            return self.reject(tx, "cannot reserve gas");
+        };
 
         let (status, gas, events) = match &tx.kind {
             TxKind::Payment { to, amount } => {
@@ -452,7 +486,7 @@ impl<'a> Executor<'a> {
                 (status, gas, Vec::new())
             }
             TxKind::Call { contract, transition, args, amount } => {
-                self.run_call(&tx, *contract, transition, args, *amount)
+                self.run_call(tx, *contract, transition, args, *amount)
             }
         };
 
@@ -465,8 +499,9 @@ impl<'a> Executor<'a> {
             return;
         }
 
-        // Refund unused gas.
-        let actual_fee = gas as u128 * tx.gas_price;
+        // Refund unused gas (a payment's flat charge can exceed a tiny
+        // `gas_limit`, hence the saturating product and difference).
+        let actual_fee = u128::from(gas).saturating_mul(tx.gas_price);
         self.balance.credit(tx.sender, fee_reserve.saturating_sub(actual_fee));
         self.gas_used += gas;
         self.nonce_committed.entry(tx.sender).or_default().push(tx.nonce);
@@ -1010,16 +1045,16 @@ impl TxJournal {
             match prior {
                 Some(v) => {
                     if keys.is_empty() {
-                        s.state.store_sym(*field, v);
+                        s.state.store(*field, v);
                     } else {
-                        s.state.map_update_sym(*field, keys, v);
+                        s.state.map_update(*field, keys, v);
                     }
                 }
                 None => {
                     if keys.is_empty() {
                         s.state.remove_field(field.as_str());
                     } else {
-                        s.state.map_delete_sym(*field, keys);
+                        s.state.map_delete(*field, keys);
                     }
                 }
             }
@@ -1038,8 +1073,7 @@ struct JournaledStore<'a, 'j> {
 impl JournaledStore<'_, '_> {
     fn record(&mut self, field: Sym, keys: &[Value]) {
         // The field side of the component is a `Copy` symbol; only the key
-        // path is owned. (Writes used to clone the field string per call —
-        // `chain.state.hot_clones` counts any remaining owned-name copies.)
+        // path is owned.
         let comp: Component = (field, keys.to_vec());
         let prior = read_component(self.inner, &comp);
         self.journal.undo.push((self.contract, comp.clone(), prior));
@@ -1047,72 +1081,32 @@ impl JournaledStore<'_, '_> {
     }
 }
 
-/// Marks one string-name state access on the transaction hot path: the
-/// caller paid a per-call intern (an owned-name allocation) that the
-/// `Sym`-threaded pipeline avoids. Zero across a workload proves the hot
-/// path is clone-free; see [`telemetry::names::STATE_HOT_CLONES`].
-fn count_hot_clone() {
-    if telemetry::enabled() {
-        telemetry::counter!(telemetry::names::STATE_HOT_CLONES).inc();
-    }
-}
-
 impl StateStore for JournaledStore<'_, '_> {
-    fn load(&self, field: &str) -> Option<Value> {
-        count_hot_clone();
-        self.load_sym(scilla::intern::intern(field))
+    fn load(&self, field: Sym) -> Option<Value> {
+        self.inner.load(field)
     }
 
-    fn store(&mut self, field: &str, value: Value) {
-        count_hot_clone();
-        self.store_sym(scilla::intern::intern(field), value);
-    }
-
-    fn map_get(&self, field: &str, keys: &[Value]) -> Option<Value> {
-        count_hot_clone();
-        self.map_get_sym(scilla::intern::intern(field), keys)
-    }
-
-    fn map_update(&mut self, field: &str, keys: &[Value], value: Value) {
-        count_hot_clone();
-        self.map_update_sym(scilla::intern::intern(field), keys, value);
-    }
-
-    fn map_exists(&self, field: &str, keys: &[Value]) -> bool {
-        count_hot_clone();
-        self.map_exists_sym(scilla::intern::intern(field), keys)
-    }
-
-    fn map_delete(&mut self, field: &str, keys: &[Value]) {
-        count_hot_clone();
-        self.map_delete_sym(scilla::intern::intern(field), keys);
-    }
-
-    fn load_sym(&self, field: Sym) -> Option<Value> {
-        self.inner.load_sym(field)
-    }
-
-    fn store_sym(&mut self, field: Sym, value: Value) {
+    fn store(&mut self, field: Sym, value: Value) {
         self.record(field, &[]);
-        self.inner.store_sym(field, value);
+        self.inner.store(field, value);
     }
 
-    fn map_get_sym(&self, field: Sym, keys: &[Value]) -> Option<Value> {
-        self.inner.map_get_sym(field, keys)
+    fn map_get(&self, field: Sym, keys: &[Value]) -> Option<Value> {
+        self.inner.map_get(field, keys)
     }
 
-    fn map_update_sym(&mut self, field: Sym, keys: &[Value], value: Value) {
+    fn map_update(&mut self, field: Sym, keys: &[Value], value: Value) {
         self.record(field, keys);
-        self.inner.map_update_sym(field, keys, value);
+        self.inner.map_update(field, keys, value);
     }
 
-    fn map_exists_sym(&self, field: Sym, keys: &[Value]) -> bool {
-        self.inner.map_exists_sym(field, keys)
+    fn map_exists(&self, field: Sym, keys: &[Value]) -> bool {
+        self.inner.map_exists(field, keys)
     }
 
-    fn map_delete_sym(&mut self, field: Sym, keys: &[Value]) {
+    fn map_delete(&mut self, field: Sym, keys: &[Value]) {
         self.record(field, keys);
-        self.inner.map_delete_sym(field, keys);
+        self.inner.map_delete(field, keys);
     }
 }
 

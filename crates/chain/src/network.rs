@@ -5,10 +5,12 @@ use crate::address::Address;
 use crate::delta::StateDelta;
 use crate::dispatch::{dispatch_policy, xshard_plan_with, Assignment, DispatchPolicy};
 use crate::error::{DeployError, MergeError};
-use crate::executor::{execute_batch, ExecutorConfig, MicroBlock, Receipt, TxStatus};
+use crate::executor::{execute_batch, execute_slice, ExecutorConfig, MicroBlock, Receipt, TxStatus};
 use crate::state::{DeployedContract, GlobalState};
 use crate::tx::Transaction;
-use crate::xshard::{decide, LockTable, Verdict, VoteMsg, XShardFaults, XShardStats};
+use crate::xshard::{
+    decide, LockTable, NoFaults, ShardFault, Verdict, VoteMsg, XShardFaults, XShardStats,
+};
 use cosplit_analysis::signature::{ShardingSignature, WeakReads};
 use cosplit_analysis::solver::AnalyzedContract;
 use scilla::interpreter::CompiledContract;
@@ -140,13 +142,23 @@ pub struct EpochReport {
     /// unless `ChainConfig::audit` is set; never empty silently — a
     /// violation means a static summary failed to contain an execution).
     pub audit_violations: Vec<String>,
+    /// Shard threads that died this epoch; each one's packet was rerouted
+    /// whole to the DS committee.
+    pub crashed_shards: usize,
+    /// The cross-shard commit stage's protocol counters.
+    pub xshard: XShardStats,
+    /// Deltas that failed to merge or apply. Impossible under validated
+    /// signatures — [`Network::run_epoch`] treats an entry as a bug — and
+    /// reported rather than panicked on so the simulation harness can show
+    /// a byzantine signature as a divergence.
+    pub errors: Vec<String>,
 }
 
 /// Per-committee packets formed by the lookup nodes for one epoch
 /// (paper Fig. 10: lookups "group several transactions together in a
-/// packet"). Produced by [`Network::form_packets`]; the simulation harness
-/// ([`crate::sim`]) injects packet-level faults between this stage and
-/// execution.
+/// packet"). Plain data between [`Network::form_packets`] and
+/// [`Network::run_packets`]: the simulation harness ([`crate::sim`]) injects
+/// its delivery faults (reorder, drop, duplicate) by editing it.
 #[derive(Debug, Clone, Default)]
 pub struct EpochPackets {
     /// One packet per transaction shard.
@@ -242,6 +254,7 @@ impl Network {
     ) {
         use scilla::state::StateStore;
         let storage = Arc::make_mut(self.state.storage.entry(contract).or_default());
+        let field = scilla::intern::intern(field);
         for (k, v) in entries {
             storage.map_update(field, &[k], v);
         }
@@ -482,21 +495,17 @@ impl Network {
         let epoch = self.block_number;
         let mut stats = XShardStats { stale_locks_broken: self.lock_table.break_stale(epoch), ..Default::default() };
         let cfg = self.xshard_executor_config();
-        let mut block = MicroBlock {
-            role: Assignment::XShard,
-            receipts: Vec::new(),
-            deferred: Vec::new(),
-            rerouted: Vec::new(),
-            delta: StateDelta::default(),
-            gas_used: 0,
-            audit_violations: Vec::new(),
-        };
+        let mut block = MicroBlock::empty(Assignment::XShard);
         let mut ds_fallback: Vec<Transaction> = Vec::new();
         let mut errors: Vec<String> = Vec::new();
 
         for tx in batch {
-            // Stage gas budget (same admission rule as a shard packet).
-            if block.gas_used + tx.gas_limit > self.config.shard_gas_limit {
+            // Stage gas budget (same admission rule as a shard packet: a
+            // transaction no budget admits goes on, for the prepare's
+            // executor to fail it).
+            if tx.gas_limit <= cfg.gas_limit
+                && block.gas_used.saturating_add(tx.gas_limit) > cfg.gas_limit
+            {
                 telemetry::trace::instant_with(telemetry::names::TX_DEFER, |a| {
                     a.push(("tx", tx.id.to_string()));
                     a.push(("why", "gas_budget".to_string()));
@@ -694,27 +703,79 @@ impl Network {
     }
 
     /// Shard stage: executes the per-shard packets in parallel on the
-    /// epoch-start snapshot, one OS thread per shard.
+    /// epoch-start snapshot, one OS thread per shard. A shard whose thread
+    /// dies yields a micro-block with an empty delta whose `rerouted` is its
+    /// whole packet (counted in `chain.network.shard_crashes`).
     pub fn execute_shards(&self, shard_batches: Vec<Vec<Transaction>>) -> Vec<MicroBlock> {
+        self.execute_shards_with(shard_batches, &mut NoFaults).0
+    }
+
+    /// [`Network::execute_shards`] under fault hooks; also returns how many
+    /// shard threads died.
+    fn execute_shards_with(
+        &self,
+        shard_batches: Vec<Vec<Transaction>>,
+        faults: &mut dyn XShardFaults,
+    ) -> (Vec<MicroBlock>, usize) {
         let snapshot = &self.state;
         let _span = telemetry::span!("chain.network.phase.shard_exec");
         // Shard threads start with an empty span stack; hand them this
         // phase's span id so their batch spans nest under it.
         let parent = _span.trace_id();
-        std::thread::scope(|scope| {
+        let plans: Vec<(ExecutorConfig, ShardFault)> = shard_batches
+            .iter()
+            .enumerate()
+            .map(|(s, batch)| {
+                let mut cfg = self.shard_executor_config(s as u32);
+                let fault = faults.shard_fault(self.block_number, s as u32);
+                if fault == ShardFault::GasCollapse {
+                    // Never below the packet's largest admissible
+                    // transaction: a collapsed budget defers; it must not
+                    // make the executor fail what the real budget admits.
+                    let admissible =
+                        batch.iter().map(|t| t.gas_limit).filter(|g| *g <= cfg.gas_limit);
+                    cfg.gas_limit = (cfg.gas_limit / 8).max(admissible.max().unwrap_or(1));
+                }
+                (cfg, fault)
+            })
+            .collect();
+        // The threads borrow their packets; an owned packet moves only into
+        // a dead shard's `rerouted`.
+        let joined: Vec<std::thread::Result<MicroBlock>> = std::thread::scope(|scope| {
             let handles: Vec<_> = shard_batches
-                .into_iter()
-                .enumerate()
-                .map(|(s, batch)| {
-                    let cfg = self.shard_executor_config(s as u32);
+                .iter()
+                .zip(&plans)
+                .map(|(batch, (cfg, fault))| {
                     scope.spawn(move || {
                         let _adopt = telemetry::trace::adopt_parent(parent);
-                        execute_batch(&cfg, snapshot, batch)
+                        if *fault == ShardFault::Crash {
+                            // Partial work is lost with the unwind: nothing
+                            // global was mutated, blocks are built on the
+                            // epoch-start snapshot. (`resume_unwind` skips
+                            // the panic hook; a real panic still reports.)
+                            let _ = execute_slice(cfg, snapshot, &batch[..batch.len() / 2]);
+                            std::panic::resume_unwind(Box::new("injected shard crash"));
+                        }
+                        execute_slice(cfg, snapshot, batch)
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("shard thread")).collect()
-        })
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let mut crashed = 0;
+        let blocks = joined
+            .into_iter()
+            .zip(shard_batches)
+            .enumerate()
+            .map(|(s, (block, batch))| {
+                block.unwrap_or_else(|_| {
+                    crashed += 1;
+                    telemetry::counter!(telemetry::names::SHARD_CRASHES).inc();
+                    MicroBlock { rerouted: batch, ..MicroBlock::empty(Assignment::Shard(s as u32)) }
+                })
+            })
+            .collect();
+        (blocks, crashed)
     }
 
     /// DS merge stage: combines the shards' state deltas and applies the
@@ -761,55 +822,81 @@ impl Network {
         self.block_number += 1;
     }
 
-    /// Runs one epoch over the pending pool: dispatch → parallel shard
-    /// execution → delta merge → DS committee execution. Deferred
-    /// transactions are returned to the pool.
+    /// Runs one epoch over the pending pool: [`Network::form_packets`], then
+    /// [`Network::run_packets`] fault-free. Deferred transactions are
+    /// returned to the pool.
     ///
-    /// Composed from the staged API ([`Network::form_packets`],
-    /// [`Network::execute_shards`], [`Network::merge_shard_deltas`],
-    /// [`Network::execute_ds`]); the simulation harness ([`crate::sim`])
-    /// drives the same stages with fault injection in between.
+    /// # Panics
+    ///
+    /// If a delta fails to merge or apply: ownership dispatch and the
+    /// cross-shard locks preclude it, so it is a bug in this program.
     pub fn run_epoch(&mut self, pool: &mut Vec<Transaction>) -> EpochReport {
         let mut _epoch_span = telemetry::span!("chain.network.epoch_duration");
         _epoch_span.attr("epoch", self.block_number);
-        let mut report =
-            EpochReport { sim_seconds: self.config.epoch_duration_secs, ..Default::default() };
+        let packets = self.form_packets(pool);
+        let report = self.run_packets(packets, pool, &mut NoFaults);
+        assert!(
+            report.errors.is_empty(),
+            "ownership dispatch and locks preclude merge and apply conflicts: {:?}",
+            report.errors
+        );
+        report
+    }
 
-        // --- Lookup nodes: form per-committee packets.
-        let EpochPackets { shard_batches, xshard_batch, mut ds_batch, dispatch_reasons } =
-            self.form_packets(pool);
-        report.dispatch_reasons = dispatch_reasons;
+    /// Everything after the lookup stage, the only composition of the
+    /// stages: parallel shard execution → delta merge → cross-shard commits
+    /// → DS committee execution → accounting. Deferred transactions go back
+    /// into `pool` and the block number advances. Merge and apply failures
+    /// land in [`EpochReport::errors`]; the epoch still completes.
+    ///
+    /// [`Network::run_epoch`] calls this fault-free; the simulation harness
+    /// ([`crate::sim`]) edits the packets first and passes its plan's hooks.
+    pub fn run_packets(
+        &mut self,
+        packets: EpochPackets,
+        pool: &mut Vec<Transaction>,
+        faults: &mut dyn XShardFaults,
+    ) -> EpochReport {
+        let EpochPackets { shard_batches, xshard_batch, mut ds_batch, dispatch_reasons } = packets;
+        let mut report = EpochReport {
+            sim_seconds: self.config.epoch_duration_secs,
+            dispatch_reasons,
+            ..Default::default()
+        };
 
         // --- Shards execute their packets in parallel on the epoch-start
         // snapshot.
-        let microblocks = self.execute_shards(shard_batches);
+        let (mut microblocks, crashed) = self.execute_shards_with(shard_batches, faults);
+        report.crashed_shards = crashed;
 
         // --- DS committee: merge the state deltas…
-        report.merged_components = self
-            .merge_shard_deltas(&microblocks)
-            .unwrap_or_else(|e| panic!("ownership dispatch precludes conflicts: {e:?}"));
-
-        // --- Cross-shard two-phase commits run on the merged state,
-        // fault-free in production epochs.
-        let xshard_block = self.execute_xshard(xshard_batch, &mut crate::xshard::NoFaults);
-        if let Some(e) = xshard_block.errors.first() {
-            panic!("ownership locks preclude apply conflicts: {e}");
+        match self.merge_shard_deltas(&microblocks) {
+            Ok(components) => report.merged_components = components,
+            Err(e) => report.errors.push(format!("delta merge failed: {e:?}")),
         }
-        ds_batch.extend(xshard_block.ds_fallback.iter().cloned());
 
-        // …then process its own packet (plus reroutes) sequentially on the
-        // merged state.
-        for mb in &microblocks {
-            ds_batch.extend(mb.rerouted.iter().cloned());
+        // --- Cross-shard two-phase commits run on the merged state.
+        let xshard = self.execute_xshard(xshard_batch, faults);
+        report.xshard = xshard.stats;
+        report.errors.extend(xshard.errors);
+        ds_batch.extend(xshard.ds_fallback);
+
+        // …then process its own packet (plus reroutes, a dead shard's whole
+        // packet among them) sequentially on the merged state.
+        for mb in &mut microblocks {
+            ds_batch.append(&mut mb.rerouted);
         }
-        let ds_block = self.execute_ds(ds_batch).expect("ds delta applies");
+        let ds_block = match self.execute_ds(ds_batch) {
+            Ok(block) => Some(block),
+            Err(e) => {
+                report.errors.push(format!("ds apply failed: {e:?}"));
+                None
+            }
+        };
 
-        // --- Accounting.
-        for mb in microblocks
-            .iter()
-            .chain(std::iter::once(&xshard_block.block))
-            .chain(std::iter::once(&ds_block))
-        {
+        // --- Accounting. Receipt order is the witness serialization: shard
+        // commits, then cross-shard commits, then DS commits.
+        for mb in microblocks.into_iter().chain([xshard.block]).chain(ds_block) {
             let committed = mb.committed();
             report.committed += committed;
             report.failed += mb
@@ -819,9 +906,9 @@ impl Network {
                 .count();
             report.deferred += mb.deferred.len();
             report.per_committee.push((mb.role, committed, mb.gas_used));
-            report.receipts.extend(mb.receipts.iter().cloned());
+            report.receipts.extend(mb.receipts);
             report.audit_violations.extend(mb.audit_violations.iter().map(ToString::to_string));
-            pool.extend(mb.deferred.iter().cloned());
+            pool.extend(mb.deferred);
         }
         self.advance_block();
         report
@@ -853,3 +940,45 @@ pub fn throughput(reports: &[EpochReport]) -> f64 {
     }
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct CrashShard(u32);
+
+    impl XShardFaults for CrashShard {
+        fn shard_fault(&mut self, _epoch: u64, shard: u32) -> ShardFault {
+            if shard == self.0 { ShardFault::Crash } else { ShardFault::None }
+        }
+    }
+
+    #[test]
+    fn a_dead_shard_thread_reroutes_its_whole_packet() {
+        let mut net = Network::new(ChainConfig::small(3, true));
+        for i in 0..12 {
+            net.fund_account(Address::from_index(i), 1_000_000);
+        }
+        let mut pool: Vec<Transaction> = (0..12)
+            .map(|i| {
+                let (from, to) = (Address::from_index(i), Address::from_index((i + 1) % 12));
+                Transaction::payment(i + 1, from, 1, to, 100)
+            })
+            .collect();
+        let packets = net.form_packets(&mut pool).shard_batches;
+        assert!(packets.iter().all(|p| !p.is_empty()), "every shard has work to lose");
+
+        let (blocks, crashed) = net.execute_shards_with(packets.clone(), &mut CrashShard(1));
+        assert_eq!(crashed, 1);
+        for (shard, (block, packet)) in blocks.iter().zip(&packets).enumerate() {
+            assert_eq!(block.role, Assignment::Shard(shard as u32));
+            if shard == 1 {
+                assert!(block.delta.is_empty(), "the half-run prefix left nothing behind");
+                assert!(block.receipts.is_empty() && block.deferred.is_empty());
+                assert_eq!(block.rerouted, *packet);
+            } else {
+                assert_eq!(block.committed(), packet.len());
+                assert!(block.rerouted.is_empty());
+            }
+        }
+    }
+}

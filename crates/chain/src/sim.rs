@@ -1,13 +1,17 @@
 //! Deterministic simulation and fault injection over the epoch pipeline.
 //!
 //! In the style of FoundationDB-like deterministic testing, this module
-//! drives the staged epoch API of [`Network`] under a virtual clock and a
-//! *seeded fault plan*: shard-thread panics (caught and recovered by
-//! rerouting the packet to the DS committee), dropped packets (re-entering
-//! the pending pool after an exponential backoff), duplicated packets
-//! (exercising §4.2.1 replay protection), reordered packets, and mid-batch
-//! gas exhaustion. Same seed + same plan ⇒ bit-identical outcomes, so every
-//! failure is replayable.
+//! drives the epoch pipeline the product runs — [`Network::form_packets`],
+//! then [`Network::run_packets`], real shard threads included — under a
+//! virtual clock and a *seeded fault plan*. Delivery faults are edits of the
+//! packets between the two calls: dropped packets (re-entering the pending
+//! pool after an exponential backoff), duplicated packets (exercising
+//! §4.2.1 replay protection) and reordered packets. Shard-thread deaths,
+//! mid-batch gas exhaustion and the cross-shard protocol faults ride the
+//! pipeline's own hook trait ([`XShardFaults`]); the recovery from a dead
+//! shard thread (its packet rerouted to the DS committee) is the product's,
+//! not this harness's. Same seed + same plan ⇒ bit-identical outcomes, so
+//! every failure is replayable.
 //!
 //! The module also provides the **differential oracle** behind the paper's
 //! central claim (Thm 4.6, observational equivalence with sequential
@@ -18,17 +22,15 @@
 //! JSON.
 
 use crate::address::{fnv1a, Address};
-use crate::executor::{execute_batch, MicroBlock, Receipt, TxStatus};
+use crate::executor::{Receipt, TxStatus};
 use crate::network::{ChainConfig, Network};
 use crate::tx::Transaction;
-use crate::xshard::{VoteMsg, XShardFaults};
+use crate::xshard::{ShardFault, VoteMsg, XShardFaults};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scilla::value::Value;
 use serde_json::json;
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::Once;
 
 // ---------------------------------------------------------------------------
 // Fault plans
@@ -296,63 +298,57 @@ impl SimReport {
     }
 }
 
-/// The sentinel payload of injected panics, so the quiet hook can tell them
-/// from real bugs.
-struct InjectedPanic;
-
-/// Installs (once, process-wide) a panic hook that stays silent for
-/// [`InjectedPanic`] payloads and delegates everything else to the previous
-/// hook. Without this every injected fault would spew a backtrace.
-fn install_quiet_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<InjectedPanic>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// The fault plan's cross-shard protocol faults for one epoch, keyed by
-/// target transaction id (selected deterministically from the epoch's
-/// xshard packet before the stage runs).
+/// The fault plan's hook-borne faults for one epoch: dying and gas-starved
+/// shards by shard id, cross-shard protocol faults by target transaction id
+/// (selected deterministically from the epoch's xshard packet).
 #[derive(Debug, Default)]
-struct PlanXShardFaults {
-    crash: BTreeSet<u64>,
-    lose_vote: BTreeSet<u64>,
-    duplicate_votes: BTreeSet<u64>,
-    reorder_votes: BTreeSet<u64>,
-    stale_lock: BTreeSet<u64>,
+struct PlanFaults {
+    shards: Vec<(FaultKind, u32)>,
+    txs: Vec<(FaultKind, u64)>,
 }
 
-impl XShardFaults for PlanXShardFaults {
+impl PlanFaults {
+    fn hits(&self, kind: FaultKind, tx: &Transaction) -> bool {
+        self.txs.contains(&(kind, tx.id))
+    }
+}
+
+impl XShardFaults for PlanFaults {
+    fn shard_fault(&mut self, _epoch: u64, shard: u32) -> ShardFault {
+        if self.shards.contains(&(FaultKind::ShardPanic, shard)) {
+            ShardFault::Crash
+        } else if self.shards.contains(&(FaultKind::GasExhaustion, shard)) {
+            ShardFault::GasCollapse
+        } else {
+            ShardFault::None
+        }
+    }
+
     fn deliver_votes(
         &mut self,
         _epoch: u64,
         tx: &Transaction,
         mut votes: Vec<VoteMsg>,
     ) -> Vec<VoteMsg> {
-        if self.reorder_votes.contains(&tx.id) {
+        if self.hits(FaultKind::ReorderVotes, tx) {
             votes.reverse();
         }
-        if self.duplicate_votes.contains(&tx.id) {
+        if self.hits(FaultKind::DuplicateVote, tx) {
             let again = votes.clone();
             votes.extend(again);
         }
-        if self.lose_vote.contains(&tx.id) {
+        if self.hits(FaultKind::LostVote, tx) {
             votes.pop();
         }
         votes
     }
 
     fn coordinator_crash(&mut self, _epoch: u64, tx: &Transaction) -> bool {
-        self.crash.contains(&tx.id)
+        self.hits(FaultKind::CoordinatorCrash, tx)
     }
 
     fn plant_stale_lock(&mut self, _epoch: u64, tx: &Transaction) -> bool {
-        self.stale_lock.contains(&tx.id)
+        self.hits(FaultKind::StaleLock, tx)
     }
 }
 
@@ -384,9 +380,11 @@ pub fn state_digest(net: &Network) -> u64 {
 }
 
 /// Appends deterministic *malformed* transactions to a pool: a call to a
-/// contract that does not exist, a replay-protected nonce-0 transaction,
-/// and an unfunded over-sized payment. All of them must fail identically on
-/// the sharded and the reference chain. Returns how many were injected.
+/// contract that does not exist, a replay-protected nonce-0 transaction, an
+/// unfunded over-sized payment, and three whose fields sit at the edge of
+/// their integer range (amount, gas limit, gas price). All of them must fail
+/// identically on the sharded and the reference chain. Returns how many were
+/// injected.
 pub fn inject_malformed(pool: &mut Vec<Transaction>, seed: u64, first_id: u64) -> usize {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6d61_6c66_6f72_6d65);
     let chaos = Address::from_index(66_000_000 + rng.gen_range(0..1_000u64));
@@ -398,6 +396,16 @@ pub fn inject_malformed(pool: &mut Vec<Transaction>, seed: u64, first_id: u64) -
         Transaction::payment(first_id + 1, chaos, 0, ghost, 1),
         // An unfunded account trying to move a fortune.
         Transaction::payment(first_id + 2, chaos, 2, ghost, u128::MAX / 2),
+        // An amount that wraps any running sum it is added to.
+        Transaction::payment(first_id + 3, chaos, 3, ghost, u128::MAX),
+        // A gas limit no committee's budget admits (and that wraps the
+        // admission sum).
+        Transaction { gas_limit: u64::MAX, ..Transaction::payment(first_id + 4, chaos, 4, ghost, 1) },
+        // A gas price whose fee reservation overflows.
+        Transaction {
+            gas_price: u128::MAX / 1000,
+            ..Transaction::payment(first_id + 5, chaos, 5, ghost, 1)
+        },
     ];
     let n = malformed.len();
     pool.extend(malformed);
@@ -407,17 +415,17 @@ pub fn inject_malformed(pool: &mut Vec<Transaction>, seed: u64, first_id: u64) -
 /// Runs the epoch pipeline under the fault plan until the pool drains or
 /// the epoch budget runs out.
 ///
-/// Unlike [`Network::run_epoch`], merge failures do **not** panic: they are
-/// recorded as safety violations in the report (and counted in telemetry),
-/// so a byzantine sharding signature surfaces as a divergence instead of a
-/// crash.
+/// Each epoch is [`Network::form_packets`] and [`Network::run_packets`] —
+/// what [`Network::run_epoch`] runs — with the plan's faults in between.
+/// Where `run_epoch` panics on a merge or apply failure, this records it as
+/// a safety violation in the report (and counts it in telemetry), so a
+/// byzantine sharding signature surfaces as a divergence instead of a crash.
 pub fn run_sim(
     net: &mut Network,
     pool: &mut Vec<Transaction>,
     cfg: &SimConfig,
     plan: &FaultPlan,
 ) -> SimReport {
-    install_quiet_hook();
     let num_shards = net.config().num_shards;
     let epoch_secs = net.config().epoch_duration_secs;
     let mut report = SimReport::default();
@@ -453,172 +461,88 @@ pub fn run_sim(
             continue;
         }
 
-        // --- Lookup stage, then the fault plan mutates the packets.
+        // --- Lookup stage, then the fault plan edits the packets and arms
+        // the hooks.
         let mut packets = net.form_packets(pool);
-        let mut gas_faulted: BTreeSet<u32> = BTreeSet::new();
-        let mut panic_shards: BTreeSet<u32> = BTreeSet::new();
-        let mut duplicated: Vec<Transaction> = Vec::new();
+        let mut faults = PlanFaults::default();
         for ev in plan.events_at(epoch) {
             if ev.kind.is_xshard() {
-                continue; // handled at the cross-shard commit stage below
-            }
-            if ev.shard >= num_shards {
-                continue; // plan generated for a wider network
-            }
-            let batch = &mut packets.shard_batches[ev.shard as usize];
-            if batch.is_empty() && !matches!(ev.kind, FaultKind::ShardPanic) {
-                continue; // nothing to fault
-            }
-            *report.injected.entry(ev.kind.name()).or_default() += 1;
-            telemetry::registry()
-                .counter(&format!("{}{}", telemetry::names::SIM_FAULT_PREFIX, ev.kind.name()))
-                .inc();
-            match ev.kind {
-                FaultKind::ReorderPacket => batch.reverse(),
-                FaultKind::GasExhaustion => {
-                    gas_faulted.insert(ev.shard);
+                // The event's `shard` field selects the target transaction
+                // (index into the xshard packet, modulo its length).
+                let batch = &packets.xshard_batch;
+                if batch.is_empty() {
+                    continue;
                 }
-                FaultKind::DuplicatePacket => duplicated.extend(batch.iter().cloned()),
-                FaultKind::DropPacket => {
-                    // Graceful degradation: the packet re-enters the pending
-                    // pool after an exponential backoff instead of vanishing.
-                    let lost = std::mem::take(batch);
-                    let backoff = 1u64 << drops_so_far.min(3);
-                    drops_so_far += 1;
-                    delayed.push((epoch + backoff, lost));
-                    *report.recoveries.entry("backoff-repool").or_default() += 1;
-                    telemetry::registry().counter(telemetry::names::SIM_RECOVERY_BACKOFF).inc();
-                }
-                FaultKind::ShardPanic => {
-                    panic_shards.insert(ev.shard);
-                }
-                FaultKind::CoordinatorCrash
-                | FaultKind::LostVote
-                | FaultKind::DuplicateVote
-                | FaultKind::ReorderVotes
-                | FaultKind::StaleLock => unreachable!("is_xshard filtered above"),
-            }
-        }
-
-        // --- Shard stage, with panic capture.
-        let mut microblocks: Vec<MicroBlock> = Vec::new();
-        let shard_batches = std::mem::take(&mut packets.shard_batches);
-        for (s, batch) in shard_batches.into_iter().enumerate() {
-            let s = s as u32;
-            let mut ecfg = net.shard_executor_config(s);
-            if gas_faulted.contains(&s) {
-                ecfg.gas_limit = (ecfg.gas_limit / 8).max(1);
-            }
-            if panic_shards.contains(&s) {
-                // The thread dies mid-batch: any partial work is lost with
-                // the unwind (MicroBlocks are built on epoch-start
-                // snapshots, so nothing global was mutated).
-                let prefix: Vec<Transaction> = batch[..batch.len() / 2].to_vec();
-                let crashed = panic::catch_unwind(AssertUnwindSafe(|| {
-                    let _ = execute_batch(&ecfg, net.state(), prefix);
-                    panic::panic_any(InjectedPanic);
-                }));
-                assert!(crashed.is_err(), "injected panic must propagate");
-                // Recovery: the faulted shard's whole packet is rerouted to
-                // the DS committee, which executes it sequentially.
-                packets.ds_batch.extend(batch);
-                *report.recoveries.entry("reroute-to-ds").or_default() += 1;
-                telemetry::registry().counter(telemetry::names::SIM_RECOVERY_REROUTE).inc();
+                faults.txs.push((ev.kind, batch[ev.shard as usize % batch.len()].id));
             } else {
-                microblocks.push(execute_batch(&ecfg, net.state(), batch));
+                if ev.shard >= num_shards {
+                    continue; // plan generated for a wider network
+                }
+                let batch = &mut packets.shard_batches[ev.shard as usize];
+                if batch.is_empty() && ev.kind != FaultKind::ShardPanic {
+                    continue; // nothing to fault
+                }
+                match ev.kind {
+                    FaultKind::ReorderPacket => batch.reverse(),
+                    // The second delivery goes to the DS committee, where it
+                    // must bounce off replay protection.
+                    FaultKind::DuplicatePacket => packets.ds_batch.extend(batch.iter().cloned()),
+                    FaultKind::DropPacket => {
+                        // Graceful degradation: the packet re-enters the
+                        // pending pool after an exponential backoff instead
+                        // of vanishing.
+                        let backoff = 1u64 << drops_so_far.min(3);
+                        drops_so_far += 1;
+                        delayed.push((epoch + backoff, std::mem::take(batch)));
+                        *report.recoveries.entry("backoff-repool").or_default() += 1;
+                        telemetry::registry()
+                            .counter(telemetry::names::SIM_RECOVERY_BACKOFF)
+                            .inc();
+                    }
+                    // Shard panics and gas exhaustion ride the hooks.
+                    _ => faults.shards.push((ev.kind, ev.shard)),
+                }
             }
-        }
-
-        // --- DS merge; failures are recorded, not panicked on.
-        if let Err(e) = net.merge_shard_deltas(&microblocks) {
-            report.safety_violations.push(format!("epoch {epoch}: delta merge failed: {e:?}"));
-            telemetry::registry().counter(telemetry::names::SIM_SAFETY_VIOLATION).inc();
-        }
-
-        // --- Cross-shard commit stage on the merged state, with the plan's
-        // protocol faults. An xshard fault event's `shard` field selects the
-        // target transaction (index into the packet, modulo its length).
-        let xshard_batch = std::mem::take(&mut packets.xshard_batch);
-        let mut xfaults = PlanXShardFaults::default();
-        for ev in plan.events_at(epoch) {
-            if !ev.kind.is_xshard() || xshard_batch.is_empty() {
-                continue;
-            }
-            let target = xshard_batch[ev.shard as usize % xshard_batch.len()].id;
             *report.injected.entry(ev.kind.name()).or_default() += 1;
             telemetry::registry()
                 .counter(&format!("{}{}", telemetry::names::SIM_FAULT_PREFIX, ev.kind.name()))
                 .inc();
-            match ev.kind {
-                FaultKind::CoordinatorCrash => xfaults.crash.insert(target),
-                FaultKind::LostVote => xfaults.lose_vote.insert(target),
-                FaultKind::DuplicateVote => xfaults.duplicate_votes.insert(target),
-                FaultKind::ReorderVotes => xfaults.reorder_votes.insert(target),
-                FaultKind::StaleLock => xfaults.stale_lock.insert(target),
-                _ => unreachable!("is_xshard filtered"),
-            };
         }
-        let xblock = net.execute_xshard(xshard_batch, &mut xfaults);
-        for e in &xblock.errors {
-            report.safety_violations.push(format!("epoch {epoch}: {e}"));
+
+        // --- The product's pipeline: shards → merge → cross-shard commits →
+        // DS, with deferred transactions back in the pool.
+        let done = net.run_packets(packets, pool, &mut faults);
+
+        // --- Bookkeeping: safety violations, recoveries, final outcomes.
+        // Effect-trace sanitizer escapes are safety violations too: a static
+        // summary failed to contain a concrete execution.
+        let audits = done.audit_violations.iter().map(|v| format!("audit violation: {v}"));
+        for v in done.errors.iter().cloned().chain(audits) {
+            report.safety_violations.push(format!("epoch {epoch}: {v}"));
             telemetry::registry().counter(telemetry::names::SIM_SAFETY_VIOLATION).inc();
         }
-        if xblock.stats.aborted > 0 {
-            *report.recoveries.entry("xshard-abort-retry").or_default() +=
-                xblock.stats.aborted as u64;
-        }
-        packets.ds_batch.extend(xblock.ds_fallback.iter().cloned());
-
-        // --- DS execution: leftovers + xshard fallbacks + shard reroutes +
-        // duplicated deliveries (the latter must all bounce off replay
-        // protection).
-        let mut ds_batch = std::mem::take(&mut packets.ds_batch);
-        for mb in &microblocks {
-            ds_batch.extend(mb.rerouted.iter().cloned());
-        }
-        ds_batch.extend(duplicated);
-        let ds_block = match net.execute_ds(ds_batch) {
-            Ok(b) => Some(b),
-            Err(e) => {
-                report.safety_violations.push(format!("epoch {epoch}: ds apply failed: {e:?}"));
-                telemetry::registry().counter(telemetry::names::SIM_SAFETY_VIOLATION).inc();
-                None
+        for (label, n) in [
+            ("reroute-to-ds", done.crashed_shards),
+            ("xshard-abort-retry", done.xshard.aborted),
+            ("deferred-retry", done.deferred),
+        ] {
+            if n > 0 {
+                *report.recoveries.entry(label).or_default() += n as u64;
             }
-        };
-
-        // --- Accounting: final outcomes, deferred retries. Receipt order is
-        // the witness serialization: shard commits, then cross-shard
-        // commits, then DS commits.
-        for mb in
-            microblocks.iter().chain(std::iter::once(&xblock.block)).chain(ds_block.iter())
-        {
-            // Effect-trace sanitizer escapes are safety violations: a static
-            // summary failed to contain a concrete execution.
-            for v in &mb.audit_violations {
-                report.safety_violations.push(format!("epoch {epoch}: audit violation: {v}"));
-                telemetry::registry().counter(telemetry::names::SIM_SAFETY_VIOLATION).inc();
+        }
+        for r in &done.receipts {
+            record_outcome(&mut report, r, epoch);
+            match &r.status {
+                TxStatus::Success => seq.push((r.tx_id, true)),
+                TxStatus::Failed(_) => seq.push((r.tx_id, false)),
+                TxStatus::Rerouted(_) => {}
             }
-            for r in &mb.receipts {
-                record_outcome(&mut report, r, epoch);
-                match &r.status {
-                    TxStatus::Success => seq.push((r.tx_id, true)),
-                    TxStatus::Failed(_) => seq.push((r.tx_id, false)),
-                    TxStatus::Rerouted(_) => {}
-                }
-                if r.gas_used > 0 {
-                    if let Some((sender, price)) = payers.get(&r.tx_id) {
-                        *report.fees.entry(*sender).or_default() +=
-                            u128::from(r.gas_used) * price;
-                    }
+            if r.gas_used > 0 {
+                if let Some((sender, price)) = payers.get(&r.tx_id) {
+                    *report.fees.entry(*sender).or_default() += u128::from(r.gas_used) * price;
                 }
             }
-            if !mb.deferred.is_empty() {
-                *report.recoveries.entry("deferred-retry").or_default() +=
-                    mb.deferred.len() as u64;
-                pool.extend(mb.deferred.iter().cloned());
-            }
         }
-        net.advance_block();
         telemetry::registry().counter(telemetry::names::SIM_EPOCHS).inc();
         epoch += 1;
     }

@@ -245,10 +245,30 @@ pub fn decide(tx_id: u64, participants: &BTreeSet<u32>, votes: &[VoteMsg]) -> Ve
     Verdict::Commit
 }
 
-/// Fault-injection hooks the protocol driver consults at each step. The
+/// What befalls one shard's executor thread this epoch
+/// ([`XShardFaults::shard_fault`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardFault {
+    /// Nothing: the shard executes its packet.
+    None,
+    /// The shard runs out of gas mid-batch (budget cut to ⅛); the tail is
+    /// deferred to later epochs.
+    GasCollapse,
+    /// The thread dies mid-batch. Its packet takes the path a real panic
+    /// takes: rerouted whole to the DS committee.
+    Crash,
+}
+
+/// Fault-injection hooks the epoch pipeline consults at each step. The
 /// default implementation is fault-free; the simulation harness
 /// ([`crate::sim`]) maps its seeded fault plan onto these.
 pub trait XShardFaults {
+    /// What befalls this shard's executor thread this epoch? Asked once per
+    /// shard before the shard stage spawns its threads.
+    fn shard_fault(&mut self, _epoch: u64, _shard: u32) -> ShardFault {
+        ShardFault::None
+    }
+
     /// Mutates a transaction's vote stream in transit (drop / duplicate /
     /// reorder).
     fn deliver_votes(&mut self, _epoch: u64, _tx: &Transaction, votes: Vec<VoteMsg>) -> Vec<VoteMsg> {

@@ -12,7 +12,8 @@
 use chain::address::Address;
 use chain::network::{ChainConfig, Network};
 use chain::sim::{
-    differential, reference_config, run_sim, Divergence, FaultPlan, ReproArtifact, SimConfig,
+    differential, reference_config, run_sim, Divergence, FaultEvent, FaultKind, FaultPlan,
+    ReproArtifact, SimConfig,
 };
 use chain::tx::Transaction;
 use cosplit_analysis::signature::{
@@ -144,6 +145,32 @@ fn same_seed_runs_are_bit_identical() {
         assert_eq!(a.commit_order, b.commit_order);
         assert!(a.safety_violations.is_empty(), "{:?}", a.safety_violations);
     }
+}
+
+/// Every shard thread dies in epoch 0. The recovery is the product's
+/// (`Network::execute_shards`): each packet reroutes whole to the DS
+/// committee, which commits what its budget admits and defers the rest, so
+/// the run drains, commits the whole load and matches the reference.
+#[test]
+fn a_run_survives_every_shard_crashing_at_once() {
+    let sharded_cfg = ChainConfig::small(4, true);
+    let crash = |shard| FaultEvent { epoch: 0, shard, kind: FaultKind::ShardPanic };
+    let plan = FaultPlan { events: (0..sharded_cfg.num_shards).map(crash).collect() };
+    let build = |cfg: &ChainConfig| build_world(cfg, None);
+    let load = load();
+    let diff = differential(
+        &build,
+        &load,
+        &sharded_cfg,
+        &reference_config(&sharded_cfg),
+        &SimConfig::new(5),
+        &plan,
+    );
+    assert!(diff.is_clean(), "{:?}", diff.divergences);
+    assert!(diff.sharded.drained);
+    assert_eq!(diff.sharded.committed(), load.len());
+    assert_eq!(diff.sharded.injected.get("shard-panic"), Some(&4));
+    assert_eq!(diff.sharded.recoveries.get("reroute-to-ds"), Some(&4));
 }
 
 /// A forged signature: `Transfer` is declared fully commutative (no

@@ -21,10 +21,10 @@ fn key(i: u64) -> Value {
 fn big_base(n: u64) -> Arc<InMemoryState> {
     let mut s = InMemoryState::new();
     for i in 0..n {
-        s.map_update("balances", &[key(i)], Value::Uint(128, 1_000));
+        s.map_update("balances".into(), &[key(i)], Value::Uint(128, 1_000));
     }
-    s.store("total_supply", Value::Uint(128, 1_000 * n as u128));
-    s.store("owner", Value::Str("genesis".into()));
+    s.store("total_supply".into(), Value::Uint(128, 1_000 * n as u128));
+    s.store("owner".into(), Value::Str("genesis".into()));
     Arc::new(s)
 }
 
@@ -45,11 +45,11 @@ fn fork_with_untouched_fields_copies_zero_bytes() {
     let mut forks: Vec<CowState> = (0..8).map(|_| working.fork()).collect();
     for (w, f) in forks.iter_mut().enumerate() {
         for t in 0..10u64 {
-            f.map_update("balances", &[key(w as u64 * 10 + t)], Value::Uint(128, t as u128));
+            f.map_update("balances".into(), &[key(w as u64 * 10 + t)], Value::Uint(128, t as u128));
         }
         // Reads through the overlay stay clone-free too.
-        assert!(f.map_exists("balances", &[key(9_999)]));
-        assert_eq!(f.map_get("balances", &[key(9_999)]), Some(Value::Uint(128, 1_000)));
+        assert!(f.map_exists("balances".into(), &[key(9_999)]));
+        assert_eq!(f.map_get("balances".into(), &[key(9_999)]), Some(Value::Uint(128, 1_000)));
     }
     let delta = counters().diff(&before);
 
@@ -94,9 +94,9 @@ fn global_state_epoch_snapshot_shares_storage() {
 
     // A shard-side overlay write never reaches the snapshot's base.
     let mut shard = CowState::new(Arc::clone(&epoch_view.storage[&contract]));
-    shard.map_update("balances", &[key(3)], Value::Uint(128, 0));
+    shard.map_update("balances".into(), &[key(3)], Value::Uint(128, 0));
     assert_eq!(
-        state.storage[&contract].map_get("balances", &[key(3)]),
+        state.storage[&contract].map_get("balances".into(), &[key(3)]),
         Some(Value::Uint(128, 1_000))
     );
 }

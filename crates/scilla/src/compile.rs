@@ -572,7 +572,7 @@ impl CRun<'_> {
         match s {
             CStmt::Load { dst, field, span } => {
                 gas.charge(gas::COST_FIELD)?;
-                let v = self.store.load_sym(*field).ok_or_else(|| {
+                let v = self.store.load(*field).ok_or_else(|| {
                     ExecError::Internal(format!("field '{field}' missing from state"))
                 })?;
                 if let Some(t) = self.tracer.as_deref_mut() {
@@ -585,11 +585,11 @@ impl CRun<'_> {
                 let v = fetch(frame, rhs)?;
                 match self.tracer.as_deref_mut() {
                     Some(t) => {
-                        let prior = self.store.load_sym(*field);
-                        self.store.store_sym(*field, v.clone());
+                        let prior = self.store.load(*field);
+                        self.store.store(*field, v.clone());
                         t.record_write(field.as_str(), Vec::new(), prior, Some(v), *span);
                     }
-                    None => self.store.store_sym(*field, v),
+                    None => self.store.store(*field, v),
                 }
             }
             CStmt::Bind { dst, rhs } => {
@@ -602,17 +602,17 @@ impl CRun<'_> {
                 let v = fetch(frame, rhs)?;
                 match self.tracer.as_deref_mut() {
                     Some(t) => {
-                        let prior = self.store.map_get_sym(*map, &ks);
-                        self.store.map_update_sym(*map, &ks, v.clone());
+                        let prior = self.store.map_get(*map, &ks);
+                        self.store.map_update(*map, &ks, v.clone());
                         t.record_write(map.as_str(), ks, prior, Some(v), *span);
                     }
-                    None => self.store.map_update_sym(*map, &ks, v),
+                    None => self.store.map_update(*map, &ks, v),
                 }
             }
             CStmt::MapGet { dst, map, keys, span } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
                 let ks = fetch_all(frame, keys)?;
-                let v = match self.store.map_get_sym(*map, &ks) {
+                let v = match self.store.map_get(*map, &ks) {
                     Some(v) => Value::some(v),
                     None => Value::none(),
                 };
@@ -624,7 +624,7 @@ impl CRun<'_> {
             CStmt::MapExists { dst, map, keys, span } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
                 let ks = fetch_all(frame, keys)?;
-                let b = self.store.map_exists_sym(*map, &ks);
+                let b = self.store.map_exists(*map, &ks);
                 if let Some(t) = self.tracer.as_deref_mut() {
                     t.record_read(map.as_str(), ks, *span);
                 }
@@ -635,11 +635,11 @@ impl CRun<'_> {
                 let ks = fetch_all(frame, keys)?;
                 match self.tracer.as_deref_mut() {
                     Some(t) => {
-                        let prior = self.store.map_get_sym(*map, &ks);
-                        self.store.map_delete_sym(*map, &ks);
+                        let prior = self.store.map_get(*map, &ks);
+                        self.store.map_delete(*map, &ks);
                         t.record_write(map.as_str(), ks, prior, None, *span);
                     }
-                    None => self.store.map_delete_sym(*map, &ks),
+                    None => self.store.map_delete(*map, &ks),
                 }
             }
             CStmt::ReadBlockchain { dst } => {

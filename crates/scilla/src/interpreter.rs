@@ -200,7 +200,7 @@ impl CompiledContract {
         ctx: &TransitionContext,
         gas: &mut GasMeter,
     ) -> Result<TransitionOutcome, ExecError> {
-        self.execute_instrumented(store, transition, args, contract_params, ctx, gas, None)
+        self.execute_mode(store, transition, args, contract_params, ctx, gas, None, ExecMode::Auto)
     }
 
     /// Like [`CompiledContract::execute`], but records the concrete dynamic
@@ -223,7 +223,7 @@ impl CompiledContract {
         gas: &mut GasMeter,
         tracer: &mut EffectTracer,
     ) -> Result<TransitionOutcome, ExecError> {
-        self.execute_instrumented(store, transition, args, contract_params, ctx, gas, Some(tracer))
+        self.execute_mode(store, transition, args, contract_params, ctx, gas, Some(tracer), ExecMode::Auto)
     }
 
     /// Like [`CompiledContract::execute_traced`], but with an explicit
@@ -247,49 +247,50 @@ impl CompiledContract {
         tracer: Option<&mut EffectTracer>,
         mode: ExecMode,
     ) -> Result<TransitionOutcome, ExecError> {
-        self.execute_dispatch(store, transition, args, contract_params, ctx, gas, tracer, mode)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute_instrumented(
-        &self,
-        store: &mut dyn StateStore,
-        transition: &str,
-        args: &[(String, Value)],
-        contract_params: &[(String, Value)],
-        ctx: &TransitionContext,
-        gas: &mut GasMeter,
-        tracer: Option<&mut EffectTracer>,
-    ) -> Result<TransitionOutcome, ExecError> {
-        self.execute_dispatch(
-            store,
-            transition,
-            args,
-            contract_params,
-            ctx,
-            gas,
-            tracer,
-            ExecMode::Auto,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute_dispatch(
-        &self,
-        store: &mut dyn StateStore,
-        transition: &str,
-        args: &[(String, Value)],
-        contract_params: &[(String, Value)],
-        ctx: &TransitionContext,
-        gas: &mut GasMeter,
-        tracer: Option<&mut EffectTracer>,
-        mode: ExecMode,
-    ) -> Result<TransitionOutcome, ExecError> {
         let mut _tspan = telemetry::span!("scilla.interpreter.transition");
         _tspan.attr("transition", transition);
         let gas_before = gas.used();
-        let result =
-            self.execute_inner(store, transition, args, contract_params, ctx, gas, tracer, mode);
+        let run = || -> Result<TransitionOutcome, ExecError> {
+            let t = self
+                .contract()
+                .transition(transition)
+                .ok_or_else(|| ExecError::BadInvocation(format!("unknown transition '{transition}'")))?;
+            gas.charge(gas::COST_TX_BASE)?;
+            if mode != ExecMode::Ast {
+                if let crate::compile::TransitionCode::Compiled(ct) = &*self.code_for(t) {
+                    return crate::compile::run_compiled(ct, store, args, contract_params, ctx, gas, tracer);
+                }
+                if mode == ExecMode::Compiled {
+                    return Err(ExecError::Internal(format!(
+                        "transition '{transition}' fell back to the AST walker"
+                    )));
+                }
+            }
+            let mut env = self.param_env(contract_params)?;
+            env = env.bind(Sym::SENDER, Value::address(ctx.sender));
+            env = env.bind(Sym::ORIGIN, Value::address(ctx.origin));
+            env = env.bind(Sym::AMOUNT, Value::Uint(128, ctx.amount));
+            env = env.bind(Sym::THIS_ADDRESS, Value::address(ctx.this_address));
+            for p in &t.params {
+                let v = args
+                    .iter()
+                    .find(|(n, _)| *n == p.name.name)
+                    .map(|(_, v)| v.clone())
+                    .ok_or_else(|| {
+                        ExecError::BadInvocation(format!(
+                            "missing argument '{}' for transition '{transition}'",
+                            p.name.name
+                        ))
+                    })?;
+                env = env.bind(p.name.sym, v);
+            }
+            let mut exec = Exec { store, ctx, outcome: TransitionOutcome::default(), tracer };
+            exec.run_stmts(env, &t.body, gas)?;
+            let mut outcome = exec.outcome;
+            outcome.gas_used = gas.used();
+            Ok(outcome)
+        };
+        let result = run();
         _tspan.attr("ok", result.is_ok());
         _tspan.attr("gas", gas.used().saturating_sub(gas_before));
         if telemetry::enabled() {
@@ -301,58 +302,6 @@ impl CompiledContract {
             }
         }
         result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute_inner(
-        &self,
-        store: &mut dyn StateStore,
-        transition: &str,
-        args: &[(String, Value)],
-        contract_params: &[(String, Value)],
-        ctx: &TransitionContext,
-        gas: &mut GasMeter,
-        tracer: Option<&mut EffectTracer>,
-        mode: ExecMode,
-    ) -> Result<TransitionOutcome, ExecError> {
-        let t = self
-            .contract()
-            .transition(transition)
-            .ok_or_else(|| ExecError::BadInvocation(format!("unknown transition '{transition}'")))?;
-        gas.charge(gas::COST_TX_BASE)?;
-        if mode != ExecMode::Ast {
-            if let crate::compile::TransitionCode::Compiled(ct) = &*self.code_for(t) {
-                return crate::compile::run_compiled(ct, store, args, contract_params, ctx, gas, tracer);
-            }
-            if mode == ExecMode::Compiled {
-                return Err(ExecError::Internal(format!(
-                    "transition '{transition}' fell back to the AST walker"
-                )));
-            }
-        }
-        let mut env = self.param_env(contract_params)?;
-        env = env.bind(Sym::SENDER, Value::address(ctx.sender));
-        env = env.bind(Sym::ORIGIN, Value::address(ctx.origin));
-        env = env.bind(Sym::AMOUNT, Value::Uint(128, ctx.amount));
-        env = env.bind(Sym::THIS_ADDRESS, Value::address(ctx.this_address));
-        for p in &t.params {
-            let v = args
-                .iter()
-                .find(|(n, _)| *n == p.name.name)
-                .map(|(_, v)| v.clone())
-                .ok_or_else(|| {
-                    ExecError::BadInvocation(format!(
-                        "missing argument '{}' for transition '{transition}'",
-                        p.name.name
-                    ))
-                })?;
-            env = env.bind(p.name.sym, v);
-        }
-        let mut exec = Exec { store, ctx, outcome: TransitionOutcome::default(), tracer };
-        exec.run_stmts(env, &t.body, gas)?;
-        let mut outcome = exec.outcome;
-        outcome.gas_used = gas.used();
-        Ok(outcome)
     }
 }
 
@@ -380,7 +329,7 @@ impl Exec<'_> {
         match s {
             Stmt::Load { lhs, field } => {
                 gas.charge(gas::COST_FIELD)?;
-                let v = self.store.load_sym(field.sym).ok_or_else(|| {
+                let v = self.store.load(field.sym).ok_or_else(|| {
                     ExecError::Internal(format!("field '{}' missing from state", field.name))
                 })?;
                 if let Some(t) = self.tracer.as_deref_mut() {
@@ -393,11 +342,11 @@ impl Exec<'_> {
                 let v = lookup(&env, rhs)?;
                 match self.tracer.as_deref_mut() {
                     Some(t) => {
-                        let prior = self.store.load_sym(field.sym);
-                        self.store.store_sym(field.sym, v.clone());
+                        let prior = self.store.load(field.sym);
+                        self.store.store(field.sym, v.clone());
                         t.record_write(&field.name, Vec::new(), prior, Some(v), s.span());
                     }
-                    None => self.store.store_sym(field.sym, v),
+                    None => self.store.store(field.sym, v),
                 }
                 Ok(env)
             }
@@ -411,18 +360,18 @@ impl Exec<'_> {
                 let v = lookup(&env, rhs)?;
                 match self.tracer.as_deref_mut() {
                     Some(t) => {
-                        let prior = self.store.map_get_sym(map.sym, &ks);
-                        self.store.map_update_sym(map.sym, &ks, v.clone());
+                        let prior = self.store.map_get(map.sym, &ks);
+                        self.store.map_update(map.sym, &ks, v.clone());
                         t.record_write(&map.name, ks, prior, Some(v), s.span());
                     }
-                    None => self.store.map_update_sym(map.sym, &ks, v),
+                    None => self.store.map_update(map.sym, &ks, v),
                 }
                 Ok(env)
             }
             Stmt::MapGet { lhs, map, keys } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
                 let ks = self.key_values(&env, keys)?;
-                let v = match self.store.map_get_sym(map.sym, &ks) {
+                let v = match self.store.map_get(map.sym, &ks) {
                     Some(v) => Value::some(v),
                     None => Value::none(),
                 };
@@ -434,7 +383,7 @@ impl Exec<'_> {
             Stmt::MapExists { lhs, map, keys } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
                 let ks = self.key_values(&env, keys)?;
-                let b = self.store.map_exists_sym(map.sym, &ks);
+                let b = self.store.map_exists(map.sym, &ks);
                 if let Some(t) = self.tracer.as_deref_mut() {
                     t.record_read(&map.name, ks, s.span());
                 }
@@ -445,11 +394,11 @@ impl Exec<'_> {
                 let ks = self.key_values(&env, keys)?;
                 match self.tracer.as_deref_mut() {
                     Some(t) => {
-                        let prior = self.store.map_get_sym(map.sym, &ks);
-                        self.store.map_delete_sym(map.sym, &ks);
+                        let prior = self.store.map_get(map.sym, &ks);
+                        self.store.map_delete(map.sym, &ks);
                         t.record_write(&map.name, ks, prior, None, s.span());
                     }
-                    None => self.store.map_delete_sym(map.sym, &ks),
+                    None => self.store.map_delete(map.sym, &ks),
                 }
                 Ok(env)
             }
@@ -773,8 +722,8 @@ mod tests {
             ("amount".into(), Value::Uint(128, 30)),
         ])
         .unwrap();
-        assert_eq!(store.map_get("balances", &[Value::address(addr(1))]), Some(Value::Uint(128, 70)));
-        assert_eq!(store.map_get("balances", &[Value::address(addr(2))]), Some(Value::Uint(128, 30)));
+        assert_eq!(store.map_get("balances".into(), &[Value::address(addr(1))]), Some(Value::Uint(128, 70)));
+        assert_eq!(store.map_get("balances".into(), &[Value::address(addr(2))]), Some(Value::Uint(128, 30)));
     }
 
     #[test]
@@ -865,7 +814,7 @@ mod tests {
         let ctx = TransitionContext { block_number: 77, ..TransitionContext::zeroed() };
         let mut gas = GasMeter::new(100_000);
         c.execute(&mut store, "Touch", &[], &[], &ctx, &mut gas).unwrap();
-        assert_eq!(store.load("last"), Some(Value::BNum(77)));
+        assert_eq!(store.load("last".into()), Some(Value::BNum(77)));
     }
 
     #[test]
@@ -886,7 +835,7 @@ mod tests {
         let mut gas = GasMeter::new(100_000);
         c.execute(&mut store, "T", &[("v".into(), Value::Uint(128, 42))], &[], &TransitionContext::zeroed(), &mut gas)
             .unwrap();
-        assert_eq!(store.load("n"), Some(Value::Uint(128, 42)));
+        assert_eq!(store.load("n".into()), Some(Value::Uint(128, 42)));
     }
 
     #[test]

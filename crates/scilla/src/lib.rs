@@ -38,7 +38,7 @@
 //! let mut state = InMemoryState::from_fields(contract.init_fields(&[])?);
 //! let mut gas = GasMeter::new(10_000);
 //! contract.execute(&mut state, "Incr", &[], &[], &TransitionContext::zeroed(), &mut gas)?;
-//! assert_eq!(state.load("count"), Some(Value::Uint(128, 1)));
+//! assert_eq!(state.load("count".into()), Some(Value::Uint(128, 1)));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -27,67 +27,34 @@ use telemetry::names;
 /// Nested map entries are addressed by a field name plus a key path; a key
 /// path shorter than the map's nesting depth addresses a whole sub-map.
 ///
-/// Every operation exists in two forms: a `&str` form for callers holding
-/// text, and a `*_sym` form taking a pre-interned [`Sym`]. The interpreter
-/// and compiled transitions use the `Sym` forms exclusively — field names
-/// resolve once at parse/compile time, so the per-statement path does no
-/// string hashing or allocation. The defaults make the two forms
-/// interchangeable; stores override whichever side is native to them.
+/// Field names are pre-interned [`Sym`]s: they resolve once at parse/compile
+/// time, so the per-statement path does no string hashing or allocation.
+/// Callers holding text intern it at the call (`"balances".into()`).
 pub trait StateStore {
     /// Reads a whole field. `None` if the field does not exist.
-    fn load(&self, field: &str) -> Option<Value>;
+    fn load(&self, field: Sym) -> Option<Value>;
 
     /// Overwrites a whole field.
-    fn store(&mut self, field: &str, value: Value);
+    fn store(&mut self, field: Sym, value: Value);
 
     /// Reads one (possibly nested) map entry.
-    fn map_get(&self, field: &str, keys: &[Value]) -> Option<Value>;
+    fn map_get(&self, field: Sym, keys: &[Value]) -> Option<Value>;
 
     /// Writes one (possibly nested) map entry, materialising intermediate
     /// maps as needed.
-    fn map_update(&mut self, field: &str, keys: &[Value], value: Value);
+    fn map_update(&mut self, field: Sym, keys: &[Value], value: Value);
 
     /// Tests whether a map entry exists.
     ///
     /// The default goes through [`StateStore::map_get`]; stores should
     /// override it with a clone-free walk (a partial key path would otherwise
     /// clone a whole sub-map just to discard it).
-    fn map_exists(&self, field: &str, keys: &[Value]) -> bool {
+    fn map_exists(&self, field: Sym, keys: &[Value]) -> bool {
         self.map_get(field, keys).is_some()
     }
 
     /// Deletes one (possibly nested) map entry. No-op if absent.
-    fn map_delete(&mut self, field: &str, keys: &[Value]);
-
-    /// [`StateStore::load`] with a pre-interned field name.
-    fn load_sym(&self, field: Sym) -> Option<Value> {
-        self.load(field.as_str())
-    }
-
-    /// [`StateStore::store`] with a pre-interned field name.
-    fn store_sym(&mut self, field: Sym, value: Value) {
-        self.store(field.as_str(), value);
-    }
-
-    /// [`StateStore::map_get`] with a pre-interned field name.
-    fn map_get_sym(&self, field: Sym, keys: &[Value]) -> Option<Value> {
-        self.map_get(field.as_str(), keys)
-    }
-
-    /// [`StateStore::map_update`] with a pre-interned field name.
-    fn map_update_sym(&mut self, field: Sym, keys: &[Value], value: Value) {
-        self.map_update(field.as_str(), keys, value);
-    }
-
-    /// [`StateStore::map_exists`] with a pre-interned field name.
-    fn map_exists_sym(&self, field: Sym, keys: &[Value]) -> bool {
-        self.map_exists(field.as_str(), keys)
-    }
-
-    /// [`StateStore::map_delete`] with a pre-interned field name.
-    fn map_delete_sym(&mut self, field: Sym, keys: &[Value]) {
-        self.map_delete(field.as_str(), keys);
-    }
+    fn map_delete(&mut self, field: Sym, keys: &[Value]);
 }
 
 /// Grants mutable access to a shared map node, copying it first if anyone
@@ -189,31 +156,32 @@ impl InMemoryState {
 }
 
 impl StateStore for InMemoryState {
-    fn load(&self, field: &str) -> Option<Value> {
-        self.fields.get(field).cloned()
+    fn load(&self, field: Sym) -> Option<Value> {
+        self.fields.get(field.as_str()).cloned()
     }
 
-    fn store(&mut self, field: &str, value: Value) {
-        self.fields.insert(field.to_string(), value);
+    fn store(&mut self, field: Sym, value: Value) {
+        self.fields.insert(field.as_str().to_string(), value);
     }
 
-    fn map_get(&self, field: &str, keys: &[Value]) -> Option<Value> {
-        descend(self.fields.get(field)?, keys).cloned()
+    fn map_get(&self, field: Sym, keys: &[Value]) -> Option<Value> {
+        descend(self.fields.get(field.as_str())?, keys).cloned()
     }
 
-    fn map_update(&mut self, field: &str, keys: &[Value], value: Value) {
-        let root = self.fields.entry(field.to_string()).or_insert_with(Value::empty_map);
+    fn map_update(&mut self, field: Sym, keys: &[Value], value: Value) {
+        let root =
+            self.fields.entry(field.as_str().to_string()).or_insert_with(Value::empty_map);
         insert_at(root, keys, value);
     }
 
-    fn map_exists(&self, field: &str, keys: &[Value]) -> bool {
+    fn map_exists(&self, field: Sym, keys: &[Value]) -> bool {
         // Clone-free override: the default would clone a whole sub-map via
         // `map_get` just to test presence.
-        self.fields.get(field).is_some_and(|root| descend(root, keys).is_some())
+        self.fields.get(field.as_str()).is_some_and(|root| descend(root, keys).is_some())
     }
 
-    fn map_delete(&mut self, field: &str, keys: &[Value]) {
-        if let Some(root) = self.fields.get_mut(field) {
+    fn map_delete(&mut self, field: Sym, keys: &[Value]) {
+        if let Some(root) = self.fields.get_mut(field.as_str()) {
             delete_at(root, keys);
         }
     }
@@ -414,31 +382,7 @@ impl CowState {
 }
 
 impl StateStore for CowState {
-    fn load(&self, field: &str) -> Option<Value> {
-        self.load_sym(intern(field))
-    }
-
-    fn store(&mut self, field: &str, value: Value) {
-        self.store_sym(intern(field), value);
-    }
-
-    fn map_get(&self, field: &str, keys: &[Value]) -> Option<Value> {
-        self.map_get_sym(intern(field), keys)
-    }
-
-    fn map_update(&mut self, field: &str, keys: &[Value], value: Value) {
-        self.map_update_sym(intern(field), keys, value);
-    }
-
-    fn map_exists(&self, field: &str, keys: &[Value]) -> bool {
-        self.map_exists_sym(intern(field), keys)
-    }
-
-    fn map_delete(&mut self, field: &str, keys: &[Value]) {
-        self.map_delete_sym(intern(field), keys);
-    }
-
-    fn load_sym(&self, field: Sym) -> Option<Value> {
+    fn load(&self, field: Sym) -> Option<Value> {
         match self.overlay.get(&field) {
             None => self.base.fields.get(field.as_str()).cloned(),
             Some(FieldOverlay::Whole(v)) => v.clone(),
@@ -461,13 +405,13 @@ impl StateStore for CowState {
         }
     }
 
-    fn store_sym(&mut self, field: Sym, value: Value) {
+    fn store(&mut self, field: Sym, value: Value) {
         self.overlay.insert(field, FieldOverlay::Whole(Some(value)));
     }
 
-    fn map_get_sym(&self, field: Sym, keys: &[Value]) -> Option<Value> {
+    fn map_get(&self, field: Sym, keys: &[Value]) -> Option<Value> {
         if keys.is_empty() {
-            return self.load_sym(field);
+            return self.load(field);
         }
         match self.overlay.get(&field) {
             None => descend(self.base.fields.get(field.as_str())?, keys).cloned(),
@@ -511,10 +455,10 @@ impl StateStore for CowState {
         }
     }
 
-    fn map_update_sym(&mut self, field: Sym, keys: &[Value], value: Value) {
+    fn map_update(&mut self, field: Sym, keys: &[Value], value: Value) {
         if keys.is_empty() {
             // A whole-field map write; same net effect as `store`.
-            self.store_sym(field, value);
+            self.store(field, value);
             return;
         }
         match self.overlay.get_mut(&field) {
@@ -553,9 +497,9 @@ impl StateStore for CowState {
         }
     }
 
-    fn map_exists_sym(&self, field: Sym, keys: &[Value]) -> bool {
+    fn map_exists(&self, field: Sym, keys: &[Value]) -> bool {
         match self.overlay.get(&field) {
-            None => self.base.map_exists(field.as_str(), keys),
+            None => self.base.map_exists(field, keys),
             Some(FieldOverlay::Whole(v)) => {
                 v.as_ref().is_some_and(|root| descend(root, keys).is_some())
             }
@@ -576,12 +520,12 @@ impl StateStore for CowState {
                 }
                 // Tombstones below remove entries, never the sub-map itself,
                 // so base existence stands.
-                self.base.map_exists(field.as_str(), keys)
+                self.base.map_exists(field, keys)
             }
         }
     }
 
-    fn map_delete_sym(&mut self, field: Sym, keys: &[Value]) {
+    fn map_delete(&mut self, field: Sym, keys: &[Value]) {
         if keys.is_empty() {
             return;
         }
@@ -599,7 +543,7 @@ impl StateStore for CowState {
             // A bare tombstone would forget intermediate maps that the
             // dropped overlay writes materialised (a plain store keeps them
             // through deletes): pin the merged field and delete inside it.
-            let mut merged = self.load_sym(field).unwrap_or_else(Value::empty_map);
+            let mut merged = self.load(field).unwrap_or_else(Value::empty_map);
             delete_at(&mut merged, keys);
             self.overlay.insert(field, FieldOverlay::Whole(Some(merged)));
             return;
@@ -650,30 +594,30 @@ mod tests {
     #[test]
     fn nested_update_creates_intermediate_maps() {
         let mut s = InMemoryState::new();
-        s.store("allow", Value::empty_map());
-        s.map_update("allow", &[addr(1), addr(2)], Value::Uint(128, 9));
-        assert_eq!(s.map_get("allow", &[addr(1), addr(2)]), Some(Value::Uint(128, 9)));
-        assert!(s.map_exists("allow", &[addr(1)]));
-        assert!(!s.map_exists("allow", &[addr(3)]));
+        s.store("allow".into(), Value::empty_map());
+        s.map_update("allow".into(), &[addr(1), addr(2)], Value::Uint(128, 9));
+        assert_eq!(s.map_get("allow".into(), &[addr(1), addr(2)]), Some(Value::Uint(128, 9)));
+        assert!(s.map_exists("allow".into(), &[addr(1)]));
+        assert!(!s.map_exists("allow".into(), &[addr(3)]));
     }
 
     #[test]
     fn delete_removes_only_target() {
         let mut s = InMemoryState::new();
-        s.map_update("m", &[addr(1)], Value::Uint(128, 1));
-        s.map_update("m", &[addr(2)], Value::Uint(128, 2));
-        s.map_delete("m", &[addr(1)]);
-        assert_eq!(s.map_get("m", &[addr(1)]), None);
-        assert_eq!(s.map_get("m", &[addr(2)]), Some(Value::Uint(128, 2)));
+        s.map_update("m".into(), &[addr(1)], Value::Uint(128, 1));
+        s.map_update("m".into(), &[addr(2)], Value::Uint(128, 2));
+        s.map_delete("m".into(), &[addr(1)]);
+        assert_eq!(s.map_get("m".into(), &[addr(1)]), None);
+        assert_eq!(s.map_get("m".into(), &[addr(2)]), Some(Value::Uint(128, 2)));
         // Deleting a missing path is a no-op.
-        s.map_delete("m", &[addr(9), addr(9)]);
+        s.map_delete("m".into(), &[addr(9), addr(9)]);
     }
 
     #[test]
     fn partial_key_path_returns_submap() {
         let mut s = InMemoryState::new();
-        s.map_update("m", &[addr(1), addr(2)], Value::Uint(128, 7));
-        match s.map_get("m", &[addr(1)]) {
+        s.map_update("m".into(), &[addr(1), addr(2)], Value::Uint(128, 7));
+        match s.map_get("m".into(), &[addr(1)]) {
             Some(Value::Map(sub)) => assert_eq!(sub.len(), 1),
             other => panic!("expected submap, got {other:?}"),
         }
@@ -682,39 +626,39 @@ mod tests {
     #[test]
     fn whole_field_load_store() {
         let mut s = InMemoryState::new();
-        s.store("n", Value::Uint(128, 3));
-        assert_eq!(s.load("n"), Some(Value::Uint(128, 3)));
-        assert_eq!(s.load("missing"), None);
+        s.store("n".into(), Value::Uint(128, 3));
+        assert_eq!(s.load("n".into()), Some(Value::Uint(128, 3)));
+        assert_eq!(s.load("missing".into()), None);
     }
 
     #[test]
     fn cloned_map_values_share_until_written() {
         let mut s = InMemoryState::new();
-        s.map_update("m", &[addr(1)], Value::Uint(128, 1));
-        let before = s.load("m").unwrap();
-        s.map_update("m", &[addr(2)], Value::Uint(128, 2));
+        s.map_update("m".into(), &[addr(1)], Value::Uint(128, 1));
+        let before = s.load("m".into()).unwrap();
+        s.map_update("m".into(), &[addr(2)], Value::Uint(128, 2));
         // The clone read out earlier is unaffected by the later write.
         let Value::Map(m) = &before else { panic!("expected map") };
         assert_eq!(m.len(), 1);
-        let Some(Value::Map(after)) = s.load("m") else { panic!("expected map") };
+        let Some(Value::Map(after)) = s.load("m".into()) else { panic!("expected map") };
         assert_eq!(after.len(), 2);
     }
 
     fn base_with_balances() -> Arc<InMemoryState> {
         let mut s = InMemoryState::new();
-        s.map_update("balances", &[addr(1)], Value::Uint(128, 100));
-        s.map_update("balances", &[addr(2)], Value::Uint(128, 200));
-        s.store("total", Value::Uint(128, 300));
+        s.map_update("balances".into(), &[addr(1)], Value::Uint(128, 100));
+        s.map_update("balances".into(), &[addr(2)], Value::Uint(128, 200));
+        s.store("total".into(), Value::Uint(128, 300));
         Arc::new(s)
     }
 
     #[test]
     fn cow_reads_fall_through_to_base() {
         let cow = CowState::new(base_with_balances());
-        assert_eq!(cow.map_get("balances", &[addr(1)]), Some(Value::Uint(128, 100)));
-        assert_eq!(cow.load("total"), Some(Value::Uint(128, 300)));
-        assert!(cow.map_exists("balances", &[addr(2)]));
-        assert!(!cow.map_exists("balances", &[addr(9)]));
+        assert_eq!(cow.map_get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 100)));
+        assert_eq!(cow.load("total".into()), Some(Value::Uint(128, 300)));
+        assert!(cow.map_exists("balances".into(), &[addr(2)]));
+        assert!(!cow.map_exists("balances".into(), &[addr(9)]));
         assert!(cow.is_clean());
     }
 
@@ -722,24 +666,24 @@ mod tests {
     fn cow_writes_shadow_base_and_leave_it_untouched() {
         let base = base_with_balances();
         let mut cow = CowState::new(Arc::clone(&base));
-        cow.map_update("balances", &[addr(1)], Value::Uint(128, 50));
-        cow.map_delete("balances", &[addr(2)]);
-        cow.store("total", Value::Uint(128, 150));
-        assert_eq!(cow.map_get("balances", &[addr(1)]), Some(Value::Uint(128, 50)));
-        assert_eq!(cow.map_get("balances", &[addr(2)]), None);
-        assert!(!cow.map_exists("balances", &[addr(2)]));
-        assert_eq!(cow.load("total"), Some(Value::Uint(128, 150)));
+        cow.map_update("balances".into(), &[addr(1)], Value::Uint(128, 50));
+        cow.map_delete("balances".into(), &[addr(2)]);
+        cow.store("total".into(), Value::Uint(128, 150));
+        assert_eq!(cow.map_get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 50)));
+        assert_eq!(cow.map_get("balances".into(), &[addr(2)]), None);
+        assert!(!cow.map_exists("balances".into(), &[addr(2)]));
+        assert_eq!(cow.load("total".into()), Some(Value::Uint(128, 150)));
         // Base unchanged.
-        assert_eq!(base.map_get("balances", &[addr(1)]), Some(Value::Uint(128, 100)));
-        assert_eq!(base.load("total"), Some(Value::Uint(128, 300)));
+        assert_eq!(base.map_get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 100)));
+        assert_eq!(base.load("total".into()), Some(Value::Uint(128, 300)));
     }
 
     #[test]
     fn cow_whole_map_load_merges_overlay() {
         let mut cow = CowState::new(base_with_balances());
-        cow.map_update("balances", &[addr(3)], Value::Uint(128, 7));
-        cow.map_delete("balances", &[addr(1)]);
-        let Some(Value::Map(m)) = cow.load("balances") else { panic!("expected map") };
+        cow.map_update("balances".into(), &[addr(3)], Value::Uint(128, 7));
+        cow.map_delete("balances".into(), &[addr(1)]);
+        let Some(Value::Map(m)) = cow.load("balances".into()) else { panic!("expected map") };
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(&addr(3)), Some(&Value::Uint(128, 7)));
         assert!(!m.contains_key(&addr(1)));
@@ -759,10 +703,10 @@ mod tests {
         let mut cow = CowState::new(Arc::clone(&base));
         let mut plain = (*base).clone();
         for s in [&mut cow as &mut dyn StateStore, &mut plain as &mut dyn StateStore] {
-            s.map_update("balances", &[addr(1)], Value::Uint(128, 1));
-            s.map_delete("balances", &[addr(2)]);
-            s.map_update("allow", &[addr(1), addr(2)], Value::Uint(128, 5));
-            s.store("total", Value::Uint(128, 1));
+            s.map_update("balances".into(), &[addr(1)], Value::Uint(128, 1));
+            s.map_delete("balances".into(), &[addr(2)]);
+            s.map_update("allow".into(), &[addr(1), addr(2)], Value::Uint(128, 5));
+            s.store("total".into(), Value::Uint(128, 1));
         }
         assert_eq!(*cow.snapshot(), plain);
     }
@@ -770,32 +714,32 @@ mod tests {
     #[test]
     fn cow_fork_isolates_writes() {
         let mut cow = CowState::new(base_with_balances());
-        cow.map_update("balances", &[addr(1)], Value::Uint(128, 1));
+        cow.map_update("balances".into(), &[addr(1)], Value::Uint(128, 1));
         let mut fork = cow.fork();
-        fork.map_update("balances", &[addr(1)], Value::Uint(128, 2));
-        fork.map_update("balances", &[addr(2)], Value::Uint(128, 9));
-        assert_eq!(cow.map_get("balances", &[addr(1)]), Some(Value::Uint(128, 1)));
-        assert_eq!(cow.map_get("balances", &[addr(2)]), Some(Value::Uint(128, 200)));
-        assert_eq!(fork.map_get("balances", &[addr(1)]), Some(Value::Uint(128, 2)));
+        fork.map_update("balances".into(), &[addr(1)], Value::Uint(128, 2));
+        fork.map_update("balances".into(), &[addr(2)], Value::Uint(128, 9));
+        assert_eq!(cow.map_get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 1)));
+        assert_eq!(cow.map_get("balances".into(), &[addr(2)]), Some(Value::Uint(128, 200)));
+        assert_eq!(fork.map_get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 2)));
     }
 
     #[test]
     fn cow_remove_field_tombstones_and_recreates() {
         let mut cow = CowState::new(base_with_balances());
         cow.remove_field("balances");
-        assert_eq!(cow.load("balances"), None);
-        assert!(!cow.map_exists("balances", &[addr(1)]));
-        cow.map_update("balances", &[addr(5)], Value::Uint(128, 5));
-        let Some(Value::Map(m)) = cow.load("balances") else { panic!("expected map") };
+        assert_eq!(cow.load("balances".into()), None);
+        assert!(!cow.map_exists("balances".into(), &[addr(1)]));
+        cow.map_update("balances".into(), &[addr(5)], Value::Uint(128, 5));
+        let Some(Value::Map(m)) = cow.load("balances".into()) else { panic!("expected map") };
         assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn cow_delete_in_unknown_field_stays_clean() {
         let mut cow = CowState::new(base_with_balances());
-        cow.map_delete("no_such_field", &[addr(1)]);
+        cow.map_delete("no_such_field".into(), &[addr(1)]);
         assert!(cow.is_clean());
-        assert_eq!(cow.load("no_such_field"), None);
+        assert_eq!(cow.load("no_such_field".into()), None);
     }
 
     #[test]
@@ -803,13 +747,13 @@ mod tests {
         let mut cow = CowState::new(Arc::new(InMemoryState::new()));
         // Deep write first, then a shallower write that shadows it, then a
         // deep write folding into the shallow entry.
-        cow.map_update("allow", &[addr(1), addr(2)], Value::Uint(128, 1));
-        cow.map_update("allow", &[addr(1)], Value::empty_map());
-        assert_eq!(cow.map_get("allow", &[addr(1), addr(2)]), None);
-        cow.map_update("allow", &[addr(1), addr(3)], Value::Uint(128, 3));
-        assert_eq!(cow.map_get("allow", &[addr(1), addr(3)]), Some(Value::Uint(128, 3)));
-        assert!(cow.map_exists("allow", &[addr(1)]));
-        let Some(Value::Map(sub)) = cow.map_get("allow", &[addr(1)]) else {
+        cow.map_update("allow".into(), &[addr(1), addr(2)], Value::Uint(128, 1));
+        cow.map_update("allow".into(), &[addr(1)], Value::empty_map());
+        assert_eq!(cow.map_get("allow".into(), &[addr(1), addr(2)]), None);
+        cow.map_update("allow".into(), &[addr(1), addr(3)], Value::Uint(128, 3));
+        assert_eq!(cow.map_get("allow".into(), &[addr(1), addr(3)]), Some(Value::Uint(128, 3)));
+        assert!(cow.map_exists("allow".into(), &[addr(1)]));
+        let Some(Value::Map(sub)) = cow.map_get("allow".into(), &[addr(1)]) else {
             panic!("expected submap")
         };
         assert_eq!(sub.len(), 1);

@@ -80,31 +80,31 @@ fn op() -> impl Strategy<Value = Op> {
 fn seeded_base() -> Arc<InMemoryState> {
     let mut s = InMemoryState::new();
     for k in 0..5u8 {
-        s.map_update("balances", &[key(k)], val(k));
-        s.map_update("allowances", &[key(k), key(k.wrapping_add(1))], val(100 + k));
+        s.map_update("balances".into(), &[key(k)], val(k));
+        s.map_update("allowances".into(), &[key(k), key(k.wrapping_add(1))], val(100 + k));
     }
-    s.store("owner", Value::Str("genesis".into()));
-    s.store("total_supply", val(255));
+    s.store("owner".into(), Value::Str("genesis".into()));
+    s.store("total_supply".into(), val(255));
     Arc::new(s)
 }
 
 fn undo_one(cow: &mut CowState, plain: &mut InMemoryState, undo: Undo) {
     match undo {
         Undo::WholeField(f, Some(v)) => {
-            cow.store(field_name(f), v.clone());
-            plain.store(field_name(f), v);
+            cow.store(field_name(f).into(), v.clone());
+            plain.store(field_name(f).into(), v);
         }
         Undo::WholeField(f, None) => {
             cow.remove_field(field_name(f));
             plain.remove_field(field_name(f));
         }
         Undo::Component(f, path, Some(v)) => {
-            cow.map_update(field_name(f), &path, v.clone());
-            plain.map_update(field_name(f), &path, v);
+            cow.map_update(field_name(f).into(), &path, v.clone());
+            plain.map_update(field_name(f).into(), &path, v);
         }
         Undo::Component(f, path, None) => {
-            cow.map_delete(field_name(f), &path);
-            plain.map_delete(field_name(f), &path);
+            cow.map_delete(field_name(f).into(), &path);
+            plain.map_delete(field_name(f).into(), &path);
         }
     }
 }
@@ -128,42 +128,42 @@ proptest! {
         for o in ops {
             match o {
                 Op::Store(f, v) => {
-                    undo.push(Undo::WholeField(f, plain.load(field_name(f))));
-                    cow.store(field_name(f), val(v));
-                    plain.store(field_name(f), val(v));
+                    undo.push(Undo::WholeField(f, plain.load(field_name(f).into())));
+                    cow.store(field_name(f).into(), val(v));
+                    plain.store(field_name(f).into(), val(v));
                 }
                 Op::RemoveField(f) => {
-                    undo.push(Undo::WholeField(f, plain.load(field_name(f))));
+                    undo.push(Undo::WholeField(f, plain.load(field_name(f).into())));
                     cow.remove_field(field_name(f));
                     plain.remove_field(field_name(f));
                 }
                 Op::MapUpdate(f, p, v) => {
                     let p = keys(&p);
-                    undo.push(Undo::Component(f, p.clone(), plain.map_get(field_name(f), &p)));
-                    cow.map_update(field_name(f), &p, val(v));
-                    plain.map_update(field_name(f), &p, val(v));
+                    undo.push(Undo::Component(f, p.clone(), plain.map_get(field_name(f).into(), &p)));
+                    cow.map_update(field_name(f).into(), &p, val(v));
+                    plain.map_update(field_name(f).into(), &p, val(v));
                 }
                 Op::MapDelete(f, p) => {
                     let p = keys(&p);
-                    undo.push(Undo::Component(f, p.clone(), plain.map_get(field_name(f), &p)));
-                    cow.map_delete(field_name(f), &p);
-                    plain.map_delete(field_name(f), &p);
+                    undo.push(Undo::Component(f, p.clone(), plain.map_get(field_name(f).into(), &p)));
+                    cow.map_delete(field_name(f).into(), &p);
+                    plain.map_delete(field_name(f).into(), &p);
                 }
                 Op::Load(f) => {
-                    prop_assert_eq!(cow.load(field_name(f)), plain.load(field_name(f)));
+                    prop_assert_eq!(cow.load(field_name(f).into()), plain.load(field_name(f).into()));
                 }
                 Op::MapGet(f, p) => {
                     let p = keys(&p);
                     prop_assert_eq!(
-                        cow.map_get(field_name(f), &p),
-                        plain.map_get(field_name(f), &p)
+                        cow.map_get(field_name(f).into(), &p),
+                        plain.map_get(field_name(f).into(), &p)
                     );
                 }
                 Op::MapExists(f, p) => {
                     let p = keys(&p);
                     prop_assert_eq!(
-                        cow.map_exists(field_name(f), &p),
-                        plain.map_exists(field_name(f), &p)
+                        cow.map_exists(field_name(f).into(), &p),
+                        plain.map_exists(field_name(f).into(), &p)
                     );
                 }
                 Op::Checkpoint => {
@@ -206,11 +206,11 @@ proptest! {
         fn mutate(store: &mut dyn StateStore, ops: &[Op]) {
             for o in ops {
                 match o {
-                    Op::Store(f, v) => store.store(field_name(*f), val(*v)),
+                    Op::Store(f, v) => store.store(field_name(*f).into(), val(*v)),
                     Op::MapUpdate(f, p, v) => {
-                        store.map_update(field_name(*f), &keys(p), val(*v))
+                        store.map_update(field_name(*f).into(), &keys(p), val(*v))
                     }
-                    Op::MapDelete(f, p) => store.map_delete(field_name(*f), &keys(p)),
+                    Op::MapDelete(f, p) => store.map_delete(field_name(*f).into(), &keys(p)),
                     _ => {}
                 }
             }
@@ -236,8 +236,8 @@ proptest! {
 #[test]
 fn write_set_reports_pending_components() {
     let mut cow = CowState::new(seeded_base());
-    cow.map_update("balances", &[key(0)], val(7));
-    cow.store("owner", Value::Str("new".into()));
+    cow.map_update("balances".into(), &[key(0)], val(7));
+    cow.store("owner".into(), Value::Str("new".into()));
     let mut ws = cow.write_set();
     ws.sort();
     assert_eq!(

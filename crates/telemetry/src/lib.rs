@@ -30,8 +30,9 @@ pub mod names {
     /// Prefix for per-kind injected-fault counters
     /// (`chain.sim.fault.injected.<kind>`).
     pub const SIM_FAULT_PREFIX: &str = "chain.sim.fault.injected.";
-    /// Packets recovered by rerouting a panicked shard's batch to the DS.
-    pub const SIM_RECOVERY_REROUTE: &str = "chain.sim.recovery.reroute_to_ds";
+    /// Shard executor threads that died (injected or real); each one's
+    /// packet was rerouted whole to the DS committee.
+    pub const SHARD_CRASHES: &str = "chain.network.shard_crashes";
     /// Packets recovered by backoff re-pooling after a drop.
     pub const SIM_RECOVERY_BACKOFF: &str = "chain.sim.recovery.backoff_repool";
     /// Safety violations observed by the harness (merge conflicts, double
@@ -62,12 +63,6 @@ pub mod names {
     pub const STATE_COW_BREAKS: &str = "chain.state.cow_breaks";
     /// Approximate bytes shallow-copied by those CoW breaks.
     pub const STATE_BYTES_CLONED: &str = "chain.state.bytes_cloned";
-    /// Owned-name allocations on the transaction hot path: any state access
-    /// that reached the executor through a string field name (and so paid an
-    /// intern/allocation per call) instead of a pre-resolved `Sym`. The
-    /// compiled pipeline keeps this at zero; a nonzero count localises a
-    /// clone regression to the string-name fallback.
-    pub const STATE_HOT_CLONES: &str = "chain.state.hot_clones";
     /// Trace records accepted by the flight recorder (spans + instants).
     pub const TRACE_RECORDS: &str = "telemetry.trace.records";
     /// Trace records evicted from the flight recorder — by the per-stripe

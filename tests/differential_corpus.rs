@@ -12,7 +12,7 @@
 
 use cosplit::chain::network::{ChainConfig, Network};
 use cosplit::chain::sim::{
-    differential, reference_config, run_sim, FaultPlan, SimConfig,
+    differential, inject_malformed, reference_config, run_sim, FaultPlan, SimConfig,
 };
 use cosplit::workloads::runner::world_builder;
 use cosplit::workloads::scenarios::{build, Kind};
@@ -70,11 +70,15 @@ fn every_workload_and_profile_matches_the_sequential_reference() {
             let scenario =
                 build(kind, 24, 160, seeds::derive(MASTER_SEED, &format!("corpus-{kind:?}")));
             let builder = world_builder(&scenario);
+            // Every run also carries the malformed and hostile transactions:
+            // they must fail identically on both chains and starve nobody.
+            let mut load = scenario.load.clone();
+            inject_malformed(&mut load, MASTER_SEED, 9_000_000);
             for (i, plan) in plans.iter().enumerate() {
                 let cfg = SimConfig::new(MASTER_SEED);
                 let diff = differential(
                     &builder,
-                    &scenario.load,
+                    &load,
                     &sharded_cfg,
                     &reference_cfg,
                     &cfg,

@@ -46,7 +46,7 @@ fn base_state() -> GlobalState {
     let contract = Address::from_index(42);
     let storage = std::sync::Arc::make_mut(state.storage.entry(contract).or_default());
     for k in 0u8..6 {
-        storage.map_update("counters", &[addr(k).to_value()], Value::Uint(128, 1_000));
+        storage.map_update("counters".into(), &[addr(k).to_value()], Value::Uint(128, 1_000));
     }
     for a in 0u8..4 {
         state.credit(addr(a), 10_000);
@@ -135,7 +135,7 @@ proptest! {
         StateDelta::merge(shards).unwrap().apply(&mut state).unwrap();
         let expected = 1_000i128 + deltas.iter().sum::<i128>();
         let got = state.storage[&contract]
-            .map_get("counters", &[addr(0).to_value()])
+            .map_get("counters".into(), &[addr(0).to_value()])
             .and_then(|v| v.as_uint())
             .unwrap();
         prop_assert_eq!(got as i128, expected);
