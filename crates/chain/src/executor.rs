@@ -367,7 +367,7 @@ struct Executor<'a> {
     snapshot: &'a GlobalState,
     storages: BTreeMap<Address, ShardStorage>,
     balance: Ledger<'a>,
-    nonce_committed: BTreeMap<Address, Vec<u64>>,
+    nonce_committed: BTreeMap<Address, BTreeSet<u64>>,
     receipts: Vec<Receipt>,
     deferred: Vec<Transaction>,
     rerouted: Vec<Transaction>,
@@ -504,7 +504,7 @@ impl<'a> Executor<'a> {
         let actual_fee = u128::from(gas).saturating_mul(tx.gas_price);
         self.balance.credit(tx.sender, fee_reserve.saturating_sub(actual_fee));
         self.gas_used += gas;
-        self.nonce_committed.entry(tx.sender).or_default().push(tx.nonce);
+        self.nonce_committed.entry(tx.sender).or_default().insert(tx.nonce);
         self.receipts.push(Receipt { tx_id: tx.id, status, gas_used: gas, events });
     }
 
@@ -1005,7 +1005,9 @@ impl<'a> Executor<'a> {
             delta.contracts.insert(*addr, cd);
         }
         delta.balances = self.balance.deltas.iter().filter(|(_, d)| **d != 0).map(|(a, d)| (*a, *d)).collect();
-        delta.nonces = std::mem::take(&mut self.nonce_committed);
+        // Sorted, as `StateDelta::merge_ref` canonicalises them.
+        delta.nonces =
+            self.nonce_committed.into_iter().map(|(a, ns)| (a, ns.into_iter().collect())).collect();
 
         MicroBlock {
             role: self.cfg.role,
@@ -1052,7 +1054,7 @@ impl TxJournal {
                 }
                 None => {
                     if keys.is_empty() {
-                        s.state.remove_field(field.as_str());
+                        s.state.remove_field(*field);
                     } else {
                         s.state.map_delete(*field, keys);
                     }

@@ -9,16 +9,17 @@
 //! `Arc`-backed, so cloning a store (or any value read out of it) is a
 //! pointer bump. Mutation goes through [`map_make_mut`], which copies a map
 //! node only when it is shared — and counts each such copy-on-write break in
-//! telemetry, so benchmarks can assert that snapshot/fork cost is O(writes),
+//! telemetry, so benchmarks can assert that overlay writes cost O(writes),
 //! not O(state).
 //!
 //! [`CowState`] builds on this: a component-level overlay of pending writes
 //! over an `Arc`-shared [`InMemoryState`] base. Taking a snapshot of an
-//! untouched store, or forking a working store, never copies field values.
+//! untouched store never copies field values.
 
-use crate::intern::{intern, Sym};
+use crate::intern::Sym;
 use crate::value::Value;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 use telemetry::names;
 
@@ -150,8 +151,8 @@ impl InMemoryState {
 
     /// Removes a whole field. Used by transaction journals to undo a store
     /// into a previously-nonexistent field.
-    pub fn remove_field(&mut self, field: &str) {
-        self.fields.remove(field);
+    pub fn remove_field(&mut self, field: Sym) {
+        self.fields.remove(field.as_str());
     }
 }
 
@@ -206,14 +207,16 @@ enum FieldOverlay {
 ///
 /// This is how an executor obtains a private, mutable view of a contract's
 /// storage without copying it. The base is the epoch-start snapshot, shared
-/// by every shard and every parallel worker; all writes land in the overlay.
+/// by every shard; all writes land in the overlay.
 /// Reads consult the overlay first and fall back to the base.
 ///
-/// Cost model: [`CowState::new`] is O(1); [`CowState::fork`] is O(pending
-/// writes); [`CowState::snapshot`] of an untouched store is O(1). Point
-/// reads and writes never materialise base maps — only a whole-map `load`
-/// over a field with entry-level pending writes pays O(field) to merge, the
-/// same a deep-cloning store would have paid on every read.
+/// Cost model: [`CowState::new`] is O(1); [`CowState::snapshot`] of an
+/// untouched store is O(1). Point reads, writes, existence tests and
+/// deletes cost O(log n + k) in a field's n pending writes, k of which lie
+/// under the addressed path, and never materialise base maps — only a
+/// whole-map `load` over a field with entry-level pending writes pays
+/// O(field) to merge, the same a deep-cloning store would have paid on
+/// every read.
 #[derive(Debug, Clone, Default)]
 pub struct CowState {
     base: Arc<InMemoryState>,
@@ -244,34 +247,6 @@ impl CowState {
     /// Number of fields with pending writes.
     pub fn overlay_len(&self) -> usize {
         self.overlay.len()
-    }
-
-    /// The pending write-set as `(field, key-path)` components — exactly the
-    /// state the overlay would change if flattened. Whole-field writes
-    /// surface as an empty key path.
-    pub fn write_set(&self) -> Vec<(String, Vec<Value>)> {
-        let mut out = Vec::new();
-        for (field, ov) in &self.overlay {
-            let name = field.as_str();
-            match ov {
-                FieldOverlay::Whole(_) => out.push((name.to_string(), Vec::new())),
-                FieldOverlay::Entries(entries) => {
-                    for path in entries.keys() {
-                        out.push((name.to_string(), path.clone()));
-                    }
-                }
-            }
-        }
-        // The overlay iterates in intern-id order; report canonically.
-        out.sort();
-        out
-    }
-
-    /// Forks an independent working store sharing the same base. O(pending
-    /// writes): the base is never copied, and overlay values are Arc-shared.
-    pub fn fork(&self) -> CowState {
-        telemetry::counter!(names::STATE_FORKS).inc();
-        self.clone()
     }
 
     /// Flattens overlay over base into a standalone snapshot. O(1) when the
@@ -310,12 +285,11 @@ impl CowState {
     /// Removes a whole field (journal undo for a store into a
     /// previously-nonexistent field). If the base never had the field,
     /// dropping the overlay record restores the pristine view.
-    pub fn remove_field(&mut self, field: &str) {
-        let sym = intern(field);
-        if self.base.fields.contains_key(field) {
-            self.overlay.insert(sym, FieldOverlay::Whole(None));
+    pub fn remove_field(&mut self, field: Sym) {
+        if self.base.fields.contains_key(field.as_str()) {
+            self.overlay.insert(field, FieldOverlay::Whole(None));
         } else {
-            self.overlay.remove(&sym);
+            self.overlay.remove(&field);
         }
     }
 
@@ -325,15 +299,34 @@ impl CowState {
         (1..=keys.len()).find(|&l| entries.contains_key(&keys[..l]))
     }
 
-    /// Entries strictly below `keys` (their paths extend it).
-    fn below<'e>(
+    /// Entries at or below `keys` (their paths equal or extend it), in
+    /// O(log n + k): `Vec<Value>` orders lexicographically, so a path's
+    /// extensions sort contiguously right after it. Where [`Self::prefix_len`]
+    /// found nothing, no entry sits at `keys` itself and these are exactly
+    /// the entries strictly below it.
+    fn subtree<'e>(
         entries: &'e BTreeMap<Vec<Value>, Option<Value>>,
-        keys: &[Value],
-    ) -> impl Iterator<Item = (&'e Vec<Value>, &'e Option<Value>)> {
-        let keys = keys.to_vec();
+        keys: &'e [Value],
+    ) -> impl Iterator<Item = (&'e Vec<Value>, &'e Option<Value>)> + Clone {
         entries
-            .iter()
-            .filter(move |(p, _)| p.len() > keys.len() && p[..keys.len()] == keys[..])
+            .range::<[Value], _>((Bound::Included(keys), Bound::Unbounded))
+            .take_while(move |(p, _)| p.starts_with(keys))
+    }
+
+    /// Records `slot` at `keys`, evicting the deeper entries it shadows
+    /// (keeps the no-prefix invariant). Caller checked that no entry sits at
+    /// or above `keys`.
+    fn shadow_below(
+        entries: &mut BTreeMap<Vec<Value>, Option<Value>>,
+        keys: &[Value],
+        slot: Option<Value>,
+    ) {
+        let doomed: Vec<Vec<Value>> =
+            Self::subtree(entries, keys).map(|(p, _)| p.clone()).collect();
+        for p in doomed {
+            entries.remove(&p);
+        }
+        entries.insert(keys.to_vec(), slot);
     }
 
     /// Would a tombstone at `keys` lose materialisation a plain store keeps?
@@ -348,20 +341,20 @@ impl CowState {
     /// flattened into a whole-field overlay before deleting.
     fn delete_needs_flatten(
         &self,
-        field: &str,
+        field: Sym,
         entries: &BTreeMap<Vec<Value>, Option<Value>>,
         keys: &[Value],
     ) -> bool {
-        let at_or_below = |q: &[Value]| q.len() >= keys.len() && q[..keys.len()] == *keys;
-        if !entries.iter().any(|(q, s)| s.is_some() && at_or_below(q)) {
+        if !Self::subtree(entries, keys).any(|(_, s)| s.is_some()) {
             // Only tombstones vanish; they never materialised anything.
             return false;
         }
-        let base_field = self.base.fields.get(field);
+        let base_field = self.base.fields.get(field.as_str());
+        // No entry sits at a strict prefix of `keys` (the caller's
+        // `prefix_len` found none, or found `keys` itself), so the subtree
+        // of `keys[..j]` is the entries strictly below it.
         let surviving_some = |j: usize| {
-            entries
-                .iter()
-                .any(|(q, s)| s.is_some() && q.len() > j && q[..j] == keys[..j] && !at_or_below(q))
+            Self::subtree(entries, &keys[..j]).any(|(q, s)| s.is_some() && !q.starts_with(keys))
         };
         // The field root: a non-map base value was destroyed by the first
         // map write (insert_at's recovery) and must stay destroyed.
@@ -427,21 +420,13 @@ impl StateStore for CowState {
                     .get(field.as_str())
                     .and_then(|root| descend(root, keys))
                     .cloned();
-                let mut deeper = Self::below(entries, keys).peekable();
-                if deeper.peek().is_none() {
-                    return base_sub;
-                }
                 // Pending writes below the path: materialise the sub-map.
                 // An insert below a base-absent path creates it (matching
                 // `insert_at`'s intermediate-map materialisation).
+                let deeper = Self::subtree(entries, keys);
                 let mut root = match base_sub {
                     Some(v) => v,
-                    None if entries.iter().any(|(p, s)| {
-                        s.is_some() && p.len() > keys.len() && p[..keys.len()] == *keys
-                    }) =>
-                    {
-                        Value::empty_map()
-                    }
+                    None if deeper.clone().any(|(_, s)| s.is_some()) => Value::empty_map(),
                     None => return None,
                 };
                 for (path, slot) in deeper {
@@ -480,13 +465,7 @@ impl StateStore for CowState {
                         insert_at(root, &keys[plen..], value);
                     }
                 } else {
-                    // Evict deeper entries this write shadows, then record it.
-                    let doomed: Vec<Vec<Value>> =
-                        Self::below(entries, keys).map(|(p, _)| p.clone()).collect();
-                    for p in doomed {
-                        entries.remove(&p);
-                    }
-                    entries.insert(keys.to_vec(), Some(value));
+                    Self::shadow_below(entries, keys, Some(value));
                 }
             }
             None => {
@@ -515,7 +494,7 @@ impl StateStore for CowState {
                         .is_some_and(|root| descend(root, &keys[plen..]).is_some());
                 }
                 // An insert below the path materialises every prefix of it.
-                if Self::below(entries, keys).any(|(_, slot)| slot.is_some()) {
+                if Self::subtree(entries, keys).any(|(_, slot)| slot.is_some()) {
                     return true;
                 }
                 // Tombstones below remove entries, never the sub-map itself,
@@ -535,7 +514,7 @@ impl StateStore for CowState {
             Some(FieldOverlay::Entries(entries)) => match Self::prefix_len(entries, keys) {
                 // A delete inside a pinned sub-map value is always exact.
                 Some(plen) if plen < keys.len() => false,
-                _ => self.delete_needs_flatten(field.as_str(), entries, keys),
+                _ => self.delete_needs_flatten(field, entries, keys),
             },
             _ => false,
         };
@@ -562,12 +541,7 @@ impl StateStore for CowState {
                         delete_at(root, &keys[plen..]);
                     }
                 } else {
-                    let doomed: Vec<Vec<Value>> =
-                        Self::below(entries, keys).map(|(p, _)| p.clone()).collect();
-                    for p in doomed {
-                        entries.remove(&p);
-                    }
-                    entries.insert(keys.to_vec(), None);
+                    Self::shadow_below(entries, keys, None);
                 }
             }
             None => {
@@ -712,21 +686,9 @@ mod tests {
     }
 
     #[test]
-    fn cow_fork_isolates_writes() {
-        let mut cow = CowState::new(base_with_balances());
-        cow.map_update("balances".into(), &[addr(1)], Value::Uint(128, 1));
-        let mut fork = cow.fork();
-        fork.map_update("balances".into(), &[addr(1)], Value::Uint(128, 2));
-        fork.map_update("balances".into(), &[addr(2)], Value::Uint(128, 9));
-        assert_eq!(cow.map_get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 1)));
-        assert_eq!(cow.map_get("balances".into(), &[addr(2)]), Some(Value::Uint(128, 200)));
-        assert_eq!(fork.map_get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 2)));
-    }
-
-    #[test]
     fn cow_remove_field_tombstones_and_recreates() {
         let mut cow = CowState::new(base_with_balances());
-        cow.remove_field("balances");
+        cow.remove_field("balances".into());
         assert_eq!(cow.load("balances".into()), None);
         assert!(!cow.map_exists("balances".into(), &[addr(1)]));
         cow.map_update("balances".into(), &[addr(5)], Value::Uint(128, 5));
@@ -757,5 +719,66 @@ mod tests {
             panic!("expected submap")
         };
         assert_eq!(sub.len(), 1);
+    }
+
+    fn s(text: &str) -> Value {
+        Value::Str(text.into())
+    }
+
+    /// A CoW overlay and a plain store over the same base: field `m`, an
+    /// empty map.
+    fn overlay_and_plain() -> (CowState, InMemoryState) {
+        let mut base = InMemoryState::new();
+        base.store("m".into(), Value::empty_map());
+        (CowState::new(Arc::new(base.clone())), base)
+    }
+
+    /// `Str` keys sharing a prefix sort `["a"] < ["a", …] < ["aa"] < ["ab", …]
+    /// < ["b", …]`, so a sibling's overlay entries sit right after a path's
+    /// own extensions: every point operation must stop at the end of its
+    /// own subtree.
+    #[test]
+    fn cow_point_ops_stay_inside_their_subtree() {
+        let (mut cow, mut plain) = overlay_and_plain();
+        let m: Sym = "m".into();
+        for st in [&mut cow as &mut dyn StateStore, &mut plain] {
+            st.map_update(m, &[s("a"), s("x")], Value::Uint(32, 1));
+            st.map_update(m, &[s("ab"), s("x")], Value::Uint(32, 2));
+            st.map_update(m, &[s("ab"), s("y")], Value::Uint(32, 3));
+            st.map_update(m, &[s("b"), s("x")], Value::Uint(32, 4));
+        }
+        let Some(Value::Map(a)) = cow.map_get(m, &[s("a")]) else { panic!("expected submap") };
+        assert_eq!(a.len(), 1, "only a's own entries are materialised");
+        for path in [&[s("a")][..], &[s("aa")], &[s("ab")], &[s("ab"), s("x")], &[s("b")]] {
+            assert_eq!(cow.map_get(m, path), plain.map_get(m, path), "{path:?}");
+            assert_eq!(cow.map_exists(m, path), plain.map_exists(m, path), "{path:?}");
+        }
+        // A write above a's entries evicts them and nothing after them.
+        for st in [&mut cow as &mut dyn StateStore, &mut plain] {
+            st.map_update(m, &[s("a")], Value::empty_map());
+        }
+        assert_eq!(cow.map_get(m, &[s("ab"), s("y")]), Some(Value::Uint(32, 3)));
+        assert_eq!(*cow.snapshot(), plain);
+    }
+
+    /// Deleting the only insert under `["a", "x"]` must keep the maps it
+    /// materialised, as a plain store does, so `map_delete` flattens — unless
+    /// an insert survives under each prefix. A sibling subtree next to a
+    /// prefix's own (`["ab", …]` after `["a", …]`, `["a", "xy", …]` after
+    /// `["a", "x", …]`) is not such a survivor.
+    #[test]
+    fn cow_delete_flatten_ignores_sibling_subtrees() {
+        let m: Sym = "m".into();
+        let doomed = [s("a"), s("x"), s("p")];
+        for sibling in [[s("ab"), s("x"), s("p")], [s("a"), s("xy"), s("p")]] {
+            let (mut cow, mut plain) = overlay_and_plain();
+            for st in [&mut cow as &mut dyn StateStore, &mut plain] {
+                st.map_update(m, &doomed, Value::Uint(32, 1));
+                st.map_update(m, &sibling, Value::Uint(32, 2));
+                st.map_delete(m, &doomed);
+            }
+            assert!(cow.map_exists(m, &doomed[..2]), "{sibling:?}");
+            assert_eq!(*cow.snapshot(), plain, "{sibling:?}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Differential property tests for [`CowState`]: under any interleaving of
 //! whole-field and map-entry reads/writes/deletes — including journal-style
-//! rollback and forks — the copy-on-write overlay must be observationally
-//! identical to a plain deep-copied [`InMemoryState`].
+//! rollback — the copy-on-write overlay must be observationally identical
+//! to a plain deep-copied [`InMemoryState`].
 
 use proptest::prelude::*;
 use scilla::state::{CowState, InMemoryState, StateStore};
@@ -10,9 +10,7 @@ use std::sync::Arc;
 
 /// One step of a random op sequence. Mutations are applied to both stores;
 /// reads are compared; `Checkpoint`/`Rollback` mirror the executor's
-/// transaction journal (undo via recorded priors, applied to both stores);
-/// `Fork` switches execution onto an independent fork pair and checks the
-/// abandoned originals stayed equal.
+/// transaction journal (undo via recorded priors, applied to both stores).
 #[derive(Debug, Clone)]
 enum Op {
     Store(u8, u8),
@@ -24,7 +22,6 @@ enum Op {
     MapExists(u8, Vec<u8>),
     Checkpoint,
     Rollback,
-    Fork,
 }
 
 /// Journal-style undo record, captured before each mutation — exactly what
@@ -46,7 +43,18 @@ fn field_name(f: u8) -> &'static str {
 
 fn key(k: u8) -> Value {
     // A tiny key universe maximises collisions between overlay and base.
-    Value::Uint(32, (k % 5) as u128)
+    // It mixes variants and `Str`s sharing a prefix so that the overlay's
+    // subtree range scans meet `Value`'s cross-variant order and prefix
+    // siblings at their edges.
+    match k % 7 {
+        0 => Value::Uint(32, 0),
+        1 => Value::Uint(32, 1),
+        2 => Value::Str("a".into()),
+        3 => Value::Str("ab".into()),
+        4 => Value::Str("b".into()),
+        5 => Value::ByStr(vec![1; 20]),
+        _ => Value::ByStr(vec![2; 20]),
+    }
 }
 
 fn keys(ks: &[u8]) -> Vec<Value> {
@@ -72,14 +80,13 @@ fn op() -> impl Strategy<Value = Op> {
         (any::<u8>(), path()).prop_map(|(f, p)| Op::MapExists(f, p)),
         Just(Op::Checkpoint),
         Just(Op::Rollback),
-        Just(Op::Fork),
     ]
 }
 
 /// A populated base shared by both stores: nested maps plus scalars.
 fn seeded_base() -> Arc<InMemoryState> {
     let mut s = InMemoryState::new();
-    for k in 0..5u8 {
+    for k in 0..7u8 {
         s.map_update("balances".into(), &[key(k)], val(k));
         s.map_update("allowances".into(), &[key(k), key(k.wrapping_add(1))], val(100 + k));
     }
@@ -95,8 +102,8 @@ fn undo_one(cow: &mut CowState, plain: &mut InMemoryState, undo: Undo) {
             plain.store(field_name(f).into(), v);
         }
         Undo::WholeField(f, None) => {
-            cow.remove_field(field_name(f));
-            plain.remove_field(field_name(f));
+            cow.remove_field(field_name(f).into());
+            plain.remove_field(field_name(f).into());
         }
         Undo::Component(f, path, Some(v)) => {
             cow.map_update(field_name(f).into(), &path, v.clone());
@@ -134,8 +141,8 @@ proptest! {
                 }
                 Op::RemoveField(f) => {
                     undo.push(Undo::WholeField(f, plain.load(field_name(f).into())));
-                    cow.remove_field(field_name(f));
-                    plain.remove_field(field_name(f));
+                    cow.remove_field(field_name(f).into());
+                    plain.remove_field(field_name(f).into());
                 }
                 Op::MapUpdate(f, p, v) => {
                     let p = keys(&p);
@@ -177,18 +184,6 @@ proptest! {
                     }
                     full_state_eq(&cow, &plain)?;
                 }
-                Op::Fork => {
-                    let cow_fork = cow.fork();
-                    let plain_fork = plain.clone();
-                    // The fork starts observationally equal…
-                    full_state_eq(&cow_fork, &plain_fork)?;
-                    // …and becomes the working pair; the undo history
-                    // belongs to the abandoned pair, so it is cleared.
-                    cow = cow_fork;
-                    plain = plain_fork;
-                    undo.clear();
-                    marks.clear();
-                }
             }
         }
         // Final full-state equivalence: flattening the overlay reproduces
@@ -197,51 +192,4 @@ proptest! {
         // And the shared base was never disturbed by any of it.
         prop_assert_eq!(&*base, &*seeded_base());
     }
-
-    #[test]
-    fn fork_isolation_is_two_way(
-        ops_a in prop::collection::vec(op(), 1..20),
-        ops_b in prop::collection::vec(op(), 1..20),
-    ) {
-        fn mutate(store: &mut dyn StateStore, ops: &[Op]) {
-            for o in ops {
-                match o {
-                    Op::Store(f, v) => store.store(field_name(*f).into(), val(*v)),
-                    Op::MapUpdate(f, p, v) => {
-                        store.map_update(field_name(*f).into(), &keys(p), val(*v))
-                    }
-                    Op::MapDelete(f, p) => store.map_delete(field_name(*f).into(), &keys(p)),
-                    _ => {}
-                }
-            }
-        }
-        let base = seeded_base();
-        let parent = CowState::new(Arc::clone(&base));
-        let mut fork_a = parent.fork();
-        let mut fork_b = parent.fork();
-        let mut plain_a = (*base).clone();
-        let mut plain_b = (*base).clone();
-        mutate(&mut fork_a, &ops_a);
-        mutate(&mut plain_a, &ops_a);
-        mutate(&mut fork_b, &ops_b);
-        mutate(&mut plain_b, &ops_b);
-        // Writes on one fork never leak into the sibling or the parent.
-        prop_assert_eq!(&*fork_a.snapshot(), &plain_a);
-        prop_assert_eq!(&*fork_b.snapshot(), &plain_b);
-        prop_assert!(parent.is_clean());
-        prop_assert!(Arc::ptr_eq(&parent.snapshot(), &base));
-    }
-}
-
-#[test]
-fn write_set_reports_pending_components() {
-    let mut cow = CowState::new(seeded_base());
-    cow.map_update("balances".into(), &[key(0)], val(7));
-    cow.store("owner".into(), Value::Str("new".into()));
-    let mut ws = cow.write_set();
-    ws.sort();
-    assert_eq!(
-        ws,
-        vec![("balances".to_string(), vec![key(0)]), ("owner".to_string(), vec![])]
-    );
 }

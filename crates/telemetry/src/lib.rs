@@ -56,9 +56,6 @@ pub mod names {
     /// O(1) copy-on-write snapshot views taken over a shared state base
     /// (flattening `CowState::snapshot` calls included).
     pub const STATE_SNAPSHOTS: &str = "chain.state.snapshots";
-    /// Copy-on-write forks of a working state (`CowState::fork`, e.g.
-    /// speculative clones). Each is O(pending writes), never O(state).
-    pub const STATE_FORKS: &str = "chain.state.forks";
     /// Shared map nodes copied because a write landed on them (CoW breaks).
     pub const STATE_COW_BREAKS: &str = "chain.state.cow_breaks";
     /// Approximate bytes shallow-copied by those CoW breaks.
