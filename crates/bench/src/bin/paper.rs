@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! paper [fig1|fig12|fig13|table52|fig14|overheads|strategies|ablation|tracer|parallel|trace|xshard|callgraph|precision|overflow|all] [--fast]
+//! paper [fig1|fig12|fig13|table52|fig14|overheads|strategies|ablation|trace|xshard|callgraph|precision|overflow|all] [--fast]
 //! ```
 //!
 //! `--fast` shrinks the Fig. 14 grid (fewer epochs, smaller gas budgets) so
@@ -27,8 +27,6 @@ fn main() {
         "strategies" => strategies_cmd(),
         "overflow" => overflow(),
         "ablation" => ablation_cmd(fast),
-        "tracer" => tracer_cmd(fast),
-        "parallel" => parallel_cmd(),
         "trace" => trace_cmd(fast),
         "xshard" => xshard_cmd(fast),
         "callgraph" => callgraph_cmd(fast),
@@ -42,8 +40,6 @@ fn main() {
             overheads();
             strategies_cmd();
             ablation_cmd(fast);
-            tracer_cmd(fast);
-            parallel_cmd();
             trace_cmd(fast);
             xshard_cmd(fast);
             callgraph_cmd(fast);
@@ -52,7 +48,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("expected: fig1 | fig12 | fig13 | table52 | fig14 | overheads | strategies | ablation | tracer | parallel | trace | xshard | callgraph | precision | overflow | all");
+            eprintln!("expected: fig1 | fig12 | fig13 | table52 | fig14 | overheads | strategies | ablation | trace | xshard | callgraph | precision | overflow | all");
             std::process::exit(2);
         }
     }
@@ -292,58 +288,6 @@ fn ablation_cmd(fast: bool) {
     println!("transfers additionally need the commutative IntMerge join (Strategy 2).");
 }
 
-fn tracer_cmd(fast: bool) {
-    heading("Effect-trace sanitizer — tracer overhead (audit off vs on, 4 shards)");
-    let (users, txs, epochs) = if fast { (24, 96, 2) } else { (120, 600, 5) };
-    let kinds = if fast { 0..2 } else { 0..4 };
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    let rows: Vec<Vec<String>> = kinds
-        .map(|k| {
-            let o = tracer_overhead(k, users, txs, epochs);
-            assert_eq!(o.violations, 0, "{}: honest pipeline must audit clean", o.label);
-            vec![
-                o.label.to_string(),
-                format!("{:.1} ms", ms(o.off)),
-                format!("{:.1} ms", ms(o.on)),
-                format!("{:.2}×", o.slowdown()),
-                format!("{:7.1}", o.tps_off),
-                format!("{:7.1}", o.tps_on),
-                o.violations.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["workload", "audit off", "audit on", "slowdown", "TPS off", "TPS on", "violations"],
-            &rows
-        )
-    );
-    println!("(tracing records every field access concretely; containment is checked per");
-    println!(" invocation against the static summary. zero violations = sound summaries)");
-}
-
-fn parallel_cmd() {
-    heading("Pairwise commutativity — conflict-matrix density");
-    let rows: Vec<Vec<String>> = matrix_densities()
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.to_string(),
-                r.transitions.to_string(),
-                format!("{:5.1}%", r.conflicting * 100.0),
-                format!("{:5.1}%", r.conditional * 100.0),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["contract", "transitions", "conflicting", "key-conditional"], &rows)
-    );
-    println!("(the matrix is an analysis product and the audit-mode ConflictMissed oracle; shards");
-    println!(" execute their packets serially and parallelism is across shards — DESIGN §6j)");
-}
-
 fn trace_cmd(fast: bool) {
     use telemetry::trace;
     use workloads::scenarios::Kind;
@@ -504,11 +448,6 @@ fn precision_cmd(fast: bool) {
             census.top_field_refined.to_string(),
         ],
         vec!["blame causes".to_string(), "—".to_string(), census.blames.to_string()],
-        vec![
-            "mean conflict density (‰)".to_string(),
-            census.conflict_density_legacy_x1000.to_string(),
-            census.conflict_density_refined_x1000.to_string(),
-        ],
     ];
     println!("{}", render_table(&["corpus measure", "legacy", "refined"], &rows));
 

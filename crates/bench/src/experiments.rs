@@ -307,7 +307,6 @@ pub fn epoch_deltas(state: &GlobalState, load: &[Transaction]) -> Vec<StateDelta
                 block_number: 10,
                 use_cosplit: true,
                 overflow_guard: false,
-                allow_contract_msgs: false,
                 audit: false,
                 compose_calls: false,
             };
@@ -442,108 +441,6 @@ pub fn ablation(shards: u32, users: u64, epochs: usize, scale: u64) -> Vec<Ablat
             let baseline = run_with(&scenario, base_config(false), epochs).tps();
 
             AblationRow { label: kind.label(), full, strict_nonces, ownership_only, baseline }
-        })
-        .collect()
-}
-
-// ------------------------------------------------------ tracer overhead
-
-/// Wall-clock cost of the effect-trace sanitizer on a full workload run.
-#[derive(Debug, Clone)]
-pub struct TracerOverhead {
-    /// Workload label.
-    pub label: &'static str,
-    /// Run time with `ChainConfig::audit` off (tracer never allocated).
-    pub off: Duration,
-    /// Run time with the tracer and containment auditor on.
-    pub on: Duration,
-    /// TPS with auditing off.
-    pub tps_off: f64,
-    /// TPS with auditing on.
-    pub tps_on: f64,
-    /// Violations reported by the audited run (0 when summaries are honest).
-    pub violations: usize,
-}
-
-impl TracerOverhead {
-    /// Slowdown factor (audited / unaudited wall-clock).
-    pub fn slowdown(&self) -> f64 {
-        self.on.as_secs_f64() / self.off.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Runs the same workload with the effect-trace auditor off and on and
-/// reports the overhead. The honest pipeline must report zero violations —
-/// callers assert on it, so a regression in the containment relation shows
-/// up here as well as in the sanitizer tests.
-pub fn tracer_overhead(kind_idx: usize, users: u64, txs: usize, epochs: usize) -> TracerOverhead {
-    use workloads::runner::run_with;
-    use workloads::scenarios::{build, Kind};
-    use workloads::seeds;
-
-    let kind = Kind::all()[kind_idx % Kind::all().len()];
-    let scenario = build(kind, users, txs, seeds::derive(0x7ace, kind.label()));
-    let config = |audit: bool| {
-        let mut c = ChainConfig::small(4, true);
-        c.audit = audit;
-        c
-    };
-
-    let t0 = Instant::now();
-    let plain = run_with(&scenario, config(false), epochs);
-    let off = t0.elapsed();
-
-    let t0 = Instant::now();
-    let audited = run_with(&scenario, config(true), epochs);
-    let on = t0.elapsed();
-
-    let violations =
-        audited.reports.iter().map(|r| r.audit_violations.len()).sum::<usize>();
-    TracerOverhead {
-        label: scenario.kind.label(),
-        off,
-        on,
-        tps_off: plain.tps(),
-        tps_on: audited.tps(),
-        violations,
-    }
-}
-
-// ------------------------------------------------------- conflict matrix
-
-/// Density statistics of one contract's transition-commutativity matrix.
-#[derive(Debug, Clone)]
-pub struct MatrixDensityRow {
-    /// Corpus contract name.
-    pub name: &'static str,
-    /// Matrix dimension (number of transitions).
-    pub transitions: usize,
-    /// Fraction of pairs that conflict unconditionally.
-    pub conflicting: f64,
-    /// Fraction of pairs that commute only under key-disjoint bindings.
-    pub conditional: f64,
-}
-
-/// Builds the conflict matrix for each §5.2 evaluation contract and reports
-/// its densities. Also records them as gauges (`x1000`) so the metrics
-/// snapshot captures the numbers.
-pub fn matrix_densities() -> Vec<MatrixDensityRow> {
-    use cosplit_analysis::conflict::ConflictMatrix;
-    ["FungibleToken", "Crowdfunding", "NonfungibleToken", "ProofIPFS", "UD_registry"]
-        .into_iter()
-        .map(|name| {
-            let analyzed = AnalyzedContract::analyze(&check_contract(name));
-            let m = ConflictMatrix::build(name, &analyzed.summaries);
-            let row = MatrixDensityRow {
-                name,
-                transitions: m.len(),
-                conflicting: m.conflict_density(),
-                conditional: m.conditional_density(),
-            };
-            telemetry::registry()
-                .gauge(&format!("bench.parallel.conflict_density_x1000.{name}"))
-                .set((row.conflicting * 1000.0) as i64);
-            row
         })
         .collect()
 }
@@ -909,11 +806,6 @@ pub struct PrecisionCensus {
     pub top_field_refined: usize,
     /// Blame causes recorded by the refined analysis, corpus-wide.
     pub blames: usize,
-    /// Mean conflict-matrix density (conflicting pairs / all pairs) under
-    /// the legacy summaries, ×1000.
-    pub conflict_density_legacy_x1000: u64,
-    /// The same mean density under the refined summaries, ×1000.
-    pub conflict_density_refined_x1000: u64,
 }
 
 /// Analyses the whole mainnet sample under both modes and measures the
@@ -924,7 +816,6 @@ pub struct PrecisionCensus {
 pub fn precision_census() -> PrecisionCensus {
     use cosplit_analysis::analysis::AnalysisMode;
     use cosplit_analysis::blame::BlameCause;
-    use cosplit_analysis::conflict::ConflictMatrix;
 
     telemetry::set_enabled(true);
     let mut census = PrecisionCensus {
@@ -933,10 +824,7 @@ pub fn precision_census() -> PrecisionCensus {
         top_refined: 0,
         top_field_refined: 0,
         blames: 0,
-        conflict_density_legacy_x1000: 0,
-        conflict_density_refined_x1000: 0,
     };
-    let (mut density_legacy, mut density_refined) = (0.0f64, 0.0f64);
     for entry in corpus::mainnet_sample() {
         census.contracts += 1;
         let checked = check_contract(entry.name);
@@ -952,22 +840,13 @@ pub fn precision_census() -> PrecisionCensus {
                 .unwrap_or_else(|e| panic!("{}: blame wire round-trip failed: {e}", entry.name));
             assert_eq!(&back, b, "{}: blame wire round-trip drifted", entry.name);
         }
-        density_legacy += ConflictMatrix::build(entry.name, &legacy.summaries).conflict_density();
-        density_refined += ConflictMatrix::build(entry.name, &refined.summaries).conflict_density();
     }
-    let mean = |sum: f64| (sum / census.contracts.max(1) as f64 * 1000.0) as u64;
-    census.conflict_density_legacy_x1000 = mean(density_legacy);
-    census.conflict_density_refined_x1000 = mean(density_refined);
 
     let reg = telemetry::registry();
     reg.gauge("cosplit.precision.top_summaries.legacy").set(census.top_legacy as i64);
     reg.gauge("cosplit.precision.top_summaries.refined").set(census.top_refined as i64);
     reg.gauge("cosplit.precision.top_fields.refined").set(census.top_field_refined as i64);
     reg.gauge("cosplit.precision.blames").set(census.blames as i64);
-    reg.gauge("cosplit.precision.conflict_density_x1000.legacy")
-        .set(census.conflict_density_legacy_x1000 as i64);
-    reg.gauge("cosplit.precision.conflict_density_x1000.refined")
-        .set(census.conflict_density_refined_x1000 as i64);
     census
 }
 
@@ -988,17 +867,12 @@ pub struct PrecisionRow {
 
 /// Runs the airdrop workload (whose `ClaimAirdrop` is exactly on the
 /// precision frontier: ⊤ under legacy, summarisable under refined) plus a
-/// Fig. 14 control with each analysis mode as the process default, and
+/// Fig. 14 control with each analysis mode's signature deployed, and
 /// measures where dispatch sends the load. Records the per-workload DS
 /// shares as `chain.dispatch.to_ds_permille.{legacy,refined}.{slug}`
 /// gauges.
-///
-/// Flips the process-wide default analysis mode around each run and
-/// restores [`AnalysisMode::Refined`] afterwards — callers must not race
-/// concurrent deployments against this.
 pub fn precision_rows(users: u64, txs: usize, epochs: usize) -> Vec<PrecisionRow> {
-    use cosplit_analysis::analysis::{set_default_mode, AnalysisMode};
-    use workloads::runner::run_with;
+    use cosplit_analysis::analysis::AnalysisMode;
     use workloads::scenarios::build;
 
     telemetry::set_enabled(true);
@@ -1010,11 +884,9 @@ pub fn precision_rows(users: u64, txs: usize, epochs: usize) -> Vec<PrecisionRow
             let scenario = build(kind, users, txs, 0x9EC1 + kind as u64);
             let slug = scenario.kind.label().to_lowercase().replace(' ', "_");
             let run = |mode: AnalysisMode| {
-                set_default_mode(mode);
-                let result = run_with(&scenario, ChainConfig::evaluation(4, true), epochs);
-                set_default_mode(AnalysisMode::Refined);
+                let reports = run_with_mode(&scenario, mode, epochs);
                 let (mut total, mut ds) = (0u64, 0u64);
-                for report in &result.reports {
+                for report in &reports {
                     for (reason, n) in &report.dispatch_reasons {
                         total += *n as u64;
                         if DS_REASONS.contains(&reason.as_str()) {
@@ -1029,7 +901,7 @@ pub fn precision_rows(users: u64, txs: usize, epochs: usize) -> Vec<PrecisionRow
                 };
                 reg.gauge(&format!("chain.dispatch.to_ds_permille.{mode_slug}.{slug}"))
                     .set(permille as i64);
-                (result.committed(), permille)
+                (reports.iter().map(|r| r.committed).sum::<usize>(), permille)
             };
             let (_, legacy_ds) = run(AnalysisMode::Legacy);
             let (committed, refined_ds) = run(AnalysisMode::Refined);
@@ -1042,6 +914,42 @@ pub fn precision_rows(users: u64, txs: usize, epochs: usize) -> Vec<PrecisionRow
         })
         .collect();
     rows
+}
+
+/// `workloads::runner::run_with` on a 4-shard evaluation chain, except that
+/// the scenario contract's signature is derived by `mode` and installed
+/// with `Network::deploy_with_signature`; `Network::deploy` always
+/// analyses with the refined default.
+fn run_with_mode(
+    scenario: &workloads::scenarios::Scenario,
+    mode: cosplit_analysis::analysis::AnalysisMode,
+    epochs: usize,
+) -> Vec<chain::network::EpochReport> {
+    use chain::address::Address;
+    use workloads::scenarios::{admin, contract_addr};
+    assert!(scenario.extra.is_empty(), "one contract per precision row");
+    let checked = check_contract(scenario.corpus_name);
+    let selection: Vec<String> =
+        scenario.sharded_transitions.iter().map(|t| t.to_string()).collect();
+    let signature = AnalyzedContract::analyze_with_mode(&checked, mode)
+        .query(&selection, &scenario.weak_reads);
+    let mut net = chain::network::Network::new(ChainConfig::evaluation(4, true));
+    net.fund_account(admin(), u128::MAX / 4);
+    for i in 0..scenario.users {
+        net.fund_account(Address::from_index(i), 1_000_000_000_000);
+    }
+    let source = corpus::get(scenario.corpus_name).expect("corpus contract").source;
+    net.deploy_with_signature(contract_addr(), source, scenario.params.clone(), Some(signature))
+        .expect("scenario contract deploys");
+    let mut setup = scenario.setup.clone();
+    for _ in 0..1_000 {
+        if setup.is_empty() {
+            break;
+        }
+        net.run_epoch(&mut setup);
+    }
+    assert!(setup.is_empty(), "setup did not converge");
+    net.run_epochs(&mut scenario.load.clone(), epochs)
 }
 
 #[cfg(test)]
@@ -1057,12 +965,6 @@ mod tests {
         assert_eq!(census.top_refined, 0, "{census:?}");
         assert!(census.top_field_refined < census.top_legacy, "{census:?}");
         assert!(census.blames >= census.top_field_refined, "{census:?}");
-        // ⊤ summaries conflict with everything, so localizing them can only
-        // thin the conflict matrix.
-        assert!(
-            census.conflict_density_refined_x1000 <= census.conflict_density_legacy_x1000,
-            "{census:?}"
-        );
 
         let rows = precision_rows(20, 200, 2);
         let airdrop = rows.iter().find(|r| r.label == "FT airdrop").unwrap();
@@ -1114,15 +1016,6 @@ mod tests {
         let ipfs = rows.iter().find(|r| r.label == "ProofIPFS register").unwrap();
         assert!(ipfs.to_xshard_permille > 0, "{ipfs:?}");
         assert!(ipfs.xs_committed > 0, "{ipfs:?}");
-    }
-
-    #[test]
-    fn tracer_overhead_runs_clean_on_honest_summaries() {
-        let o = tracer_overhead(0, 12, 40, 2);
-        assert_eq!(o.violations, 0, "honest pipeline must audit clean");
-        assert!(o.on > Duration::ZERO && o.off > Duration::ZERO);
-        assert!(o.tps_on > 0.0 && o.tps_off > 0.0);
-        assert!(o.slowdown() > 0.0);
     }
 
     #[test]

@@ -9,10 +9,8 @@
 //!
 //! This serial journaled loop is the only shard executor. Parallelism is
 //! across shards — `Network::execute_shards` runs one thread per shard and
-//! the deltas join per field (paper §4) — not inside a packet; DESIGN §6j
-//! holds the measurement behind that choice. The per-contract
-//! `ConflictMatrix` is consulted here only by the audit-mode oracle
-//! ([`ViolationKind::ConflictMissed`]).
+//! the deltas join per field (paper §4) — not inside a packet; DESIGN §6d
+//! holds the measurement behind that choice.
 
 use crate::address::Address;
 use crate::delta::{compute_int_delta, read_component, Component, ContractDelta, StateDelta};
@@ -20,7 +18,6 @@ use crate::dispatch::{component_shard, compose_chain, Assignment};
 use cosplit_analysis::callgraph::Recipient;
 use crate::tx::{Transaction, TxKind};
 use cosplit_analysis::audit::{audit_placement, audit_transition, AuditViolation, ViolationKind};
-use cosplit_analysis::conflict::concrete_pair_conflicts;
 use cosplit_analysis::signature::Join;
 use scilla::builtins::uint_max;
 use scilla::error::ExecError;
@@ -51,8 +48,6 @@ pub struct ExecutorConfig {
     pub use_cosplit: bool,
     /// Enforce the §6 overflow guard on `IntMerge` components.
     pub overflow_guard: bool,
-    /// Allow messages to other contracts (DS committee only).
-    pub allow_contract_msgs: bool,
     /// Run every transition with the effect tracer and audit its concrete
     /// footprint against the static summary and sharding discipline.
     pub audit: bool,
@@ -350,14 +345,12 @@ struct CallerFrame<'a> {
     sender: Address,
 }
 
-/// One audited transition invocation, retained for the pairwise conflict
+/// One audited transition invocation, retained for the composed-chain
 /// cross-check (populated only when `ExecutorConfig::audit` is set).
 struct TracedCall {
     tx_id: u64,
     contract: Address,
     sender: Address,
-    origin: Address,
-    amount: u128,
     args: Vec<(String, Value)>,
     footprint: DynamicFootprint,
 }
@@ -628,8 +621,6 @@ impl<'a> Executor<'a> {
                 tx_id: self.current_tx,
                 contract,
                 sender,
-                origin,
-                amount,
                 args: args.to_vec(),
                 footprint: fp,
             });
@@ -717,11 +708,12 @@ impl<'a> Executor<'a> {
     ) -> Result<(), CallError> {
         let recipient = Address(msg.recipient);
         if self.snapshot.is_contract(&recipient) {
-            // A shard may follow the hop in place only when dispatch could
-            // have predicted it: the message must match a statically
-            // classified call site of the sending transition whose resolved
-            // recipient is this recipient. Everything else reroutes to DS.
-            let may_follow = self.cfg.allow_contract_msgs
+            // The DS committee follows every hop. A shard (or the cross-shard
+            // stage) may follow one in place only when dispatch could have
+            // predicted it: the message must match a statically classified
+            // call site of the sending transition whose resolved recipient is
+            // this recipient. Everything else reroutes to DS.
+            let may_follow = self.cfg.role == Assignment::Ds
                 || (self.cfg.compose_calls && self.hop_allowed(&from, msg, recipient));
             if !may_follow {
                 return Err(CallError::CrossContract);
@@ -853,61 +845,6 @@ impl<'a> Executor<'a> {
             .map(|s| &s.joins)
     }
 
-    /// Conflict-matrix oracle (audit mode): every pair of traced invocations
-    /// whose *concrete* footprints interfere must also be flagged by the
-    /// static conflict matrix under the pair's concrete bindings — otherwise
-    /// the matrix under-approximates and anything built on it (reordering,
-    /// `cosplit-cli matrix`) would be unsound. Invocations of the same
-    /// transaction are exempt (a chained call interfering with its own
-    /// caller is sequenced by the interpreter).
-    fn conflict_cross_check(&mut self) {
-        if self.traced.len() < 2 {
-            return;
-        }
-        let mut found = Vec::new();
-        for i in 0..self.traced.len() {
-            for j in i + 1..self.traced.len() {
-                let (a, b) = (&self.traced[i], &self.traced[j]);
-                if a.contract != b.contract || a.tx_id == b.tx_id {
-                    continue;
-                }
-                let Some(clash) = concrete_pair_conflicts(&a.footprint, &b.footprint) else {
-                    continue;
-                };
-                let Some(deployed) = self.snapshot.contracts.get(&a.contract) else {
-                    continue;
-                };
-                let matrix = deployed.conflict_matrix();
-                let bind_a = trace_binding(a, deployed);
-                let bind_b = trace_binding(b, deployed);
-                if matrix.conflicts_concrete(
-                    &a.footprint.transition,
-                    &bind_a,
-                    &b.footprint.transition,
-                    &bind_b,
-                ) {
-                    continue;
-                }
-                found.push(AuditViolation {
-                    kind: ViolationKind::ConflictMissed,
-                    transition: a.footprint.transition.clone(),
-                    pseudofield: None,
-                    concrete: format!(
-                        "pair with '{}' (tx {} vs tx {}): {clash}",
-                        b.footprint.transition, a.tx_id, b.tx_id
-                    ),
-                    abstract_op: None,
-                    observed_op: None,
-                    span: Span::default(),
-                });
-            }
-        }
-        if telemetry::enabled() && !found.is_empty() {
-            telemetry::counter!(telemetry::names::AUDIT_VIOLATION).add(found.len() as u64);
-        }
-        self.violations.extend(found);
-    }
-
     /// Composed-chain containment cross-check (audit + compose mode): for
     /// every traced transaction whose invocations span several contracts,
     /// re-run the interprocedural composition from the root frame and
@@ -970,7 +907,6 @@ impl<'a> Executor<'a> {
     }
 
     fn finish(mut self) -> MicroBlock {
-        self.conflict_cross_check();
         self.composed_cross_check();
         let mut delta = StateDelta::new();
         for (addr, storage) in &self.storages {
@@ -1109,25 +1045,5 @@ impl StateStore for JournaledStore<'_, '_> {
     fn map_delete(&mut self, field: Sym, keys: &[Value]) {
         self.record(field, keys);
         self.inner.map_delete(field, keys);
-    }
-}
-
-/// The binding of one traced invocation (sender and origin may differ for
-/// chained calls on the DS committee).
-fn trace_binding<'t>(
-    call: &'t TracedCall,
-    deployed: &'t DeployedContract,
-) -> impl Fn(&str) -> Option<Value> + 't {
-    move |name: &str| match name {
-        "_sender" => Some(Value::address(call.sender.0)),
-        "_origin" => Some(Value::address(call.origin.0)),
-        "_amount" => Some(Value::Uint(128, call.amount)),
-        "_this_address" => Some(Value::address(call.contract.0)),
-        _ => call
-            .args
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.clone())
-            .or_else(|| deployed.param(name).cloned()),
     }
 }

@@ -460,7 +460,6 @@ impl Network {
             block_number: self.block_number,
             use_cosplit: c.use_cosplit,
             overflow_guard: c.overflow_guard && matches!(role, Assignment::Shard(_)),
-            allow_contract_msgs: role == Assignment::Ds,
             audit: c.audit,
             compose_calls: c.compose_calls,
         }

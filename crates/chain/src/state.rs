@@ -4,7 +4,6 @@ use crate::account::Account;
 use crate::address::Address;
 use cosplit_analysis::analysis::summarize_contract;
 use cosplit_analysis::callgraph::ContractCalls;
-use cosplit_analysis::conflict::ConflictMatrix;
 use cosplit_analysis::effects::TransitionSummary;
 use cosplit_analysis::signature::ShardingSignature;
 use scilla::interpreter::CompiledContract;
@@ -29,10 +28,6 @@ pub struct DeployedContract {
     /// effect-trace auditor, indexed by transition name for O(log n) lookup.
     /// Derived on first use so chains that never audit pay nothing.
     summaries: RwLock<Option<Arc<SummaryIndex>>>,
-    /// Lazily derived pairwise commutativity matrix over the summaries,
-    /// consumed by the audit-mode conflict cross-check and the matrix
-    /// reports. Follows the same derive-on-first-use discipline.
-    conflicts: RwLock<Option<Arc<ConflictMatrix>>>,
     /// Lazily extracted call sites (classified send recipients), consumed
     /// by the interprocedural composition in dispatch and the executor's
     /// send-hop validation. Same derive-on-first-use discipline.
@@ -73,7 +68,6 @@ impl DeployedContract {
             params,
             signature,
             summaries: RwLock::new(None),
-            conflicts: RwLock::new(None),
             calls: RwLock::new(None),
         }
     }
@@ -106,18 +100,6 @@ impl DeployedContract {
         Arc::clone(slot.get_or_insert(derived))
     }
 
-    /// The pairwise transition-commutativity matrix, derived on demand from
-    /// the summaries (so an overridden summary set also rebuilds it).
-    pub fn conflict_matrix(&self) -> Arc<ConflictMatrix> {
-        if let Some(m) = self.conflicts.read().expect("conflict matrix lock").as_ref() {
-            return Arc::clone(m);
-        }
-        let derived =
-            Arc::new(ConflictMatrix::build(&self.address.to_string(), &self.summaries()));
-        let mut slot = self.conflicts.write().expect("conflict matrix lock");
-        Arc::clone(slot.get_or_insert(derived))
-    }
-
     /// The contract's extracted call sites (classified send recipients),
     /// derived on demand from the checked module and the summaries.
     pub fn call_info(&self) -> Arc<ContractCalls> {
@@ -133,12 +115,11 @@ impl DeployedContract {
     /// Test hook: pins the summaries the auditor will check against,
     /// bypassing the analysis — replaces any already-derived set (the world
     /// builders execute setup transitions, which derives summaries before a
-    /// test gets hold of the contract). Invalidates the derived conflict
-    /// matrix so it is rebuilt from the pinned summaries.
+    /// test gets hold of the contract). Invalidates the derived call sites
+    /// so they are re-extracted against the pinned summaries.
     pub fn override_summaries(&self, summaries: Vec<TransitionSummary>) {
         *self.summaries.write().expect("summaries lock") =
             Some(Arc::new(SummaryIndex::build(summaries)));
-        *self.conflicts.write().expect("conflict matrix lock") = None;
         *self.calls.write().expect("call info lock") = None;
     }
 }

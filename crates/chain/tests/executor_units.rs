@@ -20,7 +20,6 @@ fn cfg(role: Assignment, num_shards: u32) -> ExecutorConfig {
         block_number: 5,
         use_cosplit: true,
         overflow_guard: false,
-        allow_contract_msgs: matches!(role, Assignment::Ds),
         audit: true,
         compose_calls: false,
     }
@@ -427,18 +426,7 @@ fn cross_contract_message_reroutes_with_cause() {
         "note".into(),
         Value::Str("hi".into()),
     )]);
-    let cfg = ExecutorConfig {
-        role: Assignment::Shard(0),
-        num_shards: 2,
-        gas_limit: 1_000_000,
-        block_number: 1,
-        use_cosplit: true,
-        overflow_guard: false,
-        allow_contract_msgs: false,
-        audit: true,
-        compose_calls: false,
-    };
-    let mb = execute_batch(&cfg, net.state(), vec![tx]);
+    let mb = execute_batch(&cfg(Assignment::Shard(0), 2), net.state(), vec![tx]);
     assert_eq!(mb.receipts[0].status, TxStatus::Rerouted(RerouteCause::CrossContract));
     assert_eq!(mb.rerouted.len(), 1);
     assert!(mb.delta.is_empty(), "reroute must leave no trace: {:?}", mb.delta);

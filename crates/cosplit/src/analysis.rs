@@ -28,7 +28,6 @@ use scilla::typechecker::CheckedModule;
 use scilla::types::Type;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A persistent (cons-list) abstract environment: O(1) clone and extend,
 /// O(depth) lookup. Scopes in contract code are shallow, and the analysis
@@ -110,30 +109,11 @@ impl AbsVal {
 pub enum AnalysisMode {
     /// The original single-pass accumulator: any read-after-write or
     /// unsummarisable access poisons the whole summary with a global `⊤`.
-    Legacy = 0,
+    Legacy,
     /// Flow-sensitive: the abstract store forwards written values to later
     /// reads and imprecision localizes to `⊤[pf]` per pseudo-field.
     #[default]
-    Refined = 1,
-}
-
-static DEFAULT_MODE: AtomicU8 = AtomicU8::new(AnalysisMode::Refined as u8);
-
-/// Sets the process-wide default mode used by [`summarize_contract`] (and
-/// everything above it, notably deploy-time contract analysis). Intended
-/// for precision experiments that re-run a whole workload under the legacy
-/// analysis; concurrent analyses observe the flip racily, so flip it only
-/// from single-threaded drivers.
-pub fn set_default_mode(mode: AnalysisMode) {
-    DEFAULT_MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The current process-wide default [`AnalysisMode`].
-pub fn default_mode() -> AnalysisMode {
-    match DEFAULT_MODE.load(Ordering::Relaxed) {
-        0 => AnalysisMode::Legacy,
-        _ => AnalysisMode::Refined,
-    }
+    Refined,
 }
 
 /// The full result of analysing a contract: per-transition summaries plus
@@ -148,7 +128,7 @@ pub struct ContractAnalysis {
 
 /// Analyses every transition of a checked contract, producing one summary
 /// per transition (paper Fig. 8 shows the summary for `Transfer`), under
-/// the process-wide default mode.
+/// the refined analysis.
 ///
 /// # Examples
 ///
@@ -168,7 +148,7 @@ pub struct ContractAnalysis {
 /// assert!(summaries[0].effects.iter().any(|e| e.to_string().starts_with("Write(n")));
 /// ```
 pub fn summarize_contract(checked: &CheckedModule) -> Vec<TransitionSummary> {
-    analyze_contract(checked, default_mode()).summaries
+    analyze_contract(checked, AnalysisMode::Refined).summaries
 }
 
 /// [`summarize_contract`] pinned to the legacy accumulator, for precision

@@ -66,10 +66,6 @@ pub enum ViolationKind {
     NotOwnedWrite,
     /// A transition with the unsatisfiable constraint executed on a shard.
     UnsatOnShard,
-    /// A pair of invocations whose concrete footprints interfere, yet the
-    /// static conflict matrix judged them commuting under the pair's
-    /// bindings — the parallel scheduler would have run them in one layer.
-    ConflictMissed,
     /// A traced multi-contract invocation chain reached a (contract,
     /// transition) frame outside its composed interprocedural summary
     /// ([`crate::callgraph`]) — the static callee set under-approximated a
@@ -89,7 +85,6 @@ impl ViolationKind {
             ViolationKind::NotOwnedRead => "NotOwnedRead",
             ViolationKind::NotOwnedWrite => "NotOwnedWrite",
             ViolationKind::UnsatOnShard => "UnsatOnShard",
-            ViolationKind::ConflictMissed => "ConflictMissed",
             ViolationKind::ComposedEscape => "ComposedEscape",
         }
     }
@@ -104,14 +99,13 @@ impl ViolationKind {
             "NotOwnedRead" => ViolationKind::NotOwnedRead,
             "NotOwnedWrite" => ViolationKind::NotOwnedWrite,
             "UnsatOnShard" => ViolationKind::UnsatOnShard,
-            "ConflictMissed" => ViolationKind::ConflictMissed,
             "ComposedEscape" => ViolationKind::ComposedEscape,
             _ => return None,
         })
     }
 
     /// All variants, for exhaustive wire tests.
-    pub fn all() -> [ViolationKind; 10] {
+    pub fn all() -> [ViolationKind; 9] {
         [
             ViolationKind::UnsummarisedRead,
             ViolationKind::UnsummarisedWrite,
@@ -121,7 +115,6 @@ impl ViolationKind {
             ViolationKind::NotOwnedRead,
             ViolationKind::NotOwnedWrite,
             ViolationKind::UnsatOnShard,
-            ViolationKind::ConflictMissed,
             ViolationKind::ComposedEscape,
         ]
     }

@@ -58,7 +58,6 @@ pub mod analysis;
 pub mod audit;
 pub mod blame;
 pub mod callgraph;
-pub mod conflict;
 pub mod domain;
 pub mod effects;
 pub mod ge;

@@ -6,7 +6,7 @@
 //! `(oc, ⊎f)`. In online mode miners re-run the same pipeline to validate a
 //! submitted signature.
 
-use crate::analysis::{analyze_contract, default_mode, AnalysisMode};
+use crate::analysis::{analyze_contract, AnalysisMode};
 use crate::blame::BlameCause;
 use crate::effects::TransitionSummary;
 use crate::signature::{derive_signature, ShardingSignature, WeakReads};
@@ -27,7 +27,7 @@ pub struct AnalyzedContract {
 }
 
 impl AnalyzedContract {
-    /// Runs the CoSplit analysis on a checked contract.
+    /// Runs the CoSplit analysis (the refined mode) on a checked contract.
     ///
     /// # Examples
     ///
@@ -45,12 +45,12 @@ impl AnalyzedContract {
     /// assert!(sig.transition("Put").unwrap().is_shardable());
     /// ```
     pub fn analyze(checked: &CheckedModule) -> Self {
-        Self::analyze_with_mode(checked, default_mode())
+        Self::analyze_with_mode(checked, AnalysisMode::Refined)
     }
 
-    /// Like [`Self::analyze`], but with an explicit analysis mode instead of
-    /// the process default (used by benchmarks and the paper-table tests,
-    /// which pin the legacy Fig-6 accumulator's behaviour).
+    /// Like [`Self::analyze`], but with an explicit analysis mode (used by
+    /// benchmarks and the paper-table tests, which pin the legacy Fig-6
+    /// accumulator's behaviour).
     pub fn analyze_with_mode(checked: &CheckedModule, mode: AnalysisMode) -> Self {
         let mut _span = telemetry::span!("cosplit.analysis.analyze_duration");
         _span.attr("contract", &checked.contract().name.name);

@@ -1,14 +1,13 @@
 //! Analysis results on the five §5.2 evaluation contracts must reproduce the
 //! paper's table: #transitions, largest good-enough signature, and number of
 //! maximal good-enough signatures. The closing corpus sweep holds every
-//! analysis product (signature, lint, conflict matrix, blame, call graph) to
+//! analysis product (signature, lint, blame, call graph) to
 //! its corpus-wide invariants.
 
 use cosplit_analysis::analysis::AnalysisMode;
 use cosplit_analysis::audit::lint_contract;
 use cosplit_analysis::blame::BlameCause;
 use cosplit_analysis::callgraph::{CallGraph, ContractCalls, GraphContract};
-use cosplit_analysis::conflict::{self, ConflictMatrix};
 use cosplit_analysis::ge::ge_stats;
 use cosplit_analysis::signature::{Constraint, Join, WeakReads};
 use cosplit_analysis::solver::AnalyzedContract;
@@ -195,10 +194,6 @@ fn whole_mainnet_sample_analyses_cleanly() {
         for f in lint_contract(&checked, &a) {
             *census.entry(f.rule).or_default() += 1;
         }
-
-        let matrix = ConflictMatrix::build(&a.name, &a.summaries);
-        let back = conflict::wire::matrix_from_value(&conflict::wire::matrix_to_value(&matrix));
-        assert_eq!(back.as_ref(), Some(&matrix), "{}: matrix wire round-trip", entry.name);
 
         for s in &a.summaries {
             assert!(!s.has_top(), "{}.{}: refined summary went globally ⊤", entry.name, s.name);

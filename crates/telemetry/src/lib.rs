@@ -47,12 +47,6 @@ pub mod names {
     pub const AUDIT_VIOLATION: &str = "chain.audit.violations";
     /// Findings reported by the contract lint pass.
     pub const LINT_FINDINGS: &str = "cosplit.lint.findings";
-    /// Conflict matrices derived by the pairwise commutativity pass.
-    pub const CONFLICT_MATRICES: &str = "cosplit.conflict.matrices";
-    /// Ordered transition pairs classified by the conflict pass.
-    pub const CONFLICT_PAIRS: &str = "cosplit.conflict.pairs";
-    /// Ordered transition pairs that conflict unconditionally.
-    pub const CONFLICT_CONFLICTING: &str = "cosplit.conflict.conflicting_pairs";
     /// O(1) copy-on-write snapshot views taken over a shared state base
     /// (flattening `CowState::snapshot` calls included).
     pub const STATE_SNAPSHOTS: &str = "chain.state.snapshots";
