@@ -6,6 +6,7 @@
 //! DS committee, which processes leftovers sequentially after the shards.
 
 use crate::address::{fnv1a, Address};
+use crate::network::ChainConfig;
 use crate::state::{DeployedContract, GlobalState};
 use crate::tx::{Transaction, TxKind};
 use crate::xshard::{LockKey, XShardPlan};
@@ -182,31 +183,6 @@ pub fn component_shard(contract: Address, field: &str, keys: &[Value], num_shard
     }
 }
 
-/// Dispatch-time protocol switches.
-#[derive(Debug, Clone, Copy)]
-pub struct DispatchPolicy {
-    /// Number of transaction shards.
-    pub num_shards: u32,
-    /// Honour CoSplit signatures (false = §4.1 baseline strategy).
-    pub use_cosplit: bool,
-    /// §4.2.1 relaxed nonces. When *false*, the strict gap-free nonce order
-    /// forces all of a sender's transactions through one place: a shard
-    /// decision away from the sender's home shard is demoted to the DS
-    /// committee (ablation mode; the paper's model always relaxes).
-    pub relaxed_nonces: bool,
-    /// Route split-footprint transactions to the cross-shard two-phase
-    /// commit stage instead of the DS committee (S-BAC-style,
-    /// [`crate::xshard`]). Off = every multi-shard footprint serialises
-    /// at DS, as in the plain Zilliqa model.
-    pub cross_shard_commit: bool,
-    /// Compose transition summaries across statically-resolvable
-    /// cross-contract sends ([`cosplit_analysis::callgraph`]): a chain
-    /// whose composed footprint pins to one shard commits there
-    /// (`ComposedLocal`), a multi-shard one gets an xshard lock plan
-    /// covering the whole chain. Off = chains fall back to the DS paths.
-    pub compose_calls: bool,
-}
-
 /// Dispatches one transaction (paper §4.3, "Assigning Transactions to
 /// Shards").
 ///
@@ -219,21 +195,14 @@ pub fn dispatch(
     num_shards: u32,
     use_cosplit: bool,
 ) -> Decision {
-    dispatch_policy(
-        tx,
-        state,
-        &DispatchPolicy {
-            num_shards,
-            use_cosplit,
-            relaxed_nonces: true,
-            cross_shard_commit: false,
-            compose_calls: false,
-        },
-    )
+    dispatch_policy(tx, state, &ChainConfig::evaluation(num_shards, use_cosplit))
 }
 
-/// [`dispatch`] with explicit protocol switches.
-pub fn dispatch_policy(tx: &Transaction, state: &GlobalState, policy: &DispatchPolicy) -> Decision {
+/// [`dispatch`] under a chain's protocol switches. Without §4.2.1
+/// `relaxed_nonces`, the strict gap-free nonce order forces all of a
+/// sender's transactions through one place: a decision away from the
+/// sender's home shard is demoted to the DS committee.
+pub fn dispatch_policy(tx: &Transaction, state: &GlobalState, policy: &ChainConfig) -> Decision {
     let inner = dispatch_inner(tx, state, policy);
     let decision = if policy.relaxed_nonces {
         inner
@@ -254,7 +223,7 @@ pub fn dispatch_policy(tx: &Transaction, state: &GlobalState, policy: &DispatchP
     decision
 }
 
-fn dispatch_inner(tx: &Transaction, state: &GlobalState, policy: &DispatchPolicy) -> Decision {
+fn dispatch_inner(tx: &Transaction, state: &GlobalState, policy: &ChainConfig) -> Decision {
     let num_shards = policy.num_shards;
     match &tx.kind {
         TxKind::Payment { .. } => Decision {

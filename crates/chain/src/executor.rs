@@ -5,7 +5,9 @@
 //! Each transaction runs atomically through a journaled store: on failure
 //! its writes are undone, gas is still charged. The DS committee reuses the
 //! same executor after the shard deltas merge, with chained contract calls
-//! enabled.
+//! enabled. The cross-shard stage runs it too, one step at a time: it
+//! prepares a transaction with its effects left open, and commits or rolls
+//! it back once the participants have voted.
 //!
 //! This serial journaled loop is the only shard executor. Parallelism is
 //! across shards — `Network::execute_shards` runs one thread per shard and
@@ -168,37 +170,37 @@ pub fn execute_slice(
     snapshot: &GlobalState,
     txs: &[Transaction],
 ) -> MicroBlock {
-    let mut _span = telemetry::span!("chain.executor.batch_duration");
-    _span.attr("role", crate::network::assignment_label(cfg.role));
-    _span.attr("txs", txs.len());
+    let _span = batch_span(cfg, txs.len());
     let mut exec = Executor::new(cfg, snapshot);
     let mut over_budget = false;
     for tx in txs {
-        if tx.gas_limit > cfg.gas_limit {
-            // Deferring would never end: not even an empty budget admits
-            // this transaction, and it would block the packet behind it.
-            exec.reject(tx, "gas limit exceeds the committee's budget");
+        // Once one transaction waits, every later one a budget admits waits
+        // too, so the packet keeps its order.
+        over_budget = over_budget || exec.over_budget(tx);
+        if over_budget && tx.gas_limit <= cfg.gas_limit {
+            exec.defer(tx.clone());
             continue;
         }
-        if over_budget || exec.gas_used.saturating_add(tx.gas_limit) > cfg.gas_limit {
-            over_budget = true;
-            telemetry::trace::instant_with(telemetry::names::TX_DEFER, |a| {
-                a.push(("tx", tx.id.to_string()));
-                a.push(("why", "gas_budget".to_string()));
-            });
-            exec.deferred.push(tx.clone());
-            continue;
-        }
-        exec.process(tx);
+        let prepared = exec.prepare(tx);
+        exec.commit(tx, prepared);
     }
     let mb = exec.finish();
     record_batch_metrics(&mb);
     mb
 }
 
+/// The span one committee's batch runs under
+/// (`chain.executor.batch_duration`).
+pub(crate) fn batch_span(cfg: &ExecutorConfig, txs: usize) -> telemetry::SpanGuard {
+    let mut span = telemetry::span!("chain.executor.batch_duration");
+    span.attr("role", crate::network::assignment_label(cfg.role));
+    span.attr("txs", txs);
+    span
+}
+
 /// Records per-batch outcome counters and the delta-size histogram
 /// (`chain.executor.*`).
-fn record_batch_metrics(mb: &MicroBlock) {
+pub(crate) fn record_batch_metrics(mb: &MicroBlock) {
     if !telemetry::enabled() {
         return;
     }
@@ -254,13 +256,21 @@ enum LedgerUndo {
 }
 
 impl Ledger<'_> {
+    /// What `addr`'s gross debits in this batch may add up to.
     fn slice(&self, addr: &Address) -> u128 {
         let base = self.snapshot.balance(addr);
         match self.role {
-            // The DS committee sees everything; a cross-shard coordinator
-            // holds exclusive locks on the accounts its footprint pins, so
-            // its prepare also works the full balance.
-            Assignment::Ds | Assignment::XShard => base,
+            // The DS committee sees everything.
+            Assignment::Ds => base,
+            // A cross-shard coordinator locks the accounts its footprint
+            // pins, so it works the full balance; and the stage settles one
+            // transaction at a time, so what it credited (refunds included)
+            // is spendable: the limit is the running balance plus the debits.
+            Assignment::XShard => {
+                let debited = self.spent.get(addr).copied().unwrap_or(0);
+                let net = self.deltas.get(addr).copied().unwrap_or(0);
+                base.saturating_add(debited.saturating_add_signed(net))
+            }
             Assignment::Shard(s) => {
                 let n = self.num_shards as u128;
                 if self.snapshot.is_contract(addr) {
@@ -333,7 +343,9 @@ impl Ledger<'_> {
 /// epoch's cost is O(touched state), never O(total state).
 struct ShardStorage {
     state: CowState,
-    touched: BTreeSet<Component>,
+    /// Every write a committed transaction made, repeats included;
+    /// [`Executor::finish`] sorts them once.
+    touched: Vec<Component>,
 }
 
 /// The frame a message was sent from, as [`Executor::deliver`] needs it to
@@ -355,24 +367,55 @@ struct TracedCall {
     footprint: DynamicFootprint,
 }
 
-struct Executor<'a> {
+/// One committee's executor: it runs a batch one transaction at a time on
+/// its working state, and [`Executor::finish`] emits the batch's one delta.
+pub(crate) struct Executor<'a> {
     cfg: &'a ExecutorConfig,
     snapshot: &'a GlobalState,
     storages: BTreeMap<Address, ShardStorage>,
     balance: Ledger<'a>,
     nonce_committed: BTreeMap<Address, BTreeSet<u64>>,
     receipts: Vec<Receipt>,
-    deferred: Vec<Transaction>,
+    /// Transactions that stay in the pool for a later epoch.
+    pub(crate) deferred: Vec<Transaction>,
     rerouted: Vec<Transaction>,
     gas_used: u64,
     violations: Vec<AuditViolation>,
     traced: Vec<TracedCall>,
-    /// Id of the transaction currently in `process` (tags traced calls).
+    /// Id of the transaction being prepared (tags traced calls).
     current_tx: u64,
 }
 
+/// A transaction [`Executor::prepare`] ran whose effects are still open:
+/// its storage writes, ledger entries and audit records stay undoable until
+/// [`Executor::commit`] or [`Executor::rollback`] settles it.
+pub(crate) struct Prepared {
+    receipt: Receipt,
+    journal: TxJournal,
+    /// Commit counts its gas and consumes its nonce (not refused or rerouted).
+    charged: bool,
+    /// The ledger before the fee reservation.
+    ledger_cp: usize,
+    /// Audit records before the transaction ran.
+    violations: usize,
+    traced: usize,
+}
+
+impl Prepared {
+    /// Refused before running: a `Failed` receipt, the nonce still usable.
+    fn refused(mut self, why: &str) -> Prepared {
+        self.receipt.status = TxStatus::Failed(why.into());
+        self
+    }
+
+    /// Did the transaction reroute (overflow guard or cross-contract call)?
+    pub(crate) fn rerouted(&self) -> bool {
+        matches!(self.receipt.status, TxStatus::Rerouted(_))
+    }
+}
+
 impl<'a> Executor<'a> {
-    fn new(cfg: &'a ExecutorConfig, snapshot: &'a GlobalState) -> Executor<'a> {
+    pub(crate) fn new(cfg: &'a ExecutorConfig, snapshot: &'a GlobalState) -> Executor<'a> {
         Executor {
             cfg,
             snapshot,
@@ -410,60 +453,71 @@ impl<'a> Executor<'a> {
                 .is_some_and(|ns| ns.contains(&nonce))
     }
 
-    /// Runs one transaction, wrapped in a per-transaction trace span
-    /// (`chain.tx.exec`) carrying the committee and the receipt's outcome.
-    /// `process_inner` pushes exactly one receipt, so the outcome is read
-    /// off `receipts.last()`.
-    fn process(&mut self, tx: &Transaction) {
+    /// Whether `tx` must wait for a later epoch because what is left of the
+    /// budget cannot hold it. Never for a transaction no budget admits:
+    /// deferring it would never end, so [`Executor::prepare`] fails it.
+    pub(crate) fn over_budget(&self, tx: &Transaction) -> bool {
+        tx.gas_limit <= self.cfg.gas_limit
+            && self.gas_used.saturating_add(tx.gas_limit) > self.cfg.gas_limit
+    }
+
+    /// Leaves `tx` in the pool for a later epoch: the budget is spent.
+    pub(crate) fn defer(&mut self, tx: Transaction) {
+        telemetry::trace::instant_with(telemetry::names::TX_DEFER, |a| {
+            a.push(("tx", tx.id.to_string()));
+            a.push(("why", "gas_budget".to_string()));
+        });
+        self.deferred.push(tx);
+    }
+
+    /// Runs one transaction and leaves its effects open, wrapped in a
+    /// per-transaction trace span (`chain.tx.exec`) carrying the committee
+    /// and the receipt's outcome.
+    pub(crate) fn prepare(&mut self, tx: &Transaction) -> Prepared {
         if !telemetry::trace::tracing_enabled() {
-            self.process_inner(tx);
-            return;
+            return self.prepare_inner(tx);
         }
         let mut span = telemetry::span!(telemetry::names::TX_EXEC);
         span.attr("tx", tx.id);
         span.attr("role", crate::network::assignment_label(self.cfg.role));
-        self.process_inner(tx);
-        if let Some(receipt) = self.receipts.last() {
-            let status = match &receipt.status {
-                TxStatus::Success => "success".to_string(),
-                TxStatus::Failed(e) => format!("failed:{e}"),
-                TxStatus::Rerouted(RerouteCause::OverflowGuard) => {
-                    "rerouted:overflow_guard".to_string()
-                }
-                TxStatus::Rerouted(RerouteCause::CrossContract) => {
-                    "rerouted:cross_contract".to_string()
-                }
-            };
-            span.attr("status", status);
-            span.attr("gas", receipt.gas_used);
-        }
+        let prepared = self.prepare_inner(tx);
+        let status = match &prepared.receipt.status {
+            TxStatus::Success => "success".to_string(),
+            TxStatus::Failed(e) => format!("failed:{e}"),
+            TxStatus::Rerouted(RerouteCause::OverflowGuard) => "rerouted:overflow_guard".to_string(),
+            TxStatus::Rerouted(RerouteCause::CrossContract) => "rerouted:cross_contract".to_string(),
+        };
+        span.attr("status", status);
+        span.attr("gas", prepared.receipt.gas_used);
+        prepared
     }
 
-    /// Refuses a transaction before it runs: a `Failed` receipt, nothing
-    /// charged, the nonce still usable.
-    fn reject(&mut self, tx: &Transaction, why: &str) {
-        self.receipts.push(Receipt {
-            tx_id: tx.id,
-            status: TxStatus::Failed(why.into()),
-            gas_used: 0,
-            events: Vec::new(),
-        });
-    }
-
-    fn process_inner(&mut self, tx: &Transaction) {
+    fn prepare_inner(&mut self, tx: &Transaction) -> Prepared {
         self.current_tx = tx.id;
+        let mut prepared = Prepared {
+            receipt: Receipt { tx_id: tx.id, status: TxStatus::Success, gas_used: 0, events: vec![] },
+            journal: TxJournal::default(),
+            charged: false,
+            ledger_cp: self.balance.checkpoint(),
+            violations: self.violations.len(),
+            traced: self.traced.len(),
+        };
+        if tx.gas_limit > self.cfg.gas_limit {
+            // Deferring would never end: not even an empty budget admits
+            // this transaction, and it would block the packet behind it.
+            return prepared.refused("gas limit exceeds the committee's budget");
+        }
         if !self.nonce_usable(&tx.sender, tx.nonce) {
-            return self.reject(tx, "nonce already used");
+            return prepared.refused("nonce already used");
         }
 
         // Reserve the full gas budget up front; refund after execution. A
         // price that overflows the reservation cannot be paid by anyone.
-        let ledger_cp = self.balance.checkpoint();
         let reserved = u128::from(tx.gas_limit)
             .checked_mul(tx.gas_price)
             .filter(|fee| self.balance.debit(tx.sender, *fee).is_ok());
         let Some(fee_reserve) = reserved else {
-            return self.reject(tx, "cannot reserve gas");
+            return prepared.refused("cannot reserve gas");
         };
 
         let (status, gas, events) = match &tx.kind {
@@ -479,30 +533,56 @@ impl<'a> Executor<'a> {
                 (status, gas, Vec::new())
             }
             TxKind::Call { contract, transition, args, amount } => {
-                self.run_call(tx, *contract, transition, args, *amount)
+                self.run_call(&mut prepared.journal, tx, *contract, transition, args, *amount)
             }
         };
 
         if let TxStatus::Rerouted(_) = status {
-            // No gas charged; release the reservation and hand the
+            // No gas charged: release the reservation. Committing hands the
             // transaction to the DS committee.
-            self.balance.undo(ledger_cp);
-            self.rerouted.push(tx.clone());
-            self.receipts.push(Receipt { tx_id: tx.id, status, gas_used: 0, events: Vec::new() });
-            return;
+            self.balance.undo(prepared.ledger_cp);
+            prepared.receipt.status = status;
+            return prepared;
         }
 
         // Refund unused gas (a payment's flat charge can exceed a tiny
         // `gas_limit`, hence the saturating product and difference).
         let actual_fee = u128::from(gas).saturating_mul(tx.gas_price);
         self.balance.credit(tx.sender, fee_reserve.saturating_sub(actual_fee));
-        self.gas_used += gas;
-        self.nonce_committed.entry(tx.sender).or_default().insert(tx.nonce);
-        self.receipts.push(Receipt { tx_id: tx.id, status, gas_used: gas, events });
+        prepared.receipt = Receipt { tx_id: tx.id, status, gas_used: gas, events };
+        prepared.charged = true;
+        prepared
     }
 
+    /// Settles a prepare into the batch: its writes join the delta, its
+    /// receipt is issued, and a charged transaction's gas and nonce count.
+    pub(crate) fn commit(&mut self, tx: &Transaction, prepared: Prepared) {
+        if prepared.rerouted() {
+            self.rerouted.push(tx.clone());
+        }
+        prepared.journal.commit(&mut self.storages);
+        if prepared.charged {
+            self.gas_used += prepared.receipt.gas_used;
+            self.nonce_committed.entry(tx.sender).or_default().insert(tx.nonce);
+        }
+        self.receipts.push(prepared.receipt);
+    }
+
+    /// Undoes a prepare as if the transaction had never run: no write, fee,
+    /// nonce, receipt or audit record remains.
+    pub(crate) fn rollback(&mut self, prepared: Prepared) {
+        prepared.journal.rollback(&mut self.storages);
+        self.balance.undo(prepared.ledger_cp);
+        self.violations.truncate(prepared.violations);
+        self.traced.truncate(prepared.traced);
+    }
+
+    /// Runs a call. On success its writes stay open in `journal`; on
+    /// failure or reroute they are rolled back here, and so is the ledger
+    /// back to the fee reservation.
     fn run_call(
         &mut self,
+        journal: &mut TxJournal,
         tx: &Transaction,
         contract: Address,
         transition: &str,
@@ -511,10 +591,9 @@ impl<'a> Executor<'a> {
     ) -> (TxStatus, u64, Vec<Value>) {
         let mut gas = GasMeter::new(tx.gas_limit.saturating_sub(COST_TX_BASE));
         let ledger_cp = self.balance.checkpoint();
-        let mut journal = TxJournal::default();
         let mut events = Vec::new();
         let result = self.invoke(
-            &mut journal,
+            journal,
             &mut gas,
             &mut events,
             tx.sender,
@@ -526,32 +605,21 @@ impl<'a> Executor<'a> {
             0,
         );
         let gas_total = COST_TX_BASE + gas.used();
-        match result {
-            Ok(()) => {
-                if self.cfg.overflow_guard
-                    && self.overflow_violation(&journal).is_some() {
-                        journal.rollback(&mut self.storages);
-                        self.balance.undo(ledger_cp);
-                        return (TxStatus::Rerouted(RerouteCause::OverflowGuard), 0, Vec::new());
-                    }
-                journal.commit(&mut self.storages);
-                (TxStatus::Success, gas_total, events)
+        let (status, charged) = match result {
+            Ok(()) if self.cfg.overflow_guard && self.overflow_violation(journal).is_some() => {
+                (TxStatus::Rerouted(RerouteCause::OverflowGuard), 0)
             }
-            Err(CallError::CrossContract) => {
-                // The conservative single-contract check failed at runtime:
-                // hand the whole transaction to the DS committee.
-                journal.rollback(&mut self.storages);
-                self.balance.undo(ledger_cp);
-                (TxStatus::Rerouted(RerouteCause::CrossContract), 0, Vec::new())
-            }
-            Err(CallError::Exec(e)) => {
-                journal.rollback(&mut self.storages);
-                // The checkpoint was taken after the fee reservation, so
-                // undoing restores exactly the reserved-fee ledger state.
-                self.balance.undo(ledger_cp);
-                (TxStatus::Failed(e.to_string()), gas_total, Vec::new())
-            }
-        }
+            Ok(()) => return (TxStatus::Success, gas_total, events),
+            // The conservative single-contract check failed at runtime:
+            // hand the whole transaction to the DS committee.
+            Err(CallError::CrossContract) => (TxStatus::Rerouted(RerouteCause::CrossContract), 0),
+            Err(CallError::Exec(e)) => (TxStatus::Failed(e.to_string()), gas_total),
+        };
+        std::mem::take(journal).rollback(&mut self.storages);
+        // The checkpoint was taken after the fee reservation, so undoing
+        // restores exactly the reserved-fee ledger state.
+        self.balance.undo(ledger_cp);
+        (status, charged, Vec::new())
     }
 
     /// Executes one transition invocation, recursing into messages sent to
@@ -789,7 +857,7 @@ impl<'a> Executor<'a> {
                 .get(&contract)
                 .map(|base| CowState::new(Arc::clone(base)))
                 .unwrap_or_default(),
-            touched: BTreeSet::new(),
+            touched: Vec::new(),
         });
     }
 
@@ -799,12 +867,12 @@ impl<'a> Executor<'a> {
     /// not exceed `⌊(MAX − v)/N⌋` of the epoch-start value `v`.
     fn overflow_violation(&self, journal: &TxJournal) -> Option<Component> {
         // The DS committee serialises against merged state; the cross-shard
-        // stage likewise commits each prepare into global state before the
-        // next, so neither needs the N-way headroom split.
+        // stage likewise settles each prepare before the next, so neither
+        // needs the N-way headroom split.
         if matches!(self.cfg.role, Assignment::Ds | Assignment::XShard) {
             return None;
         }
-        for (addr, comp) in &journal.touched {
+        for (addr, comp, _) in &journal.undo {
             {
                 let Some(joins) = self.joins_of(addr) else { continue };
                 let Some(storage) = self.storages.get(addr) else { continue };
@@ -906,39 +974,41 @@ impl<'a> Executor<'a> {
         self.violations.extend(found);
     }
 
-    fn finish(mut self) -> MicroBlock {
+    pub(crate) fn finish(mut self) -> MicroBlock {
         self.composed_cross_check();
         let mut delta = StateDelta::new();
-        for (addr, storage) in &self.storages {
+        for (addr, mut storage) in std::mem::take(&mut self.storages) {
+            storage.touched.sort_unstable();
+            storage.touched.dedup();
             if storage.touched.is_empty() {
                 continue;
             }
-            let joins = self.joins_of(addr).cloned().unwrap_or_default();
-            let base = self.snapshot.storage.get(addr);
+            let joins = self.joins_of(&addr).cloned().unwrap_or_default();
+            let base = self.snapshot.storage.get(&addr);
             let mut cd = ContractDelta::default();
-            for comp in &storage.touched {
-                let final_v = read_component(&storage.state, comp);
+            for comp in storage.touched {
+                let final_v = read_component(&storage.state, &comp);
                 let merge = joins.get(comp.0.as_str()) == Some(&Join::IntMerge);
                 let delta = match (&final_v, merge) {
                     (Some(v), true) => {
-                        let initial = base.and_then(|s| read_component(s.as_ref(), comp));
+                        let initial = base.and_then(|s| read_component(s.as_ref(), &comp));
                         compute_int_delta(initial.as_ref(), v)
                     }
                     _ => None,
                 };
                 match delta {
                     Some(id) => {
-                        cd.int_deltas.insert(comp.clone(), id);
+                        cd.int_deltas.insert(comp, id);
                     }
                     // Non-integer, shape-changing, or out-of-i128-range
                     // changes fall back to an overwrite; under a correct
                     // signature only one shard can produce them.
                     None => {
-                        cd.overwrites.insert(comp.clone(), final_v);
+                        cd.overwrites.insert(comp, final_v);
                     }
                 }
             }
-            delta.contracts.insert(*addr, cd);
+            delta.contracts.insert(addr, cd);
         }
         delta.balances = self.balance.deltas.iter().filter(|(_, d)| **d != 0).map(|(a, d)| (*a, *d)).collect();
         // Sorted, as `StateDelta::merge_ref` canonicalises them.
@@ -963,15 +1033,13 @@ impl<'a> Executor<'a> {
 struct TxJournal {
     /// (contract, component, prior value) in write order.
     undo: Vec<(Address, Component, Option<Value>)>,
-    /// Components written by this transaction.
-    touched: Vec<(Address, Component)>,
 }
 
 impl TxJournal {
     fn commit(self, storages: &mut BTreeMap<Address, ShardStorage>) {
-        for (addr, comp) in self.touched {
+        for (addr, comp, _) in self.undo {
             if let Some(s) = storages.get_mut(&addr) {
-                s.touched.insert(comp);
+                s.touched.push(comp);
             }
         }
     }
@@ -1000,8 +1068,8 @@ impl TxJournal {
     }
 }
 
-/// A [`StateStore`] view that records undo information and touched
-/// components into the transaction journal.
+/// A [`StateStore`] view that records each write's component and prior
+/// value into the transaction journal.
 struct JournaledStore<'a, 'j> {
     contract: Address,
     inner: &'a mut CowState,
@@ -1014,8 +1082,7 @@ impl JournaledStore<'_, '_> {
         // path is owned.
         let comp: Component = (field, keys.to_vec());
         let prior = read_component(self.inner, &comp);
-        self.journal.undo.push((self.contract, comp.clone(), prior));
-        self.journal.touched.push((self.contract, comp));
+        self.journal.undo.push((self.contract, comp, prior));
     }
 }
 

@@ -3,14 +3,14 @@
 
 use crate::address::Address;
 use crate::delta::StateDelta;
-use crate::dispatch::{dispatch_policy, xshard_plan_with, Assignment, DispatchPolicy};
+use crate::dispatch::{dispatch_policy, xshard_plan_with, Assignment};
 use crate::error::{DeployError, MergeError};
-use crate::executor::{execute_batch, execute_slice, ExecutorConfig, MicroBlock, Receipt, TxStatus};
+use crate::executor::{self, execute_batch, execute_slice, Executor, ExecutorConfig, MicroBlock};
+use crate::executor::{Receipt, TxStatus};
 use crate::state::{DeployedContract, GlobalState};
 use crate::tx::Transaction;
-use crate::xshard::{
-    decide, LockTable, NoFaults, ShardFault, Verdict, VoteMsg, XShardFaults, XShardStats,
-};
+use crate::xshard::{decide, AbortCause, LockTable, NoFaults, ShardFault, Verdict, VoteMsg};
+use crate::xshard::{XShardFaults, XShardStats};
 use cosplit_analysis::signature::{ShardingSignature, WeakReads};
 use cosplit_analysis::solver::AnalyzedContract;
 use scilla::interpreter::CompiledContract;
@@ -176,9 +176,9 @@ pub struct EpochPackets {
 /// ([`Network::execute_xshard`]).
 #[derive(Debug, Clone)]
 pub struct XShardBlock {
-    /// Receipts/gas of decided transactions (role
-    /// [`Assignment::XShard`]). Deltas are already applied per commit, so
-    /// `block.delta` is empty; aborted and over-budget transactions sit in
+    /// The stage's executor output (role [`Assignment::XShard`]): receipts
+    /// of committed transactions in commit order, and the stage's one delta,
+    /// already applied. Aborted and over-budget transactions sit in
     /// `block.deferred` and retry from the pool next epoch.
     pub block: MicroBlock,
     /// Transactions handed to this epoch's DS packet (plan unresolvable, or
@@ -186,9 +186,9 @@ pub struct XShardBlock {
     pub ds_fallback: Vec<Transaction>,
     /// Protocol counters for this stage.
     pub stats: XShardStats,
-    /// Prepared deltas that failed to apply — impossible under validated
-    /// signatures, surfaced so the sim can report byzantine ones as safety
-    /// violations instead of panicking.
+    /// A stage delta that failed to apply — impossible under validated
+    /// signatures, surfaced so the sim can report a byzantine one as a
+    /// safety violation instead of panicking.
     pub errors: Vec<String>,
 }
 
@@ -398,17 +398,10 @@ impl Network {
             ..Default::default()
         };
         let mut held_back: Vec<Transaction> = Vec::new();
-        let policy = DispatchPolicy {
-            num_shards: self.config.num_shards,
-            use_cosplit: self.config.use_cosplit,
-            relaxed_nonces: self.config.relaxed_nonces,
-            cross_shard_commit: self.config.cross_shard_commit,
-            compose_calls: self.config.compose_calls,
-        };
         {
             let _span = telemetry::span!("chain.network.phase.dispatch");
             for tx in pool.drain(..) {
-                let decision = dispatch_policy(&tx, &self.state, &policy);
+                let decision = dispatch_policy(&tx, &self.state, &self.config);
                 let packet = match decision.assignment {
                     Assignment::Shard(s) => &mut packets.shard_batches[s as usize],
                     Assignment::XShard => &mut packets.xshard_batch,
@@ -465,26 +458,18 @@ impl Network {
         }
     }
 
-    /// The executor configuration a cross-shard coordinator prepares with:
-    /// it works the full balances of the accounts its locks pin (like DS),
-    /// but cross-contract messages still reroute — chained calls escape the
-    /// lock plan, so only the DS committee may run them.
-    pub fn xshard_executor_config(&self) -> ExecutorConfig {
-        self.executor_config(Assignment::XShard)
-    }
-
     /// Cross-shard commit stage (paper's DS choke point, replaced by an
     /// S-BAC-style two-phase commit — see [`crate::xshard`]): runs between
-    /// the delta merge and DS execution, one coordinator per transaction.
+    /// the delta merge and DS execution, one coordinator per transaction and
+    /// one executor for the whole packet, as the DS committee runs its own.
     ///
-    /// Per transaction: break stale locks (epoch start), resolve the lock
-    /// plan from the signature's constraints, have every participant take
-    /// its locks in global key order, prepare by executing against the
-    /// merged state, collect votes (through the fault hooks), and commit
-    /// the prepared delta or abort-with-release. Aborted and over-budget
-    /// transactions land in `block.deferred` and retry from the pool;
-    /// unresolvable plans and rerouting prepares fall back to this epoch's
-    /// DS packet.
+    /// Stale locks break first. Per transaction: resolve the lock plan from
+    /// the signature's constraints, have every participant take its locks
+    /// in global key order, prepare with the effects left open, collect
+    /// votes (through the fault hooks), then commit the prepare or roll it
+    /// back, and release. One delta is applied after the loop; a failed
+    /// apply lands in `errors`. Unresolvable plans and rerouting prepares
+    /// fall back to this epoch's DS packet.
     pub fn execute_xshard(
         &mut self,
         batch: Vec<Transaction>,
@@ -493,23 +478,20 @@ impl Network {
         let _span = telemetry::span!("chain.network.phase.xshard");
         let epoch = self.block_number;
         let mut stats = XShardStats { stale_locks_broken: self.lock_table.break_stale(epoch), ..Default::default() };
-        let cfg = self.xshard_executor_config();
-        let mut block = MicroBlock::empty(Assignment::XShard);
+        // A coordinator works the full balances of the accounts its locks
+        // pin (like DS), but cross-contract messages still reroute: chained
+        // calls escape the lock plan, so only the DS committee may run them.
+        let cfg = self.executor_config(Assignment::XShard);
+        // An epoch without cross-shard traffic runs no batch.
+        let batch_span = (!batch.is_empty()).then(|| executor::batch_span(&cfg, batch.len()));
+        let mut exec = Executor::new(&cfg, &self.state);
         let mut ds_fallback: Vec<Transaction> = Vec::new();
-        let mut errors: Vec<String> = Vec::new();
 
         for tx in batch {
-            // Stage gas budget (same admission rule as a shard packet: a
-            // transaction no budget admits goes on, for the prepare's
-            // executor to fail it).
-            if tx.gas_limit <= cfg.gas_limit
-                && block.gas_used.saturating_add(tx.gas_limit) > cfg.gas_limit
-            {
-                telemetry::trace::instant_with(telemetry::names::TX_DEFER, |a| {
-                    a.push(("tx", tx.id.to_string()));
-                    a.push(("why", "gas_budget".to_string()));
-                });
-                block.deferred.push(tx);
+            // Stage gas budget: a shard packet's admission rule, except that
+            // a transaction which fits may follow one which did not.
+            if exec.over_budget(&tx) {
+                exec.defer(tx);
                 continue;
             }
 
@@ -567,16 +549,17 @@ impl Network {
                 }
             }
 
-            // Phase 1b: prepare — execute against the merged epoch state.
-            // The delta stays speculative until the commit decision, so an
-            // abort is side-effect-free.
+            // Phase 1b: prepare in the stage's executor, on the merged state
+            // plus every earlier commit of this stage. Its effects stay open
+            // until the decision, so an abort rolls them back.
             let mut votes: Vec<VoteMsg> = Vec::new();
-            let mut prepared: Option<MicroBlock> = None;
+            let mut prepared = None;
             if lock_ok {
-                let mb = execute_batch(&cfg, &self.state, vec![tx.clone()]);
-                if !mb.rerouted.is_empty() {
+                let open = exec.prepare(&tx);
+                if open.rerouted() {
                     // Cross-contract call: outside the lock plan; only the
                     // DS committee may chain calls. Release and hand over.
+                    exec.rollback(open);
                     self.lock_table.release(tx.id);
                     stats.ds_fallback += 1;
                     telemetry::trace::instant_with(telemetry::names::TX_XSHARD_ABORT, |a| {
@@ -596,92 +579,75 @@ impl Network {
                     });
                     votes.push(VoteMsg { tx_id: tx.id, shard: p, yes });
                 }
-                prepared = Some(mb);
+                prepared = Some(open);
             }
 
             // Fault hook: the coordinator dies between prepare and commit.
             // Its locks stay behind (stale) and the transaction retries
             // after recovery breaks them.
             if faults.coordinator_crash(epoch, &tx) {
+                if let Some(open) = prepared {
+                    exec.rollback(open);
+                }
                 stats.coordinator_crashes += 1;
                 stats.aborted += 1;
                 telemetry::trace::instant_with(telemetry::names::TX_XSHARD_ABORT, |a| {
                     a.push(("tx", tx.id.to_string()));
-                    a.push(("cause", crate::xshard::AbortCause::CoordinatorCrash.name().to_string()));
+                    a.push(("cause", AbortCause::CoordinatorCrash.name().to_string()));
                 });
-                block.deferred.push(tx);
+                exec.deferred.push(tx);
                 continue;
             }
 
             // Phase 2: the vote messages cross shard boundaries — the only
             // traffic that does — and the fault plan may drop, duplicate,
             // or reorder them in transit.
-            let delivered = faults.deliver_votes(epoch, &tx, votes.clone());
-            if delivered.len() > votes.len() {
-                stats.duplicate_votes += delivered.len() - votes.len();
-            }
-            let verdict = if lock_ok {
-                decide(tx.id, &plan.participants, &delivered)
-            } else {
-                Verdict::Abort
-            };
+            let sent = votes.len();
+            let delivered = faults.deliver_votes(epoch, &tx, votes);
+            stats.duplicate_votes += delivered.len().saturating_sub(sent);
 
-            match verdict {
-                Verdict::Commit => {
-                    let mb = prepared.expect("lock_ok implies prepared");
-                    match mb.delta.apply(&mut self.state) {
-                        Ok(()) => {
-                            block.gas_used += mb.gas_used;
-                            block.receipts.extend(mb.receipts);
-                            block.audit_violations.extend(mb.audit_violations);
-                            self.lock_table.release(tx.id);
-                            stats.committed += 1;
-                            telemetry::trace::instant_with(
-                                telemetry::names::TX_XSHARD_COMMIT,
-                                |a| {
-                                    a.push(("tx", tx.id.to_string()));
-                                    a.push(("coordinator", plan.coordinator.to_string()));
-                                },
-                            );
-                        }
-                        Err(e) => {
-                            // Impossible under validated signatures; abort
-                            // and surface for the sim's safety report.
-                            self.lock_table.release(tx.id);
-                            stats.aborted += 1;
-                            errors.push(format!("xshard delta apply for tx {}: {e:?}", tx.id));
-                            telemetry::trace::instant_with(
-                                telemetry::names::TX_XSHARD_ABORT,
-                                |a| {
-                                    a.push(("tx", tx.id.to_string()));
-                                    a.push((
-                                        "cause",
-                                        crate::xshard::AbortCause::ApplyFailed.name().to_string(),
-                                    ));
-                                },
-                            );
-                            block.deferred.push(tx);
+            let cause = match prepared {
+                None => AbortCause::LockBusy,
+                Some(open) => match decide(tx.id, &plan.participants, &delivered) {
+                    Verdict::Commit => {
+                        exec.commit(&tx, open);
+                        self.lock_table.release(tx.id);
+                        stats.committed += 1;
+                        telemetry::trace::instant_with(telemetry::names::TX_XSHARD_COMMIT, |a| {
+                            a.push(("tx", tx.id.to_string()));
+                            a.push(("coordinator", plan.coordinator.to_string()));
+                        });
+                        continue;
+                    }
+                    verdict => {
+                        exec.rollback(open);
+                        if matches!(verdict, Verdict::Timeout { .. }) {
+                            AbortCause::LostVote
+                        } else {
+                            AbortCause::ParticipantVeto
                         }
                     }
-                }
-                Verdict::Abort | Verdict::Timeout { .. } => {
-                    let cause = if !lock_ok {
-                        crate::xshard::AbortCause::LockBusy
-                    } else if matches!(verdict, Verdict::Timeout { .. }) {
-                        crate::xshard::AbortCause::LostVote
-                    } else {
-                        crate::xshard::AbortCause::ParticipantVeto
-                    };
-                    self.lock_table.release(tx.id);
-                    stats.aborted += 1;
-                    telemetry::trace::instant_with(telemetry::names::TX_XSHARD_ABORT, |a| {
-                        a.push(("tx", tx.id.to_string()));
-                        a.push(("cause", cause.name().to_string()));
-                    });
-                    block.deferred.push(tx);
-                }
-            }
+                },
+            };
+            self.lock_table.release(tx.id);
+            stats.aborted += 1;
+            telemetry::trace::instant_with(telemetry::names::TX_XSHARD_ABORT, |a| {
+                a.push(("tx", tx.id.to_string()));
+                a.push(("cause", cause.name().to_string()));
+            });
+            exec.deferred.push(tx);
         }
+
+        let block = exec.finish();
+        if let Some(_batch) = batch_span {
+            executor::record_batch_metrics(&block);
+        }
+        // Impossible under validated signatures; surfaced, not panicked on,
+        // so the sim can report a byzantine one as a safety violation.
+        let errors = match block.delta.apply(&mut self.state) {
+            Ok(()) => Vec::new(),
+            Err(e) => vec![format!("xshard apply failed: {e:?}")],
+        };
 
         if telemetry::enabled() {
             telemetry::counter!(telemetry::names::XSHARD_PREPARED).add(stats.prepared as u64);

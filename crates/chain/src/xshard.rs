@@ -311,9 +311,6 @@ pub enum AbortCause {
     LostVote,
     /// The coordinator crashed after prepare (locks left stale).
     CoordinatorCrash,
-    /// The prepared delta could not be applied (never under correct
-    /// signatures; surfaced as a safety violation).
-    ApplyFailed,
 }
 
 impl AbortCause {
@@ -324,7 +321,6 @@ impl AbortCause {
             AbortCause::ParticipantVeto => "participant-veto",
             AbortCause::LostVote => "lost-vote",
             AbortCause::CoordinatorCrash => "coordinator-crash",
-            AbortCause::ApplyFailed => "apply-failed",
         }
     }
 }

@@ -8,9 +8,7 @@
 //! `ComposedEscape` trace auditor.
 
 use chain::address::Address;
-use chain::dispatch::{
-    dispatch_policy, Assignment, DispatchPolicy, DispatchReason,
-};
+use chain::dispatch::{dispatch_policy, Assignment, DispatchReason};
 use chain::executor::{execute_batch, RerouteCause, TxStatus};
 use chain::network::{ChainConfig, Network};
 use chain::tx::Transaction;
@@ -25,16 +23,6 @@ const SHARDS: u32 = 4;
 
 fn config(compose: bool) -> ChainConfig {
     ChainConfig { compose_calls: compose, ..ChainConfig::small(SHARDS, true) }
-}
-
-fn policy(compose: bool) -> DispatchPolicy {
-    DispatchPolicy {
-        num_shards: SHARDS,
-        use_cosplit: true,
-        relaxed_nonces: true,
-        cross_shard_commit: false,
-        compose_calls: compose,
-    }
 }
 
 /// A TestRelay → TestReceiver world: the relay's `sink` init parameter is
@@ -70,7 +58,7 @@ fn composed_chain_dispatches_shard_local() {
     let user = Address::from_index(42);
     let tx = relay_tx(1, user, 1, relay);
 
-    let on = dispatch_policy(&tx, net.state(), &policy(true));
+    let on = dispatch_policy(&tx, net.state(), &config(true));
     assert_eq!(on.reason, DispatchReason::ComposedLocal);
     // Both chain members' map updates are commutative (`IntMerge`), so the
     // composed footprint has no ownership locks and any single shard works.
@@ -81,7 +69,7 @@ fn composed_chain_dispatches_shard_local() {
 
     // Composition off: the relay's UserAddr(sink) constraint sees a
     // contract address and the chain serialises at the DS committee.
-    let off = dispatch_policy(&tx, net.state(), &policy(false));
+    let off = dispatch_policy(&tx, net.state(), &config(false));
     assert_eq!(off.assignment, Assignment::Ds);
 }
 
@@ -180,7 +168,7 @@ fn dynamic_recipient_still_reroutes() {
         user.to_value(),
     )]);
     // Dispatch never claims the chain…
-    let d = dispatch_policy(&tx, net.state(), &policy(true));
+    let d = dispatch_policy(&tx, net.state(), &config(true));
     assert_ne!(d.reason, DispatchReason::ComposedLocal);
     // …and even if a shard were handed the transaction, the hop check
     // refuses to follow the unpredicted send.

@@ -243,10 +243,11 @@ fn lookup_packets_hold_back_overflowing_transactions() {
 
 #[test]
 fn strict_nonce_policy_serialises_away_from_home() {
-    use chain::dispatch::{dispatch_policy, DispatchPolicy};
+    use chain::dispatch::dispatch_policy;
     // An unconstrained (fully commutative) call normally spreads; with
     // strict nonces it may only run at the sender's home shard.
-    let mut net = Network::new(ChainConfig::evaluation(4, true));
+    let mut net =
+        Network::new(ChainConfig { relaxed_nonces: false, ..ChainConfig::evaluation(4, true) });
     let alice = Address::from_index(1);
     net.fund_account(alice, 1_000_000);
     let contract = Address::from_index(80);
@@ -260,19 +261,12 @@ fn strict_nonce_policy_serialises_away_from_home() {
         end
     "#;
     net.deploy(contract, src, vec![], Some((&["Add"], WeakReads::AcceptAll))).unwrap();
-    let strict = DispatchPolicy {
-        num_shards: 4,
-        use_cosplit: true,
-        relaxed_nonces: false,
-        cross_shard_commit: false,
-        compose_calls: false,
-    };
     for i in 0..32 {
         let tx = Transaction::call(i, alice, i + 1, contract, "Add", vec![(
             "v".into(),
             Value::Uint(128, 1),
         )]);
-        let d = dispatch_policy(&tx, net.state(), &strict);
+        let d = dispatch_policy(&tx, net.state(), net.config());
         match d.assignment {
             Assignment::Shard(s) => assert_eq!(s, alice.home_shard(4)),
             Assignment::Ds => {}

@@ -160,13 +160,6 @@ fn xshard_world() -> (Network, Vec<Transaction>) {
 
     // One Register per user, each with a hash string scanned until the
     // footprint actually spans shards (dispatches to the xshard stage).
-    let policy = chain::dispatch::DispatchPolicy {
-        num_shards: 4,
-        use_cosplit: true,
-        relaxed_nonces: true,
-        cross_shard_commit: true,
-        compose_calls: false,
-    };
     let pool: Vec<Transaction> = (0..USERS)
         .map(|i| {
             (0..256u32)
@@ -185,7 +178,7 @@ fn xshard_world() -> (Network, Vec<Transaction>) {
                     .with_amount(10)
                 })
                 .find(|tx| {
-                    chain::dispatch::dispatch_policy(tx, net.state(), &policy).assignment
+                    chain::dispatch::dispatch_policy(tx, net.state(), net.config()).assignment
                         == chain::dispatch::Assignment::XShard
                 })
                 .expect("some hash maps off the sender's home shard")

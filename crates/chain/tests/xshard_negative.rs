@@ -4,16 +4,20 @@
 //! at the DS committee (with the right reason counter) even when the stage
 //! is enabled, a participant veto mid-prepare aborts with release and the
 //! transaction retries cleanly, and a lost vote inside the full simulator
-//! aborts, repools, and commits on a later epoch.
+//! aborts, repools, and commits on a later epoch. The stage's one executor
+//! must commit what one stage per transaction commits, and a veto in the
+//! middle of a packet must undo exactly its own transaction.
 
 use chain::address::Address;
-use chain::dispatch::{dispatch_policy, Assignment, DispatchPolicy, DispatchReason};
+use chain::dispatch::{dispatch_policy, Assignment, DispatchReason};
 use chain::network::{ChainConfig, Network};
-use chain::sim::{run_sim, FaultEvent, FaultKind, FaultPlan, SimConfig, TxOutcome};
-use chain::tx::Transaction;
-use chain::xshard::{NoFaults, XShardFaults};
+use chain::executor::TxStatus;
+use chain::sim::{run_sim, state_digest, FaultEvent, FaultKind, FaultPlan, SimConfig, TxOutcome};
+use chain::tx::{Transaction, TxKind};
+use chain::xshard::{NoFaults, ShardFault, VoteMsg, XShardFaults, XShardStats};
 use cosplit_analysis::signature::WeakReads;
 use scilla::value::Value;
+use std::sync::Mutex;
 
 const SHARDS: u32 = 4;
 
@@ -42,16 +46,6 @@ fn cfg(cross_shard_commit: bool) -> ChainConfig {
     ChainConfig { cross_shard_commit, ..ChainConfig::small(SHARDS, true) }
 }
 
-fn policy(cross_shard_commit: bool) -> DispatchPolicy {
-    DispatchPolicy {
-        num_shards: SHARDS,
-        use_cosplit: true,
-        relaxed_nonces: true,
-        cross_shard_commit,
-        compose_calls: false,
-    }
-}
-
 /// A ProofIPFS world: the `Register` transition's footprint is the sender's
 /// account plus the registry component keyed by the hash string — two
 /// shards for most (sender, hash) pairs.
@@ -77,7 +71,18 @@ fn ipfs_world(config: ChainConfig) -> (Network, Address) {
 /// A `Register` call whose resolved footprint spans at least two shards
 /// (scans hash strings until one lands off the sender's home shard).
 fn split_register(net: &Network, contract: Address, id: u64, nonce: u64) -> Transaction {
-    let sender = Address::from_index(1);
+    split_register_by(net, contract, Address::from_index(1), id, nonce, |i| format!("Qm{i:060}"))
+}
+
+/// [`split_register`] from any sender, over the hash strings `hash(0..256)`.
+fn split_register_by(
+    net: &Network,
+    contract: Address,
+    sender: Address,
+    id: u64,
+    nonce: u64,
+    hash: impl Fn(u32) -> String,
+) -> Transaction {
     (0..256u32)
         .map(|i| {
             Transaction::call(
@@ -86,15 +91,24 @@ fn split_register(net: &Network, contract: Address, id: u64, nonce: u64) -> Tran
                 nonce,
                 contract,
                 "Register",
-                vec![("ipfs_hash".into(), Value::Str(format!("Qm{i:060}")))],
+                vec![("ipfs_hash".into(), Value::Str(hash(i)))],
             )
             .with_amount(10)
         })
         .find(|tx| {
-            dispatch_policy(tx, net.state(), &policy(true)).assignment == Assignment::XShard
+            dispatch_policy(tx, net.state(), &cfg(true)).assignment == Assignment::XShard
         })
         .expect("some hash string maps off the sender's home shard")
 }
+
+/// A split-footprint `Register` whose hash string no other id uses.
+fn register(net: &Network, contract: Address, sender: Address, id: u64, nonce: u64) -> Transaction {
+    split_register_by(net, contract, sender, id, nonce, |i| format!("Qm{id:08}{i:052}"))
+}
+
+/// Serialises this file's tests: each asserts on diffs of the
+/// process-global telemetry registry.
+static TELEMETRY_GUARD: Mutex<()> = Mutex::new(());
 
 /// One participant votes no on its first prepare, then behaves.
 struct VetoOnce {
@@ -111,6 +125,7 @@ impl XShardFaults for VetoOnce {
 /// phase measures its own snapshot diff sequentially.
 #[test]
 fn negative_paths_abort_cleanly_and_are_counted() {
+    let _g = TELEMETRY_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::set_enabled(true);
     let reason = |r: DispatchReason| format!("chain.dispatch.reason.{}", r.name());
 
@@ -136,7 +151,7 @@ fn negative_paths_abort_cleanly_and_are_counted() {
             Value::Uint(128, 1),
         )]),
         net.state(),
-        &policy(true),
+        &cfg(true),
     );
     assert_eq!(d.assignment, Assignment::Ds);
     assert_eq!(d.reason, DispatchReason::Unsat);
@@ -149,11 +164,11 @@ fn negative_paths_abort_cleanly_and_are_counted() {
     // stage off, cross-shard commit with it on.
     let (net, contract) = ipfs_world(cfg(true));
     let tx = split_register(&net, contract, 10, 1);
-    let off = dispatch_policy(&tx, net.state(), &policy(false));
+    let off = dispatch_policy(&tx, net.state(), &cfg(false));
     assert_eq!(off.assignment, Assignment::Ds);
     assert_eq!(off.reason, DispatchReason::SplitFootprint);
     let before = telemetry::registry().snapshot();
-    let on = dispatch_policy(&tx, net.state(), &policy(true));
+    let on = dispatch_policy(&tx, net.state(), &cfg(true));
     assert_eq!(on.assignment, Assignment::XShard);
     assert_eq!(on.reason, DispatchReason::CrossShard);
     let delta = telemetry::registry().snapshot().diff(&before);
@@ -203,5 +218,159 @@ fn negative_paths_abort_cleanly_and_are_counted() {
         report.outcomes.get(&tx.id)
     );
     assert!(report.safety_violations.is_empty(), "{:?}", report.safety_violations);
+    assert!(net.lock_table().is_empty());
+}
+
+fn sum(a: XShardStats, b: XShardStats) -> XShardStats {
+    XShardStats {
+        prepared: a.prepared + b.prepared,
+        committed: a.committed + b.committed,
+        aborted: a.aborted + b.aborted,
+        lock_wait: a.lock_wait + b.lock_wait,
+        ds_fallback: a.ds_fallback + b.ds_fallback,
+        stale_locks_broken: a.stale_locks_broken + b.stale_locks_broken,
+        coordinator_crashes: a.coordinator_crashes + b.coordinator_crashes,
+        duplicate_votes: a.duplicate_votes + b.duplicate_votes,
+    }
+}
+
+/// One executor over the whole packet commits exactly what one stage per
+/// transaction commits — including for a sender who can afford its second
+/// `Register` only with the first one's gas refund, which the stage must
+/// credit before the next prepare runs.
+#[test]
+fn one_stage_equals_one_transaction_at_a_time() {
+    let _g = TELEMETRY_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let rich = Address::from_index(1);
+    let broke = Address::from_index(500);
+    let (mut stage, contract) = ipfs_world(cfg(true));
+    let senders = [(broke, 1), (rich, 1), (rich, 2), (broke, 2), (rich, 3), (rich, 4)];
+    let batch: Vec<Transaction> = senders
+        .into_iter()
+        .zip(40..)
+        .map(|((sender, nonce), id)| register(&stage, contract, sender, id, nonce))
+        .collect();
+    let (first, second) = (&batch[0], &batch[3]);
+
+    // What the first `Register` really costs, learnt on a third world.
+    let (mut dry, _) = ipfs_world(cfg(true));
+    dry.fund_account(broke, 1_000_000_000);
+    let dry_run = dry.execute_xshard(vec![first.clone()], &mut NoFaults);
+    let actual_fee = u128::from(dry_run.block.receipts[0].gas_used) * first.gas_price;
+    let amount = |tx: &Transaction| match tx.kind {
+        TxKind::Call { amount, .. } => amount,
+        TxKind::Payment { amount, .. } => amount,
+    };
+    let funds = actual_fee
+        + amount(first)
+        + u128::from(second.gas_limit) * second.gas_price
+        + amount(second);
+
+    stage.fund_account(broke, funds);
+    let staged = stage.execute_xshard(batch.clone(), &mut NoFaults);
+
+    let (mut serial, _) = ipfs_world(cfg(true));
+    serial.fund_account(broke, funds);
+    let mut receipts = Vec::new();
+    let mut stats = XShardStats::default();
+    for tx in &batch {
+        let one = serial.execute_xshard(vec![tx.clone()], &mut NoFaults);
+        assert!(one.errors.is_empty() && one.block.deferred.is_empty(), "{:?}", one.errors);
+        receipts.extend(one.block.receipts);
+        stats = sum(stats, one.stats);
+    }
+
+    assert!(staged.errors.is_empty(), "{:?}", staged.errors);
+    assert!(staged.block.deferred.is_empty());
+    assert!(
+        receipts.iter().all(|r| r.status == TxStatus::Success),
+        "every Register commits, the near-broke sender's second included: {receipts:?}"
+    );
+    assert_eq!(staged.block.receipts, receipts);
+    assert_eq!(staged.stats, stats);
+    assert!(stage.lock_table().is_empty() && serial.lock_table().is_empty());
+    assert_eq!(state_digest(&stage), state_digest(&serial));
+}
+
+/// A fault plan that records every hook call as `(hook, tx id, shard)` and
+/// has every participant of one transaction vote no.
+struct Recorder {
+    veto: u64,
+    log: Vec<(&'static str, u64, Option<u32>)>,
+}
+
+impl XShardFaults for Recorder {
+    fn shard_fault(&mut self, _epoch: u64, shard: u32) -> ShardFault {
+        self.log.push(("shard_fault", 0, Some(shard)));
+        ShardFault::None
+    }
+
+    fn deliver_votes(&mut self, _epoch: u64, tx: &Transaction, votes: Vec<VoteMsg>) -> Vec<VoteMsg> {
+        self.log.push(("deliver_votes", tx.id, None));
+        votes
+    }
+
+    fn prepare_panic(&mut self, _epoch: u64, tx: &Transaction, shard: u32) -> bool {
+        self.log.push(("prepare_panic", tx.id, Some(shard)));
+        tx.id == self.veto
+    }
+
+    fn coordinator_crash(&mut self, _epoch: u64, tx: &Transaction) -> bool {
+        self.log.push(("coordinator_crash", tx.id, None));
+        false
+    }
+
+    fn plant_stale_lock(&mut self, _epoch: u64, tx: &Transaction) -> bool {
+        self.log.push(("plant_stale_lock", tx.id, None));
+        false
+    }
+}
+
+/// A veto in the middle of a packet rolls back that transaction alone — its
+/// writes, fee and nonce — while its neighbours commit around it, and the
+/// stage calls its hooks in the protocol's order.
+#[test]
+fn a_mid_batch_veto_rolls_back_only_its_transaction() {
+    let _g = TELEMETRY_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let sender = Address::from_index(1);
+    let (mut net, contract) = ipfs_world(cfg(true));
+    let [a, b, c] =
+        [(60, 1), (61, 2), (62, 3)].map(|(id, nonce)| register(&net, contract, sender, id, nonce));
+    let mut faults = Recorder { veto: b.id, log: Vec::new() };
+    let xb = net.execute_xshard(vec![a.clone(), b.clone(), c.clone()], &mut faults);
+
+    let hooks = |id: u64, shards: [u32; 2]| {
+        [
+            ("plant_stale_lock", id, None),
+            ("prepare_panic", id, Some(shards[0])),
+            ("prepare_panic", id, Some(shards[1])),
+            ("coordinator_crash", id, None),
+            ("deliver_votes", id, None),
+        ]
+    };
+    let expected: Vec<_> =
+        [hooks(a.id, [0, 2]), hooks(b.id, [0, 3]), hooks(c.id, [0, 1])].concat();
+    assert_eq!(faults.log, expected);
+
+    let committed: Vec<u64> = xb.block.receipts.iter().map(|r| r.tx_id).collect();
+    assert_eq!(committed, [a.id, c.id]);
+    assert!(xb.block.receipts.iter().all(|r| r.status == TxStatus::Success));
+    assert_eq!(xb.block.deferred, std::slice::from_ref(&b));
+    assert_eq!((xb.stats.committed, xb.stats.aborted), (2, 1));
+    assert!(xb.errors.is_empty(), "{:?}", xb.errors);
+    assert!(net.lock_table().is_empty());
+
+    let (mut only, _) = ipfs_world(cfg(true));
+    let reference = only.execute_xshard(vec![a, c], &mut NoFaults);
+    assert_eq!(reference.block.receipts, xb.block.receipts);
+    assert_eq!(net.state().balance(&sender), only.state().balance(&sender));
+    assert_eq!(net.storage_of(&contract), only.storage_of(&contract));
+    assert_eq!(state_digest(&net), state_digest(&only));
+
+    // The vetoed transaction's nonce is still free: the retry commits.
+    let retry = net.execute_xshard(vec![b.clone()], &mut NoFaults);
+    assert_eq!(retry.block.receipts.len(), 1);
+    assert_eq!(retry.block.receipts[0].tx_id, b.id);
+    assert_eq!(retry.block.receipts[0].status, TxStatus::Success);
     assert!(net.lock_table().is_empty());
 }
