@@ -18,16 +18,15 @@ use crate::state::GlobalState;
 use std::sync::Arc;
 use scilla::builtins::uint_max;
 use scilla::intern::Sym;
-use scilla::state::{delete_at, descend, insert_at, StateStore};
+use scilla::state::StateStore;
 use scilla::value::Value;
 use serde_json::json;
 use std::collections::BTreeMap;
 
 /// One addressable state component: a field plus a (possibly empty) key path.
 ///
-/// The field name is interned; component maps key and compare by intern id
-/// (fast, in-process deterministic). Anything canonical — the wire encoding,
-/// diagnostics — resolves the [`Sym`] back to text and orders by it.
+/// The field name is interned; components order by field text, then keys,
+/// so component maps iterate in the canonical (wire) order.
 pub type Component = (Sym, Vec<Value>);
 
 /// Renders a component for diagnostics.
@@ -230,42 +229,30 @@ impl StateDelta {
             .contracts
             .iter()
             .map(|(addr, cd)| {
-                // Component maps iterate in intern-id order, which varies
-                // with process history; the wire form is canonical, so sort
-                // by field text (then keys) before emitting.
-                let canonical = |comps: Vec<(&Component, serde_json::Value)>| {
-                    let mut comps = comps;
-                    comps.sort_by(|(a, _), (b, _)| {
-                        a.0.cmp_str(b.0).then_with(|| a.1.cmp(&b.1))
-                    });
-                    comps.into_iter().map(|(_, j)| j).collect::<Vec<_>>()
-                };
-                let ints = canonical(
-                    cd.int_deltas
-                        .iter()
-                        .map(|(c, d)| {
-                            (c, json!({
-                                "field": c.0.as_str(),
-                                "keys": c.1.iter().map(scilla::wire::to_json).collect::<Vec<_>>(),
-                                "delta": d.delta.to_string(),
-                                "width": d.width,
-                                "signed": d.signed,
-                            }))
+                let ints: Vec<serde_json::Value> = cd
+                    .int_deltas
+                    .iter()
+                    .map(|(c, d)| {
+                        json!({
+                            "field": c.0.as_str(),
+                            "keys": c.1.iter().map(scilla::wire::to_json).collect::<Vec<_>>(),
+                            "delta": d.delta.to_string(),
+                            "width": d.width,
+                            "signed": d.signed,
                         })
-                        .collect(),
-                );
-                let ows = canonical(
-                    cd.overwrites
-                        .iter()
-                        .map(|(c, v)| {
-                            (c, json!({
-                                "field": c.0.as_str(),
-                                "keys": c.1.iter().map(scilla::wire::to_json).collect::<Vec<_>>(),
-                                "value": v.as_ref().map(scilla::wire::to_json),
-                            }))
+                    })
+                    .collect();
+                let ows: Vec<serde_json::Value> = cd
+                    .overwrites
+                    .iter()
+                    .map(|(c, v)| {
+                        json!({
+                            "field": c.0.as_str(),
+                            "keys": c.1.iter().map(scilla::wire::to_json).collect::<Vec<_>>(),
+                            "value": v.as_ref().map(scilla::wire::to_json),
                         })
-                        .collect(),
-                );
+                    })
+                    .collect();
                 json!({"contract": addr.to_string(), "ints": ints, "overwrites": ows})
             })
             .collect();
@@ -413,21 +400,6 @@ pub fn read_component(storage: &dyn StateStore, comp: &Component) -> Option<Valu
     } else {
         storage.map_get(comp.0, &comp.1)
     }
-}
-
-/// Convenience: navigate within a single field `Value`.
-pub fn value_at<'v>(root: &'v Value, keys: &[Value]) -> Option<&'v Value> {
-    descend(root, keys)
-}
-
-/// Convenience: write within a single field `Value`.
-pub fn write_at(root: &mut Value, keys: &[Value], v: Value) {
-    insert_at(root, keys, v)
-}
-
-/// Convenience: delete within a single field `Value`.
-pub fn remove_at(root: &mut Value, keys: &[Value]) {
-    delete_at(root, keys)
 }
 
 #[cfg(test)]
@@ -602,6 +574,22 @@ mod tests {
         assert!(StateDelta::from_wire("{}").is_err());
         assert!(StateDelta::from_wire(r#"{"contracts": [{"contract": "bogus"}], "balances": []}"#)
             .is_err());
+    }
+
+    #[test]
+    fn non_hex_wire_key_is_an_error_not_a_panic() {
+        let mut sd = StateDelta::new();
+        sd.contracts
+            .entry(addr(100))
+            .or_default()
+            .overwrites
+            .insert(("owners".into(), vec![Value::ByStr(vec![0xab])]), None);
+        let wire = sd.to_wire();
+        assert!(StateDelta::from_wire(&wire).is_ok());
+        // An even-length payload whose second byte is inside 'é'.
+        let hostile = wire.replace(r#""v":"ab""#, r#""v":"aéb""#);
+        assert_ne!(hostile, wire);
+        assert!(StateDelta::from_wire(&hostile).is_err());
     }
 
     #[test]

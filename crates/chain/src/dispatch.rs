@@ -242,23 +242,15 @@ fn dispatch_inner(tx: &Transaction, state: &GlobalState, policy: &ChainConfig) -
                             if let Some(footprint) =
                                 composed_footprint(tx, state, deployed, transition, args, num_shards)
                             {
-                                return decide_composed(
-                                    tx,
-                                    footprint,
-                                    num_shards,
-                                    policy.cross_shard_commit,
-                                );
+                                return decide(tx, &footprint, policy, true);
                             }
                         }
-                        return dispatch_with_constraints(
-                            tx,
-                            state,
-                            deployed,
-                            &tc.constraints,
-                            args,
-                            num_shards,
-                            policy.cross_shard_commit,
-                        );
+                        let footprint =
+                            resolve_footprint(tx, state, deployed, &tc.constraints, args, num_shards);
+                        return match footprint {
+                            Ok(footprint) => decide(tx, &footprint, policy, false),
+                            Err(reason) => Decision { assignment: Assignment::Ds, reason },
+                        };
                     }
                     return Decision { assignment: Assignment::Ds, reason: DispatchReason::Unselected };
                 }
@@ -312,16 +304,7 @@ fn resolve_footprint(
     args: &[(String, Value)],
     num_shards: u32,
 ) -> Result<Footprint, DispatchReason> {
-    let resolve = |name: &str| -> Option<Value> {
-        match name {
-            "_sender" | "_origin" => Some(tx.sender.to_value()),
-            _ => args
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.clone())
-                .or_else(|| deployed.param(name).cloned()),
-        }
-    };
+    let resolve = |name: &str| root_value(name, tx.sender, args, deployed);
 
     let mut locks: BTreeMap<LockKey, u32> = BTreeMap::new();
     for c in constraints {
@@ -387,32 +370,48 @@ fn resolve_footprint(
     Ok(Footprint { locks })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch_with_constraints(
-    tx: &Transaction,
-    state: &GlobalState,
-    deployed: &DeployedContract,
-    constraints: &BTreeSet<Constraint>,
+/// Resolves a name in the root transition's frame: `_sender`/`_origin` are
+/// the transaction sender, anything else a transition argument or, failing
+/// that, a deployment parameter.
+fn root_value(
+    name: &str,
+    sender: Address,
     args: &[(String, Value)],
-    num_shards: u32,
-    cross_shard_commit: bool,
+    root: &DeployedContract,
+) -> Option<Value> {
+    match name {
+        "_sender" | "_origin" => Some(sender.to_value()),
+        _ => args
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.clone())
+            .or_else(|| root.param(name).cloned()),
+    }
+}
+
+/// Turns a footprint's shard set into a decision: none or one shard commits
+/// shard-locally, several go to the cross-shard two-phase commit when it is
+/// enabled and serialise at the DS committee otherwise. A `composed`
+/// whole-chain footprint commits locally as `ComposedLocal`.
+fn decide(
+    tx: &Transaction,
+    footprint: &Footprint,
+    policy: &ChainConfig,
+    composed: bool,
 ) -> Decision {
-    let footprint = match resolve_footprint(tx, state, deployed, constraints, args, num_shards) {
-        Ok(f) => f,
-        Err(reason) => return Decision { assignment: Assignment::Ds, reason },
+    let local = |shard, reason| Decision {
+        assignment: Assignment::Shard(shard),
+        reason: if composed { DispatchReason::ComposedLocal } else { reason },
     };
     let required = footprint.shards();
     match required.len() {
-        0 => {
-            // Fully commutative footprint: spread by transaction id.
-            let shard = (fnv1a(&tx.id.to_be_bytes()) % num_shards as u64) as u32;
-            Decision { assignment: Assignment::Shard(shard), reason: DispatchReason::Unconstrained }
-        }
-        1 => Decision {
-            assignment: Assignment::Shard(*required.iter().next().expect("one element")),
-            reason: DispatchReason::OwnershipPinned,
-        },
-        _ if cross_shard_commit => {
+        // Fully commutative footprint: spread by transaction id.
+        0 => local(
+            (fnv1a(&tx.id.to_be_bytes()) % policy.num_shards as u64) as u32,
+            DispatchReason::Unconstrained,
+        ),
+        1 => local(*required.iter().next().expect("one element"), DispatchReason::OwnershipPinned),
+        _ if policy.cross_shard_commit => {
             Decision { assignment: Assignment::XShard, reason: DispatchReason::CrossShard }
         }
         _ => Decision { assignment: Assignment::Ds, reason: DispatchReason::SplitFootprint },
@@ -434,20 +433,6 @@ struct ChainView<'a> {
 }
 
 impl ChainView<'_> {
-    /// Resolves a name in the root transition's frame, exactly like the
-    /// constraint instantiation in [`resolve_footprint`].
-    fn root_value(&self, name: &str) -> Option<Value> {
-        match name {
-            "_sender" | "_origin" => Some(self.sender.to_value()),
-            _ => self
-                .args
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.clone())
-                .or_else(|| self.root.param(name).cloned()),
-        }
-    }
-
     fn classify(&self, value: Option<Value>) -> Target {
         match value.as_ref().and_then(Value::as_address) {
             None => Target::Unknown,
@@ -482,7 +467,7 @@ impl DeploymentView for ChainView<'_> {
                 .and_then(|a| self.state.storage.get(&a))
                 .and_then(|s| s.fields().get(f).cloned()),
             Recipient::TransitionParam(_) => match binding {
-                Some(Binding::Param(p)) => self.root_value(p),
+                Some(Binding::Param(p)) => root_value(p, self.sender, self.args, self.root),
                 Some(Binding::Const(c)) => Address::from_hex(c).ok().map(Address::to_value),
                 _ => None,
             },
@@ -527,14 +512,7 @@ fn binding_value(
     args: &[(String, Value)],
 ) -> Option<Value> {
     match b {
-        Binding::Param(p) => match p.as_str() {
-            "_sender" | "_origin" => Some(view_sender.to_value()),
-            _ => args
-                .iter()
-                .find(|(n, _)| n == p)
-                .map(|(_, v)| v.clone())
-                .or_else(|| root.param(p).cloned()),
-        },
+        Binding::Param(p) => root_value(p, view_sender, args, root),
         Binding::Const(c) => Address::from_hex(c).ok().map(Address::to_value),
         Binding::Caller(i) => {
             Address::from_hex(&composed.members.get(*i)?.contract).ok().map(Address::to_value)
@@ -650,32 +628,6 @@ fn composed_footprint(
         telemetry::counter!("chain.dispatch.composed_chains").inc();
     }
     Some(Footprint { locks })
-}
-
-/// Turns a composed whole-chain footprint into a decision: single-shard
-/// chains commit shard-locally (`ComposedLocal`), multi-shard ones go to
-/// the cross-shard two-phase commit when it is enabled.
-fn decide_composed(
-    tx: &Transaction,
-    footprint: Footprint,
-    num_shards: u32,
-    cross_shard_commit: bool,
-) -> Decision {
-    let required = footprint.shards();
-    match required.len() {
-        0 => {
-            let shard = (fnv1a(&tx.id.to_be_bytes()) % num_shards as u64) as u32;
-            Decision { assignment: Assignment::Shard(shard), reason: DispatchReason::ComposedLocal }
-        }
-        1 => Decision {
-            assignment: Assignment::Shard(*required.iter().next().expect("one element")),
-            reason: DispatchReason::ComposedLocal,
-        },
-        _ if cross_shard_commit => {
-            Decision { assignment: Assignment::XShard, reason: DispatchReason::CrossShard }
-        }
-        _ => Decision { assignment: Assignment::Ds, reason: DispatchReason::SplitFootprint },
-    }
 }
 
 /// Resolves the coordinator's lock plan for a cross-shard transaction: the

@@ -5,33 +5,61 @@
 //! sources), yet the hot path used to compare and clone `String`s for every
 //! load, store, and constructor application. A [`Sym`] is a `Copy` handle
 //! into a process-wide append-only table: equality and hashing are integer
-//! ops, `as_str` is a lock-free-read away, and nothing is ever freed (the
-//! vocabulary is bounded by the deployed code, not the workload).
+//! ops, and nothing is ever freed (the vocabulary is bounded by the deployed
+//! code, not the workload).
 //!
-//! # Ordering caveat
-//!
-//! `Sym`'s derived `Ord` compares table indices, which depend on interning
-//! order and are therefore *not* stable across processes (or even across
-//! runs with different thread timings). Fast in-process containers
-//! (`BTreeMap<Sym, _>`) are fine; anything **canonical** — wire encodings,
-//! digests, golden test output — must order by [`Sym::as_str`] (see
-//! [`Sym::cmp_str`]). The delta wire format and value printers in this
-//! workspace do exactly that.
+//! `Sym`'s `Ord` is the order of its text, not of its id. Ids depend on
+//! interning history and thread timing; text does not, so every
+//! `BTreeMap<Sym, _>` iterates in the same order in every process and
+//! canonical output (wire deltas, digests, printed values) needs no
+//! re-sort. Comparing distinct symbols reads both texts, and
+//! [`Sym::as_str`] is lock-free: the table's slots are written once, under
+//! the interning lock, before the new `Sym` is handed out.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
-/// An interned string: a `Copy` integer handle with O(1) equality/hash.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// An interned string: a `Copy` integer handle with O(1) equality/hash,
+/// ordered by its text.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sym(u32);
 
+/// Segment `k` of the text table holds `1 << (FIRST_SEGMENT_BITS + k)`
+/// slots, so `SEGMENTS` doubling segments cover every `u32` id.
+const FIRST_SEGMENT_BITS: u32 = 6;
+const SEGMENTS: usize = (u32::BITS - FIRST_SEGMENT_BITS + 1) as usize;
+
 struct Interner {
-    /// Resolved text by id. Strings are leaked, so resolving hands out
-    /// `&'static str` without holding the lock.
-    strs: RwLock<Vec<&'static str>>,
-    /// Reverse map used by [`intern`].
+    /// Resolved text by id, append-only. A segment is allocated on first
+    /// use and never moves, and each slot is set once, so a read is a few
+    /// acquire loads and hands out the leaked `&'static str`.
+    segments: [OnceLock<Box<[OnceLock<&'static str>]>>; SEGMENTS],
+    /// Reverse map used by [`intern`]; its write lock serialises appends.
     ids: RwLock<HashMap<&'static str, Sym>>,
+}
+
+impl Interner {
+    /// The table slot of `id`, allocating its segment if needed.
+    fn slot(&self, id: u32) -> &OnceLock<&'static str> {
+        // Offset by the first segment's size, an id's top bit names its
+        // segment, and the segment's length is that bit's value.
+        let n = u64::from(id) + (1 << FIRST_SEGMENT_BITS);
+        let top = u64::BITS - 1 - n.leading_zeros();
+        let len = 1usize << top;
+        let segment = self.segments[(top - FIRST_SEGMENT_BITS) as usize]
+            .get_or_init(|| (0..len).map(|_| OnceLock::new()).collect());
+        &segment[n as usize - len]
+    }
+
+    /// Appends `s` under the held `ids` write lock.
+    fn push(&self, ids: &mut HashMap<&'static str, Sym>, s: &'static str) -> Sym {
+        let sym = Sym(u32::try_from(ids.len()).expect("symbol table full"));
+        self.slot(sym.0).set(s).expect("each id is assigned once");
+        ids.insert(s, sym);
+        sym
+    }
 }
 
 /// Symbols interned at table construction, in fixed order, so their ids are
@@ -89,38 +117,42 @@ impl Sym {
     /// `_exception`.
     pub const EXCEPTION: Sym = Sym(15);
 
-    /// The interned text. The return borrows the process-wide table (leaked
-    /// storage), not any lock guard.
+    /// The interned text, without taking a lock. The return borrows the
+    /// process-wide table (leaked storage).
     pub fn as_str(self) -> &'static str {
-        table().strs.read().unwrap()[self.0 as usize]
+        table().slot(self.0).get().expect("a Sym's slot is set before it escapes")
     }
+}
 
-    /// The raw table index (diagnostics only — see the ordering caveat).
-    pub fn id(self) -> u32 {
-        self.0
-    }
-
-    /// Canonical (string) ordering, with an integer fast path on equality.
-    /// Use this wherever ordering must be stable across processes.
-    pub fn cmp_str(self, other: Sym) -> std::cmp::Ordering {
+impl Ord for Sym {
+    /// Text order, with an integer fast path on equality (interned text is
+    /// unique, so equal ids and equal text coincide).
+    fn cmp(&self, other: &Sym) -> Ordering {
         if self == other {
-            std::cmp::Ordering::Equal
+            Ordering::Equal
         } else {
             self.as_str().cmp(other.as_str())
         }
     }
 }
 
+impl PartialOrd for Sym {
+    fn partial_cmp(&self, other: &Sym) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 fn table() -> &'static Interner {
     static TABLE: OnceLock<Interner> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let t = Interner { strs: RwLock::new(Vec::new()), ids: RwLock::new(HashMap::new()) };
+        let t = Interner {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            ids: RwLock::new(HashMap::new()),
+        };
         {
-            let mut strs = t.strs.write().unwrap();
             let mut ids = t.ids.write().unwrap();
-            for (i, s) in WELL_KNOWN.iter().enumerate() {
-                strs.push(s);
-                ids.insert(*s, Sym(i as u32));
+            for s in WELL_KNOWN {
+                t.push(&mut ids, s);
             }
         }
         t
@@ -139,12 +171,7 @@ pub fn intern(s: &str) -> Sym {
     if let Some(sym) = ids.get(s) {
         return *sym;
     }
-    let mut strs = t.strs.write().unwrap();
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    let sym = Sym(strs.len() as u32);
-    strs.push(leaked);
-    ids.insert(leaked, sym);
-    sym
+    t.push(&mut ids, Box::leak(s.to_owned().into_boxed_str()))
 }
 
 impl From<&str> for Sym {
@@ -227,7 +254,7 @@ mod tests {
     #[test]
     fn well_known_ids_match() {
         for (i, s) in WELL_KNOWN.iter().enumerate() {
-            assert_eq!(intern(s).id(), i as u32, "well-known symbol {s:?} drifted");
+            assert_eq!(intern(s), Sym(i as u32), "well-known symbol {s:?} drifted");
         }
         assert_eq!(Sym::TRUE, "True");
         assert_eq!(Sym::FALSE, "False");
@@ -247,14 +274,22 @@ mod tests {
     }
 
     #[test]
-    fn cmp_str_orders_by_text_not_id() {
+    fn ord_is_text_order_not_id_order() {
         // Intern in reverse-lexicographic order so ids disagree with text.
         let z = intern("zzz_order_probe");
         let a = intern("aaa_order_probe");
-        assert!(z.id() < a.id());
-        assert_eq!(a.cmp_str(z), std::cmp::Ordering::Less);
-        assert_eq!(z.cmp_str(a), std::cmp::Ordering::Greater);
-        assert_eq!(a.cmp_str(a), std::cmp::Ordering::Equal);
+        assert!(z.0 < a.0);
+        assert_eq!(a.cmp(&z), Ordering::Less);
+        assert_eq!(z.cmp(&a), Ordering::Greater);
+        assert_eq!(a.cmp(&a), Ordering::Equal);
+    }
+
+    #[test]
+    fn table_grows_past_its_first_segments() {
+        let syms: Vec<Sym> = (0..1_000).map(|i| intern(&format!("segment_probe_{i}"))).collect();
+        for (i, sym) in syms.iter().enumerate() {
+            assert_eq!(sym.as_str(), format!("segment_probe_{i}"));
+        }
     }
 
     #[test]

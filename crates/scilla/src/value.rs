@@ -189,16 +189,9 @@ impl Ord for Value {
             (ByStr(a), ByStr(b)) => a.cmp(b),
             (BNum(a), BNum(b)) => a.cmp(b),
             (Map(a), Map(b)) => a.cmp(b),
-            // Constructor tags order by their *text*, not their intern id:
-            // map iteration order (hence wire encodings and digests) must not
-            // depend on the process's interning history.
             (Adt { ctor: c1, args: a1 }, Adt { ctor: c2, args: a2 }) => {
-                c1.cmp_str(*c2).then_with(|| a1.cmp(a2))
+                c1.cmp(c2).then_with(|| a1.cmp(a2))
             }
-            // Key order here follows intern ids: equality is still exact
-            // content equality (same text ⇒ same id in-process), and
-            // well-typed programs never key maps by messages, so the
-            // *relative* order of distinct messages is never canonical.
             (Msg(a), Msg(b)) => a.cmp(b),
             (Clo(a), Clo(b)) => (Arc::as_ptr(a) as usize).cmp(&(Arc::as_ptr(b) as usize)),
             (TClo(a), TClo(b)) => (Arc::as_ptr(a) as usize).cmp(&(Arc::as_ptr(b) as usize)),
@@ -239,13 +232,8 @@ impl fmt::Display for Value {
                 Ok(())
             }
             Value::Msg(m) => {
-                // Render in key-text order so the output is independent of
-                // interning history (messages surface in error strings and
-                // repro artifacts).
-                let mut entries: Vec<_> = m.iter().collect();
-                entries.sort_by(|(a, _), (b, _)| a.cmp_str(**b));
                 write!(f, "Msg{{")?;
-                for (i, (k, v)) in entries.into_iter().enumerate() {
+                for (i, (k, v)) in m.iter().enumerate() {
                     if i > 0 {
                         write!(f, "; ")?;
                     }

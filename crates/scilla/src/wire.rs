@@ -32,12 +32,8 @@ pub fn to_json(v: &Value) -> Json {
             json!({"t": "ADT", "c": ctor.as_str(), "a": args})
         }
         Value::Msg(m) => {
-            // Canonical form: entries in key-text order, independent of the
-            // process's interning history.
-            let mut keys: Vec<_> = m.keys().copied().collect();
-            keys.sort_by(|a, b| a.cmp_str(*b));
             let entries: Vec<Json> =
-                keys.iter().map(|k| json!([k.as_str(), to_json(&m[k])])).collect();
+                m.iter().map(|(k, v)| json!([k.as_str(), to_json(v)])).collect();
             json!({"t": "Msg", "v": entries})
         }
         Value::Clo(_) | Value::TClo(_) => Json::Null,
@@ -65,12 +61,18 @@ pub fn from_json(j: &Json) -> Result<Value, String> {
     }
     if t.strip_prefix("ByStr").is_some() {
         let hex = get_v()?.as_str().ok_or("bystr payload must be a string")?;
-        if hex.len() % 2 != 0 {
-            return Err(format!("odd-length hex {hex}"));
-        }
-        let bytes: Result<Vec<u8>, _> =
-            (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16)).collect();
-        return Ok(Value::ByStr(bytes.map_err(|e| e.to_string())?));
+        // Decoded from raw bytes: slicing the `str` would panic inside a
+        // multi-byte character.
+        let digit = |b: u8| char::from(b).to_digit(16);
+        let bytes: Option<Vec<u8>> = hex
+            .as_bytes()
+            .chunks(2)
+            .map(|pair| match pair {
+                [hi, lo] => Some(((digit(*hi)? << 4) | digit(*lo)?) as u8),
+                _ => None,
+            })
+            .collect();
+        return bytes.map(Value::ByStr).ok_or_else(|| format!("bad hex {hex}"));
     }
     match t {
         "String" => Ok(Value::Str(get_v()?.as_str().ok_or("string payload")?.to_string())),
@@ -146,5 +148,6 @@ mod tests {
         assert!(from_json(&serde_json::json!({"t": "Nope"})).is_err());
         assert!(from_json(&serde_json::json!(42)).is_err());
         assert!(from_json(&serde_json::json!({"t": "ByStr2", "v": "abc"})).is_err());
+        assert!(from_json(&serde_json::json!({"t": "ByStr2", "v": "0g"})).is_err());
     }
 }

@@ -66,7 +66,7 @@ fn wire_decoder_never_panics_on_fuzzed_json() {
     for src in [
         "null", "[]", "{}", "{\"t\":\"Uint128\"}", "{\"t\":\"Map\",\"v\":[[]]}",
         "{\"t\":\"ADT\",\"c\":\"Some\"}", "{\"t\":\"ByStr4\",\"v\":\"zz\"}",
-        "{\"t\":\"Int999\",\"v\":\"1\"}",
+        "{\"t\":\"Int999\",\"v\":\"1\"}", "{\"t\":\"ByStr20\",\"v\":\"aéb\"}",
     ] {
         if let Ok(json) = serde_json::from_str::<serde_json::Value>(src) {
             let _ = scilla::wire::from_json(&json);

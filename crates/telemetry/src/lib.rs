@@ -561,7 +561,8 @@ impl Snapshot {
         self.counters.iter().filter(|(k, _)| k.starts_with(prefix)).map(|(_, v)| v).sum()
     }
 
-    /// JSON export (self-contained; parse back with [`Snapshot::from_json`]).
+    /// JSON export: one object each for counters, gauges and histograms,
+    /// keyed by metric name.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         json::write_map(&mut out, &self.counters, |out, v| out.push_str(&v.to_string()));
@@ -578,21 +579,11 @@ impl Snapshot {
         out.push_str("}\n}\n");
         out
     }
-
-    /// Parses the format produced by [`Snapshot::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed node.
-    pub fn from_json(s: &str) -> Result<Snapshot, String> {
-        json::parse_snapshot(s)
-    }
 }
 
-/// Minimal JSON read/write for [`Snapshot`] — kept in-crate so telemetry
-/// stays dependency-free.
+/// Minimal JSON writers for [`Snapshot`] and the trace exporters — kept
+/// in-crate so telemetry stays dependency-free.
 mod json {
-    use super::{HistogramSnapshot, Snapshot};
     use std::collections::BTreeMap;
 
     pub(super) fn write_map<V>(
@@ -636,188 +627,6 @@ mod json {
             }
         }
         out.push('"');
-    }
-
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl<'a> P<'a> {
-        fn ws(&mut self) {
-            while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.i += 1;
-            }
-        }
-
-        fn eat(&mut self, c: u8) -> Result<(), String> {
-            self.ws();
-            if self.b.get(self.i) == Some(&c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", c as char, self.i))
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.ws();
-            self.b.get(self.i).copied()
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.b.get(self.i) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.i += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.i += 1;
-                        match self.b.get(self.i) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .b
-                                    .get(self.i + 1..self.i + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let n = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                out.push(char::from_u32(n).ok_or("bad \\u escape")?);
-                                self.i += 4;
-                            }
-                            _ => return Err("unsupported escape".into()),
-                        }
-                        self.i += 1;
-                    }
-                    Some(_) => {
-                        let start = self.i;
-                        self.i += 1;
-                        while self.i < self.b.len() && (self.b[self.i] & 0xC0) == 0x80 {
-                            self.i += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&self.b[start..self.i])
-                                .map_err(|e| e.to_string())?,
-                        );
-                    }
-                }
-            }
-        }
-
-        fn int(&mut self) -> Result<i128, String> {
-            self.ws();
-            let start = self.i;
-            if self.b.get(self.i) == Some(&b'-') {
-                self.i += 1;
-            }
-            while matches!(self.b.get(self.i), Some(b'0'..=b'9')) {
-                self.i += 1;
-            }
-            std::str::from_utf8(&self.b[start..self.i])
-                .map_err(|e| e.to_string())?
-                .parse()
-                .map_err(|_| format!("bad integer at byte {start}"))
-        }
-
-        fn u64s(&mut self) -> Result<Vec<u64>, String> {
-            self.eat(b'[')?;
-            let mut out = Vec::new();
-            if self.peek() == Some(b']') {
-                self.i += 1;
-                return Ok(out);
-            }
-            loop {
-                out.push(u64::try_from(self.int()?).map_err(|_| "negative count")?);
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(out);
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-                }
-            }
-        }
-
-        /// Iterates `"key": <value>` pairs of an object.
-        fn object<F: FnMut(&mut Self, String) -> Result<(), String>>(
-            &mut self,
-            mut per_entry: F,
-        ) -> Result<(), String> {
-            self.eat(b'{')?;
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.ws();
-                let key = self.string()?;
-                self.eat(b':')?;
-                per_entry(self, key)?;
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-                }
-            }
-        }
-    }
-
-    pub(super) fn parse_snapshot(s: &str) -> Result<Snapshot, String> {
-        let mut p = P { b: s.as_bytes(), i: 0 };
-        let mut snap = Snapshot::default();
-        p.object(|p, section| {
-            match section.as_str() {
-                "counters" => p.object(|p, k| {
-                    let v = u64::try_from(p.int()?).map_err(|_| "negative counter")?;
-                    snap.counters.insert(k, v);
-                    Ok(())
-                }),
-                "gauges" => p.object(|p, k| {
-                    let v = i64::try_from(p.int()?).map_err(|_| "gauge out of range")?;
-                    snap.gauges.insert(k, v);
-                    Ok(())
-                }),
-                "histograms" => p.object(|p, k| {
-                    let mut h = HistogramSnapshot {
-                        bounds: Vec::new(),
-                        counts: Vec::new(),
-                        sum: 0,
-                        count: 0,
-                    };
-                    p.object(|p, field| {
-                        match field.as_str() {
-                            "bounds" => h.bounds = p.u64s()?,
-                            "counts" => h.counts = p.u64s()?,
-                            "sum" => {
-                                h.sum = u64::try_from(p.int()?).map_err(|_| "negative sum")?;
-                            }
-                            "count" => {
-                                h.count =
-                                    u64::try_from(p.int()?).map_err(|_| "negative count")?;
-                            }
-                            other => return Err(format!("unknown histogram field '{other}'")),
-                        }
-                        Ok(())
-                    })?;
-                    snap.histograms.insert(k, h);
-                    Ok(())
-                }),
-                other => Err(format!("unknown snapshot section '{other}'")),
-            }
-        })?;
-        Ok(snap)
     }
 }
 
@@ -971,13 +780,23 @@ mod tests {
         assert_eq!(delta.histograms["a.dur"].counts, vec![0, 2, 1]);
         assert_eq!(delta.histograms["a.dur"].count, 3);
 
-        // JSON round-trip preserves the snapshot exactly.
-        let parsed = Snapshot::from_json(&after.to_json()).unwrap();
-        assert_eq!(parsed, after);
-
-        // And a diff computed from parsed snapshots matches the direct one.
-        let parsed_before = Snapshot::from_json(&before.to_json()).unwrap();
-        assert_eq!(parsed.diff(&parsed_before), delta);
+        // The JSON export carries every value back exactly.
+        let json: serde_json::Value = serde_json::from_str(&after.to_json()).unwrap();
+        for (name, v) in &after.counters {
+            assert_eq!(json["counters"][name.as_str()].as_u64(), Some(*v), "counter {name}");
+        }
+        assert_eq!(json["counters"].as_object().map(|m| m.len()), Some(after.counters.len()));
+        assert_eq!(json["gauges"]["g"].as_i64(), Some(-7));
+        assert_eq!(json["gauges"].as_object().map(|m| m.len()), Some(1));
+        let h = &json["histograms"]["a.dur"];
+        let u64s = |v: &serde_json::Value| -> Vec<u64> {
+            v.as_array().unwrap().iter().map(|x| x.as_u64().unwrap()).collect()
+        };
+        assert_eq!(u64s(&h["bounds"]), vec![10, 100]);
+        assert_eq!(u64s(&h["counts"]), vec![1, 2, 1]);
+        assert_eq!(h["sum"].as_u64(), Some(1205));
+        assert_eq!(h["count"].as_u64(), Some(4));
+        assert_eq!(json["histograms"].as_object().map(|m| m.len()), Some(1));
     }
 
     #[test]

@@ -629,164 +629,6 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     out
 }
 
-/// Checks that `s` is one syntactically well-formed JSON value (any kind).
-/// The exporters above hand-render their output; the tests round-trip it
-/// through this validator so a quoting or comma bug fails CI instead of
-/// failing Perfetto. Not a reader — it keeps nothing.
-///
-/// # Errors
-///
-/// Reports the byte offset and nature of the first syntax error.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-    impl P<'_> {
-        fn ws(&mut self) {
-            while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.i += 1;
-            }
-        }
-        fn err(&self, what: &str) -> String {
-            format!("invalid JSON at byte {}: {what}", self.i)
-        }
-        fn lit(&mut self, word: &str) -> Result<(), String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected '{word}'")))
-            }
-        }
-        fn string(&mut self) -> Result<(), String> {
-            self.i += 1; // opening quote, checked by caller
-            loop {
-                match self.b.get(self.i) {
-                    None => return Err(self.err("unterminated string")),
-                    Some(b'"') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    Some(b'\\') => {
-                        self.i += 1;
-                        match self.b.get(self.i) {
-                            Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                                self.i += 1;
-                            }
-                            Some(b'u') => {
-                                let hex = self.b.get(self.i + 1..self.i + 5);
-                                let ok = hex
-                                    .is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit));
-                                if !ok {
-                                    return Err(self.err("bad \\u escape"));
-                                }
-                                self.i += 5;
-                            }
-                            _ => return Err(self.err("bad escape")),
-                        }
-                    }
-                    Some(c) if *c < 0x20 => return Err(self.err("control char in string")),
-                    Some(_) => self.i += 1,
-                }
-            }
-        }
-        fn number(&mut self) -> Result<(), String> {
-            let start = self.i;
-            if self.b.get(self.i) == Some(&b'-') {
-                self.i += 1;
-            }
-            let digits = |p: &mut Self| {
-                let d0 = p.i;
-                while p.b.get(p.i).is_some_and(u8::is_ascii_digit) {
-                    p.i += 1;
-                }
-                p.i > d0
-            };
-            if self.b.get(self.i) == Some(&b'0') {
-                self.i += 1;
-                if self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
-                    return Err(self.err("leading zero"));
-                }
-            } else if !digits(self) {
-                self.i = start;
-                return Err(self.err("expected digits"));
-            }
-            if self.b.get(self.i) == Some(&b'.') {
-                self.i += 1;
-                if !digits(self) {
-                    return Err(self.err("expected fraction digits"));
-                }
-            }
-            if matches!(self.b.get(self.i), Some(b'e' | b'E')) {
-                self.i += 1;
-                if matches!(self.b.get(self.i), Some(b'+' | b'-')) {
-                    self.i += 1;
-                }
-                if !digits(self) {
-                    return Err(self.err("expected exponent digits"));
-                }
-            }
-            Ok(())
-        }
-        fn value(&mut self, depth: usize) -> Result<(), String> {
-            if depth > 128 {
-                return Err(self.err("nesting too deep"));
-            }
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b'"') => self.string(),
-                Some(b'{') => self.seq(b'}', depth, true),
-                Some(b'[') => self.seq(b']', depth, false),
-                Some(b't') => self.lit("true"),
-                Some(b'f') => self.lit("false"),
-                Some(b'n') => self.lit("null"),
-                Some(b'-' | b'0'..=b'9') => self.number(),
-                _ => Err(self.err("expected a value")),
-            }
-        }
-        fn seq(&mut self, close: u8, depth: usize, keyed: bool) -> Result<(), String> {
-            self.i += 1; // opening bracket, checked by caller
-            self.ws();
-            if self.b.get(self.i) == Some(&close) {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                if keyed {
-                    self.ws();
-                    if self.b.get(self.i) != Some(&b'"') {
-                        return Err(self.err("expected object key"));
-                    }
-                    self.string()?;
-                    self.ws();
-                    if self.b.get(self.i) != Some(&b':') {
-                        return Err(self.err("expected ':'"));
-                    }
-                    self.i += 1;
-                }
-                self.value(depth + 1)?;
-                self.ws();
-                match self.b.get(self.i) {
-                    Some(b',') => self.i += 1,
-                    Some(c) if *c == close => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(self.err("expected ',' or close")),
-                }
-            }
-        }
-    }
-    let mut p = P { b: s.as_bytes(), i: 0 };
-    p.value(0)?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing data after value"));
-    }
-    Ok(())
-}
-
 /// Renders assembled lifecycles as JSON: one object per transaction with
 /// the derived verdicts (`reason`, `assignment`, `outcome`, `hops`,
 /// `complete`) and the full stage list.

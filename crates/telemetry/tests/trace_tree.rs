@@ -1,11 +1,12 @@
 //! Integration tests for the structured-tracing subsystem: span-tree
 //! well-formedness, cross-thread adoption, lifecycle assembly, recorder
-//! bounds, the JSON validator, and the disabled-path zero-record audit.
+//! bounds, the JSON exporters, and the disabled-path zero-record audit.
 //!
 //! Tracing state (the enable flag, the global recorder, the drop counters)
 //! is process-global, so every test serialises on one mutex and resets the
 //! recorder around itself — same idiom as the chain crate's `state_cow.rs`.
 
+use serde_json::Value;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use telemetry::trace::{self, RecordKind, TraceRecord};
 use telemetry::{names, registry};
@@ -257,15 +258,26 @@ fn exporters_emit_valid_json() {
     trace::set_tracing(false);
     let records = trace::recorder().drain();
 
-    let chrome = trace::chrome_trace_json(&records);
-    trace::validate_json(&chrome).expect("chrome export parses");
-    assert!(chrome.contains("\"traceEvents\""));
-    assert!(chrome.contains("\"ph\":\"X\"") && chrome.contains("\"ph\":\"i\""));
+    let chrome: Value =
+        serde_json::from_str(&trace::chrome_trace_json(&records)).expect("chrome export parses");
+    let events = chrome["traceEvents"].as_array().expect("traceEvents array");
+    assert_eq!(events.len(), records.len());
+    let phases: Vec<&str> = events.iter().filter_map(|e| e["ph"].as_str()).collect();
+    assert_eq!(phases.iter().filter(|&&p| p == "X").count(), 2, "two spans");
+    assert_eq!(phases.iter().filter(|&&p| p == "i").count(), 1, "one instant");
+    let outer = events.iter().find(|e| e["name"].as_str() == Some("test.export")).expect("outer span");
+    assert_eq!(outer["args"]["attrs"]["quote"].as_str(), Some("say \"hi\"\n\\done"));
 
     let lifecycles = trace::build_lifecycles(&records);
     assert_eq!(lifecycles.len(), 1);
     assert!(lifecycles[0].complete_commit_chain());
-    trace::validate_json(&trace::lifecycle_json(&lifecycles)).expect("lifecycle export parses");
+    let exported: Value = serde_json::from_str(&trace::lifecycle_json(&lifecycles))
+        .expect("lifecycle export parses");
+    let txs = exported["transactions"].as_array().expect("transactions array");
+    assert_eq!(txs.len(), 1);
+    assert_eq!(txs[0]["tx"].as_u64(), Some(3));
+    assert_eq!(txs[0]["complete"].as_bool(), Some(true));
+    assert_eq!(txs[0]["stages"].as_array().map(Vec::len), Some(2));
 }
 
 #[test]
@@ -278,7 +290,7 @@ fn json_validator_accepts_and_rejects() {
         "[1, 2, {\"k\": [false, null]}]",
         "{\"a\": {\"b\": []}, \"c\": \"\\u00e9\"}",
     ] {
-        trace::validate_json(good).unwrap_or_else(|e| panic!("rejected {good}: {e}"));
+        serde_json::from_str::<Value>(good).unwrap_or_else(|e| panic!("rejected {good}: {e}"));
     }
     for bad in [
         "",
@@ -291,6 +303,6 @@ fn json_validator_accepts_and_rejects() {
         "01",
         "{\"a\": \\u12}",
     ] {
-        assert!(trace::validate_json(bad).is_err(), "accepted malformed JSON: {bad}");
+        assert!(serde_json::from_str::<Value>(bad).is_err(), "accepted malformed JSON: {bad}");
     }
 }
