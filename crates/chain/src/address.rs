@@ -32,21 +32,26 @@ impl Address {
         scilla::value::Value::address(self.0)
     }
 
-    /// Parses the `0x`-prefixed hex form produced by `Display`.
+    /// Parses the `0x`-prefixed hex form produced by `Display`: exactly 20
+    /// bytes of hex digits (the wire's [`scilla::wire::decode_hex`]).
     ///
     /// # Errors
     ///
-    /// Describes the first malformed character or a wrong length.
+    /// A missing prefix, a byte that is not a hex digit, or a length other
+    /// than 20 bytes. Never panics, whatever the input.
     pub fn from_hex(s: &str) -> Result<Address, String> {
         let hex = s.strip_prefix("0x").ok_or("address must start with 0x")?;
-        if hex.len() != 40 {
-            return Err(format!("bad address length in {s}"));
-        }
-        let mut bytes = [0u8; 20];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).map_err(|e| e.to_string())?;
-        }
+        let bytes =
+            scilla::wire::decode_hex(hex).ok_or_else(|| format!("bad address hex in {s}"))?;
+        let bytes =
+            <[u8; 20]>::try_from(bytes).map_err(|_| format!("bad address length in {s}"))?;
         Ok(Address(bytes))
+    }
+}
+
+impl From<Address> for telemetry::trace::AttrValue {
+    fn from(a: Address) -> Self {
+        telemetry::trace::AttrValue::Addr(a.0)
     }
 }
 
@@ -110,5 +115,24 @@ mod tests {
         let a = Address([0xab; 20]);
         assert!(a.to_string().starts_with("0xabab"));
         assert_eq!(a.to_string().len(), 42);
+    }
+
+    #[test]
+    fn from_hex_round_trips_display_and_rejects_hostile_strings() {
+        let a = Address::from_index(77);
+        assert_eq!(Address::from_hex(&a.to_string()), Ok(a));
+        // 40 bytes after the prefix, but a two-byte character straddles a
+        // digit pair: slicing by byte offsets would panic.
+        let straddling = format!("0xa\u{e9}{}", "0".repeat(37));
+        assert_eq!(straddling.len(), 42);
+        assert!(Address::from_hex(&straddling).is_err());
+        // `u8::from_str_radix` would read each "+f" as 0x0f.
+        assert!(Address::from_hex(&format!("0x{}", "+f".repeat(20))).is_err());
+        let short = format!("0x{}", "ab".repeat(19));
+        let long = format!("0x{}", "ab".repeat(21));
+        let odd = format!("0x{}a", "ab".repeat(19));
+        for bad in [String::new(), "0x".into(), "ab".repeat(21), short, long, odd] {
+            assert!(Address::from_hex(&bad).is_err(), "accepted {bad:?}");
+        }
     }
 }

@@ -288,7 +288,8 @@ impl StateDelta {
                 let keys = parse_keys(&i["keys"])?;
                 let delta: i128 =
                     i["delta"].as_str().ok_or("missing delta")?.parse().map_err(|_| "bad delta")?;
-                let width = i["width"].as_u64().ok_or("missing width")? as u32;
+                let width = i["width"].as_u64().ok_or("missing width")?;
+                let width = u32::try_from(width).map_err(|_| format!("bad width {width}"))?;
                 let signed = i["signed"].as_bool().ok_or("missing signed")?;
                 cd.int_deltas.insert((field, keys), IntDelta { delta, width, signed });
             }
@@ -590,6 +591,32 @@ mod tests {
         let hostile = wire.replace(r#""v":"ab""#, r#""v":"aéb""#);
         assert_ne!(hostile, wire);
         assert!(StateDelta::from_wire(&hostile).is_err());
+    }
+
+    #[test]
+    fn hostile_wire_address_or_width_is_an_error_not_a_panic() {
+        let mut sd = StateDelta::new();
+        sd.contracts
+            .entry(addr(100))
+            .or_default()
+            .int_deltas
+            .insert(("balances".into(), vec![key(1)]), int_delta(1));
+        let wire = sd.to_wire();
+        let contract = addr(100).to_string();
+        // A two-byte character straddling a digit pair, and signed digits.
+        let straddling = format!("0xa\u{e9}{}", "0".repeat(37));
+        let signed = format!("0x{}", "+f".repeat(20));
+        for hostile in [straddling, signed] {
+            assert_eq!(hostile.len(), contract.len());
+            let bad = wire.replace(&contract, &hostile);
+            assert_ne!(bad, wire);
+            assert!(StateDelta::from_wire(&bad).is_err(), "accepted contract {hostile:?}");
+        }
+        // A width past `u32` is an error, not a truncation to 128.
+        let wide =
+            wire.replace(r#""width":128"#, &format!(r#""width":{}"#, (1u64 << 32) + 128));
+        assert_ne!(wide, wire);
+        assert!(StateDelta::from_wire(&wide).is_err());
     }
 
     #[test]

@@ -193,8 +193,10 @@ pub fn execute_slice(
 /// (`chain.executor.batch_duration`).
 pub(crate) fn batch_span(cfg: &ExecutorConfig, txs: usize) -> telemetry::SpanGuard {
     let mut span = telemetry::span!("chain.executor.batch_duration");
-    span.attr("role", crate::network::assignment_label(cfg.role));
-    span.attr("txs", txs);
+    if span.trace_id() != 0 {
+        span.attr("role", crate::network::assignment_label(cfg.role));
+        span.attr("txs", txs);
+    }
     span
 }
 
@@ -464,8 +466,8 @@ impl<'a> Executor<'a> {
     /// Leaves `tx` in the pool for a later epoch: the budget is spent.
     pub(crate) fn defer(&mut self, tx: Transaction) {
         telemetry::trace::instant_with(telemetry::names::TX_DEFER, |a| {
-            a.push(("tx", tx.id.to_string()));
-            a.push(("why", "gas_budget".to_string()));
+            a.push(("tx", tx.id.into()));
+            a.push(("why", "gas_budget".into()));
         });
         self.deferred.push(tx);
     }
@@ -481,11 +483,11 @@ impl<'a> Executor<'a> {
         span.attr("tx", tx.id);
         span.attr("role", crate::network::assignment_label(self.cfg.role));
         let prepared = self.prepare_inner(tx);
-        let status = match &prepared.receipt.status {
-            TxStatus::Success => "success".to_string(),
-            TxStatus::Failed(e) => format!("failed:{e}"),
-            TxStatus::Rerouted(RerouteCause::OverflowGuard) => "rerouted:overflow_guard".to_string(),
-            TxStatus::Rerouted(RerouteCause::CrossContract) => "rerouted:cross_contract".to_string(),
+        let status: telemetry::trace::AttrValue = match &prepared.receipt.status {
+            TxStatus::Success => "success".into(),
+            TxStatus::Failed(e) => format!("failed:{e}").into(),
+            TxStatus::Rerouted(RerouteCause::OverflowGuard) => "rerouted:overflow_guard".into(),
+            TxStatus::Rerouted(RerouteCause::CrossContract) => "rerouted:cross_contract".into(),
         };
         span.attr("status", status);
         span.attr("gas", prepared.receipt.gas_used);

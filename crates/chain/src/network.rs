@@ -411,7 +411,7 @@ impl Network {
                     // The packet is full; the transaction waits for a later
                     // epoch (and is not counted as dispatched this epoch).
                     telemetry::trace::instant_with(telemetry::names::TX_HELD_BACK, |a| {
-                        a.push(("tx", tx.id.to_string()));
+                        a.push(("tx", tx.id.into()));
                     });
                     held_back.push(tx);
                     continue;
@@ -419,12 +419,13 @@ impl Network {
                 *packets.dispatch_reasons.entry(decision.reason.name().to_string()).or_insert(0) +=
                     1;
                 telemetry::trace::instant_with(telemetry::names::TX_DISPATCH, |a| {
-                    a.push(("tx", tx.id.to_string()));
-                    a.push(("reason", decision.reason.name().to_string()));
-                    a.push(("assign", assignment_label(decision.assignment)));
+                    a.reserve_exact(5);
+                    a.push(("tx", tx.id.into()));
+                    a.push(("reason", decision.reason.name().into()));
+                    a.push(("assign", assignment_label(decision.assignment).into()));
                     if let crate::tx::TxKind::Call { contract, transition, .. } = &tx.kind {
-                        a.push(("contract", contract.to_string()));
-                        a.push(("transition", transition.clone()));
+                        a.push(("contract", (*contract).into()));
+                        a.push(("transition", self.transition_label(contract, transition)));
                     }
                 });
                 packet.push(tx);
@@ -433,6 +434,17 @@ impl Network {
         telemetry::counter!("chain.network.held_back").add(held_back.len() as u64);
         pool.extend(held_back);
         packets
+    }
+
+    /// The `transition` attribute of a dispatch record: the deployed
+    /// contract's own interned name, so the record formats no text. A call
+    /// naming no deployed transition (it will fail) carries its name as
+    /// owned text.
+    fn transition_label(&self, contract: &Address, name: &str) -> telemetry::trace::AttrValue {
+        let deployed = self.state.contracts.get(contract);
+        deployed
+            .and_then(|c| c.compiled.contract().transitions.iter().find(|t| t.name.name == name))
+            .map_or_else(|| name.to_owned().into(), |t| t.name.sym.as_str().into())
     }
 
     /// The executor configuration one transaction shard runs with this
@@ -508,8 +520,8 @@ impl Network {
                 Err(reason) => {
                     stats.ds_fallback += 1;
                     telemetry::trace::instant_with(telemetry::names::TX_XSHARD_ABORT, |a| {
-                        a.push(("tx", tx.id.to_string()));
-                        a.push(("cause", format!("ds-fallback:{}", reason.name())));
+                        a.push(("tx", tx.id.into()));
+                        a.push(("cause", format!("ds-fallback:{}", reason.name()).into()));
                     });
                     ds_fallback.push(tx);
                     continue;
@@ -531,9 +543,9 @@ impl Network {
             }
 
             telemetry::trace::instant_with(telemetry::names::TX_XSHARD_PREPARE, |a| {
-                a.push(("tx", tx.id.to_string()));
-                a.push(("coordinator", plan.coordinator.to_string()));
-                a.push(("participants", plan.participants.len().to_string()));
+                a.push(("tx", tx.id.into()));
+                a.push(("coordinator", plan.coordinator.into()));
+                a.push(("participants", plan.participants.len().into()));
             });
 
             // Phase 1a: every participant takes its lock subset, in global
@@ -563,8 +575,8 @@ impl Network {
                     self.lock_table.release(tx.id);
                     stats.ds_fallback += 1;
                     telemetry::trace::instant_with(telemetry::names::TX_XSHARD_ABORT, |a| {
-                        a.push(("tx", tx.id.to_string()));
-                        a.push(("cause", "ds-fallback:rerouted".to_string()));
+                        a.push(("tx", tx.id.into()));
+                        a.push(("cause", "ds-fallback:rerouted".into()));
                     });
                     ds_fallback.push(tx);
                     continue;
@@ -573,9 +585,9 @@ impl Network {
                 for &p in &plan.participants {
                     let yes = !faults.prepare_panic(epoch, &tx, p);
                     telemetry::trace::instant_with(telemetry::names::TX_XSHARD_VOTE, |a| {
-                        a.push(("tx", tx.id.to_string()));
-                        a.push(("shard", p.to_string()));
-                        a.push(("yes", yes.to_string()));
+                        a.push(("tx", tx.id.into()));
+                        a.push(("shard", p.into()));
+                        a.push(("yes", yes.into()));
                     });
                     votes.push(VoteMsg { tx_id: tx.id, shard: p, yes });
                 }
@@ -592,8 +604,8 @@ impl Network {
                 stats.coordinator_crashes += 1;
                 stats.aborted += 1;
                 telemetry::trace::instant_with(telemetry::names::TX_XSHARD_ABORT, |a| {
-                    a.push(("tx", tx.id.to_string()));
-                    a.push(("cause", AbortCause::CoordinatorCrash.name().to_string()));
+                    a.push(("tx", tx.id.into()));
+                    a.push(("cause", AbortCause::CoordinatorCrash.name().into()));
                 });
                 exec.deferred.push(tx);
                 continue;
@@ -614,8 +626,8 @@ impl Network {
                         self.lock_table.release(tx.id);
                         stats.committed += 1;
                         telemetry::trace::instant_with(telemetry::names::TX_XSHARD_COMMIT, |a| {
-                            a.push(("tx", tx.id.to_string()));
-                            a.push(("coordinator", plan.coordinator.to_string()));
+                            a.push(("tx", tx.id.into()));
+                            a.push(("coordinator", plan.coordinator.into()));
                         });
                         continue;
                     }
@@ -632,8 +644,8 @@ impl Network {
             self.lock_table.release(tx.id);
             stats.aborted += 1;
             telemetry::trace::instant_with(telemetry::names::TX_XSHARD_ABORT, |a| {
-                a.push(("tx", tx.id.to_string()));
-                a.push(("cause", cause.name().to_string()));
+                a.push(("tx", tx.id.into()));
+                a.push(("cause", cause.name().into()));
             });
             exec.deferred.push(tx);
         }
@@ -885,12 +897,27 @@ impl Network {
     }
 }
 
-/// Trace-attribute label for a committee assignment (`"ds"`/`"shard<i>"`).
-pub fn assignment_label(a: Assignment) -> String {
+/// Trace-attribute label for a committee assignment (`"ds"`, `"xshard"`,
+/// `"shard<i>"`). A shard's label is interned the first time this thread
+/// asks for it and cached per thread after that, so a label never
+/// allocates once warm, for any shard count.
+pub fn assignment_label(a: Assignment) -> &'static str {
+    thread_local! {
+        static SHARD_LABELS: std::cell::RefCell<Vec<&'static str>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
     match a {
-        Assignment::Shard(s) => format!("shard{s}"),
-        Assignment::XShard => "xshard".to_string(),
-        Assignment::Ds => "ds".to_string(),
+        Assignment::Shard(s) => SHARD_LABELS.with(|labels| {
+            let mut labels = labels.borrow_mut();
+            let s = s as usize;
+            while labels.len() <= s {
+                let next = labels.len();
+                labels.push(scilla::intern::intern(&format!("shard{next}")).as_str());
+            }
+            labels[s]
+        }),
+        Assignment::XShard => "xshard",
+        Assignment::Ds => "ds",
     }
 }
 

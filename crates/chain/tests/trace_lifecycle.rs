@@ -134,6 +134,43 @@ fn traced_epoch_yields_complete_lifecycles_and_a_well_formed_forest() {
     let chrome: serde_json::Value =
         serde_json::from_str(&trace::chrome_trace_json(&records)).expect("chrome export parses");
     assert_eq!(chrome["traceEvents"].as_array().map(Vec::len), Some(records.len()));
+
+    // Typed attributes render at export as the text they always had.
+    let events = chrome["traceEvents"].as_array().expect("traceEvents array");
+    let token = Address::from_index(900);
+    let is = |e: &serde_json::Value, name: &str| e["name"].as_str() == Some(name);
+    let calls = |e: &&serde_json::Value| e["args"]["attrs"]["transition"].as_str().is_some();
+    let mint = events
+        .iter()
+        .find(|e| is(e, names::TX_DISPATCH) && calls(e))
+        .expect("a traced Mint dispatch");
+    let attrs = &mint["args"]["attrs"];
+    let tx_id: u64 = attrs["tx"].as_str().expect("tx is a string").parse().expect("decimal tx id");
+    assert!((100..100 + USERS).contains(&tx_id), "tx {tx_id} is one of the Mint calls");
+    assert_eq!(attrs["contract"].as_str(), Some(token.to_string().as_str()));
+    assert_eq!(attrs["transition"].as_str(), Some("Mint"));
+    let assign = attrs["assign"].as_str().expect("assign is a string");
+    let shard: u32 =
+        assign.strip_prefix("shard").expect("Mint is shard-assigned").parse().expect("shard index");
+    assert!(shard < 2, "{assign} names one of the two shards");
+    let tx_text = tx_id.to_string();
+    let exec = events
+        .iter()
+        .find(|e| is(e, names::TX_EXEC) && e["args"]["attrs"]["tx"].as_str() == Some(&tx_text))
+        .expect("the Mint's exec span");
+    assert_eq!(exec["args"]["attrs"]["status"].as_str(), Some("success"));
+    assert_eq!(exec["args"]["attrs"]["role"].as_str(), Some(assign));
+
+    let exported: serde_json::Value =
+        serde_json::from_str(&trace::lifecycle_json(&lifecycles)).expect("lifecycle export parses");
+    let lc = exported["transactions"]
+        .as_array()
+        .expect("transactions array")
+        .iter()
+        .find(|t| t["tx"].as_u64() == Some(tx_id))
+        .expect("the Mint's lifecycle");
+    assert_eq!(lc["transition"].as_str(), Some("Mint"));
+    assert_eq!(lc["assignment"].as_str(), Some(assign));
 }
 
 /// A ProofIPFS world whose `Register` calls have two-shard footprints

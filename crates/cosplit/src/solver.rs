@@ -53,7 +53,7 @@ impl AnalyzedContract {
     /// accumulator's behaviour).
     pub fn analyze_with_mode(checked: &CheckedModule, mode: AnalysisMode) -> Self {
         let mut _span = telemetry::span!("cosplit.analysis.analyze_duration");
-        _span.attr("contract", &checked.contract().name.name);
+        _span.attr("contract", checked.contract().name.sym.as_str());
         let analysis = analyze_contract(checked, mode);
         let analyzed = AnalyzedContract {
             name: checked.contract().name.name.clone(),

@@ -247,13 +247,17 @@ impl CompiledContract {
         tracer: Option<&mut EffectTracer>,
         mode: ExecMode,
     ) -> Result<TransitionOutcome, ExecError> {
+        let resolved = self.contract().transition(transition);
         let mut _tspan = telemetry::span!("scilla.interpreter.transition");
-        _tspan.attr("transition", transition);
+        if _tspan.trace_id() != 0 {
+            match resolved {
+                Some(t) => _tspan.attr("transition", t.name.sym.as_str()),
+                None => _tspan.attr("transition", transition.to_owned()),
+            }
+        }
         let gas_before = gas.used();
         let run = || -> Result<TransitionOutcome, ExecError> {
-            let t = self
-                .contract()
-                .transition(transition)
+            let t = resolved
                 .ok_or_else(|| ExecError::BadInvocation(format!("unknown transition '{transition}'")))?;
             gas.charge(gas::COST_TX_BASE)?;
             if mode != ExecMode::Ast {

@@ -40,6 +40,21 @@ pub fn to_json(v: &Value) -> Json {
     }
 }
 
+/// Decodes unprefixed hex, two digits a byte (either case). `None` for an
+/// odd length or any byte that is not a hex digit, a sign included.
+/// Decoded from raw bytes: slicing the `str` would panic inside a
+/// multi-byte character.
+pub fn decode_hex(hex: &str) -> Option<Vec<u8>> {
+    let digit = |b: u8| char::from(b).to_digit(16);
+    hex.as_bytes()
+        .chunks(2)
+        .map(|pair| match pair {
+            [hi, lo] => Some(((digit(*hi)? << 4) | digit(*lo)?) as u8),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Decodes the canonical JSON form back into a value.
 ///
 /// # Errors
@@ -61,18 +76,7 @@ pub fn from_json(j: &Json) -> Result<Value, String> {
     }
     if t.strip_prefix("ByStr").is_some() {
         let hex = get_v()?.as_str().ok_or("bystr payload must be a string")?;
-        // Decoded from raw bytes: slicing the `str` would panic inside a
-        // multi-byte character.
-        let digit = |b: u8| char::from(b).to_digit(16);
-        let bytes: Option<Vec<u8>> = hex
-            .as_bytes()
-            .chunks(2)
-            .map(|pair| match pair {
-                [hi, lo] => Some(((digit(*hi)? << 4) | digit(*lo)?) as u8),
-                _ => None,
-            })
-            .collect();
-        return bytes.map(Value::ByStr).ok_or_else(|| format!("bad hex {hex}"));
+        return decode_hex(hex).map(Value::ByStr).ok_or_else(|| format!("bad hex {hex}"));
     }
     match t {
         "String" => Ok(Value::Str(get_v()?.as_str().ok_or("string payload")?.to_string())),

@@ -6,7 +6,8 @@
 //! sit on hot paths:
 //!
 //! - counters are thread-striped atomics (no contention on parallel shards);
-//! - histograms are fixed-bucket atomic arrays (one `fetch_add` per record);
+//! - histograms are fixed-bucket atomic arrays (three relaxed `fetch_add`s
+//!   per record: the bucket, the sum and the count);
 //! - handle lookup happens once per call site via the [`counter!`],
 //!   [`gauge!`], [`histogram!`] and [`span!`] macros (a `OnceLock` static);
 //! - a single relaxed atomic load short-circuits all of it when telemetry
@@ -309,37 +310,30 @@ impl Histogram {
 /// (the thread-local span stack), and writes a [`trace::TraceRecord`] into
 /// the flight recorder on drop — so nested guards produce a parent/child
 /// tree instead of independent flat timings. With tracing off the extra
-/// cost is one relaxed atomic load and three zeroed words; no allocation.
+/// cost is one relaxed atomic load and two zeroed words; no allocation.
+/// Either way the guard reads the clock once when it opens and once when it
+/// drops; the trace timestamps are derived from those two readings.
 pub struct SpanGuard {
     name: &'static str,
-    hist: Option<Arc<Histogram>>,
+    hist: Option<&'static Histogram>,
     start: Instant,
     /// Trace span id; 0 while tracing is disabled (the guard is hist-only).
     trace_id: u64,
     trace_parent: u64,
-    trace_start_micros: u64,
-    attrs: Vec<(&'static str, String)>,
+    attrs: trace::Attrs,
 }
 
 impl SpanGuard {
-    pub fn new(name: &'static str, hist: Option<Arc<Histogram>>) -> SpanGuard {
-        let (trace_id, trace_parent, trace_start_micros) = if trace::tracing_enabled() {
+    pub fn new(name: &'static str, hist: Option<&'static Histogram>) -> SpanGuard {
+        let (trace_id, trace_parent) = if trace::tracing_enabled() {
             let id = trace::next_span_id();
             let parent = trace::current_span();
             trace::push_span(id);
-            (id, parent, trace::now_micros())
+            (id, parent)
         } else {
-            (0, 0, 0)
+            (0, 0)
         };
-        SpanGuard {
-            name,
-            hist,
-            start: Instant::now(),
-            trace_id,
-            trace_parent,
-            trace_start_micros,
-            attrs: Vec::new(),
-        }
+        SpanGuard { name, hist, start: Instant::now(), trace_id, trace_parent, attrs: Vec::new() }
     }
 
     /// Elapsed time so far.
@@ -348,11 +342,11 @@ impl SpanGuard {
     }
 
     /// Attaches a key/value attribute to the trace record. A no-op unless
-    /// tracing was enabled when the span opened (so the disabled hot path
-    /// never formats or allocates).
-    pub fn attr(&mut self, key: &'static str, value: impl std::fmt::Display) {
+    /// tracing was enabled when the span opened; the conversion runs only
+    /// then, so the disabled hot path never allocates.
+    pub fn attr(&mut self, key: &'static str, value: impl Into<trace::AttrValue>) {
         if self.trace_id != 0 {
-            self.attrs.push((key, value.to_string()));
+            self.attrs.push((key, value.into()));
         }
     }
 
@@ -366,8 +360,9 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(h) = &self.hist {
-            h.record_duration(self.start.elapsed());
+        let end = Instant::now();
+        if let Some(h) = self.hist {
+            h.record_duration(end.saturating_duration_since(self.start));
         }
         if self.trace_id != 0 {
             trace::pop_span(self.trace_id);
@@ -375,7 +370,8 @@ impl Drop for SpanGuard {
                 self.trace_id,
                 self.trace_parent,
                 self.name,
-                self.trace_start_micros,
+                self.start,
+                end,
                 std::mem::take(&mut self.attrs),
             );
         }
@@ -668,14 +664,13 @@ macro_rules! histogram {
 }
 
 /// Times the enclosing scope into the named duration histogram:
-/// `let _span = span!("executor.run_batch");`
+/// `let _span = span!("executor.run_batch");`. The guard borrows the
+/// histogram the call site's handle owns for the life of the process, so
+/// opening a span touches no shared reference count.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
-        $crate::SpanGuard::new(
-            $name,
-            if $crate::enabled() { Some(::std::sync::Arc::clone($crate::histogram!($name))) } else { None },
-        )
+        $crate::SpanGuard::new($name, if $crate::enabled() { Some(&**$crate::histogram!($name)) } else { None })
     };
 }
 
@@ -818,10 +813,10 @@ mod tests {
     #[test]
     fn span_guard_records_into_histogram() {
         let _g = enabled_for_test();
-        let h = registry().histogram("test.span.duration");
+        let h: &'static Histogram = histogram!("test.span.duration");
         let before = h.count();
         {
-            let _span = SpanGuard::new("test.span.duration", Some(Arc::clone(&h)));
+            let _span = SpanGuard::new("test.span.duration", Some(h));
             std::hint::black_box(42);
         }
         assert_eq!(h.count(), before + 1);

@@ -11,13 +11,19 @@
 //!   executor per shard) is stitched with [`adopt_parent`]: capture
 //!   [`current_span`] (or `SpanGuard::trace_id`) before `spawn`, adopt it
 //!   inside the closure.
-//! - **Flight recorder.** A bounded, thread-striped ring buffer of
+//! - **Records.** A [`TraceRecord`] carries typed attributes
+//!   ([`AttrValue`]: integers, flags, static labels, addresses, and owned
+//!   text only for rare values such as failure messages). Nothing is
+//!   formatted while recording; the exporters render text.
+//! - **Flight recorder.** A bounded, thread-striped buffer of
 //!   [`TraceRecord`]s. Stripes are independent mutexes indexed by a
 //!   per-thread ordinal, so parallel shard executors almost never contend
-//!   (lock-free-ish: one uncontended lock per record). Each stripe evicts
-//!   its oldest records past a capacity cap, and [`begin_epoch`] prunes
-//!   records older than the retention window — the recorder holds "the
-//!   last N epochs", crash-dump style. Evictions are counted in
+//!   (lock-free-ish: one uncontended lock per record). A stripe keeps its
+//!   records in arrival order, grouped into segments that share an epoch
+//!   tag. It evicts its oldest records past a capacity cap, and
+//!   [`begin_epoch`] drops whole segments older than the retention window
+//!   without walking the records it keeps — the recorder holds "the last
+//!   N epochs", crash-dump style. Evictions are counted in
 //!   `telemetry.trace.dropped`, accepted records in
 //!   `telemetry.trace.records`.
 //! - **Exporters.** [`chrome_trace_json`] renders a snapshot as Chrome
@@ -28,11 +34,14 @@
 //!
 //! Everything is gated on a single relaxed atomic ([`tracing_enabled`],
 //! env `COSPLIT_TRACING=1`). Disabled, a `span!` costs one load and zero
-//! allocations; `instant_with` never runs its closure.
+//! allocations; `instant_with` never runs its closure. Enabled, a span reads
+//! the clock once when it opens and once when it closes: the histogram
+//! sample and the record's timestamps come from the same two readings.
 
 use crate::names;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -72,9 +81,16 @@ pub fn tracing_enabled() -> bool {
 /// record timestamps share this origin, so ordering across threads is
 /// meaningful (single monotonic `Instant`).
 pub fn now_micros() -> u64 {
+    micros_at(Instant::now())
+}
+
+/// `t` on the trace clock: whole microseconds since its origin. Monotonic
+/// in `t`, so a child span read between its parent's two readings stays
+/// inside the parent's interval.
+pub(crate) fn micros_at(t: Instant) -> u64 {
     static EPOCH0: OnceLock<Instant> = OnceLock::new();
     let t0 = EPOCH0.get_or_init(Instant::now);
-    u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
+    u64::try_from(t.saturating_duration_since(*t0).as_micros()).unwrap_or(u64::MAX)
 }
 
 // ---------------------------------------------------------------------------
@@ -160,6 +176,107 @@ pub enum RecordKind {
     Instant,
 }
 
+/// A typed attribute value. Recording stores the value as it is; text is
+/// produced only by the exporters (and [`fmt::Display`]), which render
+/// every variant as a JSON string: `U64(42)` as `"42"`, `Addr` as
+/// `"0x…"` (40 lowercase hex digits).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AttrValue {
+    U64(u64),
+    Bool(bool),
+    /// A static label: a reason or role name, an interned identifier.
+    Str(&'static str),
+    /// A 20-byte account or contract address.
+    Addr([u8; 20]),
+    /// Owned text, for rare values only (failure messages, composed
+    /// causes, command-line paths): it costs an allocation per record.
+    Text(Box<str>),
+}
+
+impl AttrValue {
+    /// The value's text, when it is a label or owned text.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            AttrValue::Str(s) => Some(s),
+            AttrValue::Text(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value, when it is an integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            AttrValue::U64(n) => Some(*n),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttrValue::U64(n) => write!(f, "{n}"),
+            AttrValue::Bool(b) => write!(f, "{b}"),
+            AttrValue::Str(s) => f.write_str(s),
+            AttrValue::Text(s) => f.write_str(s),
+            AttrValue::Addr(bytes) => {
+                f.write_str("0x")?;
+                bytes.iter().try_for_each(|b| write!(f, "{b:02x}"))
+            }
+        }
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(n: u64) -> AttrValue {
+        AttrValue::U64(n)
+    }
+}
+
+impl From<u32> for AttrValue {
+    fn from(n: u32) -> AttrValue {
+        AttrValue::U64(n.into())
+    }
+}
+
+impl From<usize> for AttrValue {
+    fn from(n: usize) -> AttrValue {
+        AttrValue::U64(n as u64)
+    }
+}
+
+impl From<bool> for AttrValue {
+    fn from(b: bool) -> AttrValue {
+        AttrValue::Bool(b)
+    }
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(s: &'static str) -> AttrValue {
+        AttrValue::Str(s)
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(s: String) -> AttrValue {
+        AttrValue::Text(s.into_boxed_str())
+    }
+}
+
+impl From<&String> for AttrValue {
+    fn from(s: &String) -> AttrValue {
+        AttrValue::Text(s.as_str().into())
+    }
+}
+
+/// A record's attributes, in the order they were attached.
+pub type Attrs = Vec<(&'static str, AttrValue)>;
+
+/// The last value attached under `key` (last write wins).
+fn find_attr<'a>(attrs: &'a [(&'static str, AttrValue)], key: &str) -> Option<&'a AttrValue> {
+    attrs.iter().rev().find(|(k, _)| *k == key).map(|(_, v)| v)
+}
+
 /// One completed span or instant in the flight recorder.
 #[derive(Debug, Clone)]
 pub struct TraceRecord {
@@ -178,7 +295,7 @@ pub struct TraceRecord {
     /// Duration in microseconds (0 for instants).
     pub dur_micros: u64,
     /// Key/value attributes (`tx`, `reason`, `role`, …).
-    pub attrs: Vec<(&'static str, String)>,
+    pub attrs: Attrs,
 }
 
 impl TraceRecord {
@@ -188,8 +305,8 @@ impl TraceRecord {
     }
 
     /// The value of attribute `key`, if present (last write wins).
-    pub fn attr(&self, key: &str) -> Option<&str> {
-        self.attrs.iter().rev().find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
+    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
+        find_attr(&self.attrs, key)
     }
 }
 
@@ -197,17 +314,88 @@ impl TraceRecord {
 /// shard/worker threads a node runs.
 const TRACE_STRIPES: usize = 8;
 
-/// Default total record capacity (across stripes).
+/// Default total record capacity (across stripes): a backstop. Retention
+/// should bind first, and on the skewed stripes too: the dispatching
+/// thread's stripe takes a third of each `ft_transfer` epoch's records plus
+/// a shard thread's share every fourth epoch (≈20 000 over 8 epochs), so
+/// its 1/8 share of this total must exceed that. Measured on `ft_transfer`
+/// (2 000 transactions an epoch): 2¹⁸ holds exactly 8 epochs (48 072
+/// records); 2¹⁷ and 2¹⁶ evict by capacity (44 462 and 36 130 resident).
 const DEFAULT_CAPACITY: usize = 1 << 18;
 
-/// Default epoch retention window.
-const DEFAULT_RETAIN_EPOCHS: u64 = 64;
+/// Default epoch retention window. The consumers read few epochs:
+/// `paper -- trace` drains after each run, whose setup and 2–3 measured
+/// epochs carry up to five epoch tags (a window of 4 loses NFT transfer's
+/// setup lifecycles); the chain's lifecycle tests read one epoch and
+/// `cosplit-cli trace` runs none. Each epoch of `ft_transfer` leaves
+/// ≈6 000 records, so the window, not [`DEFAULT_CAPACITY`], decides what
+/// stays resident: 48 000 records instead of a full 262 144-record ring,
+/// which kept evicting the executor's working set from cache.
+const DEFAULT_RETAIN_EPOCHS: u64 = 8;
 
-/// Bounded thread-striped ring buffer holding the last N epochs of trace
+/// Records that arrived back to back under one epoch tag, oldest first.
+struct Segment {
+    epoch: u64,
+    records: VecDeque<TraceRecord>,
+}
+
+/// One stripe of the recorder: its records in arrival order, as a queue of
+/// segments. Concatenating the segments gives the arrival order, so
+/// evicting from the front of the first segment is evicting the oldest
+/// record, and a retention pass can drop whole segments by their tag.
+#[derive(Default)]
+struct Stripe {
+    segments: VecDeque<Segment>,
+    len: usize,
+}
+
+impl Stripe {
+    fn push(&mut self, rec: TraceRecord) {
+        match self.segments.back_mut() {
+            Some(seg) if seg.epoch == rec.epoch => seg.records.push_back(rec),
+            _ => {
+                self.segments.push_back(Segment { epoch: rec.epoch, records: VecDeque::from([rec]) })
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Evicts the oldest record.
+    fn pop_oldest(&mut self) {
+        if let Some(seg) = self.segments.front_mut() {
+            seg.records.pop_front();
+            self.len -= 1;
+            if seg.records.is_empty() {
+                self.segments.pop_front();
+            }
+        }
+    }
+
+    /// Drops every segment tagged before `oldest`, wherever it sits (tags
+    /// need not ascend: a second network in one process restarts at block
+    /// 0). Returns the number of records dropped.
+    fn prune_before(&mut self, oldest: u64) -> usize {
+        let before = self.len;
+        self.segments.retain(|seg| seg.epoch >= oldest);
+        self.len = self.segments.iter().map(|seg| seg.records.len()).sum();
+        before - self.len
+    }
+
+    fn records(&self) -> impl Iterator<Item = &TraceRecord> {
+        self.segments.iter().flat_map(|seg| seg.records.iter())
+    }
+
+    fn take(&mut self) -> impl Iterator<Item = TraceRecord> {
+        self.len = 0;
+        std::mem::take(&mut self.segments).into_iter().flat_map(|seg| seg.records)
+    }
+}
+
+/// Bounded thread-striped buffer holding the last N epochs of trace
 /// records. One uncontended mutex acquisition per record; stripes are
 /// keyed by thread so shard executors write in parallel.
 pub struct FlightRecorder {
-    stripes: Vec<Mutex<VecDeque<TraceRecord>>>,
+    stripes: Vec<Mutex<Stripe>>,
     stripe_capacity: AtomicUsize,
     retain_epochs: AtomicU64,
     epoch: AtomicU64,
@@ -217,7 +405,7 @@ pub struct FlightRecorder {
 pub fn recorder() -> &'static FlightRecorder {
     static RECORDER: OnceLock<FlightRecorder> = OnceLock::new();
     RECORDER.get_or_init(|| FlightRecorder {
-        stripes: (0..TRACE_STRIPES).map(|_| Mutex::new(VecDeque::new())).collect(),
+        stripes: (0..TRACE_STRIPES).map(|_| Mutex::new(Stripe::default())).collect(),
         stripe_capacity: AtomicUsize::new(DEFAULT_CAPACITY / TRACE_STRIPES),
         retain_epochs: AtomicU64::new(DEFAULT_RETAIN_EPOCHS),
         epoch: AtomicU64::new(0),
@@ -225,6 +413,10 @@ pub fn recorder() -> &'static FlightRecorder {
 }
 
 impl FlightRecorder {
+    fn stripe(&self, i: usize) -> std::sync::MutexGuard<'_, Stripe> {
+        self.stripes[i].lock().expect("trace stripe lock")
+    }
+
     /// Reconfigures the ring: total record capacity and how many recent
     /// epochs [`begin_epoch`] retains.
     pub fn configure(&self, total_capacity: usize, retain_epochs: u64) {
@@ -238,21 +430,15 @@ impl FlightRecorder {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    /// Advances the recorder's epoch and prunes records that fell out of
-    /// the retention window (counted in `telemetry.trace.dropped`).
+    /// Advances the recorder's epoch and drops the segments that fell out
+    /// of the retention window (counted in `telemetry.trace.dropped`).
     pub fn begin_epoch(&self, epoch: u64) {
         self.epoch.store(epoch, Ordering::Relaxed);
         let retain = self.retain_epochs.load(Ordering::Relaxed);
         let oldest = epoch.saturating_sub(retain.saturating_sub(1));
-        let mut pruned = 0u64;
-        for stripe in &self.stripes {
-            let mut q = stripe.lock().expect("trace stripe lock");
-            let before = q.len();
-            q.retain(|r| r.epoch >= oldest);
-            pruned += (before - q.len()) as u64;
-        }
+        let pruned: usize = (0..TRACE_STRIPES).map(|i| self.stripe(i).prune_before(oldest)).sum();
         if pruned > 0 {
-            crate::counter!(names::TRACE_DROPPED).add(pruned);
+            crate::counter!(names::TRACE_DROPPED).add(pruned as u64);
         }
     }
 
@@ -260,15 +446,14 @@ impl FlightRecorder {
     pub fn record(&self, rec: TraceRecord) {
         crate::counter!(names::TRACE_RECORDS).inc();
         let cap = self.stripe_capacity.load(Ordering::Relaxed);
-        let stripe = &self.stripes[(thread_ordinal() as usize) % TRACE_STRIPES];
-        let mut q = stripe.lock().expect("trace stripe lock");
+        let mut stripe = self.stripe((thread_ordinal() as usize) % TRACE_STRIPES);
         let mut evicted = 0u64;
-        while q.len() >= cap {
-            q.pop_front();
+        while stripe.len >= cap {
+            stripe.pop_oldest();
             evicted += 1;
         }
-        q.push_back(rec);
-        drop(q);
+        stripe.push(rec);
+        drop(stripe);
         if evicted > 0 {
             crate::counter!(names::TRACE_DROPPED).add(evicted);
         }
@@ -277,8 +462,8 @@ impl FlightRecorder {
     /// A copy of every buffered record, sorted by start time.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
         let mut out = Vec::new();
-        for stripe in &self.stripes {
-            out.extend(stripe.lock().expect("trace stripe lock").iter().cloned());
+        for i in 0..TRACE_STRIPES {
+            out.extend(self.stripe(i).records().cloned());
         }
         out.sort_by_key(|r| (r.start_micros, r.id));
         out
@@ -287,8 +472,8 @@ impl FlightRecorder {
     /// Removes and returns every buffered record, sorted by start time.
     pub fn drain(&self) -> Vec<TraceRecord> {
         let mut out = Vec::new();
-        for stripe in &self.stripes {
-            out.extend(std::mem::take(&mut *stripe.lock().expect("trace stripe lock")));
+        for i in 0..TRACE_STRIPES {
+            out.extend(self.stripe(i).take());
         }
         out.sort_by_key(|r| (r.start_micros, r.id));
         out
@@ -297,14 +482,14 @@ impl FlightRecorder {
     /// Discards every buffered record (no drop accounting — this is the
     /// harness resetting between runs, not backpressure).
     pub fn clear(&self) {
-        for stripe in &self.stripes {
-            stripe.lock().expect("trace stripe lock").clear();
+        for i in 0..TRACE_STRIPES {
+            *self.stripe(i) = Stripe::default();
         }
     }
 
     /// Buffered record count.
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().expect("trace stripe lock").len()).sum()
+        (0..TRACE_STRIPES).map(|i| self.stripe(i).len).sum()
     }
 
     /// Is the recorder empty?
@@ -321,26 +506,29 @@ pub fn begin_epoch(epoch: u64) {
     }
 }
 
-/// Writes a completed span record (called by `SpanGuard::drop`). The end
-/// timestamp is taken here, on the same clock as `start_micros`, so a
-/// child's interval is always contained in its parent's.
+/// Writes a completed span record (called by `SpanGuard::drop`). `start`
+/// and `end` are the guard's own clock readings, the same two that time its
+/// histogram sample, so a child's interval is always contained in its
+/// parent's.
 pub(crate) fn record_span(
     id: u64,
     parent: u64,
     name: &'static str,
-    start_micros: u64,
-    attrs: Vec<(&'static str, String)>,
+    start: Instant,
+    end: Instant,
+    attrs: Attrs,
 ) {
-    let end = now_micros();
-    recorder().record(TraceRecord {
+    let start_micros = micros_at(start);
+    let recorder = recorder();
+    recorder.record(TraceRecord {
         id,
         parent,
         name,
         kind: RecordKind::Span,
         thread: thread_ordinal(),
-        epoch: recorder().current_epoch(),
+        epoch: recorder.current_epoch(),
         start_micros,
-        dur_micros: end.saturating_sub(start_micros),
+        dur_micros: micros_at(end).saturating_sub(start_micros),
         attrs,
     });
 }
@@ -351,25 +539,25 @@ pub(crate) fn record_span(
 ///
 /// ```ignore
 /// trace::instant_with(names::TX_DISPATCH, |a| {
-///     a.push(("tx", tx.id.to_string()));
-///     a.push(("reason", reason.name().to_string()));
+///     a.push(("tx", tx.id.into()));
+///     a.push(("reason", reason.name().into()));
 /// });
 /// ```
-pub fn instant_with(name: &'static str, fill: impl FnOnce(&mut Vec<(&'static str, String)>)) {
+pub fn instant_with(name: &'static str, fill: impl FnOnce(&mut Attrs)) {
     if !tracing_enabled() {
         return;
     }
     let mut attrs = Vec::new();
     fill(&mut attrs);
-    let now = now_micros();
-    recorder().record(TraceRecord {
+    let recorder = recorder();
+    recorder.record(TraceRecord {
         id: next_span_id(),
         parent: current_span(),
         name,
         kind: RecordKind::Instant,
         thread: thread_ordinal(),
-        epoch: recorder().current_epoch(),
-        start_micros: now,
+        epoch: recorder.current_epoch(),
+        start_micros: now_micros(),
         dur_micros: 0,
         attrs,
     });
@@ -440,13 +628,13 @@ pub struct TxStage {
     pub epoch: u64,
     pub at_micros: u64,
     pub dur_micros: u64,
-    pub attrs: Vec<(&'static str, String)>,
+    pub attrs: Attrs,
 }
 
 impl TxStage {
     /// The value of attribute `key`, if present.
-    pub fn attr(&self, key: &str) -> Option<&str> {
-        self.attrs.iter().rev().find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
+    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
+        find_attr(&self.attrs, key)
     }
 }
 
@@ -460,8 +648,14 @@ pub struct TxLifecycle {
 }
 
 impl TxLifecycle {
+    /// The text of the last `key` attribute on a `stage_name` stage.
     fn last_attr(&self, stage_name: &str, key: &str) -> Option<&str> {
-        self.stages.iter().rev().filter(|s| s.name == stage_name).find_map(|s| s.attr(key))
+        self.stages
+            .iter()
+            .rev()
+            .filter(|s| s.name == stage_name)
+            .find_map(|s| s.attr(key))
+            .and_then(AttrValue::as_str)
     }
 
     /// The dispatch reason that last routed this transaction (the
@@ -515,7 +709,9 @@ impl TxLifecycle {
             .stages
             .iter()
             .rev()
-            .find(|s| s.name == names::TX_EXEC && s.attr("status") == Some("success"))
+            .find(|s| {
+                s.name == names::TX_EXEC && s.attr("status").and_then(AttrValue::as_str) == Some("success")
+            })
             .map(|s| s.at_micros);
         let Some(exec_at) = exec_at else { return false };
         let dispatched = self.stages.iter().any(|s| {
@@ -541,8 +737,8 @@ impl TxLifecycle {
             .rev()
             .find(|s| s.name == names::TX_XSHARD_PREPARE && s.at_micros <= commit_at);
         let Some(prepare) = prepare else { return false };
-        let participants: usize =
-            prepare.attr("participants").and_then(|p| p.parse().ok()).unwrap_or(1);
+        let participants =
+            prepare.attr("participants").and_then(AttrValue::as_u64).unwrap_or(1) as usize;
         let votes = self
             .stages
             .iter()
@@ -561,7 +757,7 @@ impl TxLifecycle {
 pub fn build_lifecycles(records: &[TraceRecord]) -> Vec<TxLifecycle> {
     let mut by_tx: BTreeMap<u64, Vec<TxStage>> = BTreeMap::new();
     for r in records {
-        let Some(tx) = r.attr("tx").and_then(|v| v.parse::<u64>().ok()) else { continue };
+        let Some(tx) = r.attr("tx").and_then(AttrValue::as_u64) else { continue };
         by_tx.entry(tx).or_default().push(TxStage {
             name: r.name,
             epoch: r.epoch,
@@ -586,7 +782,19 @@ fn push_escaped(out: &mut String, s: &str) {
     crate::json::write_escaped(out, s);
 }
 
-fn push_attrs_object(out: &mut String, attrs: &[(&'static str, String)]) {
+/// Renders one attribute value as a JSON string. Only label and text
+/// values can need escaping; numbers, flags and addresses are written
+/// straight into the output.
+fn push_attr_value(out: &mut String, v: &AttrValue) {
+    match v.as_str() {
+        Some(s) => push_escaped(out, s),
+        None => {
+            let _ = write!(out, "\"{v}\"");
+        }
+    }
+}
+
+fn push_attrs_object(out: &mut String, attrs: &[(&'static str, AttrValue)]) {
     out.push('{');
     for (i, (k, v)) in attrs.iter().enumerate() {
         if i > 0 {
@@ -594,7 +802,7 @@ fn push_attrs_object(out: &mut String, attrs: &[(&'static str, String)]) {
         }
         push_escaped(out, k);
         out.push(':');
-        push_escaped(out, v);
+        push_attr_value(out, v);
     }
     out.push('}');
 }

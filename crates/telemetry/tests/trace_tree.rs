@@ -8,7 +8,7 @@
 
 use serde_json::Value;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use telemetry::trace::{self, RecordKind, TraceRecord};
+use telemetry::trace::{self, AttrValue, RecordKind, TraceRecord};
 use telemetry::{names, registry};
 
 fn trace_guard() -> MutexGuard<'static, ()> {
@@ -43,7 +43,7 @@ fn nested_spans_link_parent_and_child() {
     let inner = find(&records, "test.inner");
     assert_eq!(outer.parent, 0, "outer span is a root");
     assert_eq!(inner.parent, outer.id, "inner span links to the enclosing guard");
-    assert_eq!(outer.attr("k"), Some("v"));
+    assert_eq!(outer.attr("k"), Some(&AttrValue::Str("v")));
     assert!(inner.start_micros >= outer.start_micros);
     assert!(inner.end_micros() <= outer.end_micros());
 }
@@ -55,7 +55,7 @@ fn sibling_spans_share_a_parent_and_instants_nest() {
         let _outer = telemetry::span!("test.root");
         {
             let _a = telemetry::span!("test.a");
-            trace::instant_with("test.mark", |attrs| attrs.push(("tx", "7".to_string())));
+            trace::instant_with("test.mark", |attrs| attrs.push(("tx", 7u64.into())));
         }
         let _b = telemetry::span!("test.b");
     }
@@ -71,7 +71,7 @@ fn sibling_spans_share_a_parent_and_instants_nest() {
     assert_eq!(b.parent, root.id);
     assert_eq!(mark.parent, a.id, "instant nests under the innermost open span");
     assert_eq!(mark.kind, RecordKind::Instant);
-    assert_eq!(mark.attr("tx"), Some("7"));
+    assert_eq!(mark.attr("tx"), Some(&AttrValue::U64(7)));
 }
 
 #[test]
@@ -141,18 +141,19 @@ fn validator_rejects_malformed_forests() {
 
 #[test]
 fn lifecycles_assemble_dispatch_and_execution_stages() {
-    let attr = |k: &'static str, v: &str| (k, v.to_string());
+    let attr = |k: &'static str, v: &'static str| (k, AttrValue::Str(v));
+    let tx = |id: u64| ("tx", AttrValue::U64(id));
     let mut dispatch = rec(1, 0, 100, 0);
     dispatch.name = names::TX_DISPATCH;
     dispatch.kind = RecordKind::Instant;
     dispatch.attrs =
-        vec![attr("tx", "42"), attr("reason", "ownership"), attr("assign", "shard1")];
+        vec![tx(42), attr("reason", "ownership"), attr("assign", "shard1")];
     let mut exec = rec(2, 0, 200, 50);
     exec.name = names::TX_EXEC;
-    exec.attrs = vec![attr("tx", "42"), attr("role", "shard1"), attr("status", "success")];
+    exec.attrs = vec![tx(42), attr("role", "shard1"), attr("status", "success")];
     let mut failed = rec(3, 0, 300, 10);
     failed.name = names::TX_EXEC;
-    failed.attrs = vec![attr("tx", "43"), attr("role", "ds"), attr("status", "failed:no gas")];
+    failed.attrs = vec![tx(43), attr("role", "ds"), attr("status", "failed:no gas")];
 
     let lifecycles = trace::build_lifecycles(&[dispatch, exec, failed]);
     assert_eq!(lifecycles.len(), 2);
@@ -179,8 +180,8 @@ fn recorder_capacity_evictions_are_bounded_and_counted() {
     let _guard = trace_guard();
     trace::recorder().configure(16, 64);
     let before = registry().snapshot();
-    for i in 0..100 {
-        trace::instant_with("test.flood", |attrs| attrs.push(("i", i.to_string())));
+    for i in 0..100u64 {
+        trace::instant_with("test.flood", |attrs| attrs.push(("i", i.into())));
     }
     let delta = registry().snapshot().diff(&before);
     trace::set_tracing(false);
@@ -195,7 +196,7 @@ fn recorder_capacity_evictions_are_bounded_and_counted() {
         "every eviction was counted"
     );
     // The newest record survived.
-    assert!(records.iter().any(|r| r.attr("i") == Some("99")));
+    assert!(records.iter().any(|r| r.attr("i") == Some(&AttrValue::U64(99))));
 }
 
 #[test]
@@ -219,6 +220,59 @@ fn epoch_retention_prunes_old_epochs_and_counts_drops() {
     assert_eq!(records[0].name, "test.fresh");
     assert_eq!(records[0].epoch, 10);
     assert_eq!(delta.counter(names::TRACE_DROPPED), 2, "pruned records are counted");
+}
+
+#[test]
+fn retention_drops_out_of_window_segments_even_behind_newer_ones() {
+    let _guard = trace_guard();
+    trace::recorder().configure(1 << 18, 4);
+    let before = registry().snapshot();
+    trace::begin_epoch(10);
+    trace::instant_with("test.ten", |_| {});
+    // Tags need not ascend: a second network in the process restarts at
+    // block 0, so an old epoch's segment can follow a newer one.
+    trace::begin_epoch(3);
+    trace::instant_with("test.three", |_| {});
+    // Epoch 12 with a 4-epoch window retains epochs 9..=12: the epoch-10
+    // segment stays although an out-of-window segment sits behind it.
+    trace::begin_epoch(12);
+    let delta = registry().snapshot().diff(&before);
+    trace::set_tracing(false);
+    let records = trace::recorder().drain();
+    trace::recorder().configure(1 << 18, 64);
+
+    let names: Vec<&str> = records.iter().map(|r| r.name).collect();
+    assert_eq!(names, ["test.ten"], "only the in-window record survives");
+    assert_eq!(delta.counter(names::TRACE_DROPPED), 1, "exactly the pruned record is counted");
+}
+
+#[test]
+fn capacity_evictions_span_epoch_segments() {
+    let _guard = trace_guard();
+    trace::recorder().configure(16, 64);
+    let before = registry().snapshot();
+    let mut written = 0u64;
+    for epoch in 1..=3u64 {
+        trace::begin_epoch(epoch);
+        for _ in 0..10 {
+            trace::instant_with("test.segmented", |attrs| attrs.push(("i", written.into())));
+            written += 1;
+        }
+    }
+    let delta = registry().snapshot().diff(&before);
+    trace::set_tracing(false);
+    let records = trace::recorder().drain();
+    trace::recorder().configure(1 << 18, 64);
+
+    assert!(records.len() <= 16, "capacity bounds the buffer ({} records)", records.len());
+    assert_eq!(delta.counter(names::TRACE_RECORDS), written, "every write was counted");
+    assert_eq!(
+        delta.counter(names::TRACE_DROPPED),
+        written - records.len() as u64,
+        "every eviction was counted"
+    );
+    let newest = records.iter().find(|r| r.attr("i") == Some(&AttrValue::U64(written - 1)));
+    assert_eq!(newest.map(|r| r.epoch), Some(3), "the newest record survived");
 }
 
 #[test]
@@ -247,11 +301,11 @@ fn exporters_emit_valid_json() {
         let mut outer = telemetry::span!("test.export");
         outer.attr("quote", "say \"hi\"\n\\done");
         trace::instant_with(names::TX_DISPATCH, |attrs| {
-            attrs.push(("tx", "3".to_string()));
-            attrs.push(("reason", "ownership".to_string()));
+            attrs.push(("tx", 3u64.into()));
+            attrs.push(("reason", "ownership".into()));
         });
         let mut exec = telemetry::span!(names::TX_EXEC);
-        exec.attr("tx", 3);
+        exec.attr("tx", 3u64);
         exec.attr("role", "shard0");
         exec.attr("status", "success");
     }
