@@ -323,18 +323,6 @@ impl StateDelta {
     }
 }
 
-/// Extracts the integer payload of a `Uint`/`Int` value. Unsigned values
-/// above `i128::MAX` have no signed representation and yield `None`; use
-/// [`compute_int_delta`] / [`apply_int_delta`], which work in the value's
-/// own domain, rather than converting.
-pub fn int_value(v: &Value) -> Option<i128> {
-    match v {
-        Value::Uint(_, n) => i128::try_from(*n).ok(),
-        Value::Int(_, n) => Some(*n),
-        _ => None,
-    }
-}
-
 /// Computes the signed delta between two integer values of the same shape
 /// (the initial value may be absent, meaning 0). `None` when the values are
 /// not integers of a common shape or the delta exceeds `i128` (e.g. a fresh

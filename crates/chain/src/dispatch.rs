@@ -224,39 +224,14 @@ pub fn dispatch_policy(tx: &Transaction, state: &GlobalState, policy: &ChainConf
 }
 
 fn dispatch_inner(tx: &Transaction, state: &GlobalState, policy: &ChainConfig) -> Decision {
-    let num_shards = policy.num_shards;
-    match &tx.kind {
-        TxKind::Payment { .. } => Decision {
-            assignment: Assignment::Shard(tx.sender.home_shard(num_shards)),
+    match resolve(tx, state, policy) {
+        Ok(Resolution::Payment) => Decision {
+            assignment: Assignment::Shard(tx.sender.home_shard(policy.num_shards)),
             reason: DispatchReason::Payment,
         },
-        TxKind::Call { contract, transition, args, .. } => {
-            let Some(deployed) = state.contracts.get(contract) else {
-                // Unknown contract: let the DS committee reject it.
-                return Decision { assignment: Assignment::Ds, reason: DispatchReason::BadArguments };
-            };
-            if policy.use_cosplit {
-                if let Some(sig) = &deployed.signature {
-                    if let Some(tc) = sig.transition(transition) {
-                        if policy.compose_calls {
-                            if let Some(footprint) =
-                                composed_footprint(tx, state, deployed, transition, args, num_shards)
-                            {
-                                return decide(tx, &footprint, policy, true);
-                            }
-                        }
-                        let footprint =
-                            resolve_footprint(tx, state, deployed, &tc.constraints, args, num_shards);
-                        return match footprint {
-                            Ok(footprint) => decide(tx, &footprint, policy, false),
-                            Err(reason) => Decision { assignment: Assignment::Ds, reason },
-                        };
-                    }
-                    return Decision { assignment: Assignment::Ds, reason: DispatchReason::Unselected };
-                }
-            }
-            baseline(tx, state, *contract, num_shards)
-        }
+        Ok(Resolution::Baseline(contract)) => baseline(tx, state, contract, policy.num_shards),
+        Ok(Resolution::Footprint { locks, composed }) => decide(tx, &locks, policy, composed),
+        Err(reason) => Decision { assignment: Assignment::Ds, reason },
     }
 }
 
@@ -273,101 +248,138 @@ fn baseline(tx: &Transaction, state: &GlobalState, contract: Address, num_shards
     }
 }
 
-/// The transaction's concrete ownership footprint: every lockable resource
-/// its constraints pin, with the shard owning each. Dispatch derives the
-/// assignment from the shard set; the cross-shard coordinator derives its
-/// lock plan from the same resolution, so the two can never disagree.
-struct Footprint {
-    /// `lock → owning shard`, deduplicated and in global lock order.
-    locks: BTreeMap<LockKey, u32>,
+/// `lock → owning shard`, deduplicated and in global lock order.
+type Locks = BTreeMap<LockKey, u32>;
+
+/// What a transaction resolves to. Dispatch derives the assignment from it
+/// and the cross-shard coordinator its lock plan, so the two can never
+/// disagree.
+enum Resolution {
+    /// A payment (default strategy: the sender's home shard).
+    Payment,
+    /// A call the signature does not cover: the baseline strategy.
+    Baseline(Address),
+    /// The concrete ownership footprint: every lockable resource the
+    /// constraints pin, with its owning shard. `composed` when it is a
+    /// whole cross-contract chain's.
+    Footprint { locks: Locks, composed: bool },
 }
 
-impl Footprint {
-    fn shards(&self) -> BTreeSet<u32> {
-        self.locks.values().copied().collect()
-    }
-}
-
-/// Instantiates a transition's symbolic constraints with the transaction's
-/// concrete arguments (the shared core of [`dispatch`] and
-/// [`xshard_plan`]).
+/// Resolves a transaction against the current state (paper §4.3,
+/// `dispatch_oc(T, x)`): the composed chain first when `compose_calls` is
+/// on, the root transition's own constraints otherwise.
 ///
 /// # Errors
 ///
-/// The dispatch reason that forces DS routing: `Unsat` summaries, missing
-/// arguments, runtime key aliasing, contract-valued `UserAddr` parameters.
-fn resolve_footprint(
+/// The dispatch reason that forces DS routing: an unknown contract, an
+/// unselected or `Unsat` transition, missing arguments, runtime key
+/// aliasing, contract-valued `UserAddr` parameters.
+fn resolve(
     tx: &Transaction,
     state: &GlobalState,
-    deployed: &DeployedContract,
-    constraints: &BTreeSet<Constraint>,
-    args: &[(String, Value)],
-    num_shards: u32,
-) -> Result<Footprint, DispatchReason> {
-    let resolve = |name: &str| root_value(name, tx.sender, args, deployed);
+    policy: &ChainConfig,
+) -> Result<Resolution, DispatchReason> {
+    let TxKind::Call { contract, transition, args, .. } = &tx.kind else {
+        return Ok(Resolution::Payment);
+    };
+    // Unknown contract: let the DS committee reject it.
+    let deployed = state.contracts.get(contract).ok_or(DispatchReason::BadArguments)?;
+    let Some(sig) = deployed.signature.as_ref().filter(|_| policy.use_cosplit) else {
+        return Ok(Resolution::Baseline(*contract));
+    };
+    let tc = sig.transition(transition).ok_or(DispatchReason::Unselected)?;
+    let n = policy.num_shards;
+    if policy.compose_calls {
+        if let Some(locks) = composed_locks(tx, state, deployed, transition, args, n) {
+            return Ok(Resolution::Footprint { locks, composed: true });
+        }
+    }
+    let mut locks = Locks::new();
+    instantiate(
+        &tc.constraints,
+        deployed.address,
+        (tx.sender, tx.sender.home_shard(n)),
+        &|name| root_value(name, tx.sender, args, deployed),
+        None,
+        state,
+        n,
+        &mut locks,
+    )?;
+    Ok(Resolution::Footprint { locks, composed: false })
+}
 
-    let mut locks: BTreeMap<LockKey, u32> = BTreeMap::new();
+/// Instantiates one transition's symbolic constraints (of `contract`,
+/// called by `sender` living in `sender_shard`) with the concrete values
+/// `frame` gives its names, adding the pinned resources to `locks`. The one
+/// place a [`Constraint`] meets a transaction.
+///
+/// Inside a composed `chain`, a send-derived `Unsat` is skipped — compose()
+/// proved every send of the member lands inside the chain or in a wallet,
+/// so the chain's own locks subsume it — and a `UserAddr` that names a
+/// chain member is satisfied.
+///
+/// # Errors
+///
+/// The first constraint's DS reason, in constraint order.
+#[allow(clippy::too_many_arguments)]
+fn instantiate(
+    constraints: &BTreeSet<Constraint>,
+    contract: Address,
+    (sender, sender_shard): (Address, u32),
+    frame: &dyn Fn(&str) -> Option<Value>,
+    chain: Option<&ComposedSummary>,
+    state: &GlobalState,
+    num_shards: u32,
+    locks: &mut Locks,
+) -> Result<(), DispatchReason> {
+    // Derived keys (`sha256hash(account)`) replay their derivation on the
+    // resolved base argument, matching the interpreter's builtin evaluation
+    // bit-for-bit. A pre-sized loop: collecting through `Option` cannot
+    // size the vector up front, which dispatch pays on every transaction.
+    let values = |keys: &[String]| -> Result<Vec<Value>, DispatchReason> {
+        let mut vals = Vec::with_capacity(keys.len());
+        for k in keys {
+            let v = cosplit_analysis::domain::resolve_key(k, frame);
+            vals.push(v.ok_or(DispatchReason::BadArguments)?);
+        }
+        Ok(vals)
+    };
     for c in constraints {
         match c {
+            Constraint::Unsat if chain.is_some() => {}
             Constraint::Unsat => return Err(DispatchReason::Unsat),
             Constraint::Owns(PseudoField { field, keys }) => {
-                let mut key_vals = Vec::with_capacity(keys.len());
-                for k in keys {
-                    // Derived keys (`sha256hash(account)`) replay their
-                    // derivation on the resolved base argument, matching the
-                    // interpreter's builtin evaluation bit-for-bit.
-                    match cosplit_analysis::domain::resolve_key(k, &resolve) {
-                        Some(v) => key_vals.push(v),
-                        None => return Err(DispatchReason::BadArguments),
-                    }
-                }
-                let shard = component_shard(deployed.address, field, &key_vals, num_shards);
-                locks.insert(
-                    LockKey::Component {
-                        contract: deployed.address,
-                        field: field.clone(),
-                        keys: key_vals.iter().map(|v| v.to_string()).collect(),
-                    },
-                    shard,
-                );
+                let key_vals = values(keys)?;
+                let shard = component_shard(contract, field, &key_vals, num_shards);
+                let keys = key_vals.iter().map(Value::to_string).collect();
+                locks.insert(LockKey::Component { contract, field: field.clone(), keys }, shard);
             }
             Constraint::SenderShard => {
-                locks.insert(
-                    LockKey::Account(tx.sender),
-                    tx.sender.home_shard(num_shards),
-                );
+                locks.insert(LockKey::Account(sender), sender_shard);
             }
             Constraint::ContractShard => {
-                locks.insert(
-                    LockKey::Account(deployed.address),
-                    state.home_shard_of(&deployed.address, num_shards),
-                );
+                let shard = state.home_shard_of(&contract, num_shards);
+                locks.insert(LockKey::Account(contract), shard);
             }
-            Constraint::UserAddr(p) => match resolve(p).as_ref().and_then(Value::as_address) {
-                Some(bytes) => {
-                    if state.is_contract(&Address(bytes)) {
-                        return Err(DispatchReason::NotUserAddr);
-                    }
+            Constraint::UserAddr(p) => {
+                let bytes = frame(p).as_ref().and_then(Value::as_address);
+                let target = Address(bytes.ok_or(DispatchReason::BadArguments)?);
+                let in_chain = || {
+                    let target = target.to_string();
+                    chain.is_some_and(|c| c.members.iter().any(|m| m.contract == target))
+                };
+                if state.is_contract(&target) && !in_chain() {
+                    return Err(DispatchReason::NotUserAddr);
                 }
-                None => return Err(DispatchReason::BadArguments),
-            },
+            }
             Constraint::NoAliases(t1, t2) => {
-                let v1: Option<Vec<Value>> =
-                    t1.iter().map(|k| cosplit_analysis::domain::resolve_key(k, &resolve)).collect();
-                let v2: Option<Vec<Value>> =
-                    t2.iter().map(|k| cosplit_analysis::domain::resolve_key(k, &resolve)).collect();
-                match (v1, v2) {
-                    (Some(a), Some(b)) => {
-                        if a == b {
-                            return Err(DispatchReason::AliasConflict);
-                        }
-                    }
-                    _ => return Err(DispatchReason::BadArguments),
+                if values(t1)? == values(t2)? {
+                    return Err(DispatchReason::AliasConflict);
                 }
             }
         }
     }
-    Ok(Footprint { locks })
+    Ok(())
 }
 
 /// Resolves a name in the root transition's frame: `_sender`/`_origin` are
@@ -393,17 +405,12 @@ fn root_value(
 /// shard-locally, several go to the cross-shard two-phase commit when it is
 /// enabled and serialise at the DS committee otherwise. A `composed`
 /// whole-chain footprint commits locally as `ComposedLocal`.
-fn decide(
-    tx: &Transaction,
-    footprint: &Footprint,
-    policy: &ChainConfig,
-    composed: bool,
-) -> Decision {
+fn decide(tx: &Transaction, locks: &Locks, policy: &ChainConfig, composed: bool) -> Decision {
     let local = |shard, reason| Decision {
         assignment: Assignment::Shard(shard),
         reason: if composed { DispatchReason::ComposedLocal } else { reason },
     };
-    let required = footprint.shards();
+    let required: BTreeSet<u32> = locks.values().copied().collect();
     match required.len() {
         // Fully commutative footprint: spread by transaction id.
         0 => local(
@@ -418,34 +425,38 @@ fn decide(
     }
 }
 
+/// The value a send site's recipient resolves to, seen from `caller`:
+/// literals, the caller's deployment parameters and immutable fields
+/// (whose epoch-start value is the deployment-time value, so reading it is
+/// sound), and `frame` for transition parameters. Shared by composition
+/// and the executor's runtime hop check.
+pub(crate) fn recipient_value(
+    state: &GlobalState,
+    caller: Address,
+    recipient: &Recipient,
+    frame: impl FnOnce(&str) -> Option<Value>,
+) -> Option<Value> {
+    match recipient {
+        Recipient::Literal(c) => Address::from_hex(c).ok().map(Address::to_value),
+        Recipient::ContractParam(p) => state.contracts.get(&caller)?.param(p).cloned(),
+        Recipient::InitField(f) => state.storage.get(&caller)?.fields().get(f).cloned(),
+        Recipient::TransitionParam(p) => frame(p),
+        Recipient::Dynamic => None,
+    }
+}
+
 // ------------------------------------------------- interprocedural chains
 
 /// The deployment view the interprocedural composition runs against on
 /// chain: contract identities are `Address` display strings, summaries and
 /// call sites come from the deployed contracts, and recipients resolve
-/// against deployment parameters, immutable-field storage, and the
+/// through [`recipient_value`], transition parameters through the
 /// transaction's arguments.
 struct ChainView<'a> {
     state: &'a GlobalState,
     root: &'a DeployedContract,
     args: &'a [(String, Value)],
     sender: Address,
-}
-
-impl ChainView<'_> {
-    fn classify(&self, value: Option<Value>) -> Target {
-        match value.as_ref().and_then(Value::as_address) {
-            None => Target::Unknown,
-            Some(bytes) => {
-                let addr = Address(bytes);
-                if self.state.is_contract(&addr) {
-                    Target::Contract(addr.to_string())
-                } else {
-                    Target::Wallet
-                }
-            }
-        }
-    }
 }
 
 impl DeploymentView for ChainView<'_> {
@@ -455,25 +466,17 @@ impl DeploymentView for ChainView<'_> {
         recipient: &Recipient,
         binding: Option<&Binding>,
     ) -> Target {
-        let caller_addr = Address::from_hex(caller).ok();
-        let value = match recipient {
-            Recipient::Literal(c) => Address::from_hex(c).ok().map(Address::to_value),
-            Recipient::ContractParam(p) => caller_addr
-                .and_then(|a| self.state.contracts.get(&a))
-                .and_then(|d| d.param(p).cloned()),
-            // Immutable (never-written) field: the epoch-start storage value
-            // is the deployment-time value, so reading it here is sound.
-            Recipient::InitField(f) => caller_addr
-                .and_then(|a| self.state.storage.get(&a))
-                .and_then(|s| s.fields().get(f).cloned()),
-            Recipient::TransitionParam(_) => match binding {
-                Some(Binding::Param(p)) => root_value(p, self.sender, self.args, self.root),
-                Some(Binding::Const(c)) => Address::from_hex(c).ok().map(Address::to_value),
-                _ => None,
-            },
-            Recipient::Dynamic => None,
-        };
-        self.classify(value)
+        let Ok(caller) = Address::from_hex(caller) else { return Target::Unknown };
+        let value = recipient_value(self.state, caller, recipient, |_| match binding {
+            Some(Binding::Param(p)) => root_value(p, self.sender, self.args, self.root),
+            Some(Binding::Const(c)) => Address::from_hex(c).ok().map(Address::to_value),
+            _ => None,
+        });
+        match value.as_ref().and_then(Value::as_address).map(Address) {
+            None => Target::Unknown,
+            Some(addr) if self.state.is_contract(&addr) => Target::Contract(addr.to_string()),
+            Some(_) => Target::Wallet,
+        }
     }
 
     fn summary(&self, contract: &str, transition: &str) -> Option<TransitionSummary> {
@@ -488,8 +491,8 @@ impl DeploymentView for ChainView<'_> {
 }
 
 /// Composes the interprocedural chain rooted at one call, against the
-/// current deployment and the transaction's arguments. Shared by dispatch,
-/// the xshard plan derivation, and the executor's trace auditor.
+/// current deployment and the transaction's arguments. Shared by dispatch
+/// and the executor's trace auditor.
 pub(crate) fn compose_chain(
     state: &GlobalState,
     root: &DeployedContract,
@@ -503,138 +506,65 @@ pub(crate) fn compose_chain(
     compose(&view, &root.address.to_string(), transition)
 }
 
-/// Resolves a root-space [`Binding`] to a concrete value.
-fn binding_value(
-    b: &Binding,
-    composed: &ComposedSummary,
-    view_sender: Address,
-    root: &DeployedContract,
-    args: &[(String, Value)],
-) -> Option<Value> {
-    match b {
-        Binding::Param(p) => root_value(p, view_sender, args, root),
-        Binding::Const(c) => Address::from_hex(c).ok().map(Address::to_value),
-        Binding::Caller(i) => {
-            Address::from_hex(&composed.members.get(*i)?.contract).ok().map(Address::to_value)
-        }
-        Binding::Unknown => None,
-    }
-}
-
 /// The whole-chain ownership footprint of a composed cross-contract call:
 /// every member's signature constraints instantiated in root space, merged
 /// into one lock map. `None` when composition does not apply (no chain,
-/// widened, an unsigned/unselected member, or an unresolvable constraint)
-/// — the caller then falls through to the intra-contract path unchanged.
-fn composed_footprint(
+/// widened, an unsigned/unselected member, or any constraint that fails)
+/// — the caller then falls back to the root transition alone, which names
+/// the precise DS reason.
+fn composed_locks(
     tx: &Transaction,
     state: &GlobalState,
     deployed: &DeployedContract,
     transition: &str,
     args: &[(String, Value)],
     num_shards: u32,
-) -> Option<Footprint> {
+) -> Option<Locks> {
     let composed = compose_chain(state, deployed, transition, args, tx.sender)?;
     if composed.widened || !composed.is_chain() {
         return None;
     }
-    let mut locks: BTreeMap<LockKey, u32> = BTreeMap::new();
-    for m in &composed.members {
-        let addr = Address::from_hex(&m.contract).ok()?;
+    let contract_of = |i: usize| Address::from_hex(&composed.members.get(i)?.contract).ok();
+    let mut locks = Locks::new();
+    for (i, m) in composed.members.iter().enumerate() {
+        let addr = contract_of(i)?;
         let member = state.contracts.get(&addr)?;
         let tc = member.signature.as_ref()?.transition(&m.transition)?;
         if member.summary(&m.transition)?.has_top() {
             return None; // compose() widens on ⊤ members; stay defensive.
         }
-        let resolve = |name: &str| -> Option<Value> {
-            match m.bindings.get(name) {
-                Some(b) => binding_value(b, &composed, tx.sender, deployed, args),
-                // Not a transition parameter of this member: a deployment
-                // constant of the member contract.
-                None => member.param(name).cloned(),
-            }
+        // The member's sender: the transaction sender for the root, the
+        // calling member's contract account deeper in.
+        let sender = match m.caller {
+            None => (tx.sender, tx.sender.home_shard(num_shards)),
+            Some(c) => contract_of(c).map(|a| (a, state.home_shard_of(&a, num_shards)))?,
         };
-        for c in &tc.constraints {
-            match c {
-                // A non-⊤ member's `Unsat` can only be send-derived
-                // (recipient not a sole parameter), and compose() proved
-                // every send of this member lands inside the chain or in a
-                // wallet: the chain's own locks subsume it.
-                Constraint::Unsat => {}
-                Constraint::Owns(PseudoField { field, keys }) => {
-                    let mut key_vals = Vec::with_capacity(keys.len());
-                    for k in keys {
-                        key_vals.push(cosplit_analysis::domain::resolve_key(k, &resolve)?);
-                    }
-                    let shard = component_shard(addr, field, &key_vals, num_shards);
-                    locks.insert(
-                        LockKey::Component {
-                            contract: addr,
-                            field: field.clone(),
-                            keys: key_vals.iter().map(|v| v.to_string()).collect(),
-                        },
-                        shard,
-                    );
-                }
-                Constraint::SenderShard => {
-                    // The member's sender: the transaction sender for the
-                    // root, the calling member's contract account deeper in.
-                    let sender_addr = match m.caller {
-                        None => tx.sender,
-                        Some(i) => Address::from_hex(&composed.members[i].contract).ok()?,
-                    };
-                    locks.insert(
-                        LockKey::Account(sender_addr),
-                        state.home_shard_of(&sender_addr, num_shards),
-                    );
-                }
-                Constraint::ContractShard => {
-                    locks.insert(
-                        LockKey::Account(addr),
-                        state.home_shard_of(&addr, num_shards),
-                    );
-                }
-                Constraint::UserAddr(p) => {
-                    let bytes = resolve(p).as_ref().and_then(Value::as_address)?;
-                    let target = Address(bytes);
-                    if state.is_contract(&target)
-                        && !composed.members.iter().any(|mm| mm.contract == target.to_string())
-                    {
-                        // A contract-valued recipient outside the composed
-                        // set: not the chain we proved. Fall back.
-                        return None;
-                    }
-                }
-                Constraint::NoAliases(t1, t2) => {
-                    let v1: Option<Vec<Value>> = t1
-                        .iter()
-                        .map(|k| cosplit_analysis::domain::resolve_key(k, &resolve))
-                        .collect();
-                    let v2: Option<Vec<Value>> = t2
-                        .iter()
-                        .map(|k| cosplit_analysis::domain::resolve_key(k, &resolve))
-                        .collect();
-                    match (v1, v2) {
-                        (Some(a), Some(b)) if a != b => {}
-                        // Aliasing or unresolvable: let the intra-contract
-                        // path pick the precise DS reason.
-                        _ => return None,
-                    }
-                }
-            }
-        }
+        let frame = |name: &str| match m.bindings.get(name) {
+            Some(Binding::Param(p)) => root_value(p, tx.sender, args, deployed),
+            Some(Binding::Const(c)) => Address::from_hex(c).ok().map(Address::to_value),
+            Some(Binding::Caller(c)) => contract_of(*c).map(Address::to_value),
+            Some(Binding::Unknown) => None,
+            // Not a transition parameter of this member: a deployment
+            // constant of the member contract.
+            None => member.param(name).cloned(),
+        };
+        let chain = Some(&composed);
+        instantiate(&tc.constraints, addr, sender, &frame, chain, state, num_shards, &mut locks)
+            .ok()?;
     }
     if telemetry::enabled() {
         telemetry::counter!("chain.dispatch.composed_chains").inc();
     }
-    Some(Footprint { locks })
+    Some(locks)
 }
 
 /// Resolves the coordinator's lock plan for a cross-shard transaction: the
-/// same constraint instantiation as [`dispatch`], reified as `(shard,
-/// lock)` pairs instead of a bare shard set. The coordinator is the lowest
-/// participant; the lock vector is in global key order, which is the
-/// deadlock-free acquisition order.
+/// same resolution as [`dispatch_policy`], reified as `(shard, lock)` pairs
+/// instead of a bare shard set. With `compose_calls` on and a call that
+/// roots a statically-resolved chain, the plan locks the whole chain's
+/// composed footprint, so the two-phase commit covers the downstream sends
+/// too. The coordinator is the lowest participant; the lock vector is in
+/// global key order, which is the deadlock-free acquisition order.
 ///
 /// # Errors
 ///
@@ -644,41 +574,14 @@ fn composed_footprint(
 pub fn xshard_plan(
     tx: &Transaction,
     state: &GlobalState,
-    num_shards: u32,
+    policy: &ChainConfig,
 ) -> Result<XShardPlan, DispatchReason> {
-    xshard_plan_with(tx, state, num_shards, false)
-}
-
-/// [`xshard_plan`] with the interprocedural composition switch: when
-/// `compose` is on and the call roots a statically-resolved chain, the plan
-/// locks the *whole chain's* composed footprint — every member contract's
-/// constraints — so the two-phase commit covers the downstream sends too.
-pub fn xshard_plan_with(
-    tx: &Transaction,
-    state: &GlobalState,
-    num_shards: u32,
-    compose: bool,
-) -> Result<XShardPlan, DispatchReason> {
-    let TxKind::Call { contract, transition, args, .. } = &tx.kind else {
-        return Err(DispatchReason::Payment);
+    let locks = match resolve(tx, state, policy)? {
+        Resolution::Payment => return Err(DispatchReason::Payment),
+        Resolution::Baseline(_) => return Err(DispatchReason::BaselineCross),
+        Resolution::Footprint { locks, .. } => locks,
     };
-    let Some(deployed) = state.contracts.get(contract) else {
-        return Err(DispatchReason::BadArguments);
-    };
-    let Some(sig) = &deployed.signature else {
-        return Err(DispatchReason::BaselineCross);
-    };
-    let Some(tc) = sig.transition(transition) else {
-        return Err(DispatchReason::Unselected);
-    };
-    let footprint = match compose
-        .then(|| composed_footprint(tx, state, deployed, transition, args, num_shards))
-        .flatten()
-    {
-        Some(f) => f,
-        None => resolve_footprint(tx, state, deployed, &tc.constraints, args, num_shards)?,
-    };
-    let participants = footprint.shards();
+    let participants: BTreeSet<u32> = locks.values().copied().collect();
     let Some(coordinator) = participants.first().copied() else {
         // A fully commutative footprint has nothing to lock; dispatch never
         // routes it here, but fall back to DS defensively.
@@ -687,7 +590,7 @@ pub fn xshard_plan_with(
     Ok(XShardPlan {
         coordinator,
         participants,
-        locks: footprint.locks.into_iter().map(|(k, s)| (s, k)).collect(),
+        locks: locks.into_iter().map(|(k, s)| (s, k)).collect(),
     })
 }
 

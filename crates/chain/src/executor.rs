@@ -16,8 +16,7 @@
 
 use crate::address::Address;
 use crate::delta::{compute_int_delta, read_component, Component, ContractDelta, StateDelta};
-use crate::dispatch::{component_shard, compose_chain, Assignment};
-use cosplit_analysis::callgraph::Recipient;
+use crate::dispatch::{component_shard, compose_chain, recipient_value, Assignment};
 use crate::tx::{Transaction, TxKind};
 use cosplit_analysis::audit::{audit_placement, audit_transition, AuditViolation, ViolationKind};
 use cosplit_analysis::signature::Join;
@@ -824,29 +823,18 @@ impl<'a> Executor<'a> {
         let Some(deployed) = self.snapshot.contracts.get(&from.contract) else {
             return false;
         };
-        let info = deployed.call_info();
-        let allowed = info.sites_of(from.transition).any(|site| {
-            if site.tag.as_deref() != Some(&msg.tag) {
-                return false;
-            }
-            let resolved = match &site.recipient {
-                Recipient::Literal(c) => Address::from_hex(c).ok().map(Address::to_value),
-                Recipient::ContractParam(p) => deployed.param(p).cloned(),
-                Recipient::InitField(f) => self
-                    .snapshot
-                    .storage
-                    .get(&from.contract)
-                    .and_then(|s| s.fields().get(f).cloned()),
-                Recipient::TransitionParam(p) => match p.as_str() {
-                    "_sender" => Some(from.sender.to_value()),
-                    "_origin" => None, // origin is never a contract's frame value here
-                    _ => from.args.iter().find(|(n, _)| n == p).map(|(_, v)| v.clone()),
-                },
-                Recipient::Dynamic => None,
+        deployed.call_info().sites_of(from.transition).any(|site| {
+            let frame = |p: &str| match p {
+                "_sender" => Some(from.sender.to_value()),
+                "_origin" => None, // origin is never a contract's frame value here
+                _ => from.args.iter().find(|(n, _)| n == p).map(|(_, v)| v.clone()),
             };
-            resolved.as_ref().and_then(Value::as_address) == Some(recipient.0)
-        });
-        allowed
+            site.tag.as_deref() == Some(&msg.tag)
+                && recipient_value(self.snapshot, from.contract, &site.recipient, frame)
+                    .as_ref()
+                    .and_then(Value::as_address)
+                    == Some(recipient.0)
+        })
     }
 
     fn ensure_storage(&mut self, contract: Address) {

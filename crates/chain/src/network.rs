@@ -3,7 +3,7 @@
 
 use crate::address::Address;
 use crate::delta::StateDelta;
-use crate::dispatch::{dispatch_policy, xshard_plan_with, Assignment};
+use crate::dispatch::{dispatch_policy, xshard_plan, Assignment};
 use crate::error::{DeployError, MergeError};
 use crate::executor::{self, execute_batch, execute_slice, Executor, ExecutorConfig, MicroBlock};
 use crate::executor::{Receipt, TxStatus};
@@ -510,12 +510,7 @@ impl Network {
             // Coordinator resolves the lock plan. The pool may have been
             // mutated between dispatch and this stage (sim faults), so a
             // failed resolution degrades to DS routing, with the reason.
-            let plan = match xshard_plan_with(
-                &tx,
-                &self.state,
-                self.config.num_shards,
-                self.config.compose_calls,
-            ) {
+            let plan = match xshard_plan(&tx, &self.state, &self.config) {
                 Ok(p) => p,
                 Err(reason) => {
                     stats.ds_fallback += 1;

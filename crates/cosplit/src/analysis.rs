@@ -9,7 +9,7 @@
 //! fragment, and total because the language has no recursion.
 //!
 //! Two modes are supported (see [`AnalysisMode`]). The *refined* mode is
-//! flow-sensitive: an abstract per-field store ([`AbsStore`]) forwards
+//! flow-sensitive: an abstract per-field store (`AbsStore`) forwards
 //! values written by the transition itself to later reads of the same
 //! pseudo-field (sound because pseudo-field keys are transition parameters,
 //! fixed per invocation), and every remaining imprecision is localized to

@@ -844,17 +844,14 @@ fn walk(
 // ---------------------------------------------------------------------------
 
 /// A [`DeploymentView`] over a static contract set, with explicit values
-/// for deployment parameters, immutable fields, and (optionally) root
-/// transaction arguments. Names registered as contracts resolve to
-/// [`Target::Contract`]; any other resolved value is a wallet.
+/// for deployment parameters and immutable fields. Names registered as
+/// contracts resolve to [`Target::Contract`]; any other resolved value is a
+/// wallet. Root transaction arguments are unknown.
 #[derive(Debug, Clone, Default)]
 pub struct MapDeployment {
     contracts: BTreeMap<String, (Vec<TransitionSummary>, ContractCalls)>,
     /// `(contract, param-or-field name) → value`.
     values: BTreeMap<(String, String), String>,
-    /// Root transaction arguments (`param → value`), for
-    /// [`Recipient::TransitionParam`] edges.
-    args: BTreeMap<String, String>,
 }
 
 impl MapDeployment {
@@ -866,11 +863,6 @@ impl MapDeployment {
     /// Sets a deployment parameter or immutable field value.
     pub fn set_value(&mut self, contract: &str, name: &str, value: &str) {
         self.values.insert((contract.to_string(), name.to_string()), value.to_string());
-    }
-
-    /// Sets a root transaction argument.
-    pub fn set_arg(&mut self, param: &str, value: &str) {
-        self.args.insert(param.to_string(), value.to_string());
     }
 
     fn target_of(&self, value: &str) -> Target {
@@ -898,10 +890,6 @@ impl DeploymentView for MapDeployment {
                 }
             }
             Recipient::TransitionParam(_) => match binding {
-                Some(Binding::Param(rp)) => match self.args.get(rp) {
-                    Some(v) => self.target_of(v),
-                    None => Target::Unknown,
-                },
                 Some(Binding::Const(c)) => self.target_of(c),
                 _ => Target::Unknown,
             },

@@ -11,11 +11,6 @@ use crate::span::Span;
 use crate::types::Type;
 use crate::value::Value;
 
-/// Returns `true` if `op` names a known builtin.
-pub fn is_builtin(op: &str) -> bool {
-    KNOWN.contains(&op)
-}
-
 /// A pre-bound builtin operation: name dispatch resolved once, ahead of time.
 pub type BuiltinFn = fn(&[Value]) -> Result<Value, ExecError>;
 
@@ -68,12 +63,6 @@ pub fn bind_builtin(op: &str) -> Option<BuiltinFn> {
         _ => None,
     }
 }
-
-const KNOWN: &[&str] = &[
-    "add", "sub", "mul", "div", "rem", "pow", "lt", "le", "gt", "ge", "eq", "concat", "strlen",
-    "substr", "to_string", "sha256hash", "keccak256hash", "schnorr_verify", "blt", "badd", "put",
-    "get", "contains", "remove", "size", "andb", "orb", "notb", "to_uint128", "to_uint256",
-];
 
 fn int_bounds(width: u32) -> (i128, i128) {
     match width {

@@ -13,7 +13,7 @@
 //!
 //! Semantics are bit-identical to the AST walker, by construction:
 //!
-//! * [`CStmt`]/[`CExpr`] mirror [`Stmt`]/[`Expr`] one-to-one, with every gas
+//! * `CStmt`/`CExpr` mirror [`Stmt`]/[`Expr`] one-to-one, with every gas
 //!   charge at the same point in the same order (`COST_STMT` per statement,
 //!   `COST_EXPR` per expression node, the per-op extras where the walker
 //!   charges them);

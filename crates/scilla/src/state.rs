@@ -144,11 +144,6 @@ impl InMemoryState {
         &self.fields
     }
 
-    /// Consumes the store, returning the fields.
-    pub fn into_fields(self) -> BTreeMap<String, Value> {
-        self.fields
-    }
-
     /// Removes a whole field. Used by transaction journals to undo a store
     /// into a previously-nonexistent field.
     pub fn remove_field(&mut self, field: Sym) {
@@ -229,11 +224,6 @@ impl CowState {
         CowState { base, overlay: BTreeMap::new() }
     }
 
-    /// Convenience: wraps an owned store as the base.
-    pub fn from_store(base: InMemoryState) -> CowState {
-        CowState::new(Arc::new(base))
-    }
-
     /// The shared base this overlay was created from.
     pub fn base(&self) -> &Arc<InMemoryState> {
         &self.base
@@ -242,11 +232,6 @@ impl CowState {
     /// True if no writes are pending (reads are served straight from base).
     pub fn is_clean(&self) -> bool {
         self.overlay.is_empty()
-    }
-
-    /// Number of fields with pending writes.
-    pub fn overlay_len(&self) -> usize {
-        self.overlay.len()
     }
 
     /// Flattens overlay over base into a standalone snapshot. O(1) when the

@@ -130,16 +130,6 @@ pub struct DynamicFootprint {
     pub builtin_ops: BTreeMap<String, u64>,
 }
 
-impl DynamicFootprint {
-    /// True when the execution touched no persistent state at all.
-    pub fn is_pure(&self) -> bool {
-        self.reads.is_empty()
-            && self.writes.is_empty()
-            && self.accepts == 0
-            && self.sends.is_empty()
-    }
-}
-
 /// Records the footprint of one execution. Create one per invocation, pass it
 /// to `CompiledContract::execute_traced`, then take the footprint with
 /// [`EffectTracer::finish`].

@@ -508,11 +508,6 @@ impl HistogramSnapshot {
         self.sum += other.sum;
         self.count += other.count;
     }
-
-    /// Mean sample value, if any samples were recorded.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
 }
 
 /// A point-in-time copy of the registry, exportable and diffable.

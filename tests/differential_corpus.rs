@@ -7,9 +7,11 @@
 //! must be observationally identical — per-transaction outcomes, event
 //! logs, balances, nonce state, and contract storage — with the footprint
 //! auditor on. On top of the equivalence check, native tokens must be
-//! conserved modulo gas burn even with faults injected, and the dispatch
-//! fractions of the headline workloads are pinned exactly.
+//! conserved modulo gas burn even with faults injected, the dispatch
+//! fractions of the headline workloads are pinned exactly, and dispatch and
+//! the cross-shard lock plan agree on every transaction.
 
+use cosplit::chain::dispatch::{dispatch_policy, xshard_plan, Assignment, DispatchReason};
 use cosplit::chain::network::{ChainConfig, Network};
 use cosplit::chain::sim::{
     differential, inject_malformed, reference_config, run_sim, FaultPlan, SimConfig,
@@ -17,7 +19,7 @@ use cosplit::chain::sim::{
 use cosplit::workloads::runner::world_builder;
 use cosplit::workloads::scenarios::{build, Kind};
 use cosplit::workloads::seeds;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const MASTER_SEED: u64 = 4242;
 
@@ -133,6 +135,56 @@ fn dispatch_fractions_are_pinned() {
     // A statically resolved relay chain dispatches shard-local once composed.
     let composed = ChainConfig { compose_calls: true, ..paper };
     assert_eq!(dispatch_permille(&[Kind::RelayPing], &composed).1, 0);
+}
+
+/// Dispatch and the two-phase-commit lock plan resolve a transaction the
+/// same way: for every transaction of `kinds`' loads (40 users, 500 tx,
+/// seed 13, plus the malformed ones) under both profiles, the plan's
+/// participants are the shards dispatch saw, and a transaction dispatch
+/// keeps away from the cross-shard stage has no plan, for the same reason.
+#[test]
+fn dispatch_and_the_lock_plan_agree() {
+    use DispatchReason as R;
+    let mut tallies: BTreeMap<&str, usize> = BTreeMap::new();
+    for (profile, config) in profiles() {
+        for kind in kinds() {
+            let scenario = build(kind, 40, 500, 13);
+            let net = world_builder(&scenario)(&config);
+            let mut load = scenario.load.clone();
+            inject_malformed(&mut load, MASTER_SEED, 9_000_000);
+            for tx in &load {
+                let d = dispatch_policy(tx, net.state(), &config);
+                let plan = xshard_plan(tx, net.state(), &config).map(|p| p.participants);
+                let agrees = match (d.assignment, d.reason) {
+                    (_, R::Payment) => plan == Err(R::Payment),
+                    (_, R::BaselineLocal | R::BaselineCross) => plan == Err(R::BaselineCross),
+                    (_, R::Unconstrained) => plan == Err(R::Unconstrained),
+                    (Assignment::Shard(s), R::OwnershipPinned) => plan == Ok(BTreeSet::from([s])),
+                    // A lock-free chain spreads by transaction id.
+                    (Assignment::Shard(s), R::ComposedLocal) => {
+                        plan == Ok(BTreeSet::from([s])) || plan == Err(R::Unconstrained)
+                    }
+                    (Assignment::XShard, _) | (Assignment::Ds, R::SplitFootprint) => {
+                        plan.as_ref().is_ok_and(|p| p.len() >= 2)
+                    }
+                    (Assignment::Ds, r) => plan == Err(r),
+                    (Assignment::Shard(_), r) => panic!("a shard decision for {}", r.name()),
+                };
+                assert!(agrees, "{kind:?} [{profile}] tx {}: {d:?} but plan {plan:?}", tx.id);
+                *tallies.entry(d.reason.name()).or_default() += 1;
+            }
+        }
+    }
+    let expected = [
+        ("bad-args", 20),
+        ("composed-local", 500),
+        ("not-user-addr", 500),
+        ("ownership", 8270),
+        ("payment", 100),
+        ("split-footprint", 365),
+        ("xshard", 365),
+    ];
+    assert_eq!(tallies, BTreeMap::from(expected));
 }
 
 #[test]
