@@ -479,14 +479,14 @@ impl DeploymentView for ChainView<'_> {
         }
     }
 
-    fn summary(&self, contract: &str, transition: &str) -> Option<TransitionSummary> {
+    fn summary(&self, contract: &str, transition: &str) -> Option<&TransitionSummary> {
         let addr = Address::from_hex(contract).ok()?;
-        self.state.contracts.get(&addr)?.summary(transition).map(|s| (*s).clone())
+        self.state.contracts.get(&addr)?.summary(transition)
     }
 
-    fn calls(&self, contract: &str) -> Option<ContractCalls> {
+    fn calls(&self, contract: &str) -> Option<&ContractCalls> {
         let addr = Address::from_hex(contract).ok()?;
-        Some((*self.state.contracts.get(&addr)?.call_info()).clone())
+        Some(self.state.contracts.get(&addr)?.call_info())
     }
 }
 
@@ -648,7 +648,7 @@ mod tests {
         state.accounts.insert(caddr, Account::contract());
         state.contracts.insert(
             caddr,
-            Arc::new(DeployedContract::new(caddr, compiled, vec![], signature)),
+            Arc::new(DeployedContract::new(caddr, compiled, vec![], signature, analyzed.summaries)),
         );
         state.storage.insert(caddr, Default::default());
         (state, caddr)

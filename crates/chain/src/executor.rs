@@ -24,7 +24,7 @@ use scilla::builtins::uint_max;
 use scilla::error::ExecError;
 use scilla::gas::{GasMeter, COST_TX_BASE};
 use scilla::intern::Sym;
-use scilla::interpreter::{OutMsg, TransitionContext};
+use scilla::interpreter::{ExecMode, OutMsg, TransitionContext};
 use scilla::span::Span;
 use scilla::state::{CowState, StateStore};
 use scilla::trace::{DynamicFootprint, EffectTracer};
@@ -642,11 +642,10 @@ impl<'a> Executor<'a> {
         if depth > 4 {
             return Err(ExecError::BadInvocation("message chain too deep".into()).into());
         }
-        let deployed = self
-            .snapshot
+        let snapshot: &'a GlobalState = self.snapshot;
+        let deployed = snapshot
             .contracts
             .get(&contract)
-            .cloned()
             .ok_or_else(|| ExecError::BadInvocation(format!("no contract at {contract}")))?;
 
         self.ensure_storage(contract);
@@ -658,34 +657,25 @@ impl<'a> Executor<'a> {
             block_number: self.cfg.block_number,
         };
 
-        let (outcome, footprint) = {
-            let storage = self.storages.get_mut(&contract).expect("ensured above");
-            let mut store = JournaledStore { contract, inner: &mut storage.state, journal };
-            if self.cfg.audit {
-                let mut tracer = EffectTracer::new(transition);
-                let out = deployed
-                    .compiled
-                    .execute_traced(
-                        &mut store,
-                        transition,
-                        args,
-                        &deployed.params,
-                        &ctx,
-                        gas,
-                        &mut tracer,
-                    )
-                    .map_err(CallError::Exec)?;
-                (out, Some(tracer.finish()))
-            } else {
-                let out = deployed
-                    .compiled
-                    .execute(&mut store, transition, args, &deployed.params, &ctx, gas)
-                    .map_err(CallError::Exec)?;
-                (out, None)
-            }
-        };
+        let mut tracer = self.cfg.audit.then(|| EffectTracer::new(transition));
+        let storage = self.storages.get_mut(&contract).expect("ensured above");
+        let mut store = JournaledStore { contract, inner: &mut storage.state, journal };
+        let outcome = deployed
+            .compiled
+            .execute_mode(
+                &mut store,
+                transition,
+                args,
+                &deployed.params,
+                &ctx,
+                gas,
+                tracer.as_mut(),
+                ExecMode::Auto,
+            )
+            .map_err(CallError::Exec)?;
+        let footprint = tracer.map(EffectTracer::finish);
         if let Some(fp) = footprint {
-            self.audit_invocation(&deployed, &fp, args, &ctx);
+            self.audit_invocation(deployed, &fp, args, &ctx);
             self.traced.push(TracedCall {
                 tx_id: self.current_tx,
                 contract,
@@ -745,7 +735,7 @@ impl<'a> Executor<'a> {
         };
         let mut found = Vec::new();
         if let Some(summary) = deployed.summary(&fp.transition) {
-            found.extend(audit_transition(fp, &summary, &resolve));
+            found.extend(audit_transition(fp, summary, &resolve));
         }
         if self.cfg.use_cosplit {
             if let (Assignment::Shard(s), Some(sig)) = (self.cfg.role, &deployed.signature) {

@@ -11,6 +11,8 @@ use crate::state::{DeployedContract, GlobalState};
 use crate::tx::Transaction;
 use crate::xshard::{decide, AbortCause, LockTable, NoFaults, ShardFault, Verdict, VoteMsg};
 use crate::xshard::{XShardFaults, XShardStats};
+use cosplit_analysis::analysis::summarize_contract;
+use cosplit_analysis::effects::TransitionSummary;
 use cosplit_analysis::signature::{ShardingSignature, WeakReads};
 use cosplit_analysis::solver::AnalyzedContract;
 use scilla::interpreter::CompiledContract;
@@ -19,6 +21,10 @@ use scilla::value::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Simulated wall-clock duration of one epoch (Zilliqa: ≈51 s — the
+/// paper's 10 epochs take "roughly 8.5 minutes").
+pub const EPOCH_DURATION_SECS: f64 = 51.0;
 
 /// Network-wide protocol parameters.
 #[derive(Debug, Clone)]
@@ -29,9 +35,6 @@ pub struct ChainConfig {
     pub shard_gas_limit: u64,
     /// DS-committee gas budget per epoch.
     pub ds_gas_limit: u64,
-    /// Simulated wall-clock duration of one epoch (Zilliqa: ≈51 s — the
-    /// paper's 10 epochs take "roughly 8.5 minutes").
-    pub epoch_duration_secs: f64,
     /// Use CoSplit signatures for dispatch and delta merging.
     pub use_cosplit: bool,
     /// Enforce the §6 overflow guard.
@@ -76,7 +79,6 @@ impl ChainConfig {
             // epoch collecting MicroBlocks and merging deltas.
             shard_gas_limit: 720_000,
             ds_gas_limit: 360_000,
-            epoch_duration_secs: 51.0,
             use_cosplit,
             overflow_guard: false,
             max_packet_txs: 10_000,
@@ -289,7 +291,7 @@ impl Network {
         let checked = scilla::typechecker::typecheck(module)?;
         timings.typecheck = t0.elapsed();
 
-        let signature: Option<ShardingSignature> = match sharding {
+        let (signature, summaries) = match sharding {
             Some((selection, weak_reads)) => {
                 let t0 = Instant::now();
                 let analyzed = AnalyzedContract::analyze(&checked);
@@ -300,23 +302,25 @@ impl Network {
                     return Err(DeployError::InvalidSignature);
                 }
                 timings.analysis = t0.elapsed();
-                Some(submitted)
+                (Some(submitted), analyzed.summaries)
             }
-            None => None,
+            None => (None, summarize_contract(&checked)),
         };
 
-        self.install(addr, checked, params, signature)?;
+        self.install(addr, checked, params, signature, summaries)?;
         Ok(timings)
     }
 
     /// The install tail both deployment paths share: compile, initialise
-    /// storage, flag the account, place it, and register the contract.
+    /// storage, flag the account, place it, and register the contract with
+    /// the summaries the analysis derived from `checked`.
     fn install(
         &mut self,
         addr: Address,
         checked: scilla::typechecker::CheckedModule,
         params: Vec<(String, Value)>,
         signature: Option<ShardingSignature>,
+        summaries: Vec<TransitionSummary>,
     ) -> Result<(), DeployError> {
         let compiled = CompiledContract::compile(checked)?;
         let fields = compiled.init_fields(&params)?;
@@ -327,10 +331,28 @@ impl Network {
             .or_insert_with(crate::account::Account::contract)
             .is_contract = true;
         self.maybe_colocate(addr, &params);
-        self.state
-            .contracts
-            .insert(addr, Arc::new(DeployedContract::new(addr, compiled, params, signature)));
+        let deployed = DeployedContract::new(addr, compiled, params, signature, summaries);
+        self.state.contracts.insert(addr, Arc::new(deployed));
         Ok(())
+    }
+
+    /// Test hook: re-installs a deployed contract with `summaries` in place
+    /// of what the analysis derived, and its call sites re-extracted from
+    /// them. Code, parameters, signature and storage are kept; the auditor
+    /// and the interprocedural composition read the pinned summaries from
+    /// then on. Does nothing if no contract lives at `addr`.
+    pub fn override_summaries(&mut self, addr: Address, summaries: Vec<TransitionSummary>) {
+        let Some(old) = self.state.contracts.get(&addr) else { return };
+        let compiled = CompiledContract::compile(old.compiled.checked().clone())
+            .expect("the library evaluated once already");
+        let deployed = DeployedContract::new(
+            addr,
+            compiled,
+            old.params.clone(),
+            old.signature.clone(),
+            summaries,
+        );
+        self.state.contracts.insert(addr, Arc::new(deployed));
     }
 
     /// Signature-aware placement (`ChainConfig::colocate_families`): a
@@ -383,7 +405,8 @@ impl Network {
         }
         let module = scilla::parser::parse_module(source)?;
         let checked = scilla::typechecker::typecheck(module)?;
-        self.install(addr, checked, params, signature)
+        let summaries = summarize_contract(&checked);
+        self.install(addr, checked, params, signature, summaries)
     }
 
     /// Lookup-node stage: drains the pool into per-committee packets.
@@ -443,7 +466,7 @@ impl Network {
     fn transition_label(&self, contract: &Address, name: &str) -> telemetry::trace::AttrValue {
         let deployed = self.state.contracts.get(contract);
         deployed
-            .and_then(|c| c.compiled.contract().transitions.iter().find(|t| t.name.name == name))
+            .and_then(|c| c.compiled.contract().transition(name))
             .map_or_else(|| name.to_owned().into(), |t| t.name.sym.as_str().into())
     }
 
@@ -831,7 +854,7 @@ impl Network {
     ) -> EpochReport {
         let EpochPackets { shard_batches, xshard_batch, mut ds_batch, dispatch_reasons } = packets;
         let mut report = EpochReport {
-            sim_seconds: self.config.epoch_duration_secs,
+            sim_seconds: EPOCH_DURATION_SECS,
             dispatch_reasons,
             ..Default::default()
         };

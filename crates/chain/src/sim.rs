@@ -23,7 +23,7 @@
 
 use crate::address::{fnv1a, Address};
 use crate::executor::{Receipt, TxStatus};
-use crate::network::{ChainConfig, Network};
+use crate::network::{ChainConfig, Network, EPOCH_DURATION_SECS};
 use crate::tx::Transaction;
 use crate::xshard::{ShardFault, VoteMsg, XShardFaults};
 use rand::rngs::StdRng;
@@ -427,7 +427,6 @@ pub fn run_sim(
     plan: &FaultPlan,
 ) -> SimReport {
     let num_shards = net.config().num_shards;
-    let epoch_secs = net.config().epoch_duration_secs;
     let mut report = SimReport::default();
     // Receipts carry only the tx id; remember who pays which gas price so
     // fees can be attributed (every transaction the run will ever see is in
@@ -453,7 +452,7 @@ pub fn run_sim(
             pool.extend(txs);
         }
         report.epochs += 1;
-        report.sim_seconds += epoch_secs;
+        report.sim_seconds += EPOCH_DURATION_SECS;
         if pool.is_empty() {
             // Nothing deliverable this epoch; the chain still makes blocks.
             net.advance_block();

@@ -2,7 +2,6 @@
 
 use crate::account::Account;
 use crate::address::Address;
-use cosplit_analysis::analysis::summarize_contract;
 use cosplit_analysis::callgraph::ContractCalls;
 use cosplit_analysis::effects::TransitionSummary;
 use cosplit_analysis::signature::ShardingSignature;
@@ -10,66 +9,45 @@ use scilla::interpreter::CompiledContract;
 use scilla::state::InMemoryState;
 use scilla::value::Value;
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-/// A deployed contract: compiled code, immutable parameters, and the
-/// (optional) sharding signature accepted at deployment.
+/// A deployed contract: compiled code, immutable parameters, the
+/// (optional) sharding signature accepted at deployment, and what the
+/// analysis derived from the code. Everything is fixed at install.
 #[derive(Debug)]
 pub struct DeployedContract {
     /// The contract's account address.
     pub address: Address,
-    /// Compiled code (shared across shards).
+    /// Compiled code, every transition lowered.
     pub compiled: CompiledContract,
     /// Immutable deployment parameters.
     pub params: Vec<(String, Value)>,
     /// The validated sharding signature, if one was submitted.
     pub signature: Option<ShardingSignature>,
-    /// Lazily derived static effect summaries, shared by every shard's
-    /// effect-trace auditor, indexed by transition name for O(log n) lookup.
-    /// Derived on first use so chains that never audit pay nothing.
-    summaries: RwLock<Option<Arc<SummaryIndex>>>,
-    /// Lazily extracted call sites (classified send recipients), consumed
-    /// by the interprocedural composition in dispatch and the executor's
-    /// send-hop validation. Same derive-on-first-use discipline.
-    calls: RwLock<Option<Arc<ContractCalls>>>,
-}
-
-/// Derived transition summaries: the ordered list (wire/report order) plus a
-/// by-name index built once at derivation, so per-invocation lookups are a
-/// map probe returning a shared `Arc` instead of a linear scan plus clone.
-#[derive(Debug)]
-struct SummaryIndex {
-    list: Arc<Vec<TransitionSummary>>,
-    by_name: BTreeMap<String, Arc<TransitionSummary>>,
-}
-
-impl SummaryIndex {
-    fn build(list: Vec<TransitionSummary>) -> SummaryIndex {
-        let by_name =
-            list.iter().map(|s| (s.name.clone(), Arc::new(s.clone()))).collect();
-        SummaryIndex { list: Arc::new(list), by_name }
-    }
+    /// Static effect summaries, one per transition in declaration order:
+    /// the reference of every shard's effect-trace auditor.
+    summaries: Vec<TransitionSummary>,
+    /// Call sites (classified send recipients) extracted from the
+    /// summaries, consumed by the interprocedural composition in dispatch
+    /// and the executor's send-hop validation.
+    calls: ContractCalls,
 }
 
 impl DeployedContract {
-    /// Packages a contract for deployment.
+    /// Packages a contract for deployment with the summaries the analysis
+    /// derived from its code, lowering every transition and extracting its
+    /// call sites now, so no transaction of the contract's life pays for
+    /// either.
     pub fn new(
         address: Address,
         compiled: CompiledContract,
         params: Vec<(String, Value)>,
         signature: Option<ShardingSignature>,
+        summaries: Vec<TransitionSummary>,
     ) -> Self {
-        // Deploy-time warm-up: lower every transition now so the first
-        // transaction of the contract's life pays no compile cost.
         compiled.precompile();
-        DeployedContract {
-            address,
-            compiled,
-            params,
-            signature,
-            summaries: RwLock::new(None),
-            calls: RwLock::new(None),
-        }
+        let calls = ContractCalls::extract(compiled.checked(), &summaries);
+        DeployedContract { address, compiled, params, signature, summaries, calls }
     }
 
     /// Looks up an immutable contract parameter by name.
@@ -77,50 +55,20 @@ impl DeployedContract {
         self.params.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
-    /// The static effect summaries of every transition, derived on demand.
-    pub fn summaries(&self) -> Arc<Vec<TransitionSummary>> {
-        Arc::clone(&self.summary_index().list)
+    /// The static effect summaries of every transition, in declaration
+    /// order.
+    pub fn summaries(&self) -> &Vec<TransitionSummary> {
+        &self.summaries
     }
 
-    /// The static summary of one transition, if it exists. O(log n) via the
-    /// name index built at derivation; the returned entry is shared, not
-    /// cloned per call.
-    pub fn summary(&self, transition: &str) -> Option<Arc<TransitionSummary>> {
-        self.summary_index().by_name.get(transition).cloned()
+    /// The static summary of one transition, if it exists.
+    pub fn summary(&self, transition: &str) -> Option<&TransitionSummary> {
+        self.summaries.iter().find(|s| s.name == transition)
     }
 
-    fn summary_index(&self) -> Arc<SummaryIndex> {
-        if let Some(s) = self.summaries.read().expect("summaries lock").as_ref() {
-            return Arc::clone(s);
-        }
-        // Derive outside the write lock; a racing deriver produces the same
-        // result, and the first store wins.
-        let derived = Arc::new(SummaryIndex::build(summarize_contract(self.compiled.checked())));
-        let mut slot = self.summaries.write().expect("summaries lock");
-        Arc::clone(slot.get_or_insert(derived))
-    }
-
-    /// The contract's extracted call sites (classified send recipients),
-    /// derived on demand from the checked module and the summaries.
-    pub fn call_info(&self) -> Arc<ContractCalls> {
-        if let Some(c) = self.calls.read().expect("call info lock").as_ref() {
-            return Arc::clone(c);
-        }
-        let derived =
-            Arc::new(ContractCalls::extract(self.compiled.checked(), &self.summaries()));
-        let mut slot = self.calls.write().expect("call info lock");
-        Arc::clone(slot.get_or_insert(derived))
-    }
-
-    /// Test hook: pins the summaries the auditor will check against,
-    /// bypassing the analysis — replaces any already-derived set (the world
-    /// builders execute setup transitions, which derives summaries before a
-    /// test gets hold of the contract). Invalidates the derived call sites
-    /// so they are re-extracted against the pinned summaries.
-    pub fn override_summaries(&self, summaries: Vec<TransitionSummary>) {
-        *self.summaries.write().expect("summaries lock") =
-            Some(Arc::new(SummaryIndex::build(summaries)));
-        *self.calls.write().expect("call info lock") = None;
+    /// The contract's extracted call sites (classified send recipients).
+    pub fn call_info(&self) -> &ContractCalls {
+        &self.calls
     }
 }
 
@@ -130,7 +78,11 @@ impl DeployedContract {
 pub struct GlobalState {
     /// Protocol accounts.
     pub accounts: BTreeMap<Address, Account>,
-    /// Deployed contract code + metadata (immutable once deployed).
+    /// Deployed contracts. Immutable once installed: no field of a
+    /// [`DeployedContract`] can change after [`Network::deploy`] builds it
+    /// (test hooks replace the whole entry).
+    ///
+    /// [`Network::deploy`]: crate::network::Network::deploy
     pub contracts: BTreeMap<Address, Arc<DeployedContract>>,
     /// Mutable contract fields, per contract. `Arc`-shared so a per-shard
     /// epoch snapshot is a pointer bump: executors layer a

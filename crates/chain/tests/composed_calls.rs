@@ -212,7 +212,7 @@ fn divergent_call_graph_is_caught_by_the_escape_auditor() {
             }
         }
     }
-    deployed.override_summaries(summaries);
+    net.override_summaries(relay, summaries);
 
     let user = Address::from_index(42);
     net.fund_account(user, 1_000_000);

@@ -36,13 +36,12 @@ use crate::domain::{ContribSource, ContribType, PseudoField};
 use crate::effects::{Effect, MsgAbs, TransitionSummary};
 use crate::signature::{is_commutative_write, Join, ShardingSignature, TransitionConstraints};
 use crate::solver::AnalyzedContract;
-use scilla::ast::{Ident, Stmt};
+use scilla::ast::Stmt;
 use scilla::span::Span;
 use scilla::trace::{DynamicFootprint, ObservedOp, TraceWrite};
 use scilla::typechecker::CheckedModule;
-use scilla::types::Type;
 use scilla::value::Value;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// What kind of containment breach an [`AuditViolation`] reports.
@@ -606,8 +605,8 @@ impl fmt::Display for LintFinding {
 ///   global (legacy mode) or field-localized (`⊤[pf]`). The message names
 ///   the blamed statement — kind, detail, and span from the analysis's
 ///   [`crate::blame::BlameCause`] record — so the author can restructure;
-///   for summaries produced without blame collection it falls back to a
-///   syntactic scan for the first offending construct.
+///   a summary with no blame record gets a generic message at the
+///   transition's first statement.
 /// * `dead-pseudofield` — a declared field no summary mentions at all.
 /// * `accept-no-balance-effect` — a transition accepts funds but the
 ///   accepted `_amount` never flows into any state write, so the deposit is
@@ -704,8 +703,8 @@ pub fn lint_contract(checked: &CheckedModule, analyzed: &AnalyzedContract) -> Ve
             s.top_fields().map(|pf| pf.field.clone()).collect::<BTreeSet<_>>().into_iter().collect();
         if s.has_top() || !top_fields.is_empty() {
             // The blame engine knows the exact statement that cost the
-            // precision; fall back to the syntactic scan for legacy-mode
-            // summaries analysed without blame collection.
+            // precision. Every corpus ⊤ carries a blame; the generic
+            // message covers summaries built by hand without one.
             let blame = analyzed
                 .blames
                 .iter()
@@ -722,19 +721,16 @@ pub fn lint_contract(checked: &CheckedModule, analyzed: &AnalyzedContract) -> Ve
             };
             let (message, span) = match blame {
                 Some(b) => (format!("{scope}: [{}] {}", b.kind, b.detail), Some(b.span)),
-                None => {
-                    let t = checked.contract().transition(&s.name);
-                    match t.and_then(|t| top_cause(checked, t)) {
-                        Some(c) => (format!("{scope}: {}", c.reason), Some(c.span)),
-                        None => (
-                            format!(
-                                "{scope} from an unanalysed construct \
-                                 (data-dependent branch or dynamic message list)"
-                            ),
-                            t.and_then(|t| t.body.first().map(Stmt::span)),
-                        ),
-                    }
-                }
+                None => (
+                    format!(
+                        "{scope} from an unanalysed construct \
+                         (data-dependent branch or dynamic message list)"
+                    ),
+                    checked
+                        .contract()
+                        .transition(&s.name)
+                        .and_then(|t| t.body.first().map(Stmt::span)),
+                ),
             };
             out.push(LintFinding {
                 rule: "top-summary",
@@ -799,110 +795,4 @@ fn contrib_mentions(t: &ContribType, cs: &ContribSource) -> bool {
         // ⊤ might mention anything — assume it does (suppresses the lint).
         None => true,
     }
-}
-
-struct TopCause {
-    reason: String,
-    span: Span,
-}
-
-/// Finds the first construct that forces a `⊤` summary, mirroring the
-/// analysis rules syntactically: a non-parameter (computed) map key, a
-/// load/read after a write to the same field, or a map access that does not
-/// reach a bottom-level value. Branch-data causes (match on `⊤` scrutinee,
-/// dynamic send lists) need the abstract environment and are reported by the
-/// caller as a generic cause.
-fn top_cause(checked: &CheckedModule, t: &scilla::ast::Transition) -> Option<TopCause> {
-    let mut key_params: HashSet<&str> = t.params.iter().map(|p| p.name.name.as_str()).collect();
-    key_params.insert("_sender");
-    key_params.insert("_origin");
-    let mut written: HashSet<&str> = HashSet::new();
-    walk_stmts(checked, &key_params, &mut written, &t.body)
-}
-
-fn bad_map_access(
-    checked: &CheckedModule,
-    key_params: &HashSet<&str>,
-    field: &Ident,
-    keys: &[Ident],
-    span: Span,
-) -> Option<TopCause> {
-    if let Some(k) = keys.iter().find(|k| !key_params.contains(k.name.as_str())) {
-        return Some(TopCause {
-            reason: format!(
-                "map key '{}' of '{}' is computed, not a transition parameter",
-                k.name, field.name
-            ),
-            span: k.span,
-        });
-    }
-    let depth_ok = checked
-        .field_types
-        .get(&field.name)
-        .and_then(|fty| fty.map_access(keys.len()))
-        .is_some_and(|(_, value_ty)| !matches!(value_ty, Type::Map(..)));
-    if !depth_ok {
-        return Some(TopCause {
-            reason: format!(
-                "access of '{}' with {} key(s) does not reach a bottom-level value",
-                field.name,
-                keys.len()
-            ),
-            span,
-        });
-    }
-    None
-}
-
-fn walk_stmts<'a>(
-    checked: &CheckedModule,
-    key_params: &HashSet<&str>,
-    written: &mut HashSet<&'a str>,
-    body: &'a [Stmt],
-) -> Option<TopCause> {
-    for s in body {
-        match s {
-            Stmt::Load { field, .. } if written.contains(field.name.as_str()) => {
-                return Some(TopCause {
-                    reason: format!("load of '{}' after a write to it", field.name),
-                    span: s.span(),
-                });
-            }
-            Stmt::Store { field, .. } => {
-                written.insert(&field.name);
-            }
-            Stmt::MapUpdate { map, keys, .. } => {
-                if let Some(c) = bad_map_access(checked, key_params, map, keys, s.span()) {
-                    return Some(c);
-                }
-                written.insert(&map.name);
-            }
-            Stmt::MapDelete { map, keys } => {
-                if let Some(c) = bad_map_access(checked, key_params, map, keys, s.span()) {
-                    return Some(c);
-                }
-                written.insert(&map.name);
-            }
-            Stmt::MapGet { map, keys, .. } | Stmt::MapExists { map, keys, .. } => {
-                if let Some(c) = bad_map_access(checked, key_params, map, keys, s.span()) {
-                    return Some(c);
-                }
-                if written.contains(map.name.as_str()) {
-                    return Some(TopCause {
-                        reason: format!("read of '{}' after a write to it", map.name),
-                        span: s.span(),
-                    });
-                }
-            }
-            Stmt::Match { clauses, .. } => {
-                for (_, body) in clauses {
-                    if let Some(c) = walk_stmts(checked, key_params, written, body) {
-                        return Some(c);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }

@@ -31,7 +31,6 @@ use crate::effects::{Effect, MsgAbs, TransitionSummary};
 use crate::domain::{
     Cardinality, ContribSource, ContribType, Contribution, Precision, PseudoField,
 };
-use scilla::ast::Expr;
 use scilla::typechecker::CheckedModule;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -172,17 +171,6 @@ impl ContractCalls {
                 .filter(|f| !written.contains(f.as_str()))
                 .collect()
         };
-
-        // Which immutable fields have an initialiser we could also resolve
-        // purely statically (a contract param or a literal)? Not required
-        // for dispatch (which reads storage), but it keeps the static
-        // graph honest about what resolves without a deployment.
-        let _static_inits: BTreeSet<&str> = contract
-            .fields
-            .iter()
-            .filter(|f| matches!(f.init, Expr::Var(_) | Expr::Lit(..)))
-            .map(|f| f.name.name.as_str())
-            .collect();
 
         let mut sites = Vec::new();
         for summary in summaries {
@@ -536,10 +524,10 @@ pub trait DeploymentView {
     ) -> Target;
 
     /// The summary of one deployed contract's transition.
-    fn summary(&self, contract: &str, transition: &str) -> Option<TransitionSummary>;
+    fn summary(&self, contract: &str, transition: &str) -> Option<&TransitionSummary>;
 
     /// The extracted call sites of one deployed contract.
-    fn calls(&self, contract: &str) -> Option<ContractCalls>;
+    fn calls(&self, contract: &str) -> Option<&ContractCalls>;
 }
 
 /// One frame of a composed chain.
@@ -728,7 +716,7 @@ pub fn compose(
     bindings.insert("_sender".to_string(), Binding::Param("_sender".to_string()));
     bindings.insert("_origin".to_string(), Binding::Param("_origin".to_string()));
     let mut stack = vec![(root.to_string(), transition.to_string())];
-    walk(view, &mut composed, root, transition, &root_summary, bindings, 0, None, &mut stack);
+    walk(view, &mut composed, root, transition, root_summary, bindings, 0, None, &mut stack);
     Some(composed)
 }
 
@@ -827,7 +815,7 @@ fn walk(
                     composed,
                     &callee,
                     tag,
-                    &callee_summary,
+                    callee_summary,
                     callee_bindings,
                     depth + 1,
                     Some(my_index),
@@ -897,13 +885,13 @@ impl DeploymentView for MapDeployment {
         }
     }
 
-    fn summary(&self, contract: &str, transition: &str) -> Option<TransitionSummary> {
+    fn summary(&self, contract: &str, transition: &str) -> Option<&TransitionSummary> {
         let (summaries, _) = self.contracts.get(contract)?;
-        summaries.iter().find(|s| s.name == transition).cloned()
+        summaries.iter().find(|s| s.name == transition)
     }
 
-    fn calls(&self, contract: &str) -> Option<ContractCalls> {
-        self.contracts.get(contract).map(|(_, c)| c.clone())
+    fn calls(&self, contract: &str) -> Option<&ContractCalls> {
+        self.contracts.get(contract).map(|(_, c)| c)
     }
 }
 

@@ -372,12 +372,7 @@ pub struct Contract {
 impl Contract {
     /// Looks up a transition by name.
     pub fn transition(&self, name: &str) -> Option<&Transition> {
-        self.transition_sym(intern(name))
-    }
-
-    /// Looks up a transition by interned name (integer compares only).
-    pub fn transition_sym(&self, name: Sym) -> Option<&Transition> {
-        self.transitions.iter().find(|t| t.name.sym == name)
+        self.transitions.iter().find(|t| t.name.name == name)
     }
 
     /// Looks up a field definition by name.

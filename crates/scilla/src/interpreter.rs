@@ -16,7 +16,7 @@ use crate::trace::EffectTracer;
 use crate::typechecker::CheckedModule;
 use crate::value::{Closure, Env, TypeClosure, Value};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Blockchain-supplied context for a single transition invocation.
 #[derive(Debug, Clone)]
@@ -90,14 +90,15 @@ pub enum ExecMode {
 /// A contract ready to execute: type-checked module plus its evaluated
 /// library environment.
 ///
-/// Transitions additionally lower to pre-resolved instruction sequences on
-/// first use (see [`crate::compile`]); the cache is shared across clones, so
-/// every executor view of one deployment reuses the same compiled code.
-#[derive(Debug, Clone)]
+/// Transitions additionally lower to pre-resolved instruction sequences
+/// (see [`crate::compile`]), one write-once slot per transition in
+/// declaration order: on first use, or all at once by
+/// [`CompiledContract::precompile`], which deployment calls.
+#[derive(Debug)]
 pub struct CompiledContract {
     checked: CheckedModule,
     lib_env: Env,
-    code_cache: Arc<std::sync::RwLock<BTreeMap<Sym, Arc<crate::compile::TransitionCode>>>>,
+    code: Vec<OnceLock<crate::compile::TransitionCode>>,
 }
 
 impl CompiledContract {
@@ -117,7 +118,8 @@ impl CompiledContract {
                 env = env.bind(name.sym, v);
             }
         }
-        Ok(CompiledContract { checked, lib_env: env, code_cache: Arc::default() })
+        let code = checked.module.contract.transitions.iter().map(|_| OnceLock::new()).collect();
+        Ok(CompiledContract { checked, lib_env: env, code })
     }
 
     /// The underlying checked module.
@@ -125,21 +127,20 @@ impl CompiledContract {
         &self.checked
     }
 
-    /// The lowered code for one transition, compiling (once) on first use.
-    fn code_for(&self, t: &Transition) -> Arc<crate::compile::TransitionCode> {
-        if let Some(c) = self.code_cache.read().unwrap().get(&t.name.sym) {
-            return Arc::clone(c);
-        }
-        let code = Arc::new(crate::compile::compile_transition(self.contract(), &self.lib_env, t));
-        let mut cache = self.code_cache.write().unwrap();
-        Arc::clone(cache.entry(t.name.sym).or_insert(code))
+    /// The lowered code of the transition declared at position `i`,
+    /// compiling it (once) on first use.
+    fn code_for(&self, i: usize) -> &crate::compile::TransitionCode {
+        let contract = self.contract();
+        self.code[i].get_or_init(|| {
+            crate::compile::compile_transition(contract, &self.lib_env, &contract.transitions[i])
+        })
     }
 
     /// Lowers every transition now (deploy-time warm-up) instead of on first
     /// call, so the first transaction of an epoch pays no compile cost.
     pub fn precompile(&self) {
-        for t in &self.contract().transitions {
-            self.code_for(t);
+        for i in 0..self.code.len() {
+            self.code_for(i);
         }
     }
 
@@ -247,21 +248,23 @@ impl CompiledContract {
         tracer: Option<&mut EffectTracer>,
         mode: ExecMode,
     ) -> Result<TransitionOutcome, ExecError> {
-        let resolved = self.contract().transition(transition);
+        let transitions = &self.contract().transitions;
+        let resolved = transitions.iter().position(|t| t.name.name == transition);
         let mut _tspan = telemetry::span!("scilla.interpreter.transition");
         if _tspan.trace_id() != 0 {
             match resolved {
-                Some(t) => _tspan.attr("transition", t.name.sym.as_str()),
+                Some(i) => _tspan.attr("transition", transitions[i].name.sym.as_str()),
                 None => _tspan.attr("transition", transition.to_owned()),
             }
         }
         let gas_before = gas.used();
         let run = || -> Result<TransitionOutcome, ExecError> {
-            let t = resolved
+            let i = resolved
                 .ok_or_else(|| ExecError::BadInvocation(format!("unknown transition '{transition}'")))?;
+            let t = &transitions[i];
             gas.charge(gas::COST_TX_BASE)?;
             if mode != ExecMode::Ast {
-                if let crate::compile::TransitionCode::Compiled(ct) = &*self.code_for(t) {
+                if let crate::compile::TransitionCode::Compiled(ct) = self.code_for(i) {
                     return crate::compile::run_compiled(ct, store, args, contract_params, ctx, gas, tracer);
                 }
                 if mode == ExecMode::Compiled {

@@ -22,9 +22,10 @@ const MASTER_SEED: u64 = 0xA0D1;
 /// the real analysis result: the *last* static `Write` of each non-⊤
 /// transition summary is dropped. Execution is untouched — only the
 /// auditor's reference is lied to.
-fn weaken_summaries(net: &Network) {
+fn weaken_summaries(net: &mut Network) {
     let mut any_dropped = false;
-    for c in net.state().contracts.values() {
+    let contracts: Vec<_> = net.state().contracts.values().cloned().collect();
+    for c in contracts {
         let mut summaries = summarize_contract(c.compiled.checked());
         for s in &mut summaries {
             if s.has_top() {
@@ -35,7 +36,7 @@ fn weaken_summaries(net: &Network) {
                 any_dropped = true;
             }
         }
-        c.override_summaries(summaries);
+        net.override_summaries(c.address, summaries);
     }
     assert!(any_dropped, "mutation must drop at least one static write");
 }
@@ -50,8 +51,8 @@ fn weakened_summary_yields_span_bearing_typed_violations() {
     // typed values, not rendered strings.
     let cfg = ChainConfig::small(4, true);
     let sc = scenario();
-    let net = world_builder(&sc)(&cfg);
-    weaken_summaries(&net);
+    let mut net = world_builder(&sc)(&cfg);
+    weaken_summaries(&mut net);
 
     let mut pool = sc.load.clone();
     let packets = net.form_packets(&mut pool);
@@ -89,8 +90,8 @@ fn weakened_summary_produces_replayable_repro_artifact() {
     let sc = scenario();
     let honest = world_builder(&sc);
     let weakened = |cfg: &ChainConfig| {
-        let net = honest(cfg);
-        weaken_summaries(&net);
+        let mut net = honest(cfg);
+        weaken_summaries(&mut net);
         net
     };
     let sim_cfg = SimConfig::new(MASTER_SEED);
