@@ -778,7 +778,7 @@ impl<'a> Executor<'a> {
                 return Err(CallError::CrossContract);
             }
             let args: Vec<(String, Value)> =
-                msg.params.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+                msg.params().map(|(k, v)| (k.to_owned(), v.clone())).collect();
             return self.invoke(
                 journal,
                 gas,
@@ -786,7 +786,7 @@ impl<'a> Executor<'a> {
                 origin,
                 from.contract,
                 recipient,
-                &msg.tag,
+                msg.tag(),
                 &args,
                 msg.amount,
                 depth + 1,
@@ -819,7 +819,7 @@ impl<'a> Executor<'a> {
                 "_origin" => None, // origin is never a contract's frame value here
                 _ => from.args.iter().find(|(n, _)| n == p).map(|(_, v)| v.clone()),
             };
-            site.tag.as_deref() == Some(&msg.tag)
+            site.tag.as_deref() == Some(msg.tag())
                 && recipient_value(self.snapshot, from.contract, &site.recipient, frame)
                     .as_ref()
                     .and_then(Value::as_address)

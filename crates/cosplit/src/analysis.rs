@@ -794,9 +794,9 @@ impl Analyzer<'_> {
                 inner.insert(bound.name.clone(), v);
                 self.eval(&inner, body)
             }
-            Expr::Fun { param, body, .. } => AbsVal::Clo {
-                param: param.name.clone(),
-                body: Rc::new((**body).clone()),
+            Expr::Fun(f) => AbsVal::Clo {
+                param: f.param.name.clone(),
+                body: Rc::new(f.body.clone()),
                 env: env.clone(),
             },
             Expr::App { func, args } => {
@@ -841,8 +841,8 @@ impl Analyzer<'_> {
                     }
                 }
             }
-            Expr::TFun { body, .. } => {
-                AbsVal::TClo { body: Rc::new((**body).clone()), env: env.clone() }
+            Expr::TFun(t) => {
+                AbsVal::TClo { body: Rc::new(t.body.clone()), env: env.clone() }
             }
             Expr::Inst { target, type_args } => {
                 let mut v = self.lookup(env, target);

@@ -33,6 +33,7 @@ use scilla::span::Span;
 use scilla::typechecker::{typecheck, CheckedModule};
 use scilla::types::Type;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// What the repair changed in one transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -279,11 +280,11 @@ fn subst_expr(e: Expr, from: &str, to: &str) -> Expr {
             entries
                 .into_iter()
                 .map(|en| MsgEntry {
-                    key: en.key,
                     value: match en.value {
                         MsgValue::Var(i) => MsgValue::Var(sub(i)),
                         lit => lit,
                     },
+                    ..en
                 })
                 .collect(),
             s,
@@ -301,13 +302,10 @@ fn subst_expr(e: Expr, from: &str, to: &str) -> Expr {
             };
             Expr::Let { bound, ann, rhs, body }
         }
-        Expr::Fun { param, param_type, body } => {
-            let body = if param.name == from {
-                body
-            } else {
-                Box::new(subst_expr(*body, from, to))
-            };
-            Expr::Fun { param, param_type, body }
+        Expr::Fun(f) if f.param.name == from => Expr::Fun(f), // shadowed
+        Expr::Fun(f) => {
+            let FunLit { param, param_type, body } = Arc::unwrap_or_clone(f);
+            Expr::Fun(Arc::new(FunLit { param, param_type, body: subst_expr(body, from, to) }))
         }
         Expr::App { func, args } => Expr::App { func: sub(func), args: sub_vec(args) },
         Expr::Match { scrutinee, clauses, span } => Expr::Match {
@@ -324,8 +322,9 @@ fn subst_expr(e: Expr, from: &str, to: &str) -> Expr {
                 .collect(),
             span,
         },
-        Expr::TFun { tvar, body, span } => {
-            Expr::TFun { tvar, body: Box::new(subst_expr(*body, from, to)), span }
+        Expr::TFun(t) => {
+            let TFunLit { tvar, body, span } = Arc::unwrap_or_clone(t);
+            Expr::TFun(Arc::new(TFunLit { tvar, body: subst_expr(body, from, to), span }))
         }
         Expr::Inst { target, type_args } => Expr::Inst { target: sub(target), type_args },
     }

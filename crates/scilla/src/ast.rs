@@ -9,6 +9,7 @@ use crate::intern::{intern, Sym};
 use crate::span::Span;
 use crate::types::Type;
 use std::fmt;
+use std::sync::Arc;
 
 /// An identifier occurrence (variable, field, transition, or constructor).
 ///
@@ -119,8 +120,9 @@ impl Pattern {
 /// `_exception`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MsgEntry {
-    /// Entry name, including any leading underscore.
-    pub key: String,
+    /// Entry name, including any leading underscore. Interned by the
+    /// parser, like [`Ident::sym`], so building a message interns nothing.
+    pub key: Sym,
     /// Entry payload.
     pub value: MsgValue,
 }
@@ -170,15 +172,9 @@ pub enum Expr {
         /// Body.
         body: Box<Expr>,
     },
-    /// A function literal: `fun (i : t) => e`.
-    Fun {
-        /// Formal parameter.
-        param: Ident,
-        /// Parameter type.
-        param_type: Type,
-        /// Body.
-        body: Box<Expr>,
-    },
+    /// A function literal: `fun (i : t) => e`. `Arc`-shared so a closure
+    /// points at the literal instead of copying it.
+    Fun(Arc<FunLit>),
     /// An application `app f a1 … an` (all identifiers, by ANF).
     App {
         /// The function being applied.
@@ -195,15 +191,8 @@ pub enum Expr {
         /// Source location of the whole match.
         span: Span,
     },
-    /// A type abstraction `tfun 'A => e`.
-    TFun {
-        /// The bound type variable (without the quote).
-        tvar: String,
-        /// Body.
-        body: Box<Expr>,
-        /// Location.
-        span: Span,
-    },
+    /// A type abstraction `tfun 'A => e`, `Arc`-shared like [`Expr::Fun`].
+    TFun(Arc<TFunLit>),
     /// A type instantiation `@i T1 … Tn`.
     Inst {
         /// The polymorphic identifier being instantiated.
@@ -211,6 +200,28 @@ pub enum Expr {
         /// Type arguments.
         type_args: Vec<Type>,
     },
+}
+
+/// The literal of a function `fun (param : param_type) => body`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FunLit {
+    /// Formal parameter.
+    pub param: Ident,
+    /// Parameter type.
+    pub param_type: Type,
+    /// Body.
+    pub body: Expr,
+}
+
+/// The literal of a type abstraction `tfun 'tvar => body`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TFunLit {
+    /// The bound type variable (without the quote).
+    pub tvar: String,
+    /// Body.
+    pub body: Expr,
+    /// Location.
+    pub span: Span,
 }
 
 impl Expr {
@@ -222,10 +233,10 @@ impl Expr {
             Expr::Constr { name, .. } => name.span,
             Expr::Builtin { op, .. } => op.span,
             Expr::Let { bound, .. } => bound.span,
-            Expr::Fun { param, .. } => param.span,
+            Expr::Fun(f) => f.param.span,
             Expr::App { func, .. } => func.span,
             Expr::Match { span, .. } => *span,
-            Expr::TFun { span, .. } => *span,
+            Expr::TFun(t) => t.span,
             Expr::Inst { target, .. } => target.span,
         }
     }

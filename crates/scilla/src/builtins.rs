@@ -189,11 +189,10 @@ pub fn eval_builtin(op: &str, args: &[Value]) -> Result<Value, ExecError> {
             Ok(Value::bool(a == b))
         }
         ("concat", [Value::Str(a), Value::Str(b)]) => Ok(Value::Str(format!("{a}{b}"))),
-        ("concat", [Value::ByStr(a), Value::ByStr(b)]) => {
-            let mut out = a.clone();
-            out.extend_from_slice(b);
-            Ok(Value::ByStr(out))
-        }
+        ("concat", [a, b]) => match (a.as_bytes(), b.as_bytes()) {
+            (Some(a), Some(b)) => Ok(Value::bystr(&[a, b].concat())),
+            _ => Err(internal("unknown builtin or wrong arity")),
+        },
         ("strlen", [Value::Str(s)]) => Ok(Value::Uint(32, s.len() as u128)),
         ("substr", [Value::Str(s), Value::Uint(_, start), Value::Uint(_, len)]) => {
             let start = *start as usize;
@@ -224,7 +223,7 @@ pub fn eval_builtin(op: &str, args: &[Value]) -> Result<Value, ExecError> {
                 .ok_or_else(|| ExecError::Arith(format!("to_uint256 failed on {v}")))
         }
         ("sha256hash" | "keccak256hash", [v]) => Ok(Value::ByStr(digest32(v))),
-        ("schnorr_verify", [Value::ByStr(_), _, Value::ByStr(_)]) => {
+        ("schnorr_verify", [k, _, s]) if k.as_bytes().is_some() && s.as_bytes().is_some() => {
             // Signature verification stand-in: structurally well-formed
             // signatures verify. See DESIGN.md substitutions.
             Ok(Value::bool(true))

@@ -26,7 +26,8 @@
 //! Closures are the one deliberate seam: `fun`/`tfun` literals capture their
 //! free variables into a real [`Env`] and application re-enters the AST
 //! evaluator, so higher-order library code behaves exactly as before (and
-//! bodies are `Arc`-shared instead of deep-cloned per closure creation).
+//! the closure points at the parser's `Arc`-shared literal instead of
+//! copying it).
 //!
 //! The differential property tests in `tests/compile_props.rs` check the
 //! equivalence on random contracts.
@@ -37,12 +38,12 @@ use crate::error::ExecError;
 use crate::gas::{self, GasMeter};
 use crate::intern::Sym;
 use crate::interpreter::{
-    apply, eval_expr_inner, flatten_messages, parse_out_msg, TransitionContext, TransitionOutcome,
+    apply, eval_expr_inner, flatten_messages, literal_value, parse_out_msg, TransitionContext,
+    TransitionOutcome,
 };
 use crate::span::Span;
 use crate::state::StateStore;
 use crate::trace::EffectTracer;
-use crate::types::Type;
 use crate::value::{Closure, Env, TypeClosure, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -98,10 +99,10 @@ pub(crate) enum CExpr {
     Constr { ctor: Sym, args: Vec<Operand> },
     Builtin { op: Sym, f: BuiltinFn, cost: u64, args: Vec<Operand> },
     Let { dst: u32, rhs: Box<CExpr>, body: Box<CExpr> },
-    Fun { param: Ident, param_type: Type, body: Arc<Expr>, captures: Vec<(Sym, Operand)> },
+    Fun { lit: Arc<FunLit>, captures: Vec<(Sym, Operand)> },
     App { func: Operand, args: Vec<Operand> },
     Match { scrutinee: Operand, clauses: Vec<(CPattern, CExpr)> },
-    TFun { tvar: String, body: Arc<Expr>, captures: Vec<(Sym, Operand)> },
+    TFun { lit: Arc<TFunLit>, captures: Vec<(Sym, Operand)> },
     Inst { target: Operand, count: usize },
 }
 
@@ -131,8 +132,10 @@ pub struct CompiledTransition {
     /// Number of local slots (contract params, implicit context, transition
     /// params, and every binder anywhere in the body).
     frame_size: usize,
-    /// Declared contract parameters, in declaration order.
-    contract_params: Vec<(Sym, u32)>,
+    /// Declared contract parameters, in declaration order, each with its
+    /// slot if the body (closure captures included) reads it. An unread
+    /// parameter is checked for presence but never cloned into the frame.
+    contract_params: Vec<(Sym, Option<u32>)>,
     /// Slots of `_sender`, `_origin`, `_amount`, `_this_address`.
     ctx_slots: [u32; 4],
     /// Declared transition parameters, in declaration order.
@@ -148,6 +151,8 @@ struct Scope<'c> {
     lib_env: &'c Env,
     stack: Vec<(Sym, u32)>,
     frame_size: usize,
+    /// Which of the first slots (the contract parameters) were resolved.
+    params_read: Vec<bool>,
 }
 
 impl Scope<'_> {
@@ -168,8 +173,11 @@ impl Scope<'_> {
 
     /// Innermost local binding, else a library constant, else unresolvable
     /// (which falls the transition back to the AST walker).
-    fn resolve(&self, sym: Sym) -> Result<Operand, Sym> {
+    fn resolve(&mut self, sym: Sym) -> Result<Operand, Sym> {
         if let Some((_, slot)) = self.stack.iter().rev().find(|(s, _)| *s == sym) {
+            if let Some(read) = self.params_read.get_mut(*slot as usize) {
+                *read = true;
+            }
             return Ok(Operand::Slot(*slot));
         }
         match self.lib_env.lookup_sym(sym) {
@@ -178,7 +186,7 @@ impl Scope<'_> {
         }
     }
 
-    fn ident(&self, id: &Ident) -> Result<Operand, Sym> {
+    fn ident(&mut self, id: &Ident) -> Result<Operand, Sym> {
         self.resolve(id.sym)
     }
 }
@@ -187,8 +195,13 @@ impl Scope<'_> {
 /// [`TransitionCode::Ast`] — the walker remains the behaviour of record for
 /// code the compiler cannot prove it understands.
 pub fn compile_transition(contract: &Contract, lib_env: &Env, t: &Transition) -> TransitionCode {
-    let mut scope = Scope { lib_env, stack: Vec::new(), frame_size: 0 };
-    let contract_params: Vec<(Sym, u32)> =
+    let mut scope = Scope {
+        lib_env,
+        stack: Vec::new(),
+        frame_size: 0,
+        params_read: vec![false; contract.params.len()],
+    };
+    let param_slots: Vec<(Sym, u32)> =
         contract.params.iter().map(|p| (p.name.sym, scope.bind(p.name.sym))).collect();
     let ctx_slots = [
         scope.bind(Sym::SENDER),
@@ -203,6 +216,10 @@ pub fn compile_transition(contract: &Contract, lib_env: &Env, t: &Transition) ->
             if telemetry::enabled() {
                 telemetry::counter!("scilla.compile.transitions").inc();
             }
+            let contract_params = param_slots
+                .into_iter()
+                .map(|(sym, slot)| (sym, scope.params_read[slot as usize].then_some(slot)))
+                .collect();
             TransitionCode::Compiled(CompiledTransition {
                 name: t.name.sym,
                 frame_size: scope.frame_size,
@@ -279,7 +296,7 @@ fn compile_stmt(scope: &mut Scope, s: &Stmt) -> Result<CStmt, Sym> {
     })
 }
 
-fn compile_idents(scope: &Scope, ids: &[Ident]) -> Result<Vec<Operand>, Sym> {
+fn compile_idents(scope: &mut Scope, ids: &[Ident]) -> Result<Vec<Operand>, Sym> {
     ids.iter().map(|i| scope.ident(i)).collect()
 }
 
@@ -305,7 +322,7 @@ fn compile_expr(scope: &mut Scope, e: &Expr) -> Result<CExpr, Sym> {
                     MsgValue::Var(i) => CMsgValue::Var(scope.ident(i)?),
                     MsgValue::Lit(l) => CMsgValue::Lit(literal_value(l)),
                 };
-                out.push((crate::intern::intern(&en.key), v));
+                out.push((en.key, v));
             }
             CExpr::Message(out)
         }
@@ -325,12 +342,7 @@ fn compile_expr(scope: &mut Scope, e: &Expr) -> Result<CExpr, Sym> {
             scope.pop_to(mark);
             CExpr::Let { dst, rhs: Box::new(rhs), body: Box::new(body?) }
         }
-        Expr::Fun { param, param_type, body } => CExpr::Fun {
-            param: param.clone(),
-            param_type: param_type.clone(),
-            body: Arc::new((**body).clone()),
-            captures: captures_of(scope, e)?,
-        },
+        Expr::Fun(lit) => CExpr::Fun { lit: Arc::clone(lit), captures: captures_of(scope, e)? },
         Expr::App { func, args } => {
             CExpr::App { func: scope.ident(func)?, args: compile_idents(scope, args)? }
         }
@@ -346,11 +358,7 @@ fn compile_expr(scope: &mut Scope, e: &Expr) -> Result<CExpr, Sym> {
             }
             CExpr::Match { scrutinee, clauses: cc }
         }
-        Expr::TFun { tvar, body, .. } => CExpr::TFun {
-            tvar: tvar.clone(),
-            body: Arc::new((**body).clone()),
-            captures: captures_of(scope, e)?,
-        },
+        Expr::TFun(lit) => CExpr::TFun { lit: Arc::clone(lit), captures: captures_of(scope, e)? },
         Expr::Inst { target, type_args } => {
             CExpr::Inst { target: scope.ident(target)?, count: type_args.len() }
         }
@@ -362,7 +370,7 @@ fn compile_expr(scope: &mut Scope, e: &Expr) -> Result<CExpr, Sym> {
 /// the free variables (rather than snapshotting the entire environment) is
 /// observationally identical — the body can mention nothing else — and keeps
 /// closure creation O(free vars).
-fn captures_of(scope: &Scope, e: &Expr) -> Result<Vec<(Sym, Operand)>, Sym> {
+fn captures_of(scope: &mut Scope, e: &Expr) -> Result<Vec<(Sym, Operand)>, Sym> {
     let mut bound = Vec::new();
     let mut free = Vec::new();
     free_vars(e, &mut bound, &mut free);
@@ -396,9 +404,9 @@ fn free_vars(e: &Expr, bound: &mut Vec<Sym>, out: &mut Vec<Sym>) {
             free_vars(body, bound, out);
             bound.pop();
         }
-        Expr::Fun { param, body, .. } => {
-            bound.push(param.sym);
-            free_vars(body, bound, out);
+        Expr::Fun(f) => {
+            bound.push(f.param.sym);
+            free_vars(&f.body, bound, out);
             bound.pop();
         }
         Expr::App { func, args } => {
@@ -416,19 +424,8 @@ fn free_vars(e: &Expr, bound: &mut Vec<Sym>, out: &mut Vec<Sym>) {
                 bound.truncate(mark);
             }
         }
-        Expr::TFun { body, .. } => free_vars(body, bound, out),
+        Expr::TFun(t) => free_vars(&t.body, bound, out),
         Expr::Inst { target, .. } => var(target.sym, bound, out),
-    }
-}
-
-fn literal_value(lit: &Literal) -> Value {
-    match lit {
-        Literal::Int(w, v) => Value::Int(*w, *v),
-        Literal::Uint(w, v) => Value::Uint(*w, *v),
-        Literal::Str(s) => Value::Str(s.clone()),
-        Literal::ByStr(bs) => Value::ByStr(bs.clone()),
-        Literal::BNum(n) => Value::BNum(*n),
-        Literal::EmpMap(..) => empty_map(),
     }
 }
 
@@ -458,14 +455,12 @@ pub(crate) fn run_compiled(
     frame.resize(ct.frame_size, None);
     for (sym, slot) in &ct.contract_params {
         let want = sym.as_str();
-        let v = contract_params
-            .iter()
-            .find(|(n, _)| n.as_str() == want)
-            .map(|(_, v)| v.clone())
-            .ok_or_else(|| {
-                ExecError::BadInvocation(format!("missing contract parameter '{sym}'"))
-            })?;
-        frame[*slot as usize] = Some(v);
+        let (_, v) = contract_params.iter().find(|(n, _)| n.as_str() == want).ok_or_else(|| {
+            ExecError::BadInvocation(format!("missing contract parameter '{sym}'"))
+        })?;
+        if let Some(slot) = slot {
+            frame[*slot as usize] = Some(v.clone());
+        }
     }
     let [s_sender, s_origin, s_amount, s_this] = ct.ctx_slots;
     frame[s_sender as usize] = Some(Value::address(ctx.sender));
@@ -668,9 +663,9 @@ impl CRun<'_> {
                 let v = fetch(frame, msgs)?;
                 for m in flatten_messages(&v)? {
                     gas.charge(gas::COST_MESSAGE)?;
-                    let om = parse_out_msg(&m)?;
+                    let om = parse_out_msg(m)?;
                     if let Some(t) = self.tracer.as_deref_mut() {
-                        t.record_send(om.recipient, om.amount, &om.tag, *span);
+                        t.record_send(om.recipient, om.amount, om.tag(), *span);
                     }
                     self.outcome.messages.push(om);
                 }
@@ -714,7 +709,7 @@ impl CRun<'_> {
                     };
                     m.insert(*k, v);
                 }
-                Ok(Value::Msg(m))
+                Ok(Value::Msg(Arc::new(m)))
             }
             CExpr::Constr { ctor, args } => {
                 Ok(Value::Adt { ctor: *ctor, args: fetch_all(frame, args)? })
@@ -732,14 +727,9 @@ impl CRun<'_> {
                 frame[*dst as usize] = Some(v);
                 self.eval(frame, body, gas)
             }
-            CExpr::Fun { param, param_type, body, captures } => {
+            CExpr::Fun { lit, captures } => {
                 let env = self.capture_env(frame, captures)?;
-                Ok(Value::Clo(Arc::new(Closure {
-                    param: param.clone(),
-                    param_type: param_type.clone(),
-                    body: Arc::clone(body),
-                    env,
-                })))
+                Ok(Value::Clo(Arc::new(Closure { lit: Arc::clone(lit), env })))
             }
             CExpr::App { func, args } => {
                 let mut f = fetch(frame, func)?;
@@ -758,20 +748,16 @@ impl CRun<'_> {
                 }
                 Err(ExecError::MatchFailure(format!("no clause matched {v}")))
             }
-            CExpr::TFun { tvar, body, captures } => {
+            CExpr::TFun { lit, captures } => {
                 let env = self.capture_env(frame, captures)?;
-                Ok(Value::TClo(Arc::new(TypeClosure {
-                    tvar: tvar.clone(),
-                    body: Arc::clone(body),
-                    env,
-                })))
+                Ok(Value::TClo(Arc::new(TypeClosure { lit: Arc::clone(lit), env })))
             }
             CExpr::Inst { target, count } => {
                 let mut v = fetch(frame, target)?;
                 for _ in 0..*count {
                     match v {
                         Value::TClo(tc) => {
-                            v = eval_expr_inner(&tc.env, &tc.body, gas, self.tracer.as_deref_mut())?
+                            v = eval_expr_inner(&tc.env, &tc.lit.body, gas, self.tracer.as_deref_mut())?
                         }
                         other => {
                             return Err(ExecError::Internal(format!(

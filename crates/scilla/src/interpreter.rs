@@ -10,7 +10,7 @@ use crate::ast::*;
 use crate::builtins::{empty_map, eval_builtin};
 use crate::error::ExecError;
 use crate::gas::{self, GasMeter};
-use crate::intern::{intern, Sym};
+use crate::intern::Sym;
 use crate::state::StateStore;
 use crate::trace::EffectTracer;
 use crate::typechecker::CheckedModule;
@@ -46,17 +46,32 @@ impl TransitionContext {
     }
 }
 
-/// An outgoing message produced by `send`.
+/// An outgoing message produced by `send`: the message value itself,
+/// shared, plus its two validated numeric protocol fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutMsg {
     /// Destination address (`_recipient`).
     pub recipient: [u8; 20],
     /// Native token amount attached (`_amount`).
     pub amount: u128,
+    msg: Arc<BTreeMap<Sym, Value>>,
+}
+
+impl OutMsg {
     /// Transition tag (`_tag`).
-    pub tag: String,
-    /// Remaining payload entries.
-    pub params: BTreeMap<String, Value>,
+    pub fn tag(&self) -> &str {
+        match self.msg.get(&Sym::TAG) {
+            Some(Value::Str(s)) => s,
+            // `parse_out_msg` admits only messages with a `String` tag.
+            _ => "",
+        }
+    }
+
+    /// The payload entries (every key without a leading underscore), in
+    /// key order.
+    pub fn params(&self) -> impl Iterator<Item = (&'static str, &Value)> {
+        self.msg.iter().map(|(k, v)| (k.as_str(), v)).filter(|(k, _)| !k.starts_with('_'))
+    }
 }
 
 /// The observable result of executing a transition.
@@ -441,9 +456,9 @@ impl Exec<'_> {
                 let v = lookup(&env, msgs)?;
                 for m in flatten_messages(&v)? {
                     gas.charge(gas::COST_MESSAGE)?;
-                    let om = parse_out_msg(&m)?;
+                    let om = parse_out_msg(m)?;
                     if let Some(t) = self.tracer.as_deref_mut() {
-                        t.record_send(om.recipient, om.amount, &om.tag, s.span());
+                        t.record_send(om.recipient, om.amount, om.tag(), s.span());
                     }
                     self.outcome.messages.push(om);
                 }
@@ -475,12 +490,12 @@ pub(crate) fn lookup(env: &Env, id: &Ident) -> Result<Value, ExecError> {
         .ok_or_else(|| ExecError::Internal(format!("unbound identifier '{}'", id.name)))
 }
 
-fn literal_value(lit: &Literal) -> Value {
+pub(crate) fn literal_value(lit: &Literal) -> Value {
     match lit {
         Literal::Int(w, v) => Value::Int(*w, *v),
         Literal::Uint(w, v) => Value::Uint(*w, *v),
         Literal::Str(s) => Value::Str(s.clone()),
-        Literal::ByStr(bs) => Value::ByStr(bs.clone()),
+        Literal::ByStr(bs) => Value::bystr(bs),
         Literal::BNum(n) => Value::BNum(*n),
         Literal::EmpMap(..) => empty_map(),
     }
@@ -513,9 +528,9 @@ pub(crate) fn eval_expr_inner(
                     MsgValue::Var(i) => lookup(env, i)?,
                     MsgValue::Lit(l) => literal_value(l),
                 };
-                m.insert(intern(&en.key), v);
+                m.insert(en.key, v);
             }
-            Ok(Value::Msg(m))
+            Ok(Value::Msg(Arc::new(m)))
         }
         Expr::Constr { name, args, .. } => {
             let vals: Result<Vec<Value>, _> = args.iter().map(|a| lookup(env, a)).collect();
@@ -534,12 +549,7 @@ pub(crate) fn eval_expr_inner(
             let inner = env.bind(bound.sym, v);
             eval_expr_inner(&inner, body, gas, tracer)
         }
-        Expr::Fun { param, param_type, body } => Ok(Value::Clo(Arc::new(Closure {
-            param: param.clone(),
-            param_type: param_type.clone(),
-            body: Arc::new((**body).clone()),
-            env: env.clone(),
-        }))),
+        Expr::Fun(lit) => Ok(Value::Clo(Arc::new(Closure { lit: Arc::clone(lit), env: env.clone() }))),
         Expr::App { func, args } => {
             let mut f = lookup(env, func)?;
             for a in args {
@@ -561,18 +571,16 @@ pub(crate) fn eval_expr_inner(
             }
             Err(ExecError::MatchFailure(format!("no clause matched {v}")))
         }
-        Expr::TFun { tvar, body, .. } => Ok(Value::TClo(Arc::new(TypeClosure {
-            tvar: tvar.clone(),
-            body: Arc::new((**body).clone()),
-            env: env.clone(),
-        }))),
+        Expr::TFun(lit) => {
+            Ok(Value::TClo(Arc::new(TypeClosure { lit: Arc::clone(lit), env: env.clone() })))
+        }
         Expr::Inst { target, type_args } => {
             // Types are erased at runtime: instantiation just unwraps the
             // type closure once per type argument.
             let mut v = lookup(env, target)?;
             for _ in type_args {
                 match v {
-                    Value::TClo(tc) => v = eval_expr_inner(&tc.env, &tc.body, gas, tracer.as_deref_mut())?,
+                    Value::TClo(tc) => v = eval_expr_inner(&tc.env, &tc.lit.body, gas, tracer.as_deref_mut())?,
                     other => {
                         return Err(ExecError::Internal(format!(
                             "cannot type-instantiate non-tfun value {other}"
@@ -594,8 +602,8 @@ pub(crate) fn apply(
 ) -> Result<Value, ExecError> {
     match f {
         Value::Clo(c) => {
-            let inner = c.env.bind(c.param.sym, arg);
-            eval_expr_inner(&inner, &c.body, gas, tracer)
+            let inner = c.env.bind(c.lit.param.sym, arg);
+            eval_expr_inner(&inner, &c.lit.body, gas, tracer)
         }
         other => Err(ExecError::Internal(format!("cannot apply non-function value {other}"))),
     }
@@ -632,28 +640,22 @@ pub(crate) fn flatten_messages(v: &Value) -> Result<Vec<Value>, ExecError> {
     }
 }
 
-pub(crate) fn parse_out_msg(v: &Value) -> Result<OutMsg, ExecError> {
-    let Value::Msg(m) = v else {
+pub(crate) fn parse_out_msg(v: Value) -> Result<OutMsg, ExecError> {
+    let Value::Msg(msg) = v else {
         return Err(ExecError::Internal("not a message".into()));
     };
-    let recipient = m
+    let recipient = msg
         .get(&Sym::RECIPIENT)
         .and_then(Value::as_address)
         .ok_or_else(|| ExecError::Internal("message lacks a ByStr20 '_recipient'".into()))?;
-    let amount = m
+    let amount = msg
         .get(&Sym::AMOUNT)
         .and_then(Value::as_uint)
         .ok_or_else(|| ExecError::Internal("message lacks a Uint '_amount'".into()))?;
-    let tag = match m.get(&Sym::TAG) {
-        Some(Value::Str(s)) => s.clone(),
-        _ => return Err(ExecError::Internal("message lacks a String '_tag'".into())),
-    };
-    let params = m
-        .iter()
-        .filter(|(k, _)| !k.as_str().starts_with('_'))
-        .map(|(k, v)| (k.as_str().to_string(), v.clone()))
-        .collect();
-    Ok(OutMsg { recipient, amount, tag, params })
+    if !matches!(msg.get(&Sym::TAG), Some(Value::Str(_))) {
+        return Err(ExecError::Internal("message lacks a String '_tag'".into()));
+    }
+    Ok(OutMsg { recipient, amount, msg })
 }
 
 #[cfg(test)]
@@ -785,8 +787,36 @@ mod tests {
         assert_eq!(out.messages.len(), 1);
         let m = &out.messages[0];
         assert_eq!(m.recipient, addr(5));
-        assert_eq!(m.tag, "Ping");
-        assert_eq!(m.params["note"], Value::Str("hi".into()));
+        assert_eq!(m.tag(), "Ping");
+        assert_eq!(m.params().collect::<Vec<_>>(), [("note", &Value::Str("hi".into()))]);
+    }
+
+    #[test]
+    fn unread_contract_parameter_is_still_required() {
+        let src = r#"
+            contract C (owner : ByStr20, label : String)
+            field last : ByStr20 = owner
+            transition T ()
+              last := owner
+            end
+        "#;
+        let c = compile(src);
+        let params = vec![
+            ("owner".to_string(), Value::address(addr(3))),
+            ("label".to_string(), Value::Str("unread".into())),
+        ];
+        let mut store = InMemoryState::from_fields(c.init_fields(&params).unwrap());
+        let ctx = TransitionContext::zeroed();
+        for mode in [ExecMode::Ast, ExecMode::Compiled] {
+            let mut gas = GasMeter::new(100_000);
+            c.execute_mode(&mut store, "T", &[], &params, &ctx, &mut gas, None, mode).unwrap();
+            let mut gas = GasMeter::new(100_000);
+            let err = c
+                .execute_mode(&mut store, "T", &[], &params[..1], &ctx, &mut gas, None, mode)
+                .unwrap_err();
+            assert_eq!(err, ExecError::BadInvocation("missing contract parameter 'label'".into()));
+        }
+        assert_eq!(store.load("last".into()), Some(Value::address(addr(3))));
     }
 
     #[test]

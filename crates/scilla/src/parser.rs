@@ -7,9 +7,11 @@
 
 use crate::ast::*;
 use crate::error::ParseError;
+use crate::intern::intern;
 use crate::lexer::{lex, Tok, Token};
 use crate::span::Span;
 use crate::types::Type;
+use std::sync::Arc;
 
 /// Parses a full contract module (optional `library` section + `contract`).
 ///
@@ -281,7 +283,7 @@ impl Parser {
                 self.expect(Tok::RParen)?;
                 self.expect(Tok::FatArrow)?;
                 let body = self.expr()?;
-                Ok(Expr::Fun { param, param_type, body: Box::new(body) })
+                Ok(Expr::Fun(Arc::new(FunLit { param, param_type, body })))
             }
             Some(Tok::TFun) => {
                 let span = self.span();
@@ -295,7 +297,7 @@ impl Parser {
                 };
                 self.expect(Tok::FatArrow)?;
                 let body = self.expr()?;
-                Ok(Expr::TFun { tvar, body: Box::new(body), span })
+                Ok(Expr::TFun(Arc::new(TFunLit { tvar, body, span })))
             }
             Some(Tok::At) => {
                 self.bump();
@@ -464,7 +466,7 @@ impl Parser {
                 Some(Tok::LIdent(_)) | Some(Tok::SpecialIdent(_)) => MsgValue::Var(self.value_ident()?),
                 _ => return Err(self.err("expected message entry value")),
             };
-            entries.push(MsgEntry { key, value });
+            entries.push(MsgEntry { key: intern(&key), value });
             if !self.accept(&Tok::Semi) {
                 break;
             }

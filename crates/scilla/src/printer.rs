@@ -226,7 +226,8 @@ pub fn print_expr(e: &Expr, level: usize) -> String {
                 print_expr(body, level)
             )
         }
-        Expr::Fun { param, param_type, body } => {
+        Expr::Fun(f) => {
+            let FunLit { param, param_type, body } = &**f;
             format!("fun ({param} : {param_type}) => {}", print_expr(body, level))
         }
         Expr::App { func, args } => {
@@ -241,8 +242,8 @@ pub fn print_expr(e: &Expr, level: usize) -> String {
             s.push_str("\nend");
             s
         }
-        Expr::TFun { tvar, body, .. } => {
-            format!("tfun '{tvar} => {}", print_expr(body, level))
+        Expr::TFun(t) => {
+            format!("tfun '{} => {}", t.tvar, print_expr(&t.body, level))
         }
         Expr::Inst { target, type_args } => {
             let ts: Vec<String> = type_args.iter().map(atom_type).collect();

@@ -228,7 +228,8 @@ impl Checker {
                 inner.insert(bound.name.clone(), rhs_ty);
                 self.check_expr(&inner, body)
             }
-            Expr::Fun { param, param_type, body } => {
+            Expr::Fun(f) => {
+                let FunLit { param, param_type, body } = &**f;
                 let mut inner = env.clone();
                 inner.insert(param.name.clone(), param_type.clone());
                 let body_ty = self.check_expr(&inner, body)?;
@@ -280,9 +281,9 @@ impl Checker {
                 }
                 result.ok_or_else(|| err(*span, "empty match".into()))
             }
-            Expr::TFun { tvar, body, .. } => {
-                let body_ty = self.check_expr(env, body)?;
-                Ok(Type::Forall(tvar.clone(), Box::new(body_ty)))
+            Expr::TFun(t) => {
+                let body_ty = self.check_expr(env, &t.body)?;
+                Ok(Type::Forall(t.tvar.clone(), Box::new(body_ty)))
             }
             Expr::Inst { target, type_args } => {
                 let mut ty = self.lookup(env, target)?;

@@ -1,37 +1,36 @@
 //! Runtime values and environments.
 
-use crate::ast::{Expr, Ident};
+use crate::ast::{FunLit, TFunLit};
 use crate::intern::Sym;
-use crate::types::Type;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// A closure: a function literal together with its captured environment.
+/// The literal is the parser's own `Arc`, so creating a closure copies no
+/// part of the syntax tree.
 #[derive(Debug, Clone)]
 pub struct Closure {
-    /// Formal parameter name.
-    pub param: Ident,
-    /// Declared parameter type.
-    pub param_type: Type,
-    /// Function body.
-    pub body: Arc<Expr>,
+    /// The `fun` literal: parameter, its type, and the body.
+    pub lit: Arc<FunLit>,
     /// Captured environment.
     pub env: Env,
 }
 
-/// A type closure produced by `tfun`.
+/// A type closure produced by `tfun`, sharing its literal like [`Closure`].
 #[derive(Debug, Clone)]
 pub struct TypeClosure {
-    /// Bound type variable.
-    pub tvar: String,
-    /// Body.
-    pub body: Arc<Expr>,
+    /// The `tfun` literal: type variable and body.
+    pub lit: Arc<TFunLit>,
     /// Captured environment.
     pub env: Env,
 }
 
 /// A runtime value.
+///
+/// The shapes the transaction path copies most clone without allocating: an
+/// address is an inline [`Value::ByStr20`], and maps, messages and closures
+/// are `Arc`-shared.
 ///
 /// Comparison: all first-order values compare structurally; closures compare
 /// by identity (allocation address). Well-typed programs never use closures
@@ -45,8 +44,14 @@ pub enum Value {
     Uint(u32, u128),
     /// String.
     Str(String),
-    /// Byte string (address when 20 bytes long).
+    /// Byte string on the heap. [`Value::bystr`] builds the canonical form,
+    /// which is inline for 20 bytes; a heap `ByStr` of 20 bytes still equals
+    /// it.
     ByStr(Vec<u8>),
+    /// A 20-byte string (an address), stored inline: cloning it is a copy.
+    /// It is the same value as a `ByStr` of the same bytes: the two forms
+    /// compare equal and print and encode alike.
+    ByStr20([u8; 20]),
     /// Block number.
     BNum(u64),
     /// A (possibly nested) map. The entry tree is `Arc`-shared: cloning a
@@ -61,8 +66,9 @@ pub enum Value {
         /// Constructor arguments.
         args: Vec<Value>,
     },
-    /// A message (for `send`/`event`/`throw`): interned key → payload.
-    Msg(BTreeMap<Sym, Value>),
+    /// A message (for `send`/`event`/`throw`): interned key → payload,
+    /// `Arc`-shared like a map. Messages are never updated in place.
+    Msg(Arc<BTreeMap<Sym, Value>>),
     /// A function closure.
     Clo(Arc<Closure>),
     /// A type-abstraction closure.
@@ -120,21 +126,38 @@ impl Value {
         }
     }
 
-    /// Extracts the address bytes, if this is a 20-byte `ByStr`.
+    /// Extracts the address bytes, if this is a 20-byte string in either
+    /// form.
     pub fn as_address(&self) -> Option<[u8; 20]> {
         match self {
-            Value::ByStr(bs) if bs.len() == 20 => {
-                let mut a = [0u8; 20];
-                a.copy_from_slice(bs);
-                Some(a)
-            }
+            Value::ByStr20(a) => Some(*a),
+            Value::ByStr(bs) => bs.as_slice().try_into().ok(),
+            _ => None,
+        }
+    }
+
+    /// The bytes of a byte string in either form.
+    pub fn as_bytes(&self) -> Option<&[u8]> {
+        match self {
+            Value::ByStr20(a) => Some(a),
+            Value::ByStr(bs) => Some(bs),
             _ => None,
         }
     }
 
     /// Builds a `ByStr20` value from address bytes.
     pub fn address(bytes: [u8; 20]) -> Value {
-        Value::ByStr(bytes.to_vec())
+        Value::ByStr20(bytes)
+    }
+
+    /// The canonical byte-string value: inline [`Value::ByStr20`] for 20
+    /// bytes, a heap `ByStr` otherwise. Every byte string the interpreter
+    /// builds (literals, wire decoding, `concat`) comes through here.
+    pub fn bystr(bytes: &[u8]) -> Value {
+        match bytes.try_into() {
+            Ok(a) => Value::ByStr20(a),
+            Err(_) => Value::ByStr(bytes.to_vec()),
+        }
     }
 
     /// A small integer tag used to order values of different shapes.
@@ -143,7 +166,7 @@ impl Value {
             Value::Int(..) => 0,
             Value::Uint(..) => 1,
             Value::Str(_) => 2,
-            Value::ByStr(_) => 3,
+            Value::ByStr(_) | Value::ByStr20(_) => 3,
             Value::BNum(_) => 4,
             Value::Map(_) => 5,
             Value::Adt { .. } => 6,
@@ -164,6 +187,10 @@ impl Value {
         }
     }
 }
+
+// Inline addresses must not grow the value: every frame slot, map entry and
+// constructor argument pays for it.
+const _: () = assert!(std::mem::size_of::<Value>() == 32);
 
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
@@ -186,7 +213,8 @@ impl Ord for Value {
             (Int(w1, v1), Int(w2, v2)) => (w1, v1).cmp(&(w2, v2)),
             (Uint(w1, v1), Uint(w2, v2)) => (w1, v1).cmp(&(w2, v2)),
             (Str(a), Str(b)) => a.cmp(b),
-            (ByStr(a), ByStr(b)) => a.cmp(b),
+            (ByStr20(a), ByStr20(b)) => a.cmp(b),
+            (ByStr(_) | ByStr20(_), ByStr(_) | ByStr20(_)) => self.as_bytes().cmp(&other.as_bytes()),
             (BNum(a), BNum(b)) => a.cmp(b),
             (Map(a), Map(b)) => a.cmp(b),
             (Adt { ctor: c1, args: a1 }, Adt { ctor: c2, args: a2 }) => {
@@ -206,9 +234,9 @@ impl fmt::Display for Value {
             Value::Int(w, v) => write!(f, "Int{w} {v}"),
             Value::Uint(w, v) => write!(f, "Uint{w} {v}"),
             Value::Str(s) => write!(f, "{s:?}"),
-            Value::ByStr(bs) => {
+            Value::ByStr(_) | Value::ByStr20(_) => {
                 write!(f, "0x")?;
-                for b in bs {
+                for b in self.as_bytes().unwrap_or_default() {
                     write!(f, "{b:02x}")?;
                 }
                 Ok(())
@@ -341,7 +369,10 @@ mod tests {
     fn address_roundtrip() {
         let a = [7u8; 20];
         assert_eq!(Value::address(a).as_address(), Some(a));
+        assert_eq!(Value::ByStr(a.to_vec()).as_address(), Some(a));
         assert_eq!(Value::ByStr(vec![1, 2]).as_address(), None);
+        assert!(matches!(Value::bystr(&a), Value::ByStr20(_)));
+        assert_eq!(Value::bystr(&a), Value::ByStr(a.to_vec()));
     }
 
     #[test]
@@ -356,12 +387,13 @@ mod tests {
 
     #[test]
     fn first_order_check_descends() {
-        let clo = Value::Clo(Arc::new(Closure {
+        use crate::ast::{Expr, Ident};
+        let lit = FunLit {
             param: Ident::new("x"),
-            param_type: Type::Str,
-            body: Arc::new(Expr::Var(Ident::new("x"))),
-            env: Env::new(),
-        }));
+            param_type: crate::types::Type::Str,
+            body: Expr::Var(Ident::new("x")),
+        };
+        let clo = Value::Clo(Arc::new(Closure { lit: Arc::new(lit), env: Env::new() }));
         assert!(!clo.is_first_order());
         let nested = Value::Adt { ctor: "Some".into(), args: vec![clo] };
         assert!(!nested.is_first_order());

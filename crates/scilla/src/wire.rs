@@ -17,7 +17,8 @@ pub fn to_json(v: &Value) -> Json {
         Value::Int(w, n) => json!({"t": format!("Int{w}"), "v": n.to_string()}),
         Value::Uint(w, n) => json!({"t": format!("Uint{w}"), "v": n.to_string()}),
         Value::Str(s) => json!({"t": "String", "v": s}),
-        Value::ByStr(bs) => {
+        Value::ByStr(_) | Value::ByStr20(_) => {
+            let bs = v.as_bytes().unwrap_or_default();
             let hex: String = bs.iter().map(|b| format!("{b:02x}")).collect();
             json!({"t": format!("ByStr{}", bs.len()), "v": hex})
         }
@@ -76,7 +77,7 @@ pub fn from_json(j: &Json) -> Result<Value, String> {
     }
     if t.strip_prefix("ByStr").is_some() {
         let hex = get_v()?.as_str().ok_or("bystr payload must be a string")?;
-        return decode_hex(hex).map(Value::ByStr).ok_or_else(|| format!("bad hex {hex}"));
+        return decode_hex(hex).map(|bs| Value::bystr(&bs)).ok_or_else(|| format!("bad hex {hex}"));
     }
     match t {
         "String" => Ok(Value::Str(get_v()?.as_str().ok_or("string payload")?.to_string())),
@@ -107,7 +108,7 @@ pub fn from_json(j: &Json) -> Result<Value, String> {
                 let k = pair[0].as_str().ok_or("msg key must be a string")?;
                 m.insert(crate::intern::intern(k), from_json(&pair[1])?);
             }
-            Ok(Value::Msg(m))
+            Ok(Value::Msg(std::sync::Arc::new(m)))
         }
         other => Err(format!("unknown wire tag '{other}'")),
     }

@@ -1,9 +1,20 @@
 //! Generative properties over runtime values: JSON wire round-trips, total
-//! ordering laws, and interpreter determinism.
+//! ordering laws, one byte-string order for both representations, and
+//! interpreter determinism.
 
 use proptest::prelude::*;
 use scilla::value::Value;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// Byte strings of length 0–40, biased to 20 (addresses) and 32 (hashes).
+fn byte_string() -> impl Strategy<Value = Vec<u8>> {
+    let len = prop_oneof![0usize..41, Just(20usize), Just(32usize)];
+    (len, prop::collection::vec(any::<u8>(), 40)).prop_map(|(n, mut bytes)| {
+        bytes.truncate(n);
+        bytes
+    })
+}
 
 /// Random first-order values (the storable fragment).
 fn value() -> impl Strategy<Value = Value> {
@@ -14,6 +25,7 @@ fn value() -> impl Strategy<Value = Value> {
             .prop_map(|(w, n)| Value::Int(w, n as i128)),
         "[ -~]{0,12}".prop_map(Value::Str),
         prop::collection::vec(any::<u8>(), 0..24).prop_map(Value::ByStr),
+        byte_string().prop_map(|b| Value::bystr(&b)),
         any::<u32>().prop_map(|n| Value::BNum(n as u64)),
         Just(Value::bool(true)),
         Just(Value::none()),
@@ -26,7 +38,7 @@ fn value() -> impl Strategy<Value = Value> {
                 .prop_map(|(c, args)| Value::Adt { ctor: scilla::intern::intern(c), args }),
             prop::collection::btree_map("[a-z_]{1,8}", inner, 0..3)
                 .prop_map(|m| {
-                    Value::Msg(m.into_iter().map(|(k, v): (String, Value)| (scilla::intern::intern(&k), v)).collect::<BTreeMap<_, _>>())
+                    Value::Msg(Arc::new(m.into_iter().map(|(k, v): (String, Value)| (scilla::intern::intern(&k), v)).collect::<BTreeMap<_, _>>()))
                 }),
         ]
     })
@@ -63,6 +75,54 @@ proptest! {
         } else {
             prop_assert_eq!(m.get(&k1), Some(&Value::Uint(128, 1)));
             prop_assert_eq!(m.get(&k2), Some(&Value::Uint(128, 2)));
+        }
+    }
+}
+
+/// The inline 20-byte form and the heap form are one value: equal, ordered
+/// alike against every other value, printed and encoded alike.
+mod one_byte_string_order {
+    use super::*;
+    use scilla::wire::{from_json, to_json};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn canonical_and_heap_forms_are_equal(b in byte_string()) {
+            let (canonical, heap) = (Value::bystr(&b), Value::ByStr(b.clone()));
+            prop_assert_eq!(matches!(canonical, Value::ByStr20(_)), b.len() == 20);
+            prop_assert_eq!(canonical.cmp(&heap), std::cmp::Ordering::Equal);
+            prop_assert_eq!(heap.cmp(&canonical), std::cmp::Ordering::Equal);
+            prop_assert_eq!(canonical.as_bytes(), Some(b.as_slice()));
+        }
+
+        #[test]
+        fn both_forms_order_like_the_heap_form(b in byte_string(), other in value()) {
+            let heap = Value::ByStr(b.clone());
+            let canonical = Value::bystr(&b);
+            prop_assert_eq!(canonical.cmp(&other), heap.cmp(&other));
+            prop_assert_eq!(other.cmp(&canonical), other.cmp(&heap));
+        }
+
+        #[test]
+        fn byte_strings_order_by_their_bytes(a in byte_string(), b in byte_string()) {
+            let forms = |x: &[u8]| [Value::bystr(x), Value::ByStr(x.to_vec())];
+            for va in forms(&a) {
+                for vb in forms(&b) {
+                    prop_assert_eq!(va.cmp(&vb), a.cmp(&b));
+                }
+            }
+        }
+
+        #[test]
+        fn both_forms_print_and_encode_alike(b in byte_string()) {
+            let (canonical, heap) = (Value::bystr(&b), Value::ByStr(b.clone()));
+            prop_assert_eq!(canonical.to_string(), heap.to_string());
+            prop_assert_eq!(to_json(&canonical), to_json(&heap));
+            let back = from_json(&to_json(&heap)).expect("canonical form parses");
+            prop_assert_eq!(matches!(back, Value::ByStr20(_)), b.len() == 20);
+            prop_assert_eq!(back, heap);
         }
     }
 }

@@ -8,7 +8,9 @@
 //! once per interning order on the ignored `interning_order_child` test. The
 //! child interns the whole corpus vocabulary in that order, then runs staged
 //! epochs of three workloads under the full profile and prints one hash per
-//! workload.
+//! workload. The unpermuted run must also reproduce [`PINNED`], so a change
+//! that alters wire deltas, rendered events, receipts or the state digest
+//! fails here even when it alters them identically under every order.
 
 use cosplit::chain::address::fnv1a;
 use cosplit::chain::delta::StateDelta;
@@ -28,6 +30,15 @@ const ORDER_VAR: &str = "INTERNING_ORDER_UNDER_TEST";
 const ORDERS: [&str; 4] = ["unpermuted", "reversed", "shuffle-1", "shuffle-2"];
 /// Prefix of the lines the parent compares (the harness prints others).
 const LINE: &str = "canonical-hash";
+/// The unpermuted child's lines. They were recorded when addresses were heap
+/// byte strings and messages unshared maps, so they also check that value
+/// representation never reaches canonical bytes. Re-record them only with a
+/// change that means to alter behaviour, and say so.
+const PINNED: [&str; 3] = [
+    "canonical-hash FtTransfer db490c5850df1dae",
+    "canonical-hash NftMint 81f48f9450f1714d",
+    "canonical-hash IpfsRegister 78662a7766ca29c2",
+];
 
 /// Every identifier token of every corpus source, in first-seen order.
 fn vocabulary() -> Vec<&'static str> {
@@ -151,6 +162,7 @@ fn canonical_bytes_do_not_depend_on_interning_order() {
         assert_eq!(lines.len(), 3, "{order} run printed {stdout}");
         runs.push((order, lines));
     }
+    assert_eq!(runs[0].1, PINNED, "{} run differs from the pinned canonical bytes", runs[0].0);
     for (order, lines) in &runs[1..] {
         assert_eq!(lines, &runs[0].1, "{order} interning differs from {}", runs[0].0);
     }
