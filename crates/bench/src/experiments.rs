@@ -653,10 +653,10 @@ pub fn xshard_rows(users: u64, txs: usize, epochs: usize) -> Vec<XShardRow> {
             for report in &result.reports {
                 for (reason, n) in &report.dispatch_reasons {
                     total += *n as u64;
-                    if DS_REASONS.contains(&reason.as_str()) {
+                    if DS_REASONS.contains(reason) {
                         ds += *n as u64;
                     }
-                    if reason == "xshard" {
+                    if *reason == "xshard" {
                         xshard += *n as u64;
                     }
                 }
@@ -762,10 +762,10 @@ pub fn callgraph_rows(users: u64, txs: usize, epochs: usize) -> Vec<CallGraphRow
                 for report in &result.reports {
                     for (reason, n) in &report.dispatch_reasons {
                         total += *n as u64;
-                        if DS_REASONS.contains(&reason.as_str()) {
+                        if DS_REASONS.contains(reason) {
                             ds += *n as u64;
                         }
-                        if reason == "composed-local" {
+                        if *reason == "composed-local" {
                             composed += *n as u64;
                         }
                     }
@@ -889,7 +889,7 @@ pub fn precision_rows(users: u64, txs: usize, epochs: usize) -> Vec<PrecisionRow
                 for report in &reports {
                     for (reason, n) in &report.dispatch_reasons {
                         total += *n as u64;
-                        if DS_REASONS.contains(&reason.as_str()) {
+                        if DS_REASONS.contains(reason) {
                             ds += *n as u64;
                         }
                     }

@@ -132,7 +132,7 @@ pub struct EpochReport {
     /// Committed per committee: (committee, committed, gas used).
     pub per_committee: Vec<(Assignment, usize, u64)>,
     /// Dispatch decisions by reason.
-    pub dispatch_reasons: BTreeMap<String, usize>,
+    pub dispatch_reasons: BTreeMap<&'static str, usize>,
     /// Number of state components merged by the DS committee.
     pub merged_components: usize,
     /// Simulated duration of the epoch.
@@ -171,7 +171,7 @@ pub struct EpochPackets {
     /// The DS committee's packet.
     pub ds_batch: Vec<Transaction>,
     /// Dispatch decisions by reason, for the epoch report.
-    pub dispatch_reasons: BTreeMap<String, usize>,
+    pub dispatch_reasons: BTreeMap<&'static str, usize>,
 }
 
 /// The outcome of one epoch's cross-shard commit stage
@@ -439,8 +439,7 @@ impl Network {
                     held_back.push(tx);
                     continue;
                 }
-                *packets.dispatch_reasons.entry(decision.reason.name().to_string()).or_insert(0) +=
-                    1;
+                *packets.dispatch_reasons.entry(decision.reason.name()).or_insert(0) += 1;
                 telemetry::trace::instant_with(telemetry::names::TX_DISPATCH, |a| {
                     a.reserve_exact(5);
                     a.push(("tx", tx.id.into()));

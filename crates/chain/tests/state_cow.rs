@@ -95,3 +95,34 @@ fn global_state_epoch_snapshot_shares_storage() {
         Some(Value::Uint(128, 1_000))
     );
 }
+
+#[test]
+fn delete_after_a_materialising_insert_copies_zero_bytes() {
+    let _g = TELEMETRY_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    telemetry::set_enabled(true);
+    // `items[owner][0]` for 10 000 owners: the shape of a registry keyed by
+    // owner, then by item.
+    let mut s = InMemoryState::new();
+    for i in 0..10_000 {
+        s.map_update("items".into(), &[key(i), key(0)], Value::Uint(32, 1));
+    }
+    let base = Arc::new(s);
+    let mut working = CowState::new(Arc::clone(&base));
+    let fresh = [key(10_000), key(1)];
+
+    let before = counters();
+    // A new owner registers an item and removes it in the same batch: the
+    // insert creates `items[fresh]`, which the delete must leave in place.
+    working.map_update("items".into(), &fresh, Value::Uint(32, 1));
+    working.map_delete("items".into(), &fresh);
+    let delta = counters().diff(&before);
+
+    assert!(working.map_exists("items".into(), &fresh[..1]), "the owner's map stays");
+    assert_eq!(delta.counter(names::STATE_COW_BREAKS), 0, "no shared map node was copied");
+    assert_eq!(delta.counter(names::STATE_BYTES_CLONED), 0, "the delete is O(path)");
+
+    let mut plain = (*base).clone();
+    plain.map_update("items".into(), &fresh, Value::Uint(32, 1));
+    plain.map_delete("items".into(), &fresh);
+    assert_eq!(*working.snapshot(), plain);
+}

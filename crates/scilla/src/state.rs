@@ -12,14 +12,14 @@
 //! telemetry, so benchmarks can assert that overlay writes cost O(writes),
 //! not O(state).
 //!
-//! [`CowState`] builds on this: a component-level overlay of pending writes
-//! over an `Arc`-shared [`InMemoryState`] base. Taking a snapshot of an
-//! untouched store never copies field values.
+//! [`CowState`] builds on this: pending writes over an `Arc`-shared
+//! [`InMemoryState`] base, kept per field as a tree shaped like the field's
+//! nested maps, one key per level. Taking a snapshot of an untouched store
+//! never copies field values.
 
 use crate::intern::Sym;
 use crate::value::Value;
 use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::sync::Arc;
 use telemetry::names;
 
@@ -183,50 +183,117 @@ impl StateStore for InMemoryState {
     }
 }
 
-/// Per-field pending writes inside a [`CowState`].
+/// A field's pending writes inside a [`CowState`]: a tree shaped like the
+/// field's nested maps, keyed one map key per level.
 #[derive(Debug, Clone)]
-enum FieldOverlay {
-    /// The whole field was overwritten (`None`: field deleted).
-    Whole(Option<Value>),
-    /// Entry-level writes over the base field: key path → new value
-    /// (`None`: tombstone for a deleted entry). Invariant: no recorded path
-    /// is a proper prefix of another — a write below an existing entry folds
-    /// into that entry's value, and a write above evicts the deeper entries
-    /// it shadows. Merged reads rely on this to consult at most one entry
-    /// per lookup.
-    Entries(BTreeMap<Vec<Value>, Option<Value>>),
+enum Node {
+    /// The value at this path, whatever the base holds (`None`: absent).
+    Pinned(Option<Value>),
+    /// The base's map at this path with these children rewritten. Where the
+    /// base holds no value or a non-map here, the empty map that
+    /// [`insert_at`] would have made.
+    Branch(BTreeMap<Value, Node>),
 }
 
-/// A copy-on-write working store: a component-level overlay of pending
-/// writes over an `Arc`-shared [`InMemoryState`] base.
+/// Where a key path ends in the merged view.
+enum At<'a> {
+    /// A value that one side decides alone (`None`: absent).
+    Value(Option<&'a Value>),
+    /// A branch over the base's value at the path: merge it with [`merged`].
+    Branch(Option<&'a Value>, &'a Node),
+}
+
+/// Where a write to a key path lands.
+enum Slot<'a, 'k> {
+    /// The tree node at the path's end.
+    Node(&'a mut Node),
+    /// A pinned ancestor's value, and the rest of the path inside it.
+    Pinned(&'a mut Option<Value>, &'k [Value]),
+}
+
+/// The base map's entry under `k`, if the base holds a map.
+fn child<'a>(base: Option<&'a Value>, k: &Value) -> Option<&'a Value> {
+    match base {
+        Some(Value::Map(m)) => m.get(k),
+        _ => None,
+    }
+}
+
+/// Walks `keys` down the tree alongside the base, one key at a time. The
+/// first missing child hands the rest of the path to the base, and a pin
+/// hands it to the pinned value.
+fn walk<'a>(mut base: Option<&'a Value>, mut node: Option<&'a Node>, keys: &[Value]) -> At<'a> {
+    let mut keys = keys.iter();
+    loop {
+        match node {
+            None => return At::Value(base.and_then(|b| descend(b, keys.as_slice()))),
+            Some(Node::Pinned(v)) => {
+                return At::Value(v.as_ref().and_then(|v| descend(v, keys.as_slice())))
+            }
+            Some(branch @ Node::Branch(children)) => {
+                let Some(k) = keys.next() else { return At::Branch(base, branch) };
+                base = child(base, k);
+                node = children.get(k);
+            }
+        }
+    }
+}
+
+/// The merged value of `node` over `base`, the base's value at its path. A
+/// base map node is copied only where a child changes it: a child that
+/// merges to the base's own node is left alone, and a key is removed only
+/// if present.
+fn merged(base: Option<&Value>, node: &Node) -> Option<Value> {
+    let children = match node {
+        Node::Pinned(v) => return v.clone(),
+        Node::Branch(children) => children,
+    };
+    let mut map = match base {
+        Some(Value::Map(m)) => Arc::clone(m),
+        _ => Arc::default(),
+    };
+    for (k, node) in children {
+        let was = child(base, k);
+        match merged(was, node) {
+            Some(Value::Map(new))
+                if matches!(was, Some(Value::Map(old)) if Arc::ptr_eq(old, &new)) => {}
+            Some(v) => {
+                map_make_mut(&mut map).insert(k.clone(), v);
+            }
+            None if was.is_some() => {
+                map_make_mut(&mut map).remove(k);
+            }
+            None => {}
+        }
+    }
+    Some(Value::Map(map))
+}
+
+/// A copy-on-write working store: pending writes over an `Arc`-shared
+/// [`InMemoryState`] base.
 ///
 /// This is how an executor obtains a private, mutable view of a contract's
 /// storage without copying it. The base is the epoch-start snapshot, shared
-/// by every shard; all writes land in the overlay.
-/// Reads consult the overlay first and fall back to the base.
+/// by every shard; all writes land in the overlay, one tree per written
+/// field. Reads walk the tree alongside the base and fall back to
+/// the base at the first key the tree does not hold.
 ///
 /// Cost model: [`CowState::new`] is O(1); [`CowState::snapshot`] of an
 /// untouched store is O(1). Point reads, writes, existence tests and
-/// deletes cost O(log n + k) in a field's n pending writes, k of which lie
-/// under the addressed path, and never materialise base maps — only a
-/// whole-map `load` over a field with entry-level pending writes pays
-/// O(field) to merge, the same a deep-cloning store would have paid on
-/// every read.
+/// deletes cost one ordered lookup per key in the tree and in the base, and
+/// never materialise base maps — only a read that ends at a branch (a
+/// whole-map `load` or a sub-map `map_get` over pending writes below it)
+/// merges, copying the base map nodes those writes change.
 #[derive(Debug, Clone, Default)]
 pub struct CowState {
     base: Arc<InMemoryState>,
-    overlay: BTreeMap<Sym, FieldOverlay>,
+    overlay: BTreeMap<Sym, Node>,
 }
 
 impl CowState {
     /// A working store over a shared base. O(1): no field is copied.
     pub fn new(base: Arc<InMemoryState>) -> CowState {
         CowState { base, overlay: BTreeMap::new() }
-    }
-
-    /// The shared base this overlay was created from.
-    pub fn base(&self) -> &Arc<InMemoryState> {
-        &self.base
     }
 
     /// True if no writes are pending (reads are served straight from base).
@@ -244,25 +311,12 @@ impl CowState {
             return Arc::clone(&self.base);
         }
         let mut fields = self.base.fields.clone();
-        for (field, ov) in &self.overlay {
+        for (field, node) in &self.overlay {
             let name = field.as_str();
-            match ov {
-                FieldOverlay::Whole(Some(v)) => {
-                    fields.insert(name.to_string(), v.clone());
-                }
-                FieldOverlay::Whole(None) => {
-                    fields.remove(name);
-                }
-                FieldOverlay::Entries(entries) => {
-                    let root = fields.entry(name.to_string()).or_insert_with(Value::empty_map);
-                    for (path, slot) in entries {
-                        match slot {
-                            Some(v) => insert_at(root, path, v.clone()),
-                            None => delete_at(root, path),
-                        }
-                    }
-                }
-            }
+            match merged(self.base.fields.get(name), node) {
+                Some(v) => fields.insert(name.to_string(), v),
+                None => fields.remove(name),
+            };
         }
         Arc::new(InMemoryState { fields })
     }
@@ -272,156 +326,47 @@ impl CowState {
     /// dropping the overlay record restores the pristine view.
     pub fn remove_field(&mut self, field: Sym) {
         if self.base.fields.contains_key(field.as_str()) {
-            self.overlay.insert(field, FieldOverlay::Whole(None));
+            self.overlay.insert(field, Node::Pinned(None));
         } else {
             self.overlay.remove(&field);
         }
     }
 
-    /// Finds the unique overlay entry whose path is a (non-strict) prefix of
-    /// `keys`, if any. Uniqueness follows from the no-prefix invariant.
-    fn prefix_len(entries: &BTreeMap<Vec<Value>, Option<Value>>, keys: &[Value]) -> Option<usize> {
-        (1..=keys.len()).find(|&l| entries.contains_key(&keys[..l]))
+    fn walk(&self, field: Sym, keys: &[Value]) -> At<'_> {
+        walk(self.base.fields.get(field.as_str()), self.overlay.get(&field), keys)
     }
 
-    /// Entries at or below `keys` (their paths equal or extend it), in
-    /// O(log n + k): `Vec<Value>` orders lexicographically, so a path's
-    /// extensions sort contiguously right after it. Where [`Self::prefix_len`]
-    /// found nothing, no entry sits at `keys` itself and these are exactly
-    /// the entries strictly below it.
-    fn subtree<'e>(
-        entries: &'e BTreeMap<Vec<Value>, Option<Value>>,
-        keys: &'e [Value],
-    ) -> impl Iterator<Item = (&'e Vec<Value>, &'e Option<Value>)> + Clone {
-        entries
-            .range::<[Value], _>((Bound::Included(keys), Bound::Unbounded))
-            .take_while(move |(p, _)| p.starts_with(keys))
-    }
-
-    /// Records `slot` at `keys`, evicting the deeper entries it shadows
-    /// (keeps the no-prefix invariant). Caller checked that no entry sits at
-    /// or above `keys`.
-    fn shadow_below(
-        entries: &mut BTreeMap<Vec<Value>, Option<Value>>,
-        keys: &[Value],
-        slot: Option<Value>,
-    ) {
-        let doomed: Vec<Vec<Value>> =
-            Self::subtree(entries, keys).map(|(p, _)| p.clone()).collect();
-        for p in doomed {
-            entries.remove(&p);
+    /// Grows branches along `keys` and returns the node at its end, or,
+    /// under a pinned ancestor, the pinned value and the rest of the path.
+    fn grow<'k>(&mut self, field: Sym, keys: &'k [Value]) -> Slot<'_, 'k> {
+        let mut node = self.overlay.entry(field).or_insert_with(|| Node::Branch(BTreeMap::new()));
+        for (i, k) in keys.iter().enumerate() {
+            match node {
+                Node::Pinned(v) => return Slot::Pinned(v, &keys[i..]),
+                Node::Branch(children) => {
+                    node = children
+                        .entry(k.clone())
+                        .or_insert_with(|| Node::Branch(BTreeMap::new()))
+                }
+            }
         }
-        entries.insert(keys.to_vec(), slot);
-    }
-
-    /// Would a tombstone at `keys` lose materialisation a plain store keeps?
-    ///
-    /// Deleting at `keys` drops every overlay entry at or below it. A
-    /// dropped `Some` entry, when merged, materialised intermediate maps
-    /// along its path (exactly as `insert_at` does in a plain store) — and
-    /// plain-store deletion only removes the leaf, leaving those
-    /// intermediates behind. A bare tombstone reproduces that only if every
-    /// strict prefix of `keys` stays map-shaped some other way: in the base,
-    /// or via a surviving `Some` entry. Otherwise the field must be
-    /// flattened into a whole-field overlay before deleting.
-    fn delete_needs_flatten(
-        &self,
-        field: Sym,
-        entries: &BTreeMap<Vec<Value>, Option<Value>>,
-        keys: &[Value],
-    ) -> bool {
-        if !Self::subtree(entries, keys).any(|(_, s)| s.is_some()) {
-            // Only tombstones vanish; they never materialised anything.
-            return false;
-        }
-        let base_field = self.base.fields.get(field.as_str());
-        // No entry sits at a strict prefix of `keys` (the caller's
-        // `prefix_len` found none, or found `keys` itself), so the subtree
-        // of `keys[..j]` is the entries strictly below it.
-        let surviving_some = |j: usize| {
-            Self::subtree(entries, &keys[..j]).any(|(q, s)| s.is_some() && !q.starts_with(keys))
-        };
-        // The field root: a non-map base value was destroyed by the first
-        // map write (insert_at's recovery) and must stay destroyed.
-        let root_ok = match base_field {
-            None | Some(Value::Map(_)) => true,
-            Some(_) => surviving_some(0),
-        };
-        if !root_ok {
-            return true;
-        }
-        (1..keys.len()).any(|j| {
-            let base_is_map = base_field
-                .and_then(|r| descend(r, &keys[..j]))
-                .is_some_and(|v| matches!(v, Value::Map(_)));
-            !base_is_map && !surviving_some(j)
-        })
+        Slot::Node(node)
     }
 }
 
 impl StateStore for CowState {
     fn load(&self, field: Sym) -> Option<Value> {
-        match self.overlay.get(&field) {
-            None => self.base.fields.get(field.as_str()).cloned(),
-            Some(FieldOverlay::Whole(v)) => v.clone(),
-            Some(FieldOverlay::Entries(entries)) => {
-                // Whole-map read over entry-level writes: merge on demand.
-                let mut root = self
-                    .base
-                    .fields
-                    .get(field.as_str())
-                    .cloned()
-                    .unwrap_or_else(Value::empty_map);
-                for (path, slot) in entries {
-                    match slot {
-                        Some(v) => insert_at(&mut root, path, v.clone()),
-                        None => delete_at(&mut root, path),
-                    }
-                }
-                Some(root)
-            }
-        }
+        self.map_get(field, &[])
     }
 
     fn store(&mut self, field: Sym, value: Value) {
-        self.overlay.insert(field, FieldOverlay::Whole(Some(value)));
+        self.overlay.insert(field, Node::Pinned(Some(value)));
     }
 
     fn map_get(&self, field: Sym, keys: &[Value]) -> Option<Value> {
-        if keys.is_empty() {
-            return self.load(field);
-        }
-        match self.overlay.get(&field) {
-            None => descend(self.base.fields.get(field.as_str())?, keys).cloned(),
-            Some(FieldOverlay::Whole(v)) => descend(v.as_ref()?, keys).cloned(),
-            Some(FieldOverlay::Entries(entries)) => {
-                if let Some(plen) = Self::prefix_len(entries, keys) {
-                    // An overlay write at or above the path shadows base.
-                    return descend(entries[&keys[..plen]].as_ref()?, &keys[plen..]).cloned();
-                }
-                let base_sub = self
-                    .base
-                    .fields
-                    .get(field.as_str())
-                    .and_then(|root| descend(root, keys))
-                    .cloned();
-                // Pending writes below the path: materialise the sub-map.
-                // An insert below a base-absent path creates it (matching
-                // `insert_at`'s intermediate-map materialisation).
-                let deeper = Self::subtree(entries, keys);
-                let mut root = match base_sub {
-                    Some(v) => v,
-                    None if deeper.clone().any(|(_, s)| s.is_some()) => Value::empty_map(),
-                    None => return None,
-                };
-                for (path, slot) in deeper {
-                    match slot {
-                        Some(v) => insert_at(&mut root, &path[keys.len()..], v.clone()),
-                        None => delete_at(&mut root, &path[keys.len()..]),
-                    }
-                }
-                Some(root)
-            }
+        match self.walk(field, keys) {
+            At::Value(v) => v.cloned(),
+            At::Branch(base, node) => merged(base, node),
         }
     }
 
@@ -431,111 +376,30 @@ impl StateStore for CowState {
             self.store(field, value);
             return;
         }
-        match self.overlay.get_mut(&field) {
-            Some(FieldOverlay::Whole(Some(root))) => insert_at(root, keys, value),
-            Some(slot @ FieldOverlay::Whole(None)) => {
-                // Field was deleted; recreate it, as `map_update` on a plain
-                // store materialises a fresh empty map.
-                let mut root = Value::empty_map();
-                insert_at(&mut root, keys, value);
-                *slot = FieldOverlay::Whole(Some(root));
-            }
-            Some(FieldOverlay::Entries(entries)) => {
-                if let Some(plen) = Self::prefix_len(entries, keys) {
-                    let slot = entries.get_mut(&keys[..plen]).expect("prefix entry");
-                    if plen == keys.len() {
-                        *slot = Some(value);
-                    } else {
-                        let root = slot.get_or_insert_with(Value::empty_map);
-                        insert_at(root, &keys[plen..], value);
-                    }
-                } else {
-                    Self::shadow_below(entries, keys, Some(value));
-                }
-            }
-            None => {
-                let mut entries = BTreeMap::new();
-                entries.insert(keys.to_vec(), Some(value));
-                self.overlay.insert(field, FieldOverlay::Entries(entries));
+        match self.grow(field, keys) {
+            Slot::Node(leaf) => *leaf = Node::Pinned(Some(value)),
+            // As on a plain store: a deleted value is recreated as a map.
+            Slot::Pinned(pinned, rest) => {
+                insert_at(pinned.get_or_insert_with(Value::empty_map), rest, value)
             }
         }
     }
 
     fn map_exists(&self, field: Sym, keys: &[Value]) -> bool {
-        match self.overlay.get(&field) {
-            None => self.base.map_exists(field, keys),
-            Some(FieldOverlay::Whole(v)) => {
-                v.as_ref().is_some_and(|root| descend(root, keys).is_some())
-            }
-            Some(FieldOverlay::Entries(entries)) => {
-                if keys.is_empty() {
-                    // The field exists: entry overlays only form over an
-                    // existing base field or a materialising insert.
-                    return true;
-                }
-                if let Some(plen) = Self::prefix_len(entries, keys) {
-                    return entries[&keys[..plen]]
-                        .as_ref()
-                        .is_some_and(|root| descend(root, &keys[plen..]).is_some());
-                }
-                // An insert below the path materialises every prefix of it.
-                if Self::subtree(entries, keys).any(|(_, slot)| slot.is_some()) {
-                    return true;
-                }
-                // Tombstones below remove entries, never the sub-map itself,
-                // so base existence stands.
-                self.base.map_exists(field, keys)
-            }
-        }
+        !matches!(self.walk(field, keys), At::Value(None))
     }
 
     fn map_delete(&mut self, field: Sym, keys: &[Value]) {
-        if keys.is_empty() {
+        // A plain store ignores absent deletes, and recording one would
+        // grow branches, which stand for maps.
+        if keys.is_empty() || !self.map_exists(field, keys) {
             return;
         }
-        // Decide first with shared borrows: the exactness check (and the
-        // flatten fallback's `load`) needs the whole overlay.
-        let flatten = match self.overlay.get(&field) {
-            Some(FieldOverlay::Entries(entries)) => match Self::prefix_len(entries, keys) {
-                // A delete inside a pinned sub-map value is always exact.
-                Some(plen) if plen < keys.len() => false,
-                _ => self.delete_needs_flatten(field, entries, keys),
-            },
-            _ => false,
-        };
-        if flatten {
-            // A bare tombstone would forget intermediate maps that the
-            // dropped overlay writes materialised (a plain store keeps them
-            // through deletes): pin the merged field and delete inside it.
-            let mut merged = self.load(field).unwrap_or_else(Value::empty_map);
-            delete_at(&mut merged, keys);
-            self.overlay.insert(field, FieldOverlay::Whole(Some(merged)));
-            return;
-        }
-        match self.overlay.get_mut(&field) {
-            Some(FieldOverlay::Whole(Some(root))) => delete_at(root, keys),
-            Some(FieldOverlay::Whole(None)) => {}
-            Some(FieldOverlay::Entries(entries)) => {
-                if let Some(plen) = Self::prefix_len(entries, keys) {
-                    let slot = entries.get_mut(&keys[..plen]).expect("prefix entry");
-                    if plen == keys.len() {
-                        // Tombstone, not removal: the base may hold an older
-                        // value at this path that must stay shadowed.
-                        *slot = None;
-                    } else if let Some(root) = slot {
-                        delete_at(root, &keys[plen..]);
-                    }
-                } else {
-                    Self::shadow_below(entries, keys, None);
-                }
-            }
-            None => {
-                // Deleting in a field the base never had is a no-op; do not
-                // fabricate an overlay (it would make the field "exist").
-                if self.base.fields.contains_key(field.as_str()) {
-                    let mut entries = BTreeMap::new();
-                    entries.insert(keys.to_vec(), None);
-                    self.overlay.insert(field, FieldOverlay::Entries(entries));
+        match self.grow(field, keys) {
+            Slot::Node(leaf) => *leaf = Node::Pinned(None),
+            Slot::Pinned(pinned, rest) => {
+                if let Some(root) = pinned {
+                    delete_at(root, rest);
                 }
             }
         }
@@ -718,10 +582,9 @@ mod tests {
         (CowState::new(Arc::new(base.clone())), base)
     }
 
-    /// `Str` keys sharing a prefix sort `["a"] < ["a", …] < ["aa"] < ["ab", …]
-    /// < ["b", …]`, so a sibling's overlay entries sit right after a path's
-    /// own extensions: every point operation must stop at the end of its
-    /// own subtree.
+    /// `Str` keys sharing a prefix sort `"a" < "aa" < "ab" < "b"`: every
+    /// point operation reads and writes only its own key's entries, never a
+    /// neighbour's that sorts next to it.
     #[test]
     fn cow_point_ops_stay_inside_their_subtree() {
         let (mut cow, mut plain) = overlay_and_plain();
@@ -738,7 +601,7 @@ mod tests {
             assert_eq!(cow.map_get(m, path), plain.map_get(m, path), "{path:?}");
             assert_eq!(cow.map_exists(m, path), plain.map_exists(m, path), "{path:?}");
         }
-        // A write above a's entries evicts them and nothing after them.
+        // A write above a's entries replaces them and nothing next to them.
         for st in [&mut cow as &mut dyn StateStore, &mut plain] {
             st.map_update(m, &[s("a")], Value::empty_map());
         }
@@ -747,10 +610,9 @@ mod tests {
     }
 
     /// Deleting the only insert under `["a", "x"]` must keep the maps it
-    /// materialised, as a plain store does, so `map_delete` flattens — unless
-    /// an insert survives under each prefix. A sibling subtree next to a
-    /// prefix's own (`["ab", …]` after `["a", …]`, `["a", "xy", …]` after
-    /// `["a", "x", …]`) is not such a survivor.
+    /// materialised, as a plain store does, whatever a neighbouring key's
+    /// subtree (`["ab", …]` next to `["a", …]`, `["a", "xy", …]` next to
+    /// `["a", "x", …]`) holds.
     #[test]
     fn cow_delete_flatten_ignores_sibling_subtrees() {
         let m: Sym = "m".into();

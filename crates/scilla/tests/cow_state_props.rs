@@ -43,9 +43,9 @@ fn field_name(f: u8) -> &'static str {
 
 fn key(k: u8) -> Value {
     // A tiny key universe maximises collisions between overlay and base.
-    // It mixes variants and `Str`s sharing a prefix so that the overlay's
-    // subtree range scans meet `Value`'s cross-variant order and prefix
-    // siblings at their edges.
+    // It mixes variants and `Str`s sharing a prefix, so writes to sibling
+    // keys that sort next to each other (`"a"`, `"ab"`, `"b"`) or compare
+    // across variants must each leave the others' entries as they were.
     match k % 7 {
         0 => Value::Uint(32, 0),
         1 => Value::Uint(32, 1),
@@ -66,7 +66,7 @@ fn val(v: u8) -> Value {
 }
 
 fn path() -> impl Strategy<Value = Vec<u8>> {
-    prop::collection::vec(any::<u8>(), 1..4)
+    prop::collection::vec(any::<u8>(), 1..5)
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -122,10 +122,10 @@ fn full_state_eq(cow: &CowState, plain: &InMemoryState) -> Result<(), TestCaseEr
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
 
     #[test]
-    fn cow_state_matches_plain_store(ops in prop::collection::vec(op(), 1..60)) {
+    fn cow_state_matches_plain_store(ops in prop::collection::vec(op(), 1..=120)) {
         let base = seeded_base();
         let mut cow = CowState::new(Arc::clone(&base));
         let mut plain = (*base).clone();

@@ -203,10 +203,10 @@ fn to_ds_fraction_stays_under_ten_percent_on_every_workload() {
         for report in &result.reports {
             for (reason, n) in &report.dispatch_reasons {
                 total += n;
-                if DS_REASONS.contains(&reason.as_str()) {
+                if DS_REASONS.contains(reason) {
                     to_ds += n;
                 }
-                if reason == "xshard" {
+                if *reason == "xshard" {
                     to_xshard += n;
                 }
             }

@@ -105,8 +105,11 @@ fn every_workload_and_profile_matches_the_sequential_reference() {
 /// each): permille per dispatch reason, and permille at the DS committee.
 /// Dispatch is a pure function of signature and state, so these are exact
 /// on every host.
-fn dispatch_permille(kinds: &[Kind], config: &ChainConfig) -> (BTreeMap<String, usize>, usize) {
-    let mut reasons: BTreeMap<String, usize> = BTreeMap::new();
+fn dispatch_permille(
+    kinds: &[Kind],
+    config: &ChainConfig,
+) -> (BTreeMap<&'static str, usize>, usize) {
+    let mut reasons: BTreeMap<&str, usize> = BTreeMap::new();
     let (mut ds, mut total) = (0, 0);
     for &kind in kinds {
         let scenario = build(kind, 40, 500, 13);
@@ -128,7 +131,7 @@ fn dispatch_fractions_are_pinned() {
     let (reasons, ds) =
         dispatch_permille(&[Kind::FtTransfer, Kind::NftMint, Kind::IpfsRegister], &paper);
     let expected = [("ownership", 788), ("split-footprint", 211)];
-    assert_eq!(reasons, expected.map(|(k, v)| (k.to_string(), v)).into());
+    assert_eq!(reasons, BTreeMap::from(expected));
     assert_eq!(ds, 211);
     // Derived `sha256hash proof` keys resolve at dispatch: no claim goes to DS.
     assert_eq!(dispatch_permille(&[Kind::FtAirdrop], &paper).1, 0);

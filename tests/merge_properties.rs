@@ -5,10 +5,14 @@
 use cosplit::chain::address::Address;
 use cosplit::chain::delta::{IntDelta, StateDelta};
 use cosplit::chain::error::MergeError;
+use cosplit::chain::network::ChainConfig;
 use cosplit::chain::state::GlobalState;
 use cosplit::scilla::state::StateStore;
 use cosplit::scilla::value::Value;
+use cosplit::workloads::runner::world_builder;
+use cosplit::workloads::scenarios::{build, Kind};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn addr(i: u8) -> Address {
     Address::from_index(i as u64)
@@ -292,4 +296,62 @@ fn apply_rejects_an_overdrawing_balance_delta() {
         Err(MergeError::DeltaOutOfRange { component, .. }) => assert_eq!(component, "balance"),
         other => panic!("expected DeltaOutOfRange on the overdraw, got {other:?}"),
     }
+}
+
+/// `n` byte mutations of `wire`, each replacing, deleting or inserting one
+/// JSON-grammar byte at a position drawn from a SplitMix64 stream. A
+/// mutation that splits a UTF-8 sequence decodes lossily, as a node reading
+/// bytes off the wire would.
+fn wire_mutants(wire: &str, mut seed: u64, n: usize) -> Vec<String> {
+    let mut next = move || {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    const BYTES: &[u8] = b"{}[]\":,0-9eE.ntf \\\x7f\xff";
+    (0..n)
+        .map(|_| {
+            let mut bytes = wire.as_bytes().to_vec();
+            let at = (next() % bytes.len() as u64) as usize;
+            let byte = BYTES[(next() % BYTES.len() as u64) as usize];
+            match next() % 3 {
+                0 => bytes[at] = byte,
+                1 => {
+                    bytes.remove(at);
+                }
+                _ => bytes.insert(at, byte),
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        })
+        .collect()
+}
+
+/// A node decodes shard deltas off the wire and applies them: no byte
+/// mutation of a real epoch's deltas may panic it. Whatever decodes applies
+/// to the epoch's state with `Ok` or `Err`.
+#[test]
+fn wire_deltas_survive_byte_mutations() {
+    let (mut mutants, mut decoded) = (0, 0);
+    for kind in [Kind::FtTransfer, Kind::NftMint, Kind::IpfsRegister] {
+        let scenario = build(kind, 40, 400, 7);
+        let net = world_builder(&scenario)(&ChainConfig::small(3, true));
+        let packets = net.form_packets(&mut scenario.load.clone());
+        for (shard, block) in net.execute_shards(packets.shard_batches).into_iter().enumerate() {
+            let wire = block.delta.to_wire();
+            for (i, m) in wire_mutants(&wire, 7 + shard as u64, 300).into_iter().enumerate() {
+                let what = format!("{kind:?} shard {shard} mutant {i}");
+                let applied = catch_unwind(AssertUnwindSafe(|| {
+                    StateDelta::from_wire(&m).map(|d| d.apply(&mut net.state().clone()))
+                }));
+                let Ok(applied) = applied else { panic!("{what} panicked: {m}") };
+                mutants += 1;
+                decoded += usize::from(applied.is_ok());
+            }
+        }
+    }
+    // Some mutants must decode, or `apply` was never exercised.
+    assert!(decoded > 0, "none of {mutants} mutants decoded");
+    eprintln!("{decoded} of {mutants} mutated deltas decoded");
 }
