@@ -265,7 +265,7 @@ pub fn measure_overheads(users: u64, txs: usize) -> Overheads {
     let components: usize = deltas.iter().map(StateDelta::changed_components).sum();
 
     let mut base_state = state_plain.clone();
-    let merged = StateDelta::merge(deltas.clone()).expect("merges");
+    let merged = StateDelta::merge_ref(&deltas).expect("merges");
     let t0 = Instant::now();
     merged.apply(&mut base_state).expect("applies");
     let merge_baseline = t0.elapsed() / components.max(1) as u32;
@@ -276,7 +276,7 @@ pub fn measure_overheads(users: u64, txs: usize) -> Overheads {
     for d in &deltas {
         std::hint::black_box(d.to_wire());
     }
-    let merged = StateDelta::merge(deltas).expect("merges");
+    let merged = StateDelta::merge_ref(&deltas).expect("merges");
     std::hint::black_box(merged.to_wire());
     merged.apply(&mut cosplit_state).expect("applies");
     let merge_cosplit = t0.elapsed() / components.max(1) as u32;

@@ -91,7 +91,9 @@ impl StateDelta {
     }
 
     /// Merges several shard deltas into one (the `FinalStateDelta`),
-    /// checking disjointness of overwrites.
+    /// checking disjointness of overwrites. It borrows them: the DS
+    /// committee merges micro-block deltas in place without cloning each
+    /// one first.
     ///
     /// # Errors
     ///
@@ -99,20 +101,6 @@ impl StateDelta {
     /// component — impossible under correct ownership dispatch;
     /// [`MergeError::DeltaOutOfRange`] if summed integer or balance deltas
     /// leave `i128` — only a hostile wire delta gets there.
-    pub fn merge(deltas: impl IntoIterator<Item = StateDelta>) -> Result<StateDelta, MergeError> {
-        // Component values are Arc-shared, so merging from references is as
-        // cheap as merging by move; keep the by-value form for callers that
-        // own their deltas.
-        let owned: Vec<StateDelta> = deltas.into_iter().collect();
-        Self::merge_ref(owned.iter())
-    }
-
-    /// [`StateDelta::merge`] over borrowed deltas — the DS committee merges
-    /// micro-block deltas in place without cloning each one first.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StateDelta::merge`].
     pub fn merge_ref<'a>(
         deltas: impl IntoIterator<Item = &'a StateDelta>,
     ) -> Result<StateDelta, MergeError> {
@@ -176,18 +164,8 @@ impl StateDelta {
             // place; a surviving snapshot (e.g. a held block digest input)
             // triggers one shallow O(fields) copy, never a value deep-copy.
             let storage = Arc::make_mut(state.storage.entry(*addr).or_default());
-            for (comp, ow) in &cd.overwrites {
-                let (field, keys) = comp;
-                match ow {
-                    Some(v) => {
-                        if keys.is_empty() {
-                            storage.store(*field, v.clone());
-                        } else {
-                            storage.map_update(*field, keys, v.clone());
-                        }
-                    }
-                    None => storage.map_delete(*field, keys),
-                }
+            for ((field, keys), ow) in &cd.overwrites {
+                storage.set(*field, keys, ow.clone());
             }
             for (comp, id) in &cd.int_deltas {
                 let (field, keys) = comp;
@@ -195,13 +173,9 @@ impl StateDelta {
                     contract: addr.to_string(),
                     component: component_name(comp),
                 };
-                let old = storage.map_get(*field, keys);
+                let old = storage.get(*field, keys);
                 let nv = apply_int_delta(old.as_ref(), id).ok_or_else(err)?;
-                if keys.is_empty() {
-                    storage.store(*field, nv);
-                } else {
-                    storage.map_update(*field, keys, nv);
-                }
+                storage.set(*field, keys, Some(nv));
             }
         }
         for (addr, b) in &self.balances {
@@ -382,15 +356,6 @@ pub fn apply_int_delta(old: Option<&Value>, id: &IntDelta) -> Option<Value> {
     }
 }
 
-/// Convenience: read a component's current value from storage.
-pub fn read_component(storage: &dyn StateStore, comp: &Component) -> Option<Value> {
-    if comp.1.is_empty() {
-        storage.load(comp.0)
-    } else {
-        storage.map_get(comp.0, &comp.1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,7 +383,7 @@ mod tests {
             );
             sd
         };
-        let merged = StateDelta::merge([mk(10), mk(-3), mk(5)]).unwrap();
+        let merged = StateDelta::merge_ref(&[mk(10), mk(-3), mk(5)]).unwrap();
         assert_eq!(
             merged.contracts[&c].int_deltas[&("balances".into(), vec![key(1)])].delta,
             12
@@ -437,7 +402,7 @@ mod tests {
                 .insert(("owners".into(), vec![key(1)]), Some(Value::Uint(128, v)));
             sd
         };
-        let err = StateDelta::merge([mk(1), mk(2)]).unwrap_err();
+        let err = StateDelta::merge_ref(&[mk(1), mk(2)]).unwrap_err();
         assert!(matches!(err, MergeError::OverwriteConflict { .. }));
     }
 
@@ -456,8 +421,8 @@ mod tests {
             .insert(("y".into(), vec![key(2)]), None);
         d2.balances.insert(addr(1), 3);
 
-        let ab = StateDelta::merge([d1.clone(), d2.clone()]).unwrap();
-        let ba = StateDelta::merge([d2, d1]).unwrap();
+        let ab = StateDelta::merge_ref([&d1, &d2]).unwrap();
+        let ba = StateDelta::merge_ref([&d2, &d1]).unwrap();
         assert_eq!(ab, ba);
     }
 
@@ -466,7 +431,7 @@ mod tests {
         let c = addr(100);
         let mut state = GlobalState::new();
         let storage = Arc::make_mut(state.storage.entry(c).or_default());
-        storage.map_update("balances".into(), &[key(1)], Value::Uint(128, 100));
+        storage.set("balances".into(), &[key(1)], Some(Value::Uint(128, 100)));
 
         let mut sd = StateDelta::new();
         sd.contracts
@@ -482,8 +447,23 @@ mod tests {
         sd.apply(&mut state).unwrap();
 
         let storage = &state.storage[&c];
-        assert_eq!(storage.map_get("balances".into(), &[key(1)]), Some(Value::Uint(128, 70)));
-        assert_eq!(storage.map_get("balances".into(), &[key(2)]), Some(Value::Uint(128, 30)));
+        assert_eq!(storage.get("balances".into(), &[key(1)]), Some(Value::Uint(128, 70)));
+        assert_eq!(storage.get("balances".into(), &[key(2)]), Some(Value::Uint(128, 30)));
+    }
+
+    /// A wire delta may overwrite a whole field with `null`: that removes
+    /// the field. No executor emits one, since no statement removes a field.
+    #[test]
+    fn null_whole_field_overwrite_removes_the_field() {
+        let c = addr(100);
+        let mut state = GlobalState::new();
+        let storage = Arc::make_mut(state.storage.entry(c).or_default());
+        storage.set("owner".into(), &[], Some(Value::Str("x".into())));
+        let mut sd = StateDelta::new();
+        sd.contracts.entry(c).or_default().overwrites.insert(("owner".into(), vec![]), None);
+        let sd = StateDelta::from_wire(&sd.to_wire()).unwrap();
+        sd.apply(&mut state).unwrap();
+        assert!(!state.storage[&c].fields().contains_key("owner"));
     }
 
     #[test]
@@ -505,7 +485,7 @@ mod tests {
         let c = addr(100);
         let mut state = GlobalState::new();
         let storage = Arc::make_mut(state.storage.entry(c).or_default());
-        storage.store("counter".into(), Value::Uint(32, u32::MAX as u128 - 1));
+        storage.set("counter".into(), &[], Some(Value::Uint(32, u32::MAX as u128 - 1)));
         let mut sd = StateDelta::new();
         sd.contracts.entry(c).or_default().int_deltas.insert(
             ("counter".into(), vec![]),
@@ -522,7 +502,7 @@ mod tests {
         let mut d2 = StateDelta::new();
         d2.balances.insert(addr(1), 4);
         d2.nonces.insert(addr(1), vec![2]);
-        let merged = StateDelta::merge([d1, d2]).unwrap();
+        let merged = StateDelta::merge_ref([&d1, &d2]).unwrap();
         let mut state = GlobalState::new();
         state.credit(addr(1), 100);
         merged.apply(&mut state).unwrap();

@@ -15,7 +15,7 @@
 //! holds the measurement behind that choice.
 
 use crate::address::Address;
-use crate::delta::{compute_int_delta, read_component, Component, ContractDelta, StateDelta};
+use crate::delta::{compute_int_delta, Component, ContractDelta, StateDelta};
 use crate::dispatch::{component_shard, compose_chain, recipient_value, Assignment};
 use crate::tx::{Transaction, TxKind};
 use cosplit_analysis::audit::{audit_placement, audit_transition, AuditViolation, ViolationKind};
@@ -26,7 +26,7 @@ use scilla::gas::{GasMeter, COST_TX_BASE};
 use scilla::intern::Sym;
 use scilla::interpreter::{ExecMode, OutMsg, TransitionContext};
 use scilla::span::Span;
-use scilla::state::{CowState, StateStore};
+use scilla::state::{undo_point, CowState, StateStore};
 use scilla::trace::{DynamicFootprint, EffectTracer};
 use scilla::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -852,7 +852,7 @@ impl<'a> Executor<'a> {
         if matches!(self.cfg.role, Assignment::Ds | Assignment::XShard) {
             return None;
         }
-        for (addr, comp, _) in &journal.undo {
+        for (addr, comp, ..) in &journal.undo {
             {
                 let Some(joins) = self.joins_of(addr) else { continue };
                 let Some(storage) = self.storages.get(addr) else { continue };
@@ -860,15 +860,14 @@ impl<'a> Executor<'a> {
                     continue;
                 }
                 let base_storage = self.snapshot.storage.get(addr);
-                let initial: u128 = match base_storage.and_then(|s| read_component(s.as_ref(), comp))
-                {
+                let initial: u128 = match base_storage.and_then(|s| s.get(comp.0, &comp.1)) {
                     Some(Value::Uint(_, n)) => n,
                     None => 0,
                     // A non-integer epoch-start value cannot be guarded;
                     // force the conservative path.
                     Some(_) => return Some(comp.clone()),
                 };
-                let (now, width) = match read_component(&storage.state, comp) {
+                let (now, width) = match storage.state.get(comp.0, &comp.1) {
                     Some(Value::Uint(w, n)) => (n, w),
                     _ => continue,
                 };
@@ -967,11 +966,11 @@ impl<'a> Executor<'a> {
             let base = self.snapshot.storage.get(&addr);
             let mut cd = ContractDelta::default();
             for comp in storage.touched {
-                let final_v = read_component(&storage.state, &comp);
+                let final_v = storage.state.get(comp.0, &comp.1);
                 let merge = joins.get(comp.0.as_str()) == Some(&Join::IntMerge);
                 let delta = match (&final_v, merge) {
                     (Some(v), true) => {
-                        let initial = base.and_then(|s| read_component(s.as_ref(), &comp));
+                        let initial = base.and_then(|s| s.get(comp.0, &comp.1));
                         compute_int_delta(initial.as_ref(), v)
                     }
                     _ => None,
@@ -1011,13 +1010,15 @@ impl<'a> Executor<'a> {
 /// roll back together — transitions are atomic, paper §3.1).
 #[derive(Default)]
 struct TxJournal {
-    /// (contract, component, prior value) in write order.
-    undo: Vec<(Address, Component, Option<Value>)>,
+    /// (contract, component written, undo depth, prior value) in write
+    /// order: undoing sets the component's first `depth` keys back to the
+    /// prior (see [`undo_point`]).
+    undo: Vec<(Address, Component, usize, Option<Value>)>,
 }
 
 impl TxJournal {
     fn commit(self, storages: &mut BTreeMap<Address, ShardStorage>) {
-        for (addr, comp, _) in self.undo {
+        for (addr, comp, ..) in self.undo {
             if let Some(s) = storages.get_mut(&addr) {
                 s.touched.push(comp);
             }
@@ -1025,72 +1026,36 @@ impl TxJournal {
     }
 
     fn rollback(self, storages: &mut BTreeMap<Address, ShardStorage>) {
-        for (addr, comp, prior) in self.undo.into_iter().rev() {
-            let Some(s) = storages.get_mut(&addr) else { continue };
-            let (field, keys) = &comp;
-            match prior {
-                Some(v) => {
-                    if keys.is_empty() {
-                        s.state.store(*field, v);
-                    } else {
-                        s.state.map_update(*field, keys, v);
-                    }
-                }
-                None => {
-                    if keys.is_empty() {
-                        s.state.remove_field(*field);
-                    } else {
-                        s.state.map_delete(*field, keys);
-                    }
-                }
+        for (addr, (field, keys), depth, prior) in self.undo.into_iter().rev() {
+            if let Some(s) = storages.get_mut(&addr) {
+                s.state.set(field, &keys[..depth], prior);
             }
         }
     }
 }
 
-/// A [`StateStore`] view that records each write's component and prior
-/// value into the transaction journal.
+/// A [`StateStore`] view that journals each write's component and undo
+/// point before making it.
 struct JournaledStore<'a, 'j> {
     contract: Address,
     inner: &'a mut CowState,
     journal: &'j mut TxJournal,
 }
 
-impl JournaledStore<'_, '_> {
-    fn record(&mut self, field: Sym, keys: &[Value]) {
+impl StateStore for JournaledStore<'_, '_> {
+    fn get(&self, field: Sym, keys: &[Value]) -> Option<Value> {
+        self.inner.get(field, keys)
+    }
+
+    fn exists(&self, field: Sym, keys: &[Value]) -> bool {
+        self.inner.exists(field, keys)
+    }
+
+    fn set(&mut self, field: Sym, keys: &[Value], value: Option<Value>) {
+        let (depth, prior) = undo_point(self.inner, field, keys);
         // The field side of the component is a `Copy` symbol; only the key
         // path is owned.
-        let comp: Component = (field, keys.to_vec());
-        let prior = read_component(self.inner, &comp);
-        self.journal.undo.push((self.contract, comp, prior));
-    }
-}
-
-impl StateStore for JournaledStore<'_, '_> {
-    fn load(&self, field: Sym) -> Option<Value> {
-        self.inner.load(field)
-    }
-
-    fn store(&mut self, field: Sym, value: Value) {
-        self.record(field, &[]);
-        self.inner.store(field, value);
-    }
-
-    fn map_get(&self, field: Sym, keys: &[Value]) -> Option<Value> {
-        self.inner.map_get(field, keys)
-    }
-
-    fn map_update(&mut self, field: Sym, keys: &[Value], value: Value) {
-        self.record(field, keys);
-        self.inner.map_update(field, keys, value);
-    }
-
-    fn map_exists(&self, field: Sym, keys: &[Value]) -> bool {
-        self.inner.map_exists(field, keys)
-    }
-
-    fn map_delete(&mut self, field: Sym, keys: &[Value]) {
-        self.record(field, keys);
-        self.inner.map_delete(field, keys);
+        self.journal.undo.push((self.contract, (field, keys.to_vec()), depth, prior));
+        self.inner.set(field, keys, value);
     }
 }

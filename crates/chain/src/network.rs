@@ -258,7 +258,7 @@ impl Network {
         let storage = Arc::make_mut(self.state.storage.entry(contract).or_default());
         let field = scilla::intern::intern(field);
         for (k, v) in entries {
-            storage.map_update(field, &[k], v);
+            storage.set(field, &[k], Some(v));
         }
     }
 

@@ -17,9 +17,8 @@
 //! central claim (Thm 4.6, observational equivalence with sequential
 //! execution): a simulated sharded run is replayed on a 1-shard reference
 //! chain and the final states, balances, nonces, and per-transaction event
-//! logs are compared field by field. Divergences produce a minimized,
-//! replayable repro artifact (seed + fault plan + transaction trace) as
-//! JSON.
+//! logs are compared field by field. Divergences produce a replayable
+//! repro artifact (seed + fault plan + transaction trace) as JSON.
 
 use crate::address::{fnv1a, Address};
 use crate::executor::{Receipt, TxStatus};
@@ -874,11 +873,11 @@ fn compare_states(sharded: Side<'_>, reference: Side<'_>, out: &mut Vec<Divergen
 }
 
 // ---------------------------------------------------------------------------
-// Repro artifacts & trace minimization
+// Repro artifacts
 // ---------------------------------------------------------------------------
 
 /// Everything needed to replay a divergence: the seed, the network shape,
-/// the fault plan, and the (minimized) transaction trace.
+/// the fault plan, and the transaction trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReproArtifact {
     /// The run's seed.
@@ -966,46 +965,6 @@ impl ReproArtifact {
         let j: serde_json::Value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
         ReproArtifact::from_json(&j)
     }
-}
-
-/// Greedy ddmin-lite: repeatedly removes chunks of the trace (halving the
-/// chunk size) while `still_diverges` keeps returning `true`, within a
-/// budget of oracle invocations. The result is a 1-minimal-ish trace that
-/// still reproduces the divergence.
-pub fn minimize_trace<F>(trace: &[Transaction], mut still_diverges: F, budget: usize) -> Vec<Transaction>
-where
-    F: FnMut(&[Transaction]) -> bool,
-{
-    let mut current = trace.to_vec();
-    if current.is_empty() {
-        return current;
-    }
-    let mut runs = 0usize;
-    let mut chunk = current.len().div_ceil(2);
-    loop {
-        let mut removed_any = false;
-        let mut i = 0;
-        while i < current.len() && runs < budget {
-            let mut candidate = current.clone();
-            let end = (i + chunk).min(candidate.len());
-            candidate.drain(i..end);
-            runs += 1;
-            if !candidate.is_empty() && still_diverges(&candidate) {
-                current = candidate;
-                removed_any = true;
-                // keep i: the next chunk shifted into this position
-            } else {
-                i += chunk;
-            }
-        }
-        if runs >= budget || (chunk == 1 && !removed_any) {
-            break;
-        }
-        if chunk > 1 {
-            chunk = (chunk / 2).max(1);
-        }
-    }
-    current
 }
 
 #[cfg(test)]
@@ -1097,19 +1056,6 @@ mod tests {
         assert_eq!(r.committed(), 0);
         assert_eq!(r.outcomes.len(), n);
         assert_eq!(state_digest(&net), before, "malformed txs must not change state");
-    }
-
-    #[test]
-    fn minimizer_shrinks_to_the_culprit() {
-        let trace: Vec<Transaction> = (0..40u64)
-            .map(|i| {
-                Transaction::payment(i, Address::from_index(i), 1, Address::from_index(i + 1), 1)
-            })
-            .collect();
-        // The "divergence" is: the trace still contains tx id 23.
-        let minimal = minimize_trace(&trace, |t| t.iter().any(|tx| tx.id == 23), 200);
-        assert_eq!(minimal.len(), 1);
-        assert_eq!(minimal[0].id, 23);
     }
 
     #[test]

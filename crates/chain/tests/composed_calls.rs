@@ -96,9 +96,9 @@ fn composed_chain_executes_inside_the_shard() {
     }
     // Both ends of the chain mutated state.
     let key = [user.to_value()];
-    let relayed = net.storage_of(&relay).unwrap().map_get("relayed".into(), &key);
+    let relayed = net.storage_of(&relay).unwrap().get("relayed".into(), &key);
     assert_eq!(relayed, Some(Value::Uint(128, 1)));
-    let greeted = net.storage_of(&receiver).unwrap().map_get("greetings".into(), &key);
+    let greeted = net.storage_of(&receiver).unwrap().get("greetings".into(), &key);
     assert_eq!(greeted, Some(Value::Uint(128, 1)));
 }
 
@@ -113,7 +113,7 @@ fn composition_off_serialises_at_ds_with_same_result() {
     assert_eq!(report.committed, 1);
     assert_eq!(report.dispatch_reasons.get("composed-local"), None);
     let key = [user.to_value()];
-    let greeted = net.storage_of(&receiver).unwrap().map_get("greetings".into(), &key);
+    let greeted = net.storage_of(&receiver).unwrap().get("greetings".into(), &key);
     assert_eq!(greeted, Some(Value::Uint(128, 1)), "DS path reaches the same state");
 }
 

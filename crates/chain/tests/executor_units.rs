@@ -112,9 +112,43 @@ fn failed_transaction_rolls_back_but_still_pays_gas() {
     let report = net.run_epoch(&mut pool);
     assert_eq!(report.failed, 1);
     // The write rolled back…
-    assert_eq!(net.storage_of(&contract).unwrap().load("n".into()), Some(Value::Uint(128, 7)));
+    assert_eq!(net.storage_of(&contract).unwrap().get("n".into(), &[]), Some(Value::Uint(128, 7)));
     // …but gas was charged.
     assert!(net.state().balance(&user) < balance_before);
+}
+
+/// A failed insert leaves nothing behind (§3.1): rolling back
+/// `m[_sender][k] := v` must also remove the `m[_sender]` map the write
+/// made, or a later transaction of the same batch sees it.
+#[test]
+fn a_failed_insert_leaves_no_map_behind() {
+    let mut net = Network::new(ChainConfig::evaluation(1, true));
+    let user = Address::from_index(1);
+    net.fund_account(user, 1_000_000);
+    let contract = Address::from_index(60);
+    let src = r#"
+        contract C ()
+        field m : Map ByStr20 (Map Uint32 Uint32) = Emp ByStr20 (Map Uint32 Uint32)
+        transition Put (k : Uint32)
+          v = Uint32 1;
+          m[_sender][k] := v;
+          throw
+        end
+        transition Look ()
+          present <- exists m[_sender];
+          e = {_eventname : "Looked"; present : present};
+          event e
+        end
+    "#;
+    net.deploy_with_signature(contract, src, vec![], None).unwrap();
+    let k = vec![("k".into(), Value::Uint(32, 7))];
+    let put = Transaction::call(1, user, 1, contract, "Put", k);
+    let look = Transaction::call(2, user, 2, contract, "Look", vec![]);
+    let mb = execute_batch(&cfg(Assignment::Ds, 1), net.state(), vec![put, look]);
+    assert!(matches!(mb.receipts[0].status, TxStatus::Failed(_)));
+    assert_eq!(mb.receipts[1].status, TxStatus::Success);
+    let Value::Msg(event) = &mb.receipts[1].events[0] else { panic!("expected an event") };
+    assert_eq!(event.get(&"present".into()), Some(&Value::bool(false)));
 }
 
 /// Hostile field (a): an amount of `u128::MAX` must not wrap past the slice
@@ -334,7 +368,7 @@ fn overflow_guard_reroutes_risky_adds() {
     // the rest fail sequentially at the DS with checked arithmetic, and the
     // final value never exceeds MAX (the merge would otherwise panic).
     assert_eq!(report.committed, 2, "{report:?}");
-    let total = guarded.storage_of(&contract).unwrap().load("total".into()).unwrap();
+    let total = guarded.storage_of(&contract).unwrap().get("total".into(), &[]).unwrap();
     assert_eq!(total, Value::Uint(128, near_max + 800));
 }
 
@@ -368,7 +402,7 @@ fn huge_uint_values_fall_back_to_overwrites_and_merge_fine() {
     let report = net.run_epoch(&mut pool);
     assert_eq!(report.committed, 1, "{report:?}");
     assert_eq!(
-        net.storage_of(&contract).unwrap().load("total".into()),
+        net.storage_of(&contract).unwrap().get("total".into(), &[]),
         Some(Value::Uint(128, huge))
     );
 }

@@ -71,7 +71,7 @@ fn transfer_tx(id: u64, sender: Address, nonce: u64, to: Address, amount: u128) 
 fn balance_of(net: &Network, who: Address) -> u128 {
     net.storage_of(&contract_addr())
         .and_then(|s| {
-            scilla::state::StateStore::map_get(s, "balances".into(), &[who.to_value()])
+            scilla::state::StateStore::get(s, "balances".into(), &[who.to_value()])
         })
         .and_then(|v| v.as_uint())
         .unwrap_or(0)
@@ -79,7 +79,7 @@ fn balance_of(net: &Network, who: Address) -> u128 {
 
 fn total_supply(net: &Network) -> u128 {
     net.storage_of(&contract_addr())
-        .and_then(|s| scilla::state::StateStore::load(s, "total_supply".into()))
+        .and_then(|s| scilla::state::StateStore::get(s, "total_supply".into(), &[]))
         .and_then(|v| v.as_uint())
         .unwrap_or(0)
 }

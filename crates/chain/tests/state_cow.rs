@@ -21,10 +21,10 @@ fn key(i: u64) -> Value {
 fn big_base(n: u64) -> Arc<InMemoryState> {
     let mut s = InMemoryState::new();
     for i in 0..n {
-        s.map_update("balances".into(), &[key(i)], Value::Uint(128, 1_000));
+        s.set("balances".into(), &[key(i)], Some(Value::Uint(128, 1_000)));
     }
-    s.store("total_supply".into(), Value::Uint(128, 1_000 * n as u128));
-    s.store("owner".into(), Value::Str("genesis".into()));
+    s.set("total_supply".into(), &[], Some(Value::Uint(128, 1_000 * n as u128)));
+    s.set("owner".into(), &[], Some(Value::Str("genesis".into())));
     Arc::new(s)
 }
 
@@ -42,9 +42,9 @@ fn overlay_writes_over_large_base_copy_zero_bytes() {
     // Eighty overlay entries over the 10k-entry base: none of the base
     // entries moves, and reads through the overlay stay clone-free too.
     for t in 0..80u64 {
-        working.map_update("balances".into(), &[key(t)], Value::Uint(128, t as u128));
-        assert!(working.map_exists("balances".into(), &[key(9_999)]));
-        let untouched = working.map_get("balances".into(), &[key(9_999)]);
+        working.set("balances".into(), &[key(t)], Some(Value::Uint(128, t as u128)));
+        assert!(working.exists("balances".into(), &[key(9_999)]));
+        let untouched = working.get("balances".into(), &[key(9_999)]);
         assert_eq!(untouched, Some(Value::Uint(128, 1_000)));
     }
     let delta = counters().diff(&before);
@@ -89,9 +89,9 @@ fn global_state_epoch_snapshot_shares_storage() {
 
     // A shard-side overlay write never reaches the snapshot's base.
     let mut shard = CowState::new(Arc::clone(&epoch_view.storage[&contract]));
-    shard.map_update("balances".into(), &[key(3)], Value::Uint(128, 0));
+    shard.set("balances".into(), &[key(3)], Some(Value::Uint(128, 0)));
     assert_eq!(
-        state.storage[&contract].map_get("balances".into(), &[key(3)]),
+        state.storage[&contract].get("balances".into(), &[key(3)]),
         Some(Value::Uint(128, 1_000))
     );
 }
@@ -104,7 +104,7 @@ fn delete_after_a_materialising_insert_copies_zero_bytes() {
     // owner, then by item.
     let mut s = InMemoryState::new();
     for i in 0..10_000 {
-        s.map_update("items".into(), &[key(i), key(0)], Value::Uint(32, 1));
+        s.set("items".into(), &[key(i), key(0)], Some(Value::Uint(32, 1)));
     }
     let base = Arc::new(s);
     let mut working = CowState::new(Arc::clone(&base));
@@ -113,16 +113,16 @@ fn delete_after_a_materialising_insert_copies_zero_bytes() {
     let before = counters();
     // A new owner registers an item and removes it in the same batch: the
     // insert creates `items[fresh]`, which the delete must leave in place.
-    working.map_update("items".into(), &fresh, Value::Uint(32, 1));
-    working.map_delete("items".into(), &fresh);
+    working.set("items".into(), &fresh, Some(Value::Uint(32, 1)));
+    working.set("items".into(), &fresh, None);
     let delta = counters().diff(&before);
 
-    assert!(working.map_exists("items".into(), &fresh[..1]), "the owner's map stays");
+    assert!(working.exists("items".into(), &fresh[..1]), "the owner's map stays");
     assert_eq!(delta.counter(names::STATE_COW_BREAKS), 0, "no shared map node was copied");
     assert_eq!(delta.counter(names::STATE_BYTES_CLONED), 0, "the delete is O(path)");
 
     let mut plain = (*base).clone();
-    plain.map_update("items".into(), &fresh, Value::Uint(32, 1));
-    plain.map_delete("items".into(), &fresh);
+    plain.set("items".into(), &fresh, Some(Value::Uint(32, 1)));
+    plain.set("items".into(), &fresh, None);
     assert_eq!(*working.snapshot(), plain);
 }

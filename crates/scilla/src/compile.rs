@@ -557,6 +557,19 @@ impl CRun<'_> {
         Ok(())
     }
 
+    /// Writes one component (`None` removes it) and, when tracing, records
+    /// the write with the value it replaced.
+    fn write(&mut self, field: Sym, keys: Vec<Value>, value: Option<Value>, span: Span) {
+        match self.tracer.as_deref_mut() {
+            Some(t) => {
+                let prior = self.store.get(field, &keys);
+                self.store.set(field, &keys, value.clone());
+                t.record_write(field.as_str(), keys, prior, value, span);
+            }
+            None => self.store.set(field, &keys, value),
+        }
+    }
+
     fn run_stmt(
         &mut self,
         frame: &mut Vec<Option<Value>>,
@@ -567,7 +580,7 @@ impl CRun<'_> {
         match s {
             CStmt::Load { dst, field, span } => {
                 gas.charge(gas::COST_FIELD)?;
-                let v = self.store.load(*field).ok_or_else(|| {
+                let v = self.store.get(*field, &[]).ok_or_else(|| {
                     ExecError::Internal(format!("field '{field}' missing from state"))
                 })?;
                 if let Some(t) = self.tracer.as_deref_mut() {
@@ -578,14 +591,7 @@ impl CRun<'_> {
             CStmt::Store { field, rhs, span } => {
                 gas.charge(gas::COST_FIELD)?;
                 let v = fetch(frame, rhs)?;
-                match self.tracer.as_deref_mut() {
-                    Some(t) => {
-                        let prior = self.store.load(*field);
-                        self.store.store(*field, v.clone());
-                        t.record_write(field.as_str(), Vec::new(), prior, Some(v), *span);
-                    }
-                    None => self.store.store(*field, v),
-                }
+                self.write(*field, Vec::new(), Some(v), *span);
             }
             CStmt::Bind { dst, rhs } => {
                 let v = self.eval(frame, rhs, gas)?;
@@ -595,19 +601,12 @@ impl CRun<'_> {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
                 let ks = fetch_all(frame, keys)?;
                 let v = fetch(frame, rhs)?;
-                match self.tracer.as_deref_mut() {
-                    Some(t) => {
-                        let prior = self.store.map_get(*map, &ks);
-                        self.store.map_update(*map, &ks, v.clone());
-                        t.record_write(map.as_str(), ks, prior, Some(v), *span);
-                    }
-                    None => self.store.map_update(*map, &ks, v),
-                }
+                self.write(*map, ks, Some(v), *span);
             }
             CStmt::MapGet { dst, map, keys, span } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
                 let ks = fetch_all(frame, keys)?;
-                let v = match self.store.map_get(*map, &ks) {
+                let v = match self.store.get(*map, &ks) {
                     Some(v) => Value::some(v),
                     None => Value::none(),
                 };
@@ -619,7 +618,7 @@ impl CRun<'_> {
             CStmt::MapExists { dst, map, keys, span } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
                 let ks = fetch_all(frame, keys)?;
-                let b = self.store.map_exists(*map, &ks);
+                let b = self.store.exists(*map, &ks);
                 if let Some(t) = self.tracer.as_deref_mut() {
                     t.record_read(map.as_str(), ks, *span);
                 }
@@ -628,14 +627,7 @@ impl CRun<'_> {
             CStmt::MapDelete { map, keys, span } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
                 let ks = fetch_all(frame, keys)?;
-                match self.tracer.as_deref_mut() {
-                    Some(t) => {
-                        let prior = self.store.map_get(*map, &ks);
-                        self.store.map_delete(*map, &ks);
-                        t.record_write(map.as_str(), ks, prior, None, *span);
-                    }
-                    None => self.store.map_delete(*map, &ks),
-                }
+                self.write(*map, ks, None, *span);
             }
             CStmt::ReadBlockchain { dst } => {
                 gas.charge(gas::COST_FIELD)?;

@@ -11,6 +11,7 @@ use crate::builtins::{empty_map, eval_builtin};
 use crate::error::ExecError;
 use crate::gas::{self, GasMeter};
 use crate::intern::Sym;
+use crate::span::Span;
 use crate::state::StateStore;
 use crate::trace::EffectTracer;
 use crate::typechecker::CheckedModule;
@@ -346,12 +347,25 @@ impl Exec<'_> {
         keys.iter().map(|k| lookup(env, k)).collect()
     }
 
+    /// Writes one component (`None` removes it) and, when tracing, records
+    /// the write with the value it replaced.
+    fn write(&mut self, field: Sym, keys: Vec<Value>, value: Option<Value>, span: Span) {
+        match self.tracer.as_deref_mut() {
+            Some(t) => {
+                let prior = self.store.get(field, &keys);
+                self.store.set(field, &keys, value.clone());
+                t.record_write(field.as_str(), keys, prior, value, span);
+            }
+            None => self.store.set(field, &keys, value),
+        }
+    }
+
     fn run_stmt(&mut self, env: Env, s: &Stmt, gas: &mut GasMeter) -> Result<Env, ExecError> {
         gas.charge(gas::COST_STMT)?;
         match s {
             Stmt::Load { lhs, field } => {
                 gas.charge(gas::COST_FIELD)?;
-                let v = self.store.load(field.sym).ok_or_else(|| {
+                let v = self.store.get(field.sym, &[]).ok_or_else(|| {
                     ExecError::Internal(format!("field '{}' missing from state", field.name))
                 })?;
                 if let Some(t) = self.tracer.as_deref_mut() {
@@ -362,14 +376,7 @@ impl Exec<'_> {
             Stmt::Store { field, rhs } => {
                 gas.charge(gas::COST_FIELD)?;
                 let v = lookup(&env, rhs)?;
-                match self.tracer.as_deref_mut() {
-                    Some(t) => {
-                        let prior = self.store.load(field.sym);
-                        self.store.store(field.sym, v.clone());
-                        t.record_write(&field.name, Vec::new(), prior, Some(v), s.span());
-                    }
-                    None => self.store.store(field.sym, v),
-                }
+                self.write(field.sym, Vec::new(), Some(v), s.span());
                 Ok(env)
             }
             Stmt::Bind { lhs, rhs } => {
@@ -380,20 +387,13 @@ impl Exec<'_> {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
                 let ks = self.key_values(&env, keys)?;
                 let v = lookup(&env, rhs)?;
-                match self.tracer.as_deref_mut() {
-                    Some(t) => {
-                        let prior = self.store.map_get(map.sym, &ks);
-                        self.store.map_update(map.sym, &ks, v.clone());
-                        t.record_write(&map.name, ks, prior, Some(v), s.span());
-                    }
-                    None => self.store.map_update(map.sym, &ks, v),
-                }
+                self.write(map.sym, ks, Some(v), s.span());
                 Ok(env)
             }
             Stmt::MapGet { lhs, map, keys } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
                 let ks = self.key_values(&env, keys)?;
-                let v = match self.store.map_get(map.sym, &ks) {
+                let v = match self.store.get(map.sym, &ks) {
                     Some(v) => Value::some(v),
                     None => Value::none(),
                 };
@@ -405,7 +405,7 @@ impl Exec<'_> {
             Stmt::MapExists { lhs, map, keys } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
                 let ks = self.key_values(&env, keys)?;
-                let b = self.store.map_exists(map.sym, &ks);
+                let b = self.store.exists(map.sym, &ks);
                 if let Some(t) = self.tracer.as_deref_mut() {
                     t.record_read(&map.name, ks, s.span());
                 }
@@ -414,14 +414,7 @@ impl Exec<'_> {
             Stmt::MapDelete { map, keys } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
                 let ks = self.key_values(&env, keys)?;
-                match self.tracer.as_deref_mut() {
-                    Some(t) => {
-                        let prior = self.store.map_get(map.sym, &ks);
-                        self.store.map_delete(map.sym, &ks);
-                        t.record_write(&map.name, ks, prior, None, s.span());
-                    }
-                    None => self.store.map_delete(map.sym, &ks),
-                }
+                self.write(map.sym, ks, None, s.span());
                 Ok(env)
             }
             Stmt::ReadBlockchain { lhs, .. } => {
@@ -731,8 +724,8 @@ mod tests {
             ("amount".into(), Value::Uint(128, 30)),
         ])
         .unwrap();
-        assert_eq!(store.map_get("balances".into(), &[Value::address(addr(1))]), Some(Value::Uint(128, 70)));
-        assert_eq!(store.map_get("balances".into(), &[Value::address(addr(2))]), Some(Value::Uint(128, 30)));
+        assert_eq!(store.get("balances".into(), &[Value::address(addr(1))]), Some(Value::Uint(128, 70)));
+        assert_eq!(store.get("balances".into(), &[Value::address(addr(2))]), Some(Value::Uint(128, 30)));
     }
 
     #[test]
@@ -816,7 +809,7 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err, ExecError::BadInvocation("missing contract parameter 'label'".into()));
         }
-        assert_eq!(store.load("last".into()), Some(Value::address(addr(3))));
+        assert_eq!(store.get("last".into(), &[]), Some(Value::address(addr(3))));
     }
 
     #[test]
@@ -851,7 +844,7 @@ mod tests {
         let ctx = TransitionContext { block_number: 77, ..TransitionContext::zeroed() };
         let mut gas = GasMeter::new(100_000);
         c.execute(&mut store, "Touch", &[], &[], &ctx, &mut gas).unwrap();
-        assert_eq!(store.load("last".into()), Some(Value::BNum(77)));
+        assert_eq!(store.get("last".into(), &[]), Some(Value::BNum(77)));
     }
 
     #[test]
@@ -872,7 +865,7 @@ mod tests {
         let mut gas = GasMeter::new(100_000);
         c.execute(&mut store, "T", &[("v".into(), Value::Uint(128, 42))], &[], &TransitionContext::zeroed(), &mut gas)
             .unwrap();
-        assert_eq!(store.load("n".into()), Some(Value::Uint(128, 42)));
+        assert_eq!(store.get("n".into(), &[]), Some(Value::Uint(128, 42)));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! 1. [`lexer`] + [`parser`] turn source text into a [`ast::ContractModule`];
 //! 2. [`typechecker`] validates it, producing a
 //!    [`typechecker::CheckedModule`];
-//! 3. [`interpreter`] executes transitions against a [`state::StateStore`],
+//! 3. [`interpreter`] executes transitions against a [`state::StateStore`]
+//!    (reads and writes one component, a field plus a key path, at a time),
 //!    metered by [`gas`].
 //!
 //! The [`corpus`] module ships the 49-contract benchmark corpus used
@@ -38,7 +39,7 @@
 //! let mut state = InMemoryState::from_fields(contract.init_fields(&[])?);
 //! let mut gas = GasMeter::new(10_000);
 //! contract.execute(&mut state, "Incr", &[], &[], &TransitionContext::zeroed(), &mut gas)?;
-//! assert_eq!(state.load("count".into()), Some(Value::Uint(128, 1)));
+//! assert_eq!(state.get("count".into(), &[]), Some(Value::Uint(128, 1)));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

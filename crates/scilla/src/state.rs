@@ -3,7 +3,12 @@
 //! The interpreter manipulates contract fields through the [`StateStore`]
 //! trait so that the blockchain layer can interpose overlays (per-shard
 //! scratch states, write logs for state-delta computation) without the
-//! interpreter knowing.
+//! interpreter knowing. The trait addresses state the way the merge does
+//! (paper §4): by component, a field plus a key path, with three
+//! operations — [`StateStore::get`], [`StateStore::exists`] and
+//! [`StateStore::set`], where setting `None` removes. A journal that undoes
+//! writes records each write's [`undo_point`], so that undoing it also
+//! removes the maps it made (transitions are atomic, §3.1).
 //!
 //! Storage values are structurally shared: every [`Value::Map`] node is
 //! `Arc`-backed, so cloning a store (or any value read out of it) is a
@@ -23,39 +28,49 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use telemetry::names;
 
-/// Mutable access to a contract's fields.
+/// Mutable access to a contract's fields, one component at a time.
 ///
-/// Nested map entries are addressed by a field name plus a key path; a key
-/// path shorter than the map's nesting depth addresses a whole sub-map.
+/// A component is a field plus a key path (paper §4): the empty path is the
+/// whole field, and a path shorter than the field's map nesting depth
+/// addresses a whole sub-map.
 ///
 /// Field names are pre-interned [`Sym`]s: they resolve once at parse/compile
 /// time, so the per-statement path does no string hashing or allocation.
 /// Callers holding text intern it at the call (`"balances".into()`).
 pub trait StateStore {
-    /// Reads a whole field. `None` if the field does not exist.
-    fn load(&self, field: Sym) -> Option<Value>;
+    /// Reads a component. `None` if it does not exist.
+    fn get(&self, field: Sym, keys: &[Value]) -> Option<Value>;
 
-    /// Overwrites a whole field.
-    fn store(&mut self, field: Sym, value: Value);
+    /// Tests whether a component exists, without cloning it (a partial key
+    /// path would otherwise clone a whole sub-map just to discard it).
+    fn exists(&self, field: Sym, keys: &[Value]) -> bool;
 
-    /// Reads one (possibly nested) map entry.
-    fn map_get(&self, field: Sym, keys: &[Value]) -> Option<Value>;
+    /// Writes a component, materialising intermediate maps as needed.
+    /// `None` removes it, and removing an absent component is a no-op;
+    /// `set(field, &[], None)` removes the whole field.
+    fn set(&mut self, field: Sym, keys: &[Value], value: Option<Value>);
+}
 
-    /// Writes one (possibly nested) map entry, materialising intermediate
-    /// maps as needed.
-    fn map_update(&mut self, field: Sym, keys: &[Value], value: Value);
-
-    /// Tests whether a map entry exists.
-    ///
-    /// The default goes through [`StateStore::map_get`]; stores should
-    /// override it with a clone-free walk (a partial key path would otherwise
-    /// clone a whole sub-map just to discard it).
-    fn map_exists(&self, field: Sym, keys: &[Value]) -> bool {
-        self.map_get(field, keys).is_some()
+/// Where a journal undoes a write to `keys` inside `field`, and what it
+/// restores there: `(depth, prior)` such that
+/// `store.set(field, &keys[..depth], prior)` after the write returns the
+/// store to its state before it.
+///
+/// A write materialises the maps missing along its path, so undoing it at
+/// the leaf alone would leave them behind. When the leaf exists, or the
+/// path has fewer than two keys, the undo point is the leaf and its prior
+/// value. Otherwise it is the shallowest missing prefix, one below the
+/// deepest existing one, checked deepest first: removing it removes every
+/// map the write made. The field level is never checked: contract storage
+/// holds every declared field from deployment on, and no statement removes
+/// one.
+pub fn undo_point(store: &dyn StateStore, field: Sym, keys: &[Value]) -> (usize, Option<Value>) {
+    let prior = store.get(field, keys);
+    if prior.is_some() || keys.len() < 2 {
+        return (keys.len(), prior);
     }
-
-    /// Deletes one (possibly nested) map entry. No-op if absent.
-    fn map_delete(&mut self, field: Sym, keys: &[Value]);
+    let present = (1..keys.len()).rev().find(|&d| store.exists(field, &keys[..d])).unwrap_or(0);
+    (present + 1, None)
 }
 
 /// Grants mutable access to a shared map node, copying it first if anyone
@@ -143,42 +158,32 @@ impl InMemoryState {
     pub fn fields(&self) -> &BTreeMap<String, Value> {
         &self.fields
     }
-
-    /// Removes a whole field. Used by transaction journals to undo a store
-    /// into a previously-nonexistent field.
-    pub fn remove_field(&mut self, field: Sym) {
-        self.fields.remove(field.as_str());
-    }
 }
 
 impl StateStore for InMemoryState {
-    fn load(&self, field: Sym) -> Option<Value> {
-        self.fields.get(field.as_str()).cloned()
-    }
-
-    fn store(&mut self, field: Sym, value: Value) {
-        self.fields.insert(field.as_str().to_string(), value);
-    }
-
-    fn map_get(&self, field: Sym, keys: &[Value]) -> Option<Value> {
+    fn get(&self, field: Sym, keys: &[Value]) -> Option<Value> {
         descend(self.fields.get(field.as_str())?, keys).cloned()
     }
 
-    fn map_update(&mut self, field: Sym, keys: &[Value], value: Value) {
-        let root =
-            self.fields.entry(field.as_str().to_string()).or_insert_with(Value::empty_map);
-        insert_at(root, keys, value);
-    }
-
-    fn map_exists(&self, field: Sym, keys: &[Value]) -> bool {
-        // Clone-free override: the default would clone a whole sub-map via
-        // `map_get` just to test presence.
+    fn exists(&self, field: Sym, keys: &[Value]) -> bool {
         self.fields.get(field.as_str()).is_some_and(|root| descend(root, keys).is_some())
     }
 
-    fn map_delete(&mut self, field: Sym, keys: &[Value]) {
-        if let Some(root) = self.fields.get_mut(field.as_str()) {
-            delete_at(root, keys);
+    fn set(&mut self, field: Sym, keys: &[Value], value: Option<Value>) {
+        let name = field.as_str();
+        match (value, self.fields.get_mut(name)) {
+            (Some(v), Some(root)) => insert_at(root, keys, v),
+            // Only a new field allocates its name.
+            (Some(v), None) => {
+                let mut root = Value::empty_map();
+                insert_at(&mut root, keys, v);
+                self.fields.insert(name.to_string(), root);
+            }
+            (None, Some(_)) if keys.is_empty() => {
+                self.fields.remove(name);
+            }
+            (None, Some(root)) => delete_at(root, keys),
+            (None, None) => {}
         }
     }
 }
@@ -281,9 +286,9 @@ fn merged(base: Option<&Value>, node: &Node) -> Option<Value> {
 /// Cost model: [`CowState::new`] is O(1); [`CowState::snapshot`] of an
 /// untouched store is O(1). Point reads, writes, existence tests and
 /// deletes cost one ordered lookup per key in the tree and in the base, and
-/// never materialise base maps — only a read that ends at a branch (a
-/// whole-map `load` or a sub-map `map_get` over pending writes below it)
-/// merges, copying the base map nodes those writes change.
+/// never materialise base maps — only a `get` that ends at a branch (a
+/// whole map or sub-map over pending writes below it) merges, copying the
+/// base map nodes those writes change.
 #[derive(Debug, Clone, Default)]
 pub struct CowState {
     base: Arc<InMemoryState>,
@@ -321,17 +326,6 @@ impl CowState {
         Arc::new(InMemoryState { fields })
     }
 
-    /// Removes a whole field (journal undo for a store into a
-    /// previously-nonexistent field). If the base never had the field,
-    /// dropping the overlay record restores the pristine view.
-    pub fn remove_field(&mut self, field: Sym) {
-        if self.base.fields.contains_key(field.as_str()) {
-            self.overlay.insert(field, Node::Pinned(None));
-        } else {
-            self.overlay.remove(&field);
-        }
-    }
-
     fn walk(&self, field: Sym, keys: &[Value]) -> At<'_> {
         walk(self.base.fields.get(field.as_str()), self.overlay.get(&field), keys)
     }
@@ -352,55 +346,49 @@ impl CowState {
         }
         Slot::Node(node)
     }
+
+    /// Removes a component. A plain store ignores absent removes, and
+    /// recording one would grow branches, which stand for maps. A field the
+    /// base never had loses its overlay record, which restores the pristine
+    /// view.
+    fn remove(&mut self, field: Sym, keys: &[Value]) {
+        if !self.exists(field, keys) {
+            return;
+        }
+        if keys.is_empty() && !self.base.fields.contains_key(field.as_str()) {
+            self.overlay.remove(&field);
+            return;
+        }
+        match self.grow(field, keys) {
+            Slot::Node(node) => *node = Node::Pinned(None),
+            Slot::Pinned(pinned, rest) => {
+                if let Some(root) = pinned {
+                    delete_at(root, rest);
+                }
+            }
+        }
+    }
 }
 
 impl StateStore for CowState {
-    fn load(&self, field: Sym) -> Option<Value> {
-        self.map_get(field, &[])
-    }
-
-    fn store(&mut self, field: Sym, value: Value) {
-        self.overlay.insert(field, Node::Pinned(Some(value)));
-    }
-
-    fn map_get(&self, field: Sym, keys: &[Value]) -> Option<Value> {
+    fn get(&self, field: Sym, keys: &[Value]) -> Option<Value> {
         match self.walk(field, keys) {
             At::Value(v) => v.cloned(),
             At::Branch(base, node) => merged(base, node),
         }
     }
 
-    fn map_update(&mut self, field: Sym, keys: &[Value], value: Value) {
-        if keys.is_empty() {
-            // A whole-field map write; same net effect as `store`.
-            self.store(field, value);
-            return;
-        }
-        match self.grow(field, keys) {
-            Slot::Node(leaf) => *leaf = Node::Pinned(Some(value)),
-            // As on a plain store: a deleted value is recreated as a map.
-            Slot::Pinned(pinned, rest) => {
-                insert_at(pinned.get_or_insert_with(Value::empty_map), rest, value)
-            }
-        }
-    }
-
-    fn map_exists(&self, field: Sym, keys: &[Value]) -> bool {
+    fn exists(&self, field: Sym, keys: &[Value]) -> bool {
         !matches!(self.walk(field, keys), At::Value(None))
     }
 
-    fn map_delete(&mut self, field: Sym, keys: &[Value]) {
-        // A plain store ignores absent deletes, and recording one would
-        // grow branches, which stand for maps.
-        if keys.is_empty() || !self.map_exists(field, keys) {
-            return;
-        }
+    fn set(&mut self, field: Sym, keys: &[Value], value: Option<Value>) {
+        let Some(value) = value else { return self.remove(field, keys) };
         match self.grow(field, keys) {
-            Slot::Node(leaf) => *leaf = Node::Pinned(None),
+            Slot::Node(node) => *node = Node::Pinned(Some(value)),
+            // As on a plain store: a deleted value is recreated as a map.
             Slot::Pinned(pinned, rest) => {
-                if let Some(root) = pinned {
-                    delete_at(root, rest);
-                }
+                insert_at(pinned.get_or_insert_with(Value::empty_map), rest, value)
             }
         }
     }
@@ -417,30 +405,30 @@ mod tests {
     #[test]
     fn nested_update_creates_intermediate_maps() {
         let mut s = InMemoryState::new();
-        s.store("allow".into(), Value::empty_map());
-        s.map_update("allow".into(), &[addr(1), addr(2)], Value::Uint(128, 9));
-        assert_eq!(s.map_get("allow".into(), &[addr(1), addr(2)]), Some(Value::Uint(128, 9)));
-        assert!(s.map_exists("allow".into(), &[addr(1)]));
-        assert!(!s.map_exists("allow".into(), &[addr(3)]));
+        s.set("allow".into(), &[], Some(Value::empty_map()));
+        s.set("allow".into(), &[addr(1), addr(2)], Some(Value::Uint(128, 9)));
+        assert_eq!(s.get("allow".into(), &[addr(1), addr(2)]), Some(Value::Uint(128, 9)));
+        assert!(s.exists("allow".into(), &[addr(1)]));
+        assert!(!s.exists("allow".into(), &[addr(3)]));
     }
 
     #[test]
     fn delete_removes_only_target() {
         let mut s = InMemoryState::new();
-        s.map_update("m".into(), &[addr(1)], Value::Uint(128, 1));
-        s.map_update("m".into(), &[addr(2)], Value::Uint(128, 2));
-        s.map_delete("m".into(), &[addr(1)]);
-        assert_eq!(s.map_get("m".into(), &[addr(1)]), None);
-        assert_eq!(s.map_get("m".into(), &[addr(2)]), Some(Value::Uint(128, 2)));
+        s.set("m".into(), &[addr(1)], Some(Value::Uint(128, 1)));
+        s.set("m".into(), &[addr(2)], Some(Value::Uint(128, 2)));
+        s.set("m".into(), &[addr(1)], None);
+        assert_eq!(s.get("m".into(), &[addr(1)]), None);
+        assert_eq!(s.get("m".into(), &[addr(2)]), Some(Value::Uint(128, 2)));
         // Deleting a missing path is a no-op.
-        s.map_delete("m".into(), &[addr(9), addr(9)]);
+        s.set("m".into(), &[addr(9), addr(9)], None);
     }
 
     #[test]
     fn partial_key_path_returns_submap() {
         let mut s = InMemoryState::new();
-        s.map_update("m".into(), &[addr(1), addr(2)], Value::Uint(128, 7));
-        match s.map_get("m".into(), &[addr(1)]) {
+        s.set("m".into(), &[addr(1), addr(2)], Some(Value::Uint(128, 7)));
+        match s.get("m".into(), &[addr(1)]) {
             Some(Value::Map(sub)) => assert_eq!(sub.len(), 1),
             other => panic!("expected submap, got {other:?}"),
         }
@@ -449,39 +437,60 @@ mod tests {
     #[test]
     fn whole_field_load_store() {
         let mut s = InMemoryState::new();
-        s.store("n".into(), Value::Uint(128, 3));
-        assert_eq!(s.load("n".into()), Some(Value::Uint(128, 3)));
-        assert_eq!(s.load("missing".into()), None);
+        s.set("n".into(), &[], Some(Value::Uint(128, 3)));
+        assert_eq!(s.get("n".into(), &[]), Some(Value::Uint(128, 3)));
+        assert_eq!(s.get("missing".into(), &[]), None);
     }
 
     #[test]
     fn cloned_map_values_share_until_written() {
         let mut s = InMemoryState::new();
-        s.map_update("m".into(), &[addr(1)], Value::Uint(128, 1));
-        let before = s.load("m".into()).unwrap();
-        s.map_update("m".into(), &[addr(2)], Value::Uint(128, 2));
+        s.set("m".into(), &[addr(1)], Some(Value::Uint(128, 1)));
+        let before = s.get("m".into(), &[]).unwrap();
+        s.set("m".into(), &[addr(2)], Some(Value::Uint(128, 2)));
         // The clone read out earlier is unaffected by the later write.
         let Value::Map(m) = &before else { panic!("expected map") };
         assert_eq!(m.len(), 1);
-        let Some(Value::Map(after)) = s.load("m".into()) else { panic!("expected map") };
+        let Some(Value::Map(after)) = s.get("m".into(), &[]) else { panic!("expected map") };
         assert_eq!(after.len(), 2);
+    }
+
+    /// Undoing a write at its undo point removes every map the write made,
+    /// and only those.
+    #[test]
+    fn undo_point_is_the_shallowest_created_prefix() {
+        let mut s = InMemoryState::new();
+        let m: Sym = "m".into();
+        s.set(m, &[], Some(Value::empty_map()));
+        s.set(m, &[addr(1), addr(2)], Some(Value::Uint(128, 1)));
+        let before = s.clone();
+        for path in [&[addr(1), addr(2)][..], &[addr(1), addr(3)], &[addr(4), addr(5), addr(6)]] {
+            let (depth, prior) = undo_point(&s, m, path);
+            s.set(m, path, Some(Value::Uint(128, 9)));
+            s.set(m, &path[..depth], prior);
+            assert_eq!(s, before, "{path:?}");
+        }
+        assert_eq!(undo_point(&s, m, &[addr(1), addr(2)]), (2, Some(Value::Uint(128, 1))));
+        assert_eq!(undo_point(&s, m, &[addr(1), addr(3)]), (2, None));
+        assert_eq!(undo_point(&s, m, &[addr(4), addr(5), addr(6)]), (1, None));
+        assert_eq!(undo_point(&s, m, &[addr(4)]), (1, None));
     }
 
     fn base_with_balances() -> Arc<InMemoryState> {
         let mut s = InMemoryState::new();
-        s.map_update("balances".into(), &[addr(1)], Value::Uint(128, 100));
-        s.map_update("balances".into(), &[addr(2)], Value::Uint(128, 200));
-        s.store("total".into(), Value::Uint(128, 300));
+        s.set("balances".into(), &[addr(1)], Some(Value::Uint(128, 100)));
+        s.set("balances".into(), &[addr(2)], Some(Value::Uint(128, 200)));
+        s.set("total".into(), &[], Some(Value::Uint(128, 300)));
         Arc::new(s)
     }
 
     #[test]
     fn cow_reads_fall_through_to_base() {
         let cow = CowState::new(base_with_balances());
-        assert_eq!(cow.map_get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 100)));
-        assert_eq!(cow.load("total".into()), Some(Value::Uint(128, 300)));
-        assert!(cow.map_exists("balances".into(), &[addr(2)]));
-        assert!(!cow.map_exists("balances".into(), &[addr(9)]));
+        assert_eq!(cow.get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 100)));
+        assert_eq!(cow.get("total".into(), &[]), Some(Value::Uint(128, 300)));
+        assert!(cow.exists("balances".into(), &[addr(2)]));
+        assert!(!cow.exists("balances".into(), &[addr(9)]));
         assert!(cow.is_clean());
     }
 
@@ -489,24 +498,24 @@ mod tests {
     fn cow_writes_shadow_base_and_leave_it_untouched() {
         let base = base_with_balances();
         let mut cow = CowState::new(Arc::clone(&base));
-        cow.map_update("balances".into(), &[addr(1)], Value::Uint(128, 50));
-        cow.map_delete("balances".into(), &[addr(2)]);
-        cow.store("total".into(), Value::Uint(128, 150));
-        assert_eq!(cow.map_get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 50)));
-        assert_eq!(cow.map_get("balances".into(), &[addr(2)]), None);
-        assert!(!cow.map_exists("balances".into(), &[addr(2)]));
-        assert_eq!(cow.load("total".into()), Some(Value::Uint(128, 150)));
+        cow.set("balances".into(), &[addr(1)], Some(Value::Uint(128, 50)));
+        cow.set("balances".into(), &[addr(2)], None);
+        cow.set("total".into(), &[], Some(Value::Uint(128, 150)));
+        assert_eq!(cow.get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 50)));
+        assert_eq!(cow.get("balances".into(), &[addr(2)]), None);
+        assert!(!cow.exists("balances".into(), &[addr(2)]));
+        assert_eq!(cow.get("total".into(), &[]), Some(Value::Uint(128, 150)));
         // Base unchanged.
-        assert_eq!(base.map_get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 100)));
-        assert_eq!(base.load("total".into()), Some(Value::Uint(128, 300)));
+        assert_eq!(base.get("balances".into(), &[addr(1)]), Some(Value::Uint(128, 100)));
+        assert_eq!(base.get("total".into(), &[]), Some(Value::Uint(128, 300)));
     }
 
     #[test]
     fn cow_whole_map_load_merges_overlay() {
         let mut cow = CowState::new(base_with_balances());
-        cow.map_update("balances".into(), &[addr(3)], Value::Uint(128, 7));
-        cow.map_delete("balances".into(), &[addr(1)]);
-        let Some(Value::Map(m)) = cow.load("balances".into()) else { panic!("expected map") };
+        cow.set("balances".into(), &[addr(3)], Some(Value::Uint(128, 7)));
+        cow.set("balances".into(), &[addr(1)], None);
+        let Some(Value::Map(m)) = cow.get("balances".into(), &[]) else { panic!("expected map") };
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(&addr(3)), Some(&Value::Uint(128, 7)));
         assert!(!m.contains_key(&addr(1)));
@@ -526,10 +535,10 @@ mod tests {
         let mut cow = CowState::new(Arc::clone(&base));
         let mut plain = (*base).clone();
         for s in [&mut cow as &mut dyn StateStore, &mut plain as &mut dyn StateStore] {
-            s.map_update("balances".into(), &[addr(1)], Value::Uint(128, 1));
-            s.map_delete("balances".into(), &[addr(2)]);
-            s.map_update("allow".into(), &[addr(1), addr(2)], Value::Uint(128, 5));
-            s.store("total".into(), Value::Uint(128, 1));
+            s.set("balances".into(), &[addr(1)], Some(Value::Uint(128, 1)));
+            s.set("balances".into(), &[addr(2)], None);
+            s.set("allow".into(), &[addr(1), addr(2)], Some(Value::Uint(128, 5)));
+            s.set("total".into(), &[], Some(Value::Uint(128, 1)));
         }
         assert_eq!(*cow.snapshot(), plain);
     }
@@ -537,20 +546,20 @@ mod tests {
     #[test]
     fn cow_remove_field_tombstones_and_recreates() {
         let mut cow = CowState::new(base_with_balances());
-        cow.remove_field("balances".into());
-        assert_eq!(cow.load("balances".into()), None);
-        assert!(!cow.map_exists("balances".into(), &[addr(1)]));
-        cow.map_update("balances".into(), &[addr(5)], Value::Uint(128, 5));
-        let Some(Value::Map(m)) = cow.load("balances".into()) else { panic!("expected map") };
+        cow.set("balances".into(), &[], None);
+        assert_eq!(cow.get("balances".into(), &[]), None);
+        assert!(!cow.exists("balances".into(), &[addr(1)]));
+        cow.set("balances".into(), &[addr(5)], Some(Value::Uint(128, 5)));
+        let Some(Value::Map(m)) = cow.get("balances".into(), &[]) else { panic!("expected map") };
         assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn cow_delete_in_unknown_field_stays_clean() {
         let mut cow = CowState::new(base_with_balances());
-        cow.map_delete("no_such_field".into(), &[addr(1)]);
+        cow.set("no_such_field".into(), &[addr(1)], None);
         assert!(cow.is_clean());
-        assert_eq!(cow.load("no_such_field".into()), None);
+        assert_eq!(cow.get("no_such_field".into(), &[]), None);
     }
 
     #[test]
@@ -558,13 +567,13 @@ mod tests {
         let mut cow = CowState::new(Arc::new(InMemoryState::new()));
         // Deep write first, then a shallower write that shadows it, then a
         // deep write folding into the shallow entry.
-        cow.map_update("allow".into(), &[addr(1), addr(2)], Value::Uint(128, 1));
-        cow.map_update("allow".into(), &[addr(1)], Value::empty_map());
-        assert_eq!(cow.map_get("allow".into(), &[addr(1), addr(2)]), None);
-        cow.map_update("allow".into(), &[addr(1), addr(3)], Value::Uint(128, 3));
-        assert_eq!(cow.map_get("allow".into(), &[addr(1), addr(3)]), Some(Value::Uint(128, 3)));
-        assert!(cow.map_exists("allow".into(), &[addr(1)]));
-        let Some(Value::Map(sub)) = cow.map_get("allow".into(), &[addr(1)]) else {
+        cow.set("allow".into(), &[addr(1), addr(2)], Some(Value::Uint(128, 1)));
+        cow.set("allow".into(), &[addr(1)], Some(Value::empty_map()));
+        assert_eq!(cow.get("allow".into(), &[addr(1), addr(2)]), None);
+        cow.set("allow".into(), &[addr(1), addr(3)], Some(Value::Uint(128, 3)));
+        assert_eq!(cow.get("allow".into(), &[addr(1), addr(3)]), Some(Value::Uint(128, 3)));
+        assert!(cow.exists("allow".into(), &[addr(1)]));
+        let Some(Value::Map(sub)) = cow.get("allow".into(), &[addr(1)]) else {
             panic!("expected submap")
         };
         assert_eq!(sub.len(), 1);
@@ -578,7 +587,7 @@ mod tests {
     /// empty map.
     fn overlay_and_plain() -> (CowState, InMemoryState) {
         let mut base = InMemoryState::new();
-        base.store("m".into(), Value::empty_map());
+        base.set("m".into(), &[], Some(Value::empty_map()));
         (CowState::new(Arc::new(base.clone())), base)
     }
 
@@ -590,22 +599,22 @@ mod tests {
         let (mut cow, mut plain) = overlay_and_plain();
         let m: Sym = "m".into();
         for st in [&mut cow as &mut dyn StateStore, &mut plain] {
-            st.map_update(m, &[s("a"), s("x")], Value::Uint(32, 1));
-            st.map_update(m, &[s("ab"), s("x")], Value::Uint(32, 2));
-            st.map_update(m, &[s("ab"), s("y")], Value::Uint(32, 3));
-            st.map_update(m, &[s("b"), s("x")], Value::Uint(32, 4));
+            st.set(m, &[s("a"), s("x")], Some(Value::Uint(32, 1)));
+            st.set(m, &[s("ab"), s("x")], Some(Value::Uint(32, 2)));
+            st.set(m, &[s("ab"), s("y")], Some(Value::Uint(32, 3)));
+            st.set(m, &[s("b"), s("x")], Some(Value::Uint(32, 4)));
         }
-        let Some(Value::Map(a)) = cow.map_get(m, &[s("a")]) else { panic!("expected submap") };
+        let Some(Value::Map(a)) = cow.get(m, &[s("a")]) else { panic!("expected submap") };
         assert_eq!(a.len(), 1, "only a's own entries are materialised");
         for path in [&[s("a")][..], &[s("aa")], &[s("ab")], &[s("ab"), s("x")], &[s("b")]] {
-            assert_eq!(cow.map_get(m, path), plain.map_get(m, path), "{path:?}");
-            assert_eq!(cow.map_exists(m, path), plain.map_exists(m, path), "{path:?}");
+            assert_eq!(cow.get(m, path), plain.get(m, path), "{path:?}");
+            assert_eq!(cow.exists(m, path), plain.exists(m, path), "{path:?}");
         }
         // A write above a's entries replaces them and nothing next to them.
         for st in [&mut cow as &mut dyn StateStore, &mut plain] {
-            st.map_update(m, &[s("a")], Value::empty_map());
+            st.set(m, &[s("a")], Some(Value::empty_map()));
         }
-        assert_eq!(cow.map_get(m, &[s("ab"), s("y")]), Some(Value::Uint(32, 3)));
+        assert_eq!(cow.get(m, &[s("ab"), s("y")]), Some(Value::Uint(32, 3)));
         assert_eq!(*cow.snapshot(), plain);
     }
 
@@ -620,11 +629,11 @@ mod tests {
         for sibling in [[s("ab"), s("x"), s("p")], [s("a"), s("xy"), s("p")]] {
             let (mut cow, mut plain) = overlay_and_plain();
             for st in [&mut cow as &mut dyn StateStore, &mut plain] {
-                st.map_update(m, &doomed, Value::Uint(32, 1));
-                st.map_update(m, &sibling, Value::Uint(32, 2));
-                st.map_delete(m, &doomed);
+                st.set(m, &doomed, Some(Value::Uint(32, 1)));
+                st.set(m, &sibling, Some(Value::Uint(32, 2)));
+                st.set(m, &doomed, None);
             }
-            assert!(cow.map_exists(m, &doomed[..2]), "{sibling:?}");
+            assert!(cow.exists(m, &doomed[..2]), "{sibling:?}");
             assert_eq!(*cow.snapshot(), plain, "{sibling:?}");
         }
     }

@@ -297,7 +297,7 @@ fn htlc_differential_scenario() {
         1_000_000,
     );
     assert_eq!(
-        scilla::state::StateStore::map_get(&state, "lock_amounts".into(), &[hash]),
+        scilla::state::StateStore::get(&state, "lock_amounts".into(), &[hash]),
         None,
         "withdraw cleared the lock"
     );

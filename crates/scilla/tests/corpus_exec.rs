@@ -67,7 +67,7 @@ fn htlc_lock_withdraw_refund_cycle() {
 
     h.call(addr(1), 500, "NewLock", &[("hash", hash.clone()), ("deadline", Value::BNum(10))])
         .expect("lock");
-    assert_eq!(h.state.map_get("lock_amounts".into(), std::slice::from_ref(&hash)), Some(uint(500)));
+    assert_eq!(h.state.get("lock_amounts".into(), std::slice::from_ref(&hash)), Some(uint(500)));
 
     // Refund before the deadline fails…
     let err = h.call(addr(1), 0, "Refund", &[("hash", hash.clone())]).unwrap_err();
@@ -78,7 +78,7 @@ fn htlc_lock_withdraw_refund_cycle() {
     assert_eq!(out.messages.len(), 1);
     assert_eq!(out.messages[0].amount, 500);
     assert_eq!(out.messages[0].recipient, addr(2));
-    assert_eq!(h.state.map_get("lock_amounts".into(), &[hash]), None);
+    assert_eq!(h.state.get("lock_amounts".into(), &[hash]), None);
 }
 
 #[test]
@@ -88,7 +88,7 @@ fn voting_single_vote_per_account() {
     let err = h.call(addr(1), 0, "Vote", &[("option", Value::Str("no".into()))]).unwrap_err();
     assert!(matches!(err, ExecError::Thrown(m) if m.contains("AlreadyVoted")));
     h.call(addr(2), 0, "Vote", &[("option", Value::Str("yes".into()))]).expect("second voter");
-    assert_eq!(h.state.map_get("tallies".into(), &[Value::Str("yes".into())]), Some(uint(2)));
+    assert_eq!(h.state.get("tallies".into(), &[Value::Str("yes".into())]), Some(uint(2)));
 
     // After finalisation nobody votes.
     h.call(addr(9), 0, "Finalize", &[]).expect("officer closes");
@@ -158,12 +158,12 @@ fn zeecash_shield_and_unshield() {
         .expect("mint");
     h.call(addr(1), 0, "Shield", &[("secret", Value::Str("note1".into())), ("amount", uint(60))])
         .expect("shield");
-    assert_eq!(h.state.map_get("balances".into(), &[Value::address(addr(1))]), Some(uint(40)));
-    assert_eq!(h.state.load("shielded_total".into()), Some(uint(60)));
+    assert_eq!(h.state.get("balances".into(), &[Value::address(addr(1))]), Some(uint(40)));
+    assert_eq!(h.state.get("shielded_total".into(), &[]), Some(uint(60)));
 
     // Anyone knowing the secret can unshield — but only once.
     h.call(addr(2), 0, "Unshield", &[("secret", Value::Str("note1".into()))]).expect("unshield");
-    assert_eq!(h.state.map_get("balances".into(), &[Value::address(addr(2))]), Some(uint(60)));
+    assert_eq!(h.state.get("balances".into(), &[Value::address(addr(2))]), Some(uint(60)));
     let err = h.call(addr(3), 0, "Unshield", &[("secret", Value::Str("note1".into()))]).unwrap_err();
     assert!(matches!(err, ExecError::Thrown(m) if m.contains("NoNote")));
 }
@@ -179,7 +179,7 @@ fn auction_bids_must_increase() {
     let err = h.call(addr(2), 150, "Bid", &[("node", node.clone())]).unwrap_err();
     assert!(matches!(err, ExecError::Thrown(m) if m.contains("BidTooLow")));
     h.call(addr(2), 300, "Bid", &[("node", node.clone())]).expect("higher bid");
-    assert_eq!(h.state.map_get("high_bidders".into(), &[node]), Some(Value::address(addr(2))));
+    assert_eq!(h.state.get("high_bidders".into(), &[node]), Some(Value::address(addr(2))));
 }
 
 #[test]
@@ -191,14 +191,14 @@ fn cryptoman_commit_reveal() {
     let err = h.call(addr(1), 0, "Reveal", &[("secret", Value::Str("wrong".into()))]).unwrap_err();
     assert!(matches!(err, ExecError::Thrown(m) if m.contains("WrongSecret")));
     h.call(addr(1), 0, "Reveal", &[("secret", secret)]).expect("reveal");
-    assert_eq!(h.state.map_get("winners".into(), &[commitment]), Some(Value::address(addr(1))));
+    assert_eq!(h.state.get("winners".into(), &[commitment]), Some(Value::address(addr(1))));
 }
 
 #[test]
 fn hello_world_events() {
     let mut h = Harness::new("HelloWorld", vec![("hello_owner".into(), Value::address(addr(9)))]);
     h.call(addr(9), 0, "SetHello", &[("msg", Value::Str("hei".into()))]).expect("set");
-    assert_eq!(h.state.load("welcome_msg".into()), Some(Value::Str("hei".into())));
+    assert_eq!(h.state.get("welcome_msg".into(), &[]), Some(Value::Str("hei".into())));
     let out = h.call(addr(1), 0, "GetHello", &[]).expect("get");
     assert_eq!(out.events.len(), 1);
 }
@@ -275,5 +275,5 @@ fn ud_registry_full_domain_lifecycle() {
     // interpreter semantics are ordinary).
     h.call(addr(1), 0, "TransferDomain", &[("node", node.clone()), ("new_owner", Value::address(addr(2)))])
         .expect("transfer");
-    assert_eq!(h.state.map_get("registry_owners".into(), &[node]), Some(Value::address(addr(2))));
+    assert_eq!(h.state.get("registry_owners".into(), &[node]), Some(Value::address(addr(2))));
 }

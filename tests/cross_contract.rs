@@ -92,7 +92,7 @@ fn operator_contract_configures_registry_through_ds() {
     let resolver = net
         .storage_of(&registry)
         .unwrap()
-        .map_get("registry_resolvers".into(), &[node(7)])
+        .get("registry_resolvers".into(), &[node(7)])
         .unwrap();
     assert_eq!(resolver, new_resolver.to_value(), "chained Configure took effect");
 }
@@ -171,7 +171,7 @@ fn chained_call_to_unauthorized_domain_rolls_back_atomically() {
     let resolver = net
         .storage_of(&registry)
         .unwrap()
-        .map_get("registry_resolvers".into(), &[node(9)])
+        .get("registry_resolvers".into(), &[node(9)])
         .unwrap();
     assert_eq!(resolver, admin.to_value(), "failed chain must not change the registry");
 }

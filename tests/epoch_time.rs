@@ -114,6 +114,6 @@ fn auction_closes_only_after_its_end_block() {
     assert_eq!(r.committed, 1, "{r:?}");
 
     use scilla::state::StateStore;
-    let winner = net.storage_of(&contract).unwrap().map_get("winners".into(), &[node_bytes(5)]);
+    let winner = net.storage_of(&contract).unwrap().get("winners".into(), &[node_bytes(5)]);
     assert_eq!(winner, Some(Address::from_index(2).to_value()));
 }

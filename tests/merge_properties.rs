@@ -50,7 +50,7 @@ fn base_state() -> GlobalState {
     let contract = Address::from_index(42);
     let storage = std::sync::Arc::make_mut(state.storage.entry(contract).or_default());
     for k in 0u8..6 {
-        storage.map_update("counters".into(), &[addr(k).to_value()], Value::Uint(128, 1_000));
+        storage.set("counters".into(), &[addr(k).to_value()], Some(Value::Uint(128, 1_000)));
     }
     for a in 0u8..4 {
         state.credit(addr(a), 10_000);
@@ -65,14 +65,10 @@ proptest! {
     fn merge_is_permutation_invariant(
         d1 in delta(1), d2 in delta(2), d3 in delta(3)
     ) {
-        let orders = [
-            [d1.clone(), d2.clone(), d3.clone()],
-            [d3.clone(), d1.clone(), d2.clone()],
-            [d2.clone(), d3.clone(), d1.clone()],
-        ];
+        let orders = [[&d1, &d2, &d3], [&d3, &d1, &d2], [&d2, &d3, &d1]];
         let mut results = Vec::new();
         for order in orders {
-            let merged = StateDelta::merge(order).expect("disjoint by construction");
+            let merged = StateDelta::merge_ref(order).expect("disjoint by construction");
             let mut state = base_state();
             merged.apply(&mut state).expect("bases are large enough");
             results.push(state);
@@ -87,16 +83,10 @@ proptest! {
         d1 in delta(1), d2 in delta(2), d3 in delta(3)
     ) {
         // (d1 ⊎ d2) ⊎ d3 == d1 ⊎ (d2 ⊎ d3)
-        let left = StateDelta::merge([
-            StateDelta::merge([d1.clone(), d2.clone()]).unwrap(),
-            d3.clone(),
-        ])
-        .unwrap();
-        let right = StateDelta::merge([
-            d1,
-            StateDelta::merge([d2, d3]).unwrap(),
-        ])
-        .unwrap();
+        let left =
+            StateDelta::merge_ref([&StateDelta::merge_ref([&d1, &d2]).unwrap(), &d3]).unwrap();
+        let right =
+            StateDelta::merge_ref([&d1, &StateDelta::merge_ref([&d2, &d3]).unwrap()]).unwrap();
         prop_assert_eq!(left, right);
     }
 
@@ -105,7 +95,7 @@ proptest! {
         d1 in delta(1), d2 in delta(2)
     ) {
         let mut merged_state = base_state();
-        StateDelta::merge([d1.clone(), d2.clone()])
+        StateDelta::merge_ref([&d1, &d2])
             .unwrap()
             .apply(&mut merged_state)
             .unwrap();
@@ -136,10 +126,10 @@ proptest! {
             })
             .collect();
         let mut state = base_state();
-        StateDelta::merge(shards).unwrap().apply(&mut state).unwrap();
+        StateDelta::merge_ref(&shards).unwrap().apply(&mut state).unwrap();
         let expected = 1_000i128 + deltas.iter().sum::<i128>();
         let got = state.storage[&contract]
-            .map_get("counters".into(), &[addr(0).to_value()])
+            .get("counters".into(), &[addr(0).to_value()])
             .and_then(|v| v.as_uint())
             .unwrap();
         prop_assert_eq!(got as i128, expected);
@@ -180,8 +170,8 @@ proptest! {
     ) {
         let d1 = with_nonces(d1, n1);
         let d2 = with_nonces(d2, n2);
-        let ab = StateDelta::merge([d1.clone(), d2.clone()]).unwrap();
-        let ba = StateDelta::merge([d2, d1]).unwrap();
+        let ab = StateDelta::merge_ref([&d1, &d2]).unwrap();
+        let ba = StateDelta::merge_ref([&d2, &d1]).unwrap();
         prop_assert_eq!(ab, ba);
     }
 
@@ -193,23 +183,22 @@ proptest! {
         let d1 = with_nonces(d1, n1);
         let d2 = with_nonces(d2, n2);
         let d3 = with_nonces(d3, n3);
-        let left = StateDelta::merge([
-            StateDelta::merge([d1.clone(), d2.clone()]).unwrap(),
-            d3.clone(),
-        ])
-        .unwrap();
-        let right = StateDelta::merge([d1, StateDelta::merge([d2, d3]).unwrap()]).unwrap();
+        let left =
+            StateDelta::merge_ref([&StateDelta::merge_ref([&d1, &d2]).unwrap(), &d3]).unwrap();
+        let right =
+            StateDelta::merge_ref([&d1, &StateDelta::merge_ref([&d2, &d3]).unwrap()]).unwrap();
         prop_assert_eq!(left, right);
     }
 
     #[test]
     fn empty_delta_is_identity(d in delta(1), n in nonce_delta(1)) {
         let d = with_nonces(d, n);
-        // merge([d]) is the canonical form of d (sorted nonces); joining
+        // merge_ref([d]) is the canonical form of d (sorted nonces); joining
         // the empty delta on either side must not change it.
-        let canon = StateDelta::merge([d.clone()]).unwrap();
-        let left = StateDelta::merge([StateDelta::new(), d.clone()]).unwrap();
-        let right = StateDelta::merge([d, StateDelta::new()]).unwrap();
+        let empty = StateDelta::new();
+        let canon = StateDelta::merge_ref([&d]).unwrap();
+        let left = StateDelta::merge_ref([&empty, &d]).unwrap();
+        let right = StateDelta::merge_ref([&d, &empty]).unwrap();
         prop_assert_eq!(&left, &canon);
         prop_assert_eq!(&right, &canon);
     }
@@ -218,7 +207,7 @@ proptest! {
     fn nonces_merge_as_sorted_multisets(
         n1 in nonce_delta(1), n2 in nonce_delta(2), n3 in nonce_delta(3)
     ) {
-        let merged = StateDelta::merge([n1.clone(), n2.clone(), n3.clone()]).unwrap();
+        let merged = StateDelta::merge_ref([&n1, &n2, &n3]).unwrap();
         for (a, ns) in &merged.nonces {
             let mut expected: Vec<u64> = [&n1, &n2, &n3]
                 .iter()
@@ -243,7 +232,7 @@ fn overlapping_overwrites_always_conflict() {
             .insert(("owners".into(), vec![Value::Str("same".into())]), Some(Value::Uint(128, v)));
         sd
     };
-    assert!(StateDelta::merge([mk(1), mk(1)]).is_err(), "even equal values conflict");
+    assert!(StateDelta::merge_ref([&mk(1), &mk(1)]).is_err(), "even equal values conflict");
 }
 
 /// A hostile delta may not panic a node: two wire-decoded deltas whose

@@ -175,7 +175,7 @@ proptest! {
         let serial = run(1, users, &steps);
         let sharded = run(shards, users, &steps);
 
-        let read = |net: &Network, field: &str| net.storage_of(&contract()).unwrap().load(field.into());
+        let read = |net: &Network, field: &str| net.storage_of(&contract()).unwrap().get(field.into(), &[]);
         prop_assert_eq!(read(&serial, "total_supply"), read(&sharded, "total_supply"));
         prop_assert_eq!(read(&serial, "balances"), read(&sharded, "balances"));
         prop_assert_eq!(read(&serial, "allowances"), read(&sharded, "allowances"));
