@@ -38,6 +38,28 @@ pub fn component_name(c: &Component) -> String {
     s
 }
 
+/// The first component of `cd`, of either kind, that lies strictly below
+/// another in the same field. In component order every component between
+/// a component and one below it lies below it too, so one pass over the
+/// two sorted maps, comparing neighbours, finds a nested pair if any.
+fn first_nested(cd: &ContractDelta) -> Option<&Component> {
+    let mut ints = cd.int_deltas.keys().peekable();
+    let mut overwrites = cd.overwrites.keys().peekable();
+    let mut sorted = std::iter::from_fn(|| match (ints.peek(), overwrites.peek()) {
+        (Some(i), Some(o)) if o < i => overwrites.next(),
+        (Some(_), _) => ints.next(),
+        (None, _) => overwrites.next(),
+    });
+    let mut above = sorted.next()?;
+    for comp in sorted {
+        if comp.0 == above.0 && comp.1.len() > above.1.len() && comp.1.starts_with(&above.1) {
+            return Some(comp);
+        }
+        above = comp;
+    }
+    None
+}
+
 /// A numeric delta on an integer-valued component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntDelta {
@@ -98,9 +120,15 @@ impl StateDelta {
     /// # Errors
     ///
     /// [`MergeError::OverwriteConflict`] if two deltas overwrite the same
-    /// component — impossible under correct ownership dispatch;
+    /// component, or a component of either kind lies above or below another
+    /// in the same field — impossible under correct ownership dispatch;
     /// [`MergeError::DeltaOutOfRange`] if summed integer or balance deltas
     /// leave `i128` — only a hostile wire delta gets there.
+    ///
+    /// An integer delta and an overwrite on the same component do merge:
+    /// the executor falls back to an overwrite where a value's change
+    /// leaves `i128`, and [`StateDelta::apply`] sets overwrites before it
+    /// adds integer deltas.
     pub fn merge_ref<'a>(
         deltas: impl IntoIterator<Item = &'a StateDelta>,
     ) -> Result<StateDelta, MergeError> {
@@ -139,6 +167,16 @@ impl StateDelta {
             }
             for (addr, ns) in &d.nonces {
                 out.nonces.entry(*addr).or_default().extend(ns.iter().copied());
+            }
+        }
+        // A merge only adds components, so one check of the result finds
+        // every nested pair, whether inside one delta or across two.
+        for (addr, cd) in &out.contracts {
+            if let Some(comp) = first_nested(cd) {
+                return Err(MergeError::OverwriteConflict {
+                    contract: addr.to_string(),
+                    component: component_name(comp),
+                });
             }
         }
         // Canonical multiset representation: merging is commutative and

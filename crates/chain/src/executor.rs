@@ -2,20 +2,22 @@
 //!
 //! A shard executes its packet sequentially against the epoch-start state
 //! snapshot, producing a `MicroBlock` with a [`StateDelta`] (paper Fig. 10).
-//! Each transaction runs atomically through a journaled store: on failure
-//! its writes are undone, gas is still charged. The DS committee reuses the
-//! same executor after the shard deltas merge, with chained contract calls
-//! enabled. The cross-shard stage runs it too, one step at a time: it
-//! prepares a transaction with its effects left open, and commits or rolls
-//! it back once the participants have voted.
+//! Each contract's working state is a [`CowState`], the one record of the
+//! batch's writes: a transaction's writes stay open in it until the
+//! executor commits them or, on failure, rolls them back (gas is still
+//! charged), and the batch's delta is read off its tree. The DS
+//! committee reuses the same executor after the shard deltas merge, with
+//! chained contract calls enabled. The cross-shard stage runs it too, one
+//! step at a time: it prepares a transaction with its effects left open,
+//! and commits or rolls it back once the participants have voted.
 //!
-//! This serial journaled loop is the only shard executor. Parallelism is
+//! This serial loop is the only shard executor. Parallelism is
 //! across shards — `Network::execute_shards` runs one thread per shard and
 //! the deltas join per field (paper §4) — not inside a packet; DESIGN §6d
 //! holds the measurement behind that choice.
 
 use crate::address::Address;
-use crate::delta::{compute_int_delta, Component, ContractDelta, StateDelta};
+use crate::delta::{compute_int_delta, ContractDelta, StateDelta};
 use crate::dispatch::{component_shard, compose_chain, recipient_value, Assignment};
 use crate::tx::{Transaction, TxKind};
 use cosplit_analysis::audit::{audit_placement, audit_transition, AuditViolation, ViolationKind};
@@ -23,10 +25,9 @@ use cosplit_analysis::signature::Join;
 use scilla::builtins::uint_max;
 use scilla::error::ExecError;
 use scilla::gas::{GasMeter, COST_TX_BASE};
-use scilla::intern::Sym;
 use scilla::interpreter::{ExecMode, OutMsg, TransitionContext};
 use scilla::span::Span;
-use scilla::state::{undo_point, CowState, StateStore};
+use scilla::state::{CowState, StateStore};
 use scilla::trace::{DynamicFootprint, EffectTracer};
 use scilla::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -338,17 +339,6 @@ impl Ledger<'_> {
     }
 }
 
-/// A shard's working view of one contract's storage, with touched
-/// components. The view is a copy-on-write overlay over the epoch-start
-/// snapshot: creating it is O(1) and writes land in the overlay, so an
-/// epoch's cost is O(touched state), never O(total state).
-struct ShardStorage {
-    state: CowState,
-    /// Every write a committed transaction made, repeats included;
-    /// [`Executor::finish`] sorts them once.
-    touched: Vec<Component>,
-}
-
 /// The frame a message was sent from, as [`Executor::deliver`] needs it to
 /// validate the hop against the sender's classified call sites.
 struct CallerFrame<'a> {
@@ -373,7 +363,14 @@ struct TracedCall {
 pub(crate) struct Executor<'a> {
     cfg: &'a ExecutorConfig,
     snapshot: &'a GlobalState,
-    storages: BTreeMap<Address, ShardStorage>,
+    /// Each invoked contract's working view: a copy-on-write overlay over
+    /// the epoch-start snapshot, so creating it is O(1) and an epoch costs
+    /// O(touched state), never O(total state).
+    storages: BTreeMap<Address, CowState>,
+    /// The contracts the open transaction invoked. There is at most one
+    /// open transaction: each prepare is committed or rolled back before
+    /// the next.
+    open: Vec<Address>,
     balance: Ledger<'a>,
     nonce_committed: BTreeMap<Address, BTreeSet<u64>>,
     receipts: Vec<Receipt>,
@@ -392,7 +389,6 @@ pub(crate) struct Executor<'a> {
 /// [`Executor::commit`] or [`Executor::rollback`] settles it.
 pub(crate) struct Prepared {
     receipt: Receipt,
-    journal: TxJournal,
     /// Commit counts its gas and consumes its nonce (not refused or rerouted).
     charged: bool,
     /// The ledger before the fee reservation.
@@ -421,6 +417,7 @@ impl<'a> Executor<'a> {
             cfg,
             snapshot,
             storages: BTreeMap::new(),
+            open: Vec::new(),
             balance: Ledger {
                 snapshot,
                 role: cfg.role,
@@ -497,7 +494,6 @@ impl<'a> Executor<'a> {
         self.current_tx = tx.id;
         let mut prepared = Prepared {
             receipt: Receipt { tx_id: tx.id, status: TxStatus::Success, gas_used: 0, events: vec![] },
-            journal: TxJournal::default(),
             charged: false,
             ledger_cp: self.balance.checkpoint(),
             violations: self.violations.len(),
@@ -534,7 +530,7 @@ impl<'a> Executor<'a> {
                 (status, gas, Vec::new())
             }
             TxKind::Call { contract, transition, args, amount } => {
-                self.run_call(&mut prepared.journal, tx, *contract, transition, args, *amount)
+                self.run_call(tx, *contract, transition, args, *amount)
             }
         };
 
@@ -561,7 +557,7 @@ impl<'a> Executor<'a> {
         if prepared.rerouted() {
             self.rerouted.push(tx.clone());
         }
-        prepared.journal.commit(&mut self.storages);
+        self.close(CowState::commit);
         if prepared.charged {
             self.gas_used += prepared.receipt.gas_used;
             self.nonce_committed.entry(tx.sender).or_default().insert(tx.nonce);
@@ -572,18 +568,26 @@ impl<'a> Executor<'a> {
     /// Undoes a prepare as if the transaction had never run: no write, fee,
     /// nonce, receipt or audit record remains.
     pub(crate) fn rollback(&mut self, prepared: Prepared) {
-        prepared.journal.rollback(&mut self.storages);
+        self.close(CowState::rollback);
         self.balance.undo(prepared.ledger_cp);
         self.violations.truncate(prepared.violations);
         self.traced.truncate(prepared.traced);
     }
 
-    /// Runs a call. On success its writes stay open in `journal`; on
-    /// failure or reroute they are rolled back here, and so is the ledger
-    /// back to the fee reservation.
+    /// Commits or rolls back the open transaction's storage writes.
+    fn close(&mut self, settle: fn(&mut CowState)) {
+        for contract in self.open.drain(..) {
+            if let Some(state) = self.storages.get_mut(&contract) {
+                settle(state);
+            }
+        }
+    }
+
+    /// Runs a call. On success its writes stay open; on failure or reroute
+    /// they are rolled back here, and so is the ledger back to the fee
+    /// reservation.
     fn run_call(
         &mut self,
-        journal: &mut TxJournal,
         tx: &Transaction,
         contract: Address,
         transition: &str,
@@ -594,7 +598,6 @@ impl<'a> Executor<'a> {
         let ledger_cp = self.balance.checkpoint();
         let mut events = Vec::new();
         let result = self.invoke(
-            journal,
             &mut gas,
             &mut events,
             tx.sender,
@@ -607,7 +610,7 @@ impl<'a> Executor<'a> {
         );
         let gas_total = COST_TX_BASE + gas.used();
         let (status, charged) = match result {
-            Ok(()) if self.cfg.overflow_guard && self.overflow_violation(journal).is_some() => {
+            Ok(()) if self.cfg.overflow_guard && self.overflows() => {
                 (TxStatus::Rerouted(RerouteCause::OverflowGuard), 0)
             }
             Ok(()) => return (TxStatus::Success, gas_total, events),
@@ -616,7 +619,7 @@ impl<'a> Executor<'a> {
             Err(CallError::CrossContract) => (TxStatus::Rerouted(RerouteCause::CrossContract), 0),
             Err(CallError::Exec(e)) => (TxStatus::Failed(e.to_string()), gas_total),
         };
-        std::mem::take(journal).rollback(&mut self.storages);
+        self.close(CowState::rollback);
         // The checkpoint was taken after the fee reservation, so undoing
         // restores exactly the reserved-fee ledger state.
         self.balance.undo(ledger_cp);
@@ -628,7 +631,6 @@ impl<'a> Executor<'a> {
     #[allow(clippy::too_many_arguments)]
     fn invoke(
         &mut self,
-        journal: &mut TxJournal,
         gas: &mut GasMeter,
         events: &mut Vec<Value>,
         origin: Address,
@@ -648,7 +650,6 @@ impl<'a> Executor<'a> {
             .get(&contract)
             .ok_or_else(|| ExecError::BadInvocation(format!("no contract at {contract}")))?;
 
-        self.ensure_storage(contract);
         let ctx = TransitionContext {
             sender: sender.0,
             origin: origin.0,
@@ -658,12 +659,10 @@ impl<'a> Executor<'a> {
         };
 
         let mut tracer = self.cfg.audit.then(|| EffectTracer::new(transition));
-        let storage = self.storages.get_mut(&contract).expect("ensured above");
-        let mut store = JournaledStore { contract, inner: &mut storage.state, journal };
         let outcome = deployed
             .compiled
             .execute_mode(
-                &mut store,
+                self.open_storage(contract),
                 transition,
                 args,
                 &deployed.params,
@@ -695,7 +694,6 @@ impl<'a> Executor<'a> {
 
         for msg in outcome.messages {
             self.deliver(
-                journal,
                 gas,
                 events,
                 origin,
@@ -757,7 +755,6 @@ impl<'a> Executor<'a> {
     #[allow(clippy::too_many_arguments)]
     fn deliver(
         &mut self,
-        journal: &mut TxJournal,
         gas: &mut GasMeter,
         events: &mut Vec<Value>,
         origin: Address,
@@ -780,7 +777,6 @@ impl<'a> Executor<'a> {
             let args: Vec<(String, Value)> =
                 msg.params().map(|(k, v)| (k.to_owned(), v.clone())).collect();
             return self.invoke(
-                journal,
                 gas,
                 events,
                 origin,
@@ -827,58 +823,51 @@ impl<'a> Executor<'a> {
         })
     }
 
-    fn ensure_storage(&mut self, contract: Address) {
-        self.storages.entry(contract).or_insert_with(|| ShardStorage {
-            // O(1): the epoch-start store is Arc-shared, not copied; all
-            // writes land in the CowState overlay.
-            state: self
-                .snapshot
-                .storage
-                .get(&contract)
-                .map(|base| CowState::new(Arc::clone(base)))
-                .unwrap_or_default(),
-            touched: Vec::new(),
-        });
+    /// The contract's working state, joined to the open transaction.
+    fn open_storage(&mut self, contract: Address) -> &mut CowState {
+        if !self.open.contains(&contract) {
+            self.open.push(contract);
+        }
+        // O(1): the epoch-start store is Arc-shared, not copied.
+        let base = self.snapshot.storage.get(&contract);
+        self.storages
+            .entry(contract)
+            .or_insert_with(|| base.map(|b| CowState::new(Arc::clone(b))).unwrap_or_default())
     }
 
-    /// The §6 overflow guard: for every `IntMerge` component the *current
-    /// transaction* touched, the shard's cumulative positive delta (which
+    /// The §6 overflow guard: for every `IntMerge` component the *open
+    /// transaction* wrote, the shard's cumulative positive delta (which
     /// includes earlier committed transactions, via the working state) must
     /// not exceed `⌊(MAX − v)/N⌋` of the epoch-start value `v`.
-    fn overflow_violation(&self, journal: &TxJournal) -> Option<Component> {
+    fn overflows(&self) -> bool {
         // The DS committee serialises against merged state; the cross-shard
         // stage likewise settles each prepare before the next, so neither
         // needs the N-way headroom split.
         if matches!(self.cfg.role, Assignment::Ds | Assignment::XShard) {
-            return None;
+            return false;
         }
-        for (addr, comp, ..) in &journal.undo {
-            {
-                let Some(joins) = self.joins_of(addr) else { continue };
-                let Some(storage) = self.storages.get(addr) else { continue };
-                if joins.get(comp.0.as_str()) != Some(&Join::IntMerge) {
-                    continue;
+        self.open.iter().any(|contract| {
+            let (Some(joins), Some(state)) = (self.joins_of(contract), self.storages.get(contract))
+            else {
+                return false;
+            };
+            let base = self.snapshot.storage.get(contract);
+            state.uncommitted().any(|(field, keys)| {
+                if joins.get(field.as_str()) != Some(&Join::IntMerge) {
+                    return false;
                 }
-                let base_storage = self.snapshot.storage.get(addr);
-                let initial: u128 = match base_storage.and_then(|s| s.get(comp.0, &comp.1)) {
+                let initial: u128 = match base.and_then(|s| s.get(field, keys)) {
                     Some(Value::Uint(_, n)) => n,
                     None => 0,
                     // A non-integer epoch-start value cannot be guarded;
                     // force the conservative path.
-                    Some(_) => return Some(comp.clone()),
+                    Some(_) => return true,
                 };
-                let (now, width) = match storage.state.get(comp.0, &comp.1) {
-                    Some(Value::Uint(w, n)) => (n, w),
-                    _ => continue,
-                };
+                let Some(Value::Uint(width, now)) = state.get(field, keys) else { return false };
                 let headroom = uint_max(width).saturating_sub(initial);
-                let allowance = headroom / self.cfg.num_shards as u128;
-                if now > initial && now - initial > allowance {
-                    return Some(comp.clone());
-                }
-            }
-        }
-        None
+                now > initial && now - initial > headroom / self.cfg.num_shards as u128
+            })
+        })
     }
 
     fn joins_of(&self, contract: &Address) -> Option<&BTreeMap<String, Join>> {
@@ -956,26 +945,14 @@ impl<'a> Executor<'a> {
     pub(crate) fn finish(mut self) -> MicroBlock {
         self.composed_cross_check();
         let mut delta = StateDelta::new();
-        for (addr, mut storage) in std::mem::take(&mut self.storages) {
-            storage.touched.sort_unstable();
-            storage.touched.dedup();
-            if storage.touched.is_empty() {
-                continue;
-            }
-            let joins = self.joins_of(&addr).cloned().unwrap_or_default();
-            let base = self.snapshot.storage.get(&addr);
+        for (addr, state) in std::mem::take(&mut self.storages) {
+            let joins = self.joins_of(&addr);
             let mut cd = ContractDelta::default();
-            for comp in storage.touched {
-                let final_v = storage.state.get(comp.0, &comp.1);
-                let merge = joins.get(comp.0.as_str()) == Some(&Join::IntMerge);
-                let delta = match (&final_v, merge) {
-                    (Some(v), true) => {
-                        let initial = base.and_then(|s| s.get(comp.0, &comp.1));
-                        compute_int_delta(initial.as_ref(), v)
-                    }
-                    _ => None,
-                };
-                match delta {
+            state.for_each_write(|field, keys, value, base| {
+                let int_merge =
+                    joins.is_some_and(|j| j.get(field.as_str()) == Some(&Join::IntMerge));
+                let comp = (field, keys.to_vec());
+                match value.filter(|_| int_merge).and_then(|v| compute_int_delta(base, v)) {
                     Some(id) => {
                         cd.int_deltas.insert(comp, id);
                     }
@@ -983,11 +960,13 @@ impl<'a> Executor<'a> {
                     // changes fall back to an overwrite; under a correct
                     // signature only one shard can produce them.
                     None => {
-                        cd.overwrites.insert(comp, final_v);
+                        cd.overwrites.insert(comp, value.cloned());
                     }
                 }
+            });
+            if !cd.is_empty() {
+                delta.contracts.insert(addr, cd);
             }
-            delta.contracts.insert(addr, cd);
         }
         delta.balances = self.balance.deltas.iter().filter(|(_, d)| **d != 0).map(|(a, d)| (*a, *d)).collect();
         // Sorted, as `StateDelta::merge_ref` canonicalises them.
@@ -1003,59 +982,5 @@ impl<'a> Executor<'a> {
             gas_used: self.gas_used,
             audit_violations: self.violations,
         }
-    }
-}
-
-/// The undo log shared by all invocations of one transaction (chained calls
-/// roll back together — transitions are atomic, paper §3.1).
-#[derive(Default)]
-struct TxJournal {
-    /// (contract, component written, undo depth, prior value) in write
-    /// order: undoing sets the component's first `depth` keys back to the
-    /// prior (see [`undo_point`]).
-    undo: Vec<(Address, Component, usize, Option<Value>)>,
-}
-
-impl TxJournal {
-    fn commit(self, storages: &mut BTreeMap<Address, ShardStorage>) {
-        for (addr, comp, ..) in self.undo {
-            if let Some(s) = storages.get_mut(&addr) {
-                s.touched.push(comp);
-            }
-        }
-    }
-
-    fn rollback(self, storages: &mut BTreeMap<Address, ShardStorage>) {
-        for (addr, (field, keys), depth, prior) in self.undo.into_iter().rev() {
-            if let Some(s) = storages.get_mut(&addr) {
-                s.state.set(field, &keys[..depth], prior);
-            }
-        }
-    }
-}
-
-/// A [`StateStore`] view that journals each write's component and undo
-/// point before making it.
-struct JournaledStore<'a, 'j> {
-    contract: Address,
-    inner: &'a mut CowState,
-    journal: &'j mut TxJournal,
-}
-
-impl StateStore for JournaledStore<'_, '_> {
-    fn get(&self, field: Sym, keys: &[Value]) -> Option<Value> {
-        self.inner.get(field, keys)
-    }
-
-    fn exists(&self, field: Sym, keys: &[Value]) -> bool {
-        self.inner.exists(field, keys)
-    }
-
-    fn set(&mut self, field: Sym, keys: &[Value], value: Option<Value>) {
-        let (depth, prior) = undo_point(self.inner, field, keys);
-        // The field side of the component is a `Copy` symbol; only the key
-        // path is owned.
-        self.journal.undo.push((self.contract, (field, keys.to_vec()), depth, prior));
-        self.inner.set(field, keys, value);
     }
 }

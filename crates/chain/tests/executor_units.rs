@@ -1,4 +1,4 @@
-//! Focused executor tests: balance slices (§4.2.2), journal rollback
+//! Focused executor tests: balance slices (§4.2.2), transaction rollback
 //! atomicity, gas budgeting/deferral, the §6 overflow guard, hostile
 //! transaction fields, and the zero-CoW-break gate on the epoch pipeline.
 
@@ -149,6 +149,50 @@ fn a_failed_insert_leaves_no_map_behind() {
     assert_eq!(mb.receipts[1].status, TxStatus::Success);
     let Value::Msg(event) = &mb.receipts[1].events[0] else { panic!("expected an event") };
     assert_eq!(event.get(&"present".into()), Some(&Value::bool(false)));
+}
+
+/// A map that insert-then-delete made survives the merge: after
+/// `m[_sender][k] := v; delete m[_sender][k]`, `exists m[_sender]` reads
+/// the same later in the batch as in the next epoch, over the applied delta.
+#[test]
+fn an_insert_then_delete_keeps_its_map_across_epochs() {
+    let mut net = Network::new(ChainConfig::evaluation(1, true));
+    let user = Address::from_index(1);
+    net.fund_account(user, 1_000_000);
+    let contract = Address::from_index(60);
+    let src = r#"
+        contract C ()
+        field m : Map ByStr20 (Map Uint32 Uint32) = Emp ByStr20 (Map Uint32 Uint32)
+        transition Put (k : Uint32)
+          v = Uint32 1;
+          m[_sender][k] := v;
+          delete m[_sender][k]
+        end
+        transition Look ()
+          present <- exists m[_sender];
+          e = {_eventname : "Looked"; present : present};
+          event e
+        end
+    "#;
+    net.deploy_with_signature(contract, src, vec![], None).unwrap();
+    let k = vec![("k".into(), Value::Uint(32, 7))];
+    let put = |id| Transaction::call(id, user, id, contract, "Put", k.clone());
+    let look = |id| Transaction::call(id, user, id, contract, "Look", vec![]);
+    let present = |mb: &chain::executor::MicroBlock| {
+        let receipt = mb.receipts.last().unwrap();
+        assert_eq!(receipt.status, TxStatus::Success);
+        let Value::Msg(event) = &receipt.events[0] else { panic!("expected an event") };
+        event.get(&"present".into()).cloned()
+    };
+
+    let same_batch = execute_batch(&cfg(Assignment::Ds, 1), net.state(), vec![put(1), look(2)]);
+    let mb = execute_batch(&cfg(Assignment::Ds, 1), net.state(), vec![put(1)]);
+    assert_eq!(mb.receipts[0].status, TxStatus::Success);
+    let mut state = net.state().clone();
+    mb.delta.apply(&mut state).unwrap();
+    let next_epoch = execute_batch(&cfg(Assignment::Ds, 1), &state, vec![look(2)]);
+    assert_eq!(present(&same_batch), Some(Value::bool(true)), "as a plain store reads");
+    assert_eq!(present(&next_epoch), present(&same_batch));
 }
 
 /// Hostile field (a): an amount of `u128::MAX` must not wrap past the slice

@@ -6,9 +6,7 @@
 //! interpreter knowing. The trait addresses state the way the merge does
 //! (paper §4): by component, a field plus a key path, with three
 //! operations — [`StateStore::get`], [`StateStore::exists`] and
-//! [`StateStore::set`], where setting `None` removes. A journal that undoes
-//! writes records each write's [`undo_point`], so that undoing it also
-//! removes the maps it made (transitions are atomic, §3.1).
+//! [`StateStore::set`], where setting `None` removes.
 //!
 //! Storage values are structurally shared: every [`Value::Map`] node is
 //! `Arc`-backed, so cloning a store (or any value read out of it) is a
@@ -19,11 +17,14 @@
 //!
 //! [`CowState`] builds on this: pending writes over an `Arc`-shared
 //! [`InMemoryState`] base, kept per field as a tree shaped like the field's
-//! nested maps, one key per level. Taking a snapshot of an untouched store
-//! never copies field values.
+//! nested maps, one key per level. It is the one record of a batch's
+//! writes: it owns the transaction boundary ([`CowState::commit`],
+//! [`CowState::rollback`]: transitions are atomic, §3.1), and
+//! [`CowState::for_each_write`] reads the batch's delta off the tree.
 
 use crate::intern::Sym;
 use crate::value::Value;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use telemetry::names;
@@ -49,28 +50,6 @@ pub trait StateStore {
     /// `None` removes it, and removing an absent component is a no-op;
     /// `set(field, &[], None)` removes the whole field.
     fn set(&mut self, field: Sym, keys: &[Value], value: Option<Value>);
-}
-
-/// Where a journal undoes a write to `keys` inside `field`, and what it
-/// restores there: `(depth, prior)` such that
-/// `store.set(field, &keys[..depth], prior)` after the write returns the
-/// store to its state before it.
-///
-/// A write materialises the maps missing along its path, so undoing it at
-/// the leaf alone would leave them behind. When the leaf exists, or the
-/// path has fewer than two keys, the undo point is the leaf and its prior
-/// value. Otherwise it is the shallowest missing prefix, one below the
-/// deepest existing one, checked deepest first: removing it removes every
-/// map the write made. The field level is never checked: contract storage
-/// holds every declared field from deployment on, and no statement removes
-/// one.
-pub fn undo_point(store: &dyn StateStore, field: Sym, keys: &[Value]) -> (usize, Option<Value>) {
-    let prior = store.get(field, keys);
-    if prior.is_some() || keys.len() < 2 {
-        return (keys.len(), prior);
-    }
-    let present = (1..keys.len()).rev().find(|&d| store.exists(field, &keys[..d])).unwrap_or(0);
-    (present + 1, None)
 }
 
 /// Grants mutable access to a shared map node, copying it first if anyone
@@ -208,14 +187,6 @@ enum At<'a> {
     Branch(Option<&'a Value>, &'a Node),
 }
 
-/// Where a write to a key path lands.
-enum Slot<'a, 'k> {
-    /// The tree node at the path's end.
-    Node(&'a mut Node),
-    /// A pinned ancestor's value, and the rest of the path inside it.
-    Pinned(&'a mut Option<Value>, &'k [Value]),
-}
-
 /// The base map's entry under `k`, if the base holds a map.
 fn child<'a>(base: Option<&'a Value>, k: &Value) -> Option<&'a Value> {
     match base {
@@ -274,6 +245,58 @@ fn merged(base: Option<&Value>, node: &Node) -> Option<Value> {
     Some(Value::Map(map))
 }
 
+/// The nodes a write to `keys` below a missing node creates: a branch per
+/// key, down to the pin.
+fn fresh(keys: &[Value], value: Option<Value>) -> Node {
+    keys.iter().rev().fold(Node::Pinned(value), |node, k| {
+        Node::Branch(BTreeMap::from([(k.clone(), node)]))
+    })
+}
+
+/// Whether some pin at or under `node` holds a value.
+fn holds_value(node: &Node) -> bool {
+    match node {
+        Node::Pinned(v) => v.is_some(),
+        Node::Branch(children) => children.values().any(holds_value),
+    }
+}
+
+/// The drain rule: the writes that, set in `base` (the base's value at
+/// `keys`), make the view of `node`. A pin is one write, unless it removes
+/// what the base does not hold. A branch is its children's writes, except
+/// one over a non-map base under which no pin holds a value: removals alone
+/// would not make that map, so it is written whole.
+fn drain<F>(keys: &mut Vec<Value>, base: Option<&Value>, node: &Node, visit: &mut F)
+where
+    F: FnMut(&[Value], Option<&Value>, Option<&Value>),
+{
+    match node {
+        Node::Pinned(None) if base.is_none() => {}
+        Node::Pinned(v) => visit(keys, v.as_ref(), base),
+        Node::Branch(_) if !matches!(base, Some(Value::Map(_))) && !holds_value(node) => {
+            visit(keys, merged(base, node).as_ref(), base)
+        }
+        Node::Branch(children) => {
+            for (k, node) in children {
+                keys.push(k.clone());
+                drain(keys, child(base, k), node, visit);
+                keys.pop();
+            }
+        }
+    }
+}
+
+/// The node at `keys` under `node`, if the tree holds one there.
+fn node_mut<'a>(mut node: Option<&'a mut Node>, keys: &[Value]) -> Option<&'a mut Node> {
+    for k in keys {
+        node = match node? {
+            Node::Branch(children) => children.get_mut(k),
+            Node::Pinned(_) => None,
+        };
+    }
+    node
+}
+
 /// A copy-on-write working store: pending writes over an `Arc`-shared
 /// [`InMemoryState`] base.
 ///
@@ -283,22 +306,32 @@ fn merged(base: Option<&Value>, node: &Node) -> Option<Value> {
 /// field. Reads walk the tree alongside the base and fall back to
 /// the base at the first key the tree does not hold.
 ///
-/// Cost model: [`CowState::new`] is O(1); [`CowState::snapshot`] of an
-/// untouched store is O(1). Point reads, writes, existence tests and
-/// deletes cost one ordered lookup per key in the tree and in the base, and
-/// never materialise base maps — only a `get` that ends at a branch (a
-/// whole map or sub-map over pending writes below it) merges, copying the
-/// base map nodes those writes change.
+/// The store also holds one open transaction: every write since the last
+/// [`CowState::commit`] logs the tree node it replaced, so
+/// [`CowState::rollback`] restores the overlay exactly. Transactions do
+/// not nest.
+///
+/// Cost model: [`CowState::new`] is O(1). Point reads, writes, existence
+/// tests and deletes cost one ordered lookup per key in the tree and in the
+/// base, and never materialise base maps — only a `get` that ends at a
+/// branch (a whole map or sub-map over pending writes below it) merges,
+/// copying the base map nodes those writes change. A write inside a pinned
+/// map copies the map nodes it changes, because the log keeps the prior
+/// value. Rolling a write back costs one lookup per key of its path, and
+/// [`CowState::for_each_write`] one walk of the tree beside the base.
 #[derive(Debug, Clone, Default)]
 pub struct CowState {
     base: Arc<InMemoryState>,
     overlay: BTreeMap<Sym, Node>,
+    /// Each write since the last commit: its field, key path, and the depth
+    /// of the tree node it replaced (`Some`) or created (`None`).
+    log: Vec<(Sym, Vec<Value>, usize, Option<Node>)>,
 }
 
 impl CowState {
     /// A working store over a shared base. O(1): no field is copied.
     pub fn new(base: Arc<InMemoryState>) -> CowState {
-        CowState { base, overlay: BTreeMap::new() }
+        CowState { base, overlay: BTreeMap::new(), log: Vec::new() }
     }
 
     /// True if no writes are pending (reads are served straight from base).
@@ -306,67 +339,108 @@ impl CowState {
         self.overlay.is_empty()
     }
 
-    /// Flattens overlay over base into a standalone snapshot. O(1) when the
-    /// overlay is empty (the common per-shard case: contracts a packet never
-    /// touched); otherwise O(base fields + pending writes) with all values
-    /// structurally shared.
-    pub fn snapshot(&self) -> Arc<InMemoryState> {
-        telemetry::counter!(names::STATE_SNAPSHOTS).inc();
-        if self.overlay.is_empty() {
-            return Arc::clone(&self.base);
+    /// Keeps every write since the last commit.
+    pub fn commit(&mut self) {
+        self.log.clear();
+    }
+
+    /// Undoes every write since the last commit, newest first: each puts
+    /// back the node it replaced or removes the node it created, so the
+    /// overlay is again what it was at the commit.
+    pub fn rollback(&mut self) {
+        while let Some((field, keys, depth, prior)) = self.log.pop() {
+            let at = &keys[..depth];
+            match (prior, at.split_last()) {
+                (Some(node), _) => {
+                    if let Some(slot) = node_mut(self.overlay.get_mut(&field), at) {
+                        *slot = node;
+                    }
+                }
+                (None, None) => {
+                    self.overlay.remove(&field);
+                }
+                (None, Some((last, parent))) => {
+                    if let Some(Node::Branch(children)) =
+                        node_mut(self.overlay.get_mut(&field), parent)
+                    {
+                        children.remove(last);
+                    }
+                }
+            }
         }
-        let mut fields = self.base.fields.clone();
-        for (field, node) in &self.overlay {
-            let name = field.as_str();
-            match merged(self.base.fields.get(name), node) {
-                Some(v) => fields.insert(name.to_string(), v),
-                None => fields.remove(name),
-            };
+    }
+
+    /// The components written since the last commit, in write order,
+    /// repeats included.
+    pub fn uncommitted(&self) -> impl Iterator<Item = (Sym, &[Value])> {
+        self.log.iter().map(|(field, keys, ..)| (*field, keys.as_slice()))
+    }
+
+    /// Visits the pending writes in component order as `(field, keys,
+    /// value, base)`, where `value` is the component's value in the view
+    /// (`None`: removed) and `base` its value in the base. No written
+    /// component lies above or below another, and setting each in the base
+    /// gives the view.
+    pub fn for_each_write<F>(&self, mut visit: F)
+    where
+        F: FnMut(Sym, &[Value], Option<&Value>, Option<&Value>),
+    {
+        let mut keys = Vec::new();
+        for (&field, node) in &self.overlay {
+            let base = self.base.fields.get(field.as_str());
+            drain(&mut keys, base, node, &mut |keys, value, base| visit(field, keys, value, base));
         }
-        Arc::new(InMemoryState { fields })
+    }
+
+    /// The view as a standalone store: the base with every pending write
+    /// set in it, as the merge applies them.
+    pub fn snapshot(&self) -> InMemoryState {
+        let mut state = (*self.base).clone();
+        self.for_each_write(|field, keys, value, _| state.set(field, keys, value.cloned()));
+        state
     }
 
     fn walk(&self, field: Sym, keys: &[Value]) -> At<'_> {
         walk(self.base.fields.get(field.as_str()), self.overlay.get(&field), keys)
     }
 
-    /// Grows branches along `keys` and returns the node at its end, or,
-    /// under a pinned ancestor, the pinned value and the rest of the path.
-    fn grow<'k>(&mut self, field: Sym, keys: &'k [Value]) -> Slot<'_, 'k> {
-        let mut node = self.overlay.entry(field).or_insert_with(|| Node::Branch(BTreeMap::new()));
-        for (i, k) in keys.iter().enumerate() {
+    /// Makes a write in the tree and returns its undo depth and node.
+    fn write(&mut self, field: Sym, keys: &[Value], value: Option<Value>) -> (usize, Option<Node>) {
+        let mut node = match self.overlay.entry(field) {
+            Entry::Vacant(e) => {
+                e.insert(fresh(keys, value));
+                return (0, None);
+            }
+            Entry::Occupied(e) => e.into_mut(),
+        };
+        for (depth, k) in keys.iter().enumerate() {
             match node {
-                Node::Pinned(v) => return Slot::Pinned(v, &keys[i..]),
-                Node::Branch(children) => {
-                    node = children
-                        .entry(k.clone())
-                        .or_insert_with(|| Node::Branch(BTreeMap::new()))
+                Node::Pinned(pinned) => {
+                    // An `Arc` bump: the write below copies the pinned map
+                    // node it changes.
+                    let prior = Node::Pinned(pinned.clone());
+                    let rest = &keys[depth..];
+                    match (value, pinned) {
+                        // As on a plain store: a deleted value is recreated
+                        // as a map.
+                        (Some(v), pinned) => {
+                            insert_at(pinned.get_or_insert_with(Value::empty_map), rest, v)
+                        }
+                        (None, Some(root)) => delete_at(root, rest),
+                        (None, None) => {}
+                    }
+                    return (depth, Some(prior));
                 }
+                Node::Branch(children) => match children.entry(k.clone()) {
+                    Entry::Vacant(e) => {
+                        e.insert(fresh(&keys[depth + 1..], value));
+                        return (depth + 1, None);
+                    }
+                    Entry::Occupied(e) => node = e.into_mut(),
+                },
             }
         }
-        Slot::Node(node)
-    }
-
-    /// Removes a component. A plain store ignores absent removes, and
-    /// recording one would grow branches, which stand for maps. A field the
-    /// base never had loses its overlay record, which restores the pristine
-    /// view.
-    fn remove(&mut self, field: Sym, keys: &[Value]) {
-        if !self.exists(field, keys) {
-            return;
-        }
-        if keys.is_empty() && !self.base.fields.contains_key(field.as_str()) {
-            self.overlay.remove(&field);
-            return;
-        }
-        match self.grow(field, keys) {
-            Slot::Node(node) => *node = Node::Pinned(None),
-            Slot::Pinned(pinned, rest) => {
-                if let Some(root) = pinned {
-                    delete_at(root, rest);
-                }
-            }
-        }
+        (keys.len(), Some(std::mem::replace(node, Node::Pinned(value))))
     }
 }
 
@@ -383,14 +457,13 @@ impl StateStore for CowState {
     }
 
     fn set(&mut self, field: Sym, keys: &[Value], value: Option<Value>) {
-        let Some(value) = value else { return self.remove(field, keys) };
-        match self.grow(field, keys) {
-            Slot::Node(node) => *node = Node::Pinned(Some(value)),
-            // As on a plain store: a deleted value is recreated as a map.
-            Slot::Pinned(pinned, rest) => {
-                insert_at(pinned.get_or_insert_with(Value::empty_map), rest, value)
-            }
+        // A plain store ignores absent removes, and recording one would
+        // grow branches, which stand for maps.
+        if value.is_none() && !self.exists(field, keys) {
+            return;
         }
+        let (depth, prior) = self.write(field, keys, value);
+        self.log.push((field, keys.to_vec(), depth, prior));
     }
 }
 
@@ -455,27 +528,6 @@ mod tests {
         assert_eq!(after.len(), 2);
     }
 
-    /// Undoing a write at its undo point removes every map the write made,
-    /// and only those.
-    #[test]
-    fn undo_point_is_the_shallowest_created_prefix() {
-        let mut s = InMemoryState::new();
-        let m: Sym = "m".into();
-        s.set(m, &[], Some(Value::empty_map()));
-        s.set(m, &[addr(1), addr(2)], Some(Value::Uint(128, 1)));
-        let before = s.clone();
-        for path in [&[addr(1), addr(2)][..], &[addr(1), addr(3)], &[addr(4), addr(5), addr(6)]] {
-            let (depth, prior) = undo_point(&s, m, path);
-            s.set(m, path, Some(Value::Uint(128, 9)));
-            s.set(m, &path[..depth], prior);
-            assert_eq!(s, before, "{path:?}");
-        }
-        assert_eq!(undo_point(&s, m, &[addr(1), addr(2)]), (2, Some(Value::Uint(128, 1))));
-        assert_eq!(undo_point(&s, m, &[addr(1), addr(3)]), (2, None));
-        assert_eq!(undo_point(&s, m, &[addr(4), addr(5), addr(6)]), (1, None));
-        assert_eq!(undo_point(&s, m, &[addr(4)]), (1, None));
-    }
-
     fn base_with_balances() -> Arc<InMemoryState> {
         let mut s = InMemoryState::new();
         s.set("balances".into(), &[addr(1)], Some(Value::Uint(128, 100)));
@@ -522,14 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn cow_snapshot_of_clean_store_is_same_allocation() {
-        let base = base_with_balances();
-        let cow = CowState::new(Arc::clone(&base));
-        let snap = cow.snapshot();
-        assert!(Arc::ptr_eq(&base, &snap));
-    }
-
-    #[test]
     fn cow_snapshot_flattens_to_plain_semantics() {
         let base = base_with_balances();
         let mut cow = CowState::new(Arc::clone(&base));
@@ -540,7 +584,7 @@ mod tests {
             s.set("allow".into(), &[addr(1), addr(2)], Some(Value::Uint(128, 5)));
             s.set("total".into(), &[], Some(Value::Uint(128, 1)));
         }
-        assert_eq!(*cow.snapshot(), plain);
+        assert_eq!(cow.snapshot(), plain);
     }
 
     #[test]
@@ -615,7 +659,7 @@ mod tests {
             st.set(m, &[s("a")], Some(Value::empty_map()));
         }
         assert_eq!(cow.get(m, &[s("ab"), s("y")]), Some(Value::Uint(32, 3)));
-        assert_eq!(*cow.snapshot(), plain);
+        assert_eq!(cow.snapshot(), plain);
     }
 
     /// Deleting the only insert under `["a", "x"]` must keep the maps it
@@ -634,7 +678,7 @@ mod tests {
                 st.set(m, &doomed, None);
             }
             assert!(cow.exists(m, &doomed[..2]), "{sibling:?}");
-            assert_eq!(*cow.snapshot(), plain, "{sibling:?}");
+            assert_eq!(cow.snapshot(), plain, "{sibling:?}");
         }
     }
 }

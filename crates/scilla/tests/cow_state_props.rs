@@ -1,19 +1,20 @@
 //! Differential property tests for [`CowState`]: under any interleaving of
-//! whole-field and map-entry reads/writes/deletes — including journal-style
-//! rollback — the copy-on-write overlay must be observationally identical
-//! to a plain deep-copied [`InMemoryState`]; and over well-typed fields,
-//! rolling back a journal kept with [`undo_point`] restores both stores
-//! exactly.
+//! whole-field and map-entry reads/writes/deletes, commits and rollbacks,
+//! the copy-on-write overlay must be observationally identical to a plain
+//! deep-copied [`InMemoryState`]; a rollback must restore the pending
+//! writes of the last commit exactly; and the writes
+//! [`CowState::for_each_write`] yields must be prefix-free.
 
 use proptest::prelude::*;
 use scilla::intern::Sym;
-use scilla::state::{undo_point, CowState, InMemoryState, StateStore};
+use scilla::state::{CowState, InMemoryState, StateStore};
 use scilla::value::Value;
 use std::sync::Arc;
 
 /// One step of a random op sequence. Mutations are applied to both stores;
-/// reads are compared; `Checkpoint`/`Rollback` mirror the executor's
-/// transaction journal (undo via recorded priors, applied to both stores).
+/// reads are compared; `Commit`/`Rollback` mirror the executor's
+/// transaction boundary (the plain store rolls back to a copy taken at the
+/// last commit).
 #[derive(Debug, Clone)]
 enum Op {
     Store(u8, u8),
@@ -23,19 +24,9 @@ enum Op {
     Load(u8),
     MapGet(u8, Vec<u8>),
     MapExists(u8, Vec<u8>),
-    Checkpoint,
+    Commit,
     Rollback,
 }
-
-/// Undo record for one mutation, captured before it: the field, the key
-/// path (empty: the whole field) and the component's prior value (`None`:
-/// absent). Undoing replays priors in reverse on BOTH stores, so the test
-/// checks they stay equal through rollback. That rollback is an exact
-/// inverse is asserted in the typed test,
-/// `rollback_restores_the_checkpoint_exactly`: this test mixes scalars into
-/// map fields, which a write replaces with maps no undo record restores.
-#[derive(Debug, Clone)]
-struct Undo(u8, Vec<Value>, Option<Value>);
 
 fn field_name(f: u8) -> &'static str {
     ["balances", "allowances", "owner", "total_supply"][f as usize % 4]
@@ -78,7 +69,7 @@ fn op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(Op::Load),
         (any::<u8>(), path()).prop_map(|(f, p)| Op::MapGet(f, p)),
         (any::<u8>(), path()).prop_map(|(f, p)| Op::MapExists(f, p)),
-        Just(Op::Checkpoint),
+        Just(Op::Commit),
         Just(Op::Rollback),
     ]
 }
@@ -95,13 +86,29 @@ fn seeded_base() -> Arc<InMemoryState> {
     Arc::new(s)
 }
 
-fn undo_one(cow: &mut CowState, plain: &mut InMemoryState, Undo(f, path, prior): Undo) {
-    cow.set(field_name(f).into(), &path, prior.clone());
-    plain.set(field_name(f).into(), &path, prior);
+/// One pending write as [`CowState::for_each_write`] yields it.
+type Write = (Sym, Vec<Value>, Option<Value>);
+
+fn writes(cow: &CowState) -> Vec<Write> {
+    let mut out = Vec::new();
+    cow.for_each_write(|field, keys, value, _| out.push((field, keys.to_vec(), value.cloned())));
+    out
 }
 
+/// The writes come in component order, and none lies above or below
+/// another: in that order a nested pair would have to be adjacent.
+fn prefix_free(writes: &[Write]) -> Result<(), TestCaseError> {
+    for pair in writes.windows(2) {
+        let ((f, a, _), (g, b, _)) = (&pair[0], &pair[1]);
+        prop_assert!((f, a) < (g, b), "out of component order: {:?}", pair);
+        prop_assert!(f != g || !b.starts_with(a), "nested writes: {:?}", pair);
+    }
+    Ok(())
+}
+
+/// The overlay flattened through its writes is the plain store.
 fn full_state_eq(cow: &CowState, plain: &InMemoryState) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&*cow.snapshot(), plain);
+    prop_assert_eq!(&cow.snapshot(), plain);
     Ok(())
 }
 
@@ -113,30 +120,26 @@ proptest! {
         let base = seeded_base();
         let mut cow = CowState::new(Arc::clone(&base));
         let mut plain = (*base).clone();
-        let mut undo: Vec<Undo> = Vec::new();
-        let mut marks: Vec<usize> = Vec::new();
+        // The plain store and the pending writes at the last commit.
+        let mut committed = (plain.clone(), Vec::new());
 
         for o in ops {
             match o {
                 Op::Store(f, v) => {
-                    undo.push(Undo(f, vec![], plain.get(field_name(f).into(), &[])));
                     cow.set(field_name(f).into(), &[], Some(val(v)));
                     plain.set(field_name(f).into(), &[], Some(val(v)));
                 }
                 Op::RemoveField(f) => {
-                    undo.push(Undo(f, vec![], plain.get(field_name(f).into(), &[])));
                     cow.set(field_name(f).into(), &[], None);
                     plain.set(field_name(f).into(), &[], None);
                 }
                 Op::MapUpdate(f, p, v) => {
                     let p = keys(&p);
-                    undo.push(Undo(f, p.clone(), plain.get(field_name(f).into(), &p)));
                     cow.set(field_name(f).into(), &p, Some(val(v)));
                     plain.set(field_name(f).into(), &p, Some(val(v)));
                 }
                 Op::MapDelete(f, p) => {
                     let p = keys(&p);
-                    undo.push(Undo(f, p.clone(), plain.get(field_name(f).into(), &p)));
                     cow.set(field_name(f).into(), &p, None);
                     plain.set(field_name(f).into(), &p, None);
                 }
@@ -158,22 +161,22 @@ proptest! {
                         plain.exists(field_name(f).into(), &p)
                     );
                 }
-                Op::Checkpoint => {
-                    marks.push(undo.len());
+                Op::Commit => {
+                    cow.commit();
+                    committed = (plain.clone(), writes(&cow));
                 }
                 Op::Rollback => {
-                    let mark = marks.pop().unwrap_or(0);
-                    while undo.len() > mark {
-                        let u = undo.pop().expect("len checked");
-                        undo_one(&mut cow, &mut plain, u);
-                    }
+                    cow.rollback();
+                    plain = committed.0.clone();
+                    prop_assert_eq!(writes(&cow), committed.1.clone());
                     full_state_eq(&cow, &plain)?;
                 }
             }
         }
-        // Final full-state equivalence: flattening the overlay reproduces
-        // the deep-copied store exactly.
+        // Final full-state equivalence: setting the overlay's writes in the
+        // base reproduces the deep-copied store exactly.
         full_state_eq(&cow, &plain)?;
+        prefix_free(&writes(&cow))?;
         // And the shared base was never disturbed by any of it.
         prop_assert_eq!(&*base, &*seeded_base());
     }
@@ -188,7 +191,7 @@ enum TypedOp {
     /// Removes an allowance leaf, or with `whole` the owner's whole map.
     Forget { owner: u8, spender: u8, whole: bool },
     Supply(u8),
-    Checkpoint,
+    Commit,
     Rollback,
 }
 
@@ -199,48 +202,24 @@ fn typed_op() -> impl Strategy<Value = TypedOp> {
         (any::<u8>(), any::<u8>(), any::<bool>())
             .prop_map(|(owner, spender, whole)| TypedOp::Forget { owner, spender, whole }),
         any::<u8>().prop_map(TypedOp::Supply),
-        Just(TypedOp::Checkpoint),
+        Just(TypedOp::Commit),
         Just(TypedOp::Rollback),
     ]
-}
-
-/// A store with the executor's journal: each write records its
-/// [`undo_point`], and rollback sets each recorded prefix back in reverse.
-struct Journaled<S> {
-    store: S,
-    undo: Vec<(Sym, Vec<Value>, usize, Option<Value>)>,
-}
-
-impl<S: StateStore> Journaled<S> {
-    fn set(&mut self, field: &str, keys: &[Value], value: Option<Value>) {
-        let field = Sym::from(field);
-        let (depth, prior) = undo_point(&self.store, field, keys);
-        self.undo.push((field, keys.to_vec(), depth, prior));
-        self.store.set(field, keys, value);
-    }
-
-    fn rollback(&mut self, mark: usize) {
-        for (field, keys, depth, prior) in self.undo.drain(mark..).rev() {
-            self.store.set(field, &keys[..depth], prior);
-        }
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2_000))]
 
     #[test]
-    fn rollback_restores_the_checkpoint_exactly(
+    fn rollback_restores_the_last_commit_exactly(
         ops in prop::collection::vec(typed_op(), 1..=120)
     ) {
         let base = seeded_base();
-        let mut cow = Journaled { store: CowState::new(Arc::clone(&base)), undo: Vec::new() };
-        let mut plain = Journaled { store: (*base).clone(), undo: Vec::new() };
-        // (journal length, cow view, plain store) at each open checkpoint;
-        // a rollback with none open returns to the start. Both stores
-        // journal every write, so their journals stay the same length.
-        let start = (0, Arc::clone(&base), (*base).clone());
-        let mut marks = Vec::new();
+        let mut cow = CowState::new(Arc::clone(&base));
+        let mut plain = (*base).clone();
+        // The view, the pending writes and the plain store at the last
+        // commit; a rollback before any commit returns to the start.
+        let mut committed = ((*base).clone(), Vec::new(), (*base).clone());
 
         for o in ops {
             let (field, keys, value) = match o {
@@ -251,22 +230,25 @@ proptest! {
                     ("allowances", path, None)
                 }
                 TypedOp::Supply(v) => ("total_supply", vec![], Some(val(v))),
-                TypedOp::Checkpoint => {
-                    marks.push((cow.undo.len(), cow.store.snapshot(), plain.store.clone()));
+                TypedOp::Commit => {
+                    cow.commit();
+                    prop_assert!(cow.uncommitted().next().is_none());
+                    committed = (cow.snapshot(), writes(&cow), plain.clone());
                     continue;
                 }
                 TypedOp::Rollback => {
-                    let (mark, cow_then, plain_then) = marks.pop().unwrap_or_else(|| start.clone());
-                    cow.rollback(mark);
-                    plain.rollback(mark);
-                    prop_assert_eq!(&*cow.store.snapshot(), &*cow_then);
-                    prop_assert_eq!(&plain.store, &plain_then);
+                    cow.rollback();
+                    prop_assert!(cow.uncommitted().next().is_none());
+                    plain = committed.2.clone();
+                    prop_assert_eq!(&cow.snapshot(), &committed.0);
+                    prop_assert_eq!(writes(&cow), committed.1.clone());
                     continue;
                 }
             };
-            cow.set(field, &keys, value.clone());
-            plain.set(field, &keys, value);
+            cow.set(field.into(), &keys, value.clone());
+            plain.set(field.into(), &keys, value);
         }
-        prop_assert_eq!(&*cow.store.snapshot(), &plain.store);
+        full_state_eq(&cow, &plain)?;
+        prefix_free(&writes(&cow))?;
     }
 }

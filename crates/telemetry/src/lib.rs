@@ -48,9 +48,6 @@ pub mod names {
     pub const AUDIT_VIOLATION: &str = "chain.audit.violations";
     /// Findings reported by the contract lint pass.
     pub const LINT_FINDINGS: &str = "cosplit.lint.findings";
-    /// O(1) copy-on-write snapshot views taken over a shared state base
-    /// (flattening `CowState::snapshot` calls included).
-    pub const STATE_SNAPSHOTS: &str = "chain.state.snapshots";
     /// Shared map nodes copied because a write landed on them (CoW breaks).
     pub const STATE_COW_BREAKS: &str = "chain.state.cow_breaks";
     /// Approximate bytes shallow-copied by those CoW breaks.

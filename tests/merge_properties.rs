@@ -235,6 +235,40 @@ fn overlapping_overwrites_always_conflict() {
     assert!(StateDelta::merge_ref([&mk(1), &mk(1)]).is_err(), "even equal values conflict");
 }
 
+/// A component nested under another, in either delta and of either kind,
+/// conflicts: applying both would let the deeper write undo or outlive
+/// the shallower one.
+#[test]
+fn nested_components_conflict() {
+    let contract = Address::from_index(42);
+    let comp = |keys: &[u8]| ("m".into(), keys.iter().map(|&k| addr(k).to_value()).collect());
+    let delete_m_a = {
+        let mut sd = StateDelta::new();
+        sd.contracts.entry(contract).or_default().overwrites.insert(comp(&[1]), None);
+        sd
+    };
+    let write_m_a_c = {
+        let mut sd = StateDelta::new();
+        let cd = sd.contracts.entry(contract).or_default();
+        cd.overwrites.insert(comp(&[1, 3]), Some(Value::Uint(128, 9)));
+        sd
+    };
+    let add_m_a_c = {
+        let mut sd = StateDelta::new();
+        let cd = sd.contracts.entry(contract).or_default();
+        cd.int_deltas.insert(comp(&[1, 3]), IntDelta { delta: 5, width: 128, signed: false });
+        sd
+    };
+    for nested in [&write_m_a_c, &add_m_a_c] {
+        for pair in [[&delete_m_a, nested], [nested, &delete_m_a]] {
+            match StateDelta::merge_ref(pair) {
+                Err(MergeError::OverwriteConflict { .. }) => {}
+                other => panic!("a nested pair merged: {other:?}"),
+            }
+        }
+    }
+}
+
 /// A hostile delta may not panic a node: two wire-decoded deltas whose
 /// balance entries sum past `i128::MAX` must surface as a merge error, not
 /// overflow (debug panic / silent release wrap).
