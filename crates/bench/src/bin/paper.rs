@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! paper [fig1|fig12|fig13|table52|fig14|overheads|strategies|ablation|trace|xshard|callgraph|precision|overflow|all] [--fast]
+//! paper [fig1|fig12|fig13|table52|fig14|strategies|ablation|trace|xshard|callgraph|precision|overflow|all] [--fast]
 //! ```
 //!
 //! `--fast` shrinks the Fig. 14 grid (fewer epochs, smaller gas budgets) so
@@ -23,7 +23,6 @@ fn main() {
         "fig13" => fig13(),
         "table52" => table52_cmd(),
         "fig14" => fig14(fast),
-        "overheads" => overheads(),
         "strategies" => strategies_cmd(),
         "overflow" => overflow(),
         "ablation" => ablation_cmd(fast),
@@ -37,7 +36,6 @@ fn main() {
             fig13();
             table52_cmd();
             fig14(fast);
-            overheads();
             strategies_cmd();
             ablation_cmd(fast);
             trace_cmd(fast);
@@ -48,7 +46,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("expected: fig1 | fig12 | fig13 | table52 | fig14 | overheads | strategies | ablation | trace | xshard | callgraph | precision | overflow | all");
+            eprintln!("expected: fig1 | fig12 | fig13 | table52 | fig14 | strategies | ablation | trace | xshard | callgraph | precision | overflow | all");
             std::process::exit(2);
         }
     }
@@ -211,29 +209,6 @@ fn fig14(fast: bool) {
     if fast {
         println!("(--fast run: scaled-down budgets; run without --fast for paper-scale numbers)");
     }
-}
-
-fn overheads() {
-    heading("§5.2.2 — dispatch and state-delta merging overheads");
-    let o = measure_overheads(60, 2_000);
-    let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
-    let rows = vec![
-        vec![
-            "transaction dispatch".to_string(),
-            format!("{:.2} µs", us(o.dispatch_baseline)),
-            format!("{:.2} µs", us(o.dispatch_cosplit)),
-            format!("{:.1}×", us(o.dispatch_cosplit) / us(o.dispatch_baseline).max(1e-9)),
-        ],
-        vec![
-            "delta merge (per component)".to_string(),
-            format!("{:.2} µs", us(o.merge_baseline)),
-            format!("{:.2} µs", us(o.merge_cosplit)),
-            format!("{:.1}×", us(o.merge_cosplit) / us(o.merge_baseline).max(1e-9)),
-        ],
-    ];
-    println!("{}", render_table(&["operation", "baseline", "CoSplit (wire)", "slowdown"], &rows));
-    println!("paper: dispatch 8 µs → 475 µs; merge 0.8 µs → 48.65 µs per changed field —");
-    println!("\"most of it a result of serialisation and deserialisation costs\".");
 }
 
 fn strategies_cmd() {

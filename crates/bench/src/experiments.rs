@@ -1,17 +1,13 @@
 //! Experiment runners: one function per paper table/figure.
 //!
-//! Each returns structured data; the `paper` binary renders it, the
-//! criterion benches time the hot paths, and integration tests assert the
-//! shapes (who wins, by roughly what factor).
+//! Each returns structured data; the `paper` binary renders it and the
+//! tests assert the shapes (who wins, by roughly what factor). Wall-clock
+//! costs of the hot paths are perfbench's `BENCHMARK.json` rows.
 
-use chain::delta::StateDelta;
-use chain::dispatch::{dispatch, Decision};
+use chain::dispatch::dispatch;
 use chain::network::ChainConfig;
-use chain::state::GlobalState;
-use chain::tx::Transaction;
 use cosplit_analysis::callgraph::{CallGraph, ContractCalls, GraphContract};
 use cosplit_analysis::ge::{ge_stats, GeStats};
-use cosplit_analysis::signature::ShardingSignature;
 use cosplit_analysis::solver::AnalyzedContract;
 use scilla::corpus;
 use scilla::typechecker::CheckedModule;
@@ -197,120 +193,6 @@ pub fn fig14_throughput(epochs: usize, users: u64, scale: u64) -> Vec<Fig14Row> 
                 baseline3: tps(3, false),
                 cosplit: [tps(3, true), tps(4, true), tps(5, true)],
             }
-        })
-        .collect()
-}
-
-// -------------------------------------------------------------- §5.2.2
-
-/// The dispatch/merge overhead measurements of §5.2.2.
-#[derive(Debug, Clone)]
-pub struct Overheads {
-    /// Mean baseline dispatch time (no signature).
-    pub dispatch_baseline: Duration,
-    /// Mean CoSplit dispatch time including the JSON-RPC-style signature
-    /// round-trip (the serialisation the paper blames for its 60× factor).
-    pub dispatch_cosplit: Duration,
-    /// Mean per-component time to apply a delta directly.
-    pub merge_baseline: Duration,
-    /// Mean per-component time to wire-encode, merge, and apply deltas.
-    pub merge_cosplit: Duration,
-}
-
-/// Builds a ready-to-measure dispatch workload: a prepared network and a
-/// batch of transfer transactions.
-pub fn dispatch_fixture(users: u64, txs: usize) -> (GlobalState, Vec<Transaction>, GlobalState) {
-    use workloads::runner::prepare;
-    use workloads::scenarios::{build, Kind};
-    let scenario = build(Kind::FtTransfer, users, txs, 7);
-    let with_sig = prepare(&scenario, 3, true);
-    let without_sig = prepare(&scenario, 3, false);
-    (with_sig.state().clone(), scenario.load, without_sig.state().clone())
-}
-
-/// Dispatches through the JSON wire boundary: the signature travels to the
-/// lookup node serialised, as in the paper's CoSplit↔Zilliqa integration.
-pub fn dispatch_via_wire(tx: &Transaction, state: &GlobalState, num_shards: u32) -> Decision {
-    if let chain::tx::TxKind::Call { contract, .. } = &tx.kind {
-        if let Some(deployed) = state.contracts.get(contract) {
-            if let Some(sig) = &deployed.signature {
-                // Round-trip the signature through its wire form.
-                let json = sig.to_json();
-                let _decoded: ShardingSignature =
-                    ShardingSignature::from_json(&json).expect("wire roundtrip");
-            }
-        }
-    }
-    dispatch(tx, state, num_shards, true)
-}
-
-/// Measures the §5.2.2 overheads over a transfer workload.
-pub fn measure_overheads(users: u64, txs: usize) -> Overheads {
-    let (state_sig, load, state_plain) = dispatch_fixture(users, txs);
-
-    let t0 = Instant::now();
-    for tx in &load {
-        std::hint::black_box(dispatch(tx, &state_plain, 3, true));
-    }
-    let dispatch_baseline = t0.elapsed() / load.len() as u32;
-
-    let t0 = Instant::now();
-    for tx in &load {
-        std::hint::black_box(dispatch_via_wire(tx, &state_sig, 3));
-    }
-    let dispatch_cosplit = t0.elapsed() / load.len() as u32;
-
-    // Merge: produce real deltas by running one epoch on each config.
-    let deltas = epoch_deltas(&state_sig, &load);
-    let components: usize = deltas.iter().map(StateDelta::changed_components).sum();
-
-    let mut base_state = state_plain.clone();
-    let merged = StateDelta::merge_ref(&deltas).expect("merges");
-    let t0 = Instant::now();
-    merged.apply(&mut base_state).expect("applies");
-    let merge_baseline = t0.elapsed() / components.max(1) as u32;
-
-    let mut cosplit_state = state_sig.clone();
-    let t0 = Instant::now();
-    // Wire-encode each shard's delta (MicroBlock → DS), then merge + apply.
-    for d in &deltas {
-        std::hint::black_box(d.to_wire());
-    }
-    let merged = StateDelta::merge_ref(&deltas).expect("merges");
-    std::hint::black_box(merged.to_wire());
-    merged.apply(&mut cosplit_state).expect("applies");
-    let merge_cosplit = t0.elapsed() / components.max(1) as u32;
-
-    Overheads { dispatch_baseline, dispatch_cosplit, merge_baseline, merge_cosplit }
-}
-
-/// Runs one epoch's shard executions over `load` and returns the per-shard
-/// deltas (without applying them).
-pub fn epoch_deltas(state: &GlobalState, load: &[Transaction]) -> Vec<StateDelta> {
-    use chain::dispatch::Assignment;
-    use chain::executor::{execute_batch, ExecutorConfig};
-    let num_shards = 3;
-    let mut batches: Vec<Vec<Transaction>> = (0..num_shards).map(|_| Vec::new()).collect();
-    for tx in load {
-        if let Assignment::Shard(s) = dispatch(tx, state, num_shards, true).assignment {
-            batches[s as usize].push(tx.clone());
-        }
-    }
-    batches
-        .into_iter()
-        .enumerate()
-        .map(|(s, batch)| {
-            let cfg = ExecutorConfig {
-                role: Assignment::Shard(s as u32),
-                num_shards,
-                gas_limit: u64::MAX,
-                block_number: 10,
-                use_cosplit: true,
-                overflow_guard: false,
-                audit: false,
-                compose_calls: false,
-            };
-            execute_batch(&cfg, state, batch).delta
         })
         .collect()
 }
@@ -968,8 +850,8 @@ mod tests {
 
         let rows = precision_rows(20, 200, 2);
         let airdrop = rows.iter().find(|r| r.label == "FT airdrop").unwrap();
-        // The acceptance criterion: the refined analysis strictly cuts the
-        // airdrop workload's DS share (legacy: every claim is unsat-routed).
+        // The refined analysis strictly cuts the airdrop workload's DS
+        // share (legacy: every claim is unsat-routed).
         assert!(
             airdrop.to_ds_refined_permille < airdrop.to_ds_legacy_permille,
             "refined analysis must cut the DS share: {airdrop:?}"
@@ -988,8 +870,8 @@ mod tests {
     fn callgraph_rows_cut_the_relay_ds_share() {
         let rows = callgraph_rows(20, 200, 2);
         let relay = rows.iter().find(|r| r.label == "Relay ping").unwrap();
-        // The acceptance criterion: composition strictly reduces the relay
-        // chain's DS share (off: every Relay serialises; on: none do).
+        // Composition strictly reduces the relay chain's DS share (off:
+        // every Relay serialises; on: none do).
         assert!(
             relay.to_ds_on_permille < relay.to_ds_off_permille,
             "composition must cut the DS share: {relay:?}"
@@ -1008,8 +890,8 @@ mod tests {
         let rows = xshard_rows(20, 200, 2);
         assert_eq!(rows.len(), Kind::all().len());
         for r in &rows {
-            // The PR's acceptance criterion: with the cross-shard stage on,
-            // under 10% of dispatch decisions serialise at the DS.
+            // With the cross-shard stage on, under 10% of dispatch
+            // decisions serialise at the DS.
             assert!(r.to_ds_permille < 100, "{r:?}");
             assert_eq!(r.xs_aborted, 0, "fault-free epochs must not abort: {r:?}");
         }
@@ -1043,15 +925,6 @@ mod tests {
             assert_eq!(row.largest_ges, l, "{name}");
             assert_eq!(row.max_ges, m, "{name}");
         }
-    }
-
-    #[test]
-    fn overheads_show_serialisation_cost() {
-        let o = measure_overheads(30, 400);
-        assert!(
-            o.dispatch_cosplit > o.dispatch_baseline,
-            "signature round-trip must cost something: {o:?}"
-        );
     }
 
     #[test]

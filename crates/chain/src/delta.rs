@@ -60,6 +60,16 @@ fn first_nested(cd: &ContractDelta) -> Option<&Component> {
     None
 }
 
+/// Adds `b` to `acc`, wrapping, and counts the wrap under `key`, up for a
+/// positive `b` and down for a negative one.
+fn add_counting_wraps<K: Ord>(acc: &mut i128, b: i128, wraps: &mut BTreeMap<K, i64>, key: K) {
+    let (sum, wrapped) = acc.overflowing_add(b);
+    *acc = sum;
+    if wrapped {
+        *wraps.entry(key).or_default() += b.signum() as i64;
+    }
+}
+
 /// A numeric delta on an integer-valued component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntDelta {
@@ -122,8 +132,14 @@ impl StateDelta {
     /// [`MergeError::OverwriteConflict`] if two deltas overwrite the same
     /// component, or a component of either kind lies above or below another
     /// in the same field — impossible under correct ownership dispatch;
-    /// [`MergeError::DeltaOutOfRange`] if summed integer or balance deltas
-    /// leave `i128` — only a hostile wire delta gets there.
+    /// [`MergeError::DeltaOutOfRange`] if the exact sum of a component's
+    /// integer deltas, or of an account's balance deltas, leaves `i128` —
+    /// only a hostile wire delta gets there.
+    ///
+    /// The verdict does not depend on the order of `deltas`: sums are taken
+    /// exactly, so `[MAX, 1, -1]` merges like `[MAX, -1, 1]`. Grouping is
+    /// promised only while every sum is in range: merging `[MAX, 1]` first
+    /// fails, because that inner sum has no `i128` value.
     ///
     /// An integer delta and an overwrite on the same component do merge:
     /// the executor falls back to an overwrite where a value's change
@@ -133,6 +149,9 @@ impl StateDelta {
         deltas: impl IntoIterator<Item = &'a StateDelta>,
     ) -> Result<StateDelta, MergeError> {
         let mut out = StateDelta::new();
+        // Net wraps past the `i128` range per (contract, component) and per
+        // account (`None`): each sum is exact as `wrapped + n × 2¹²⁸`.
+        let mut wraps: BTreeMap<(Address, Option<&Component>), i64> = BTreeMap::new();
         for d in deltas {
             for (addr, cd) in &d.contracts {
                 let target = out.contracts.entry(*addr).or_default();
@@ -142,12 +161,7 @@ impl StateDelta {
                         width: id.width,
                         signed: id.signed,
                     });
-                    entry.delta = entry.delta.checked_add(id.delta).ok_or_else(|| {
-                        MergeError::DeltaOutOfRange {
-                            contract: addr.to_string(),
-                            component: "delta accumulator".into(),
-                        }
-                    })?;
+                    add_counting_wraps(&mut entry.delta, id.delta, &mut wraps, (*addr, Some(comp)));
                 }
                 for (comp, ow) in &cd.overwrites {
                     if target.overwrites.insert(comp.clone(), ow.clone()).is_some() {
@@ -160,10 +174,7 @@ impl StateDelta {
             }
             for (addr, b) in &d.balances {
                 let entry = out.balances.entry(*addr).or_insert(0);
-                *entry = entry.checked_add(*b).ok_or_else(|| MergeError::DeltaOutOfRange {
-                    contract: addr.to_string(),
-                    component: "balance".into(),
-                })?;
+                add_counting_wraps(entry, *b, &mut wraps, (*addr, None));
             }
             for (addr, ns) in &d.nonces {
                 out.nonces.entry(*addr).or_default().extend(ns.iter().copied());
@@ -178,6 +189,12 @@ impl StateDelta {
                     component: component_name(comp),
                 });
             }
+        }
+        if let Some(((addr, comp), _)) = wraps.iter().find(|(_, n)| **n != 0) {
+            return Err(MergeError::DeltaOutOfRange {
+                contract: addr.to_string(),
+                component: comp.map_or_else(|| "balance".into(), component_name),
+            });
         }
         // Canonical multiset representation: merging is commutative and
         // associative only if the committed-nonce list is order-free.

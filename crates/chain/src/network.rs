@@ -20,7 +20,6 @@ use scilla::state::InMemoryState;
 use scilla::value::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Simulated wall-clock duration of one epoch (Zilliqa: ≈51 s — the
 /// paper's 10 epochs take "roughly 8.5 minutes").
@@ -106,18 +105,6 @@ impl Default for ChainConfig {
     fn default() -> Self {
         ChainConfig::evaluation(3, true)
     }
-}
-
-/// Timings of the deployment validation pipeline (paper Fig. 12).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeployTimings {
-    /// Parsing time.
-    pub parse: Duration,
-    /// Type-checking time.
-    pub typecheck: Duration,
-    /// Sharding analysis + signature validation time (zero when no
-    /// signature was submitted).
-    pub analysis: Duration,
 }
 
 /// What happened during one epoch.
@@ -266,8 +253,6 @@ impl Network {
     /// parse, type-check, and — when a sharding selection is provided —
     /// derive the signature with CoSplit and validate it (paper §4.3).
     ///
-    /// Returns the per-stage timings the paper reports in Fig. 12.
-    ///
     /// # Errors
     ///
     /// Any pipeline failure rejects the deployment; see [`DeployError`].
@@ -277,23 +262,10 @@ impl Network {
         source: &str,
         params: Vec<(String, Value)>,
         sharding: Option<(&[&str], WeakReads)>,
-    ) -> Result<DeployTimings, DeployError> {
-        if self.state.contracts.contains_key(&addr) {
-            return Err(DeployError::AddressTaken);
-        }
-        let mut timings = DeployTimings::default();
-
-        let t0 = Instant::now();
-        let module = scilla::parser::parse_module(source)?;
-        timings.parse = t0.elapsed();
-
-        let t0 = Instant::now();
-        let checked = scilla::typechecker::typecheck(module)?;
-        timings.typecheck = t0.elapsed();
-
+    ) -> Result<(), DeployError> {
+        let checked = self.check_source(addr, source)?;
         let (signature, summaries) = match sharding {
             Some((selection, weak_reads)) => {
-                let t0 = Instant::now();
                 let analyzed = AnalyzedContract::analyze(&checked);
                 let selection: Vec<String> = selection.iter().map(|s| s.to_string()).collect();
                 let submitted = analyzed.query(&selection, &weak_reads);
@@ -301,14 +273,25 @@ impl Network {
                 if !analyzed.validate(&submitted) {
                     return Err(DeployError::InvalidSignature);
                 }
-                timings.analysis = t0.elapsed();
                 (Some(submitted), analyzed.summaries)
             }
             None => (None, summarize_contract(&checked)),
         };
+        self.install(addr, checked, params, signature, summaries)
+    }
 
-        self.install(addr, checked, params, signature, summaries)?;
-        Ok(timings)
+    /// The front half both deployment paths share: the address must be
+    /// free, and the source must parse and type-check.
+    fn check_source(
+        &self,
+        addr: Address,
+        source: &str,
+    ) -> Result<scilla::typechecker::CheckedModule, DeployError> {
+        if self.state.contracts.contains_key(&addr) {
+            return Err(DeployError::AddressTaken);
+        }
+        let module = scilla::parser::parse_module(source)?;
+        Ok(scilla::typechecker::typecheck(module)?)
     }
 
     /// The install tail both deployment paths share: compile, initialise
@@ -400,11 +383,7 @@ impl Network {
         params: Vec<(String, Value)>,
         signature: Option<ShardingSignature>,
     ) -> Result<(), DeployError> {
-        if self.state.contracts.contains_key(&addr) {
-            return Err(DeployError::AddressTaken);
-        }
-        let module = scilla::parser::parse_module(source)?;
-        let checked = scilla::typechecker::typecheck(module)?;
+        let checked = self.check_source(addr, source)?;
         let summaries = summarize_contract(&checked);
         self.install(addr, checked, params, signature, summaries)
     }

@@ -10,7 +10,7 @@
 //! outcomes and event logs, final balances (modulo gas), the full nonce
 //! state, and contract storage field by field, and flags liveness failures
 //! (undrained pools) and safety violations. On top of that this suite
-//! asserts the PR's dispatch-quality criterion: with `cross_shard_commit`
+//! asserts the dispatch-quality target: with `cross_shard_commit`
 //! enabled, the fraction of transactions serialised through the DS
 //! committee stays **under 10 %** on every workload — multi-shard
 //! footprints ride the atomic-commit stage instead.

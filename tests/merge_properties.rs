@@ -2,15 +2,17 @@
 //! DS committee's three-way merge must be order-independent — the formal
 //! backbone of the paper's `⊎` join (§2.3).
 
+use cosplit::analysis::signature::ShardingSignature;
 use cosplit::chain::address::Address;
 use cosplit::chain::delta::{IntDelta, StateDelta};
 use cosplit::chain::error::MergeError;
-use cosplit::chain::network::ChainConfig;
+use cosplit::chain::network::{ChainConfig, Network};
 use cosplit::chain::state::GlobalState;
+use cosplit::chain::xshard::NoFaults;
 use cosplit::scilla::state::StateStore;
 use cosplit::scilla::value::Value;
 use cosplit::workloads::runner::world_builder;
-use cosplit::workloads::scenarios::{build, Kind};
+use cosplit::workloads::scenarios::{admin, build, contract_addr, Kind};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -220,6 +222,59 @@ proptest! {
     }
 }
 
+/// A delta of up to three entries over the field `m`, at key paths that
+/// nest into each other (`m`, `m[1]`, `m[2]`, `m[1][3]`, `m[1][4]`). Each
+/// entry is an integer delta or an overwrite (a value or a delete).
+fn nested_delta() -> impl Strategy<Value = StateDelta> {
+    const PATHS: [&[u8]; 5] = [&[], &[1], &[2], &[1, 3], &[1, 4]];
+    let entry = (0..PATHS.len(), 0u8..3, -4i128..5);
+    prop::collection::vec(entry, 0..4).prop_map(|entries| {
+        let mut sd = StateDelta::new();
+        let cd = sd.contracts.entry(Address::from_index(42)).or_default();
+        for (path, kind, n) in entries {
+            let comp = ("m".into(), PATHS[path].iter().map(|&k| addr(k).to_value()).collect());
+            let id = IntDelta { delta: n, width: 128, signed: true };
+            match kind {
+                0 => drop(cd.int_deltas.insert(comp, id)),
+                1 => drop(cd.overwrites.insert(comp, Some(Value::Int(128, n)))),
+                _ => drop(cd.overwrites.insert(comp, None)),
+            }
+        }
+        sd
+    })
+}
+
+/// A merge's outcome up to the error's payload: the merged delta, or which
+/// kind of error.
+type Verdict = Result<StateDelta, std::mem::Discriminant<MergeError>>;
+
+fn verdict(merged: Result<StateDelta, MergeError>) -> Verdict {
+    merged.map_err(|e| std::mem::discriminant(&e))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// The merge verdict, conflicts included, is a PCM join's: every order
+    /// of three deltas and both groupings agree on the merged delta or on
+    /// the kind of error.
+    #[test]
+    fn merge_verdict_ignores_order_and_grouping(
+        a in nested_delta(), b in nested_delta(), c in nested_delta()
+    ) {
+        let merge = |ds: &[&StateDelta]| StateDelta::merge_ref(ds.iter().copied());
+        let (a, b, c) = (&a, &b, &c);
+        let expected = verdict(merge(&[a, b, c]));
+        for [x, y, z] in [[a, b, c], [a, c, b], [b, a, c], [b, c, a], [c, a, b], [c, b, a]] {
+            let left = merge(&[x, y]).and_then(|xy| merge(&[&xy, z]));
+            let right = merge(&[y, z]).and_then(|yz| merge(&[x, &yz]));
+            prop_assert_eq!(&verdict(merge(&[x, y, z])), &expected);
+            prop_assert_eq!(&verdict(left), &expected);
+            prop_assert_eq!(&verdict(right), &expected);
+        }
+    }
+}
+
 #[test]
 fn overlapping_overwrites_always_conflict() {
     let contract = Address::from_index(42);
@@ -285,6 +340,33 @@ fn out_of_range_balance_join_is_an_error() {
     match StateDelta::merge_ref([&d1, &d2]) {
         Err(MergeError::DeltaOutOfRange { component, .. }) => assert_eq!(component, "balance"),
         other => panic!("expected DeltaOutOfRange on the balance join, got {other:?}"),
+    }
+}
+
+/// Sums are exact whatever the order: `[MAX, 1, -1]` merges like
+/// `[MAX, -1, 1]`, on a component and on a balance, while `[MAX, 1]` alone
+/// leaves `i128`.
+#[test]
+fn out_of_range_verdict_ignores_order() {
+    let contract = Address::from_index(42);
+    let comp = ("counters".into(), vec![addr(0).to_value()]);
+    let int_delta = |n: i128| {
+        let mut sd = StateDelta::new();
+        let id = IntDelta { delta: n, width: 128, signed: true };
+        sd.contracts.entry(contract).or_default().int_deltas.insert(comp.clone(), id);
+        sd
+    };
+    let component: &dyn Fn(i128) -> StateDelta = &int_delta;
+    let balance: &dyn Fn(i128) -> StateDelta = &|n| balance_delta(addr(1), n);
+    for mk in [component, balance] {
+        let (max, up, down) = (mk(i128::MAX), mk(1), mk(-1));
+        for order in [[&max, &up, &down], [&max, &down, &up], [&up, &down, &max]] {
+            assert_eq!(StateDelta::merge_ref(order), StateDelta::merge_ref([&max]), "{order:?}");
+        }
+        match StateDelta::merge_ref([&max, &up]) {
+            Err(MergeError::DeltaOutOfRange { .. }) => {}
+            other => panic!("[MAX, +1] merged: {other:?}"),
+        }
     }
 }
 
@@ -377,4 +459,46 @@ fn wire_deltas_survive_byte_mutations() {
     // Some mutants must decode, or `apply` was never exercised.
     assert!(decoded > 0, "none of {mutants} mutants decoded");
     eprintln!("{decoded} of {mutants} mutated deltas decoded");
+}
+
+/// A deployer may submit any signature through `deploy_with_signature`: no
+/// byte mutation of a workload's real signature that still decodes may
+/// panic the node that deploys it and runs epochs under it. Merge and
+/// apply failures land in the epoch report's errors.
+#[test]
+fn mutated_signatures_survive_deployment_and_epochs() {
+    let (mut mutants, mut ran) = (0, 0);
+    for kind in [Kind::FtTransfer, Kind::NftMint, Kind::IpfsRegister] {
+        let scenario = build(kind, 20, 100, 7);
+        let source = cosplit::scilla::corpus::get(scenario.corpus_name).expect("corpus").source;
+        let net = world_builder(&scenario)(&ChainConfig::small(3, true));
+        let signature = net.state().contracts[&contract_addr()].signature.as_ref().expect("signed");
+        for (i, m) in wire_mutants(&signature.to_json(), 11, 100).into_iter().enumerate() {
+            mutants += 1;
+            let Ok(signature) = ShardingSignature::from_json(&m) else { continue };
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                let mut net = Network::new(ChainConfig::small(3, true));
+                net.fund_account(admin(), u128::MAX / 4);
+                for u in 0..scenario.users {
+                    net.fund_account(Address::from_index(u), 1_000_000_000_000);
+                }
+                let params = scenario.params.clone();
+                let sig = Some(signature);
+                if net.deploy_with_signature(contract_addr(), source, params, sig).is_err() {
+                    return false;
+                }
+                let mut pool = [scenario.setup.clone(), scenario.load.clone()].concat();
+                for _ in 0..3 {
+                    let packets = net.form_packets(&mut pool);
+                    net.run_packets(packets, &mut pool, &mut NoFaults);
+                }
+                true
+            }));
+            let Ok(deployed) = run else { panic!("{kind:?} mutant {i} panicked: {m}") };
+            ran += usize::from(deployed);
+        }
+    }
+    // Some mutants must deploy, or no epoch ran under a mutated signature.
+    assert!(ran > 0, "none of {mutants} mutants deployed");
+    eprintln!("{ran} of {mutants} mutated signatures deployed and ran");
 }
