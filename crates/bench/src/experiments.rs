@@ -691,13 +691,10 @@ pub struct PrecisionCensus {
 }
 
 /// Analyses the whole mainnet sample under both modes and measures the
-/// precision gap. Every blame cause is round-tripped through its JSON wire
-/// form (a corpus-wide panic-free sweep of the blame engine). Records the
-/// `cosplit.precision.*` gauges so `BENCH_metrics.json` carries the
-/// numbers.
+/// precision gap. Records the `cosplit.precision.*` gauges so
+/// `BENCH_metrics.json` carries the numbers.
 pub fn precision_census() -> PrecisionCensus {
     use cosplit_analysis::analysis::AnalysisMode;
-    use cosplit_analysis::blame::BlameCause;
 
     telemetry::set_enabled(true);
     let mut census = PrecisionCensus {
@@ -717,11 +714,6 @@ pub fn precision_census() -> PrecisionCensus {
         census.top_field_refined +=
             refined.summaries.iter().filter(|s| s.top_fields().next().is_some()).count();
         census.blames += refined.blames.len();
-        for b in &refined.blames {
-            let back = BlameCause::from_json(&b.to_json())
-                .unwrap_or_else(|e| panic!("{}: blame wire round-trip failed: {e}", entry.name));
-            assert_eq!(&back, b, "{}: blame wire round-trip drifted", entry.name);
-        }
     }
 
     let reg = telemetry::registry();

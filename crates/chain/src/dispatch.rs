@@ -507,8 +507,9 @@ pub(crate) fn compose_chain(
 }
 
 /// The whole-chain ownership footprint of a composed cross-contract call:
-/// every member's signature constraints instantiated in root space, merged
-/// into one lock map. `None` when composition does not apply (no chain,
+/// every member's own signature constraints instantiated in the member's
+/// frame (its [`Binding`]s, resolved against the transaction), merged into
+/// one lock map. `None` when composition does not apply (no chain,
 /// widened, an unsigned/unselected member, or any constraint that fails)
 /// — the caller then falls back to the root transition alone, which names
 /// the precise DS reason.
@@ -530,9 +531,6 @@ fn composed_locks(
         let addr = contract_of(i)?;
         let member = state.contracts.get(&addr)?;
         let tc = member.signature.as_ref()?.transition(&m.transition)?;
-        if member.summary(&m.transition)?.has_top() {
-            return None; // compose() widens on ⊤ members; stay defensive.
-        }
         // The member's sender: the transaction sender for the root, the
         // calling member's contract account deeper in.
         let sender = match m.caller {

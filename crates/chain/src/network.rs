@@ -455,8 +455,8 @@ impl Network {
     }
 
     /// What every role's executor takes from the chain configuration; the
-    /// role decides the gas budget, whether the §6 overflow guard applies
-    /// (shard slices only) and whether contract messages may run (DS only).
+    /// role decides the gas budget, and the executor reads it for whether
+    /// the §6 overflow guard applies and whether contract messages may run.
     fn executor_config(&self, role: Assignment) -> ExecutorConfig {
         let c = &self.config;
         ExecutorConfig {
@@ -465,7 +465,7 @@ impl Network {
             gas_limit: if role == Assignment::Ds { c.ds_gas_limit } else { c.shard_gas_limit },
             block_number: self.block_number,
             use_cosplit: c.use_cosplit,
-            overflow_guard: c.overflow_guard && matches!(role, Assignment::Shard(_)),
+            overflow_guard: c.overflow_guard,
             audit: c.audit,
             compose_calls: c.compose_calls,
         }

@@ -8,10 +8,11 @@
 //! `ComposedEscape` trace auditor.
 
 use chain::address::Address;
-use chain::dispatch::{dispatch_policy, Assignment, DispatchReason};
+use chain::dispatch::{component_shard, dispatch_policy, xshard_plan, Assignment, DispatchReason};
 use chain::executor::{execute_batch, RerouteCause, TxStatus};
 use chain::network::{ChainConfig, Network};
 use chain::tx::Transaction;
+use chain::xshard::LockKey;
 use cosplit_analysis::audit::ViolationKind;
 use cosplit_analysis::domain::{ContribSource, ContribType};
 use cosplit_analysis::effects::Effect;
@@ -115,6 +116,52 @@ fn composition_off_serialises_at_ds_with_same_result() {
     let key = [user.to_value()];
     let greeted = net.storage_of(&receiver).unwrap().get("greetings".into(), &key);
     assert_eq!(greeted, Some(Value::Uint(128, 1)), "DS path reaches the same state");
+}
+
+/// A callee's `_sender` is the contract that sent to it, not the
+/// transaction sender: a receiver that accepts (`SenderShard`) and keys a
+/// write by `_sender` (`Owns(seen[_sender])`) must lock the relay's account
+/// and the relay's entry.
+#[test]
+fn callee_sender_constraints_lock_the_relay() {
+    const SENDER_BOOK: &str = r#"
+        library SenderBookLib
+        contract SenderBook ()
+        field seen : Map ByStr20 ByStr20 = Emp ByStr20 ByStr20
+        transition Hello (from : ByStr20)
+          accept;
+          seen[_sender] := from
+        end
+    "#;
+    let mut net = Network::new(config(true));
+    let book = Address::from_index(7003);
+    let relay = Address::from_index(7004);
+    net.deploy(book, SENDER_BOOK, vec![], Some((&["Hello"], WeakReads::AcceptAll)))
+        .expect("sender book deploys");
+    net.deploy(
+        relay,
+        scilla::corpus::get("TestRelay").expect("in corpus").source,
+        vec![("sink".into(), book.to_value())],
+        Some((&["Relay", "Fund"], WeakReads::AcceptAll)),
+    )
+    .expect("relay deploys");
+    let user = Address::from_index(42);
+    let tx = relay_tx(1, user, 1, relay);
+
+    let plan = xshard_plan(&tx, net.state(), &config(true)).expect("the chain composes");
+    let entry = vec![relay.to_value()];
+    let expected = vec![
+        (net.state().home_shard_of(&relay, SHARDS), LockKey::Account(relay)),
+        (
+            component_shard(book, "seen", &entry, SHARDS),
+            LockKey::Component {
+                contract: book,
+                field: "seen".into(),
+                keys: entry.iter().map(Value::to_string).collect(),
+            },
+        ),
+    ];
+    assert_eq!(plan.locks, expected);
 }
 
 /// A recipient read from *mutable* storage (another transition writes the

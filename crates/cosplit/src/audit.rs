@@ -73,7 +73,7 @@ pub enum ViolationKind {
 }
 
 impl ViolationKind {
-    /// Stable wire name.
+    /// Stable name, as rendered in reports.
     pub fn as_str(self) -> &'static str {
         match self {
             ViolationKind::UnsummarisedRead => "UnsummarisedRead",
@@ -88,22 +88,7 @@ impl ViolationKind {
         }
     }
 
-    fn parse(s: &str) -> Option<ViolationKind> {
-        Some(match s {
-            "UnsummarisedRead" => ViolationKind::UnsummarisedRead,
-            "UnsummarisedWrite" => ViolationKind::UnsummarisedWrite,
-            "NonCommutativeOp" => ViolationKind::NonCommutativeOp,
-            "UnsummarisedAccept" => ViolationKind::UnsummarisedAccept,
-            "UnsummarisedSend" => ViolationKind::UnsummarisedSend,
-            "NotOwnedRead" => ViolationKind::NotOwnedRead,
-            "NotOwnedWrite" => ViolationKind::NotOwnedWrite,
-            "UnsatOnShard" => ViolationKind::UnsatOnShard,
-            "ComposedEscape" => ViolationKind::ComposedEscape,
-            _ => return None,
-        })
-    }
-
-    /// All variants, for exhaustive wire tests.
+    /// All variants, for exhaustive tests.
     pub fn all() -> [ViolationKind; 9] {
         [
             ViolationKind::UnsummarisedRead,
@@ -152,102 +137,6 @@ impl fmt::Display for AuditViolation {
             write!(f, " (observed {o})")?;
         }
         Ok(())
-    }
-}
-
-impl AuditViolation {
-    /// Serialises to the stable JSON wire form.
-    pub fn to_json(&self) -> String {
-        wire::violation_to_json(self).to_string()
-    }
-
-    /// Parses the JSON wire form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first malformed element.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let v: serde_json::Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        wire::violation_from_json(&v)
-    }
-}
-
-mod wire {
-    use super::{AuditViolation, PseudoField, Span, ViolationKind};
-    use serde_json::{json, Value};
-
-    pub(super) fn violation_to_json(v: &AuditViolation) -> Value {
-        let pf_json = match &v.pseudofield {
-            Some(pf) => {
-                let keys: Vec<Value> = pf.keys.iter().map(Value::from).collect();
-                json!({"field": &pf.field, "keys": Value::Array(keys)})
-            }
-            None => Value::Null,
-        };
-        let opt = |o: &Option<String>| o.clone().map(Value::from).unwrap_or(Value::Null);
-        let span = json!({
-            "start": v.span.start as u64,
-            "end": v.span.end as u64,
-            "line": u64::from(v.span.line),
-            "col": u64::from(v.span.col),
-        });
-        json!({
-            "kind": v.kind.as_str(),
-            "transition": &v.transition,
-            "pseudofield": pf_json,
-            "concrete": &v.concrete,
-            "abstract_op": opt(&v.abstract_op),
-            "observed_op": opt(&v.observed_op),
-            "span": span,
-        })
-    }
-
-    fn str_of(v: &Value, key: &str) -> Result<String, String> {
-        v.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("violation lacks string '{key}'"))
-    }
-
-    fn opt_str(v: &Value, key: &str) -> Option<String> {
-        v.get(key).and_then(Value::as_str).map(str::to_string)
-    }
-
-    pub(super) fn violation_from_json(v: &Value) -> Result<AuditViolation, String> {
-        let kind = ViolationKind::parse(&str_of(v, "kind")?)
-            .ok_or_else(|| "unknown violation kind".to_string())?;
-        let pseudofield = match v.get("pseudofield") {
-            None | Some(Value::Null) => None,
-            Some(pf) => {
-                let field = str_of(pf, "field")?;
-                let keys = pf
-                    .get("keys")
-                    .and_then(Value::as_array)
-                    .ok_or("pseudofield lacks keys")?
-                    .iter()
-                    .map(|k| k.as_str().map(str::to_string).ok_or("non-string key"))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Some(PseudoField { field, keys })
-            }
-        };
-        let sp = v.get("span").ok_or("violation lacks span")?;
-        let num = |key: &str| -> Result<u64, String> {
-            sp.get(key).and_then(Value::as_u64).ok_or_else(|| format!("span lacks '{key}'"))
-        };
-        Ok(AuditViolation {
-            kind,
-            transition: str_of(v, "transition")?,
-            pseudofield,
-            concrete: str_of(v, "concrete")?,
-            abstract_op: opt_str(v, "abstract_op"),
-            observed_op: opt_str(v, "observed_op"),
-            span: Span {
-                start: num("start")? as usize,
-                end: num("end")? as usize,
-                line: num("line")? as u32,
-                col: num("col")? as u32,
-            },
-        })
     }
 }
 

@@ -43,23 +43,6 @@ impl BlameKind {
             BlameKind::UnboundIdent => "unbound-ident",
         }
     }
-
-    /// Parses the wire name.
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::all().iter().copied().find(|k| k.as_str() == s)
-    }
-
-    /// Every kind, in display order.
-    pub fn all() -> &'static [BlameKind] {
-        &[
-            BlameKind::ComputedKey,
-            BlameKind::PartialAccess,
-            BlameKind::ReadAfterWrite,
-            BlameKind::TopScrutinee,
-            BlameKind::UnresolvedSend,
-            BlameKind::UnboundIdent,
-        ]
-    }
 }
 
 impl fmt::Display for BlameKind {
@@ -97,28 +80,10 @@ impl fmt::Display for BlameCause {
 }
 
 impl BlameCause {
-    /// Serialises to the stable JSON wire form.
+    /// Serialises to the stable JSON wire form (`cosplit-cli blame --json`).
     pub fn to_json(&self) -> String {
-        wire::blame_to_json(self).to_string()
-    }
-
-    /// Parses the JSON wire form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first malformed element.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let v: serde_json::Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        wire::blame_from_json(&v)
-    }
-}
-
-mod wire {
-    use super::{BlameCause, BlameKind, PseudoField, Span};
-    use serde_json::{json, Value};
-
-    pub(super) fn blame_to_json(b: &BlameCause) -> Value {
-        let pf_json = match &b.field {
+        use serde_json::{json, Value};
+        let pf_json = match &self.field {
             Some(pf) => {
                 let keys: Vec<Value> = pf.keys.iter().map(Value::from).collect();
                 json!({"field": &pf.field, "keys": Value::Array(keys)})
@@ -126,89 +91,18 @@ mod wire {
             None => Value::Null,
         };
         let span = json!({
-            "start": b.span.start as u64,
-            "end": b.span.end as u64,
-            "line": u64::from(b.span.line),
-            "col": u64::from(b.span.col),
+            "start": self.span.start as u64,
+            "end": self.span.end as u64,
+            "line": u64::from(self.span.line),
+            "col": u64::from(self.span.col),
         });
         json!({
-            "transition": &b.transition,
-            "kind": b.kind.as_str(),
+            "transition": &self.transition,
+            "kind": self.kind.as_str(),
             "field": pf_json,
-            "detail": &b.detail,
+            "detail": &self.detail,
             "span": span,
         })
-    }
-
-    fn str_of(v: &Value, key: &str) -> Result<String, String> {
-        v.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("blame lacks string '{key}'"))
-    }
-
-    pub(super) fn blame_from_json(v: &Value) -> Result<BlameCause, String> {
-        let kind = BlameKind::parse(&str_of(v, "kind")?)
-            .ok_or_else(|| "unknown blame kind".to_string())?;
-        let field = match v.get("field") {
-            None | Some(Value::Null) => None,
-            Some(pf) => {
-                let field = str_of(pf, "field")?;
-                let keys = pf
-                    .get("keys")
-                    .and_then(Value::as_array)
-                    .ok_or("blame field lacks keys")?
-                    .iter()
-                    .map(|k| k.as_str().map(str::to_string).ok_or("non-string key"))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Some(PseudoField { field, keys })
-            }
-        };
-        let sp = v.get("span").ok_or("blame lacks span")?;
-        let num = |key: &str| -> Result<u64, String> {
-            sp.get(key).and_then(Value::as_u64).ok_or_else(|| format!("span lacks '{key}'"))
-        };
-        Ok(BlameCause {
-            transition: str_of(v, "transition")?,
-            kind,
-            field,
-            detail: str_of(v, "detail")?,
-            span: Span {
-                start: num("start")? as usize,
-                end: num("end")? as usize,
-                line: num("line")? as u32,
-                col: num("col")? as u32,
-            },
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_names_roundtrip() {
-        for k in BlameKind::all() {
-            assert_eq!(BlameKind::parse(k.as_str()), Some(*k));
-        }
-        assert_eq!(BlameKind::parse("nonsense"), None);
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let b = BlameCause {
-            transition: "Transfer".into(),
-            kind: BlameKind::ComputedKey,
-            field: Some(PseudoField::entry("m", vec!["k".into()])),
-            detail: "key 'k' is not a transition parameter".into(),
-            span: Span::new(10, 20, 3, 7),
-        };
-        let back = BlameCause::from_json(&b.to_json()).unwrap();
-        assert_eq!(back, b);
-
-        let no_field = BlameCause { field: None, ..b };
-        let back = BlameCause::from_json(&no_field.to_json()).unwrap();
-        assert_eq!(back, no_field);
+        .to_string()
     }
 }

@@ -17,20 +17,21 @@
 //!    tag-matched graph over a contract set (JSON/DOT exportable), used by
 //!    the CLI, the corpus snapshot tests and the bench experiment.
 //! 3. **Composition** — [`compose`] walks resolvable edges transitively
-//!    from a root transition, substituting caller argument bindings into
-//!    callee pseudo-field keys ([`substitute_effects`]), with a depth bound
-//!    of [`DEPTH_BOUND`] (matching the executor's invocation cap) and
-//!    widening on cycles, yielding a [`ComposedSummary`] whose members are
-//!    the exact set of (contract, transition) frames the chain may touch.
+//!    from a root transition, with a depth bound of [`DEPTH_BOUND`]
+//!    (matching the executor's invocation cap) and widening on cycles,
+//!    yielding a [`ComposedSummary`]: the exact set of (contract,
+//!    transition) frames the chain may touch, each with its frame — every
+//!    parameter of the member (plus `_sender`/`_origin`) bound to a root
+//!    parameter, a constant or a calling member ([`Binding`]). Dispatch
+//!    instantiates each member's own signature constraints in that frame;
+//!    nothing rewrites a callee's effects into the root's.
 //!
 //! Everything unresolvable sets [`ComposedSummary::widened`]; a widened
 //! composition is *never* acted upon by dispatch, so precision loss can
 //! only cost performance, never safety.
 
 use crate::effects::{Effect, MsgAbs, TransitionSummary};
-use crate::domain::{
-    Cardinality, ContribSource, ContribType, Contribution, Precision, PseudoField,
-};
+use crate::domain::{Cardinality, ContribSource, ContribType, Precision};
 use scilla::typechecker::CheckedModule;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -373,8 +374,7 @@ impl CallGraph {
         }
     }
 
-    /// JSON wire encoding (stable key order; round-trips via
-    /// [`CallGraph::from_json`]).
+    /// JSON wire encoding (stable key order).
     pub fn to_json(&self) -> String {
         use serde_json::{json, Value};
         let contracts: Vec<Value> = self
@@ -405,54 +405,6 @@ impl CallGraph {
             })
             .collect();
         json!({ "contracts": contracts, "edges": edges }).to_string()
-    }
-
-    /// Decodes the JSON wire encoding.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed element on bad input.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        use serde_json::Value;
-        let v: Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        let mut graph = CallGraph::default();
-        for c in v["contracts"].as_array().ok_or("missing contracts array")? {
-            let name = c["name"].as_str().ok_or("contract missing name")?.to_string();
-            let transitions = c["transitions"]
-                .as_array()
-                .ok_or("contract missing transitions")?
-                .iter()
-                .map(|t| t.as_str().map(String::from).ok_or("non-string transition"))
-                .collect::<Result<Vec<_>, _>>()?;
-            graph.contracts.push((name, transitions));
-        }
-        for e in v["edges"].as_array().ok_or("missing edges array")? {
-            let kind = e["recipient"]["kind"].as_str().ok_or("edge missing recipient kind")?;
-            let rname = e["recipient"]["name"].as_str().map(String::from);
-            let recipient = match (kind, rname) {
-                ("literal", Some(n)) => Recipient::Literal(n),
-                ("contract-param", Some(n)) => Recipient::ContractParam(n),
-                ("init-field", Some(n)) => Recipient::InitField(n),
-                ("transition-param", Some(n)) => Recipient::TransitionParam(n),
-                ("dynamic", None) => Recipient::Dynamic,
-                _ => return Err(format!("malformed recipient kind {kind:?}")),
-            };
-            graph.edges.push(GraphEdge {
-                from_contract: e["from"].as_str().ok_or("edge missing from")?.to_string(),
-                from_transition: e["transition"]
-                    .as_str()
-                    .ok_or("edge missing transition")?
-                    .to_string(),
-                tag: e["tag"].as_str().map(String::from),
-                recipient,
-                amount_is_zero: e["amount_is_zero"].as_bool().unwrap_or(false),
-                candidates: e["candidates"]
-                    .as_array()
-                    .map(|a| a.iter().filter_map(|c| c.as_str().map(String::from)).collect())
-                    .unwrap_or_default(),
-            });
-        }
-        Ok(graph)
     }
 
     /// GraphViz DOT rendering: solid edges resolve, dashed edges are ⊤.
@@ -537,20 +489,16 @@ pub struct ComposedMember {
     pub contract: String,
     /// The transition invoked in this frame.
     pub transition: String,
-    /// Chain depth (0 for the root).
-    pub depth: usize,
     /// Index of the invoking member, `None` for the root.
     pub caller: Option<usize>,
     /// This frame's parameter names (plus `_sender`/`_origin`) mapped into
-    /// the root transition's frame.
+    /// the root transition's frame: dispatch reads the member's own
+    /// constraints through it.
     pub bindings: BTreeMap<String, Binding>,
-    /// The frame's effects with pseudo-field keys substituted into root
-    /// space (see [`substitute_effects`]).
-    pub effects: Vec<Effect>,
 }
 
-/// The transitive footprint of a root transition across every resolvable
-/// send edge (see module docs).
+/// The frames a root transition may reach across every resolvable send
+/// edge (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComposedSummary {
     /// The root contract's deployment identity.
@@ -563,8 +511,6 @@ pub struct ComposedSummary {
     /// depth bound was hit, or a member's summary is ⊤/missing. A widened
     /// composition must not be acted upon.
     pub widened: bool,
-    /// Sends that resolved to plain accounts (payments, not calls).
-    pub wallet_sends: usize,
 }
 
 impl ComposedSummary {
@@ -577,120 +523,6 @@ impl ComposedSummary {
     pub fn contains(&self, contract: &str, transition: &str) -> bool {
         self.members.iter().any(|m| m.contract == contract && m.transition == transition)
     }
-
-    /// The composed state footprint: every `(contract, pseudo-field)` the
-    /// chain may read or write, keys rendered in root space. `None` when
-    /// widened (⊤ contains everything).
-    pub fn footprint(&self) -> Option<BTreeSet<(String, String)>> {
-        if self.widened {
-            return None;
-        }
-        let mut out = BTreeSet::new();
-        for m in &self.members {
-            for e in &m.effects {
-                match e {
-                    Effect::Read(pf) | Effect::Write(pf, _) | Effect::TopField(pf) => {
-                        out.insert((m.contract.clone(), pf.to_string()));
-                    }
-                    Effect::AcceptFunds => {
-                        out.insert((m.contract.clone(), "_balance".to_string()));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        Some(out)
-    }
-}
-
-/// Instantiates a callee summary's effects in root-transition space: every
-/// pseudo-field key and contribution source named after a callee parameter
-/// is replaced by its root-space binding. An [`Binding::Unknown`] key
-/// renders as `⊤` and degrades the contribution to `⊤` — the effect is
-/// kept (the write still happens) but its key can no longer be named.
-pub fn substitute_effects(
-    summary: &TransitionSummary,
-    bindings: &BTreeMap<String, Binding>,
-) -> Vec<Effect> {
-    summary
-        .effects
-        .iter()
-        .map(|e| match e {
-            Effect::Read(pf) => Effect::Read(sub_pf(pf, bindings)),
-            Effect::Write(pf, t) => Effect::Write(sub_pf(pf, bindings), sub_contrib(t, bindings)),
-            Effect::Condition(t) => Effect::Condition(sub_contrib(t, bindings)),
-            Effect::AcceptFunds => Effect::AcceptFunds,
-            Effect::SendMsg(m) => Effect::SendMsg(MsgAbs {
-                recipient: sub_contrib(&m.recipient, bindings),
-                amount: sub_contrib(&m.amount, bindings),
-                amount_is_zero: m.amount_is_zero,
-                tag: m.tag.clone(),
-                params: m.params.iter().map(|(k, t)| (k.clone(), sub_contrib(t, bindings))).collect(),
-            }),
-            Effect::TopField(pf) => Effect::TopField(sub_pf(pf, bindings)),
-            Effect::Top => Effect::Top,
-        })
-        .collect()
-}
-
-fn sub_key(key: &str, bindings: &BTreeMap<String, Binding>) -> String {
-    // A derived key substitutes its base parameter and keeps the wrapper
-    // chain: the derivation replays unchanged on the caller's argument.
-    if let Some((builtin, inner)) = crate::domain::parse_derived_key(key) {
-        return format!("{builtin}({})", sub_key(inner, bindings));
-    }
-    match bindings.get(key) {
-        Some(Binding::Param(p)) => p.clone(),
-        Some(Binding::Const(c)) => c.clone(),
-        Some(Binding::Caller(i)) => format!("caller#{i}"),
-        Some(Binding::Unknown) | None => "⊤".to_string(),
-    }
-}
-
-fn sub_pf(pf: &PseudoField, bindings: &BTreeMap<String, Binding>) -> PseudoField {
-    if pf.is_whole_field() {
-        pf.clone()
-    } else {
-        PseudoField::entry(
-            pf.field.clone(),
-            pf.keys.iter().map(|k| sub_key(k, bindings)).collect(),
-        )
-    }
-}
-
-fn sub_contrib(t: &ContribType, bindings: &BTreeMap<String, Binding>) -> ContribType {
-    let Some(sources) = t.sources() else { return ContribType::Top };
-    let mut out: BTreeMap<ContribSource, Contribution> = BTreeMap::new();
-    for (cs, c) in sources {
-        let mapped = match cs {
-            ContribSource::Param(p) => match bindings.get(p) {
-                Some(Binding::Param(rp)) => ContribSource::Param(rp.clone()),
-                Some(Binding::Const(rc)) => ContribSource::Const(rc.clone()),
-                Some(Binding::Caller(i)) => ContribSource::Const(format!("caller#{i}")),
-                Some(Binding::Unknown) | None => return ContribType::Top,
-            },
-            ContribSource::Const(c) => ContribSource::Const(c.clone()),
-            ContribSource::Field(pf) => ContribSource::Field(sub_pf(pf, bindings)),
-        };
-        match out.remove(&mapped) {
-            None => {
-                out.insert(mapped, c.clone());
-            }
-            Some(prev) => {
-                // Two callee sources collapsed onto one root source:
-                // combine sequentially (both flows happen).
-                out.insert(
-                    mapped,
-                    Contribution {
-                        card: prev.card.add(c.card),
-                        ops: prev.ops.union(&c.ops).cloned().collect(),
-                        precision: prev.precision.join(c.precision),
-                    },
-                );
-            }
-        }
-    }
-    ContribType::Known(out)
 }
 
 /// Composes the transitive summary of `(root, transition)` against a
@@ -707,7 +539,6 @@ pub fn compose(
         transition: transition.to_string(),
         members: Vec::new(),
         widened: false,
-        wallet_sends: 0,
     };
     let mut bindings = BTreeMap::new();
     for p in &root_summary.params {
@@ -740,9 +571,7 @@ fn walk(
     composed.members.push(ComposedMember {
         contract: contract.to_string(),
         transition: transition.to_string(),
-        depth,
         caller,
-        effects: substitute_effects(summary, &bindings),
         bindings: bindings.clone(),
     });
     if composed.widened {
@@ -773,7 +602,8 @@ fn walk(
             _ => view.resolve_target(contract, &site.recipient, binding.as_ref()),
         };
         match target {
-            Target::Wallet => composed.wallet_sends += 1,
+            // A payment, not a call: no member to add.
+            Target::Wallet => {}
             Target::Unknown => composed.widened = true,
             Target::Contract(callee) => {
                 if depth + 1 > DEPTH_BOUND {
@@ -1030,8 +860,8 @@ mod tests {
         assert_eq!(graph.edges[0].candidates, vec!["Receiver".to_string()]);
         assert!((graph.resolved_fraction() - 1.0).abs() < f64::EPSILON);
 
-        let round = CallGraph::from_json(&graph.to_json()).unwrap();
-        assert_eq!(round, graph);
+        let wire: serde_json::Value = serde_json::from_str(&graph.to_json()).unwrap();
+        assert_eq!(wire["edges"][0]["candidates"][0].as_str(), Some("Receiver"));
 
         let dot = graph.to_dot();
         assert!(dot.contains("\"Relay.Ping\" -> \"Receiver.Hello\""));
@@ -1052,15 +882,11 @@ mod tests {
         assert!(!composed.widened, "fully resolvable chain must not widen");
         assert!(composed.is_chain());
         assert!(composed.contains("Receiver", "Hello"));
-        let fp = composed.footprint().unwrap();
-        // The callee writes greetings[from]; `from` is bound to the
-        // caller's `_sender`, which in root space is... the root's own
-        // `_sender` (the transaction sender).
-        assert!(
-            fp.contains(&("Receiver".to_string(), "greetings[_sender]".to_string())),
-            "callee key not substituted: {fp:?}"
-        );
-        assert!(fp.contains(&("Relay".to_string(), "relayed[_sender]".to_string())));
+        // The callee keys greetings by `from`, which the relay binds to its
+        // own `_sender`: in the root's frame, the transaction sender.
+        let hello = &composed.members[1];
+        assert_eq!((hello.contract.as_str(), hello.transition.as_str()), ("Receiver", "Hello"));
+        assert_eq!(hello.bindings.get("from"), Some(&Binding::Param("_sender".into())));
     }
 
     #[test]
@@ -1078,7 +904,6 @@ mod tests {
         let composed = compose(&dep, "Relay", "Ping").unwrap();
         assert!(!composed.widened);
         assert!(!composed.is_chain());
-        assert_eq!(composed.wallet_sends, 1);
 
         // Two relays pointed at each other: Ping → Hello is fine, but a
         // self-loop A.Ping → A.Ping must widen.

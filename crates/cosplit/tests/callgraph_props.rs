@@ -1,17 +1,19 @@
 //! Generative properties of interprocedural summary composition.
 //!
-//! Two laws dispatch leans on:
+//! Two laws dispatch leans on (it instantiates each member's own signature
+//! constraints in the member's frame, and acts only on a non-widened
+//! composition):
 //!
-//! * **Member containment** — a non-widened composition lists every frame
-//!   of the chain, and its footprint covers the root's own effects
-//!   verbatim (the root frame is substituted by the identity). Dropping a
-//!   member's state would let a composed chain under-lock.
+//! * **Members and frames** — a non-widened composition lists every frame
+//!   of the chain, and each member's frame maps the member's names into the
+//!   root's: the callee's `k` is the root's `who` (through the call-site
+//!   binding), its `_sender` is the calling member, and its `_origin` is
+//!   the root's. A missing member would let a composed chain under-lock; a
+//!   wrong binding would lock the wrong component.
 //! * **Monotonicity under callee widening** — growing a callee's summary
-//!   (more effects, or collapse to ⊤) never *shrinks* the composed
-//!   footprint: every pair the smaller callee contributed survives, and a
-//!   ⊤ callee forces `widened` (footprint `None` = everything) rather
-//!   than a silently smaller set. A sound analysis losing precision may
-//!   only over-approximate.
+//!   (more effects, or collapse to ⊤) never un-widens the composition, and
+//!   a ⊤ callee always widens it. A sound analysis losing precision may
+//!   only make dispatch more conservative.
 
 use cosplit_analysis::callgraph::{
     compose, Binding, CallSite, ContractCalls, MapDeployment, Recipient,
@@ -21,8 +23,8 @@ use cosplit_analysis::effects::{Effect, TransitionSummary};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Pseudo-fields over the callee's single parameter `k` (so substitution
-/// through the call-site binding is exercised) or whole fields.
+/// Pseudo-fields over the callee's single parameter `k` (which the call
+/// site binds to the root's `who`) or whole fields.
 fn pseudofield() -> impl Strategy<Value = PseudoField> {
     let field = prop_oneof![Just("greetings"), Just("total"), Just("log")];
     (field, any::<bool>()).prop_map(|(f, keyed)| {
@@ -101,24 +103,13 @@ proptest! {
         prop_assert!(composed.contains("Caller", "Ping"));
         prop_assert!(composed.contains("Callee", "Handle"));
 
-        // The root's own effects survive verbatim in the footprint.
-        let fp = composed.footprint().expect("non-widened footprint");
-        prop_assert!(fp.contains(&(
-            "Caller".to_string(),
-            PseudoField::entry("pings", vec!["who".to_string()]).to_string()
-        )));
-        prop_assert!(fp.contains(&("Caller".to_string(), PseudoField::whole("paused").to_string())));
-        // Every callee state touch lands in the footprint under the callee's
-        // deployment identity.
+        // The callee's frame, in the root's names.
         let callee = &composed.members[1];
-        for e in &callee.effects {
-            if let Effect::Read(pf) | Effect::Write(pf, _) = e {
-                prop_assert!(
-                    fp.contains(&("Callee".to_string(), pf.to_string())),
-                    "callee touch {pf} missing from the composed footprint"
-                );
-            }
-        }
+        prop_assert_eq!(callee.caller, Some(0));
+        let binding = |name: &str| callee.bindings.get(name).cloned();
+        prop_assert_eq!(binding("k"), Some(Binding::Param("who".into())));
+        prop_assert_eq!(binding("_sender"), Some(Binding::Caller(0)));
+        prop_assert_eq!(binding("_origin"), Some(Binding::Param("_origin".into())));
     }
 
     #[test]
@@ -135,26 +126,10 @@ proptest! {
         grown.extend(extra);
         let big = compose(&world(grown), "Caller", "Ping").expect("composes");
 
-        match (small.footprint(), big.footprint()) {
-            (Some(fs), Some(fb)) => {
-                prop_assert!(
-                    fs.is_subset(&fb),
-                    "widening the callee dropped footprint entries: {:?}",
-                    fs.difference(&fb).collect::<Vec<_>>()
-                );
-            }
-            // ⊤ contains everything — a widened growth is monotone by
-            // definition, but it must be *flagged*, never a smaller set.
-            (_, None) => prop_assert!(big.widened),
-            (None, Some(_)) => {
-                prop_assert!(false, "growing the callee un-widened the composition");
-            }
-        }
+        let unwidened = small.widened && !big.widened;
+        prop_assert!(!unwidened, "growing the callee un-widened the composition");
         if to_top {
-            prop_assert!(
-                big.widened,
-                "a ⊤ callee must widen the composition, not shrink into a footprint"
-            );
+            prop_assert!(big.widened, "a ⊤ callee must widen the composition");
         }
     }
 }

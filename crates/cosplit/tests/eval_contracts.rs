@@ -6,7 +6,6 @@
 
 use cosplit_analysis::analysis::AnalysisMode;
 use cosplit_analysis::audit::lint_contract;
-use cosplit_analysis::blame::BlameCause;
 use cosplit_analysis::callgraph::{CallGraph, ContractCalls, GraphContract};
 use cosplit_analysis::ge::ge_stats;
 use cosplit_analysis::signature::{Constraint, Join, WeakReads};
@@ -162,8 +161,8 @@ const EXPECTED_CENSUS: [(&str, usize); 5] = [
     ("write-never-read-back", 43),
 ];
 
-/// Every analysis product derives for every corpus contract, survives its
-/// wire form, and keeps the corpus-wide invariants: the lint census, no
+/// Every analysis product derives for every corpus contract and keeps the
+/// corpus-wide invariants: the lint census, no
 /// global ⊤ under the refined analysis, every `⊤[field]` blamed, and a ⊤
 /// population strictly below the legacy accumulator's.
 #[test]
@@ -214,9 +213,6 @@ fn whole_mainnet_sample_analyses_cleanly() {
                 );
             }
         }
-        for b in &a.blames {
-            assert_eq!(BlameCause::from_json(&b.to_json()).as_ref(), Ok(b), "{}", entry.name);
-        }
         let legacy = AnalyzedContract::analyze_with_mode(&checked, AnalysisMode::Legacy);
         top_legacy += legacy.summaries.iter().filter(|s| s.has_top()).count();
     }
@@ -226,6 +222,5 @@ fn whole_mainnet_sample_analyses_cleanly() {
     let graph = CallGraph::build(&graph_inputs);
     assert_eq!(graph.contracts.len(), corpus::all().len());
     assert!(!graph.edges.is_empty(), "the corpus has send sites");
-    assert_eq!(CallGraph::from_json(&graph.to_json()).as_ref(), Ok(&graph));
     assert!(graph.to_dot().contains("digraph"));
 }

@@ -78,9 +78,6 @@ fn weakened_summary_yields_span_bearing_typed_violations() {
     assert!(v.span.line > 0, "violation must carry a real source span: {v:?}");
     assert!(v.observed_op.is_some(), "{v:?}");
     assert!(!v.concrete.is_empty(), "{v:?}");
-    // The wire form round-trips, so the violation can ride a repro artifact.
-    let back = cosplit::analysis::audit::AuditViolation::from_json(&v.to_json()).unwrap();
-    assert_eq!(&back, v);
 }
 
 #[test]
