@@ -1,73 +1,45 @@
 //! State deltas and the three-way merge (paper §4.1, §4.3).
 //!
 //! Each shard's `MicroBlock` carries a `StateDelta` describing what its
-//! transactions changed relative to the epoch-start state. The DS committee
-//! merges all deltas into the final state:
+//! transactions changed relative to the epoch-start state. Per contract, a
+//! [`ContractDelta`] holds one [`Tree`] per written field, shaped like the
+//! field's nested maps: the executor's working-state tree, handed over
+//! whole ([`ContractDelta::from_state`]). Each leaf is a change to one
+//! component:
 //!
 //! * components of fields with an [`Join::IntMerge`] join carry *numeric
-//!   deltas* that sum across shards (Strategy 2, commutativity);
-//! * everything else carries *overwrites* whose disjointness is guaranteed
-//!   by ownership dispatch (Strategy 1) — the merge detects violations
-//!   rather than silently losing writes.
+//!   deltas* (`add`) that sum across shards (Strategy 2, commutativity);
+//! * everything else carries *overwrites* (`set`) whose disjointness is
+//!   guaranteed by ownership dispatch (Strategy 1).
+//!
+//! The DS committee joins the trees ([`StateDelta::merge_ref`]) and grafts
+//! the result onto the state ([`StateDelta::apply`]), one walk per field.
+//! The join detects violations rather than silently losing writes: a
+//! change above or below another, two overwrites of one component, or two
+//! numeric deltas of different shapes on one component are a conflict.
 //!
 //! [`Join::IntMerge`]: cosplit_analysis::signature::Join::IntMerge
 
 use crate::address::Address;
 use crate::error::MergeError;
 use crate::state::GlobalState;
-use std::sync::Arc;
+use cosplit_analysis::signature::Join;
 use scilla::builtins::uint_max;
 use scilla::intern::Sym;
-use scilla::state::StateStore;
+use scilla::state::{CowState, Tree};
 use scilla::value::Value;
 use serde_json::json;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// One addressable state component: a field plus a (possibly empty) key path.
-///
-/// The field name is interned; components order by field text, then keys,
-/// so component maps iterate in the canonical (wire) order.
-pub type Component = (Sym, Vec<Value>);
-
-/// Renders a component for diagnostics.
-pub fn component_name(c: &Component) -> String {
-    let mut s = c.0.as_str().to_string();
-    for k in &c.1 {
+/// Renders a component, a field plus a key path, for diagnostics.
+pub fn component_name<'a>(field: Sym, keys: impl IntoIterator<Item = &'a Value>) -> String {
+    let mut s = field.as_str().to_string();
+    for k in keys {
         s.push_str(&format!("[{k}]"));
     }
     s
-}
-
-/// The first component of `cd`, of either kind, that lies strictly below
-/// another in the same field. In component order every component between
-/// a component and one below it lies below it too, so one pass over the
-/// two sorted maps, comparing neighbours, finds a nested pair if any.
-fn first_nested(cd: &ContractDelta) -> Option<&Component> {
-    let mut ints = cd.int_deltas.keys().peekable();
-    let mut overwrites = cd.overwrites.keys().peekable();
-    let mut sorted = std::iter::from_fn(|| match (ints.peek(), overwrites.peek()) {
-        (Some(i), Some(o)) if o < i => overwrites.next(),
-        (Some(_), _) => ints.next(),
-        (None, _) => overwrites.next(),
-    });
-    let mut above = sorted.next()?;
-    for comp in sorted {
-        if comp.0 == above.0 && comp.1.len() > above.1.len() && comp.1.starts_with(&above.1) {
-            return Some(comp);
-        }
-        above = comp;
-    }
-    None
-}
-
-/// Adds `b` to `acc`, wrapping, and counts the wrap under `key`, up for a
-/// positive `b` and down for a negative one.
-fn add_counting_wraps<K: Ord>(acc: &mut i128, b: i128, wraps: &mut BTreeMap<K, i64>, key: K) {
-    let (sum, wrapped) = acc.overflowing_add(b);
-    *acc = sum;
-    if wrapped {
-        *wraps.entry(key).or_default() += b.signum() as i64;
-    }
 }
 
 /// A numeric delta on an integer-valued component.
@@ -81,19 +53,191 @@ pub struct IntDelta {
     pub signed: bool,
 }
 
-/// Changes to one contract's fields.
+/// What a delta does to one component: a leaf of a field's [`Tree`]. At
+/// least one part is present; applied, `set` goes first.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Change {
+    /// An overwrite; `Some(None)` removes the component.
+    set: Option<Option<Value>>,
+    /// A numeric delta, summed with other shards' deltas on the component.
+    add: Option<IntDelta>,
+}
+
+impl Change {
+    /// The component's value after the change, given its value before
+    /// (`None`: absent). `None` if the sum leaves the component's type or
+    /// the value is not an integer of the delta's shape.
+    fn applied(&self, old: Option<&Value>) -> Option<Option<Value>> {
+        let old = match &self.set {
+            Some(set) => set.as_ref(),
+            None => old,
+        };
+        match &self.add {
+            Some(id) => apply_int_delta(old, id).map(Some),
+            None => Some(old.cloned()),
+        }
+    }
+}
+
+/// Changes to one contract's fields: one tree of changes per written
+/// field, in field-text order. A branch is never empty, and each leaf
+/// holds a `set`, an `add` or both; [`ContractDelta::set`] and
+/// [`ContractDelta::add`] keep it so.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContractDelta {
-    /// Components merged by summation.
-    pub int_deltas: BTreeMap<Component, IntDelta>,
-    /// Components merged by (disjoint) overwrite; `None` deletes the entry.
-    pub overwrites: BTreeMap<Component, Option<Value>>,
+    fields: BTreeMap<Sym, Tree<Change>>,
 }
 
 impl ContractDelta {
     /// Is there nothing to apply?
     pub fn is_empty(&self) -> bool {
-        self.int_deltas.is_empty() && self.overwrites.is_empty()
+        self.fields.is_empty()
+    }
+
+    /// Takes over a contract's working state as its delta: one walk per
+    /// written field beside the base, moving the overlay's nodes. A write
+    /// to a field whose join in `joins` is [`Join::IntMerge`] becomes an
+    /// `add` against the base value when both are integers of one shape
+    /// and the change fits `i128`; every other write is a `set`.
+    pub fn from_state(state: CowState, joins: Option<&BTreeMap<String, Join>>) -> ContractDelta {
+        let fields = state.into_writes(|field| {
+            let int_merge = joins.is_some_and(|j| j.get(field.as_str()) == Some(&Join::IntMerge));
+            move |value: Option<Value>, base: Option<&Value>| {
+                match value.as_ref().filter(|_| int_merge).and_then(|v| compute_int_delta(base, v)) {
+                    Some(id) => Change { set: None, add: Some(id) },
+                    // Non-integer, shape-changing, or out-of-i128-range
+                    // changes fall back to an overwrite; under a correct
+                    // signature only one shard can produce them.
+                    None => Change { set: Some(value), add: None },
+                }
+            }
+        });
+        ContractDelta { fields }
+    }
+
+    /// Records an overwrite of a component (`None` removes it).
+    ///
+    /// # Errors
+    ///
+    /// If the delta already overwrites the component, or changes one above
+    /// or below it.
+    pub fn set(&mut self, field: Sym, keys: &[Value], value: Option<Value>) -> Result<(), String> {
+        let change = self.change_mut(field, keys)?;
+        if change.set.is_some() {
+            return Err(format!("{} overwritten twice", component_name(field, keys)));
+        }
+        change.set = Some(value);
+        Ok(())
+    }
+
+    /// Records a numeric delta on a component.
+    ///
+    /// # Errors
+    ///
+    /// If the delta already adds to the component, or changes one above or
+    /// below it.
+    pub fn add(&mut self, field: Sym, keys: &[Value], id: IntDelta) -> Result<(), String> {
+        let change = self.change_mut(field, keys)?;
+        if change.add.is_some() {
+            return Err(format!("{} added to twice", component_name(field, keys)));
+        }
+        change.add = Some(id);
+        Ok(())
+    }
+
+    /// The leaf at a component, made empty if the path is new.
+    fn change_mut(&mut self, field: Sym, keys: &[Value]) -> Result<&mut Change, String> {
+        let new = |depth: usize| match depth == keys.len() {
+            true => Tree::Leaf(Change::default()),
+            false => Tree::Branch(BTreeMap::new()),
+        };
+        let nested = || format!("{} nests with another component", component_name(field, keys));
+        let mut tree = self.fields.entry(field).or_insert_with(|| new(0));
+        for (depth, k) in keys.iter().enumerate() {
+            let Tree::Branch(children) = tree else { return Err(nested()) };
+            tree = children.entry(k.clone()).or_insert_with(|| new(depth + 1));
+        }
+        match tree {
+            Tree::Leaf(change) => Ok(change),
+            Tree::Branch(_) => Err(nested()),
+        }
+    }
+
+    /// Visits the leaves in component order with their key paths.
+    fn for_each_change<'a>(&'a self, mut visit: impl FnMut(Sym, &[&'a Value], &'a Change)) {
+        fn walk<'a>(
+            tree: &'a Tree<Change>,
+            keys: &mut Vec<&'a Value>,
+            visit: &mut impl FnMut(&[&'a Value], &'a Change),
+        ) {
+            match tree {
+                Tree::Leaf(change) => visit(keys, change),
+                Tree::Branch(children) => {
+                    for (k, tree) in children {
+                        keys.push(k);
+                        walk(tree, keys, visit);
+                        keys.pop();
+                    }
+                }
+            }
+        }
+        let mut keys = Vec::new();
+        for (&field, tree) in &self.fields {
+            walk(tree, &mut keys, &mut |keys, change| visit(field, keys, change));
+        }
+    }
+}
+
+/// Joins `theirs` into `ours`, two trees of one field's changes; `at` is
+/// the path to them. Two adds on a component sum, and `wrapped` hears of
+/// each sum that wraps past the `i128` range, with its direction.
+///
+/// # Errors
+///
+/// A conflict, with `at` left at its component: an overwrite meets another
+/// overwrite, a change above or below its component, or two adds differ in
+/// width or signedness.
+fn join<'a>(
+    ours: &mut Tree<Change>,
+    theirs: &'a Tree<Change>,
+    at: &mut Vec<&'a Value>,
+    wrapped: &mut impl FnMut(&[&'a Value], i64),
+) -> Result<(), ()> {
+    match (ours, theirs) {
+        (Tree::Branch(ours), Tree::Branch(theirs)) => {
+            for (k, theirs) in theirs {
+                match ours.entry(k.clone()) {
+                    Entry::Occupied(ours) => {
+                        at.push(k);
+                        join(ours.into_mut(), theirs, at, wrapped)?;
+                        at.pop();
+                    }
+                    Entry::Vacant(e) => drop(e.insert(theirs.clone())),
+                }
+            }
+            Ok(())
+        }
+        (Tree::Leaf(ours), Tree::Leaf(theirs)) => {
+            match (&ours.set, &theirs.set) {
+                (Some(_), Some(_)) => return Err(()),
+                (None, Some(set)) => ours.set = Some(set.clone()),
+                _ => {}
+            }
+            match (&mut ours.add, theirs.add) {
+                (_, None) => {}
+                (None, add) => ours.add = add,
+                (Some(a), Some(b)) if (a.width, a.signed) == (b.width, b.signed) => {
+                    let (sum, wraps) = a.delta.overflowing_add(b.delta);
+                    a.delta = sum;
+                    if wraps {
+                        wrapped(at, b.delta.signum() as i64);
+                    }
+                }
+                (Some(_), Some(_)) => return Err(()),
+            }
+            Ok(())
+        }
+        _ => Err(()),
     }
 }
 
@@ -122,78 +266,79 @@ impl StateDelta {
             && self.nonces.is_empty()
     }
 
-    /// Merges several shard deltas into one (the `FinalStateDelta`),
-    /// checking disjointness of overwrites. It borrows them: the DS
+    /// Merges several shard deltas into one (the `FinalStateDelta`) by
+    /// joining their trees field by field. It borrows them: the DS
     /// committee merges micro-block deltas in place without cloning each
     /// one first.
     ///
     /// # Errors
     ///
-    /// [`MergeError::OverwriteConflict`] if two deltas overwrite the same
-    /// component, or a component of either kind lies above or below another
-    /// in the same field — impossible under correct ownership dispatch;
-    /// [`MergeError::DeltaOutOfRange`] if the exact sum of a component's
-    /// integer deltas, or of an account's balance deltas, leaves `i128` —
-    /// only a hostile wire delta gets there.
+    /// [`MergeError::OverwriteConflict`] if an overwrite meets another
+    /// overwrite of its component or any change above or below it, a
+    /// numeric delta meets a change above or below it, or two numeric
+    /// deltas on a component differ in width or signedness — impossible
+    /// under correct ownership dispatch; [`MergeError::DeltaOutOfRange`] if
+    /// the exact sum of a component's integer deltas, or of an account's
+    /// balance deltas, leaves `i128` — only a hostile wire delta gets there.
     ///
-    /// The verdict does not depend on the order of `deltas`: sums are taken
-    /// exactly, so `[MAX, 1, -1]` merges like `[MAX, -1, 1]`. Grouping is
-    /// promised only while every sum is in range: merging `[MAX, 1]` first
-    /// fails, because that inner sum has no `i128` value.
+    /// The verdict does not depend on the order of `deltas`: every conflict
+    /// is between two of them, and sums are taken exactly, so `[MAX, 1, -1]`
+    /// merges like `[MAX, -1, 1]`. Grouping is promised only while every
+    /// sum is in range: merging `[MAX, 1]` first fails, because that inner
+    /// sum has no `i128` value.
     ///
     /// An integer delta and an overwrite on the same component do merge:
     /// the executor falls back to an overwrite where a value's change
-    /// leaves `i128`, and [`StateDelta::apply`] sets overwrites before it
-    /// adds integer deltas.
+    /// leaves `i128`, and [`StateDelta::apply`] sets the overwrite before
+    /// it adds the integer delta.
     pub fn merge_ref<'a>(
         deltas: impl IntoIterator<Item = &'a StateDelta>,
     ) -> Result<StateDelta, MergeError> {
         let mut out = StateDelta::new();
         // Net wraps past the `i128` range per (contract, component) and per
         // account (`None`): each sum is exact as `wrapped + n × 2¹²⁸`.
-        let mut wraps: BTreeMap<(Address, Option<&Component>), i64> = BTreeMap::new();
+        type Wraps = BTreeMap<(Address, Option<(Sym, Vec<Value>)>), i64>;
+        let mut wraps: Wraps = BTreeMap::new();
+        let mut at = Vec::new();
         for d in deltas {
             for (addr, cd) in &d.contracts {
                 let target = out.contracts.entry(*addr).or_default();
-                for (comp, id) in &cd.int_deltas {
-                    let entry = target.int_deltas.entry(comp.clone()).or_insert(IntDelta {
-                        delta: 0,
-                        width: id.width,
-                        signed: id.signed,
-                    });
-                    add_counting_wraps(&mut entry.delta, id.delta, &mut wraps, (*addr, Some(comp)));
-                }
-                for (comp, ow) in &cd.overwrites {
-                    if target.overwrites.insert(comp.clone(), ow.clone()).is_some() {
-                        return Err(MergeError::OverwriteConflict {
+                for (&field, theirs) in &cd.fields {
+                    let Some(ours) = target.fields.get_mut(&field) else {
+                        target.fields.insert(field, theirs.clone());
+                        continue;
+                    };
+                    at.clear();
+                    let mut count = |at: &[&Value], n| {
+                        let comp = (field, at.iter().map(|&k| k.clone()).collect());
+                        *wraps.entry((*addr, Some(comp))).or_default() += n;
+                    };
+                    join(ours, theirs, &mut at, &mut count).map_err(|()| {
+                        MergeError::OverwriteConflict {
                             contract: addr.to_string(),
-                            component: component_name(comp),
-                        });
-                    }
+                            component: component_name(field, at.iter().copied()),
+                        }
+                    })?;
                 }
             }
             for (addr, b) in &d.balances {
-                let entry = out.balances.entry(*addr).or_insert(0);
-                add_counting_wraps(entry, *b, &mut wraps, (*addr, None));
+                let sum = out.balances.entry(*addr).or_insert(0);
+                let wrapped;
+                (*sum, wrapped) = sum.overflowing_add(*b);
+                if wrapped {
+                    *wraps.entry((*addr, None)).or_default() += b.signum() as i64;
+                }
             }
             for (addr, ns) in &d.nonces {
                 out.nonces.entry(*addr).or_default().extend(ns.iter().copied());
             }
         }
-        // A merge only adds components, so one check of the result finds
-        // every nested pair, whether inside one delta or across two.
-        for (addr, cd) in &out.contracts {
-            if let Some(comp) = first_nested(cd) {
-                return Err(MergeError::OverwriteConflict {
-                    contract: addr.to_string(),
-                    component: component_name(comp),
-                });
-            }
-        }
         if let Some(((addr, comp), _)) = wraps.iter().find(|(_, n)| **n != 0) {
             return Err(MergeError::DeltaOutOfRange {
                 contract: addr.to_string(),
-                component: comp.map_or_else(|| "balance".into(), component_name),
+                component: comp
+                    .as_ref()
+                    .map_or_else(|| "balance".into(), |(field, keys)| component_name(*field, keys)),
             });
         }
         // Canonical multiset representation: merging is commutative and
@@ -205,13 +350,15 @@ impl StateDelta {
     }
 
     /// Applies the delta to the global state (the DS committee's three-way
-    /// merge of epoch-start state with the combined deltas).
+    /// merge of epoch-start state with the combined deltas): each field's
+    /// tree is grafted onto the contract's storage in one walk.
     ///
     /// # Errors
     ///
     /// [`MergeError::DeltaOutOfRange`] if an integer component or a native
     /// balance leaves its type's range — the situation the paper's §6
-    /// overflow guard prevents.
+    /// overflow guard prevents — or a numeric delta meets a value that is
+    /// not an integer of its shape.
     pub fn apply(&self, state: &mut GlobalState) -> Result<(), MergeError> {
         for (addr, cd) in &self.contracts {
             // In the normal epoch flow the shard executors' snapshot views
@@ -219,18 +366,13 @@ impl StateDelta {
             // place; a surviving snapshot (e.g. a held block digest input)
             // triggers one shallow O(fields) copy, never a value deep-copy.
             let storage = Arc::make_mut(state.storage.entry(*addr).or_default());
-            for ((field, keys), ow) in &cd.overwrites {
-                storage.set(*field, keys, ow.clone());
-            }
-            for (comp, id) in &cd.int_deltas {
-                let (field, keys) = comp;
-                let err = || MergeError::DeltaOutOfRange {
-                    contract: addr.to_string(),
-                    component: component_name(comp),
-                };
-                let old = storage.get(*field, keys);
-                let nv = apply_int_delta(old.as_ref(), id).ok_or_else(err)?;
-                storage.set(*field, keys, Some(nv));
+            for (&field, tree) in &cd.fields {
+                storage.graft(field, tree, &mut |change, old| change.applied(old).ok_or(())).map_err(
+                    |((), keys)| MergeError::DeltaOutOfRange {
+                        contract: addr.to_string(),
+                        component: component_name(field, &keys),
+                    },
+                )?;
             }
         }
         for (addr, b) in &self.balances {
@@ -252,36 +394,33 @@ impl StateDelta {
     }
 
     /// Serialises the delta through the JSON wire format (the boundary whose
-    /// cost the paper measures in §5.2.2).
+    /// cost the paper measures in §5.2.2): per contract, the numeric deltas
+    /// and then the overwrites, each list in component order.
     pub fn to_wire(&self) -> String {
+        let keys = |keys: &[&Value]| keys.iter().map(|k| scilla::wire::to_json(k)).collect::<Vec<_>>();
         let contracts: Vec<serde_json::Value> = self
             .contracts
             .iter()
             .map(|(addr, cd)| {
-                let ints: Vec<serde_json::Value> = cd
-                    .int_deltas
-                    .iter()
-                    .map(|(c, d)| {
-                        json!({
-                            "field": c.0.as_str(),
-                            "keys": c.1.iter().map(scilla::wire::to_json).collect::<Vec<_>>(),
+                let (mut ints, mut ows) = (Vec::new(), Vec::new());
+                cd.for_each_change(|field, path, change| {
+                    if let Some(d) = &change.add {
+                        ints.push(json!({
+                            "field": field.as_str(),
+                            "keys": keys(path),
                             "delta": d.delta.to_string(),
                             "width": d.width,
                             "signed": d.signed,
-                        })
-                    })
-                    .collect();
-                let ows: Vec<serde_json::Value> = cd
-                    .overwrites
-                    .iter()
-                    .map(|(c, v)| {
-                        json!({
-                            "field": c.0.as_str(),
-                            "keys": c.1.iter().map(scilla::wire::to_json).collect::<Vec<_>>(),
+                        }));
+                    }
+                    if let Some(v) = &change.set {
+                        ows.push(json!({
+                            "field": field.as_str(),
+                            "keys": keys(path),
                             "value": v.as_ref().map(scilla::wire::to_json),
-                        })
-                    })
-                    .collect();
+                        }));
+                    }
+                });
                 json!({"contract": addr.to_string(), "ints": ints, "overwrites": ows})
             })
             .collect();
@@ -297,7 +436,9 @@ impl StateDelta {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed node.
+    /// Returns a description of the first malformed node: among others, a
+    /// width other than 32, 64, 128 or 256, and a component that repeats
+    /// or lies above or below another of the same contract.
     pub fn from_wire(wire: &str) -> Result<StateDelta, String> {
         let root: serde_json::Value = serde_json::from_str(wire).map_err(|e| e.to_string())?;
         let mut out = StateDelta::new();
@@ -318,9 +459,12 @@ impl StateDelta {
                 let delta: i128 =
                     i["delta"].as_str().ok_or("missing delta")?.parse().map_err(|_| "bad delta")?;
                 let width = i["width"].as_u64().ok_or("missing width")?;
-                let width = u32::try_from(width).map_err(|_| format!("bad width {width}"))?;
+                let width = match width {
+                    32 | 64 | 128 | 256 => width as u32,
+                    _ => return Err(format!("bad width {width}")),
+                };
                 let signed = i["signed"].as_bool().ok_or("missing signed")?;
-                cd.int_deltas.insert((field, keys), IntDelta { delta, width, signed });
+                cd.add(field, &keys, IntDelta { delta, width, signed })?;
             }
             for o in c["overwrites"].as_array().ok_or("missing overwrites")? {
                 let field = scilla::intern::intern(o["field"].as_str().ok_or("missing field")?);
@@ -329,7 +473,7 @@ impl StateDelta {
                     serde_json::Value::Null => None,
                     v => Some(scilla::wire::from_json(v)?),
                 };
-                cd.overwrites.insert((field, keys), value);
+                cd.set(field, &keys, value)?;
             }
         }
         for b in root["balances"].as_array().ok_or("missing balances")? {
@@ -342,13 +486,14 @@ impl StateDelta {
     }
 
     /// The number of changed state components (the unit of the paper's
-    /// "per changed state field" merge cost).
+    /// "per changed state field" merge cost): an overwrite and a numeric
+    /// delta on one component count two.
     pub fn changed_components(&self) -> usize {
-        self.contracts
-            .values()
-            .map(|cd| cd.int_deltas.len() + cd.overwrites.len())
-            .sum::<usize>()
-            + self.balances.len()
+        let mut n = self.balances.len();
+        for cd in self.contracts.values() {
+            cd.for_each_change(|_, _, c| n += usize::from(c.set.is_some()) + usize::from(c.add.is_some()));
+        }
+        n
     }
 }
 
@@ -386,10 +531,13 @@ pub fn compute_int_delta(initial: Option<&Value>, now: &Value) -> Option<IntDelt
 /// Applies a signed delta to an integer value (absent = 0), range-checked
 /// against the component's declared width. Arithmetic happens in the
 /// value's own domain, so `u128` values beyond `i128::MAX` are exact.
+/// `None` if the result leaves the width's range, or the value is not an
+/// integer of the delta's width and signedness: a delta never retypes a
+/// component.
 pub fn apply_int_delta(old: Option<&Value>, id: &IntDelta) -> Option<Value> {
     if id.signed {
         let old_i: i128 = match old {
-            Some(Value::Int(_, n)) => *n,
+            Some(Value::Int(w, n)) if *w == id.width => *n,
             None => 0,
             _ => return None,
         };
@@ -402,7 +550,7 @@ pub fn apply_int_delta(old: Option<&Value>, id: &IntDelta) -> Option<Value> {
         (new >= min && new <= max).then_some(Value::Int(id.width, new))
     } else {
         let old_u: u128 = match old {
-            Some(Value::Uint(_, n)) => *n,
+            Some(Value::Uint(w, n)) if *w == id.width => *n,
             None => 0,
             _ => return None,
         };
@@ -414,6 +562,7 @@ pub fn apply_int_delta(old: Option<&Value>, id: &IntDelta) -> Option<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scilla::state::{InMemoryState, StateStore};
 
     fn addr(i: u64) -> Address {
         Address::from_index(i)
@@ -427,53 +576,58 @@ mod tests {
         IntDelta { delta: d, width: 128, signed: false }
     }
 
+    /// The change recorded for contract 100.
+    fn cd(sd: &mut StateDelta) -> &mut ContractDelta {
+        sd.contracts.entry(addr(100)).or_default()
+    }
+
+    fn adding(field: &str, keys: &[Value], id: IntDelta) -> StateDelta {
+        let mut sd = StateDelta::new();
+        cd(&mut sd).add(field.into(), keys, id).unwrap();
+        sd
+    }
+
+    fn setting(field: &str, keys: &[Value], value: Option<Value>) -> StateDelta {
+        let mut sd = StateDelta::new();
+        cd(&mut sd).set(field.into(), keys, value).unwrap();
+        sd
+    }
+
     #[test]
     fn int_deltas_sum_across_shards() {
-        let c = addr(100);
-        let mk = |d: i128| {
-            let mut sd = StateDelta::new();
-            sd.contracts.entry(c).or_default().int_deltas.insert(
-                ("balances".into(), vec![key(1)]),
-                int_delta(d),
-            );
-            sd
-        };
+        let mk = |d: i128| adding("balances", &[key(1)], int_delta(d));
         let merged = StateDelta::merge_ref(&[mk(10), mk(-3), mk(5)]).unwrap();
-        assert_eq!(
-            merged.contracts[&c].int_deltas[&("balances".into(), vec![key(1)])].delta,
-            12
-        );
+        assert_eq!(merged, mk(12));
     }
 
     #[test]
     fn overwrite_conflicts_are_detected() {
-        let c = addr(100);
-        let mk = |v: u128| {
-            let mut sd = StateDelta::new();
-            sd.contracts
-                .entry(c)
-                .or_default()
-                .overwrites
-                .insert(("owners".into(), vec![key(1)]), Some(Value::Uint(128, v)));
-            sd
-        };
+        let mk = |v: u128| setting("owners", &[key(1)], Some(Value::Uint(128, v)));
         let err = StateDelta::merge_ref(&[mk(1), mk(2)]).unwrap_err();
         assert!(matches!(err, MergeError::OverwriteConflict { .. }));
     }
 
+    /// Two adds on one component at different widths have no common type
+    /// to sum in: a conflict, whichever arrives first.
+    #[test]
+    fn adds_of_another_shape_conflict_in_every_order() {
+        let narrow = adding("n", &[], IntDelta { delta: 1, width: 32, signed: false });
+        let wide = adding("n", &[], int_delta(1));
+        let signed = adding("n", &[], IntDelta { delta: 1, width: 128, signed: true });
+        for pair in [[&narrow, &wide], [&wide, &narrow], [&wide, &signed], [&signed, &wide]] {
+            match StateDelta::merge_ref(pair) {
+                Err(MergeError::OverwriteConflict { component, .. }) => assert_eq!(component, "n"),
+                other => panic!("{pair:?} merged: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn merge_is_order_independent() {
-        let c = addr(100);
-        let mut d1 = StateDelta::new();
-        d1.contracts.entry(c).or_default().int_deltas.insert(("x".into(), vec![]), int_delta(4));
+        let mut d1 = adding("x", &[], int_delta(4));
         d1.balances.insert(addr(1), -7);
-        let mut d2 = StateDelta::new();
-        d2.contracts.entry(c).or_default().int_deltas.insert(("x".into(), vec![]), int_delta(-1));
-        d2.contracts
-            .entry(c)
-            .or_default()
-            .overwrites
-            .insert(("y".into(), vec![key(2)]), None);
+        let mut d2 = adding("x", &[], int_delta(-1));
+        cd(&mut d2).set("y".into(), &[key(2)], None).unwrap();
         d2.balances.insert(addr(1), 3);
 
         let ab = StateDelta::merge_ref([&d1, &d2]).unwrap();
@@ -488,22 +642,38 @@ mod tests {
         let storage = Arc::make_mut(state.storage.entry(c).or_default());
         storage.set("balances".into(), &[key(1)], Some(Value::Uint(128, 100)));
 
-        let mut sd = StateDelta::new();
-        sd.contracts
-            .entry(c)
-            .or_default()
-            .int_deltas
-            .insert(("balances".into(), vec![key(1)]), int_delta(-30));
-        sd.contracts
-            .entry(c)
-            .or_default()
-            .int_deltas
-            .insert(("balances".into(), vec![key(2)]), int_delta(30));
+        let mut sd = adding("balances", &[key(1)], int_delta(-30));
+        cd(&mut sd).add("balances".into(), &[key(2)], int_delta(30)).unwrap();
         sd.apply(&mut state).unwrap();
 
         let storage = &state.storage[&c];
         assert_eq!(storage.get("balances".into(), &[key(1)]), Some(Value::Uint(128, 70)));
         assert_eq!(storage.get("balances".into(), &[key(2)]), Some(Value::Uint(128, 30)));
+    }
+
+    /// A leaf that sets and adds applies the set first; a branch over a
+    /// scalar replaces it with a map, unless it only removes, as a plain
+    /// store's `set` does.
+    #[test]
+    fn apply_sets_before_it_adds_and_grafts_maps_over_scalars() {
+        let c = addr(100);
+        let mut state = GlobalState::new();
+        let storage = Arc::make_mut(state.storage.entry(c).or_default());
+        storage.set("n".into(), &[], Some(Value::Uint(128, 7)));
+        storage.set("s".into(), &[], Some(Value::Uint(128, 1)));
+        storage.set("t".into(), &[], Some(Value::Uint(128, 2)));
+        let mut sd = setting("n", &[], Some(Value::Uint(128, 100)));
+        cd(&mut sd).add("n".into(), &[], int_delta(5)).unwrap();
+        cd(&mut sd).set("s".into(), &[key(1), key(2)], Some(Value::Uint(32, 9))).unwrap();
+        cd(&mut sd).set("s".into(), &[key(3)], None).unwrap();
+        cd(&mut sd).set("t".into(), &[key(1), key(2)], None).unwrap();
+        sd.apply(&mut state).unwrap();
+
+        let mut plain = InMemoryState::new();
+        plain.set("n".into(), &[], Some(Value::Uint(128, 105)));
+        plain.set("s".into(), &[key(1), key(2)], Some(Value::Uint(32, 9)));
+        plain.set("t".into(), &[], Some(Value::Uint(128, 2)));
+        assert_eq!(*state.storage[&c], plain);
     }
 
     /// A wire delta may overwrite a whole field with `null`: that removes
@@ -514,8 +684,7 @@ mod tests {
         let mut state = GlobalState::new();
         let storage = Arc::make_mut(state.storage.entry(c).or_default());
         storage.set("owner".into(), &[], Some(Value::Str("x".into())));
-        let mut sd = StateDelta::new();
-        sd.contracts.entry(c).or_default().overwrites.insert(("owner".into(), vec![]), None);
+        let sd = setting("owner", &[], None);
         let sd = StateDelta::from_wire(&sd.to_wire()).unwrap();
         sd.apply(&mut state).unwrap();
         assert!(!state.storage[&c].fields().contains_key("owner"));
@@ -523,16 +692,15 @@ mod tests {
 
     #[test]
     fn apply_rejects_underflow() {
-        let c = addr(100);
         let mut state = GlobalState::new();
-        state.storage.entry(c).or_default();
-        let mut sd = StateDelta::new();
-        sd.contracts
-            .entry(c)
-            .or_default()
-            .int_deltas
-            .insert(("balances".into(), vec![key(1)]), int_delta(-5));
-        assert!(matches!(sd.apply(&mut state), Err(MergeError::DeltaOutOfRange { .. })));
+        state.storage.entry(addr(100)).or_default();
+        let sd = adding("balances", &[key(1)], int_delta(-5));
+        match sd.apply(&mut state) {
+            Err(MergeError::DeltaOutOfRange { component, .. }) => {
+                assert_eq!(component, component_name("balances".into(), &[key(1)]))
+            }
+            other => panic!("expected DeltaOutOfRange, got {other:?}"),
+        }
     }
 
     #[test]
@@ -541,12 +709,28 @@ mod tests {
         let mut state = GlobalState::new();
         let storage = Arc::make_mut(state.storage.entry(c).or_default());
         storage.set("counter".into(), &[], Some(Value::Uint(32, u32::MAX as u128 - 1)));
-        let mut sd = StateDelta::new();
-        sd.contracts.entry(c).or_default().int_deltas.insert(
-            ("counter".into(), vec![]),
-            IntDelta { delta: 5, width: 32, signed: false },
-        );
+        let sd = adding("counter", &[], IntDelta { delta: 5, width: 32, signed: false });
         assert!(matches!(sd.apply(&mut state), Err(MergeError::DeltaOutOfRange { .. })));
+    }
+
+    /// A delta never retypes a component: a base integer of another width
+    /// or signedness refuses it.
+    #[test]
+    fn apply_refuses_a_base_integer_of_another_shape() {
+        let narrow = IntDelta { delta: 1, width: 32, signed: false };
+        assert_eq!(apply_int_delta(Some(&Value::Uint(128, 5)), &narrow), None);
+        assert_eq!(apply_int_delta(Some(&Value::Int(32, 5)), &narrow), None);
+        assert_eq!(apply_int_delta(Some(&Value::Uint(32, 5)), &narrow), Some(Value::Uint(32, 6)));
+        let signed = IntDelta { delta: 1, width: 64, signed: true };
+        assert_eq!(apply_int_delta(Some(&Value::Int(128, 5)), &signed), None);
+
+        let c = addr(100);
+        let mut state = GlobalState::new();
+        let storage = Arc::make_mut(state.storage.entry(c).or_default());
+        storage.set("counter".into(), &[], Some(Value::Uint(128, 5)));
+        let sd = adding("counter", &[], narrow);
+        assert!(matches!(sd.apply(&mut state), Err(MergeError::DeltaOutOfRange { .. })));
+        assert_eq!(state.storage[&c].get("counter".into(), &[]), Some(Value::Uint(128, 5)));
     }
 
     #[test]
@@ -567,23 +751,10 @@ mod tests {
 
     #[test]
     fn wire_roundtrips_modulo_nonces() {
-        let c = addr(100);
-        let mut sd = StateDelta::new();
-        sd.contracts
-            .entry(c)
-            .or_default()
-            .int_deltas
-            .insert(("balances".into(), vec![key(1)]), int_delta(-42));
-        sd.contracts
-            .entry(c)
-            .or_default()
-            .overwrites
-            .insert(("owners".into(), vec![key(2)]), Some(Value::Str("x".into())));
-        sd.contracts
-            .entry(c)
-            .or_default()
-            .overwrites
-            .insert(("owners".into(), vec![key(3)]), None);
+        let mut sd = adding("balances", &[key(1)], int_delta(-42));
+        cd(&mut sd).set("balances".into(), &[key(1)], Some(Value::Uint(128, 3))).unwrap();
+        cd(&mut sd).set("owners".into(), &[key(2)], Some(Value::Str("x".into()))).unwrap();
+        cd(&mut sd).set("owners".into(), &[key(3)], None).unwrap();
         sd.balances.insert(addr(1), -3);
         let back = StateDelta::from_wire(&sd.to_wire()).unwrap();
         // Nonce commits are carried in MicroBlock headers, not the wire
@@ -600,14 +771,52 @@ mod tests {
             .is_err());
     }
 
+    /// A delta's own components never nest or repeat: the tree has no
+    /// place for `m[1]` beside `m[1][3]`, so the decoder refuses them.
+    #[test]
+    fn wire_rejects_components_that_nest_or_repeat() {
+        // The wire entries of one-component deltas, spliced into one.
+        let entry = |sd: StateDelta, list: &str| {
+            let wire: serde_json::Value = serde_json::from_str(&sd.to_wire()).unwrap();
+            (list.to_string(), wire["contracts"][0][list][0].clone())
+        };
+        let set = |keys: &[u64]| {
+            let keys: Vec<Value> = keys.iter().map(|&k| key(k)).collect();
+            entry(setting("m", &keys, Some(Value::Uint(128, 9))), "overwrites")
+        };
+        let add = |keys: &[u64]| {
+            let keys: Vec<Value> = keys.iter().map(|&k| key(k)).collect();
+            entry(adding("m", &keys, int_delta(1)), "ints")
+        };
+        let spliced = |entries: &[(String, serde_json::Value)]| {
+            let of = |list: &str| -> Vec<serde_json::Value> {
+                entries.iter().filter(|(l, _)| l == list).map(|(_, e)| e.clone()).collect()
+            };
+            let contract = json!({
+                "contract": addr(100).to_string(),
+                "ints": of("ints"),
+                "overwrites": of("overwrites"),
+            });
+            let balances: Vec<serde_json::Value> = Vec::new();
+            StateDelta::from_wire(&json!({"contracts": vec![contract], "balances": balances}).to_string())
+        };
+        assert!(spliced(&[set(&[1]), set(&[2]), add(&[1]), add(&[3, 4])]).is_ok());
+        for pair in [
+            [set(&[1]), set(&[1, 3])],
+            [set(&[1, 3]), set(&[1])],
+            [add(&[1]), set(&[1, 3])],
+            [add(&[1, 3]), add(&[1])],
+            [set(&[]), add(&[1])],
+            [set(&[1]), set(&[1])],
+            [add(&[1]), add(&[1])],
+        ] {
+            assert!(spliced(&pair).is_err(), "{pair:?}");
+        }
+    }
+
     #[test]
     fn non_hex_wire_key_is_an_error_not_a_panic() {
-        let mut sd = StateDelta::new();
-        sd.contracts
-            .entry(addr(100))
-            .or_default()
-            .overwrites
-            .insert(("owners".into(), vec![Value::ByStr(vec![0xab])]), None);
+        let sd = setting("owners", &[Value::ByStr(vec![0xab])], None);
         let wire = sd.to_wire();
         assert!(StateDelta::from_wire(&wire).is_ok());
         // An even-length payload whose second byte is inside 'é'.
@@ -618,12 +827,7 @@ mod tests {
 
     #[test]
     fn hostile_wire_address_or_width_is_an_error_not_a_panic() {
-        let mut sd = StateDelta::new();
-        sd.contracts
-            .entry(addr(100))
-            .or_default()
-            .int_deltas
-            .insert(("balances".into(), vec![key(1)]), int_delta(1));
+        let sd = adding("balances", &[key(1)], int_delta(1));
         let wire = sd.to_wire();
         let contract = addr(100).to_string();
         // A two-byte character straddling a digit pair, and signed digits.
@@ -635,27 +839,23 @@ mod tests {
             assert_ne!(bad, wire);
             assert!(StateDelta::from_wire(&bad).is_err(), "accepted contract {hostile:?}");
         }
-        // A width past `u32` is an error, not a truncation to 128.
-        let wide =
-            wire.replace(r#""width":128"#, &format!(r#""width":{}"#, (1u64 << 32) + 128));
-        assert_ne!(wide, wire);
-        assert!(StateDelta::from_wire(&wide).is_err());
+        // A width past `u32` is an error, not a truncation to 128, and so is
+        // any width no integer type has.
+        for width in [(1u64 << 32) + 128, 0, 8, 48, 512] {
+            let bad = wire.replace(r#""width":128"#, &format!(r#""width":{width}"#));
+            assert_ne!(bad, wire);
+            assert!(StateDelta::from_wire(&bad).is_err(), "accepted width {width}");
+        }
+        for width in [32, 64, 256] {
+            let good = wire.replace(r#""width":128"#, &format!(r#""width":{width}"#));
+            assert!(StateDelta::from_wire(&good).is_ok(), "refused width {width}");
+        }
     }
 
     #[test]
     fn wire_encoding_is_valid_json() {
-        let c = addr(100);
-        let mut sd = StateDelta::new();
-        sd.contracts
-            .entry(c)
-            .or_default()
-            .int_deltas
-            .insert(("balances".into(), vec![key(1)]), int_delta(5));
-        sd.contracts
-            .entry(c)
-            .or_default()
-            .overwrites
-            .insert(("owners".into(), vec![key(2)]), Some(Value::Str("x".into())));
+        let mut sd = adding("balances", &[key(1)], int_delta(5));
+        cd(&mut sd).set("owners".into(), &[key(2)], Some(Value::Str("x".into()))).unwrap();
         sd.balances.insert(addr(1), -3);
         let wire = sd.to_wire();
         let parsed: serde_json::Value = serde_json::from_str(&wire).unwrap();

@@ -5,7 +5,7 @@
 //! Each contract's working state is a [`CowState`], the one record of the
 //! batch's writes: a transaction's writes stay open in it until the
 //! executor commits them or, on failure, rolls them back (gas is still
-//! charged), and the batch's delta is read off its tree. The DS
+//! charged), and its tree becomes the batch's delta. The DS
 //! committee reuses the same executor after the shard deltas merge, with
 //! chained contract calls enabled. The cross-shard stage runs it too, one
 //! step at a time: it prepares a transaction with its effects left open,
@@ -17,7 +17,7 @@
 //! holds the measurement behind that choice.
 
 use crate::address::Address;
-use crate::delta::{compute_int_delta, ContractDelta, StateDelta};
+use crate::delta::{ContractDelta, StateDelta};
 use crate::dispatch::{component_shard, compose_chain, recipient_value, Assignment};
 use crate::tx::{Transaction, TxKind};
 use cosplit_analysis::audit::{audit_placement, audit_transition, AuditViolation, ViolationKind};
@@ -946,24 +946,7 @@ impl<'a> Executor<'a> {
         self.composed_cross_check();
         let mut delta = StateDelta::new();
         for (addr, state) in std::mem::take(&mut self.storages) {
-            let joins = self.joins_of(&addr);
-            let mut cd = ContractDelta::default();
-            state.for_each_write(|field, keys, value, base| {
-                let int_merge =
-                    joins.is_some_and(|j| j.get(field.as_str()) == Some(&Join::IntMerge));
-                let comp = (field, keys.to_vec());
-                match value.filter(|_| int_merge).and_then(|v| compute_int_delta(base, v)) {
-                    Some(id) => {
-                        cd.int_deltas.insert(comp, id);
-                    }
-                    // Non-integer, shape-changing, or out-of-i128-range
-                    // changes fall back to an overwrite; under a correct
-                    // signature only one shard can produce them.
-                    None => {
-                        cd.overwrites.insert(comp, value.cloned());
-                    }
-                }
-            });
+            let cd = ContractDelta::from_state(state, self.joins_of(&addr));
             if !cd.is_empty() {
                 delta.contracts.insert(addr, cd);
             }

@@ -501,10 +501,6 @@ pub struct ComposedMember {
 /// edge (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComposedSummary {
-    /// The root contract's deployment identity.
-    pub root: String,
-    /// The root transition.
-    pub transition: String,
     /// All frames the chain may execute; `members[0]` is the root.
     pub members: Vec<ComposedMember>,
     /// ⊤-degradation: some edge was dynamic or tag-less, a cycle or the
@@ -534,12 +530,7 @@ pub fn compose(
     transition: &str,
 ) -> Option<ComposedSummary> {
     let root_summary = view.summary(root, transition)?;
-    let mut composed = ComposedSummary {
-        root: root.to_string(),
-        transition: transition.to_string(),
-        members: Vec::new(),
-        widened: false,
-    };
+    let mut composed = ComposedSummary { members: Vec::new(), widened: false };
     let mut bindings = BTreeMap::new();
     for p in &root_summary.params {
         bindings.insert(p.clone(), Binding::Param(p.clone()));

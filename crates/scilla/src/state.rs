@@ -16,16 +16,19 @@
 //! not O(state).
 //!
 //! [`CowState`] builds on this: pending writes over an `Arc`-shared
-//! [`InMemoryState`] base, kept per field as a tree shaped like the field's
-//! nested maps, one key per level. It is the one record of a batch's
-//! writes: it owns the transaction boundary ([`CowState::commit`],
+//! [`InMemoryState`] base, kept per field as a [`Tree`] shaped like the
+//! field's nested maps, one key per level. It is the one record of a
+//! batch's writes: it owns the transaction boundary ([`CowState::commit`],
 //! [`CowState::rollback`]: transitions are atomic, §3.1), and
-//! [`CowState::for_each_write`] reads the batch's delta off the tree.
+//! [`CowState::into_writes`] hands its trees over as the batch's delta,
+//! which [`InMemoryState::graft`] writes into a store in one walk.
 
 use crate::intern::Sym;
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 use telemetry::names;
 
@@ -137,6 +140,91 @@ impl InMemoryState {
     pub fn fields(&self) -> &BTreeMap<String, Value> {
         &self.fields
     }
+
+    /// Writes a tree of changes into `field` in one walk beside the field's
+    /// maps, copying each shared map node it changes once. `leaf` maps a
+    /// leaf and the value at its path (`None`: absent) to the new value
+    /// (`None`: remove). A branch over a missing or non-map value writes
+    /// into a fresh map, which replaces that value unless it stays empty.
+    /// So setting each leaf's component in component order with
+    /// [`StateStore::set`] gives the same store.
+    ///
+    /// # Errors
+    ///
+    /// The first error `leaf` returns, with its leaf's key path; the leaves
+    /// before it in component order are written.
+    pub fn graft<L, E>(
+        &mut self,
+        field: Sym,
+        tree: &Tree<L>,
+        leaf: &mut impl FnMut(&L, Option<&Value>) -> Result<Option<Value>, E>,
+    ) -> Result<(), (E, Vec<Value>)> {
+        let name = field.as_str();
+        graft_at(&mut self.fields, name, || name.to_string(), tree, leaf).map_err(|(e, mut path)| {
+            path.reverse();
+            (e, path)
+        })
+    }
+}
+
+/// Grafts `tree` onto `map[key]`; `owned` makes the key of an entry it
+/// inserts. An error carries its leaf's key path below `key`, deepest key
+/// first.
+fn graft_at<K, Q, L, E>(
+    map: &mut BTreeMap<K, Value>,
+    key: &Q,
+    owned: impl FnOnce() -> K,
+    tree: &Tree<L>,
+    leaf: &mut impl FnMut(&L, Option<&Value>) -> Result<Option<Value>, E>,
+) -> Result<(), (E, Vec<Value>)>
+where
+    K: Borrow<Q> + Ord,
+    Q: Ord + ?Sized,
+{
+    let at_leaf = |e| (e, Vec::new());
+    match tree {
+        // One search: the key is cloned as an insert would need it.
+        Tree::Leaf(l) => match map.entry(owned()) {
+            Entry::Occupied(mut e) => match leaf(l, Some(e.get())).map_err(at_leaf)? {
+                Some(v) => *e.get_mut() = v,
+                None => drop(e.remove()),
+            },
+            Entry::Vacant(e) => {
+                if let Some(v) = leaf(l, None).map_err(at_leaf)? {
+                    e.insert(v);
+                }
+            }
+        },
+        Tree::Branch(children) => match map.get_mut(key) {
+            Some(Value::Map(m)) => graft_children(map_make_mut(m), children, leaf)?,
+            slot => {
+                let mut fresh = BTreeMap::new();
+                graft_children(&mut fresh, children, leaf)?;
+                if !fresh.is_empty() {
+                    let new = Value::Map(Arc::new(fresh));
+                    match slot {
+                        Some(slot) => *slot = new,
+                        None => drop(map.insert(owned(), new)),
+                    }
+                }
+            }
+        },
+    }
+    Ok(())
+}
+
+fn graft_children<L, E>(
+    map: &mut BTreeMap<Value, Value>,
+    children: &BTreeMap<Value, Tree<L>>,
+    leaf: &mut impl FnMut(&L, Option<&Value>) -> Result<Option<Value>, E>,
+) -> Result<(), (E, Vec<Value>)> {
+    for (k, tree) in children {
+        graft_at(map, k, || k.clone(), tree, leaf).map_err(|(e, mut path)| {
+            path.push(k.clone());
+            (e, path)
+        })?;
+    }
+    Ok(())
 }
 
 impl StateStore for InMemoryState {
@@ -167,17 +255,23 @@ impl StateStore for InMemoryState {
     }
 }
 
-/// A field's pending writes inside a [`CowState`]: a tree shaped like the
-/// field's nested maps, keyed one map key per level.
-#[derive(Debug, Clone)]
-enum Node {
-    /// The value at this path, whatever the base holds (`None`: absent).
-    Pinned(Option<Value>),
-    /// The base's map at this path with these children rewritten. Where the
-    /// base holds no value or a non-map here, the empty map that
-    /// [`insert_at`] would have made.
-    Branch(BTreeMap<Value, Node>),
+/// A tree of key paths shaped like a field's nested maps, one map key per
+/// level, with an `L` at each leaf. No leaf lies above or below another, so
+/// a leaf is a component and the leaves come in component order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Tree<L> {
+    /// The component at this path.
+    Leaf(L),
+    /// The map at this path, with these children changed.
+    Branch(BTreeMap<Value, Tree<L>>),
 }
+
+/// A field's pending writes inside a [`CowState`]. A leaf pins the value at
+/// its path, whatever the base holds (`None`: absent). A branch is the
+/// base's map at its path with its children rewritten; where the base holds
+/// no value or a non-map there, the empty map that [`insert_at`] would have
+/// made.
+type Node = Tree<Option<Value>>;
 
 /// Where a key path ends in the merged view.
 enum At<'a> {
@@ -203,7 +297,7 @@ fn walk<'a>(mut base: Option<&'a Value>, mut node: Option<&'a Node>, keys: &[Val
     loop {
         match node {
             None => return At::Value(base.and_then(|b| descend(b, keys.as_slice()))),
-            Some(Node::Pinned(v)) => {
+            Some(Node::Leaf(v)) => {
                 return At::Value(v.as_ref().and_then(|v| descend(v, keys.as_slice())))
             }
             Some(branch @ Node::Branch(children)) => {
@@ -221,7 +315,7 @@ fn walk<'a>(mut base: Option<&'a Value>, mut node: Option<&'a Node>, keys: &[Val
 /// if present.
 fn merged(base: Option<&Value>, node: &Node) -> Option<Value> {
     let children = match node {
-        Node::Pinned(v) => return v.clone(),
+        Node::Leaf(v) => return v.clone(),
         Node::Branch(children) => children,
     };
     let mut map = match base {
@@ -246,42 +340,48 @@ fn merged(base: Option<&Value>, node: &Node) -> Option<Value> {
 }
 
 /// The nodes a write to `keys` below a missing node creates: a branch per
-/// key, down to the pin.
+/// key, down to the leaf.
 fn fresh(keys: &[Value], value: Option<Value>) -> Node {
-    keys.iter().rev().fold(Node::Pinned(value), |node, k| {
+    keys.iter().rev().fold(Node::Leaf(value), |node, k| {
         Node::Branch(BTreeMap::from([(k.clone(), node)]))
     })
 }
 
-/// Whether some pin at or under `node` holds a value.
+/// Whether some leaf at or under `node` holds a value.
 fn holds_value(node: &Node) -> bool {
     match node {
-        Node::Pinned(v) => v.is_some(),
+        Node::Leaf(v) => v.is_some(),
         Node::Branch(children) => children.values().any(holds_value),
     }
 }
 
-/// The drain rule: the writes that, set in `base` (the base's value at
-/// `keys`), make the view of `node`. A pin is one write, unless it removes
-/// what the base does not hold. A branch is its children's writes, except
-/// one over a non-map base under which no pin holds a value: removals alone
-/// would not make that map, so it is written whole.
-fn drain<F>(keys: &mut Vec<Value>, base: Option<&Value>, node: &Node, visit: &mut F)
-where
-    F: FnMut(&[Value], Option<&Value>, Option<&Value>),
-{
+/// The drain rule: moves `node` into the tree of writes that, grafted onto
+/// `base` (the base's value at its path), make its view; `leaf` turns each
+/// write's value and base value into a leaf. A pin is one write, unless it
+/// removes what the base does not hold. A branch is its children's writes,
+/// except one over a non-map base under which no pin holds a value:
+/// removals alone would not make that map, so it is written whole. `None`
+/// when nothing is written.
+fn drain<L>(
+    base: Option<&Value>,
+    node: Node,
+    leaf: &mut impl FnMut(Option<Value>, Option<&Value>) -> L,
+) -> Option<Tree<L>> {
     match node {
-        Node::Pinned(None) if base.is_none() => {}
-        Node::Pinned(v) => visit(keys, v.as_ref(), base),
-        Node::Branch(_) if !matches!(base, Some(Value::Map(_))) && !holds_value(node) => {
-            visit(keys, merged(base, node).as_ref(), base)
+        Node::Leaf(None) if base.is_none() => None,
+        Node::Leaf(v) => Some(Tree::Leaf(leaf(v, base))),
+        Node::Branch(_) if !matches!(base, Some(Value::Map(_))) && !holds_value(&node) => {
+            Some(Tree::Leaf(leaf(merged(base, &node), base)))
         }
         Node::Branch(children) => {
-            for (k, node) in children {
-                keys.push(k.clone());
-                drain(keys, child(base, k), node, visit);
-                keys.pop();
-            }
+            let children: BTreeMap<Value, Tree<L>> = children
+                .into_iter()
+                .filter_map(|(k, node)| {
+                    let tree = drain(child(base, &k), node, leaf)?;
+                    Some((k, tree))
+                })
+                .collect();
+            (!children.is_empty()).then_some(Tree::Branch(children))
         }
     }
 }
@@ -291,7 +391,7 @@ fn node_mut<'a>(mut node: Option<&'a mut Node>, keys: &[Value]) -> Option<&'a mu
     for k in keys {
         node = match node? {
             Node::Branch(children) => children.get_mut(k),
-            Node::Pinned(_) => None,
+            Node::Leaf(_) => None,
         };
     }
     node
@@ -318,7 +418,7 @@ fn node_mut<'a>(mut node: Option<&'a mut Node>, keys: &[Value]) -> Option<&'a mu
 /// copying the base map nodes those writes change. A write inside a pinned
 /// map copies the map nodes it changes, because the log keeps the prior
 /// value. Rolling a write back costs one lookup per key of its path, and
-/// [`CowState::for_each_write`] one walk of the tree beside the base.
+/// [`CowState::into_writes`] one walk of the tree beside the base.
 #[derive(Debug, Clone, Default)]
 pub struct CowState {
     base: Arc<InMemoryState>,
@@ -376,27 +476,39 @@ impl CowState {
         self.log.iter().map(|(field, keys, ..)| (*field, keys.as_slice()))
     }
 
-    /// Visits the pending writes in component order as `(field, keys,
-    /// value, base)`, where `value` is the component's value in the view
-    /// (`None`: removed) and `base` its value in the base. No written
-    /// component lies above or below another, and setting each in the base
-    /// gives the view.
-    pub fn for_each_write<F>(&self, mut visit: F)
+    /// Hands the pending writes over, one tree per written field, moving
+    /// the overlay's nodes rather than cloning their key paths. For each
+    /// field, `per_field` gives the function that turns a write's value in
+    /// the view (`None`: removed) and its value in the base into a leaf.
+    /// Grafting the writes onto the base ([`InMemoryState::graft`]) gives
+    /// the view.
+    pub fn into_writes<L, C>(
+        self,
+        mut per_field: impl FnMut(Sym) -> C,
+    ) -> BTreeMap<Sym, Tree<L>>
     where
-        F: FnMut(Sym, &[Value], Option<&Value>, Option<&Value>),
+        C: FnMut(Option<Value>, Option<&Value>) -> L,
     {
-        let mut keys = Vec::new();
-        for (&field, node) in &self.overlay {
-            let base = self.base.fields.get(field.as_str());
-            drain(&mut keys, base, node, &mut |keys, value, base| visit(field, keys, value, base));
-        }
+        let base = &self.base.fields;
+        self.overlay
+            .into_iter()
+            .filter_map(|(field, node)| {
+                let tree = drain(base.get(field.as_str()), node, &mut per_field(field))?;
+                Some((field, tree))
+            })
+            .collect()
     }
 
-    /// The view as a standalone store: the base with every pending write
-    /// set in it, as the merge applies them.
+    /// The view as a standalone store: the base with the pending writes
+    /// grafted onto it, as the merge applies them.
     pub fn snapshot(&self) -> InMemoryState {
+        let pending =
+            CowState { base: Arc::clone(&self.base), overlay: self.overlay.clone(), log: Vec::new() };
+        let writes = pending.into_writes(|_| |value: Option<Value>, _: Option<&Value>| value);
         let mut state = (*self.base).clone();
-        self.for_each_write(|field, keys, value, _| state.set(field, keys, value.cloned()));
+        for (field, tree) in &writes {
+            let Ok(()) = state.graft(*field, tree, &mut |value, _| Ok::<_, Infallible>(value.clone()));
+        }
         state
     }
 
@@ -415,10 +527,10 @@ impl CowState {
         };
         for (depth, k) in keys.iter().enumerate() {
             match node {
-                Node::Pinned(pinned) => {
+                Node::Leaf(pinned) => {
                     // An `Arc` bump: the write below copies the pinned map
                     // node it changes.
-                    let prior = Node::Pinned(pinned.clone());
+                    let prior = Node::Leaf(pinned.clone());
                     let rest = &keys[depth..];
                     match (value, pinned) {
                         // As on a plain store: a deleted value is recreated
@@ -440,7 +552,7 @@ impl CowState {
                 },
             }
         }
-        (keys.len(), Some(std::mem::replace(node, Node::Pinned(value))))
+        (keys.len(), Some(std::mem::replace(node, Node::Leaf(value))))
     }
 }
 

@@ -2,13 +2,19 @@
 //! whole-field and map-entry reads/writes/deletes, commits and rollbacks,
 //! the copy-on-write overlay must be observationally identical to a plain
 //! deep-copied [`InMemoryState`]; a rollback must restore the pending
-//! writes of the last commit exactly; and the writes
-//! [`CowState::for_each_write`] yields must be prefix-free.
+//! writes of the last commit exactly; and the delta the chain's executor
+//! builds from the overlay ([`ContractDelta::from_state`]), applied to the
+//! base, must give the view.
 
+use chain::address::Address;
+use chain::delta::{ContractDelta, StateDelta};
+use chain::state::GlobalState;
+use cosplit_analysis::signature::Join;
 use proptest::prelude::*;
 use scilla::intern::Sym;
-use scilla::state::{CowState, InMemoryState, StateStore};
+use scilla::state::{CowState, InMemoryState, StateStore, Tree};
 use scilla::value::Value;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One step of a random op sequence. Mutations are applied to both stores;
@@ -86,29 +92,56 @@ fn seeded_base() -> Arc<InMemoryState> {
     Arc::new(s)
 }
 
-/// One pending write as [`CowState::for_each_write`] yields it.
-type Write = (Sym, Vec<Value>, Option<Value>);
+/// The pending writes as [`CowState::into_writes`] hands them over, each
+/// leaf the component's value in the view.
+type Writes = BTreeMap<Sym, Tree<Option<Value>>>;
 
-fn writes(cow: &CowState) -> Vec<Write> {
-    let mut out = Vec::new();
-    cow.for_each_write(|field, keys, value, _| out.push((field, keys.to_vec(), value.cloned())));
-    out
+fn writes(cow: &CowState) -> Writes {
+    cow.clone().into_writes(|_| |value: Option<Value>, _: Option<&Value>| value)
 }
 
-/// The writes come in component order, and none lies above or below
-/// another: in that order a nested pair would have to be adjacent.
-fn prefix_free(writes: &[Write]) -> Result<(), TestCaseError> {
-    for pair in writes.windows(2) {
-        let ((f, a, _), (g, b, _)) = (&pair[0], &pair[1]);
-        prop_assert!((f, a) < (g, b), "out of component order: {:?}", pair);
-        prop_assert!(f != g || !b.starts_with(a), "nested writes: {:?}", pair);
+/// No branch of a drained tree is empty: a branch stands for writes below
+/// it.
+fn no_empty_branch(writes: &Writes) -> Result<(), TestCaseError> {
+    fn check<L>(tree: &Tree<L>) -> bool {
+        match tree {
+            Tree::Leaf(_) => true,
+            Tree::Branch(children) => !children.is_empty() && children.values().all(check),
+        }
     }
+    prop_assert!(writes.values().all(check), "an empty branch: {:?}", writes);
     Ok(())
 }
 
 /// The overlay flattened through its writes is the plain store.
 fn full_state_eq(cow: &CowState, plain: &InMemoryState) -> Result<(), TestCaseError> {
     prop_assert_eq!(&cow.snapshot(), plain);
+    Ok(())
+}
+
+/// The delta the executor builds from the overlay, applied to the base with
+/// [`StateDelta::apply`], gives the view and the plain store. `balances`
+/// (a map) and `total_supply` (a scalar) join by `IntMerge`, so their
+/// integer writes travel as numeric deltas; `allowances` and `owner` do
+/// not.
+fn delta_applies_to_the_view(
+    base: &Arc<InMemoryState>,
+    cow: &CowState,
+    plain: &InMemoryState,
+) -> Result<(), TestCaseError> {
+    let joins = BTreeMap::from([
+        ("balances".to_string(), Join::IntMerge),
+        ("total_supply".to_string(), Join::IntMerge),
+        ("allowances".to_string(), Join::OwnOverwrite),
+    ]);
+    let contract = Address::from_index(42);
+    let mut delta = StateDelta::new();
+    delta.contracts.insert(contract, ContractDelta::from_state(cow.clone(), Some(&joins)));
+    let mut state = GlobalState::new();
+    state.storage.insert(contract, Arc::clone(base));
+    prop_assert_eq!(delta.apply(&mut state), Ok(()));
+    prop_assert_eq!(&*state.storage[&contract], &cow.snapshot());
+    prop_assert_eq!(&*state.storage[&contract], plain);
     Ok(())
 }
 
@@ -121,7 +154,7 @@ proptest! {
         let mut cow = CowState::new(Arc::clone(&base));
         let mut plain = (*base).clone();
         // The plain store and the pending writes at the last commit.
-        let mut committed = (plain.clone(), Vec::new());
+        let mut committed = (plain.clone(), Writes::new());
 
         for o in ops {
             match o {
@@ -173,10 +206,12 @@ proptest! {
                 }
             }
         }
-        // Final full-state equivalence: setting the overlay's writes in the
-        // base reproduces the deep-copied store exactly.
+        // Final full-state equivalence: grafting the overlay's writes onto
+        // the base reproduces the deep-copied store exactly, and so does
+        // the chain's delta of them.
         full_state_eq(&cow, &plain)?;
-        prefix_free(&writes(&cow))?;
+        no_empty_branch(&writes(&cow))?;
+        delta_applies_to_the_view(&base, &cow, &plain)?;
         // And the shared base was never disturbed by any of it.
         prop_assert_eq!(&*base, &*seeded_base());
     }
@@ -219,7 +254,7 @@ proptest! {
         let mut plain = (*base).clone();
         // The view, the pending writes and the plain store at the last
         // commit; a rollback before any commit returns to the start.
-        let mut committed = ((*base).clone(), Vec::new(), (*base).clone());
+        let mut committed = ((*base).clone(), Writes::new(), (*base).clone());
 
         for o in ops {
             let (field, keys, value) = match o {
@@ -249,6 +284,7 @@ proptest! {
             plain.set(field.into(), &keys, value);
         }
         full_state_eq(&cow, &plain)?;
-        prefix_free(&writes(&cow))?;
+        no_empty_branch(&writes(&cow))?;
+        delta_applies_to_the_view(&base, &cow, &plain)?;
     }
 }

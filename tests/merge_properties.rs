@@ -23,25 +23,25 @@ fn addr(i: u8) -> Address {
 /// A random delta over a small component space. Overwrites are drawn from
 /// per-shard-disjoint component ids to model ownership dispatch.
 fn delta(shard: usize) -> impl Strategy<Value = StateDelta> {
-    let int_entry = (0u8..6, -50i128..50).prop_map(|(k, d)| {
-        (("counters".into(), vec![addr(k).to_value()]), IntDelta { delta: d, width: 128, signed: false })
-    });
-    let ow_entry = (0u8..6, 0u128..100).prop_map(move |(k, v)| {
-        // Disjointness by construction: each shard owns its own key range.
-        let key = Value::Str(format!("s{shard}-{k}"));
-        (("owners".into(), vec![key]), Some(Value::Uint(128, v)))
-    });
     (
-        prop::collection::vec(int_entry, 0..5),
-        prop::collection::vec(ow_entry, 0..5),
+        prop::collection::btree_map(0u8..6, -50i128..50, 0..5),
+        prop::collection::btree_map(0u8..6, 0u128..100, 0..5),
         prop::collection::btree_map((0u8..4).prop_map(addr), -30i128..30, 0..3),
     )
-        .prop_map(|(ints, ows, balances)| {
+        .prop_map(move |(ints, ows, balances)| {
             let mut sd = StateDelta::new();
             let contract = Address::from_index(42);
             let cd = sd.contracts.entry(contract).or_default();
-            cd.int_deltas = ints.into_iter().collect();
-            cd.overwrites = ows.into_iter().collect();
+            for (k, d) in ints {
+                let id = IntDelta { delta: d, width: 128, signed: false };
+                cd.add("counters".into(), &[addr(k).to_value()], id).expect("distinct keys");
+            }
+            for (k, v) in ows {
+                // Disjointness by construction: each shard owns its own key
+                // range.
+                let key = Value::Str(format!("s{shard}-{k}"));
+                cd.set("owners".into(), &[key], Some(Value::Uint(128, v))).expect("distinct keys");
+            }
             sd.balances = balances;
             sd
         })
@@ -115,15 +115,13 @@ proptest! {
         deltas in prop::collection::vec(-40i128..40, 1..6)
     ) {
         let contract = Address::from_index(42);
-        let comp = ("counters".into(), vec![addr(0).to_value()]);
+        let key = [addr(0).to_value()];
         let shards: Vec<StateDelta> = deltas
             .iter()
             .map(|d| {
                 let mut sd = StateDelta::new();
-                sd.contracts.entry(contract).or_default().int_deltas.insert(
-                    comp.clone(),
-                    IntDelta { delta: *d, width: 128, signed: false },
-                );
+                let id = IntDelta { delta: *d, width: 128, signed: false };
+                sd.contracts.entry(contract).or_default().add("counters".into(), &key, id).unwrap();
                 sd
             })
             .collect();
@@ -224,21 +222,25 @@ proptest! {
 
 /// A delta of up to three entries over the field `m`, at key paths that
 /// nest into each other (`m`, `m[1]`, `m[2]`, `m[1][3]`, `m[1][4]`). Each
-/// entry is an integer delta or an overwrite (a value or a delete).
+/// entry is an integer delta, 32 or 128 bits wide, or an overwrite (a value
+/// or a delete). The constructor refuses an entry that nests with or
+/// repeats one before it in the same delta, so nested pairs occur only
+/// across deltas.
 fn nested_delta() -> impl Strategy<Value = StateDelta> {
     const PATHS: [&[u8]; 5] = [&[], &[1], &[2], &[1, 3], &[1, 4]];
-    let entry = (0..PATHS.len(), 0u8..3, -4i128..5);
+    let entry = (0..PATHS.len(), 0u8..3, -4i128..5, prop_oneof![Just(32u32), Just(128u32)]);
     prop::collection::vec(entry, 0..4).prop_map(|entries| {
         let mut sd = StateDelta::new();
         let cd = sd.contracts.entry(Address::from_index(42)).or_default();
-        for (path, kind, n) in entries {
-            let comp = ("m".into(), PATHS[path].iter().map(|&k| addr(k).to_value()).collect());
-            let id = IntDelta { delta: n, width: 128, signed: true };
-            match kind {
-                0 => drop(cd.int_deltas.insert(comp, id)),
-                1 => drop(cd.overwrites.insert(comp, Some(Value::Int(128, n)))),
-                _ => drop(cd.overwrites.insert(comp, None)),
-            }
+        for (path, kind, n, width) in entries {
+            let keys: Vec<Value> = PATHS[path].iter().map(|&k| addr(k).to_value()).collect();
+            let id = IntDelta { delta: n, width, signed: true };
+            // A refused entry is left out.
+            let _ = match kind {
+                0 => cd.add("m".into(), &keys, id),
+                1 => cd.set("m".into(), &keys, Some(Value::Int(128, n))),
+                _ => cd.set("m".into(), &keys, None),
+            };
         }
         sd
     })
@@ -280,11 +282,9 @@ fn overlapping_overwrites_always_conflict() {
     let contract = Address::from_index(42);
     let mk = |v: u128| {
         let mut sd = StateDelta::new();
-        sd.contracts
-            .entry(contract)
-            .or_default()
-            .overwrites
-            .insert(("owners".into(), vec![Value::Str("same".into())]), Some(Value::Uint(128, v)));
+        let key = Value::Str("same".into());
+        let cd = sd.contracts.entry(contract).or_default();
+        cd.set("owners".into(), &[key], Some(Value::Uint(128, v))).unwrap();
         sd
     };
     assert!(StateDelta::merge_ref([&mk(1), &mk(1)]).is_err(), "even equal values conflict");
@@ -296,22 +296,23 @@ fn overlapping_overwrites_always_conflict() {
 #[test]
 fn nested_components_conflict() {
     let contract = Address::from_index(42);
-    let comp = |keys: &[u8]| ("m".into(), keys.iter().map(|&k| addr(k).to_value()).collect());
+    let keys = |keys: &[u8]| -> Vec<Value> { keys.iter().map(|&k| addr(k).to_value()).collect() };
     let delete_m_a = {
         let mut sd = StateDelta::new();
-        sd.contracts.entry(contract).or_default().overwrites.insert(comp(&[1]), None);
+        sd.contracts.entry(contract).or_default().set("m".into(), &keys(&[1]), None).unwrap();
         sd
     };
     let write_m_a_c = {
         let mut sd = StateDelta::new();
         let cd = sd.contracts.entry(contract).or_default();
-        cd.overwrites.insert(comp(&[1, 3]), Some(Value::Uint(128, 9)));
+        cd.set("m".into(), &keys(&[1, 3]), Some(Value::Uint(128, 9))).unwrap();
         sd
     };
     let add_m_a_c = {
         let mut sd = StateDelta::new();
         let cd = sd.contracts.entry(contract).or_default();
-        cd.int_deltas.insert(comp(&[1, 3]), IntDelta { delta: 5, width: 128, signed: false });
+        let id = IntDelta { delta: 5, width: 128, signed: false };
+        cd.add("m".into(), &keys(&[1, 3]), id).unwrap();
         sd
     };
     for nested in [&write_m_a_c, &add_m_a_c] {
@@ -349,11 +350,11 @@ fn out_of_range_balance_join_is_an_error() {
 #[test]
 fn out_of_range_verdict_ignores_order() {
     let contract = Address::from_index(42);
-    let comp = ("counters".into(), vec![addr(0).to_value()]);
+    let key = [addr(0).to_value()];
     let int_delta = |n: i128| {
         let mut sd = StateDelta::new();
         let id = IntDelta { delta: n, width: 128, signed: true };
-        sd.contracts.entry(contract).or_default().int_deltas.insert(comp.clone(), id);
+        sd.contracts.entry(contract).or_default().add("counters".into(), &key, id).unwrap();
         sd
     };
     let component: &dyn Fn(i128) -> StateDelta = &int_delta;
@@ -501,4 +502,29 @@ fn mutated_signatures_survive_deployment_and_epochs() {
     // Some mutants must deploy, or no epoch ran under a mutated signature.
     assert!(ran > 0, "none of {mutants} mutants deployed");
     eprintln!("{ran} of {mutants} mutated signatures deployed and ran");
+}
+
+/// The number of components the DS committee merges is an exact count
+/// (perfbench reports it as `merge.components_per_tx_x1000`): a change to
+/// how deltas are built or joined must leave it as it is. Summed over every
+/// epoch of a fixed run of each workload until its pool drains; a leaf
+/// that both sets and adds counts two.
+#[test]
+fn merged_component_counts_are_pinned() {
+    let mut counts = Vec::new();
+    for kind in [Kind::FtTransfer, Kind::NftMint, Kind::IpfsRegister] {
+        let scenario = build(kind, 40, 400, 7);
+        let mut net = world_builder(&scenario)(&ChainConfig::small(3, true));
+        let mut pool = scenario.load.clone();
+        let mut merged = 0;
+        for _ in 0..40 {
+            if pool.is_empty() {
+                break;
+            }
+            merged += net.run_epoch(&mut pool).merged_components;
+        }
+        assert!(pool.is_empty(), "{kind:?}: {} transactions never committed", pool.len());
+        counts.push((kind, merged));
+    }
+    assert_eq!(counts, [(Kind::FtTransfer, 107), (Kind::NftMint, 442), (Kind::IpfsRegister, 350)]);
 }
