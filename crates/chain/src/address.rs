@@ -68,12 +68,34 @@ impl fmt::Display for Address {
 /// FNV-1a over arbitrary bytes; used for every deterministic placement
 /// decision (account→shard, state component→shard).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    let mut h = Fnv1a::new();
+    h.bytes(bytes);
+    h.0
+}
+
+/// FNV-1a over a byte stream fed piecewise. As a [`fmt::Write`] sink it
+/// hashes a value's `Display` rendering without collecting it into a
+/// `String`: the result is `fnv1a` of the concatenated pieces.
+pub(crate) struct Fnv1a(pub(crate) u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Fnv1a {
+        Fnv1a(0xcbf29ce484222325)
     }
-    h
+
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= *b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! satisfying all of them; if none exists the transaction is routed to the
 //! DS committee, which processes leftovers sequentially after the shards.
 
-use crate::address::{fnv1a, Address};
+use crate::address::{fnv1a, Address, Fnv1a};
 use crate::network::ChainConfig;
 use crate::state::{DeployedContract, GlobalState};
 use crate::tx::{Transaction, TxKind};
@@ -18,6 +18,7 @@ use cosplit_analysis::effects::TransitionSummary;
 use cosplit_analysis::signature::Constraint;
 use scilla::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
 /// Where a transaction is processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -101,7 +102,7 @@ impl DispatchReason {
     }
 }
 
-const ALL_REASONS: [DispatchReason; 14] = [
+pub(crate) const ALL_REASONS: [DispatchReason; 14] = [
     DispatchReason::Payment,
     DispatchReason::BaselineLocal,
     DispatchReason::BaselineCross,
@@ -126,7 +127,7 @@ fn record_decision(d: &Decision) {
     if !telemetry::enabled() {
         return;
     }
-    static COUNTERS: OnceLock<[Arc<telemetry::Counter>; 14]> = OnceLock::new();
+    static COUNTERS: OnceLock<[Arc<telemetry::Counter>; ALL_REASONS.len()]> = OnceLock::new();
     let counters = COUNTERS.get_or_init(|| {
         ALL_REASONS.map(|r| {
             telemetry::registry().counter(&format!("chain.dispatch.reason.{}", r.name()))
@@ -164,23 +165,24 @@ pub struct Decision {
 ///   home shard, aligning `Owns(f[_sender])` with the `SenderShard`
 ///   constraint and with gas accounting (§4.2.2);
 /// * whole fields are placed by field name.
+///
+/// The hash is FNV-1a of `contract ++ field` for a whole field and of
+/// `contract ++ [0] ++ key.to_string()` for a keyed entry; the key's
+/// rendering streams into the hash instead of being built.
 pub fn component_shard(contract: Address, field: &str, keys: &[Value], num_shards: u32) -> u32 {
+    let mut h = Fnv1a::new();
+    h.bytes(&contract.0);
     match keys.first() {
-        None => {
-            let mut bytes = contract.0.to_vec();
-            bytes.extend_from_slice(field.as_bytes());
-            (fnv1a(&bytes) % num_shards as u64) as u32
-        }
+        None => h.bytes(field.as_bytes()),
         Some(k) => {
             if let Some(addr) = k.as_address() {
                 return Address(addr).home_shard(num_shards);
             }
-            let mut bytes = contract.0.to_vec();
-            bytes.push(0);
-            bytes.extend_from_slice(k.to_string().as_bytes());
-            (fnv1a(&bytes) % num_shards as u64) as u32
+            h.bytes(&[0]);
+            write!(h, "{k}").expect("hashing a rendering cannot fail");
         }
     }
+    (h.0 % num_shards as u64) as u32
 }
 
 /// Dispatches one transaction (paper §4.3, "Assigning Transactions to
@@ -224,13 +226,13 @@ pub fn dispatch_policy(tx: &Transaction, state: &GlobalState, policy: &ChainConf
 }
 
 fn dispatch_inner(tx: &Transaction, state: &GlobalState, policy: &ChainConfig) -> Decision {
-    match resolve(tx, state, policy) {
+    match resolve::<Shards>(tx, state, policy) {
         Ok(Resolution::Payment) => Decision {
             assignment: Assignment::Shard(tx.sender.home_shard(policy.num_shards)),
             reason: DispatchReason::Payment,
         },
         Ok(Resolution::Baseline(contract)) => baseline(tx, state, contract, policy.num_shards),
-        Ok(Resolution::Footprint { locks, composed }) => decide(tx, &locks, policy, composed),
+        Ok(Resolution::Footprint { pins, composed }) => decide(tx, pins, policy, composed),
         Err(reason) => Decision { assignment: Assignment::Ds, reason },
     }
 }
@@ -248,21 +250,56 @@ fn baseline(tx: &Transaction, state: &GlobalState, contract: Address, num_shards
     }
 }
 
-/// `lock → owning shard`, deduplicated and in global lock order.
+/// Where [`instantiate`] reports each resource a transaction's constraints
+/// pin: its owning shard, and its lock key on demand. One key always pins
+/// one shard, so a sink that keeps only shards sees exactly the
+/// participants of the lock plan that a sink keeping keys builds.
+trait Pins: Default {
+    fn pin(&mut self, shard: u32, key: impl FnOnce() -> LockKey);
+}
+
+/// Dispatch's sink: how many distinct shards the footprint pins, and which
+/// when it is one. It never renders a lock key.
+#[derive(Debug, Clone, Copy, Default)]
+enum Shards {
+    #[default]
+    None,
+    One(u32),
+    Many,
+}
+
+impl Pins for Shards {
+    fn pin(&mut self, shard: u32, _key: impl FnOnce() -> LockKey) {
+        *self = match *self {
+            Shards::None => Shards::One(shard),
+            Shards::One(s) if s == shard => Shards::One(s),
+            _ => Shards::Many,
+        };
+    }
+}
+
+/// The lock plan's sink: `lock → owning shard`, deduplicated and in global
+/// lock order.
 type Locks = BTreeMap<LockKey, u32>;
+
+impl Pins for Locks {
+    fn pin(&mut self, shard: u32, key: impl FnOnce() -> LockKey) {
+        self.insert(key(), shard);
+    }
+}
 
 /// What a transaction resolves to. Dispatch derives the assignment from it
 /// and the cross-shard coordinator its lock plan, so the two can never
 /// disagree.
-enum Resolution {
+enum Resolution<P> {
     /// A payment (default strategy: the sender's home shard).
     Payment,
     /// A call the signature does not cover: the baseline strategy.
     Baseline(Address),
     /// The concrete ownership footprint: every lockable resource the
-    /// constraints pin, with its owning shard. `composed` when it is a
-    /// whole cross-contract chain's.
-    Footprint { locks: Locks, composed: bool },
+    /// constraints pin, reported to `pins`. `composed` when it is a whole
+    /// cross-contract chain's.
+    Footprint { pins: P, composed: bool },
 }
 
 /// Resolves a transaction against the current state (paper §4.3,
@@ -274,11 +311,11 @@ enum Resolution {
 /// The dispatch reason that forces DS routing: an unknown contract, an
 /// unselected or `Unsat` transition, missing arguments, runtime key
 /// aliasing, contract-valued `UserAddr` parameters.
-fn resolve(
+fn resolve<P: Pins>(
     tx: &Transaction,
     state: &GlobalState,
     policy: &ChainConfig,
-) -> Result<Resolution, DispatchReason> {
+) -> Result<Resolution<P>, DispatchReason> {
     let TxKind::Call { contract, transition, args, .. } = &tx.kind else {
         return Ok(Resolution::Payment);
     };
@@ -290,11 +327,11 @@ fn resolve(
     let tc = sig.transition(transition).ok_or(DispatchReason::Unselected)?;
     let n = policy.num_shards;
     if policy.compose_calls {
-        if let Some(locks) = composed_locks(tx, state, deployed, transition, args, n) {
-            return Ok(Resolution::Footprint { locks, composed: true });
+        if let Some(pins) = composed_locks(tx, state, deployed, transition, args, n) {
+            return Ok(Resolution::Footprint { pins, composed: true });
         }
     }
-    let mut locks = Locks::new();
+    let mut pins = P::default();
     instantiate(
         &tc.constraints,
         deployed.address,
@@ -303,20 +340,20 @@ fn resolve(
         None,
         state,
         n,
-        &mut locks,
+        &mut pins,
     )?;
-    Ok(Resolution::Footprint { locks, composed: false })
+    Ok(Resolution::Footprint { pins, composed: false })
 }
 
 /// Instantiates one transition's symbolic constraints (of `contract`,
 /// called by `sender` living in `sender_shard`) with the concrete values
-/// `frame` gives its names, adding the pinned resources to `locks`. The one
-/// place a [`Constraint`] meets a transaction.
+/// `frame` gives its names, reporting the pinned resources to `pins`. The
+/// one place a [`Constraint`] meets a transaction.
 ///
-/// Inside a composed `chain`, a send-derived `Unsat` is skipped — compose()
-/// proved every send of the member lands inside the chain or in a wallet,
-/// so the chain's own locks subsume it — and a `UserAddr` that names a
-/// chain member is satisfied.
+/// Inside a composed chain (`chain` holds its member contracts), a
+/// send-derived `Unsat` is skipped — compose() proved every send of the
+/// member lands inside the chain or in a wallet, so the chain's own locks
+/// subsume it — and a `UserAddr` that names a chain member is satisfied.
 ///
 /// # Errors
 ///
@@ -327,10 +364,10 @@ fn instantiate(
     contract: Address,
     (sender, sender_shard): (Address, u32),
     frame: &dyn Fn(&str) -> Option<Value>,
-    chain: Option<&ComposedSummary>,
+    chain: Option<&[Address]>,
     state: &GlobalState,
     num_shards: u32,
-    locks: &mut Locks,
+    pins: &mut impl Pins,
 ) -> Result<(), DispatchReason> {
     // Derived keys (`sha256hash(account)`) replay their derivation on the
     // resolved base argument, matching the interpreter's builtin evaluation
@@ -351,23 +388,21 @@ fn instantiate(
             Constraint::Owns(PseudoField { field, keys }) => {
                 let key_vals = values(keys)?;
                 let shard = component_shard(contract, field, &key_vals, num_shards);
-                let keys = key_vals.iter().map(Value::to_string).collect();
-                locks.insert(LockKey::Component { contract, field: field.clone(), keys }, shard);
+                pins.pin(shard, || LockKey::Component {
+                    contract,
+                    field: field.clone(),
+                    keys: key_vals.iter().map(Value::to_string).collect(),
+                });
             }
-            Constraint::SenderShard => {
-                locks.insert(LockKey::Account(sender), sender_shard);
-            }
+            Constraint::SenderShard => pins.pin(sender_shard, || LockKey::Account(sender)),
             Constraint::ContractShard => {
                 let shard = state.home_shard_of(&contract, num_shards);
-                locks.insert(LockKey::Account(contract), shard);
+                pins.pin(shard, || LockKey::Account(contract));
             }
             Constraint::UserAddr(p) => {
                 let bytes = frame(p).as_ref().and_then(Value::as_address);
                 let target = Address(bytes.ok_or(DispatchReason::BadArguments)?);
-                let in_chain = || {
-                    let target = target.to_string();
-                    chain.is_some_and(|c| c.members.iter().any(|m| m.contract == target))
-                };
+                let in_chain = || chain.is_some_and(|members| members.contains(&target));
                 if state.is_contract(&target) && !in_chain() {
                     return Err(DispatchReason::NotUserAddr);
                 }
@@ -401,27 +436,28 @@ fn root_value(
     }
 }
 
-/// Turns a footprint's shard set into a decision: none or one shard commits
+/// Turns a footprint's shards into a decision: none or one shard commits
 /// shard-locally, several go to the cross-shard two-phase commit when it is
 /// enabled and serialise at the DS committee otherwise. A `composed`
 /// whole-chain footprint commits locally as `ComposedLocal`.
-fn decide(tx: &Transaction, locks: &Locks, policy: &ChainConfig, composed: bool) -> Decision {
+fn decide(tx: &Transaction, shards: Shards, policy: &ChainConfig, composed: bool) -> Decision {
     let local = |shard, reason| Decision {
         assignment: Assignment::Shard(shard),
         reason: if composed { DispatchReason::ComposedLocal } else { reason },
     };
-    let required: BTreeSet<u32> = locks.values().copied().collect();
-    match required.len() {
+    match shards {
         // Fully commutative footprint: spread by transaction id.
-        0 => local(
+        Shards::None => local(
             (fnv1a(&tx.id.to_be_bytes()) % policy.num_shards as u64) as u32,
             DispatchReason::Unconstrained,
         ),
-        1 => local(*required.iter().next().expect("one element"), DispatchReason::OwnershipPinned),
-        _ if policy.cross_shard_commit => {
+        Shards::One(shard) => local(shard, DispatchReason::OwnershipPinned),
+        Shards::Many if policy.cross_shard_commit => {
             Decision { assignment: Assignment::XShard, reason: DispatchReason::CrossShard }
         }
-        _ => Decision { assignment: Assignment::Ds, reason: DispatchReason::SplitFootprint },
+        Shards::Many => {
+            Decision { assignment: Assignment::Ds, reason: DispatchReason::SplitFootprint }
+        }
     }
 }
 
@@ -508,27 +544,31 @@ pub(crate) fn compose_chain(
 
 /// The whole-chain ownership footprint of a composed cross-contract call:
 /// every member's own signature constraints instantiated in the member's
-/// frame (its [`Binding`]s, resolved against the transaction), merged into
-/// one lock map. `None` when composition does not apply (no chain,
+/// frame (its [`Binding`]s, resolved against the transaction), reported to
+/// one sink. `None` when composition does not apply (no chain,
 /// widened, an unsigned/unselected member, or any constraint that fails)
 /// — the caller then falls back to the root transition alone, which names
 /// the precise DS reason.
-fn composed_locks(
+fn composed_locks<P: Pins>(
     tx: &Transaction,
     state: &GlobalState,
     deployed: &DeployedContract,
     transition: &str,
     args: &[(String, Value)],
     num_shards: u32,
-) -> Option<Locks> {
+) -> Option<P> {
     let composed = compose_chain(state, deployed, transition, args, tx.sender)?;
     if composed.widened || !composed.is_chain() {
         return None;
     }
-    let contract_of = |i: usize| Address::from_hex(&composed.members.get(i)?.contract).ok();
-    let mut locks = Locks::new();
-    for (i, m) in composed.members.iter().enumerate() {
-        let addr = contract_of(i)?;
+    let members: Vec<Address> = composed
+        .members
+        .iter()
+        .map(|m| Address::from_hex(&m.contract).ok())
+        .collect::<Option<_>>()?;
+    let contract_of = |i: usize| members.get(i).copied();
+    let mut pins = P::default();
+    for (m, &addr) in composed.members.iter().zip(&members) {
         let member = state.contracts.get(&addr)?;
         let tc = member.signature.as_ref()?.transition(&m.transition)?;
         // The member's sender: the transaction sender for the root, the
@@ -546,19 +586,19 @@ fn composed_locks(
             // constant of the member contract.
             None => member.param(name).cloned(),
         };
-        let chain = Some(&composed);
-        instantiate(&tc.constraints, addr, sender, &frame, chain, state, num_shards, &mut locks)
+        let chain = Some(members.as_slice());
+        instantiate(&tc.constraints, addr, sender, &frame, chain, state, num_shards, &mut pins)
             .ok()?;
     }
     if telemetry::enabled() {
         telemetry::counter!("chain.dispatch.composed_chains").inc();
     }
-    Some(locks)
+    Some(pins)
 }
 
 /// Resolves the coordinator's lock plan for a cross-shard transaction: the
 /// same resolution as [`dispatch_policy`], reified as `(shard, lock)` pairs
-/// instead of a bare shard set. With `compose_calls` on and a call that
+/// instead of dispatch's shard summary. With `compose_calls` on and a call that
 /// roots a statically-resolved chain, the plan locks the whole chain's
 /// composed footprint, so the two-phase commit covers the downstream sends
 /// too. The coordinator is the lowest participant; the lock vector is in
@@ -574,10 +614,10 @@ pub fn xshard_plan(
     state: &GlobalState,
     policy: &ChainConfig,
 ) -> Result<XShardPlan, DispatchReason> {
-    let locks = match resolve(tx, state, policy)? {
+    let locks: Locks = match resolve(tx, state, policy)? {
         Resolution::Payment => return Err(DispatchReason::Payment),
         Resolution::Baseline(_) => return Err(DispatchReason::BaselineCross),
-        Resolution::Footprint { locks, .. } => locks,
+        Resolution::Footprint { pins, .. } => pins,
     };
     let participants: BTreeSet<u32> = locks.values().copied().collect();
     let Some(coordinator) = participants.first().copied() else {
@@ -736,6 +776,63 @@ mod tests {
         let tx = transfer_tx(1, 2, c);
         let d = dispatch(&tx, &state, 4, false);
         assert!(matches!(d.reason, DispatchReason::BaselineLocal | DispatchReason::BaselineCross));
+    }
+
+    /// Placement is part of the state layout: `component_shard` must hash
+    /// exactly `contract ++ [0] ++ k.to_string()` for a keyed component and
+    /// `contract ++ field` for a whole field, and place an address key in
+    /// its account's home shard.
+    #[test]
+    fn component_shard_matches_the_rendered_reference() {
+        fn reference(contract: Address, field: &str, keys: &[Value], n: u32) -> u32 {
+            let mut bytes = contract.0.to_vec();
+            match keys.first() {
+                None => bytes.extend_from_slice(field.as_bytes()),
+                Some(k) => {
+                    if let Some(addr) = k.as_address() {
+                        return Address(addr).home_shard(n);
+                    }
+                    bytes.push(0);
+                    bytes.extend_from_slice(k.to_string().as_bytes());
+                }
+            }
+            (fnv1a(&bytes) % n as u64) as u32
+        }
+        let addr = [0xa5u8; 20];
+        let keys = [
+            Value::Str("plain".into()),
+            Value::Str("say \"hi\"\\ ünïcødé ✓".into()),
+            Value::Str(String::new()),
+            Value::ByStr((0u8..32).collect()),
+            Value::ByStr20(addr),
+            Value::ByStr(addr.to_vec()),
+            Value::Uint(32, 7),
+            Value::Uint(128, u128::MAX),
+            Value::Uint(256, 12_345_678_901_234_567_890),
+            Value::Int(32, -5),
+            Value::Int(64, i64::MIN as i128),
+            Value::Int(128, i128::MAX),
+            Value::BNum(42),
+            Value::some(Value::Uint(64, 9)),
+            Value::Adt {
+                ctor: scilla::intern::intern("Pair"),
+                args: vec![Value::Str("k".into()), Value::bool(true)],
+            },
+        ];
+        for n in [2, 3, 5, 7] {
+            for i in 0..16 {
+                let contract = Address::from_index(i);
+                for field in ["balances", "registry_owners", ""] {
+                    let got = component_shard(contract, field, &[], n);
+                    assert_eq!(got, reference(contract, field, &[], n), "{field}/{n}");
+                    for k in &keys {
+                        let path = [k.clone(), Value::Uint(32, 1)];
+                        let got = component_shard(contract, field, &path, n);
+                        assert_eq!(got, reference(contract, field, &path, n), "{k}/{n}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::address::Address;
 use crate::delta::StateDelta;
-use crate::dispatch::{dispatch_policy, xshard_plan, Assignment};
+use crate::dispatch::{dispatch_policy, xshard_plan, Assignment, ALL_REASONS};
 use crate::error::{DeployError, MergeError};
 use crate::executor::{self, execute_batch, execute_slice, Executor, ExecutorConfig, MicroBlock};
 use crate::executor::{Receipt, TxStatus};
@@ -400,6 +400,9 @@ impl Network {
             ..Default::default()
         };
         let mut held_back: Vec<Transaction> = Vec::new();
+        // Decisions by reason, indexed by discriminant (`ALL_REASONS[r as
+        // usize] == r`); the report's map is built once, after the loop.
+        let mut reasons = [0usize; ALL_REASONS.len()];
         {
             let _span = telemetry::span!("chain.network.phase.dispatch");
             for tx in pool.drain(..) {
@@ -418,7 +421,7 @@ impl Network {
                     held_back.push(tx);
                     continue;
                 }
-                *packets.dispatch_reasons.entry(decision.reason.name()).or_insert(0) += 1;
+                reasons[decision.reason as usize] += 1;
                 telemetry::trace::instant_with(telemetry::names::TX_DISPATCH, |a| {
                     a.reserve_exact(5);
                     a.push(("tx", tx.id.into()));
@@ -432,6 +435,12 @@ impl Network {
                 packet.push(tx);
             }
         }
+        packets.dispatch_reasons = ALL_REASONS
+            .iter()
+            .zip(reasons)
+            .filter(|&(_, n)| n > 0)
+            .map(|(r, n)| (r.name(), n))
+            .collect();
         telemetry::counter!("chain.network.held_back").add(held_back.len() as u64);
         pool.extend(held_back);
         packets
