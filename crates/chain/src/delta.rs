@@ -100,9 +100,10 @@ impl ContractDelta {
     /// `add` against the base value when both are integers of one shape
     /// and the change fits `i128`; every other write is a `set`.
     pub fn from_state(state: CowState, joins: Option<&BTreeMap<String, Join>>) -> ContractDelta {
-        let fields = state.into_writes(|field| {
+        let fields = state.into_writes_with(|field| {
             let int_merge = joins.is_some_and(|j| j.get(field.as_str()) == Some(&Join::IntMerge));
-            move |value: Option<Value>, base: Option<&Value>| {
+            // Only an `add` is computed against the base value.
+            (int_merge, move |value: Option<Value>, base: Option<&Value>| {
                 match value.as_ref().filter(|_| int_merge).and_then(|v| compute_int_delta(base, v)) {
                     Some(id) => Change { set: None, add: Some(id) },
                     // Non-integer, shape-changing, or out-of-i128-range
@@ -110,7 +111,7 @@ impl ContractDelta {
                     // signature only one shard can produce them.
                     None => Change { set: Some(value), add: None },
                 }
-            }
+            })
         });
         ContractDelta { fields }
     }

@@ -23,11 +23,22 @@
 //!   unknown builtin — makes the *whole transition* fall back to the AST
 //!   walker ([`TransitionCode::Ast`]), never to divergent behaviour.
 //!
-//! Closures are the one deliberate seam: `fun`/`tfun` literals capture their
-//! free variables into a real [`Env`] and application re-enters the AST
-//! evaluator, so higher-order library code behaves exactly as before (and
-//! the closure points at the parser's `Arc`-shared literal instead of
-//! copying it).
+//! Library functions run compiled too. A *saturated* application of a
+//! library closure (every curried argument supplied) lowers its `fun` body
+//! into the caller's frame, once per transition however many call sites
+//! share it: the parameters and the body's binders become fresh slots, and
+//! the body's free names resolve through the closure's own captured
+//! [`Env`] to constants, never to the caller's locals (a transition may
+//! shadow a library name). The walker charges `COST_EXPR` for each
+//! intermediate `fun` it evaluates to a closure on the way; the lowered call
+//! charges the same. Library code is pure and cannot recurse (a `let` sees
+//! only earlier definitions), so a lowered body is never active twice at
+//! once and its slots need no stack.
+//!
+//! What stays on the walker is what is only known at run time: partial and
+//! over-application, and closures made while the transition runs (`fun` and
+//! `tfun` literals capture their free variables into a real [`Env`], and
+//! applying one re-enters [`crate::interpreter`]).
 //!
 //! The differential property tests in `tests/compile_props.rs` check the
 //! equivalence on random contracts.
@@ -100,10 +111,29 @@ pub(crate) enum CExpr {
     Builtin { op: Sym, f: BuiltinFn, cost: u64, args: Vec<Operand> },
     Let { dst: u32, rhs: Box<CExpr>, body: Box<CExpr> },
     Fun { lit: Arc<FunLit>, captures: Vec<(Sym, Operand)> },
-    App { func: Operand, args: Vec<Operand> },
+    App { callee: Callee, args: Vec<Operand> },
     Match { scrutinee: Operand, clauses: Vec<(CPattern, CExpr)> },
     TFun { lit: Arc<TFunLit>, captures: Vec<(Sym, Operand)> },
     Inst { target: Operand, count: usize },
+}
+
+/// What an application applies.
+#[derive(Debug, Clone)]
+pub(crate) enum Callee {
+    /// A library closure with exactly as many curried parameters as the
+    /// call has arguments, lowered into the caller's frame.
+    Lowered(Arc<CLambda>),
+    /// Any other function value, applied by the walker one argument at a
+    /// time.
+    Walker(Operand),
+}
+
+/// A library closure's curried `fun` chain, lowered: one slot per
+/// parameter, outermost first, and the innermost body.
+#[derive(Debug)]
+pub(crate) struct CLambda {
+    params: Vec<u32>,
+    body: CExpr,
 }
 
 /// Compiled statement — mirrors [`Stmt`] one-to-one. Spans are kept for the
@@ -146,16 +176,20 @@ pub struct CompiledTransition {
 // ------------------------------------------------------------------ compile
 
 /// Lexical compile-time scope: a stack of (name, slot) with innermost-last,
-/// mirroring the walker's cons-list environment shadowing exactly.
-struct Scope<'c> {
-    lib_env: &'c Env,
+/// mirroring the walker's cons-list environment shadowing exactly, over the
+/// environment that names the stack does not bind resolve in (the library,
+/// or a lowered closure's captured environment).
+struct Scope {
+    env: Env,
     stack: Vec<(Sym, u32)>,
     frame_size: usize,
     /// Which of the first slots (the contract parameters) were resolved.
     params_read: Vec<bool>,
+    /// The library closures lowered so far, each once per transition.
+    lowered: Vec<(Arc<Closure>, Arc<CLambda>)>,
 }
 
-impl Scope<'_> {
+impl Scope {
     fn bind(&mut self, sym: Sym) -> u32 {
         let slot = self.frame_size as u32;
         self.frame_size += 1;
@@ -171,8 +205,8 @@ impl Scope<'_> {
         self.stack.truncate(mark);
     }
 
-    /// Innermost local binding, else a library constant, else unresolvable
-    /// (which falls the transition back to the AST walker).
+    /// Innermost local binding, else a constant from the environment, else
+    /// unresolvable (which falls the transition back to the AST walker).
     fn resolve(&mut self, sym: Sym) -> Result<Operand, Sym> {
         if let Some((_, slot)) = self.stack.iter().rev().find(|(s, _)| *s == sym) {
             if let Some(read) = self.params_read.get_mut(*slot as usize) {
@@ -180,7 +214,7 @@ impl Scope<'_> {
             }
             return Ok(Operand::Slot(*slot));
         }
-        match self.lib_env.lookup_sym(sym) {
+        match self.env.lookup_sym(sym) {
             Some(v) => Ok(Operand::Const(v.clone())),
             None => Err(sym),
         }
@@ -189,6 +223,41 @@ impl Scope<'_> {
     fn ident(&mut self, id: &Ident) -> Result<Operand, Sym> {
         self.resolve(id.sym)
     }
+
+    /// Lowers `clo`'s chain of `arity` curried `fun`s, or returns the body
+    /// already lowered for this transition. The body compiles against a
+    /// fresh stack over the closure's own environment, with new slots.
+    fn lower(&mut self, clo: &Arc<Closure>, arity: usize) -> Result<Arc<CLambda>, Sym> {
+        if let Some((_, lam)) = self.lowered.iter().find(|(c, _)| Arc::ptr_eq(c, clo)) {
+            return Ok(Arc::clone(lam));
+        }
+        let env = std::mem::replace(&mut self.env, clo.env.clone());
+        let stack = std::mem::take(&mut self.stack);
+        let mut lit = &clo.lit;
+        let mut params = Vec::with_capacity(arity);
+        loop {
+            params.push(self.bind(lit.param.sym));
+            match &lit.body {
+                Expr::Fun(inner) if params.len() < arity => lit = inner,
+                _ => break,
+            }
+        }
+        let body = compile_expr(self, &lit.body);
+        self.env = env;
+        self.stack = stack;
+        let lam = Arc::new(CLambda { params, body: body? });
+        self.lowered.push((Arc::clone(clo), Arc::clone(&lam)));
+        Ok(lam)
+    }
+}
+
+/// The number of curried parameters of a `fun` literal: its own, plus one
+/// per `fun` its body is directly.
+fn arity(lit: &FunLit) -> usize {
+    match &lit.body {
+        Expr::Fun(inner) => 1 + arity(inner),
+        _ => 1,
+    }
 }
 
 /// Lowers one transition. Any statically unresolvable name yields
@@ -196,10 +265,11 @@ impl Scope<'_> {
 /// code the compiler cannot prove it understands.
 pub fn compile_transition(contract: &Contract, lib_env: &Env, t: &Transition) -> TransitionCode {
     let mut scope = Scope {
-        lib_env,
+        env: lib_env.clone(),
         stack: Vec::new(),
         frame_size: 0,
         params_read: vec![false; contract.params.len()],
+        lowered: Vec::new(),
     };
     let param_slots: Vec<(Sym, u32)> =
         contract.params.iter().map(|p| (p.name.sym, scope.bind(p.name.sym))).collect();
@@ -344,7 +414,13 @@ fn compile_expr(scope: &mut Scope, e: &Expr) -> Result<CExpr, Sym> {
         }
         Expr::Fun(lit) => CExpr::Fun { lit: Arc::clone(lit), captures: captures_of(scope, e)? },
         Expr::App { func, args } => {
-            CExpr::App { func: scope.ident(func)?, args: compile_idents(scope, args)? }
+            let callee = match scope.ident(func)? {
+                Operand::Const(Value::Clo(clo)) if arity(&clo.lit) == args.len() => {
+                    Callee::Lowered(scope.lower(&clo, args.len())?)
+                }
+                func => Callee::Walker(func),
+            };
+            CExpr::App { callee, args: compile_idents(scope, args)? }
         }
         Expr::Match { scrutinee, clauses, .. } => {
             let scrutinee = scope.ident(scrutinee)?;
@@ -447,10 +523,11 @@ pub(crate) fn run_compiled(
     if telemetry::enabled() {
         telemetry::counter!("scilla.compile.runs").inc();
     }
-    // Frames are taken from (not borrowed out of) a per-thread pool so a
-    // re-entrant dispatch — a contract message fanning back into
-    // `run_compiled` — simply allocates a fresh one instead of aliasing.
-    let mut frame: Vec<Option<Value>> = FRAME_POOL.with(|p| std::mem::take(&mut *p.borrow_mut()));
+    // The frame and the scratch buffer are taken from (not borrowed out of)
+    // a per-thread pool so a re-entrant dispatch — a contract message
+    // fanning back into `run_compiled` — simply allocates fresh ones
+    // instead of aliasing.
+    let Buffers { mut frame, scratch } = POOL.with(|p| std::mem::take(&mut *p.borrow_mut()));
     frame.clear();
     frame.resize(ct.frame_size, None);
     for (sym, slot) in &ct.contract_params {
@@ -481,15 +558,20 @@ pub(crate) fn run_compiled(
             })?;
         frame[*slot as usize] = Some(v);
     }
-    let mut run = CRun { store, ctx, outcome: TransitionOutcome::default(), tracer };
+    let mut run = CRun { store, ctx, outcome: TransitionOutcome::default(), tracer, scratch };
     let res = run.run_stmts(&mut frame, &ct.body, gas);
-    // Hand the (cleared) frame back for the next call on this thread; on
-    // the error path the values are dropped with the frame as before.
+    // Hand the (cleared) buffers back for the next call on this thread; on
+    // the error path the values are dropped with them as before.
+    let mut scratch = run.scratch;
     frame.clear();
-    FRAME_POOL.with(|p| {
+    scratch.clear();
+    POOL.with(|p| {
         let mut pool = p.borrow_mut();
-        if pool.capacity() < frame.capacity() {
-            *pool = std::mem::take(&mut frame);
+        if pool.frame.capacity() < frame.capacity() {
+            pool.frame = frame;
+        }
+        if pool.scratch.capacity() < scratch.capacity() {
+            pool.scratch = scratch;
         }
     });
     res?;
@@ -498,11 +580,20 @@ pub(crate) fn run_compiled(
     Ok(outcome)
 }
 
+/// The per-call buffers [`run_compiled`] reuses across calls on a thread.
+#[derive(Default)]
+struct Buffers {
+    /// The slot frame.
+    frame: Vec<Option<Value>>,
+    /// Map keys and builtin arguments, gathered into one slice.
+    scratch: Vec<Value>,
+}
+
 thread_local! {
-    /// Scratch slot-frame reused by [`run_compiled`] to avoid a
-    /// malloc/free per transition call.
-    static FRAME_POOL: std::cell::RefCell<Vec<Option<Value>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    /// Buffers reused by [`run_compiled`] to avoid a malloc/free per
+    /// transition call and per map access.
+    static POOL: std::cell::RefCell<Buffers> =
+        const { std::cell::RefCell::new(Buffers { frame: Vec::new(), scratch: Vec::new() }) };
 }
 
 struct CRun<'a> {
@@ -510,19 +601,37 @@ struct CRun<'a> {
     ctx: &'a TransitionContext,
     outcome: TransitionOutcome,
     tracer: Option<&'a mut EffectTracer>,
+    scratch: Vec<Value>,
 }
 
-fn fetch(frame: &[Option<Value>], op: &Operand) -> Result<Value, ExecError> {
+fn fetch_ref<'v>(frame: &'v [Option<Value>], op: &'v Operand) -> Result<&'v Value, ExecError> {
     match op {
         Operand::Slot(i) => frame[*i as usize]
-            .clone()
+            .as_ref()
             .ok_or_else(|| ExecError::Internal("read of unwritten slot (compiler bug)".into())),
-        Operand::Const(v) => Ok(v.clone()),
+        Operand::Const(v) => Ok(v),
     }
 }
 
-fn fetch_all(frame: &[Option<Value>], ops: &[Operand]) -> Result<Vec<Value>, ExecError> {
-    ops.iter().map(|op| fetch(frame, op)).collect()
+fn fetch(frame: &[Option<Value>], op: &Operand) -> Result<Value, ExecError> {
+    fetch_ref(frame, op).cloned()
+}
+
+/// The values of `ops` as one slice: a lone operand is borrowed where it
+/// lives, several are cloned into `scratch`.
+fn fetch_slice<'v>(
+    frame: &'v [Option<Value>],
+    ops: &'v [Operand],
+    scratch: &'v mut Vec<Value>,
+) -> Result<&'v [Value], ExecError> {
+    if let [op] = ops {
+        return fetch_ref(frame, op).map(std::slice::from_ref);
+    }
+    scratch.clear();
+    for op in ops {
+        scratch.push(fetch(frame, op)?);
+    }
+    Ok(scratch)
 }
 
 /// Pattern match writing binders straight into the frame. Binder slots are
@@ -544,6 +653,50 @@ fn match_into(pat: &CPattern, v: &Value, frame: &mut [Option<Value>]) -> bool {
     }
 }
 
+/// The body of the first clause whose pattern matches the scrutinee, with
+/// that clause's binders written into the frame; `seen` gets the scrutinee
+/// first. A slot's scrutinee moves out for the match instead of being
+/// cloned: binder slots are fresh, so none of them is the scrutinee's.
+fn select<'c, T>(
+    frame: &mut [Option<Value>],
+    scrutinee: &Operand,
+    clauses: &'c [(CPattern, T)],
+    seen: impl FnOnce(&Value),
+) -> Result<&'c T, ExecError> {
+    let (v, slot) = match scrutinee {
+        Operand::Slot(i) => (frame[*i as usize].take(), Some(*i as usize)),
+        Operand::Const(v) => (Some(v.clone()), None),
+    };
+    let v = v.ok_or_else(|| ExecError::Internal("read of unwritten slot (compiler bug)".into()))?;
+    seen(&v);
+    let hit = clauses.iter().find(|(pat, _)| match_into(pat, &v, frame)).map(|(_, body)| body);
+    let res = hit.ok_or_else(|| ExecError::MatchFailure(format!("no clause matched {v}")));
+    if let Some(i) = slot {
+        frame[i] = Some(v);
+    }
+    res
+}
+
+/// Writes one component (`None` removes it) and, when tracing, records
+/// the write with the value it replaced.
+fn write(
+    store: &mut dyn StateStore,
+    tracer: Option<&mut EffectTracer>,
+    field: Sym,
+    keys: &[Value],
+    value: Option<Value>,
+    span: Span,
+) {
+    match tracer {
+        Some(t) => {
+            let prior = store.get(field, keys);
+            store.set(field, keys, value.clone());
+            t.record_write(field.as_str(), keys.to_vec(), prior, value, span);
+        }
+        None => store.set(field, keys, value),
+    }
+}
+
 impl CRun<'_> {
     fn run_stmts(
         &mut self,
@@ -555,19 +708,6 @@ impl CRun<'_> {
             self.run_stmt(frame, s, gas)?;
         }
         Ok(())
-    }
-
-    /// Writes one component (`None` removes it) and, when tracing, records
-    /// the write with the value it replaced.
-    fn write(&mut self, field: Sym, keys: Vec<Value>, value: Option<Value>, span: Span) {
-        match self.tracer.as_deref_mut() {
-            Some(t) => {
-                let prior = self.store.get(field, &keys);
-                self.store.set(field, &keys, value.clone());
-                t.record_write(field.as_str(), keys, prior, value, span);
-            }
-            None => self.store.set(field, &keys, value),
-        }
     }
 
     fn run_stmt(
@@ -591,7 +731,7 @@ impl CRun<'_> {
             CStmt::Store { field, rhs, span } => {
                 gas.charge(gas::COST_FIELD)?;
                 let v = fetch(frame, rhs)?;
-                self.write(*field, Vec::new(), Some(v), *span);
+                write(self.store, self.tracer.as_deref_mut(), *field, &[], Some(v), *span);
             }
             CStmt::Bind { dst, rhs } => {
                 let v = self.eval(frame, rhs, gas)?;
@@ -599,51 +739,48 @@ impl CRun<'_> {
             }
             CStmt::MapUpdate { map, keys, rhs, span } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
-                let ks = fetch_all(frame, keys)?;
                 let v = fetch(frame, rhs)?;
-                self.write(*map, ks, Some(v), *span);
+                let ks = fetch_slice(frame, keys, &mut self.scratch)?;
+                write(self.store, self.tracer.as_deref_mut(), *map, ks, Some(v), *span);
             }
             CStmt::MapGet { dst, map, keys, span } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
-                let ks = fetch_all(frame, keys)?;
-                let v = match self.store.get(*map, &ks) {
+                let ks = fetch_slice(frame, keys, &mut self.scratch)?;
+                let v = match self.store.get(*map, ks) {
                     Some(v) => Value::some(v),
                     None => Value::none(),
                 };
                 if let Some(t) = self.tracer.as_deref_mut() {
-                    t.record_read(map.as_str(), ks, *span);
+                    t.record_read(map.as_str(), ks.to_vec(), *span);
                 }
                 frame[*dst as usize] = Some(v);
             }
             CStmt::MapExists { dst, map, keys, span } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
-                let ks = fetch_all(frame, keys)?;
-                let b = self.store.exists(*map, &ks);
+                let ks = fetch_slice(frame, keys, &mut self.scratch)?;
+                let b = self.store.exists(*map, ks);
                 if let Some(t) = self.tracer.as_deref_mut() {
-                    t.record_read(map.as_str(), ks, *span);
+                    t.record_read(map.as_str(), ks.to_vec(), *span);
                 }
                 frame[*dst as usize] = Some(Value::bool(b));
             }
             CStmt::MapDelete { map, keys, span } => {
                 gas.charge(gas::COST_MAP_KEY * keys.len() as u64)?;
-                let ks = fetch_all(frame, keys)?;
-                self.write(*map, ks, None, *span);
+                let ks = fetch_slice(frame, keys, &mut self.scratch)?;
+                write(self.store, self.tracer.as_deref_mut(), *map, ks, None, *span);
             }
             CStmt::ReadBlockchain { dst } => {
                 gas.charge(gas::COST_FIELD)?;
                 frame[*dst as usize] = Some(Value::BNum(self.ctx.block_number));
             }
             CStmt::Match { scrutinee, clauses, span } => {
-                let v = fetch(frame, scrutinee)?;
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    t.record_cond(v.clone(), *span);
-                }
-                for (pat, body) in clauses {
-                    if match_into(pat, &v, frame) {
-                        return self.run_stmts(frame, body, gas);
+                let tracer = self.tracer.as_deref_mut();
+                let body = select(frame, scrutinee, clauses, |v| {
+                    if let Some(t) = tracer {
+                        t.record_cond(v.clone(), *span);
                     }
-                }
-                return Err(ExecError::MatchFailure(format!("no clause matched {v}")));
+                })?;
+                return self.run_stmts(frame, body, gas);
             }
             CStmt::Accept => {
                 self.outcome.accepted = true;
@@ -652,8 +789,7 @@ impl CRun<'_> {
                 }
             }
             CStmt::Send { msgs, span } => {
-                let v = fetch(frame, msgs)?;
-                for m in flatten_messages(&v)? {
+                for m in flatten_messages(fetch_ref(frame, msgs)?)? {
                     gas.charge(gas::COST_MESSAGE)?;
                     let om = parse_out_msg(m)?;
                     if let Some(t) = self.tracer.as_deref_mut() {
@@ -672,7 +808,7 @@ impl CRun<'_> {
             }
             CStmt::Throw { exception } => {
                 let detail = match exception {
-                    Some(e) => fetch(frame, e)?.to_string(),
+                    Some(e) => fetch_ref(frame, e)?.to_string(),
                     None => "unspecified".into(),
                 };
                 return Err(ExecError::Thrown(detail));
@@ -704,15 +840,15 @@ impl CRun<'_> {
                 Ok(Value::Msg(Arc::new(m)))
             }
             CExpr::Constr { ctor, args } => {
-                Ok(Value::Adt { ctor: *ctor, args: fetch_all(frame, args)? })
+                let args = args.iter().map(|op| fetch(frame, op)).collect::<Result<_, _>>()?;
+                Ok(Value::Adt { ctor: *ctor, args })
             }
             CExpr::Builtin { op, f, cost, args } => {
                 gas.charge(*cost)?;
                 if let Some(t) = self.tracer.as_deref_mut() {
                     t.record_builtin(op.as_str());
                 }
-                let vals = fetch_all(frame, args)?;
-                f(&vals)
+                f(fetch_slice(frame, args, &mut self.scratch)?)
             }
             CExpr::Let { dst, rhs, body } => {
                 let v = self.eval(frame, rhs, gas)?;
@@ -723,7 +859,16 @@ impl CRun<'_> {
                 let env = self.capture_env(frame, captures)?;
                 Ok(Value::Clo(Arc::new(Closure { lit: Arc::clone(lit), env })))
             }
-            CExpr::App { func, args } => {
+            CExpr::App { callee: Callee::Lowered(lam), args } => {
+                // The walker evaluates each `fun` of the chain but the
+                // innermost to a closure on the way, one node each.
+                gas.charge(gas::COST_EXPR * (lam.params.len() as u64 - 1))?;
+                for (slot, a) in lam.params.iter().zip(args) {
+                    frame[*slot as usize] = Some(fetch(frame, a)?);
+                }
+                self.eval(frame, &lam.body, gas)
+            }
+            CExpr::App { callee: Callee::Walker(func), args } => {
                 let mut f = fetch(frame, func)?;
                 for a in args {
                     let arg = fetch(frame, a)?;
@@ -732,13 +877,8 @@ impl CRun<'_> {
                 Ok(f)
             }
             CExpr::Match { scrutinee, clauses } => {
-                let v = fetch(frame, scrutinee)?;
-                for (pat, body) in clauses {
-                    if match_into(pat, &v, frame) {
-                        return self.eval(frame, body, gas);
-                    }
-                }
-                Err(ExecError::MatchFailure(format!("no clause matched {v}")))
+                let body = select(frame, scrutinee, clauses, |_| {})?;
+                self.eval(frame, body, gas)
             }
             CExpr::TFun { lit, captures } => {
                 let env = self.capture_env(frame, captures)?;

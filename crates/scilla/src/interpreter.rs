@@ -586,6 +586,17 @@ pub(crate) fn eval_expr_inner(
     }
 }
 
+thread_local! {
+    static WALKER_APPLIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many closure applications the AST walker has made on the calling
+/// thread. Compiled transitions lower saturated library calls, so one that
+/// adds to this count applied a closure through the walker.
+pub fn walker_applies() -> u64 {
+    WALKER_APPLIES.with(std::cell::Cell::get)
+}
+
 /// Applies a closure to one argument.
 pub(crate) fn apply(
     f: Value,
@@ -593,6 +604,7 @@ pub(crate) fn apply(
     gas: &mut GasMeter,
     tracer: Option<&mut EffectTracer>,
 ) -> Result<Value, ExecError> {
+    WALKER_APPLIES.with(|n| n.set(n.get() + 1));
     match f {
         Value::Clo(c) => {
             let inner = c.env.bind(c.lit.param.sym, arg);

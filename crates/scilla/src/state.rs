@@ -362,9 +362,14 @@ fn holds_value(node: &Node) -> bool {
 /// except one over a non-map base under which no pin holds a value:
 /// removals alone would not make that map, so it is written whole. `None`
 /// when nothing is written.
+///
+/// Unless `reads_base`, `leaf` ignores its base argument, and a pin that
+/// holds a value is drained without looking its path up in the base (see
+/// [`base_at`]).
 fn drain<L>(
     base: Option<&Value>,
     node: Node,
+    reads_base: bool,
     leaf: &mut impl FnMut(Option<Value>, Option<&Value>) -> L,
 ) -> Option<Tree<L>> {
     match node {
@@ -377,12 +382,28 @@ fn drain<L>(
             let children: BTreeMap<Value, Tree<L>> = children
                 .into_iter()
                 .filter_map(|(k, node)| {
-                    let tree = drain(child(base, &k), node, leaf)?;
+                    let base = base_at(&node, reads_base, || child(base, &k));
+                    let tree = drain(base, node, reads_base, leaf)?;
                     Some((k, tree))
                 })
                 .collect();
             (!children.is_empty()).then_some(Tree::Branch(children))
         }
+    }
+}
+
+/// The base value [`drain`] needs under `node`: `lookup`'s, except for a
+/// pin that holds a value when the leaf function ignores the base. The rule
+/// reads the base only to drop a removal of nothing and to walk or write a
+/// branch, so such a pin drains alike over any base.
+fn base_at<'a>(
+    node: &Node,
+    reads_base: bool,
+    lookup: impl FnOnce() -> Option<&'a Value>,
+) -> Option<&'a Value> {
+    match node {
+        Node::Leaf(Some(_)) if !reads_base => None,
+        _ => lookup(),
     }
 }
 
@@ -489,11 +510,27 @@ impl CowState {
     where
         C: FnMut(Option<Value>, Option<&Value>) -> L,
     {
+        self.into_writes_with(|field| (true, per_field(field)))
+    }
+
+    /// [`CowState::into_writes`] for leaf functions that may not read the
+    /// base: `per_field` also says whether the field's function does. Where
+    /// it does not, a write of a value is drained without a lookup in the
+    /// base and its function gets `None` for the base value.
+    pub fn into_writes_with<L, C>(
+        self,
+        mut per_field: impl FnMut(Sym) -> (bool, C),
+    ) -> BTreeMap<Sym, Tree<L>>
+    where
+        C: FnMut(Option<Value>, Option<&Value>) -> L,
+    {
         let base = &self.base.fields;
         self.overlay
             .into_iter()
             .filter_map(|(field, node)| {
-                let tree = drain(base.get(field.as_str()), node, &mut per_field(field))?;
+                let (reads_base, mut leaf) = per_field(field);
+                let at = base_at(&node, reads_base, || base.get(field.as_str()));
+                let tree = drain(at, node, reads_base, &mut leaf)?;
                 Some((field, tree))
             })
             .collect()
@@ -504,7 +541,8 @@ impl CowState {
     pub fn snapshot(&self) -> InMemoryState {
         let pending =
             CowState { base: Arc::clone(&self.base), overlay: self.overlay.clone(), log: Vec::new() };
-        let writes = pending.into_writes(|_| |value: Option<Value>, _: Option<&Value>| value);
+        let writes =
+            pending.into_writes_with(|_| (false, |value: Option<Value>, _: Option<&Value>| value));
         let mut state = (*self.base).clone();
         for (field, tree) in &writes {
             let Ok(()) = state.graft(*field, tree, &mut |value, _| Ok::<_, Infallible>(value.clone()));

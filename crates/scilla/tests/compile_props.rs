@@ -336,3 +336,226 @@ fn compiled_mode_is_not_vacuous() {
     let runs_after = telemetry::registry().counter("scilla.compile.runs").get();
     assert!(runs_after > runs_before, "compiled run counter did not advance");
 }
+
+/// Library calls the corpus sampler may not reach. The compiled backend
+/// lowers a saturated call of a library closure into the caller's frame;
+/// everything else (partial and over-application, closures held in locals)
+/// applies through the walker. `Rematch` reads a scrutinee again after
+/// matching on it. Each case runs at every gas limit from 0 to one past
+/// what the call needs, so exhaustion lands at every point inside the
+/// lowered bodies too.
+const LIBRARY_CALLS: &str = r#"
+library LibCalls
+
+let nil_msg = Nil {Message}
+let one_msg = fun (m : Message) => Cons {Message} m nil_msg
+let two_msg =
+  fun (m1 : Message) =>
+  fun (m2 : Message) =>
+    let t = one_msg m2 in
+    Cons {Message} m1 t
+let one = Uint128 1
+let add_two =
+  fun (a : Uint128) =>
+  fun (b : Uint128) =>
+    builtin add a b
+let add_three =
+  fun (a : Uint128) =>
+  fun (b : Uint128) =>
+  fun (c : Uint128) =>
+    let s = add_two a b in
+    add_two s c
+let bump = fun (x : Uint128) => builtin add x one
+let inc = add_two one
+let adder =
+  fun (a : Uint128) =>
+    let k = builtin add a one in
+    fun (b : Uint128) => builtin add k b
+let twice =
+  fun (f : Uint128 -> Uint128) =>
+  fun (x : Uint128) =>
+    let y = f x in
+    f y
+let or_default =
+  fun (o : Option Uint128) =>
+  fun (d : Uint128) =>
+    match o with
+    | Some v => bump v
+    | None => d
+    end
+
+contract LibCalls ()
+
+field total : Uint128 = Uint128 0
+field counts : Map ByStr20 Uint128 = Emp ByStr20 Uint128
+
+transition Partial (x : Uint128, y : Uint128)
+  f = add_two x;
+  r = f y;
+  total := r
+end
+
+transition Over (x : Uint128, y : Uint128)
+  r = adder x y;
+  total := r
+end
+
+transition Nested (x : Uint128, y : Uint128, z : Uint128)
+  r = add_three x y z;
+  total := r;
+  zero = Uint128 0;
+  a = {_tag : "A"; _recipient : _sender; _amount : zero; r : r};
+  b = {_tag : "B"; _recipient : _sender; _amount : zero};
+  msgs = two_msg a b;
+  send msgs
+end
+
+transition Shadow (x : Uint128)
+  one = Uint128 1000;
+  nil_msg = Uint128 7;
+  r = bump x;
+  s = inc r;
+  c <- counts[_sender];
+  n = or_default c one;
+  counts[_sender] := n;
+  total := s
+end
+
+transition Rematch (x : Uint128)
+  o = Some {Uint128} x;
+  y = match o with
+    | Some v => v
+    | None => x
+    end;
+  match o with
+  | Some w =>
+    z = or_default o y;
+    total := z
+  | None =>
+    throw
+  end
+end
+
+transition Higher (x : Uint128)
+  r = twice bump x;
+  total := r
+end
+"#;
+
+#[test]
+fn library_calls_match_the_walker_at_every_gas_limit() {
+    let contract = scilla::compile_str(LIBRARY_CALLS).expect("compiles");
+    let mut state = InMemoryState::from_fields(contract.init_fields(&[]).expect("init"));
+    let ctx = TransitionContext {
+        sender: addr(3),
+        origin: addr(3),
+        amount: 0,
+        this_address: addr(0xCC),
+        block_number: 1,
+    };
+    let u = |n| Value::Uint(128, n);
+    let calls: [(&str, Vec<(String, Value)>); 7] = [
+        ("Partial", vec![("x".into(), u(2)), ("y".into(), u(40))]),
+        ("Over", vec![("x".into(), u(2)), ("y".into(), u(40))]),
+        ("Nested", vec![("x".into(), u(1)), ("y".into(), u(2)), ("z".into(), u(3))]),
+        ("Shadow", vec![("x".into(), u(5))]),
+        ("Shadow", vec![("x".into(), u(6))]),
+        ("Rematch", vec![("x".into(), u(4))]),
+        ("Higher", vec![("x".into(), u(5))]),
+    ];
+    for (transition, args) in &calls {
+        let mut gas = GasMeter::new(1_000_000);
+        let mut st = state.clone();
+        contract
+            .execute_mode(&mut st, transition, args, &[], &ctx, &mut gas, None, ExecMode::Ast)
+            .unwrap_or_else(|e| panic!("{transition} fails on the walker: {e}"));
+        for limit in 0..=gas.used() + 1 {
+            differential_call(&contract, &[], &state, transition, args, &ctx, limit);
+        }
+        state = differential_call(&contract, &[], &state, transition, args, &ctx, 1_000_000);
+    }
+    let get = |field: &str, keys: &[Value]| {
+        scilla::state::StateStore::get(&state, field.into(), keys)
+    };
+    // Higher: bump (bump 5). The shadowing locals never reach a library
+    // body: Shadow's `bump` and `inc` add the library's `one`, and the
+    // second call's `or_default` bumps the stored 1000.
+    assert_eq!(get("total", &[]), Some(u(7)));
+    assert_eq!(get("counts", &[Value::address(addr(3))]), Some(u(1001)));
+}
+
+/// The calls that dominate the benchmark workloads lower completely: a
+/// compiled FungibleToken `Transfer` (`add_or_init`, then the curried
+/// `two_msg`), NonfungibleToken `Mint` and ProofIPFS `Register` (both
+/// `add_or_init`) apply no closure through the walker, which the same
+/// calls on the walker do.
+#[test]
+fn library_calls_do_not_reenter_the_walker() {
+    let ctx = |sender: u8| TransitionContext {
+        sender: addr(sender),
+        origin: addr(sender),
+        amount: 0,
+        this_address: addr(0xCC),
+        block_number: 1,
+    };
+    type Args = Vec<(String, Value)>;
+    type Calls = Vec<(u8, &'static str, Args)>;
+    let owner = Value::address(addr(9));
+    let named = |extra: Args| {
+        let mut params = vec![("contract_owner".to_string(), owner.clone())];
+        params.push(("name".into(), Value::Str("N".into())));
+        params.push(("symbol".into(), Value::Str("S".into())));
+        params.extend(extra);
+        params
+    };
+    let cases: [(&str, Args, Calls); 3] = [
+        (
+            "FungibleToken",
+            named(vec![("init_supply".into(), Value::Uint(128, 0))]),
+            vec![
+                (9, "Mint", vec![
+                    ("to".into(), Value::address(addr(1))),
+                    ("amount".into(), Value::Uint(128, 100)),
+                ]),
+                (1, "Transfer", vec![
+                    ("to".into(), Value::address(addr(2))),
+                    ("amount".into(), Value::Uint(128, 10)),
+                ]),
+            ],
+        ),
+        (
+            "NonfungibleToken",
+            named(vec![]),
+            vec![(9, "Mint", vec![
+                ("to".into(), Value::address(addr(1))),
+                ("token_id".into(), Value::Uint(256, 7)),
+            ])],
+        ),
+        (
+            "ProofIPFS",
+            vec![("initial_admin".to_string(), owner.clone())],
+            vec![(1, "Register", vec![("ipfs_hash".into(), Value::Str("Qm1".into()))])],
+        ),
+    ];
+    for (name, params, calls) in cases {
+        let contract = scilla::compile_str(scilla::corpus::get(name).expect("corpus").source)
+            .expect("compiles");
+        let mut state = InMemoryState::from_fields(contract.init_fields(&params).expect("init"));
+        for (sender, transition, args) in calls {
+            let applies = |mode: ExecMode| {
+                let mut st = state.clone();
+                let before = scilla::interpreter::walker_applies();
+                let mut gas = GasMeter::new(1_000_000);
+                contract
+                    .execute_mode(&mut st, transition, &args, &params, &ctx(sender), &mut gas, None, mode)
+                    .unwrap_or_else(|e| panic!("{name}::{transition} fails: {e}"));
+                (scilla::interpreter::walker_applies() - before, st)
+            };
+            let (on_walker, _) = applies(ExecMode::Ast);
+            let (compiled, next) = applies(ExecMode::Compiled);
+            assert!(on_walker > 0, "{name}::{transition} makes no library call");
+            assert_eq!(compiled, 0, "{name}::{transition} applied {compiled} closures on the walker");
+            state = next;
+        }
+    }
+}
