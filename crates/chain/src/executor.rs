@@ -11,11 +11,20 @@
 //! step at a time: it prepares a transaction with its effects left open,
 //! and commits or rolls it back once the participants have voted.
 //!
+//! The native-token side of a batch — balance slices (paper §4.2.2) and
+//! relaxed nonces (§4.2.1) — is one table of account slots. The first
+//! touch of an address reads its balance and nonces from the snapshot and
+//! works out its slice; every later nonce check, fee reservation, refund,
+//! transfer and nonce commit indexes the slot, and the sender's slot rides
+//! with the prepared transaction, so a batch searches for each account
+//! once.
+//!
 //! This serial loop is the only shard executor. Parallelism is
 //! across shards — `Network::execute_shards` runs one thread per shard and
 //! the deltas join per field (paper §4) — not inside a packet; DESIGN §6d
 //! holds the measurement behind that choice.
 
+use crate::account::NonceState;
 use crate::address::Address;
 use crate::delta::{ContractDelta, StateDelta};
 use crate::dispatch::{component_shard, compose_chain, recipient_value, Assignment};
@@ -30,7 +39,7 @@ use scilla::span::Span;
 use scilla::state::{CowState, StateStore};
 use scilla::trace::{DynamicFootprint, EffectTracer};
 use scilla::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::state::{DeployedContract, GlobalState};
@@ -235,51 +244,77 @@ pub(crate) fn record_batch_metrics(mb: &MicroBlock) {
         .record(mb.delta.changed_components() as u64);
 }
 
-/// Per-shard balance ledger with slice limits (paper §4.2.2: "splitting a
-/// user's balance across shards, with a larger fraction given to the shard
-/// handling money transfers from that user").
+/// The batch's account bookkeeping: the balance slices (paper §4.2.2:
+/// "splitting a user's balance across shards, with a larger fraction given
+/// to the shard handling money transfers from that user") and the relaxed
+/// nonces (§4.2.1), one slot per account. The first touch of an address
+/// reads its epoch-start balance and nonces and works out its slice, once;
+/// every later nonce check, debit, credit and nonce commit indexes the
+/// slot, so a batch searches for each account once.
 struct Ledger<'a> {
     snapshot: &'a GlobalState,
     role: Assignment,
     num_shards: u32,
+    /// Slot of every touched address. Never iterated, as its order varies
+    /// between runs: `into_delta` emits in address order.
+    index: HashMap<Address, usize>,
+    slots: Vec<Slot<'a>>,
+    /// `(slot, spent, delta)` before each mutation since the last commit,
+    /// so a per-transaction rollback is O(mutations).
+    log: Vec<(usize, u128, i128)>,
+}
+
+/// One account's bookkeeping in a batch.
+struct Slot<'a> {
+    addr: Address,
+    /// What gross debits may add up to. For the cross-shard stage, the
+    /// epoch-start balance its running limit starts from.
+    slice: u128,
     /// Gross debits, checked against the slice.
-    spent: BTreeMap<Address, u128>,
-    /// Net changes, reported in the state delta.
-    deltas: BTreeMap<Address, i128>,
-    /// Prior value of every entry mutated since the last checkpoint, so a
-    /// per-transaction rollback is O(mutations) instead of cloning both maps.
-    log: Vec<LedgerUndo>,
+    spent: u128,
+    /// Net change, reported in the state delta.
+    delta: i128,
+    /// Epoch-start nonces (`None`: no account yet).
+    nonces: Option<&'a NonceState>,
+    /// Nonces committed in this batch, ascending.
+    committed: Vec<u64>,
 }
 
-/// One `Ledger` mutation's undo record (`None` = the entry did not exist).
-enum LedgerUndo {
-    Spent(Address, Option<u128>),
-    Delta(Address, Option<i128>),
-}
+impl<'a> Ledger<'a> {
+    fn new(snapshot: &'a GlobalState, role: Assignment, num_shards: u32) -> Ledger<'a> {
+        Ledger {
+            snapshot,
+            role,
+            num_shards,
+            index: HashMap::new(),
+            slots: Vec::new(),
+            log: Vec::new(),
+        }
+    }
 
-impl Ledger<'_> {
-    /// What `addr`'s gross debits in this batch may add up to.
-    fn slice(&self, addr: &Address) -> u128 {
-        let base = self.snapshot.balance(addr);
-        match self.role {
-            // The DS committee sees everything.
-            Assignment::Ds => base,
-            // A cross-shard coordinator locks the accounts its footprint
-            // pins, so it works the full balance; and the stage settles one
-            // transaction at a time, so what it credited (refunds included)
-            // is spendable: the limit is the running balance plus the debits.
-            Assignment::XShard => {
-                let debited = self.spent.get(addr).copied().unwrap_or(0);
-                let net = self.deltas.get(addr).copied().unwrap_or(0);
-                base.saturating_add(debited.saturating_add_signed(net))
-            }
+    /// `addr`'s slot, made on first touch.
+    fn slot(&mut self, addr: Address) -> usize {
+        if let Some(&i) = self.index.get(&addr) {
+            return i;
+        }
+        let account = self.snapshot.accounts.get(&addr);
+        let base = account.map_or(0, |a| a.balance);
+        let slice = match self.role {
+            // The DS committee sees everything. A cross-shard coordinator
+            // locks the accounts its footprint pins, so it works the full
+            // balance too, and its limit runs (see `debit`).
+            Assignment::Ds | Assignment::XShard => base,
             Assignment::Shard(s) => {
                 let n = self.num_shards as u128;
-                if self.snapshot.is_contract(addr) {
+                if self.snapshot.is_contract(&addr) {
                     // A contract's funds move only in its home shard
                     // (`ContractShard` constraint; placement-aware, so a
                     // co-located family's funds follow its dispatch shard).
-                    if self.snapshot.home_shard_of(addr, self.num_shards) == s { base } else { 0 }
+                    if self.snapshot.home_shard_of(&addr, self.num_shards) == s {
+                        base
+                    } else {
+                        0
+                    }
                 } else {
                     // The away-slice is base/(4n); the home shard keeps the
                     // rest.
@@ -291,51 +326,97 @@ impl Ledger<'_> {
                     }
                 }
             }
-        }
+        };
+        let i = self.slots.len();
+        self.slots.push(Slot {
+            addr,
+            slice,
+            spent: 0,
+            delta: 0,
+            nonces: account.map(|a| &a.nonces),
+            committed: Vec::new(),
+        });
+        self.index.insert(addr, i);
+        i
     }
 
-    fn debit(&mut self, addr: Address, amount: u128) -> Result<(), String> {
-        let prior = self.spent.get(&addr).copied();
+    fn debit(&mut self, i: usize, amount: u128) -> Result<(), String> {
+        let slot = &mut self.slots[i];
+        let limit = match self.role {
+            // The stage settles one transaction at a time, so what it
+            // credited (refunds included) is spendable: the limit is the
+            // running balance plus the debits.
+            Assignment::XShard => {
+                slot.slice.saturating_add(slot.spent.saturating_add_signed(slot.delta))
+            }
+            _ => slot.slice,
+        };
         // Checked: a hostile amount must neither wrap past the slice test
         // nor change sign in the signed delta (`amount ≤ spent ≤ i128::MAX`).
-        let spent = prior
-            .unwrap_or(0)
+        let spent = slot
+            .spent
             .checked_add(amount)
-            .filter(|total| *total <= self.slice(&addr) && i128::try_from(*total).is_ok())
-            .ok_or_else(|| format!("insufficient balance slice for {addr}"))?;
-        self.log.push(LedgerUndo::Spent(addr, prior));
-        self.spent.insert(addr, spent);
-        self.log.push(LedgerUndo::Delta(addr, self.deltas.get(&addr).copied()));
-        *self.deltas.entry(addr).or_insert(0) -= amount as i128;
+            .filter(|total| *total <= limit && i128::try_from(*total).is_ok())
+            .ok_or_else(|| format!("insufficient balance slice for {}", slot.addr))?;
+        self.log.push((i, slot.spent, slot.delta));
+        slot.spent = spent;
+        slot.delta -= amount as i128;
         Ok(())
     }
 
-    fn credit(&mut self, addr: Address, amount: u128) {
-        self.log.push(LedgerUndo::Delta(addr, self.deltas.get(&addr).copied()));
-        *self.deltas.entry(addr).or_insert(0) += amount as i128;
-    }
-
-    fn undo(&mut self, checkpoint: usize) {
-        while self.log.len() > checkpoint {
-            match self.log.pop().expect("len checked") {
-                LedgerUndo::Spent(a, Some(v)) => {
-                    self.spent.insert(a, v);
-                }
-                LedgerUndo::Spent(a, None) => {
-                    self.spent.remove(&a);
-                }
-                LedgerUndo::Delta(a, Some(v)) => {
-                    self.deltas.insert(a, v);
-                }
-                LedgerUndo::Delta(a, None) => {
-                    self.deltas.remove(&a);
-                }
-            }
-        }
+    /// Checked like a debit: credits that would take the account's batch
+    /// delta past `i128::MAX` fail the transaction instead of wrapping.
+    fn credit(&mut self, i: usize, amount: u128) -> Result<(), String> {
+        let slot = &mut self.slots[i];
+        let delta = i128::try_from(amount)
+            .ok()
+            .and_then(|amount| slot.delta.checked_add(amount))
+            .ok_or_else(|| format!("balance delta overflow for {}", slot.addr))?;
+        self.log.push((i, slot.spent, slot.delta));
+        slot.delta = delta;
+        Ok(())
     }
 
     fn checkpoint(&self) -> usize {
         self.log.len()
+    }
+
+    fn undo(&mut self, checkpoint: usize) {
+        for (i, spent, delta) in self.log.drain(checkpoint..).rev() {
+            let slot = &mut self.slots[i];
+            (slot.spent, slot.delta) = (spent, delta);
+        }
+    }
+
+    /// Drops the undo log: no checkpoint outlives a commit.
+    fn settle(&mut self) {
+        self.log.clear();
+    }
+
+    fn nonce_usable(&self, i: usize, nonce: u64) -> bool {
+        let slot = &self.slots[i];
+        slot.nonces.map_or(nonce > 0, |n| n.is_usable(nonce))
+            && slot.committed.binary_search(&nonce).is_err()
+    }
+
+    fn commit_nonce(&mut self, i: usize, nonce: u64) {
+        let committed = &mut self.slots[i].committed;
+        if let Err(at) = committed.binary_search(&nonce) {
+            committed.insert(at, nonce);
+        }
+    }
+
+    /// The batch's non-zero balance deltas and committed nonces, by address.
+    fn into_delta(self) -> (BTreeMap<Address, i128>, BTreeMap<Address, Vec<u64>>) {
+        let balances =
+            self.slots.iter().filter(|s| s.delta != 0).map(|s| (s.addr, s.delta)).collect();
+        let nonces = self
+            .slots
+            .into_iter()
+            .filter(|s| !s.committed.is_empty())
+            .map(|s| (s.addr, s.committed))
+            .collect();
+        (balances, nonces)
     }
 }
 
@@ -372,7 +453,6 @@ pub(crate) struct Executor<'a> {
     /// the next.
     open: Vec<Address>,
     balance: Ledger<'a>,
-    nonce_committed: BTreeMap<Address, BTreeSet<u64>>,
     receipts: Vec<Receipt>,
     /// Transactions that stay in the pool for a later epoch.
     pub(crate) deferred: Vec<Transaction>,
@@ -391,6 +471,8 @@ pub(crate) struct Prepared {
     receipt: Receipt,
     /// Commit counts its gas and consumes its nonce (not refused or rerouted).
     charged: bool,
+    /// The sender's ledger slot.
+    sender: usize,
     /// The ledger before the fee reservation.
     ledger_cp: usize,
     /// Audit records before the transaction ran.
@@ -418,15 +500,7 @@ impl<'a> Executor<'a> {
             snapshot,
             storages: BTreeMap::new(),
             open: Vec::new(),
-            balance: Ledger {
-                snapshot,
-                role: cfg.role,
-                num_shards: cfg.num_shards,
-                spent: BTreeMap::new(),
-                deltas: BTreeMap::new(),
-                log: Vec::new(),
-            },
-            nonce_committed: BTreeMap::new(),
+            balance: Ledger::new(snapshot, cfg.role, cfg.num_shards),
             receipts: Vec::new(),
             deferred: Vec::new(),
             rerouted: Vec::new(),
@@ -435,20 +509,6 @@ impl<'a> Executor<'a> {
             traced: Vec::new(),
             current_tx: 0,
         }
-    }
-
-    fn nonce_usable(&self, addr: &Address, nonce: u64) -> bool {
-        let base_ok = self
-            .snapshot
-            .accounts
-            .get(addr)
-            .map(|a| a.nonces.is_usable(nonce))
-            .unwrap_or(nonce > 0);
-        base_ok
-            && !self
-                .nonce_committed
-                .get(addr)
-                .is_some_and(|ns| ns.contains(&nonce))
     }
 
     /// Whether `tx` must wait for a later epoch because what is left of the
@@ -492,9 +552,16 @@ impl<'a> Executor<'a> {
 
     fn prepare_inner(&mut self, tx: &Transaction) -> Prepared {
         self.current_tx = tx.id;
+        let sender = self.balance.slot(tx.sender);
         let mut prepared = Prepared {
-            receipt: Receipt { tx_id: tx.id, status: TxStatus::Success, gas_used: 0, events: vec![] },
+            receipt: Receipt {
+                tx_id: tx.id,
+                status: TxStatus::Success,
+                gas_used: 0,
+                events: vec![],
+            },
             charged: false,
+            sender,
             ledger_cp: self.balance.checkpoint(),
             violations: self.violations.len(),
             traced: self.traced.len(),
@@ -504,7 +571,7 @@ impl<'a> Executor<'a> {
             // this transaction, and it would block the packet behind it.
             return prepared.refused("gas limit exceeds the committee's budget");
         }
-        if !self.nonce_usable(&tx.sender, tx.nonce) {
+        if !self.balance.nonce_usable(sender, tx.nonce) {
             return prepared.refused("nonce already used");
         }
 
@@ -512,22 +579,27 @@ impl<'a> Executor<'a> {
         // price that overflows the reservation cannot be paid by anyone.
         let reserved = u128::from(tx.gas_limit)
             .checked_mul(tx.gas_price)
-            .filter(|fee| self.balance.debit(tx.sender, *fee).is_ok());
+            .filter(|fee| self.balance.debit(sender, *fee).is_ok());
         let Some(fee_reserve) = reserved else {
             return prepared.refused("cannot reserve gas");
         };
 
-        let (status, gas, events) = match &tx.kind {
+        let after_fee = self.balance.checkpoint();
+        let (mut status, gas, mut events) = match &tx.kind {
             TxKind::Payment { to, amount } => {
-                let gas = COST_TX_BASE;
-                let status = match self.balance.debit(tx.sender, *amount) {
-                    Ok(()) => {
-                        self.balance.credit(*to, *amount);
-                        TxStatus::Success
+                let to = self.balance.slot(*to);
+                let moved = self
+                    .balance
+                    .debit(sender, *amount)
+                    .and_then(|()| self.balance.credit(to, *amount));
+                let status = match moved {
+                    Ok(()) => TxStatus::Success,
+                    Err(e) => {
+                        self.balance.undo(after_fee);
+                        TxStatus::Failed(e)
                     }
-                    Err(e) => TxStatus::Failed(e),
                 };
-                (status, gas, Vec::new())
+                (status, COST_TX_BASE, Vec::new())
             }
             TxKind::Call { contract, transition, args, amount } => {
                 self.run_call(tx, *contract, transition, args, *amount)
@@ -545,7 +617,17 @@ impl<'a> Executor<'a> {
         // Refund unused gas (a payment's flat charge can exceed a tiny
         // `gas_limit`, hence the saturating product and difference).
         let actual_fee = u128::from(gas).saturating_mul(tx.gas_price);
-        self.balance.credit(tx.sender, fee_reserve.saturating_sub(actual_fee));
+        let refund = fee_reserve.saturating_sub(actual_fee);
+        if let Err(e) = self.balance.credit(sender, refund) {
+            // Only credits the transaction paid its own sender can leave
+            // the refund no room. Fail it: with its effects undone the
+            // refund fits, since it returns at most the reserved fee.
+            self.close(CowState::rollback);
+            self.balance.undo(after_fee);
+            let refunded = self.balance.credit(sender, refund);
+            debug_assert!(refunded.is_ok(), "a refund fits the delta it was reserved from");
+            (status, events) = (TxStatus::Failed(e), Vec::new());
+        }
         prepared.receipt = Receipt { tx_id: tx.id, status, gas_used: gas, events };
         prepared.charged = true;
         prepared
@@ -558,9 +640,10 @@ impl<'a> Executor<'a> {
             self.rerouted.push(tx.clone());
         }
         self.close(CowState::commit);
+        self.balance.settle();
         if prepared.charged {
             self.gas_used += prepared.receipt.gas_used;
-            self.nonce_committed.entry(tx.sender).or_default().insert(tx.nonce);
+            self.balance.commit_nonce(prepared.sender, tx.nonce);
         }
         self.receipts.push(prepared.receipt);
     }
@@ -685,10 +768,7 @@ impl<'a> Executor<'a> {
         }
 
         if outcome.accepted && amount > 0 {
-            self.balance
-                .debit(sender, amount)
-                .map_err(|e| CallError::Exec(ExecError::InsufficientFunds(e)))?;
-            self.balance.credit(contract, amount);
+            self.transfer(sender, contract, amount)?;
         }
         events.extend(outcome.events);
 
@@ -789,11 +869,17 @@ impl<'a> Executor<'a> {
             );
         }
         if msg.amount > 0 {
-            self.balance
-                .debit(from.contract, msg.amount)
-                .map_err(|e| CallError::Exec(ExecError::InsufficientFunds(e)))?;
-            self.balance.credit(recipient, msg.amount);
+            self.transfer(from.contract, recipient, msg.amount)?;
         }
+        Ok(())
+    }
+
+    /// Moves funds for `accept` or `send`. A failure leaves the ledger for
+    /// [`Executor::run_call`] to undo.
+    fn transfer(&mut self, from: Address, to: Address, amount: u128) -> Result<(), CallError> {
+        let (from, to) = (self.balance.slot(from), self.balance.slot(to));
+        self.balance.debit(from, amount).map_err(ExecError::InsufficientFunds)?;
+        self.balance.credit(to, amount).map_err(ExecError::Arith)?;
         Ok(())
     }
 
@@ -874,11 +960,7 @@ impl<'a> Executor<'a> {
         if !self.cfg.use_cosplit {
             return None;
         }
-        self.snapshot
-            .contracts
-            .get(contract)
-            .and_then(|d| d.signature.as_ref())
-            .map(|s| &s.joins)
+        self.snapshot.contracts.get(contract).and_then(|d| d.signature.as_ref()).map(|s| &s.joins)
     }
 
     /// Composed-chain containment cross-check (audit + compose mode): for
@@ -951,10 +1033,8 @@ impl<'a> Executor<'a> {
                 delta.contracts.insert(addr, cd);
             }
         }
-        delta.balances = self.balance.deltas.iter().filter(|(_, d)| **d != 0).map(|(a, d)| (*a, *d)).collect();
-        // Sorted, as `StateDelta::merge_ref` canonicalises them.
-        delta.nonces =
-            self.nonce_committed.into_iter().map(|(a, ns)| (a, ns.into_iter().collect())).collect();
+        // Nonces sorted, as `StateDelta::merge_ref` canonicalises them.
+        (delta.balances, delta.nonces) = self.balance.into_delta();
 
         MicroBlock {
             role: self.cfg.role,
@@ -964,6 +1044,225 @@ impl<'a> Executor<'a> {
             delta,
             gas_used: self.gas_used,
             audit_violations: self.violations,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::account::Account;
+    use crate::network::{ChainConfig, Network};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The ledger stated over whole maps, as the executor kept it before
+    /// slots: gross debits checked against a slice read from the snapshot at
+    /// every debit, net deltas, undo to a checkpoint, and the cross-shard
+    /// stage's running limit.
+    struct Model<'a> {
+        snapshot: &'a GlobalState,
+        role: Assignment,
+        spent: BTreeMap<Address, u128>,
+        deltas: BTreeMap<Address, i128>,
+        nonces: BTreeMap<Address, BTreeSet<u64>>,
+        /// The maps at each live checkpoint, outermost first.
+        saved: Vec<(BTreeMap<Address, u128>, BTreeMap<Address, i128>)>,
+    }
+
+    impl Model<'_> {
+        fn slice(&self, addr: &Address) -> u128 {
+            let base = self.snapshot.balance(addr);
+            match self.role {
+                Assignment::Ds => base,
+                Assignment::XShard => {
+                    let debited = self.spent.get(addr).copied().unwrap_or(0);
+                    let net = self.deltas.get(addr).copied().unwrap_or(0);
+                    base.saturating_add(debited.saturating_add_signed(net))
+                }
+                Assignment::Shard(s) => {
+                    let n = u128::from(SHARDS);
+                    if self.snapshot.is_contract(addr) {
+                        if self.snapshot.home_shard_of(addr, SHARDS) == s {
+                            base
+                        } else {
+                            0
+                        }
+                    } else if addr.home_shard(SHARDS) == s {
+                        base - base / (4 * n) * (n - 1)
+                    } else {
+                        base / (4 * n)
+                    }
+                }
+            }
+        }
+
+        fn debit(&mut self, addr: Address, amount: u128) -> bool {
+            let spent = self.spent.get(&addr).copied().unwrap_or(0);
+            let Some(total) = spent.checked_add(amount) else { return false };
+            if total > self.slice(&addr) || total > i128::MAX as u128 {
+                return false;
+            }
+            self.spent.insert(addr, total);
+            *self.deltas.entry(addr).or_default() -= amount as i128;
+            true
+        }
+
+        fn credit(&mut self, addr: Address, amount: u128) -> bool {
+            let delta = self.deltas.get(&addr).copied().unwrap_or(0);
+            let Some(sum) = i128::try_from(amount).ok().and_then(|a| delta.checked_add(a)) else {
+                return false;
+            };
+            self.deltas.insert(addr, sum);
+            true
+        }
+
+        fn nonce_usable(&self, addr: &Address, nonce: u64) -> bool {
+            let base =
+                self.snapshot.accounts.get(addr).map_or(nonce > 0, |a| a.nonces.is_usable(nonce));
+            base && !self.nonces.get(addr).is_some_and(|ns| ns.contains(&nonce))
+        }
+    }
+
+    const SHARDS: u32 = 2;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Debit(usize, u128),
+        Credit(usize, u128),
+        Checkpoint,
+        /// Undo to one of the live checkpoints (index modulo their count).
+        Undo(usize),
+        /// A commit: every checkpoint dies.
+        Settle,
+        NonceCheck(usize, u64),
+        NonceCommit(usize, u64),
+    }
+
+    /// A user at home in shard 0, a user away from it, a contract placed on
+    /// shard 0, one placed off it, and an absent account.
+    fn accounts() -> (GlobalState, [Address; 5]) {
+        let user = |shard| (100..).map(Address::from_index).find(|a| a.home_shard(SHARDS) == shard);
+        let (home, away) = (user(0).unwrap(), user(1).unwrap());
+        let (on, off) = (Address::from_index(900), Address::from_index(901));
+        let mut net = Network::new(ChainConfig::evaluation(SHARDS, true));
+        let source = scilla::corpus::get("HelloWorld").unwrap().source;
+        for c in [on, off] {
+            net.deploy(c, source, vec![("hello_owner".into(), home.to_value())], None).unwrap();
+        }
+        let mut state = net.state().clone();
+        state.placement.insert(on, 0);
+        state.placement.insert(off, 1);
+        for (addr, committed) in [(home, &[1, 2, 3, 5][..]), (away, &[2][..])] {
+            let mut account = Account::user(0);
+            for &n in committed {
+                account.nonces.commit(n);
+            }
+            state.accounts.insert(addr, account);
+        }
+        (state, [home, away, on, off, Address::from_index(999)])
+    }
+
+    fn amount() -> impl Strategy<Value = u128> {
+        prop_oneof![
+            0u128..3_000,
+            (0u32..4).prop_map(|k| (i128::MAX as u128 >> k) + 7),
+            any::<u128>()
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..5, amount()).prop_map(|(a, x)| Op::Debit(a, x)),
+            (0usize..5, amount()).prop_map(|(a, x)| Op::Credit(a, x)),
+            Just(Op::Checkpoint),
+            (0usize..8).prop_map(Op::Undo),
+            Just(Op::Settle),
+            (0usize..5, 0u64..8).prop_map(|(a, n)| Op::NonceCheck(a, n)),
+            (0usize..5, 0u64..8).prop_map(|(a, n)| Op::NonceCommit(a, n)),
+        ]
+    }
+
+    fn role() -> impl Strategy<Value = Assignment> {
+        prop_oneof![
+            Just(Assignment::Shard(0)),
+            Just(Assignment::Shard(1)),
+            Just(Assignment::Ds),
+            Just(Assignment::XShard),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The slots agree with the map model on every result, and emit the
+        /// same balance and nonce deltas.
+        #[test]
+        fn slots_match_the_map_ledger(
+            fixture in Just(accounts()),
+            balances in prop::collection::vec(prop_oneof![0u128..10_000, any::<u128>()], 4),
+            role in role(),
+            ops in prop::collection::vec(op(), 1..60),
+        ) {
+            let (mut snapshot, addrs) = fixture;
+            for (addr, b) in addrs.iter().zip(&balances) {
+                snapshot.accounts.entry(*addr).or_default().balance = *b;
+            }
+            let mut ledger = Ledger::new(&snapshot, role, SHARDS);
+            let mut model = Model {
+                snapshot: &snapshot,
+                role,
+                spent: BTreeMap::new(),
+                deltas: BTreeMap::new(),
+                nonces: BTreeMap::new(),
+                saved: Vec::new(),
+            };
+            let mut checkpoints = Vec::new();
+            for op in &ops {
+                match *op {
+                    Op::Debit(a, x) => {
+                        let slot = ledger.slot(addrs[a]);
+                        prop_assert_eq!(ledger.debit(slot, x).is_ok(), model.debit(addrs[a], x), "{:?}", op);
+                    }
+                    Op::Credit(a, x) => {
+                        let slot = ledger.slot(addrs[a]);
+                        prop_assert_eq!(ledger.credit(slot, x).is_ok(), model.credit(addrs[a], x), "{:?}", op);
+                    }
+                    Op::Checkpoint => {
+                        checkpoints.push(ledger.checkpoint());
+                        model.saved.push((model.spent.clone(), model.deltas.clone()));
+                    }
+                    Op::Undo(k) if !checkpoints.is_empty() => {
+                        let j = k % checkpoints.len();
+                        ledger.undo(checkpoints[j]);
+                        (model.spent, model.deltas) = model.saved[j].clone();
+                        checkpoints.truncate(j + 1);
+                        model.saved.truncate(j + 1);
+                    }
+                    Op::Undo(_) => {}
+                    Op::Settle => {
+                        ledger.settle();
+                        checkpoints.clear();
+                        model.saved.clear();
+                    }
+                    Op::NonceCheck(a, n) => {
+                        let slot = ledger.slot(addrs[a]);
+                        prop_assert_eq!(ledger.nonce_usable(slot, n), model.nonce_usable(&addrs[a], n), "{:?}", op);
+                    }
+                    Op::NonceCommit(a, n) => {
+                        let slot = ledger.slot(addrs[a]);
+                        ledger.commit_nonce(slot, n);
+                        model.nonces.entry(addrs[a]).or_default().insert(n);
+                    }
+                }
+            }
+            let (balances, nonces) = ledger.into_delta();
+            let want: BTreeMap<Address, i128> =
+                model.deltas.iter().filter(|(_, d)| **d != 0).map(|(a, d)| (*a, *d)).collect();
+            prop_assert_eq!(balances, want);
+            let want: BTreeMap<Address, Vec<u64>> =
+                model.nonces.into_iter().map(|(a, ns)| (a, ns.into_iter().collect())).collect();
+            prop_assert_eq!(nonces, want);
         }
     }
 }

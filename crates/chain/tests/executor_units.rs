@@ -254,6 +254,84 @@ fn gas_price_that_overflows_the_fee_cannot_reserve_gas() {
     assert!(mb.delta.balances.is_empty(), "{:?}", mb.delta.balances);
 }
 
+/// Hostile field (e): credits to one account that together pass the
+/// `i128` range of its batch delta. The credit is checked like a debit, so
+/// the second payment fails with its gas charged, instead of wrapping the
+/// recipient's delta negative, failing the merge and destroying both debits.
+#[test]
+fn credits_past_the_delta_range_fail_the_transaction_not_the_epoch() {
+    let mut net = Network::new(ChainConfig::evaluation(1, true));
+    let (a, b, c) = (Address::from_index(1), Address::from_index(2), Address::from_index(3));
+    let amount = u128::MAX / 10 * 3;
+    net.fund_account(a, amount + 1_000_000);
+    net.fund_account(b, amount + 1_000_000);
+    let native = |net: &Network| net.state().accounts.values().map(|x| x.balance).sum::<u128>();
+    let before = native(&net);
+
+    let mut pool =
+        vec![Transaction::payment(1, a, 1, c, amount), Transaction::payment(2, b, 1, c, amount)];
+    let report = net.run_epoch(&mut pool);
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let status: Vec<_> = report.receipts.iter().map(|r| (r.tx_id, &r.status)).collect();
+    assert_eq!(status[0], (1, &TxStatus::Success), "{status:?}");
+    assert!(matches!(status[1], (2, TxStatus::Failed(m)) if m.contains("overflow")), "{status:?}");
+    // Gas price 1: the burn is the gas used.
+    let burned: u128 = report.receipts.iter().map(|r| u128::from(r.gas_used)).sum();
+    assert_eq!(native(&net) + burned, before);
+    assert_eq!(net.state().balance(&c), amount);
+}
+
+/// A refund with no room: credits the transaction paid its own sender took
+/// the sender's delta near `i128::MAX`, so the refund of unused gas does not
+/// fit. The transaction fails, its effects are undone, and then the refund
+/// fits, since it returns at most the reserved fee.
+#[test]
+fn a_refund_with_no_room_fails_its_transaction() {
+    let mut net = Network::new(ChainConfig::evaluation(1, true));
+    let (backer, whale) = (Address::from_index(1), Address::from_index(2));
+    let campaign = Address::from_index(777);
+    net.fund_account(backer, 100_000);
+    net.deploy(
+        campaign,
+        scilla::corpus::get("Crowdfunding").unwrap().source,
+        vec![
+            ("campaign_owner".to_string(), whale.to_value()),
+            ("max_block".to_string(), Value::BNum(3)),
+            ("goal".to_string(), Value::Uint(128, u128::MAX / 2)),
+        ],
+        Some((&["Donate", "ClaimBack"], WeakReads::AcceptAll)),
+    )
+    .unwrap();
+    let donate = Transaction::call(1, backer, 1, campaign, "Donate", vec![]).with_amount(5_000);
+    assert_eq!(net.run_epoch(&mut vec![donate]).committed, 1);
+
+    // At block 5 the campaign is over and unfunded. The whale's payment
+    // (its fee reservation kept small to leave room for it) takes the
+    // backer 1 000 below the limit; the ClaimBack's reservation of 10 000
+    // makes room for the 5 000 it returns, but not for the refund.
+    let mut state = net.state().clone();
+    state.credit(whale, u128::MAX / 2);
+    let near_max = i128::MAX - 1_000;
+    let txs = vec![
+        Transaction {
+            gas_limit: 1_000,
+            ..Transaction::payment(2, whale, 1, backer, near_max as u128)
+        },
+        Transaction::call(3, backer, 2, campaign, "ClaimBack", vec![]),
+    ];
+    let mb = execute_batch(&cfg(Assignment::Ds, 1), &state, txs);
+    assert_eq!(mb.receipts[0].status, TxStatus::Success);
+    assert!(
+        matches!(&mb.receipts[1].status, TxStatus::Failed(m) if m.starts_with("balance delta overflow")),
+        "{:?}",
+        mb.receipts
+    );
+    assert!(mb.receipts[1].gas_used > 0 && mb.receipts[1].events.is_empty());
+    assert_eq!(mb.delta.balances[&backer], near_max - i128::from(mb.receipts[1].gas_used));
+    assert_eq!(mb.delta.balances.get(&campaign), None, "the returned donation was undone");
+    assert!(!mb.delta.contracts.contains_key(&campaign), "{:?}", mb.delta.contracts);
+}
+
 /// Hostile field (d): a transaction whose `gas_limit` exceeds the whole
 /// committee budget used to be deferred forever and, re-entering the pool
 /// first each epoch, deferred everything behind it forever too.
