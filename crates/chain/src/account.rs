@@ -29,7 +29,9 @@ impl NonceState {
         nonce > self.watermark && !self.committed_above.contains(&nonce)
     }
 
-    /// Marks a nonce committed.
+    /// Marks a nonce committed. The nonce just above the watermark moves
+    /// it, so nonces committed in order (a single sender's epoch) never
+    /// enter `committed_above`.
     ///
     /// Returns `false` (and changes nothing) if it was already committed —
     /// the replay-protection property.
@@ -37,24 +39,23 @@ impl NonceState {
         if !self.is_usable(nonce) {
             return false;
         }
-        self.committed_above.insert(nonce);
-        self.compact();
+        if nonce != self.watermark + 1 {
+            self.committed_above.insert(nonce);
+            return true;
+        }
+        self.watermark = nonce;
+        while !self.committed_above.is_empty() && self.committed_above.remove(&(self.watermark + 1))
+        {
+            self.watermark += 1;
+        }
         true
     }
 
-    /// Merges another shard's committed set into this one.
-    pub fn merge(&mut self, committed: &[u64]) {
-        for &n in committed {
-            if n > self.watermark {
-                self.committed_above.insert(n);
-            }
-        }
-        self.compact();
-    }
-
-    fn compact(&mut self) {
-        while self.committed_above.remove(&(self.watermark + 1)) {
-            self.watermark += 1;
+    /// Merges another shard's committed set into this one, in any order;
+    /// in increasing order it touches `committed_above` least.
+    pub fn merge(&mut self, committed: impl IntoIterator<Item = u64>) {
+        for n in committed {
+            self.commit(n);
         }
     }
 
@@ -102,6 +103,7 @@ impl Account {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn out_of_order_commit_is_allowed() {
@@ -139,12 +141,60 @@ mod tests {
         // Shard A committed {1,3,5}; shard B committed {2,4} (the paper's
         // example).
         let mut n = NonceState::new();
-        n.merge(&[1, 3, 5]);
-        n.merge(&[2, 4]);
+        n.merge([1, 3, 5]);
+        n.merge([2, 4]);
         assert_eq!(n.high(), 5);
         assert!(n.is_usable(6));
         for used in 1..=5 {
             assert!(!n.is_usable(used));
+        }
+    }
+
+    /// A shard's committed list: a sorted run from `start` with gaps of
+    /// `gaps`, then stray nonces in any order, repeats and nonces below the
+    /// watermark included.
+    fn committed() -> impl Strategy<Value = Vec<u64>> {
+        (0u64..12, prop::collection::vec(0u64..3, 0..12), prop::collection::vec(0u64..30, 0..6))
+            .prop_map(|(start, gaps, strays)| {
+                let mut n = start;
+                let mut run: Vec<u64> = gaps
+                    .iter()
+                    .map(|g| {
+                        n += 1 + g;
+                        n - 1 - g
+                    })
+                    .collect();
+                run.extend(strays);
+                run
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// Merges and commits agree with a set of every committed nonce:
+        /// the watermark is its longest prefix from 1, `committed_above`
+        /// the rest, and a nonce is usable exactly when it is not in it.
+        #[test]
+        fn merge_matches_a_set_of_committed_nonces(
+            steps in prop::collection::vec((committed(), any::<bool>(), 0u64..30), 1..8)
+        ) {
+            let mut n = NonceState::new();
+            let mut model = BTreeSet::from([0]);
+            for (list, commits, c) in steps {
+                n.merge(list.iter().copied());
+                model.extend(&list);
+                if commits {
+                    prop_assert_eq!(n.commit(c), model.insert(c));
+                }
+                let watermark = (1..).find(|k| !model.contains(k)).unwrap() - 1;
+                prop_assert_eq!(n.watermark(), watermark);
+                let above: Vec<u64> = model.range(watermark + 1..).copied().collect();
+                prop_assert_eq!(n.committed_above().collect::<Vec<_>>(), above);
+                for k in 0..45 {
+                    prop_assert_eq!(n.is_usable(k), !model.contains(&k));
+                }
+            }
         }
     }
 }

@@ -3,8 +3,8 @@
 //! Each shard's `MicroBlock` carries a `StateDelta` describing what its
 //! transactions changed relative to the epoch-start state. Per contract, a
 //! [`ContractDelta`] holds one [`Tree`] per written field, shaped like the
-//! field's nested maps: the executor's working-state tree, handed over
-//! whole ([`ContractDelta::from_state`]). Each leaf is a change to one
+//! field's nested maps: the executor's working-state tree, drained in place
+//! ([`ContractDelta::from_state`]). Each leaf is a [`Change`] to one
 //! component:
 //!
 //! * components of fields with an [`Join::IntMerge`] join carry *numeric
@@ -12,11 +12,14 @@
 //! * everything else carries *overwrites* (`set`) whose disjointness is
 //!   guaranteed by ownership dispatch (Strategy 1).
 //!
-//! The DS committee joins the trees ([`StateDelta::merge_ref`]) and grafts
-//! the result onto the state ([`StateDelta::apply`]), one walk per field.
-//! The join detects violations rather than silently losing writes: a
-//! change above or below another, two overwrites of one component, or two
-//! numeric deltas of different shapes on one component are a conflict.
+//! One join walk visits the shard deltas' trees side by side, a k-way merge
+//! of their children in key order, and hands what it joins to a sink: a
+//! check that only gives the verdict, [`StateDelta::merge_ref`], which
+//! builds the merged delta, or a graft straight into the state
+//! ([`StateDelta::apply`] and the epoch's merge stage, after a check). The
+//! join detects violations rather than silently losing writes: a change
+//! above or below another, two overwrites of one component, or two numeric
+//! deltas of different shapes on one component are a conflict.
 //!
 //! [`Join::IntMerge`]: cosplit_analysis::signature::Join::IntMerge
 
@@ -26,11 +29,14 @@ use crate::state::GlobalState;
 use cosplit_analysis::signature::Join;
 use scilla::builtins::uint_max;
 use scilla::intern::Sym;
-use scilla::state::{CowState, Tree};
+pub use scilla::state::IntDelta;
+use scilla::state::{Change, CowState, GraftMap, Tree};
 use scilla::value::Value;
 use serde_json::json;
-use std::collections::btree_map::Entry;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
+use std::iter::Peekable;
 use std::sync::Arc;
 
 /// Renders a component, a field plus a key path, for diagnostics.
@@ -42,33 +48,29 @@ pub fn component_name<'a>(field: Sym, keys: impl IntoIterator<Item = &'a Value>)
     s
 }
 
-/// A numeric delta on an integer-valued component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntDelta {
-    /// Signed change (final − initial).
-    pub delta: i128,
-    /// Bit width of the component's integer type.
-    pub width: u32,
-    /// Whether the component is a signed integer.
-    pub signed: bool,
-}
-
-/// What a delta does to one component: a leaf of a field's [`Tree`]. At
-/// least one part is present; applied, `set` goes first.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Change {
-    /// An overwrite; `Some(None)` removes the component.
-    set: Option<Option<Value>>,
-    /// A numeric delta, summed with other shards' deltas on the component.
+/// A leaf as the join leaves it: the overwrite of the one delta that makes
+/// one, borrowed, and the sum of the deltas' numeric deltas.
+#[derive(Clone, Copy)]
+struct Joined<'a> {
+    set: Option<&'a Option<Value>>,
     add: Option<IntDelta>,
 }
 
-impl Change {
+impl<'a> Joined<'a> {
+    fn of(change: &'a Change) -> Self {
+        Joined { set: change.set(), add: change.add() }
+    }
+
+    /// Its changed components: an overwrite and a numeric delta count two.
+    fn components(self) -> usize {
+        usize::from(self.set.is_some()) + usize::from(self.add.is_some())
+    }
+
     /// The component's value after the change, given its value before
     /// (`None`: absent). `None` if the sum leaves the component's type or
     /// the value is not an integer of the delta's shape.
-    fn applied(&self, old: Option<&Value>) -> Option<Option<Value>> {
-        let old = match &self.set {
+    fn applied(self, old: Option<&Value>) -> Option<Option<Value>> {
+        let old = match self.set {
             Some(set) => set.as_ref(),
             None => old,
         };
@@ -94,22 +96,23 @@ impl ContractDelta {
         self.fields.is_empty()
     }
 
-    /// Takes over a contract's working state as its delta: one walk per
-    /// written field beside the base, moving the overlay's nodes. A write
-    /// to a field whose join in `joins` is [`Join::IntMerge`] becomes an
-    /// `add` against the base value when both are integers of one shape
-    /// and the change fits `i128`; every other write is a `set`.
+    /// Takes over a contract's working state as its delta: its trees,
+    /// drained in place ([`CowState::into_writes`]). A write to a field
+    /// whose join in `joins` is [`Join::IntMerge`] becomes an `add` against
+    /// the base value when both are integers of one shape and the change
+    /// fits `i128`; every other write stays a `set`.
     pub fn from_state(state: CowState, joins: Option<&BTreeMap<String, Join>>) -> ContractDelta {
-        let fields = state.into_writes_with(|field| {
+        let fields = state.into_writes(|field| {
             let int_merge = joins.is_some_and(|j| j.get(field.as_str()) == Some(&Join::IntMerge));
             // Only an `add` is computed against the base value.
-            (int_merge, move |value: Option<Value>, base: Option<&Value>| {
-                match value.as_ref().filter(|_| int_merge).and_then(|v| compute_int_delta(base, v)) {
-                    Some(id) => Change { set: None, add: Some(id) },
-                    // Non-integer, shape-changing, or out-of-i128-range
-                    // changes fall back to an overwrite; under a correct
-                    // signature only one shard can produce them.
-                    None => Change { set: Some(value), add: None },
+            (int_merge, move |change: &mut Change, base: Option<&Value>| {
+                // Non-integer, shape-changing, or out-of-i128-range changes
+                // stay overwrites; under a correct signature only one shard
+                // can produce them.
+                let add =
+                    change.written().filter(|_| int_merge).and_then(|v| compute_int_delta(base, v));
+                if let Some(add) = Change::from_parts(None, add) {
+                    *change = add;
                 }
             })
         });
@@ -123,12 +126,7 @@ impl ContractDelta {
     /// If the delta already overwrites the component, or changes one above
     /// or below it.
     pub fn set(&mut self, field: Sym, keys: &[Value], value: Option<Value>) -> Result<(), String> {
-        let change = self.change_mut(field, keys)?;
-        if change.set.is_some() {
-            return Err(format!("{} overwritten twice", component_name(field, keys)));
-        }
-        change.set = Some(value);
-        Ok(())
+        self.record(field, keys, Some(value), None, "overwritten twice")
     }
 
     /// Records a numeric delta on a component.
@@ -138,30 +136,42 @@ impl ContractDelta {
     /// If the delta already adds to the component, or changes one above or
     /// below it.
     pub fn add(&mut self, field: Sym, keys: &[Value], id: IntDelta) -> Result<(), String> {
-        let change = self.change_mut(field, keys)?;
-        if change.add.is_some() {
-            return Err(format!("{} added to twice", component_name(field, keys)));
-        }
-        change.add = Some(id);
-        Ok(())
+        self.record(field, keys, None, Some(id), "added to twice")
     }
 
-    /// The leaf at a component, made empty if the path is new.
-    fn change_mut(&mut self, field: Sym, keys: &[Value]) -> Result<&mut Change, String> {
-        let new = |depth: usize| match depth == keys.len() {
-            true => Tree::Leaf(Change::default()),
-            false => Tree::Branch(BTreeMap::new()),
-        };
+    /// Records an overwrite or a numeric delta on a component, beside the
+    /// other part if the delta already has it there; `twice` says what a
+    /// part the leaf already holds is.
+    fn record(
+        &mut self,
+        field: Sym,
+        keys: &[Value],
+        set: Option<Option<Value>>,
+        add: Option<IntDelta>,
+        twice: &str,
+    ) -> Result<(), String> {
         let nested = || format!("{} nests with another component", component_name(field, keys));
-        let mut tree = self.fields.entry(field).or_insert_with(|| new(0));
-        for (depth, k) in keys.iter().enumerate() {
+        // A new path ends in an empty branch, which the leaf replaces.
+        let branch = || Tree::Branch(BTreeMap::new());
+        let mut tree = self.fields.entry(field).or_insert_with(branch);
+        for k in keys {
             let Tree::Branch(children) = tree else { return Err(nested()) };
-            tree = children.entry(k.clone()).or_insert_with(|| new(depth + 1));
+            tree = children.entry(k.clone()).or_insert_with(branch);
         }
-        match tree {
-            Tree::Leaf(change) => Ok(change),
-            Tree::Branch(_) => Err(nested()),
+        let (set, add) = match tree {
+            Tree::Branch(children) if children.is_empty() => (set, add),
+            Tree::Branch(_) => return Err(nested()),
+            Tree::Leaf(had)
+                if set.is_some() && had.set().is_some() || add.is_some() && had.add().is_some() =>
+            {
+                return Err(format!("{} {twice}", component_name(field, keys)))
+            }
+            Tree::Leaf(had) => (set.or_else(|| had.set().cloned()), add.or(had.add())),
+        };
+        if let Some(change) = Change::from_parts(set, add) {
+            *tree = Tree::Leaf(change);
         }
+        Ok(())
     }
 
     /// Visits the leaves in component order with their key paths.
@@ -189,57 +199,429 @@ impl ContractDelta {
     }
 }
 
-/// Joins `theirs` into `ours`, two trees of one field's changes; `at` is
-/// the path to them. Two adds on a component sum, and `wrapped` hears of
-/// each sum that wraps past the `i128` range, with its direction.
-///
-/// # Errors
-///
-/// A conflict, with `at` left at its component: an overwrite meets another
-/// overwrite, a change above or below its component, or two adds differ in
-/// width or signedness.
-fn join<'a>(
-    ours: &mut Tree<Change>,
-    theirs: &'a Tree<Change>,
-    at: &mut Vec<&'a Value>,
-    wrapped: &mut impl FnMut(&[&'a Value], i64),
-) -> Result<(), ()> {
-    match (ours, theirs) {
-        (Tree::Branch(ours), Tree::Branch(theirs)) => {
-            for (k, theirs) in theirs {
-                match ours.entry(k.clone()) {
-                    Entry::Occupied(ours) => {
-                        at.push(k);
-                        join(ours.into_mut(), theirs, at, wrapped)?;
-                        at.pop();
-                    }
-                    Entry::Vacant(e) => drop(e.insert(theirs.clone())),
-                }
-            }
-            Ok(())
-        }
-        (Tree::Leaf(ours), Tree::Leaf(theirs)) => {
-            match (&ours.set, &theirs.set) {
-                (Some(_), Some(_)) => return Err(()),
-                (None, Some(set)) => ours.set = Some(set.clone()),
-                _ => {}
-            }
-            match (&mut ours.add, theirs.add) {
-                (_, None) => {}
-                (None, add) => ours.add = add,
-                (Some(a), Some(b)) if (a.width, a.signed) == (b.width, b.signed) => {
-                    let (sum, wraps) = a.delta.overflowing_add(b.delta);
-                    a.delta = sum;
-                    if wraps {
-                        wrapped(at, b.delta.signum() as i64);
-                    }
-                }
-                (Some(_), Some(_)) => return Err(()),
-            }
-            Ok(())
-        }
-        _ => Err(()),
+/// Where the join walk puts one level of a field's joined tree: `K` is the
+/// field at the top and a map key below it. An error of `sole` or `joined`
+/// is the path below `key` to a component whose change does not apply.
+trait Sink<K> {
+    /// A subtree that one delta alone changes.
+    fn sole(&mut self, key: &K, tree: &Tree<Change>) -> Result<(), Vec<Value>>;
+
+    /// A leaf that several deltas change, joined.
+    fn joined(&mut self, key: &K, leaf: Joined<'_>) -> Result<(), Vec<Value>>;
+
+    /// A branch that several deltas change: `below` walks its children into
+    /// the sink it is given.
+    fn branch(&mut self, key: &K, below: &mut Below<'_, Value>) -> Result<(), MergeError>;
+}
+
+/// The rest of the walk below a node, into the sink it is given.
+type Below<'w, K> = dyn FnMut(&mut dyn Sink<K>) -> Result<(), MergeError> + 'w;
+
+/// Where the join walk puts a state delta's top level.
+trait Target {
+    /// A contract that any delta changes: `fields` walks its fields into
+    /// the sink it is given.
+    fn contract(&mut self, addr: Address, fields: &mut Below<'_, Sym>) -> Result<(), MergeError>;
+
+    /// An account that any delta changes: its balance change, summed, if a
+    /// delta has one, and each delta's part.
+    fn account(
+        &mut self,
+        addr: Address,
+        balance: Option<i128>,
+        parts: &[(usize, Account<'_>)],
+    ) -> Result<(), MergeError>;
+}
+
+/// One delta's change to an account: its balance change and the nonces it
+/// commits.
+type Account<'a> = (Option<&'a i128>, Option<&'a Vec<u64>>);
+
+/// The sink that only gives the verdict.
+struct Check;
+
+impl<K> Sink<K> for Check {
+    fn sole(&mut self, _: &K, _: &Tree<Change>) -> Result<(), Vec<Value>> {
+        Ok(())
     }
+
+    fn joined(&mut self, _: &K, _: Joined<'_>) -> Result<(), Vec<Value>> {
+        Ok(())
+    }
+
+    fn branch(&mut self, _: &K, below: &mut Below<'_, Value>) -> Result<(), MergeError> {
+        below(self)
+    }
+}
+
+impl Target for Check {
+    fn contract(&mut self, _: Address, fields: &mut Below<'_, Sym>) -> Result<(), MergeError> {
+        fields(self)
+    }
+
+    fn account(
+        &mut self,
+        _: Address,
+        _: Option<i128>,
+        _: &[(usize, Account<'_>)],
+    ) -> Result<(), MergeError> {
+        Ok(())
+    }
+}
+
+/// The sink that builds one level of the merged delta: its children, in key
+/// order.
+struct Build<K>(Vec<(K, Tree<Change>)>);
+
+impl<K: Clone> Sink<K> for Build<K> {
+    fn sole(&mut self, key: &K, tree: &Tree<Change>) -> Result<(), Vec<Value>> {
+        self.0.push((key.clone(), tree.clone()));
+        Ok(())
+    }
+
+    fn joined(&mut self, key: &K, leaf: Joined<'_>) -> Result<(), Vec<Value>> {
+        if let Some(change) = Change::from_parts(leaf.set.cloned(), leaf.add) {
+            self.0.push((key.clone(), Tree::Leaf(change)));
+        }
+        Ok(())
+    }
+
+    fn branch(&mut self, key: &K, below: &mut Below<'_, Value>) -> Result<(), MergeError> {
+        let mut children = Build(Vec::new());
+        below(&mut children)?;
+        self.0.push((key.clone(), Tree::Branch(children.0.into_iter().collect())));
+        Ok(())
+    }
+}
+
+/// The merged delta is built at the top.
+impl Target for StateDelta {
+    fn contract(&mut self, addr: Address, fields: &mut Below<'_, Sym>) -> Result<(), MergeError> {
+        let mut built = Build(Vec::new());
+        fields(&mut built)?;
+        self.contracts.insert(addr, ContractDelta { fields: built.0.into_iter().collect() });
+        Ok(())
+    }
+
+    fn account(
+        &mut self,
+        addr: Address,
+        balance: Option<i128>,
+        parts: &[(usize, Account<'_>)],
+    ) -> Result<(), MergeError> {
+        if let Some(b) = balance {
+            self.balances.insert(addr, b);
+        }
+        let mut committed = parts.iter().filter_map(|(_, (_, ns))| *ns).peekable();
+        if committed.peek().is_some() {
+            // Canonical multiset representation: merging is commutative and
+            // associative only if the committed-nonce list is order-free.
+            let ns = self.nonces.entry(addr).or_default();
+            ns.extend(committed.flatten());
+            ns.sort_unstable();
+        }
+        Ok(())
+    }
+}
+
+/// The sink that grafts the join into `map`: a contract's store, one of its
+/// map values, or at the top the global state. It counts the changed
+/// components.
+struct Graft<'m, M> {
+    map: &'m mut M,
+    components: &'m mut usize,
+}
+
+impl<K, M: GraftMap<K>> Sink<K> for Graft<'_, M> {
+    fn sole(&mut self, key: &K, tree: &Tree<Change>) -> Result<(), Vec<Value>> {
+        let components = &mut *self.components;
+        let mut leaf = |change: &Change, old: Option<&Value>| {
+            let leaf = Joined::of(change);
+            *components += leaf.components();
+            leaf.applied(old).ok_or(())
+        };
+        self.map.graft_tree(key, tree, &mut leaf).map_err(|((), below)| below)
+    }
+
+    fn joined(&mut self, key: &K, leaf: Joined<'_>) -> Result<(), Vec<Value>> {
+        *self.components += leaf.components();
+        self.map.graft_leaf(key, |old| leaf.applied(old).ok_or(())).map_err(|()| Vec::new())
+    }
+
+    fn branch(&mut self, key: &K, below: &mut Below<'_, Value>) -> Result<(), MergeError> {
+        let components = &mut *self.components;
+        self.map.graft_branch(key, |map| below(&mut Graft { map, components }))
+    }
+}
+
+impl Target for Graft<'_, GlobalState> {
+    fn contract(&mut self, addr: Address, fields: &mut Below<'_, Sym>) -> Result<(), MergeError> {
+        // In the normal epoch flow the shard executors' snapshot views have
+        // been dropped by merge time, so `make_mut` mutates in place; a
+        // surviving snapshot (e.g. a held block digest input) triggers one
+        // shallow O(fields) copy, never a value deep-copy.
+        let map = Arc::make_mut(self.map.storage.entry(addr).or_default());
+        fields(&mut Graft { map, components: &mut *self.components })
+    }
+
+    /// One search of the accounts per address: the balance, then the
+    /// nonces.
+    fn account(
+        &mut self,
+        addr: Address,
+        balance: Option<i128>,
+        parts: &[(usize, Account<'_>)],
+    ) -> Result<(), MergeError> {
+        let acc = self.map.accounts.entry(addr).or_default();
+        if let Some(b) = balance {
+            *self.components += 1;
+            // In `u128`, like the integer components: a balance past
+            // `i128::MAX` is exact, and an overdraw is an error, not a clamp.
+            acc.balance =
+                acc.balance.checked_add_signed(b).ok_or_else(|| MergeError::DeltaOutOfRange {
+                    contract: addr.to_string(),
+                    component: "balance".into(),
+                })?;
+        }
+        // The deltas' sorted lists, merged into one increasing run.
+        let lists = parts.iter().filter_map(|&(j, (_, ns))| Some((j, ns?.iter().map(|n| (n, ())))));
+        let Ok(()) = kway(lists, |&n, _| {
+            acc.nonces.commit(n);
+            Ok::<_, Infallible>(())
+        });
+        Ok(())
+    }
+}
+
+/// The join walk's place and findings. Nodes come with the index of their
+/// delta; the verdict is the one [`StateDelta::merge_ref`] has always
+/// given, which joins the deltas one after another.
+struct Walk<'a> {
+    contract: Address,
+    field: Sym,
+    /// The key path below `field`.
+    at: Vec<&'a Value>,
+    /// The first conflict that joining the deltas in order meets: the least
+    /// delta index, then the first component in order.
+    conflict: Option<(usize, MergeError)>,
+    /// The first component whose exact sum leaves `i128`: by account, a
+    /// balance (`false`) before a contract's components (`true`), then in
+    /// component order.
+    wrapped: Option<((Address, bool), MergeError)>,
+}
+
+impl<'a> Walk<'a> {
+    /// Walks the join of `deltas` into `target`.
+    ///
+    /// # Errors
+    ///
+    /// A change `target` cannot apply, as soon as it meets it; otherwise
+    /// the verdict.
+    fn run(deltas: &[&'a StateDelta], target: &mut impl Target) -> Result<(), MergeError> {
+        let mut walk = Walk {
+            contract: Address([0; 20]),
+            field: Sym::default(),
+            at: Vec::new(),
+            conflict: None,
+            wrapped: None,
+        };
+        let contracts = deltas.iter().enumerate().map(|(j, d)| (j, d.contracts.iter()));
+        kway(contracts, |&addr, cds| {
+            walk.contract = addr;
+            target.contract(addr, &mut |sink| {
+                let fields = cds.iter().map(|&(j, cd)| (j, cd.fields.iter()));
+                kway(fields, |&field, nodes| {
+                    walk.field = field;
+                    walk.join(&field, nodes, sink)
+                })
+            })
+        })?;
+        let accounts = deltas.iter().enumerate().map(|(j, d)| (j, accounts(d)));
+        kway(accounts, |&addr, parts| {
+            let (mut balance, mut wraps) = (None, 0i64);
+            for (_, (b, _)) in parts {
+                let Some(&b) = *b else { continue };
+                let (sum, wrapped) = balance.unwrap_or(0i128).overflowing_add(b);
+                balance = Some(sum);
+                wraps += if wrapped { b.signum() as i64 } else { 0 };
+            }
+            if wraps != 0 {
+                walk.wrap((addr, false), || "balance".into());
+            }
+            target.account(addr, balance, parts)
+        })?;
+        match (walk.conflict, walk.wrapped) {
+            (Some((_, e)), _) | (None, Some((_, e))) => Err(e),
+            (None, None) => Ok(()),
+        }
+    }
+
+    /// Joins the deltas' nodes at `key`, the walk's path, into `sink`.
+    fn join<K: Clone>(
+        &mut self,
+        key: &K,
+        nodes: &[(usize, &'a Tree<Change>)],
+        sink: &mut dyn Sink<K>,
+    ) -> Result<(), MergeError> {
+        // A node one delta alone changes goes whole, unread: the check then
+        // touches only the keys of the deltas' trees.
+        if let [(_, tree)] = nodes {
+            return sink.sole(key, tree).map_err(|below| self.out_of_range(&below));
+        }
+        let is_leaf = |node: &Tree<Change>| matches!(node, Tree::Leaf(_));
+        // Joined in delta order, the first node of another kind than the
+        // first one's conflicts; the ones before it still join.
+        let leaf = is_leaf(nodes[0].1);
+        let same = nodes.iter().position(|(_, n)| is_leaf(n) != leaf).unwrap_or(nodes.len());
+        if let Some(&(j, _)) = nodes.get(same) {
+            self.conflict(j);
+        }
+        match &nodes[..same] {
+            [(_, tree)] => sink.sole(key, tree).map_err(|below| self.out_of_range(&below)),
+            nodes if leaf => {
+                let joined = self.join_leaves(nodes);
+                sink.joined(key, joined).map_err(|below| self.out_of_range(&below))
+            }
+            nodes => sink.branch(key, &mut |sink| {
+                let children = nodes.iter().filter_map(|&(j, node)| match node {
+                    Tree::Branch(children) => Some((j, children.iter())),
+                    Tree::Leaf(_) => None,
+                });
+                kway(children, |k, nodes| {
+                    self.at.push(k);
+                    self.join(k, nodes, sink)?;
+                    self.at.pop();
+                    Ok(())
+                })
+            }),
+        }
+    }
+
+    /// Joins several deltas' leaves at the walk's path: the one overwrite,
+    /// and the numeric deltas summed.
+    fn join_leaves(&mut self, nodes: &[(usize, &'a Tree<Change>)]) -> Joined<'a> {
+        let mut out = Joined { set: None, add: None };
+        let mut wraps = 0i64;
+        for &(j, node) in nodes {
+            let Tree::Leaf(change) = node else { continue };
+            let clash = match (&mut out.add, change.add()) {
+                (_, None) => false,
+                (None, add) => {
+                    out.add = add;
+                    false
+                }
+                (Some(a), Some(b)) if (a.width, a.signed) == (b.width, b.signed) => {
+                    let wrapped;
+                    (a.delta, wrapped) = a.delta.overflowing_add(b.delta);
+                    wraps += if wrapped { b.delta.signum() as i64 } else { 0 };
+                    false
+                }
+                (Some(_), Some(_)) => true,
+            };
+            if clash || (out.set.is_some() && change.set().is_some()) {
+                self.conflict(j);
+                return out;
+            }
+            out.set = out.set.or(change.set());
+        }
+        if wraps != 0 {
+            let component = component_name(self.field, self.at.iter().copied());
+            self.wrap((self.contract, true), || component);
+        }
+        out
+    }
+
+    /// Notes a conflict of delta `j` at the walk's path.
+    fn conflict(&mut self, j: usize) {
+        if self.conflict.as_ref().is_none_or(|(first, _)| j < *first) {
+            let component = component_name(self.field, self.at.iter().copied());
+            let e =
+                MergeError::OverwriteConflict { contract: self.contract.to_string(), component };
+            self.conflict = Some((j, e));
+        }
+    }
+
+    /// Notes a sum past `i128` at `at`, an account and whether the sum is a
+    /// contract component's.
+    fn wrap(&mut self, at: (Address, bool), component: impl FnOnce() -> String) {
+        if self.wrapped.as_ref().is_none_or(|(first, _)| at < *first) {
+            let e =
+                MergeError::DeltaOutOfRange { contract: at.0.to_string(), component: component() };
+            self.wrapped = Some((at, e));
+        }
+    }
+
+    /// The error of a change that does not apply, `below` the walk's path.
+    fn out_of_range(&self, below: &[Value]) -> MergeError {
+        MergeError::DeltaOutOfRange {
+            contract: self.contract.to_string(),
+            component: component_name(self.field, self.at.iter().copied().chain(below)),
+        }
+    }
+}
+
+/// Visits the union of sorted streams in key order, a k-way merge: `visit`
+/// gets each key with the values under it, each beside its stream's index,
+/// in stream order.
+fn kway<'a, K, V, I, E>(
+    streams: impl IntoIterator<Item = (usize, I)>,
+    mut visit: impl FnMut(&'a K, &[(usize, V)]) -> Result<(), E>,
+) -> Result<(), E>
+where
+    K: Ord + 'a,
+    V: Copy,
+    I: Iterator<Item = (&'a K, V)>,
+{
+    let mut streams = streams.into_iter();
+    let Some(first) = streams.next() else { return Ok(()) };
+    let Some(second) = streams.next() else {
+        let (j, mut stream) = first;
+        return stream.try_for_each(|(k, v)| visit(k, &[(j, v)]));
+    };
+    let mut heads: Vec<(usize, Peekable<I>)> =
+        [first, second].into_iter().chain(streams).map(|(j, s)| (j, s.peekable())).collect();
+    // The heads holding the least key, by position, and their values.
+    let (mut least, mut here) = (Vec::with_capacity(heads.len()), Vec::with_capacity(heads.len()));
+    loop {
+        let mut key = None;
+        least.clear();
+        here.clear();
+        for (i, (j, stream)) in heads.iter_mut().enumerate() {
+            let Some(&(k, v)) = stream.peek() else { continue };
+            match key.map(|key| k.cmp(key)) {
+                Some(Ordering::Greater) => continue,
+                Some(Ordering::Less) | None => {
+                    key = Some(k);
+                    least.clear();
+                    here.clear();
+                }
+                Some(Ordering::Equal) => {}
+            }
+            least.push(i);
+            here.push((*j, v));
+        }
+        let Some(key) = key else { return Ok(()) };
+        for &i in &least {
+            heads[i].1.next();
+        }
+        visit(key, &here)?;
+    }
+}
+
+/// One delta's accounts in address order, each with its part.
+fn accounts(d: &StateDelta) -> impl Iterator<Item = (&Address, Account<'_>)> {
+    let (mut balances, mut nonces) = (d.balances.iter().peekable(), d.nonces.iter().peekable());
+    std::iter::from_fn(move || {
+        let addr = match (balances.peek(), nonces.peek()) {
+            (Some(&(b, _)), Some(&(n, _))) => b.min(n),
+            (Some(&(b, _)), None) => b,
+            (None, Some(&(n, _))) => n,
+            (None, None) => return None,
+        };
+        let balance = balances.next_if(|&(a, _)| a == addr).map(|(_, b)| b);
+        let committed = nonces.next_if(|&(a, _)| a == addr).map(|(_, ns)| ns);
+        Some((addr, (balance, committed)))
+    })
 }
 
 /// Everything a shard changed during one epoch.
@@ -270,7 +652,8 @@ impl StateDelta {
     /// Merges several shard deltas into one (the `FinalStateDelta`) by
     /// joining their trees field by field. It borrows them: the DS
     /// committee merges micro-block deltas in place without cloning each
-    /// one first.
+    /// one first. The epoch's merge stage builds no merged delta: it checks
+    /// the join and grafts it straight into the state.
     ///
     /// # Errors
     ///
@@ -281,6 +664,8 @@ impl StateDelta {
     /// under correct ownership dispatch; [`MergeError::DeltaOutOfRange`] if
     /// the exact sum of a component's integer deltas, or of an account's
     /// balance deltas, leaves `i128` — only a hostile wire delta gets there.
+    /// A conflict names the component where joining the deltas one after
+    /// another first meets one.
     ///
     /// The verdict does not depend on the order of `deltas`: every conflict
     /// is between two of them, and sums are taken exactly, so `[MAX, 1, -1]`
@@ -295,64 +680,46 @@ impl StateDelta {
     pub fn merge_ref<'a>(
         deltas: impl IntoIterator<Item = &'a StateDelta>,
     ) -> Result<StateDelta, MergeError> {
+        let deltas: Vec<&StateDelta> = deltas.into_iter().collect();
+        // The walk gives the verdict at its end, and building never fails
+        // before it.
         let mut out = StateDelta::new();
-        // Net wraps past the `i128` range per (contract, component) and per
-        // account (`None`): each sum is exact as `wrapped + n × 2¹²⁸`.
-        type Wraps = BTreeMap<(Address, Option<(Sym, Vec<Value>)>), i64>;
-        let mut wraps: Wraps = BTreeMap::new();
-        let mut at = Vec::new();
-        for d in deltas {
-            for (addr, cd) in &d.contracts {
-                let target = out.contracts.entry(*addr).or_default();
-                for (&field, theirs) in &cd.fields {
-                    let Some(ours) = target.fields.get_mut(&field) else {
-                        target.fields.insert(field, theirs.clone());
-                        continue;
-                    };
-                    at.clear();
-                    let mut count = |at: &[&Value], n| {
-                        let comp = (field, at.iter().map(|&k| k.clone()).collect());
-                        *wraps.entry((*addr, Some(comp))).or_default() += n;
-                    };
-                    join(ours, theirs, &mut at, &mut count).map_err(|()| {
-                        MergeError::OverwriteConflict {
-                            contract: addr.to_string(),
-                            component: component_name(field, at.iter().copied()),
-                        }
-                    })?;
-                }
-            }
-            for (addr, b) in &d.balances {
-                let sum = out.balances.entry(*addr).or_insert(0);
-                let wrapped;
-                (*sum, wrapped) = sum.overflowing_add(*b);
-                if wrapped {
-                    *wraps.entry((*addr, None)).or_default() += b.signum() as i64;
-                }
-            }
-            for (addr, ns) in &d.nonces {
-                out.nonces.entry(*addr).or_default().extend(ns.iter().copied());
-            }
-        }
-        if let Some(((addr, comp), _)) = wraps.iter().find(|(_, n)| **n != 0) {
-            return Err(MergeError::DeltaOutOfRange {
-                contract: addr.to_string(),
-                component: comp
-                    .as_ref()
-                    .map_or_else(|| "balance".into(), |(field, keys)| component_name(*field, keys)),
-            });
-        }
-        // Canonical multiset representation: merging is commutative and
-        // associative only if the committed-nonce list is order-free.
-        for ns in out.nonces.values_mut() {
-            ns.sort_unstable();
-        }
+        Walk::run(&deltas, &mut out)?;
         Ok(out)
+    }
+
+    /// The verdict [`StateDelta::merge_ref`] gives `deltas`, found without
+    /// building anything.
+    ///
+    /// # Errors
+    ///
+    /// As [`StateDelta::merge_ref`]'s.
+    pub(crate) fn check(deltas: &[&StateDelta]) -> Result<(), MergeError> {
+        Walk::run(deltas, &mut Check)
+    }
+
+    /// Grafts the join of `deltas`, which passed [`StateDelta::check`],
+    /// straight onto the state: one walk beside the state's maps, each
+    /// delta's nodes read where they lie. It applies what
+    /// `merge_ref(deltas)` would, and returns its `changed_components()`.
+    ///
+    /// # Errors
+    ///
+    /// As [`StateDelta::apply`]'s, for the first change in component order
+    /// that does not apply.
+    pub(crate) fn graft(
+        deltas: &[&StateDelta],
+        state: &mut GlobalState,
+    ) -> Result<usize, MergeError> {
+        let mut components = 0;
+        Walk::run(deltas, &mut Graft { map: state, components: &mut components })?;
+        Ok(components)
     }
 
     /// Applies the delta to the global state (the DS committee's three-way
     /// merge of epoch-start state with the combined deltas): each field's
-    /// tree is grafted onto the contract's storage in one walk.
+    /// tree is grafted onto the contract's storage in one walk, and each
+    /// account is looked up once.
     ///
     /// # Errors
     ///
@@ -361,51 +728,23 @@ impl StateDelta {
     /// overflow guard prevents — or a numeric delta meets a value that is
     /// not an integer of its shape.
     pub fn apply(&self, state: &mut GlobalState) -> Result<(), MergeError> {
-        for (addr, cd) in &self.contracts {
-            // In the normal epoch flow the shard executors' snapshot views
-            // have been dropped by merge time, so `make_mut` mutates in
-            // place; a surviving snapshot (e.g. a held block digest input)
-            // triggers one shallow O(fields) copy, never a value deep-copy.
-            let storage = Arc::make_mut(state.storage.entry(*addr).or_default());
-            for (&field, tree) in &cd.fields {
-                storage.graft(field, tree, &mut |change, old| change.applied(old).ok_or(())).map_err(
-                    |((), keys)| MergeError::DeltaOutOfRange {
-                        contract: addr.to_string(),
-                        component: component_name(field, &keys),
-                    },
-                )?;
-            }
-        }
-        for (addr, b) in &self.balances {
-            let acc = state.accounts.entry(*addr).or_default();
-            // In `u128`, like the integer components: a balance past
-            // `i128::MAX` is exact, and an overdraw is an error, not a clamp.
-            acc.balance = acc.balance.checked_add_signed(*b).ok_or_else(|| {
-                MergeError::DeltaOutOfRange {
-                    contract: addr.to_string(),
-                    component: "balance".into(),
-                }
-            })?;
-        }
-        for (addr, ns) in &self.nonces {
-            let acc = state.accounts.entry(*addr).or_default();
-            acc.nonces.merge(ns);
-        }
-        Ok(())
+        // One delta joins with nothing, so it passes the check.
+        StateDelta::graft(&[self], state).map(drop)
     }
 
     /// Serialises the delta through the JSON wire format (the boundary whose
     /// cost the paper measures in §5.2.2): per contract, the numeric deltas
     /// and then the overwrites, each list in component order.
     pub fn to_wire(&self) -> String {
-        let keys = |keys: &[&Value]| keys.iter().map(|k| scilla::wire::to_json(k)).collect::<Vec<_>>();
+        let keys =
+            |keys: &[&Value]| keys.iter().map(|k| scilla::wire::to_json(k)).collect::<Vec<_>>();
         let contracts: Vec<serde_json::Value> = self
             .contracts
             .iter()
             .map(|(addr, cd)| {
                 let (mut ints, mut ows) = (Vec::new(), Vec::new());
                 cd.for_each_change(|field, path, change| {
-                    if let Some(d) = &change.add {
+                    if let Some(d) = change.add() {
                         ints.push(json!({
                             "field": field.as_str(),
                             "keys": keys(path),
@@ -414,7 +753,7 @@ impl StateDelta {
                             "signed": d.signed,
                         }));
                     }
-                    if let Some(v) = &change.set {
+                    if let Some(v) = change.set() {
                         ows.push(json!({
                             "field": field.as_str(),
                             "keys": keys(path),
@@ -492,7 +831,7 @@ impl StateDelta {
     pub fn changed_components(&self) -> usize {
         let mut n = self.balances.len();
         for cd in self.contracts.values() {
-            cd.for_each_change(|_, _, c| n += usize::from(c.set.is_some()) + usize::from(c.add.is_some()));
+            cd.for_each_change(|_, _, c| n += Joined::of(c).components());
         }
         n
     }
@@ -799,7 +1138,9 @@ mod tests {
                 "overwrites": of("overwrites"),
             });
             let balances: Vec<serde_json::Value> = Vec::new();
-            StateDelta::from_wire(&json!({"contracts": vec![contract], "balances": balances}).to_string())
+            StateDelta::from_wire(
+                &json!({"contracts": vec![contract], "balances": balances}).to_string(),
+            )
         };
         assert!(spliced(&[set(&[1]), set(&[2]), add(&[1]), add(&[3, 4])]).is_ok());
         for pair in [

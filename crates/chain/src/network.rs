@@ -499,7 +499,10 @@ impl Network {
     ) -> XShardBlock {
         let _span = telemetry::span!("chain.network.phase.xshard");
         let epoch = self.block_number;
-        let mut stats = XShardStats { stale_locks_broken: self.lock_table.break_stale(epoch), ..Default::default() };
+        let mut stats = XShardStats {
+            stale_locks_broken: self.lock_table.break_stale(epoch),
+            ..Default::default()
+        };
         // A coordinator works the full balances of the accounts its locks
         // pin (like DS), but cross-contract messages still reroute: chained
         // calls escape the lock plan, so only the DS committee may run them.
@@ -671,8 +674,7 @@ impl Network {
             telemetry::counter!(telemetry::names::XSHARD_COMMITTED).add(stats.committed as u64);
             telemetry::counter!(telemetry::names::XSHARD_ABORTED).add(stats.aborted as u64);
             telemetry::counter!(telemetry::names::XSHARD_LOCK_WAIT).add(stats.lock_wait as u64);
-            telemetry::counter!(telemetry::names::XSHARD_DS_FALLBACK)
-                .add(stats.ds_fallback as u64);
+            telemetry::counter!(telemetry::names::XSHARD_DS_FALLBACK).add(stats.ds_fallback as u64);
             telemetry::counter!(telemetry::names::XSHARD_STALE_BROKEN)
                 .add(stats.stale_locks_broken as u64);
         }
@@ -772,15 +774,16 @@ impl Network {
     /// simulation harness can report byzantine signatures as divergences.
     pub fn merge_shard_deltas(&mut self, microblocks: &[MicroBlock]) -> Result<usize, MergeError> {
         let _span = telemetry::span!("chain.network.phase.merge");
-        // Merge straight from the micro-blocks — no per-delta clone.
-        let merged = StateDelta::merge_ref(microblocks.iter().map(|mb| &mb.delta))
-            .inspect_err(|_| {
-                telemetry::counter!("chain.network.merge_conflicts").inc();
-            })?;
-        let components = merged.changed_components();
+        // The join is checked first, so a conflict leaves the state as it
+        // was; then the micro-blocks' deltas are grafted straight into it,
+        // with no merged delta built in between.
+        let deltas: Vec<&StateDelta> = microblocks.iter().map(|mb| &mb.delta).collect();
+        StateDelta::check(&deltas).inspect_err(|_| {
+            telemetry::counter!("chain.network.merge_conflicts").inc();
+        })?;
+        let components = StateDelta::graft(&deltas, &mut self.state)?;
         telemetry::histogram!("chain.network.merged_components", telemetry::SIZE_BUCKETS)
             .record(components as u64);
-        merged.apply(&mut self.state)?;
         Ok(components)
     }
 
@@ -881,11 +884,8 @@ impl Network {
         for mb in microblocks.into_iter().chain([xshard.block]).chain(ds_block) {
             let committed = mb.committed();
             report.committed += committed;
-            report.failed += mb
-                .receipts
-                .iter()
-                .filter(|r| matches!(r.status, TxStatus::Failed(_)))
-                .count();
+            report.failed +=
+                mb.receipts.iter().filter(|r| matches!(r.status, TxStatus::Failed(_))).count();
             report.deferred += mb.deferred.len();
             report.per_committee.push((mb.role, committed, mb.gas_used));
             report.receipts.extend(mb.receipts);
@@ -945,7 +945,11 @@ mod tests {
 
     impl XShardFaults for CrashShard {
         fn shard_fault(&mut self, _epoch: u64, shard: u32) -> ShardFault {
-            if shard == self.0 { ShardFault::Crash } else { ShardFault::None }
+            if shard == self.0 {
+                ShardFault::Crash
+            } else {
+                ShardFault::None
+            }
         }
     }
 

@@ -12,7 +12,7 @@ use chain::state::GlobalState;
 use cosplit_analysis::signature::Join;
 use proptest::prelude::*;
 use scilla::intern::Sym;
-use scilla::state::{CowState, InMemoryState, StateStore, Tree};
+use scilla::state::{Change, CowState, InMemoryState, StateStore, Tree};
 use scilla::value::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -94,10 +94,10 @@ fn seeded_base() -> Arc<InMemoryState> {
 
 /// The pending writes as [`CowState::into_writes`] hands them over, each
 /// leaf the component's value in the view.
-type Writes = BTreeMap<Sym, Tree<Option<Value>>>;
+type Writes = BTreeMap<Sym, Tree<Change>>;
 
 fn writes(cow: &CowState) -> Writes {
-    cow.clone().into_writes(|_| |value: Option<Value>, _: Option<&Value>| value)
+    cow.clone().into_writes(|_| (false, |_: &mut Change, _: Option<&Value>| {}))
 }
 
 /// No branch of a drained tree is empty: a branch stands for writes below
@@ -224,7 +224,11 @@ enum TypedOp {
     Credit(u8, u8),
     Allow(u8, u8, u8),
     /// Removes an allowance leaf, or with `whole` the owner's whole map.
-    Forget { owner: u8, spender: u8, whole: bool },
+    Forget {
+        owner: u8,
+        spender: u8,
+        whole: bool,
+    },
     Supply(u8),
     Commit,
     Rollback,

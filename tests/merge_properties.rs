@@ -4,9 +4,12 @@
 
 use cosplit::analysis::signature::ShardingSignature;
 use cosplit::chain::address::Address;
-use cosplit::chain::delta::{IntDelta, StateDelta};
+use cosplit::chain::delta::{apply_int_delta, component_name, IntDelta, StateDelta};
+use cosplit::chain::dispatch::Assignment;
 use cosplit::chain::error::MergeError;
+use cosplit::chain::executor::MicroBlock;
 use cosplit::chain::network::{ChainConfig, Network};
+use cosplit::chain::sim::state_digest;
 use cosplit::chain::state::GlobalState;
 use cosplit::chain::xshard::NoFaults;
 use cosplit::scilla::state::StateStore;
@@ -14,7 +17,9 @@ use cosplit::scilla::value::Value;
 use cosplit::workloads::runner::world_builder;
 use cosplit::workloads::scenarios::{admin, build, contract_addr, Kind};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 fn addr(i: u8) -> Address {
     Address::from_index(i as u64)
@@ -273,6 +278,294 @@ proptest! {
             prop_assert_eq!(&verdict(merge(&[x, y, z])), &expected);
             prop_assert_eq!(&verdict(left), &expected);
             prop_assert_eq!(&verdict(right), &expected);
+        }
+    }
+}
+
+/// The components of the equivalence test, each with the integer shape
+/// (width, signedness) the base holds there: `m` nests (`m`, `m[1]`,
+/// `m[2]`, `m[1][3]`, `m[1][4]`), `c[0..3]` are counters near the ends of
+/// their types, and `n` is a field the base lacks.
+const COMPONENTS: [(&str, &[u8], (u32, bool)); 10] = [
+    ("m", &[], (128, true)),
+    ("m", &[1], (128, true)),
+    ("m", &[2], (128, true)),
+    ("m", &[1, 3], (128, true)),
+    ("m", &[1, 4], (32, true)),
+    ("c", &[0], (32, false)),
+    ("c", &[1], (32, false)),
+    ("c", &[2], (128, true)),
+    ("n", &[], (128, true)),
+    ("n", &[5], (32, false)),
+];
+
+/// A small change, or in three of sixteen one at the end of `i128`, so
+/// that sums wrap.
+fn amount() -> impl Strategy<Value = i128> {
+    (0u8..16, -5i128..6).prop_map(|(pick, n)| match pick {
+        0 => i128::MAX,
+        1 => i128::MIN,
+        2 => i128::MAX - 1,
+        _ => n,
+    })
+}
+
+/// A change to one component, as the flat model of the join sees it.
+#[derive(Debug, Clone)]
+enum Part {
+    Set(Option<Value>),
+    Add(IntDelta),
+}
+
+/// The field, key path and change of each component change a delta holds.
+type Parts = Vec<(&'static str, Vec<Value>, Part)>;
+
+/// A shard delta for the equivalence test, with its component changes: up
+/// to four changes over [`COMPONENTS`], each an integer delta (four in
+/// six), an overwrite of a value or a delete, so that one leaf may both
+/// set and add. Half of them take the component's own shape, the rest one
+/// of three. Then balance changes and committed nonces of four accounts. A change the delta refuses (a repeat, or one that
+/// nests with one before it) is left out, so nested pairs occur across
+/// deltas.
+fn shard_delta() -> impl Strategy<Value = (StateDelta, Parts)> {
+    let change = (0..COMPONENTS.len(), 0u8..6, amount(), 0u8..6);
+    (
+        prop::collection::vec(change, 0..5),
+        prop::collection::btree_map((0u8..4).prop_map(addr), amount(), 0..3),
+        prop::collection::btree_map(
+            (0u8..4).prop_map(addr),
+            prop::collection::vec(1u64..12, 0..5),
+            0..3,
+        ),
+    )
+        .prop_map(|(changes, balances, mut nonces)| {
+            let mut sd = StateDelta::new();
+            let mut parts = Parts::new();
+            let cd = sd.contracts.entry(Address::from_index(42)).or_default();
+            for (component, kind, n, shape) in changes {
+                let (field, path, own) = COMPONENTS[component];
+                let keys: Vec<Value> = path.iter().map(|&k| addr(k).to_value()).collect();
+                let (width, signed) =
+                    [own, own, own, (32, false), (128, true), (32, true)][shape as usize];
+                let value = match signed {
+                    true => Value::Int(width, n.clamp(i32::MIN.into(), i32::MAX.into())),
+                    false => Value::Uint(width, n.unsigned_abs().min(u32::MAX.into())),
+                };
+                let part = match kind {
+                    0..=3 => Part::Add(IntDelta { delta: n, width, signed }),
+                    4 => Part::Set(Some(value)),
+                    _ => Part::Set(None),
+                };
+                let accepted = match &part {
+                    Part::Add(id) => cd.add(field.into(), &keys, *id),
+                    Part::Set(v) => cd.set(field.into(), &keys, v.clone()),
+                };
+                if accepted.is_ok() {
+                    parts.push((field, keys, part));
+                }
+            }
+            sd.balances = balances;
+            // A shard commits each nonce once, in order.
+            for ns in nonces.values_mut() {
+                ns.sort_unstable();
+                ns.dedup();
+            }
+            sd.nonces = nonces;
+            (sd, parts)
+        })
+}
+
+/// The merge of `deltas`, applied to `state`, by a flat model of the join
+/// that shares no code with the tree walk: components keyed by field and
+/// key path, joined one delta after another in component order, then each
+/// joined change set in component order with `StateStore::set`, each
+/// balance added, each nonce committed. Returns the changed components.
+fn model_merge(
+    deltas: &[(StateDelta, Parts)],
+    state: &mut GlobalState,
+) -> Result<usize, MergeError> {
+    let contract = Address::from_index(42);
+    let named = |field: &str, keys: &[Value]| component_name(field.into(), keys);
+    let conflict =
+        |component| MergeError::OverwriteConflict { contract: contract.to_string(), component };
+    let out_of_range = |at: Address, component| MergeError::DeltaOutOfRange {
+        contract: at.to_string(),
+        component,
+    };
+    // Per component: the overwrite, the summed numeric delta and its net
+    // wraps past `i128`.
+    type Joined = (Option<Option<Value>>, Option<IntDelta>, i64);
+    let mut joined: BTreeMap<(&str, Vec<Value>), Joined> = BTreeMap::new();
+    for (_, parts) in deltas {
+        // This delta's change per component: its overwrite and its numeric
+        // delta.
+        type Mine = (Option<Option<Value>>, Option<IntDelta>);
+        let mut mine: BTreeMap<(&str, Vec<Value>), Mine> = BTreeMap::new();
+        for (field, keys, part) in parts {
+            let change = mine.entry((*field, keys.clone())).or_default();
+            match part {
+                Part::Set(v) => change.0 = Some(v.clone()),
+                Part::Add(id) => change.1 = Some(*id),
+            }
+        }
+        for ((field, keys), (set, add)) in mine {
+            // A joined component above or below this one conflicts at the
+            // shorter of the two paths.
+            let nested = joined
+                .keys()
+                .filter(|(f, k)| {
+                    *f == field && *k != keys && (k.starts_with(&keys) || keys.starts_with(k))
+                })
+                .map(|(_, k)| k.len().min(keys.len()))
+                .next();
+            if let Some(depth) = nested {
+                return Err(conflict(named(field, &keys[..depth])));
+            }
+            let j = joined.entry((field, keys.clone())).or_default();
+            let shapes = |a: IntDelta, b: IntDelta| (a.width, a.signed) != (b.width, b.signed);
+            if (j.0.is_some() && set.is_some())
+                || matches!((j.1, add), (Some(a), Some(b)) if shapes(a, b))
+            {
+                return Err(conflict(named(field, &keys)));
+            }
+            j.0 = j.0.take().or(set);
+            match (&mut j.1, add) {
+                (Some(a), Some(b)) => {
+                    let wrapped;
+                    (a.delta, wrapped) = a.delta.overflowing_add(b.delta);
+                    j.2 += if wrapped { b.delta.signum() as i64 } else { 0 };
+                }
+                (sum, add) => *sum = sum.or(add),
+            }
+        }
+    }
+    let mut balances: BTreeMap<Address, (i128, i64)> = BTreeMap::new();
+    for (d, _) in deltas {
+        for (a, b) in &d.balances {
+            let (sum, wraps) = balances.entry(*a).or_default();
+            let wrapped;
+            (*sum, wrapped) = sum.overflowing_add(*b);
+            *wraps += if wrapped { b.signum() as i64 } else { 0 };
+        }
+    }
+    // The first sum past `i128`: by account, a balance before a contract's
+    // components.
+    let balance = balances.iter().find(|(_, (_, w))| *w != 0).map(|(a, _)| *a);
+    let component = joined.iter().find(|(_, (.., w))| *w != 0).map(|((f, k), _)| named(f, k));
+    match (balance, component) {
+        (Some(a), None) => return Err(out_of_range(a, "balance".into())),
+        (Some(a), Some(_)) if a <= contract => return Err(out_of_range(a, "balance".into())),
+        (_, Some(component)) => return Err(out_of_range(contract, component)),
+        (None, None) => {}
+    }
+    let storage = Arc::make_mut(state.storage.entry(contract).or_default());
+    let mut components = balances.len();
+    for ((field, keys), (set, add, _)) in &joined {
+        components += usize::from(set.is_some()) + usize::from(add.is_some());
+        let old = match set {
+            Some(v) => v.clone(),
+            None => storage.get((*field).into(), keys),
+        };
+        let new = match add {
+            Some(id) => Some(
+                apply_int_delta(old.as_ref(), id)
+                    .ok_or_else(|| out_of_range(contract, named(field, keys)))?,
+            ),
+            None => old,
+        };
+        storage.set((*field).into(), keys, new);
+    }
+    for (a, (sum, _)) in &balances {
+        let account = state.accounts.entry(*a).or_default();
+        account.balance = account
+            .balance
+            .checked_add_signed(*sum)
+            .ok_or_else(|| out_of_range(*a, "balance".into()))?;
+    }
+    for (d, _) in deltas {
+        for (a, ns) in &d.nonces {
+            let account = state.accounts.entry(*a).or_default();
+            for &n in ns {
+                account.nonces.commit(n);
+            }
+        }
+    }
+    Ok(components)
+}
+
+/// The base of the equivalence test: `m` a two-level map, counters one
+/// step from either end of `Uint32` and three from the top of `Int128`,
+/// and four funded accounts, one of them one debit from `u128::MAX`.
+fn equivalence_base() -> Network {
+    let mut net = Network::new(ChainConfig::small(4, true));
+    let contract = Address::from_index(42);
+    let key = |i: u8| addr(i).to_value();
+    let m1 = BTreeMap::from([(key(3), Value::Int(128, 5)), (key(4), Value::Int(32, -2))]);
+    net.seed_map_field(
+        contract,
+        "m",
+        [(key(1), Value::Map(Arc::new(m1))), (key(2), Value::Int(128, 7))],
+    );
+    let counters = [
+        (key(0), Value::Uint(32, u128::from(u32::MAX) - 1)),
+        (key(1), Value::Uint(32, 1)),
+        (key(2), Value::Int(128, i128::MAX - 3)),
+    ];
+    net.seed_map_field(contract, "c", counters);
+    for a in 0u8..3 {
+        net.fund_account(addr(a), 10_000);
+    }
+    net.fund_account(addr(3), u128::MAX - 1);
+    net
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// The merge stage grafts shard deltas straight into the state: for
+    /// one to four of them, it must do what building their merged delta
+    /// with `merge_ref` and applying it does, and what a flat model of the
+    /// join does. Same state and component count on success; the same
+    /// error, component included, on failure. A verdict error leaves the
+    /// state untouched. A change that does not apply leaves the contracts
+    /// and the balances as the merged delta's `apply` leaves them; nonces
+    /// may then differ, since each account is grafted whole, balance and
+    /// nonces, before the next.
+    #[test]
+    fn merge_stage_grafts_what_merge_ref_applies(
+        deltas in prop::collection::vec(shard_delta(), 1..=4)
+    ) {
+        let mut net = equivalence_base();
+        let before = state_digest(&net);
+        let mut modelled = net.state().clone();
+        let model = model_merge(&deltas, &mut modelled);
+        let mut expected = net.state().clone();
+        let merged = StateDelta::merge_ref(deltas.iter().map(|(d, _)| d));
+        let applied = merged.as_ref().map_err(Clone::clone).and_then(|m| {
+            m.apply(&mut expected).map(|()| m.changed_components())
+        });
+        let blocks: Vec<MicroBlock> = deltas
+            .into_iter()
+            .enumerate()
+            .map(|(s, (delta, _))| MicroBlock { delta, ..MicroBlock::empty(Assignment::Shard(s as u32)) })
+            .collect();
+        let got = net.merge_shard_deltas(&blocks);
+        prop_assert_eq!(&got, &model);
+        prop_assert_eq!(&got, &applied);
+        let state = net.state();
+        prop_assert_eq!(&state.storage, &expected.storage);
+        match (merged, got) {
+            (Err(_), _) => prop_assert_eq!(state_digest(&net), before),
+            (Ok(_), Ok(_)) => {
+                prop_assert_eq!(&state.accounts, &expected.accounts);
+                prop_assert_eq!(&state.storage, &modelled.storage);
+                prop_assert_eq!(&state.accounts, &modelled.accounts);
+            }
+            (Ok(_), Err(_)) => {
+                for a in 0u8..4 {
+                    prop_assert_eq!(state.balance(&addr(a)), expected.balance(&addr(a)));
+                }
+            }
         }
     }
 }
